@@ -36,16 +36,12 @@ from .frictions import (
     ShortRebate,
     conjugate_gk,
     effective_domain,
-    margin_g,
 )
 from .market import (
     ConsumptionRule,
-    DeterministicConsumption,
     MarketModel,
-    PerRegimePortfolio,
     ProportionalConsumption,
     RegimeMarketParams,
-    TimeStepPortfolio,
     WealthPath,
     ZeroConsumption,
     export_path_csv,

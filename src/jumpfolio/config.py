@@ -34,6 +34,7 @@ Unknown keys anywhere raise ConfigError naming the dotted field path.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -189,7 +190,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     """Validate a config mapping (plus CLI overrides) into a RunConfig."""
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a mapping")
-    data = dict(data)
+    data = copy.deepcopy(data)
     for key, value in (overrides or {}).items():
         if value is None:
             continue

@@ -35,7 +35,8 @@ class RangeError(JumpfolioError):
 
 
 class BankruptcyError(JumpfolioError):
-    """A jump drove gross wealth non-positive (1 + pi*f <= 0)."""
+    """A jump factor of a path level is nonpositive; for gross wealth,
+    1 + pi*f <= 0."""
 
     def __init__(self, message, jump_time=None, mark=None):
         self.jump_time = jump_time

@@ -150,11 +150,6 @@ class PiecewiseLinearConcave(MarginModel):
             raise ConfigError("slopes must be nonincreasing (concavity)")
 
 
-def margin_g(model: MarginModel, pi: float) -> float:
-    """Margin payment g(pi)."""
-    return model.g(pi)
-
-
 def conjugate_gk(model: MarginModel, K: ConstraintSet, zeta: float) -> float:
     """sup over pi in K of g(pi) - pi*zeta; math.inf outside the effective domain."""
     lo, hi = effective_domain(model, K)

@@ -1,8 +1,12 @@
-"""Exact pathwise construction of money account, stock and wealth processes.
+"""Exact pathwise construction of stock and wealth processes.
 
 All dynamics are piecewise closed-form: between event times the state
 variables are exponentials of linear drifts, and each event multiplies
-them by a jump factor.  Nothing is Euler-discretised; the reporting grid
+them by a jump factor.  One engine, ``_path_level``, evaluates such a
+level on a single path from a per-regime drift and a per-regime jump log;
+the stock, the gross wealth and (in the verification layer) the
+state-price density are thin callers of it.  Portfolio weights are
+per-regime constants.  Nothing is Euler-discretised; the reporting grid
 only chooses where the closed forms are evaluated.
 """
 
@@ -13,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import JumpDistribution
-from .errors import BankruptcyError, ConfigError, RuinError
+from .errors import BankruptcyError, ConfigError, DomainError, RuinError
 from .frictions import ConstraintSet, Frictionless, MarginModel
 from .mpp import GeneratorMatrix, MarkedPointPath
 
@@ -105,66 +108,18 @@ class MarketModel:
 
 
 # ---------------------------------------------------------------------------
-# portfolio representations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PerRegimePortfolio:
-    """Constant weight per regime."""
-
-    pi: tuple
-
-    def weight(self, t, regime):
-        return self.pi[regime]
-
-    def extra_times(self):
-        return ()
-
-
-@dataclass(frozen=True)
-class TimeStepPortfolio:
-    """Left-continuous step function of time: values[k] on (times[k-1], times[k]]."""
-
-    times: tuple
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != len(self.times) + 1:
-            raise ConfigError("need one more value than step times")
-        if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
-            raise ConfigError("step times must be strictly increasing")
-
-    def weight(self, t, regime):
-        k = int(np.searchsorted(self.times, t, side="left"))
-        return self.values[k]
-
-    def extra_times(self):
-        return self.times
-
-
-def as_portfolio(pi):
-    if isinstance(pi, (PerRegimePortfolio, TimeStepPortfolio)):
-        return pi
-    if np.isscalar(pi):
-        return PerRegimePortfolio((float(pi), float(pi)))
-    return PerRegimePortfolio(tuple(float(p) for p in pi))
-
-
-# ---------------------------------------------------------------------------
 # consumption rules
 # ---------------------------------------------------------------------------
 
 
 class ConsumptionRule:
-    """Consumption rate process c_t; subclasses expose the deflated integral
-    xi_t = x - int_0^t c_s / V_s^{1,pi,0} ds in closed form where possible."""
+    """Consumption rate process c_t; the wealth layer evaluates the deflated
+    integral xi_t = x - int_0^t c_s / V_s^{1,pi,0} ds in closed form."""
 
 
 @dataclass(frozen=True)
 class ZeroConsumption(ConsumptionRule):
-    def rate(self, t, v_gross):
-        return 0.0
+    pass
 
 
 @dataclass(frozen=True)
@@ -173,92 +128,79 @@ class ProportionalConsumption(ConsumptionRule):
 
     scale: float
 
-    def rate(self, t, v_gross):
-        return self.scale * v_gross
-
-
-@dataclass(frozen=True)
-class DeterministicConsumption(ConsumptionRule):
-    """c_t = rate_fn(t), a nonnegative deterministic rate."""
-
-    rate_fn: Callable
-
-    def rate(self, t, v_gross):
-        return self.rate_fn(t)
-
 
 def log_optimal_consumption(x: float, T: float) -> ProportionalConsumption:
     return ProportionalConsumption(scale=x / (T + 1.0))
 
 
 # ---------------------------------------------------------------------------
-# path machinery
+# the single-path level engine
 # ---------------------------------------------------------------------------
 
 
-def _report_grid(path: MarkedPointPath, extra=(), n_grid=DEFAULT_GRID_POINTS):
-    T = path.horizon
-    base = np.linspace(0.0, T, n_grid + 1)
-    return np.union1d(np.union1d(base, path.jump_times), np.asarray(extra, dtype=float))
+def _report_grid(path: MarkedPointPath, n_grid=DEFAULT_GRID_POINTS):
+    return np.union1d(np.linspace(0.0, path.horizon, n_grid + 1), path.jump_times)
 
 
-def _segment_data(market, portfolio, path):
-    """Per-segment drift exponents and per-jump log factors.
+def _path_level(path: MarkedPointPath, times, drift_by_state, jump_log_by_state):
+    """exp of a piecewise-linear log level at the requested times.
 
-    Segment k runs from bounds[k] to bounds[k+1]; the regime there is
-    (i0 + k) % 2 and the portfolio weight is evaluated at the segment's
-    midpoint (the weight is constant on segments by construction).
-    Returns (bounds, drift_rates, pis, jump_logs, jump_states).
+    The log level starts at 0, grows at drift_by_state[i] while the chain
+    is in state i and jumps by jump_log_by_state[i](mark) at each event
+    whose pre-jump state is i; the level is right-continuous.  This is the
+    description ``verify.ensemble_functionals`` takes for a path ensemble.
+
+    Raises BankruptcyError when a jump factor is nonpositive (its log is
+    NaN or -inf) and DomainError when the level at a requested time is
+    not a finite positive float, which includes a +inf jump log.
     """
-    T = path.horizon
-    taus = path.jump_times
-    bounds = np.concatenate([[0.0], taus, [T]]) if taus.size == 0 or taus[-1] < T else np.concatenate([[0.0], taus])
-    step_times = np.asarray(portfolio.extra_times(), dtype=float)
-    if step_times.size:
-        inner = step_times[(step_times > 0) & (step_times < T)]
-        bounds = np.union1d(bounds, inner)
-    i0 = path.regime.initial_state
-    f = market.f
-
-    n_seg = len(bounds) - 1
-    drift = np.empty(n_seg)
-    pis = np.empty(n_seg)
-    # regime on a segment = i0 + number of jumps strictly before its start
-    jumps_before = np.searchsorted(taus, bounds[:-1], side="right")
-    # a segment starting exactly at a jump time lies after that jump
-    for k in range(n_seg):
-        regime = (i0 + jumps_before[k]) % 2
-        mid = 0.5 * (bounds[k] + bounds[k + 1])
-        p = market.regimes[regime]
-        pi_k = portfolio.weight(mid, regime)
-        drift[k] = p.r + p.margin.g(pi_k) + pi_k * (p.mu - p.r)
-        pis[k] = pi_k
-
+    taus, marks = path.jump_times, path.marks
     states = path.pre_jump_states
     jump_logs = np.empty(taus.size)
-    for n, (tau, y, st) in enumerate(zip(taus, path.marks, states)):
-        pi_n = portfolio.weight(tau, st)
-        factor = 1.0 + pi_n * float(f(y))
-        if factor <= 0.0:
-            raise BankruptcyError(
-                f"jump at t={tau:.6g} with mark {y:.6g} makes 1 + pi*f = {factor:.6g} <= 0",
-                jump_time=tau,
-                mark=y,
-            )
-        jump_logs[n] = math.log(factor)
-    return bounds, drift, pis, jump_logs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in (0, 1):
+            sel = states == i
+            jump_logs[sel] = jump_log_by_state[i](marks[sel])
+    bad = np.isnan(jump_logs) | (jump_logs == -np.inf)
+    if np.any(bad):
+        n = int(np.argmax(bad))
+        raise BankruptcyError(
+            f"jump at t={taus[n]:.6g} with mark {marks[n]:.6g} has a nonpositive factor",
+            jump_time=float(taus[n]),
+            mark=float(marks[n]),
+        )
+
+    # segment k starts at starts[k] and carries the state (i0 + k) % 2; a
+    # time t lies on segment k = number of jumps at or before t
+    starts = np.concatenate(([0.0], taus))
+    drift = np.asarray(drift_by_state, dtype=float)[
+        (path.regime.initial_state + np.arange(starts.size)) % 2
+    ]
+    cum_drift = np.concatenate(([0.0], np.cumsum(drift[:-1] * np.diff(starts))))
+    cum_jump = np.concatenate(([0.0], np.cumsum(jump_logs)))
+    k = np.searchsorted(taus, times, side="right")
+    log_level = cum_drift[k] + drift[k] * (times - starts[k]) + cum_jump[k]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        level = np.exp(log_level)
+    bad = ~(np.isfinite(level) & (level > 0.0))
+    if np.any(bad):
+        n = int(np.argmax(bad))
+        raise DomainError(
+            f"path level exp({log_level[n]:.6g}) at t={times[n]:.6g} is not a finite "
+            "positive float"
+        )
+    return level
 
 
-def _log_gross_at(times, path, bounds, drift, jump_logs):
-    """log V^{1,pi,0} (right-continuous) at the requested times."""
-    taus = path.jump_times
-    # cumulative drift integral at segment boundaries
-    cum_drift = np.concatenate([[0.0], np.cumsum(drift * np.diff(bounds))])
-    seg_idx = np.clip(np.searchsorted(bounds, times, side="right") - 1, 0, len(drift) - 1)
-    drift_at = cum_drift[seg_idx] + drift[seg_idx] * (times - bounds[seg_idx])
-    cum_jump = np.concatenate([[0.0], np.cumsum(jump_logs)])
-    jumps_at = cum_jump[np.searchsorted(taus, times, side="right")]
-    return drift_at + jumps_at
+def _wealth_terms(market: MarketModel, pi_pair, transform_f):
+    """Per-state drift and jump-log callables for log V^{1,pi,0}."""
+    drift = []
+    jump_logs = []
+    for params, pi in zip(market.regimes, pi_pair):
+        drift.append(params.r + params.margin.g(pi) + pi * (params.mu - params.r))
+        jump_logs.append(lambda y, p=pi: np.log1p(p * transform_f(y)))
+    return drift, jump_logs
 
 
 def stock_path(market: MarketModel, path: MarkedPointPath, s0: float, n_grid=DEFAULT_GRID_POINTS):
@@ -268,30 +210,23 @@ def stock_path(market: MarketModel, path: MarkedPointPath, s0: float, n_grid=DEF
     """
     if s0 <= 0:
         raise ConfigError("initial price must be positive", field="s0")
-    full_stock = PerRegimePortfolio((1.0, 1.0))
-    times = _report_grid(path, n_grid=n_grid)
-    # pi = 1 with zero rates/margins reduces the wealth recursion to the stock itself
-    stripped = MarketModel(
-        gen=market.gen,
-        regimes=tuple(
-            RegimeMarketParams(r=0.0, mu=p.mu, lam=p.lam, dist=p.dist, transform=p.transform)
-            for p in market.regimes
-        ),
-        constraint=market.constraint,
-    )
-    bounds, drift, _, jump_logs = _segment_data(stripped, full_stock, path)
-    return times, s0 * np.exp(_log_gross_at(times, path, bounds, drift, jump_logs))
+    times = _report_grid(path, n_grid)
+    f = market.f
+    drift = [p.mu for p in market.regimes]
+    level = _path_level(path, times, drift, [lambda y: np.log1p(f(y))] * 2)
+    return times, s0 * level
 
 
 def gross_wealth_path(market: MarketModel, pi, path: MarkedPointPath, n_grid=DEFAULT_GRID_POINTS):
-    """V^{1,pi,0} at the reporting grid; exact between jumps.
+    """V^{1,pi,0} at the reporting grid for per-regime constant weights pi
+    (a scalar or a pair); exact between jumps.
 
     Returns (t, V) arrays.
     """
-    portfolio = as_portfolio(pi)
-    times = _report_grid(path, extra=portfolio.extra_times(), n_grid=n_grid)
-    bounds, drift, _, jump_logs = _segment_data(market, portfolio, path)
-    return times, np.exp(_log_gross_at(times, path, bounds, drift, jump_logs))
+    times = _report_grid(path, n_grid)
+    pi_pair = (pi, pi) if np.isscalar(pi) else pi
+    drift, jump_logs = _wealth_terms(market, pi_pair, market.f)
+    return times, _path_level(path, times, drift, jump_logs)
 
 
 @dataclass(frozen=True)
@@ -321,16 +256,13 @@ def wealth_path(
 ) -> WealthPath:
     """Wealth under (pi, c) via the factorisation V_t = xi_t * V_t^{1,pi,0}.
 
-    Raises RuinError with the crossing time if consumption exhausts
-    wealth strictly before the horizon.
+    pi is a scalar or a per-regime pair.  Raises RuinError with the
+    crossing time if consumption exhausts wealth strictly before the
+    horizon.
     """
     if x <= 0:
         raise ConfigError("initial wealth must be positive", field="x")
-    portfolio = as_portfolio(pi)
-    times = _report_grid(path, extra=portfolio.extra_times(), n_grid=n_grid)
-    bounds, drift, _, jump_logs = _segment_data(market, portfolio, path)
-    log_v = _log_gross_at(times, path, bounds, drift, jump_logs)
-    v_gross = np.exp(log_v)
+    times, v_gross = gross_wealth_path(market, pi, path, n_grid)
 
     if isinstance(consumption, ZeroConsumption):
         xi = np.full_like(times, x)
@@ -342,52 +274,11 @@ def wealth_path(
                 f"proportional consumption ruins the path at t={t_ruin:.6g}",
                 ruin_time=t_ruin,
             )
-    elif isinstance(consumption, DeterministicConsumption):
-        xi = _xi_deterministic(x, consumption.rate_fn, times, path, bounds, drift, jump_logs)
     else:
         raise ConfigError(f"unsupported consumption rule {type(consumption).__name__}")
 
-    if np.any(xi < -1e-12):
-        first = times[np.argmax(xi < -1e-12)]
-        raise RuinError(f"consumption ruins the path before t={first:.6g}", ruin_time=first)
-
     regime = path.regime.state_at(times)
     return WealthPath(t=times, regime=regime, v_gross=v_gross, xi=xi, V=xi * v_gross)
-
-
-def _xi_deterministic(x, rate_fn, times, path, bounds, drift, jump_logs):
-    """xi_t for a deterministic consumption rate, by per-segment quadrature.
-
-    On a segment V^{1,pi,0}(s) = V_k * exp(a_k (s - b_k)), so the deflator
-    integral is a 1-d quadrature of c(s) * exp(-a_k (s - b_k)) / V_k.
-    """
-    log_v_bounds = _log_gross_at(bounds, path, bounds, drift, jump_logs)
-    # value entering segment k includes the jump at its left boundary
-    cum = np.zeros(len(bounds))
-    for k in range(len(bounds) - 1):
-        a, b = bounds[k], bounds[k + 1]
-        v0 = math.exp(log_v_bounds[k])
-        ak = drift[k]
-        val, _ = integrate.quad(
-            lambda s: rate_fn(s) * math.exp(-ak * (s - a)) / v0, a, b, epsabs=1e-10
-        )
-        cum[k + 1] = cum[k] + val
-    # within-segment partial integrals for grid points strictly inside a segment
-    seg_idx = np.clip(np.searchsorted(bounds, times, side="right") - 1, 0, len(drift) - 1)
-    out = np.empty_like(times)
-    for i, t in enumerate(times):
-        k = seg_idx[i]
-        a = bounds[k]
-        if t == a:
-            out[i] = cum[k]
-            continue
-        v0 = math.exp(log_v_bounds[k])
-        ak = drift[k]
-        val, _ = integrate.quad(
-            lambda s: rate_fn(s) * math.exp(-ak * (s - a)) / v0, a, t, epsabs=1e-10
-        )
-        out[i] = cum[k] + val
-    return x - out
 
 
 def export_path_csv(path_obj: WealthPath, stock, fh, comment_lines=()):

@@ -76,9 +76,6 @@ class Utility:
     def terminal(self, v):
         return np.log(v) if self.is_log else np.power(v, self.gamma) / self.gamma
 
-    def consumption(self, t, c):
-        return np.log(c) if self.is_log else np.power(c, self.gamma) / self.gamma
-
 
 @dataclass(frozen=True)
 class RegimeOptimum:
@@ -358,42 +355,35 @@ def _package_optimum(params, K, gamma, pi):
     return RegimeOptimum(pi=pi, zeta=zeta, case=0, h_at_pi=h_pi)
 
 
+def _optimal_policy(market: MarketModel, gamma: float, consumption: ConsumptionRule) -> Policy:
+    """Solve each regime, with the named four-case solver where the
+    constraint set is its margin's canonical one and the generic solver
+    otherwise."""
+    optima = []
+    for params in market.regimes:
+        canonical = market.constraint == params.margin.canonical_constraint()
+        if isinstance(params.margin, DifferentialRates) and canonical:
+            optima.append(optimal_portfolio_diffrates(params, gamma))
+        elif isinstance(params.margin, ShortRebate) and canonical:
+            optima.append(optimal_portfolio_short(params, gamma))
+        else:
+            optima.append(optimal_portfolio(params, market.constraint, gamma))
+    return Policy(
+        pi=tuple(o.pi for o in optima),
+        zeta=tuple(o.zeta for o in optima),
+        cases=tuple(o.case for o in optima),
+        gamma=gamma,
+        consumption=consumption,
+    )
+
+
 def log_optimal_policy(market: MarketModel, x: float, T: float) -> Policy:
     """Per-regime log-optimal weights plus the proportional consumption rule."""
     if x <= 0 or T <= 0:
         raise ConfigError("initial wealth and horizon must be positive")
-    optima = []
-    for params in market.regimes:
-        if isinstance(params.margin, DifferentialRates) and market.constraint == params.margin.canonical_constraint():
-            optima.append(optimal_portfolio_diffrates(params, 0.0))
-        elif isinstance(params.margin, ShortRebate) and market.constraint == params.margin.canonical_constraint():
-            optima.append(optimal_portfolio_short(params, 0.0))
-        else:
-            optima.append(optimal_portfolio(params, market.constraint, 0.0))
-    return Policy(
-        pi=tuple(o.pi for o in optima),
-        zeta=tuple(o.zeta for o in optima),
-        cases=tuple(o.case for o in optima),
-        gamma=0.0,
-        consumption=log_optimal_consumption(x, T),
-    )
+    return _optimal_policy(market, 0.0, log_optimal_consumption(x, T))
 
 
 def power_optimal_policy(market: MarketModel, gamma: float) -> Policy:
     """Per-regime power-utility weights; consumption stays off (zero rule)."""
-    utility = Utility.power(gamma)
-    optima = []
-    for params in market.regimes:
-        if isinstance(params.margin, DifferentialRates) and market.constraint == params.margin.canonical_constraint():
-            optima.append(optimal_portfolio_diffrates(params, utility.gamma))
-        elif isinstance(params.margin, ShortRebate) and market.constraint == params.margin.canonical_constraint():
-            optima.append(optimal_portfolio_short(params, utility.gamma))
-        else:
-            optima.append(optimal_portfolio(params, market.constraint, utility.gamma))
-    return Policy(
-        pi=tuple(o.pi for o in optima),
-        zeta=tuple(o.zeta for o in optima),
-        cases=tuple(o.case for o in optima),
-        gamma=utility.gamma,
-        consumption=ZeroConsumption(),
-    )
+    return _optimal_policy(market, Utility.power(gamma).gamma, ZeroConsumption())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, InfeasiblePolicyError
 from .frictions import ConstraintSet, effective_domain
-from .market import MarketModel, jump_transform
+from .market import MarketModel, _wealth_terms
 from .policy import (
     Policy,
     feasible_weight_interval,
@@ -60,6 +60,7 @@ def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None
         policy = log_optimal_policy(market, x, T)
     f = market.f
     K = market.constraint
+    drift, _ = _wealth_terms(market, policy.pi, f)
     eta = []
     d = []
     zeta = []
@@ -88,7 +89,7 @@ def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None
                 f"regime {i}: conjugacy residual {residual:.3e} exceeds 1e-9"
             )
         # mean log-growth rate of the gross wealth in regime i
-        d_i = params.r + params.margin.g(pi) + pi * (params.mu - params.r) + params.lam * eta_i
+        d_i = drift[i] + params.lam * eta_i
         eta.append(eta_i)
         d.append(d_i)
         zeta.append(zeta_i)

@@ -1,12 +1,15 @@
 """Monte Carlo and pathwise verification of the duality machinery.
 
-Everything here reduces to one vectorised primitive: a marked-point path
-is a sequence of segments with a per-regime linear log-drift plus a
-per-jump log factor, so gross wealth, the state-price process and every
-mixed integral of the two are accumulated column by column over a padded
-path ensemble.  All comparisons between policies reuse one ensemble
-(common random numbers), and reductions run in fixed path order so each
-estimate is bit-reproducible per seed.
+Every level here is described the same way: a per-regime linear
+log-drift plus a per-jump log factor.  On a path ensemble, gross wealth,
+the state-price process and every mixed integral of the two are
+accumulated column by column over the padded arrays
+(``ensemble_functionals``); on a single path the market layer's engine
+evaluates the same description, so ``simulate_state_price`` only
+supplies the state-price drift and jump logs.  Portfolio weights are
+per-regime constants.  All comparisons between policies reuse one
+ensemble (common random numbers), and reductions run in fixed path order
+so each estimate is bit-reproducible per seed.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from .market import (
     MarketModel,
     ProportionalConsumption,
     ZeroConsumption,
+    _path_level,
+    _report_grid,
+    _wealth_terms,
     gross_wealth_path,
     wealth_path,
 )
@@ -38,9 +44,6 @@ class McEstimate:
     stderr: float
     n_paths: int
     seed: object
-
-    def within(self, target, k=3.0):
-        return abs(self.mean - target) <= k * self.stderr
 
 
 def _estimate(samples, seed):
@@ -119,15 +122,12 @@ def ensemble_functionals(
     return out
 
 
-def _wealth_terms(market: MarketModel, pi_pair, transform_f):
-    """Per-state drift and jump-log callables for log V^{1,pi,0}."""
-    drift = []
-    jump_logs = []
-    for i, params in enumerate(market.regimes):
-        pi = pi_pair[i]
-        drift.append(params.r + params.margin.g(pi) + pi * (params.mu - params.r))
-        jump_logs.append(lambda y, p=pi: np.log1p(p * transform_f(y)))
-    return drift, jump_logs
+def _valid_functionals(ens, drift_by_state, jump_log_by_state, **kwargs):
+    """ensemble_functionals, raising if a jump log is not finite on some path."""
+    res = ensemble_functionals(ens, drift_by_state, jump_log_by_state, **kwargs)
+    if np.any(res["invalid"]):
+        raise InfeasiblePolicyError("a jump made 1 + pi*f nonpositive on some path")
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -187,24 +187,8 @@ def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> S
 
 def simulate_state_price(spec: StatePriceSpec, market: MarketModel, path: MarkedPointPath, n_grid=256):
     """H_t on the reporting grid, exact between jumps.  Returns (t, H)."""
-    T = path.horizon
-    times = np.union1d(np.linspace(0.0, T, n_grid + 1), path.jump_times)
-    taus = path.jump_times
-    i0 = path.regime.initial_state
-    drift = spec.drift(market)
-    bounds = np.concatenate([[0.0], taus, [T]]) if (taus.size == 0 or taus[-1] < T) else np.concatenate([[0.0], taus])
-    jumps_before = np.searchsorted(taus, bounds[:-1], side="right")
-    seg_drift = np.array([drift[(i0 + k) % 2] for k in jumps_before])
-    cum_drift = np.concatenate([[0.0], np.cumsum(seg_drift * np.diff(bounds))])
-    seg_idx = np.clip(np.searchsorted(bounds, times, side="right") - 1, 0, len(seg_drift) - 1)
-    drift_at = cum_drift[seg_idx] + seg_drift[seg_idx] * (times - bounds[seg_idx])
-    states = path.pre_jump_states
-    jl = np.array(
-        [math.log(spec.phi[s](y)) for s, y in zip(states, path.marks)]
-    )
-    cum_jl = np.concatenate([[0.0], np.cumsum(jl)])
-    jumps_at = cum_jl[np.searchsorted(taus, times, side="right")]
-    return times, np.exp(drift_at + jumps_at)
+    times = _report_grid(path, n_grid)
+    return times, _path_level(path, times, spec.drift(market), spec.jump_logs())
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +207,7 @@ def martingale_factor_check(market, K, policy, T, n_paths, seed, i0=0, ens=None)
     ens = _ensure_ensemble(market, i0, T, n_paths, seed, ens)
     spec = state_price_spec(market, K, policy)
     # drift reduces to minus the compensator once r + gk is added back
-    res = ensemble_functionals(
+    res = _valid_functionals(
         ens,
         [-spec.compensator[0], -spec.compensator[1]],
         spec.jump_logs(),
@@ -283,9 +267,7 @@ def budget_check(
     jumps = [
         (lambda y, i=i: h_jumps[i](y) + v_jumps[i](y)) for i in (0, 1)
     ]
-    res = ensemble_functionals(ens, drift, jumps, want_int_exp=kappa != 0.0)
-    if np.any(res["invalid"]):
-        raise InfeasiblePolicyError("a jump made 1 + pi*f nonpositive on some path")
+    res = _valid_functionals(ens, drift, jumps, want_int_exp=kappa != 0.0)
     xi_T = x - kappa * T
     total = xi_T * np.exp(res["final_log"])
     if kappa != 0.0:
@@ -314,9 +296,7 @@ def mc_expected_utility(
     if isinstance(consumption, ZeroConsumption):
         if utility.is_log:
             raise ConfigError("zero consumption gives -inf log utility; use power or a positive rule")
-        res = ensemble_functionals(ens, drift, jumps)
-        if np.any(res["invalid"]):
-            raise InfeasiblePolicyError("a jump made 1 + pi*f nonpositive on some path")
+        res = _valid_functionals(ens, drift, jumps)
         vals = (x**utility.gamma) * np.exp(utility.gamma * res["final_log"]) / utility.gamma
         return _estimate(vals, seed)
 
@@ -327,9 +307,7 @@ def mc_expected_utility(
         raise ConfigError("proportional scale must lie in (0, x/T)")
     xi_T = x - kappa * T
     if utility.is_log:
-        res = ensemble_functionals(ens, drift, jumps, want_int_log=True)
-        if np.any(res["invalid"]):
-            raise InfeasiblePolicyError("a jump made 1 + pi*f nonpositive on some path")
+        res = _valid_functionals(ens, drift, jumps, want_int_log=True)
         vals = (
             T * math.log(kappa)
             + res["int_log"]
@@ -338,11 +316,7 @@ def mc_expected_utility(
         )
         return _estimate(vals, seed)
     g = utility.gamma
-    res = ensemble_functionals(
-        ens, drift, jumps, want_int_exp=True, exp_coeff=g
-    )
-    if np.any(res["invalid"]):
-        raise InfeasiblePolicyError("a jump made 1 + pi*f nonpositive on some path")
+    res = _valid_functionals(ens, drift, jumps, want_int_exp=True, exp_coeff=g)
     vals = (kappa**g) * res["int_exp"] / g + (xi_T**g) * np.exp(g * res["final_log"]) / g
     return _estimate(vals, seed)
 
@@ -351,7 +325,7 @@ def dual_functional_log(market, K, phi_policy: Policy, x, T, n_paths, seed, i0=0
     """MC estimate of the dual bound L(x; phi) for log utility."""
     ens = _ensure_ensemble(market, i0, T, n_paths, seed, ens)
     spec = state_price_spec(market, K, phi_policy)
-    res = ensemble_functionals(
+    res = _valid_functionals(
         ens, spec.drift(market), spec.jump_logs(), want_int_log=True
     )
     vals = (T + 1.0) * math.log(x / (T + 1.0)) - res["int_log"] - res["final_log"]

@@ -106,6 +106,11 @@ class TestParsing:
         cfg = parse_config(copy.deepcopy(BASE), {"mc.seed": 99, "horizon": 2.0})
         assert cfg.seed == 99 and cfg.horizon == 2.0
 
+    def test_overrides_leave_input_untouched(self):
+        data = copy.deepcopy(BASE)
+        parse_config(data, {"mc.seed": 1})
+        assert data == BASE
+
     def test_output_dir_env(self, monkeypatch):
         monkeypatch.setenv("JUMPFOLIO_OUTPUT_DIR", "/tmp/somewhere")
         cfg = parse_config(copy.deepcopy(BASE))

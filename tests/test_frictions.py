@@ -15,7 +15,6 @@ from jumpfolio.frictions import (
     ShortRebate,
     conjugate_gk,
     effective_domain,
-    margin_g,
 )
 
 

@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from jumpfolio.distributions import ExponentialPositive, TwoPoint
-from jumpfolio.errors import BankruptcyError, ConfigError, RuinError
+from jumpfolio.errors import BankruptcyError, ConfigError, DomainError, RuinError
 from jumpfolio.frictions import DifferentialRates, NO_SHORTING
 from jumpfolio.market import (
-    DeterministicConsumption,
     MarketModel,
-    PerRegimePortfolio,
     ProportionalConsumption,
     RegimeMarketParams,
-    TimeStepPortfolio,
     ZeroConsumption,
     export_path_csv,
     gross_wealth_path,
@@ -118,14 +115,14 @@ class TestGrossWealth:
         with pytest.raises(BankruptcyError) as exc:
             gross_wealth_path(mkt, 1.5, path)  # 1 + 1.5(e^-2 - 1) < 0
         assert exc.value.jump_time == pytest.approx(1.0)
+        assert exc.value.mark == -2.0
 
-    def test_time_step_portfolio(self):
-        mkt = make_market()
-        path = fixed_path([], [], T=2.0)
-        port = TimeStepPortfolio(times=(1.0,), values=(0.0, 1.0))
-        _, V = gross_wealth_path(mkt, port, path)
-        r, mu = 0.045, -0.05
-        assert V[-1] == pytest.approx(math.exp(r * 1.0 + mu * 1.0), rel=1e-12)
+    def test_overflow_raises(self):
+        """At pi = 1 the log level is mu T = 1000, past the float range: raise, never inf."""
+        mkt = make_market(mu=100.0)
+        path = fixed_path([], [], T=10.0)
+        with pytest.raises(DomainError, match="t="):
+            gross_wealth_path(mkt, 1.0, path)
 
 
 class TestWealthFactorisation:
@@ -151,17 +148,6 @@ class TestWealthFactorisation:
         with pytest.raises(RuinError) as exc:
             wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.8), path)
         assert exc.value.ruin_time == pytest.approx(1.25)
-
-    def test_deterministic_consumption_no_jump_oracle(self):
-        """Constant rate c on a jump-free path: xi = x - c(1 - e^{-bt})/b."""
-        mkt = make_market()
-        x, c, pi = 5.0, 0.5, 0.7
-        path = fixed_path([], [], T=2.0)
-        wp = wealth_path(x, mkt, pi, DeterministicConsumption(lambda t: c), path)
-        r, mu = 0.045, -0.05
-        b = r + pi * (mu - r)
-        expected = x - c * (1.0 - np.exp(-b * wp.t)) / b
-        assert np.allclose(wp.xi, expected, atol=1e-9)
 
     def test_log_optimal_wealth_identity_single_path(self):
         mkt = make_market()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from jumpfolio.distributions import ExponentialPositive
-from jumpfolio.errors import ConfigError
+from jumpfolio.distributions import ExponentialPositive, TwoPoint
+from jumpfolio.errors import ConfigError, InfeasiblePolicyError
 from jumpfolio.frictions import DifferentialRates, NO_SHORTING
 from jumpfolio.market import (
     MarketModel,
@@ -13,9 +13,11 @@ from jumpfolio.market import (
     RegimeMarketParams,
     ZeroConsumption,
     gross_wealth_path,
+    log_optimal_consumption,
+    stock_path,
 )
 from jumpfolio.mpp import GeneratorMatrix, simulate_ensemble
-from jumpfolio.policy import Utility, log_optimal_policy
+from jumpfolio.policy import Policy, Utility, log_optimal_policy
 from jumpfolio.verify import (
     budget_check,
     dual_functional_log,
@@ -52,13 +54,32 @@ class TestEnsembleFunctionals:
         drift, jumps = _wealth_terms(mkt, (pi, pi), mkt.f)
         return mkt, ens, pi, drift, jumps
 
-    def test_final_log_matches_pathwise_wealth(self):
-        mkt, ens, pi, drift, jumps = self._setup()
+    @staticmethod
+    def _level_terms(kind, mkt, pi):
+        """Per-state drift and jump logs of one level, and its single-path
+        evaluation (path -> level on the grid)."""
+        if kind == "wealth":
+            drift, jumps = _wealth_terms(mkt, (pi, pi), mkt.f)
+            return drift, jumps, lambda path: gross_wealth_path(mkt, pi, path, n_grid=1)[1]
+        if kind == "stock":
+            drift = [p.mu for p in mkt.regimes]
+            jumps = [lambda y: np.log1p(mkt.f(y))] * 2
+            return drift, jumps, lambda path: stock_path(mkt, path, s0=1.0, n_grid=1)[1]
+        spec = state_price_spec(mkt, NO_SHORTING, log_optimal_policy(mkt, 1.0, 2.0))
+        return (
+            spec.drift(mkt),
+            spec.jump_logs(),
+            lambda path: simulate_state_price(spec, mkt, path, n_grid=1)[1],
+        )
+
+    @pytest.mark.parametrize("kind", ["wealth", "stock", "state_price"])
+    def test_final_log_matches_pathwise_wealth(self, kind):
+        mkt, ens, pi, _, _ = self._setup()
+        drift, jumps, level = self._level_terms(kind, mkt, pi)
         res = ensemble_functionals(ens, drift, jumps)
         for p in range(ens.n_paths):
-            path = ens.path(p)
-            _, V = gross_wealth_path(mkt, pi, path, n_grid=1)
-            assert res["final_log"][p] == pytest.approx(math.log(V[-1]), abs=1e-12)
+            final = level(ens.path(p))[-1]
+            assert res["final_log"][p] == pytest.approx(math.log(final), abs=1e-12)
 
     @staticmethod
     def _segment_trapezoid(mkt, pi, path, transform, n_grid):
@@ -105,6 +126,30 @@ class TestEnsembleFunctionals:
         bad = [lambda y: np.log(-np.ones_like(y))] * 2  # log of negative
         res = ensemble_functionals(ens, drift, bad)
         assert np.array_equal(res["invalid"], ens.counts > 0)
+
+
+class TestInfeasiblePolicy:
+    def test_every_sweep_rejects_a_nonpositive_jump_factor(self):
+        """pi = 1.5 against a mark with e^y - 1 = e^-2 - 1 gives 1 + pi f < 0."""
+        dist = TwoPoint(y_lo=-2.0, y_hi=0.5, p_hi=0.5)
+        params = RegimeMarketParams(
+            r=0.045, mu=-5.0, lam=1.0, dist=dist, margin=DifferentialRates(0.045, 0.05)
+        )
+        mkt = MarketModel(
+            gen=GeneratorMatrix(1.0, 1.0), regimes=(params, params), constraint=NO_SHORTING
+        )
+        pol = Policy(
+            pi=(1.5, 1.5), zeta=(0.0, 0.0), cases=(0, 0), gamma=0.0,
+            consumption=log_optimal_consumption(1.0, 1.0),
+        )
+        with pytest.raises(InfeasiblePolicyError):
+            martingale_factor_check(mkt, NO_SHORTING, pol, 1.0, 2000, 3)
+        with pytest.raises(InfeasiblePolicyError):
+            dual_functional_log(mkt, NO_SHORTING, pol, 1.0, 1.0, 2000, 3)
+        with pytest.raises(InfeasiblePolicyError):
+            budget_check(
+                mkt, NO_SHORTING, pol.pi, pol.consumption, pol, 1.0, 1.0, 2000, 3
+            )
 
 
 class TestStatePrice:
