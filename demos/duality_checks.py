@@ -42,28 +42,22 @@ policy = log_optimal_policy(market, X0, T)
 print(f"log-optimal weight: {policy.pi[0]:.10f} (case {policy.cases[0]})")
 
 # one shared ensemble so every estimate below sees the same randomness
-dists = tuple(p.dist for p in market.regimes)
-ens = simulate_ensemble(market.gen, 0, T, dists, N_PATHS, SEED)
+ens = simulate_ensemble(market.gen, 0, T, market.dists, N_PATHS, SEED)
 
-mart = martingale_factor_check(market, K, policy, T, N_PATHS, SEED, ens=ens)
+mart = martingale_factor_check(market, K, policy, ens)
 print(
     f"martingale factor:  E[H_T V^(1,pi,0)_T] = {mart.mean:.8f} "
     f"+/- {mart.stderr:.2e}  (target 1)"
 )
 
-budget = budget_check(
-    market, K, policy.pi, policy.consumption, policy, X0, T, N_PATHS, SEED, ens=ens
-)
+budget = budget_check(market, K, policy.pi, policy.consumption, policy, X0, ens)
 print(
     f"budget at optimum:  E[H_T V_T + int H c dt] - x = {budget.mean:.3e} "
     f"+/- {budget.stderr:.2e}  (target 0)"
 )
 
-primal = mc_expected_utility(
-    market, policy.pi, policy.consumption, Utility.log(), X0, T, N_PATHS, SEED,
-    ens=ens,
-)
-dual = dual_functional_log(market, K, policy, X0, T, N_PATHS, SEED, ens=ens)
+primal = mc_expected_utility(market, policy.pi, policy.consumption, Utility.log(), X0, ens)
+dual = dual_functional_log(market, K, policy, X0, ens)
 print(f"primal utility:     {primal.mean:.8f} +/- {primal.stderr:.2e}")
 print(f"dual functional:    {dual.mean:.8f} +/- {dual.stderr:.2e}")
 print(f"duality gap:        {dual.mean - primal.mean:.3e}")
@@ -72,8 +66,5 @@ print(f"duality gap:        {dual.mean - primal.mean:.3e}")
 print("\nbudget slack for perturbed weights (negative = strictly feasible):")
 for bump in (-0.3, -0.1, 0.1, 0.3):
     pi_sub = tuple(np.clip(p + bump, K.lower, K.upper) for p in policy.pi)
-    sub = budget_check(
-        market, K, pi_sub, policy.consumption, policy, X0, T, N_PATHS, SEED,
-        ens=ens,
-    )
+    sub = budget_check(market, K, pi_sub, policy.consumption, policy, X0, ens)
     print(f"  pi = {pi_sub[0]:.4f}: slack {sub.mean:+.6f} +/- {sub.stderr:.2e}")

@@ -17,6 +17,7 @@ from jumpfolio import (
     log_optimal_policy,
     mc_expected_utility,
     regime_inputs,
+    simulate_ensemble,
     value_comparison,
 )
 
@@ -44,10 +45,8 @@ print(f"optimal weights by regime: {policy.pi[0]:.6f}, {policy.pi[1]:.6f}")
 
 for i0 in (0, 1):
     comp = value_comparison(inputs, i0)
-    mc = mc_expected_utility(
-        market, policy.pi, policy.consumption, Utility.log(), X0, T,
-        N_PATHS, SEED, i0=i0,
-    )
+    ens = simulate_ensemble(market.gen, i0, T, market.dists, N_PATHS, SEED)
+    mc = mc_expected_utility(market, policy.pi, policy.consumption, Utility.log(), X0, ens)
     semi, coro, dev = comp["semianalytic"], comp["corollary"], comp["deviation"]
     z = (mc.mean - semi) / mc.stderr
     print(f"\nstarting regime {i0}:")

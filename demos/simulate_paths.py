@@ -20,7 +20,7 @@ from jumpfolio import (
     ShortRebate,
     export_path_csv,
     log_optimal_policy,
-    simulate_path,
+    simulate_paths,
     stock_path,
     wealth_path,
 )
@@ -49,11 +49,9 @@ market = MarketModel(
 policy = log_optimal_policy(market, X0, T)
 print(f"log-optimal weights by regime: {policy.pi[0]:.6f}, {policy.pi[1]:.6f}")
 
-dists = tuple(p.dist for p in market.regimes)
-children = np.random.SeedSequence(SEED).spawn(N_PATHS)
+paths = simulate_paths(market.gen, 0, T, market.dists, N_PATHS, SEED)
 terminal = []
-for k, child in enumerate(children):
-    path = simulate_path(market.gen, 0, T, dists, child)
+for k, path in enumerate(paths):
     wp = wealth_path(X0, market, policy.pi, policy.consumption, path)
     _, stock = stock_path(market, path, s0=1.0)
     out = os.path.join(OUT, f"path_{k:03d}.csv")

@@ -59,6 +59,7 @@ from .mpp import (
     simulate_ensemble,
     simulate_marks,
     simulate_path,
+    simulate_paths,
     simulate_regime_chain,
 )
 from .policy import (

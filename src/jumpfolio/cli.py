@@ -28,7 +28,7 @@ from .errors import (
     RuinError,
 )
 from .market import export_path_csv, stock_path, wealth_path
-from .mpp import seed_sequence, simulate_path
+from .mpp import simulate_ensemble, simulate_paths
 from .policy import (
     Policy,
     h_value,
@@ -97,9 +97,10 @@ def cmd_value(config: RunConfig, args) -> int:
     i0 = config.initial_state
     semi = value_semianalytic(inputs, i0)
     coro = value_corollary(inputs, i0)
+    market = config.market
+    ens = simulate_ensemble(market.gen, i0, T, market.dists, config.n_paths, config.seed)
     est = verify_mod.mc_expected_utility(
-        config.market, policy.pi, policy.consumption, config.utility,
-        x, T, config.n_paths, config.seed, i0=i0,
+        market, policy.pi, policy.consumption, config.utility, x, ens
     )
     print(f"optimal value, start regime {i0}:")
     print(f"  semianalytic  {semi:.12g}")
@@ -111,14 +112,11 @@ def cmd_value(config: RunConfig, args) -> int:
 def cmd_simulate(config: RunConfig, args) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     policy = _solve_policy(config)
-    n = args.paths
-    root = seed_sequence(config.seed)
-    children = root.spawn(n)
-    for k in range(n):
-        path = simulate_path(
-            config.market.gen, config.initial_state, config.horizon,
-            config.market.dists, children[k],
-        )
+    paths = simulate_paths(
+        config.market.gen, config.initial_state, config.horizon,
+        config.market.dists, args.paths, config.seed,
+    )
+    for k, path in enumerate(paths):
         wp = wealth_path(
             config.initial_wealth, config.market, policy.pi, policy.consumption, path
         )
@@ -194,6 +192,8 @@ def cmd_verify(config: RunConfig, args) -> int:
     i0 = config.initial_state
     n, seed = config.n_paths, config.seed
     policy = _solve_policy(config)
+    # one sample serves every Monte Carlo check (common random numbers)
+    ens = simulate_ensemble(market.gen, i0, T, market.dists, n, seed)
 
     checks = []  # (name, passed, detail, estimate or None)
 
@@ -203,7 +203,7 @@ def cmd_verify(config: RunConfig, args) -> int:
             (f"conjugacy_regime{i}", residual <= 1e-9, f"residual={residual:.3e}", None)
         )
 
-    est_m = verify_mod.martingale_factor_check(market, K, policy, T, n, seed, i0=i0)
+    est_m = verify_mod.martingale_factor_check(market, K, policy, ens)
     checks.append(
         (
             "state_price_martingale",
@@ -214,7 +214,7 @@ def cmd_verify(config: RunConfig, args) -> int:
     )
 
     est_b = verify_mod.budget_check(
-        market, K, policy.pi, policy.consumption, policy, x, T, n, seed, i0=i0
+        market, K, policy.pi, policy.consumption, policy, x, ens
     )
     checks.append(
         (
@@ -226,20 +226,19 @@ def cmd_verify(config: RunConfig, args) -> int:
     )
 
     if config.utility.is_log:
-        dev_hv = verify_mod.state_price_wealth_identity(
-            market, K, x, T, min(n, 200), seed, i0=i0
-        )
+        paths = simulate_paths(market.gen, i0, T, market.dists, min(n, 200), seed)
+        dev_hv = verify_mod.state_price_wealth_identity(market, K, x, paths)
         checks.append(
             ("state_price_wealth_identity", dev_hv <= 1e-10, f"max_dev={dev_hv:.3e}", None)
         )
-        dev_w = verify_mod.wealth_identity_check(market, x, T, min(n, 200), seed, i0=i0)
+        dev_w = verify_mod.wealth_identity_check(market, x, paths)
         checks.append(
             ("wealth_factorisation_identity", dev_w <= 1e-10, f"max_dev={dev_w:.3e}", None)
         )
         inputs = regime_inputs(market, x, T, policy)
         semi = value_semianalytic(inputs, i0)
         est_v = verify_mod.mc_expected_utility(
-            market, policy.pi, policy.consumption, config.utility, x, T, n, seed, i0=i0
+            market, policy.pi, policy.consumption, config.utility, x, ens
         )
         checks.append(
             (

@@ -53,23 +53,16 @@ class MarginModel:
     breakpoints: tuple
     slopes: tuple
 
-    def _piece(self, pi):
-        return int(np.searchsorted(self.breakpoints, pi, side="right"))
-
     def g(self, pi):
-        """Exact piecewise-linear evaluation, anchored at g(0) = 0."""
-        value = 0.0
-        anchor = 0.0
-        target = float(pi)
-        if target >= 0.0:
-            pts = [b for b in self.breakpoints if 0.0 < b < target] + [target]
-        else:
-            pts = [b for b in reversed(self.breakpoints) if target < b < 0.0] + [target]
-        for p in pts:
-            mid = 0.5 * (anchor + p)
-            value += self.slopes[self._piece(mid)] * (p - anchor)
-            anchor = p
-        return value
+        """Exact piecewise-linear evaluation, anchored at g(0) = 0, of a scalar
+        (returns a float) or an array: the sum in piece order of
+        s_k * (clip(pi) - clip(0)), clipped to piece k's span [b_{k-1}, b_k]."""
+        edges = np.concatenate(([-np.inf], self.breakpoints, [np.inf]))
+        lo, hi = edges[:-1], edges[1:]
+        x = np.asarray(pi, dtype=float)[..., None]
+        spans = np.minimum(np.maximum(x, lo), hi) - np.minimum(np.maximum(0.0, lo), hi)
+        value = np.sum(spans * np.asarray(self.slopes), axis=-1)
+        return float(value) if value.ndim == 0 else value
 
     def canonical_constraint(self) -> ConstraintSet:
         """Constraint set the model is usually paired with."""

@@ -2,12 +2,13 @@
 
 All dynamics are piecewise closed-form: between event times the state
 variables are exponentials of linear drifts, and each event multiplies
-them by a jump factor.  One engine, ``_path_level``, evaluates such a
-level on a single path from a per-regime drift and a per-regime jump log;
-the stock, the gross wealth and (in the verification layer) the
-state-price density are thin callers of it.  Portfolio weights are
-per-regime constants.  Nothing is Euler-discretised; the reporting grid
-only chooses where the closed forms are evaluated.
+them by a jump factor.  One engine, ``_path_log_level``, evaluates the
+log of such a level on a single path from a per-regime drift and a
+per-regime jump log; the stock, the gross wealth and (in the verification
+layer) the state-price density exponentiate it through ``_checked_exp``,
+and pathwise identities compare the log levels directly.  Portfolio
+weights are per-regime constants.  Nothing is Euler-discretised; the
+reporting grid only chooses where the closed forms are evaluated.
 """
 
 from __future__ import annotations
@@ -113,13 +114,15 @@ class MarketModel:
 
 
 class ConsumptionRule:
-    """Consumption rate process c_t; the wealth layer evaluates the deflated
-    integral xi_t = x - int_0^t c_s / V_s^{1,pi,0} ds in closed form."""
+    """Consumption rate c_t = scale * V_t^{1,pi,0}, so the deflated integral
+    xi_t = x - int_0^t c_s / V_s^{1,pi,0} ds = x - scale * t is closed-form."""
+
+    scale: float
 
 
 @dataclass(frozen=True)
 class ZeroConsumption(ConsumptionRule):
-    pass
+    scale = 0.0
 
 
 @dataclass(frozen=True)
@@ -142,17 +145,16 @@ def _report_grid(path: MarkedPointPath, n_grid=DEFAULT_GRID_POINTS):
     return np.union1d(np.linspace(0.0, path.horizon, n_grid + 1), path.jump_times)
 
 
-def _path_level(path: MarkedPointPath, times, drift_by_state, jump_log_by_state):
-    """exp of a piecewise-linear log level at the requested times.
+def _path_log_level(path: MarkedPointPath, times, drift_by_state, jump_log_by_state):
+    """A piecewise-linear log level at the requested times.
 
     The log level starts at 0, grows at drift_by_state[i] while the chain
     is in state i and jumps by jump_log_by_state[i](mark) at each event
-    whose pre-jump state is i; the level is right-continuous.  This is the
+    whose pre-jump state is i; it is right-continuous.  This is the
     description ``verify.ensemble_functionals`` takes for a path ensemble.
 
     Raises BankruptcyError when a jump factor is nonpositive (its log is
-    NaN or -inf) and DomainError when the level at a requested time is
-    not a finite positive float, which includes a +inf jump log.
+    NaN or -inf).
     """
     taus, marks = path.jump_times, path.marks
     states = path.pre_jump_states
@@ -179,8 +181,12 @@ def _path_level(path: MarkedPointPath, times, drift_by_state, jump_log_by_state)
     cum_drift = np.concatenate(([0.0], np.cumsum(drift[:-1] * np.diff(starts))))
     cum_jump = np.concatenate(([0.0], np.cumsum(jump_logs)))
     k = np.searchsorted(taus, times, side="right")
-    log_level = cum_drift[k] + drift[k] * (times - starts[k]) + cum_jump[k]
+    return cum_drift[k] + drift[k] * (times - starts[k]) + cum_jump[k]
 
+
+def _checked_exp(log_level, times):
+    """exp of a log level; raises DomainError naming the time when the
+    level is not a finite positive float, which includes a +inf jump log."""
     with np.errstate(over="ignore", invalid="ignore"):
         level = np.exp(log_level)
     bad = ~(np.isfinite(level) & (level > 0.0))
@@ -213,8 +219,16 @@ def stock_path(market: MarketModel, path: MarkedPointPath, s0: float, n_grid=DEF
     times = _report_grid(path, n_grid)
     f = market.f
     drift = [p.mu for p in market.regimes]
-    level = _path_level(path, times, drift, [lambda y: np.log1p(f(y))] * 2)
-    return times, s0 * level
+    log_level = _path_log_level(path, times, drift, [lambda y: np.log1p(f(y))] * 2)
+    return times, s0 * _checked_exp(log_level, times)
+
+
+def _gross_log_wealth(market: MarketModel, pi, path: MarkedPointPath, n_grid=DEFAULT_GRID_POINTS):
+    """The reporting grid and log V^{1,pi,0} on it."""
+    times = _report_grid(path, n_grid)
+    pi_pair = (pi, pi) if np.isscalar(pi) else pi
+    drift, jump_logs = _wealth_terms(market, pi_pair, market.f)
+    return times, _path_log_level(path, times, drift, jump_logs)
 
 
 def gross_wealth_path(market: MarketModel, pi, path: MarkedPointPath, n_grid=DEFAULT_GRID_POINTS):
@@ -223,10 +237,21 @@ def gross_wealth_path(market: MarketModel, pi, path: MarkedPointPath, n_grid=DEF
 
     Returns (t, V) arrays.
     """
-    times = _report_grid(path, n_grid)
-    pi_pair = (pi, pi) if np.isscalar(pi) else pi
-    drift, jump_logs = _wealth_terms(market, pi_pair, market.f)
-    return times, _path_level(path, times, drift, jump_logs)
+    times, log_v = _gross_log_wealth(market, pi, path, n_grid)
+    return times, _checked_exp(log_v, times)
+
+
+def _deflated_wealth(x, consumption: ConsumptionRule, times):
+    """xi_t = x - scale * t at the given times; raises RuinError with the
+    crossing time if it turns negative by the last."""
+    xi = x - consumption.scale * times
+    if xi[-1] < 0:
+        t_ruin = x / consumption.scale
+        raise RuinError(
+            f"proportional consumption ruins the path at t={t_ruin:.6g}",
+            ruin_time=t_ruin,
+        )
+    return xi
 
 
 @dataclass(frozen=True)
@@ -263,20 +288,7 @@ def wealth_path(
     if x <= 0:
         raise ConfigError("initial wealth must be positive", field="x")
     times, v_gross = gross_wealth_path(market, pi, path, n_grid)
-
-    if isinstance(consumption, ZeroConsumption):
-        xi = np.full_like(times, x)
-    elif isinstance(consumption, ProportionalConsumption):
-        xi = x - consumption.scale * times
-        if xi[-1] < 0:
-            t_ruin = x / consumption.scale
-            raise RuinError(
-                f"proportional consumption ruins the path at t={t_ruin:.6g}",
-                ruin_time=t_ruin,
-            )
-    else:
-        raise ConfigError(f"unsupported consumption rule {type(consumption).__name__}")
-
+    xi = _deflated_wealth(x, consumption, times)
     regime = path.regime.state_at(times)
     return WealthPath(t=times, regime=regime, v_gross=v_gross, xi=xi, V=xi * v_gross)
 

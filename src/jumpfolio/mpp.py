@@ -2,24 +2,23 @@
 
 A two-state continuous-time Markov chain generates the event times; the
 mark of each event is drawn from the distribution attached to the
-pre-jump state.  Besides the single-path simulators there is a padded
-ensemble simulator used by the Monte Carlo verification layer: it keeps
-the per-path jump data in rectangular arrays so path functionals can be
-evaluated with vectorised column sweeps.
+pre-jump state.  There are two sample layouts: a path sample is a list
+of single paths (``simulate_paths``), and an ensemble keeps all paths in
+rectangular arrays padded only to its longest path, so the verification
+layer can evaluate path functionals with vectorised column sweeps.
 
 Random-number contract: every simulator takes an integer seed and is
 bit-reproducible.  Streams are split with ``numpy.random.SeedSequence``
-so chain and mark draws never interleave, and ensembles spawn one child
-stream per purpose.
+so chain and mark draws never interleave; a path sample spawns one child
+stream per path, and an ensemble one per purpose.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import JumpDistribution
 from .errors import ConfigError
 
 
@@ -171,15 +170,21 @@ def simulate_path(gen, i0, T, dists, seed) -> MarkedPointPath:
     return simulate_marks(path, dists, mark_seed)
 
 
+def simulate_paths(gen, i0, T, dists, n, seed) -> list:
+    """The n single paths of one seed: child k of the seed drives path k."""
+    children = seed_sequence(seed).spawn(n)
+    return [simulate_path(gen, i0, T, dists, child) for child in children]
+
+
 @dataclass
 class PathEnsemble:
     """N marked point paths in padded rectangular arrays.
 
     ``times[p, j]`` is the j-th jump time of path p (+inf past the last
     jump), ``marks[p, j]`` the matching mark (0 padding), ``counts[p]``
-    the number of jumps.  The pre-jump state of column j is
-    ``(initial_state + j) % 2`` for every path, because the two-state
-    chain alternates deterministically.
+    the number of jumps; there are ``counts.max()`` columns.  The
+    pre-jump state of column j is ``(initial_state + j) % 2`` for every
+    path, because the two-state chain alternates deterministically.
     """
 
     initial_state: int
@@ -192,10 +197,6 @@ class PathEnsemble:
     @property
     def n_paths(self):
         return self.times.shape[0]
-
-    @property
-    def max_jumps(self):
-        return self.times.shape[1]
 
     def column_state(self, j):
         """Pre-jump state of jump column j (= regime on segment j)."""
@@ -219,7 +220,8 @@ def simulate_ensemble(
 
     Column j of the holding-time matrix is Exponential with the rate of
     the alternating state (i0 + j) % 2.  The padding width doubles until
-    every path is fully resolved inside [0, T].
+    every path is fully resolved inside [0, T]; the arrays then keep only
+    the columns of the longest path.
     """
     if T <= 0:
         raise ConfigError("horizon T must be positive")
@@ -233,9 +235,12 @@ def simulate_ensemble(
         col_rates = rates[(i0 + np.arange(width)) % 2]
         with np.errstate(divide="ignore"):
             scales = np.where(col_rates > 0, 1.0 / col_rates, np.inf)
+        # the ensemble's peak memory sits here: scale in place, free early
         hold = rng.exponential(size=(n_paths, width))
-        hold = np.where(col_rates > 0, hold * scales, np.inf)
+        hold *= scales
+        hold[:, col_rates == 0] = np.inf
         times = np.cumsum(hold, axis=1)
+        del hold
         if np.all(times[:, -1] > T) or np.all(np.isinf(times[:, -1])):
             break
         width *= 2
@@ -244,7 +249,12 @@ def simulate_ensemble(
 
     in_horizon = times <= T
     counts = in_horizon.sum(axis=1)
-    times = np.where(in_horizon, times, np.inf)
+    # marks are drawn column by column, so dropping the all-padding
+    # columns leaves every real jump its mark; np.where copies, so the
+    # wide times array is freed
+    width = int(counts.max())
+    in_horizon = in_horizon[:, :width]
+    times = np.where(in_horizon, times[:, :width], np.inf)
 
     mark_rng = np.random.default_rng(mark_ss)
     marks = np.zeros_like(times)

@@ -7,9 +7,14 @@ accumulated column by column over the padded arrays
 (``ensemble_functionals``); on a single path the market layer's engine
 evaluates the same description, so ``simulate_state_price`` only
 supplies the state-price drift and jump logs.  Portfolio weights are
-per-regime constants.  All comparisons between policies reuse one
-ensemble (common random numbers), and reductions run in fixed path order
-so each estimate is bit-reproducible per seed.
+per-regime constants.
+
+Every check is a function of the sample it is given: the Monte Carlo
+checks take a ``PathEnsemble`` (horizon, start regime and seed included)
+and the pathwise identities a list of single paths, whose log levels
+they compare.  A caller draws a sample once and passes it to every check
+(common random numbers); only the grid search draws its own ensemble.
+Reductions run in fixed path order, so estimates are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -24,15 +29,14 @@ from .frictions import ConstraintSet, conjugate_gk, effective_domain
 from .market import (
     ConsumptionRule,
     MarketModel,
-    ProportionalConsumption,
-    ZeroConsumption,
-    _path_level,
+    _checked_exp,
+    _deflated_wealth,
+    _gross_log_wealth,
+    _path_log_level,
     _report_grid,
     _wealth_terms,
-    gross_wealth_path,
-    wealth_path,
 )
-from .mpp import MarkedPointPath, PathEnsemble, simulate_ensemble, simulate_path
+from .mpp import MarkedPointPath, PathEnsemble, simulate_ensemble
 from .policy import Policy, Utility, feasible_weight_interval, log_optimal_policy
 
 
@@ -188,7 +192,8 @@ def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> S
 def simulate_state_price(spec: StatePriceSpec, market: MarketModel, path: MarkedPointPath, n_grid=256):
     """H_t on the reporting grid, exact between jumps.  Returns (t, H)."""
     times = _report_grid(path, n_grid)
-    return times, _path_level(path, times, spec.drift(market), spec.jump_logs())
+    log_h = _path_log_level(path, times, spec.drift(market), spec.jump_logs())
+    return times, _checked_exp(log_h, times)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +201,8 @@ def simulate_state_price(spec: StatePriceSpec, market: MarketModel, path: Marked
 # ---------------------------------------------------------------------------
 
 
-def _ensure_ensemble(market, i0, T, n_paths, seed, ens=None):
-    if ens is not None:
-        return ens
-    return simulate_ensemble(market.gen, i0, T, market.dists, n_paths, seed)
-
-
-def martingale_factor_check(market, K, policy, T, n_paths, seed, i0=0, ens=None) -> McEstimate:
+def martingale_factor_check(market, K, policy, ens: PathEnsemble) -> McEstimate:
     """E[H_T * exp(int (r + gk))] for the policy's dual density; target 1."""
-    ens = _ensure_ensemble(market, i0, T, n_paths, seed, ens)
     spec = state_price_spec(market, K, policy)
     # drift reduces to minus the compensator once r + gk is added back
     res = _valid_functionals(
@@ -212,22 +210,21 @@ def martingale_factor_check(market, K, policy, T, n_paths, seed, i0=0, ens=None)
         [-spec.compensator[0], -spec.compensator[1]],
         spec.jump_logs(),
     )
-    return _estimate(np.exp(res["final_log"]), seed)
+    return _estimate(np.exp(res["final_log"]), ens.seed)
 
 
-def state_price_wealth_identity(market, K, x, T, n_paths, seed, i0=0) -> float:
-    """max over paths/grid of |H^phi * V^{1,pi_hat,0} - 1| for the log-optimal pair."""
-    policy = log_optimal_policy(market, x, T)
+def state_price_wealth_identity(market, K, x, paths) -> float:
+    """max over paths/grid of |H^phi * V^{1,pi_hat,0} - 1| for the log-optimal
+    pair, as |expm1(log H + log V)|."""
+    policy = log_optimal_policy(market, x, paths[0].horizon)
     spec = state_price_spec(market, K, policy)
-    worst = 0.0
-    root = np.random.SeedSequence(seed)
-    for k, child in enumerate(root.spawn(n_paths)):
-        path = simulate_path(market.gen, i0, T, market.dists, child)
-        t_h, H = simulate_state_price(spec, market, path)
-        t_v, V = gross_wealth_path(market, policy.pi, path)
-        assert np.array_equal(t_h, t_v)
-        worst = max(worst, float(np.max(np.abs(H * V - 1.0))))
-    return worst
+    h_drift, h_jumps = spec.drift(market), spec.jump_logs()
+    devs = []
+    for path in paths:
+        t, log_v = _gross_log_wealth(market, policy.pi, path)
+        log_h = _path_log_level(path, t, h_drift, h_jumps)
+        devs.append(np.max(np.abs(np.expm1(log_h + log_v))))
+    return float(np.max(devs))
 
 
 def budget_check(
@@ -237,30 +234,18 @@ def budget_check(
     consumption: ConsumptionRule,
     phi_policy: Policy,
     x,
-    T,
-    n_paths,
-    seed,
-    i0=0,
-    ens=None,
+    ens: PathEnsemble,
 ) -> McEstimate:
     """McEstimate of E[H_T V_T + int H_s c_s ds] - x against the dual density
     of phi_policy; nonpositive up to noise for admissible pairs, zero at the
     optimum."""
-    ens = _ensure_ensemble(market, i0, T, n_paths, seed, ens)
+    T, kappa = ens.horizon, consumption.scale
+    if kappa * T >= x:
+        raise ConfigError("proportional consumption ruins the pair before T")
     spec = state_price_spec(market, K, phi_policy)
-    f = market.f
     h_drift = spec.drift(market)
     h_jumps = spec.jump_logs()
-    v_drift, v_jumps = _wealth_terms(market, pi_pair, f)
-
-    if isinstance(consumption, ZeroConsumption):
-        kappa = 0.0
-    elif isinstance(consumption, ProportionalConsumption):
-        kappa = consumption.scale
-        if kappa * T >= x:
-            raise ConfigError("proportional consumption ruins the pair before T")
-    else:
-        raise ConfigError("budget check supports zero or proportional consumption")
+    v_drift, v_jumps = _wealth_terms(market, pi_pair, market.f)
 
     # combined log level of H * V^{1,pi,0}
     drift = [h_drift[i] + v_drift[i] for i in (0, 1)]
@@ -272,7 +257,7 @@ def budget_check(
     total = xi_T * np.exp(res["final_log"])
     if kappa != 0.0:
         total = total + kappa * res["int_exp"]
-    return _estimate(total - x, seed)
+    return _estimate(total - x, ens.seed)
 
 
 def mc_expected_utility(
@@ -281,29 +266,21 @@ def mc_expected_utility(
     consumption: ConsumptionRule,
     utility: Utility,
     x,
-    T,
-    n_paths,
-    seed,
-    i0=0,
-    ens=None,
+    ens: PathEnsemble,
 ) -> McEstimate:
     """Sample mean of int U1(t, c_t) dt + U2(V_T); inter-jump time integrals
     are closed-form (log and powers of piecewise exponentials)."""
-    ens = _ensure_ensemble(market, i0, T, n_paths, seed, ens)
-    f = market.f
-    drift, jumps = _wealth_terms(market, pi_pair, f)
+    T, seed, kappa = ens.horizon, ens.seed, consumption.scale
+    drift, jumps = _wealth_terms(market, pi_pair, market.f)
 
-    if isinstance(consumption, ZeroConsumption):
+    if kappa == 0.0:
         if utility.is_log:
             raise ConfigError("zero consumption gives -inf log utility; use power or a positive rule")
         res = _valid_functionals(ens, drift, jumps)
         vals = (x**utility.gamma) * np.exp(utility.gamma * res["final_log"]) / utility.gamma
         return _estimate(vals, seed)
 
-    if not isinstance(consumption, ProportionalConsumption):
-        raise ConfigError("Monte Carlo utility supports zero or proportional consumption")
-    kappa = consumption.scale
-    if kappa <= 0 or kappa * T >= x:
+    if kappa < 0 or kappa * T >= x:
         raise ConfigError("proportional scale must lie in (0, x/T)")
     xi_T = x - kappa * T
     if utility.is_log:
@@ -321,15 +298,15 @@ def mc_expected_utility(
     return _estimate(vals, seed)
 
 
-def dual_functional_log(market, K, phi_policy: Policy, x, T, n_paths, seed, i0=0, ens=None) -> McEstimate:
+def dual_functional_log(market, K, phi_policy: Policy, x, ens: PathEnsemble) -> McEstimate:
     """MC estimate of the dual bound L(x; phi) for log utility."""
-    ens = _ensure_ensemble(market, i0, T, n_paths, seed, ens)
+    T = ens.horizon
     spec = state_price_spec(market, K, phi_policy)
     res = _valid_functionals(
         ens, spec.drift(market), spec.jump_logs(), want_int_log=True
     )
     vals = (T + 1.0) * math.log(x / (T + 1.0)) - res["int_log"] - res["final_log"]
-    return _estimate(vals, seed)
+    return _estimate(vals, ens.seed)
 
 
 def expected_jump_count(market, i0, T) -> float:
@@ -353,7 +330,6 @@ def grid_search_constant_portfolio(
     seed,
     i0=0,
     consumption_scale=None,
-    ens=None,
 ):
     """Common-random-number sweep of J over constant portfolio weights.
 
@@ -369,7 +345,7 @@ def grid_search_constant_portfolio(
     Returns (pi_star, table) where table rows are (pi, J, stderr) with
     NaN J for infeasible weights.
     """
-    ens = _ensure_ensemble(market, i0, T, n_paths, seed, ens)
+    ens = simulate_ensemble(market.gen, i0, T, market.dists, n_paths, seed)
     grid = np.asarray(grid, dtype=float)
     if consumption_scale is None and utility.is_log:
         consumption_scale = x / (T + 1.0)
@@ -425,16 +401,16 @@ def grid_search_constant_portfolio(
     return best[0], rows
 
 
-def wealth_identity_check(market, x, T, n_paths, seed, i0=0) -> float:
-    """Max relative deviation of V^{x,pi_hat,c_hat} from
-    V^{x,pi_hat,0} (1 - t/(T+1)) over paths and grid points."""
+def wealth_identity_check(market, x, paths) -> float:
+    """Max relative deviation of V^{x,pi_hat,c_hat} = xi V^{1,pi_hat,0} from
+    V^{x,pi_hat,0} (1 - t/(T+1)) over paths and grid points, compared in
+    log space."""
+    T = paths[0].horizon
     policy = log_optimal_policy(market, x, T)
-    worst = 0.0
-    root = np.random.SeedSequence(seed)
-    for child in root.spawn(n_paths):
-        path = simulate_path(market.gen, i0, T, market.dists, child)
-        wp = wealth_path(x, market, policy.pi, policy.consumption, path)
-        reference = x * wp.v_gross * (1.0 - wp.t / (T + 1.0))
-        dev = np.max(np.abs(wp.V - reference) / (x * wp.v_gross))
-        worst = max(worst, float(dev))
-    return worst
+    devs = []
+    for path in paths:
+        t, log_gross = _gross_log_wealth(market, policy.pi, path)
+        log_v = np.log(_deflated_wealth(x, policy.consumption, t)) + log_gross
+        log_ref = math.log(x) + np.log1p(-t / (T + 1.0)) + log_gross
+        devs.append(np.max(np.abs(np.expm1(log_v - log_ref))))
+    return float(np.max(devs))

@@ -42,7 +42,7 @@ from jumpfolio.verify import (
     wealth_identity_check,
 )
 from jumpfolio.market import ProportionalConsumption, ZeroConsumption
-from jumpfolio.mpp import simulate_ensemble
+from jumpfolio.mpp import simulate_ensemble, simulate_paths
 
 SEED = 20260823
 GAMMAS = (0.0, 0.25, 0.5, 0.75, 0.9)
@@ -264,7 +264,9 @@ def test_criterion_5_wealth_identity():
     over 1e3 paths of the two-regime market."""
     t0 = time.time()
     cfg = _config_two_regimes()
-    dev = wealth_identity_check(cfg.market, 1.0, 1.0, 1000, SEED)
+    mkt = cfg.market
+    paths = simulate_paths(mkt.gen, 0, 1.0, mkt.dists, 1000, SEED)
+    dev = wealth_identity_check(mkt, 1.0, paths)
     dt = time.time() - t0
     _report(
         5, "log-wealth-identity", dev <= 1e-10,
@@ -282,7 +284,7 @@ def test_criterion_6_budget_inequality():
     pol = log_optimal_policy(mkt, x, T)
     ens = simulate_ensemble(mkt.gen, 0, T, mkt.dists, 100_000, SEED)
 
-    opt = budget_check(mkt, K, pol.pi, pol.consumption, pol, x, T, 100_000, SEED, ens=ens)
+    opt = budget_check(mkt, K, pol.pi, pol.consumption, pol, x, ens)
     equality_ok = abs(opt.mean) <= max(3.0 * opt.stderr, 1e-10 * x)
 
     rng = np.random.default_rng(SEED)
@@ -293,7 +295,7 @@ def test_criterion_6_budget_inequality():
             cons = ZeroConsumption()
         else:
             cons = ProportionalConsumption(float(rng.uniform(0.05, 0.9)) * x / T)
-        est = budget_check(mkt, K, (pi, pi), cons, pol, x, T, 100_000, SEED, ens=ens)
+        est = budget_check(mkt, K, (pi, pi), cons, pol, x, ens)
         if est.mean > 3.0 * est.stderr:
             violations += 1
     dt = time.time() - t0
@@ -319,9 +321,8 @@ def test_criterion_7_regime_value():
     for start in (0, 1):
         semi = value_semianalytic(inputs, start)
         coro = value_corollary(inputs, start)
-        est = mc_expected_utility(
-            mkt, pol.pi, pol.consumption, Utility.log(), x, T, 100_000, SEED, i0=start
-        )
+        ens = simulate_ensemble(mkt.gen, start, T, mkt.dists, 100_000, SEED)
+        est = mc_expected_utility(mkt, pol.pi, pol.consumption, Utility.log(), x, ens)
         z = (est.mean - semi) / est.stderr
         ok &= abs(est.mean - semi) <= 3.0 * est.stderr
         details.append(
@@ -375,9 +376,11 @@ def test_criterion_9_state_price_martingale():
     cfg = _config_two_regimes()
     mkt, K = cfg.market, cfg.market.constraint
     pol = log_optimal_policy(mkt, 1.0, 1.0)
-    est = martingale_factor_check(mkt, K, pol, 1.0, 100_000, SEED)
+    ens = simulate_ensemble(mkt.gen, 0, 1.0, mkt.dists, 100_000, SEED)
+    est = martingale_factor_check(mkt, K, pol, ens)
     mart_ok = abs(est.mean - 1.0) <= 3.0 * est.stderr
-    dev = state_price_wealth_identity(mkt, K, 1.0, 1.0, 1000, SEED)
+    paths = simulate_paths(mkt.gen, 0, 1.0, mkt.dists, 1000, SEED)
+    dev = state_price_wealth_identity(mkt, K, 1.0, paths)
     dt = time.time() - t0
     ok = mart_ok and dev <= 1e-10
     _report(

@@ -2,6 +2,7 @@ import copy
 import csv
 import math
 import os
+import sys
 
 import pytest
 import yaml
@@ -155,6 +156,34 @@ class TestCliExitCodes:
         path = write_config(tmp_path, data)
         assert main(["verify", path, "--output-dir", str(tmp_path)]) == 3
         assert "FAIL state_price_martingale" in capsys.readouterr().out
+
+    def test_verify_draws_each_sample_once(self, tmp_path, monkeypatch, capsys):
+        """One ensemble for every Monte Carlo check and one sample of
+        min(n, 200) single paths for both pathwise identities."""
+        import jumpfolio.mpp as mpp
+
+        calls = {}
+
+        def count(name):
+            original = getattr(mpp, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "jumpfolio" and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+
+        count("simulate_ensemble")
+        count("simulate_path")
+        data = copy.deepcopy(BASE)
+        data["utility"] = {"variant": "log"}
+        data["mc"]["n_paths"] = 300
+        path = write_config(tmp_path, data)
+        assert main(["verify", path, "--output-dir", str(tmp_path)]) == 0
+        assert "wealth_factorisation_identity" in capsys.readouterr().out
+        assert calls == {"simulate_ensemble": 1, "simulate_path": 200}
 
     def test_verify_success_exit_0(self, tmp_path, capsys):
         data = copy.deepcopy(BASE)

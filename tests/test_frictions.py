@@ -18,6 +18,21 @@ from jumpfolio.frictions import (
 )
 
 
+def _g_walk_from_zero(margin, pi):
+    """g(pi) summed piece by piece from 0 out to pi."""
+    bps = margin.breakpoints
+    if pi >= 0.0:
+        pts = [b for b in bps if 0.0 < b < pi] + [pi]
+    else:
+        pts = [b for b in reversed(bps) if pi < b < 0.0] + [pi]
+    value, anchor = 0.0, 0.0
+    for p in pts:
+        piece = int(np.searchsorted(bps, 0.5 * (anchor + p), side="right"))
+        value += margin.slopes[piece] * (p - anchor)
+        anchor = p
+    return value
+
+
 class TestConstraintSet:
     def test_must_contain_zero(self):
         with pytest.raises(ConfigError):
@@ -68,6 +83,25 @@ class TestMarginEvaluation:
         assert g.g(-1.0) == pytest.approx(-0.1)
         assert g.g(-2.0) == pytest.approx(-0.1 - 0.3)
 
+    @pytest.mark.parametrize(
+        "margin",
+        [
+            Frictionless(),
+            DifferentialRates(r=0.045, R=0.05),
+            ShortRebate(r=0.03, rL=0.05),
+            PiecewiseLinearConcave(breakpoints=(-2.0, -0.5, 1.5), slopes=(0.5, 0.1, -0.2, -0.9)),
+        ],
+    )
+    def test_array_matches_scalar(self, margin):
+        grid = np.concatenate([np.linspace(-5.0, 5.0, 2001), [-2.0, -0.5, 0.0, 1.0, 1.5]])
+        values = margin.g(grid)
+        assert values.shape == grid.shape
+        assert np.array_equal(values, [margin.g(float(p)) for p in grid])
+        assert isinstance(margin.g(0.3), float)
+        # the pieces are summed in another order than this walk from 0
+        reference = [_g_walk_from_zero(margin, float(p)) for p in grid]
+        np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-14)
+
 
 class TestConjugate:
     def test_diffrates_against_dense_grid(self):
@@ -76,7 +110,7 @@ class TestConjugate:
         grid = np.concatenate([np.linspace(0.0, 60.0, 60_001), [1.0]])
         for zeta in np.linspace(-0.005, 0.1, 57):
             exact = conjugate_gk(margin, K, zeta)
-            dense = max(margin.g(p) - p * zeta for p in grid)
+            dense = np.max(margin.g(grid) - grid * zeta)
             assert exact == pytest.approx(dense, abs=1e-9)
 
     def test_short_rebate_against_dense_grid(self):
@@ -85,7 +119,7 @@ class TestConjugate:
         grid = np.concatenate([np.linspace(-60.0, 1.0, 60_001), [0.0]])
         for zeta in np.linspace(-0.1, 0.02, 57):
             exact = conjugate_gk(margin, K, zeta)
-            dense = max(margin.g(p) - p * zeta for p in grid)
+            dense = np.max(margin.g(grid) - grid * zeta)
             assert exact == pytest.approx(dense, abs=1e-9)
 
     def test_short_rebate_branch_values(self):

@@ -11,6 +11,7 @@ from jumpfolio.mpp import (
     simulate_ensemble,
     simulate_marks,
     simulate_path,
+    simulate_paths,
     simulate_regime_chain,
 )
 
@@ -120,6 +121,26 @@ class TestEnsemble:
         gen = GeneratorMatrix(0.0, 2.0)
         ens = simulate_ensemble(gen, 0, 5.0, DISTS, 100, 1)
         assert np.all(ens.counts == 0)
+
+    def test_width_is_longest_path(self):
+        gen = GeneratorMatrix(1.5, 0.5)
+        ens = simulate_ensemble(gen, 0, 3.0, DISTS, 500, 21)
+        assert ens.times.shape[1] == ens.marks.shape[1] == ens.counts.max()
+        assert ens.times.flags.owndata and ens.marks.flags.owndata
+        # a zero-rate start state never jumps: no columns at all
+        idle = simulate_ensemble(GeneratorMatrix(0.0, 2.0), 0, 5.0, DISTS, 100, 1)
+        assert idle.times.shape == idle.marks.shape == (100, 0)
+
+
+def test_simulate_paths_spawns_one_child_per_path():
+    gen = GeneratorMatrix(2.0, 1.0)
+    paths = simulate_paths(gen, 1, 4.0, DISTS, 5, 11)
+    children = np.random.SeedSequence(11).spawn(5)
+    assert len(paths) == 5
+    for path, child in zip(paths, children):
+        ref = simulate_path(gen, 1, 4.0, DISTS, child)
+        assert np.array_equal(path.jump_times, ref.jump_times)
+        assert np.array_equal(path.marks, ref.marks)
 
 
 @settings(max_examples=20, deadline=None)

@@ -5,7 +5,8 @@ import pytest
 from scipy import integrate
 
 from jumpfolio.distributions import ExponentialPositive, TwoPoint
-from jumpfolio.errors import ConfigError, InfeasiblePolicyError
+from jumpfolio.config import parse_config
+from jumpfolio.errors import ConfigError, DomainError, InfeasiblePolicyError
 from jumpfolio.frictions import DifferentialRates, NO_SHORTING
 from jumpfolio.market import (
     MarketModel,
@@ -16,7 +17,7 @@ from jumpfolio.market import (
     log_optimal_consumption,
     stock_path,
 )
-from jumpfolio.mpp import GeneratorMatrix, simulate_ensemble
+from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, simulate_ensemble, simulate_paths
 from jumpfolio.policy import Policy, Utility, log_optimal_policy
 from jumpfolio.verify import (
     budget_check,
@@ -32,6 +33,11 @@ from jumpfolio.verify import (
     wealth_identity_check,
     _wealth_terms,
 )
+
+
+def ensemble(mkt, T, n_paths, seed):
+    """An ensemble of mkt started in regime 0."""
+    return simulate_ensemble(mkt.gen, 0, T, mkt.dists, n_paths, seed)
 
 
 def make_market(lam=1.0):
@@ -121,6 +127,24 @@ class TestEnsembleFunctionals:
             )
             assert res["int_exp"][p] == pytest.approx(brute, rel=1e-6)
 
+    def test_padding_columns_change_nothing(self):
+        mkt, ens, pi, drift, jumps = self._setup()
+        n = ens.n_paths
+        wide = PathEnsemble(
+            initial_state=ens.initial_state,
+            horizon=ens.horizon,
+            times=np.hstack([ens.times, np.full((n, 5), np.inf)]),
+            marks=np.hstack([ens.marks, np.zeros((n, 5))]),
+            counts=ens.counts,
+            seed=ens.seed,
+        )
+        kwargs = dict(want_int_log=True, want_int_exp=True, exp_coeff=0.5)
+        narrow = ensemble_functionals(ens, drift, jumps, **kwargs)
+        padded = ensemble_functionals(wide, drift, jumps, **kwargs)
+        assert narrow.keys() == padded.keys()
+        for key in narrow:
+            assert np.array_equal(narrow[key], padded[key]), key
+
     def test_invalid_jump_flagged(self):
         mkt, ens, pi, drift, _ = self._setup()
         bad = [lambda y: np.log(-np.ones_like(y))] * 2  # log of negative
@@ -142,21 +166,49 @@ class TestInfeasiblePolicy:
             pi=(1.5, 1.5), zeta=(0.0, 0.0), cases=(0, 0), gamma=0.0,
             consumption=log_optimal_consumption(1.0, 1.0),
         )
+        ens = ensemble(mkt, 1.0, 2000, 3)
         with pytest.raises(InfeasiblePolicyError):
-            martingale_factor_check(mkt, NO_SHORTING, pol, 1.0, 2000, 3)
+            martingale_factor_check(mkt, NO_SHORTING, pol, ens)
         with pytest.raises(InfeasiblePolicyError):
-            dual_functional_log(mkt, NO_SHORTING, pol, 1.0, 1.0, 2000, 3)
+            dual_functional_log(mkt, NO_SHORTING, pol, 1.0, ens)
         with pytest.raises(InfeasiblePolicyError):
-            budget_check(
-                mkt, NO_SHORTING, pol.pi, pol.consumption, pol, 1.0, 1.0, 2000, 3
-            )
+            budget_check(mkt, NO_SHORTING, pol.pi, pol.consumption, pol, 1.0, ens)
 
 
 class TestStatePrice:
     def test_log_case_is_reciprocal_wealth(self):
         mkt = make_market()
-        dev = state_price_wealth_identity(mkt, NO_SHORTING, 1.0, 2.0, 30, 5)
+        paths = simulate_paths(mkt.gen, 0, 2.0, mkt.dists, 30, 5)
+        dev = state_price_wealth_identity(mkt, NO_SHORTING, 1.0, paths)
         assert dev <= 1e-10
+
+    def test_identities_hold_where_levels_leave_the_float_range(self):
+        """lambda = 50 over T = 10 drives log V past 709 on every path, so the
+        levels themselves overflow while both identities stay exact."""
+        data = {
+            "model": {
+                "initial_state": 0,
+                "regimes": [
+                    {"r": 0.045, "mu": -0.05, "lam": 50.0,
+                     "margin": {"variant": "differential_rates", "R": 0.05},
+                     "distribution": {"variant": "exponential_positive", "rate": 10.0}},
+                    {"r": 0.03, "mu": 0.01, "lam": 50.0,
+                     "margin": {"variant": "differential_rates", "R": 0.05},
+                     "distribution": {"variant": "exponential_positive", "rate": 10.0}},
+                ],
+            },
+            "utility": {"variant": "log"},
+            "horizon": 10.0,
+            "initial_wealth": 1.0,
+            "mc": {"n_paths": 5, "seed": 20260823},
+        }
+        mkt = parse_config(data).market
+        paths = simulate_paths(mkt.gen, 0, 10.0, mkt.dists, 5, 20260823)
+        pol = log_optimal_policy(mkt, 1.0, 10.0)
+        with pytest.raises(DomainError):
+            gross_wealth_path(mkt, pol.pi, paths[0])
+        assert state_price_wealth_identity(mkt, mkt.constraint, 1.0, paths) <= 1e-10
+        assert wealth_identity_check(mkt, 1.0, paths) <= 1e-10
 
     def test_simulate_state_price_drift_segment(self):
         mkt = make_market()
@@ -172,14 +224,14 @@ class TestStatePrice:
     def test_martingale_factor_near_one(self):
         mkt = make_market()
         pol = log_optimal_policy(mkt, 1.0, 1.0)
-        est = martingale_factor_check(mkt, NO_SHORTING, pol, 1.0, 20_000, 42)
+        est = martingale_factor_check(mkt, NO_SHORTING, pol, ensemble(mkt, 1.0, 20_000, 42))
         assert abs(est.mean - 1.0) <= 3.0 * est.stderr
 
     def test_estimates_deterministic_per_seed(self):
         mkt = make_market()
         pol = log_optimal_policy(mkt, 1.0, 1.0)
-        a = martingale_factor_check(mkt, NO_SHORTING, pol, 1.0, 2000, 9)
-        b = martingale_factor_check(mkt, NO_SHORTING, pol, 1.0, 2000, 9)
+        a = martingale_factor_check(mkt, NO_SHORTING, pol, ensemble(mkt, 1.0, 2000, 9))
+        b = martingale_factor_check(mkt, NO_SHORTING, pol, ensemble(mkt, 1.0, 2000, 9))
         assert a.mean == b.mean and a.stderr == b.stderr
 
 
@@ -189,7 +241,7 @@ class TestBudget:
         x, T = 2.0, 1.5
         pol = log_optimal_policy(mkt, x, T)
         est = budget_check(
-            mkt, NO_SHORTING, pol.pi, pol.consumption, pol, x, T, 5000, 3
+            mkt, NO_SHORTING, pol.pi, pol.consumption, pol, x, ensemble(mkt, T, 5000, 3)
         )
         assert abs(est.mean) <= 1e-12 * x
         assert est.stderr <= 1e-12 * x
@@ -198,14 +250,13 @@ class TestBudget:
         mkt = make_market()
         x, T = 1.0, 1.0
         pol = log_optimal_policy(mkt, x, T)
+        ens = ensemble(mkt, T, 30_000, 11)
         for pi, cons in (
             (0.3, ZeroConsumption()),
             (1.2, ProportionalConsumption(0.4)),
             (0.0, ProportionalConsumption(0.9)),
         ):
-            est = budget_check(
-                mkt, NO_SHORTING, (pi, pi), cons, pol, x, T, 30_000, 11
-            )
+            est = budget_check(mkt, NO_SHORTING, (pi, pi), cons, pol, x, ens)
             assert est.mean <= 3.0 * est.stderr
 
     def test_over_consumption_rejected(self):
@@ -214,7 +265,7 @@ class TestBudget:
         with pytest.raises(ConfigError):
             budget_check(
                 mkt, NO_SHORTING, pol.pi, ProportionalConsumption(2.0), pol,
-                1.0, 1.0, 100, 0,
+                1.0, ensemble(mkt, 1.0, 100, 0),
             )
 
 
@@ -223,7 +274,8 @@ class TestExpectedUtility:
         mkt = make_market()
         with pytest.raises(ConfigError):
             mc_expected_utility(
-                mkt, (0.5, 0.5), ZeroConsumption(), Utility.log(), 1.0, 1.0, 100, 0
+                mkt, (0.5, 0.5), ZeroConsumption(), Utility.log(), 1.0,
+                ensemble(mkt, 1.0, 100, 0),
             )
 
     def test_power_no_jump_oracle(self):
@@ -238,7 +290,7 @@ class TestExpectedUtility:
         )
         g, pi, x, T = 0.5, 0.8, 2.0, 1.5
         est = mc_expected_utility(
-            mkt, (pi, pi), ZeroConsumption(), Utility.power(g), x, T, 50, 1
+            mkt, (pi, pi), ZeroConsumption(), Utility.power(g), x, ensemble(mkt, T, 50, 1)
         )
         b = 0.045 + pi * (0.06 - 0.045)
         expected = (x * math.exp(b * T)) ** g / g
@@ -256,7 +308,8 @@ class TestExpectedUtility:
         )
         pi, x, T, kappa = 0.5, 1.0, 2.0, 0.25
         est = mc_expected_utility(
-            mkt, (pi, pi), ProportionalConsumption(kappa), Utility.log(), x, T, 20, 1
+            mkt, (pi, pi), ProportionalConsumption(kappa), Utility.log(), x,
+            ensemble(mkt, T, 20, 1),
         )
         b = 0.03 + pi * (0.05 - 0.03)
         int_log, _ = integrate.quad(lambda t: b * t, 0.0, T)
@@ -268,17 +321,17 @@ class TestExpectedUtility:
         mkt = make_market()
         x, T = 1.0, 1.0
         pol = log_optimal_policy(mkt, x, T)
-        primal = mc_expected_utility(
-            mkt, pol.pi, pol.consumption, Utility.log(), x, T, 5000, 77
-        )
-        dual = dual_functional_log(mkt, NO_SHORTING, pol, x, T, 5000, 77)
+        ens = ensemble(mkt, T, 5000, 77)
+        primal = mc_expected_utility(mkt, pol.pi, pol.consumption, Utility.log(), x, ens)
+        dual = dual_functional_log(mkt, NO_SHORTING, pol, x, ens)
         assert dual.mean == pytest.approx(primal.mean, abs=1e-10)
 
 
 class TestWealthIdentity:
     def test_identity_tolerance(self):
         mkt = make_market()
-        assert wealth_identity_check(mkt, 1.0, 2.0, 25, 13) <= 1e-10
+        paths = simulate_paths(mkt.gen, 0, 2.0, mkt.dists, 25, 13)
+        assert wealth_identity_check(mkt, 1.0, paths) <= 1e-10
 
 
 class TestGridSearch:
