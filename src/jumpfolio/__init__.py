@@ -16,6 +16,7 @@ from .distributions import (
 )
 from .errors import (
     BankruptcyError,
+    BracketLimitError,
     ConfigError,
     DomainError,
     InfeasiblePolicyError,

@@ -160,12 +160,13 @@ class TwoPoint(JumpDistribution):
         return (min(self.y_lo, self.y_hi), max(self.y_lo, self.y_hi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tabulated(JumpDistribution):
     """Density samples on a user grid, integrated by the trapezoid rule.
 
     The grid is used as supplied -- no re-interpolation.  The trapezoid
     integral of the density over the grid must equal 1 to within 1e-9.
+    Equality and hashing are by identity (the fields are arrays).
     """
 
     grid: np.ndarray

@@ -34,6 +34,11 @@ class RangeError(JumpfolioError):
     """Root-finding target lies outside the attainable range."""
 
 
+class BracketLimitError(RangeError):
+    """The bracket reached its size limit before the feasible end, so the
+    root, if any, lies beyond the limit rather than outside the range."""
+
+
 class BankruptcyError(JumpfolioError):
     """A jump factor of a path level is nonpositive; for gross wealth,
     1 + pi*f <= 0."""

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import (
+    BracketLimitError,
     ConfigError,
     DomainError,
     InfeasiblePolicyError,
@@ -158,7 +159,9 @@ def h_inverse(params, gamma, target, K: ConstraintSet | None = None, bracket=Non
 
     The bracket is grown geometrically until the strictly decreasing h
     changes side, then Brent's method finishes; a RangeError reports the
-    attained h-range when the target is unreachable.
+    attained h-range when the target is unreachable, and a
+    BracketLimitError when the bracket stops at BRACKET_LIMIT short of the
+    feasible end.
     """
     lo, hi, lo_closed, hi_closed = feasible_weight_interval(params)
     if K is not None:
@@ -182,18 +185,28 @@ def h_inverse(params, gamma, target, K: ConstraintSet | None = None, bracket=Non
 
     step, hb = 1.0, h(b)
     while hb > target:
-        if b >= hi_b or b >= BRACKET_LIMIT:
+        if b >= hi_b:
             raise RangeError(
                 f"target {target:.6g} below attainable h-range; h({b:.6g}) = {hb:.6g}"
+            )
+        if b >= BRACKET_LIMIT:
+            raise BracketLimitError(
+                f"root of h = {target:.6g} lies beyond the bracket limit; "
+                f"h({b:.6g}) = {hb:.6g}"
             )
         b = min(b + step, hi_b, BRACKET_LIMIT)
         step *= 4.0
         hb = h(b)
     step, ha = 1.0, h(a)
     while ha < target:
-        if a <= lo_b or a <= -BRACKET_LIMIT:
+        if a <= lo_b:
             raise RangeError(
                 f"target {target:.6g} above attainable h-range; h({a:.6g}) = {ha:.6g}"
+            )
+        if a <= -BRACKET_LIMIT:
+            raise BracketLimitError(
+                f"root of h = {target:.6g} lies beyond the bracket limit; "
+                f"h({a:.6g}) = {ha:.6g}"
             )
         a = max(a - step, lo_b, -BRACKET_LIMIT)
         step *= 4.0
@@ -358,16 +371,19 @@ def _package_optimum(params, K, gamma, pi):
 def _optimal_policy(market: MarketModel, gamma: float, consumption: ConsumptionRule) -> Policy:
     """Solve each regime, with the named four-case solver where the
     constraint set is its margin's canonical one and the generic solver
-    otherwise."""
-    optima = []
-    for params in market.regimes:
+    otherwise; identical regimes are solved once."""
+
+    def solve(params):
         canonical = market.constraint == params.margin.canonical_constraint()
         if isinstance(params.margin, DifferentialRates) and canonical:
-            optima.append(optimal_portfolio_diffrates(params, gamma))
-        elif isinstance(params.margin, ShortRebate) and canonical:
-            optima.append(optimal_portfolio_short(params, gamma))
-        else:
-            optima.append(optimal_portfolio(params, market.constraint, gamma))
+            return optimal_portfolio_diffrates(params, gamma)
+        if isinstance(params.margin, ShortRebate) and canonical:
+            return optimal_portfolio_short(params, gamma)
+        return optimal_portfolio(params, market.constraint, gamma)
+
+    first, second = market.regimes
+    optima = (solve(first),)
+    optima += optima if second == first else (solve(second),)
     return Policy(
         pi=tuple(o.pi for o in optima),
         zeta=tuple(o.zeta for o in optima),

@@ -14,6 +14,10 @@ checks take a ``PathEnsemble`` (horizon, start regime and seed included)
 and the pathwise identities a list of single paths, whose log levels
 they compare.  A caller draws a sample once and passes it to every check
 (common random numbers); only the grid search draws its own ensemble.
+The grid search does not sweep per weight: with the mark integrals done
+by quadrature, a path's sample depends only on four statistics of its
+jump skeleton, built in one pass over the columns, and the samples of a
+block of weights are one matrix product with them.
 Reductions run in fixed path order, so estimates are bit-reproducible.
 """
 
@@ -35,6 +39,7 @@ from .market import (
     _path_log_level,
     _report_grid,
     _wealth_terms,
+    jump_transform,
 )
 from .mpp import MarkedPointPath, PathEnsemble, simulate_ensemble
 from .policy import Policy, Utility, feasible_weight_interval, log_optimal_policy
@@ -320,6 +325,62 @@ def expected_jump_count(market, i0, T) -> float:
     return lam_stat * T + (lam_start - lam_stat) * (1.0 - math.exp(-total * T)) / total
 
 
+# cells per block of the grid search (weights x paths): a block of samples
+# stays at about 1 MB whatever the path count, so it adds little to the peak
+_BLOCK_CELLS = 1 << 17
+
+
+def _skeleton_statistics(ens: PathEnsemble, with_integrals):
+    """Per-path statistics of the jump skeleton as a (4, n) array: for each
+    state i, its occupation time on [0, T] (rows 0 and 1) and the number of
+    jumps leaving it (rows 2 and 3).
+
+    With integrals every row also adds its own integral over [0, T]: a
+    state-i segment [t0, t1] adds dt*(T - t1) + dt^2/2 to int_0^T occ_i,
+    and a jump at tau adds T - tau to int_0^T N_i.
+    """
+    n, m = ens.times.shape
+    T = ens.horizon
+    stats = np.zeros((4, n))
+    t_prev = np.zeros(n)
+    for j in range(m + 1):
+        state = ens.column_state(j)
+        t_next = np.minimum(ens.times[:, j], T) if j < m else np.full(n, T)
+        dt = t_next - t_prev
+        if with_integrals:
+            stats[state] += dt * (1.0 + (T - t_next) + 0.5 * dt)
+        else:
+            stats[state] += dt
+        if j < m:
+            jump = ens.times[:, j] <= T
+            stats[2 + state] += (1.0 + (T - t_next)) * jump if with_integrals else jump
+        t_prev = t_next
+    return stats
+
+
+def _log_jump(transform, pi):
+    """y -> log(1 + pi f(y)), finite wherever the factor is positive: under
+    the exponential transform the factor at pi = 1 is e^y, while
+    log1p(expm1(y)) is log(0) once expm1 rounds to -1 (y < -37)."""
+    if transform == "exponential" and pi == 1.0:
+        return lambda y: np.asarray(y, dtype=float)
+    f = jump_transform(transform)
+    return lambda y: np.log1p(pi * f(y))
+
+
+def _jump_coefficients(market, utility, weights):
+    """Per regime, the conditional jump term at each weight: E[log(1 + pi f)]
+    for log utility, log E[(1 + pi f)^gamma] for power.  Regimes sharing a
+    mark law share one quadrature per weight."""
+    f, gamma = market.f, utility.gamma
+    if utility.is_log:
+        term = lambda dist, pi: dist.expect(_log_jump(market.transform, pi))
+    else:
+        term = lambda dist, pi: math.log(dist.expect(lambda y: (1.0 + pi * f(y)) ** gamma))
+    by_law = {d: np.array([term(d, pi) for pi in weights]) for d in dict.fromkeys(market.dists)}
+    return [by_law[d] for d in market.dists]
+
+
 def grid_search_constant_portfolio(
     market,
     utility: Utility,
@@ -342,63 +403,67 @@ def grid_search_constant_portfolio(
     is known from the chain alone).  Both reductions are unbiased and
     shared across the grid, so the empirical argmax localises the true
     maximiser to about one grid step at moderate path counts.
+
+    Given the quadratures, a path's sample depends on its skeleton only
+    through four statistics (``_skeleton_statistics``, one pass over the
+    columns): the log sample is affine in them, the power sample the exp
+    of a linear form, so a block of weights is one matrix product.
     Returns (pi_star, table) where table rows are (pi, J, stderr) with
-    NaN J for infeasible weights.
+    NaN J for infeasible weights and for weights whose jump term is not
+    finite.
     """
-    ens = simulate_ensemble(market.gen, i0, T, market.dists, n_paths, seed)
     grid = np.asarray(grid, dtype=float)
     if consumption_scale is None and utility.is_log:
         consumption_scale = x / (T + 1.0)
-    f = market.f
     gamma = utility.gamma
 
     lo0, hi0, lc0, hc0 = feasible_weight_interval(market.regimes[0])
     lo1, hi1, lc1, hc1 = feasible_weight_interval(market.regimes[1])
     lo, hi = max(lo0, lo1), min(hi0, hi1)
-    lo_closed, hi_closed = lc0 and lc1, hc0 and hc1
+    inside = ((lo < grid) & (grid < hi)) | ((grid == lo) & (lc0 and lc1)) | (
+        (grid == hi) & (hc0 and hc1)
+    )
+    weights = grid[inside]
 
+    drift, _ = _wealth_terms(market, (weights, weights), market.f)
+    coef = np.column_stack(drift + _jump_coefficients(market, utility, weights))
+    if utility.is_log:
+        offset = T * math.log(consumption_scale) + math.log(x - consumption_scale * T)
+    else:
+        coef[:, :2] *= gamma
+    finite = np.all(np.isfinite(coef), axis=1)
+    coef = coef[finite]
+    rows_at = np.flatnonzero(inside)[finite]
+
+    ens = simulate_ensemble(market.gen, i0, T, market.dists, n_paths, seed)
+    stats = _skeleton_statistics(ens, utility.is_log)
     counts = ens.counts.astype(float)
-    mean_count = expected_jump_count(market, i0, T)
+    del ens
+    n = counts.size
     count_var = float(counts.var())
+    count_dev = counts - counts.mean()
+    count_excess = counts - expected_jump_count(market, i0, T)
 
-    rows = []
-    best = (None, -math.inf)
-    for pi in grid:
-        inside = (lo < pi < hi) or (pi == lo and lo_closed) or (pi == hi and hi_closed)
-        if not inside:
-            rows.append((float(pi), math.nan, math.nan))
-            continue
-        drift, _ = _wealth_terms(market, (pi, pi), f)
+    J = np.full(grid.size, math.nan)
+    stderr = np.full(grid.size, math.nan)
+    block = max(1, _BLOCK_CELLS // n)
+    for b in range(0, rows_at.size, block):
+        at = rows_at[b : b + block]
+        samples = coef[b : b + block] @ stats  # (weights in block, paths)
         if utility.is_log:
-            etas = [
-                p.dist.expect(lambda y: np.log1p(pi * f(y))) for p in market.regimes
-            ]
-            jumps = [(lambda y, c=e: np.full(np.shape(y), c)) for e in etas]
-            res = ensemble_functionals(ens, drift, jumps, want_int_log=True)
-            samples = (
-                T * math.log(consumption_scale)
-                + res["int_log"]
-                + math.log(x - consumption_scale * T)
-                + res["final_log"]
-            )
+            samples += offset
         else:
-            ms = [
-                p.dist.expect(lambda y: (1.0 + pi * f(y)) ** gamma)
-                for p in market.regimes
-            ]
-            jumps = [(lambda y, c=math.log(m): np.full(np.shape(y), c)) for m in ms]
-            res = ensemble_functionals(ens, [gamma * d for d in drift], jumps)
-            samples = (x**gamma) * np.exp(res["final_log"]) / gamma
+            np.exp(samples, out=samples)
+            samples *= x**gamma / gamma
         if count_var > 0.0:
-            beta = float(np.cov(samples, counts)[0, 1]) / count_var
-            samples = samples - beta * (counts - mean_count)
-        est = _estimate(samples, seed)
-        rows.append((float(pi), est.mean, est.stderr))
-        if est.mean > best[1]:
-            best = (float(pi), est.mean)
-    if best[0] is None:
+            cov = (samples - samples.mean(axis=1, keepdims=True)) @ count_dev / (n - 1)
+            samples -= (cov / count_var)[:, None] * count_excess
+        J[at] = samples.mean(axis=1)
+        stderr[at] = samples.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else 0.0
+    if not np.any(J > -math.inf):
         raise InfeasiblePolicyError("no feasible grid point")
-    return best[0], rows
+    rows = [(float(p), float(j), float(s)) for p, j, s in zip(grid, J, stderr)]
+    return float(grid[np.nanargmax(J)]), rows
 
 
 def wealth_identity_check(market, x, paths) -> float:

@@ -185,6 +185,21 @@ class TestCliExitCodes:
         assert "wealth_factorisation_identity" in capsys.readouterr().out
         assert calls == {"simulate_ensemble": 1, "simulate_path": 200}
 
+    def test_corollary_is_reported_not_checked(self, tmp_path, capsys):
+        data = copy.deepcopy(BASE)
+        data["utility"] = {"variant": "log"}
+        data["mc"]["n_paths"] = 300
+        path = write_config(tmp_path, data)
+        assert main(["verify", path, "--output-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        line = next(l for l in out.splitlines() if "value_corollary_reported" in l)
+        assert line.startswith("INFO value_corollary_reported: corollary=")
+        with open(tmp_path / "verify_report.csv") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        status = {r[0]: r[1] for r in rows[1:]}
+        assert status.pop("value_corollary_reported") == "INFO"
+        assert set(status.values()) == {"PASS"}
+
     def test_verify_success_exit_0(self, tmp_path, capsys):
         data = copy.deepcopy(BASE)
         data["mc"]["n_paths"] = 3000
@@ -210,6 +225,18 @@ class TestCliOutputs:
         h_vals = [float(v) for v in row0[1:]]
         assert max(h_vals) - min(h_vals) < 1e-12
         assert h_vals[0] == pytest.approx(0.0611111, abs=1e-6)
+
+    def test_fig4_footnote_beyond_bracket(self, tmp_path):
+        """On fig3's market the gamma = 0.99 optimum lies beyond the root
+        finder's bracket limit; the footnote says so, not that no optimum
+        exists."""
+        fig3 = os.path.join(os.path.dirname(__file__), "..", "demos", "configs", "fig3.yaml")
+        assert main(["figures", fig3, "--figure", "4", "--output-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "fig4.csv").read_text().splitlines()
+        assert [l for l in lines if l.startswith("#")][1:] == [
+            "# empty cells: optimum beyond bracket at this gamma"
+        ]
+        assert lines[-1] == "0.98999999999999999,,"
 
     def test_simulate_writes_paths(self, tmp_path):
         data = copy.deepcopy(BASE)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jumpfolio.distributions import ExponentialNegative, ExponentialPositive
-from jumpfolio.errors import ConfigError, ModelAssumptionError, RangeError
+from jumpfolio.errors import BracketLimitError, ConfigError, ModelAssumptionError, RangeError
 from jumpfolio.frictions import (
     ConstraintSet,
     DifferentialRates,
@@ -102,8 +103,15 @@ class TestHInverse:
             assert abs(h_value(PARAMS_UP, 0.5, pi) - target) <= 1e-12
 
     def test_unreachable_target(self):
-        with pytest.raises(RangeError):
+        with pytest.raises(RangeError) as info:
             h_inverse(PARAMS_UP, 0.5, 10.0, K=NO_SHORTING)
+        assert not isinstance(info.value, BracketLimitError)
+
+    def test_root_beyond_bracket_limit(self):
+        """On the short-rebate market at gamma = 0.99 the root of h = 2r - rL
+        lies below -BRACKET_LIMIT, inside the feasible set."""
+        with pytest.raises(BracketLimitError, match="beyond the bracket limit"):
+            optimal_portfolio_short(PARAMS_DOWN, 0.99)
 
 
 class TestFeasibleInterval:
@@ -219,6 +227,26 @@ class TestPolicyBuilders:
         mkt = self._market(PARAMS_UP, NO_SHORTING)
         pol = power_optimal_policy(mkt, 0.5)
         assert pol.pi[0] == pytest.approx(1.0288992667, abs=1e-8)
+
+    @pytest.mark.parametrize("mu1, solves", [(PARAMS_UP.mu, 1), (-0.04, 2)])
+    def test_identical_regimes_solved_once(self, monkeypatch, mu1, solves):
+        import jumpfolio.policy as policy_mod
+
+        solved = []
+        solve = policy_mod.optimal_portfolio_diffrates
+        monkeypatch.setattr(
+            policy_mod,
+            "optimal_portfolio_diffrates",
+            lambda params, gamma: solved.append(params) or solve(params, gamma),
+        )
+        # an equal copy, not the same object, as a config file gives
+        second = dataclasses.replace(PARAMS_UP, mu=mu1)
+        mkt = MarketModel(
+            gen=GeneratorMatrix(1.0, 1.0), regimes=(PARAMS_UP, second), constraint=NO_SHORTING
+        )
+        pol = power_optimal_policy(mkt, 0.5)
+        assert len(solved) == solves
+        assert pol.pi[1] == solve(second, 0.5).pi
 
 
 @settings(max_examples=25, deadline=None)

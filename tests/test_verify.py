@@ -1,11 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from jumpfolio.distributions import ExponentialPositive, TwoPoint
-from jumpfolio.config import parse_config
+from jumpfolio.config import load_config, parse_config
 from jumpfolio.errors import ConfigError, DomainError, InfeasiblePolicyError
 from jumpfolio.frictions import DifferentialRates, NO_SHORTING
 from jumpfolio.market import (
@@ -18,7 +19,7 @@ from jumpfolio.market import (
     stock_path,
 )
 from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, simulate_ensemble, simulate_paths
-from jumpfolio.policy import Policy, Utility, log_optimal_policy
+from jumpfolio.policy import Policy, Utility, feasible_weight_interval, log_optimal_policy
 from jumpfolio.verify import (
     budget_check,
     dual_functional_log,
@@ -33,6 +34,9 @@ from jumpfolio.verify import (
     wealth_identity_check,
     _wealth_terms,
 )
+
+
+FIG3 = Path(__file__).resolve().parents[1] / "demos" / "configs" / "fig3.yaml"
 
 
 def ensemble(mkt, T, n_paths, seed):
@@ -363,3 +367,84 @@ class TestGridSearch:
             mkt, Utility.power(0.5), 1.0, 1.0, grid, 2000, 4
         )
         assert math.isnan(rows[0][1])
+
+    @staticmethod
+    def _column_sweep(market, utility, x, T, grid, n_paths, seed, i0):
+        """The grid search as one column sweep per weight: the reference
+        for the estimator on skeleton statistics."""
+        ens = simulate_ensemble(market.gen, i0, T, market.dists, n_paths, seed)
+        f, gamma = market.f, utility.gamma
+        kappa = x / (T + 1.0)
+        lo0, hi0, lc0, hc0 = feasible_weight_interval(market.regimes[0])
+        lo1, hi1, lc1, hc1 = feasible_weight_interval(market.regimes[1])
+        lo, hi = max(lo0, lo1), min(hi0, hi1)
+        counts = ens.counts.astype(float)
+        mean_count = expected_jump_count(market, i0, T)
+        rows = []
+        for pi in grid:
+            inside = (lo < pi < hi) or (pi == lo and lc0 and lc1) or (pi == hi and hc0 and hc1)
+            if not inside:
+                rows.append((float(pi), math.nan, math.nan))
+                continue
+            drift, _ = _wealth_terms(market, (pi, pi), f)
+            if utility.is_log:
+                etas = [p.dist.expect(lambda y: np.log1p(pi * f(y))) for p in market.regimes]
+                jumps = [(lambda y, c=e: np.full(np.shape(y), c)) for e in etas]
+                res = ensemble_functionals(ens, drift, jumps, want_int_log=True)
+                samples = (
+                    T * math.log(kappa) + res["int_log"] + math.log(x - kappa * T)
+                    + res["final_log"]
+                )
+            else:
+                ms = [
+                    p.dist.expect(lambda y: (1.0 + pi * f(y)) ** gamma)
+                    for p in market.regimes
+                ]
+                jumps = [(lambda y, c=math.log(m): np.full(np.shape(y), c)) for m in ms]
+                res = ensemble_functionals(ens, [gamma * d for d in drift], jumps)
+                samples = (x**gamma) * np.exp(res["final_log"]) / gamma
+            beta = float(np.cov(samples, counts)[0, 1]) / float(counts.var())
+            samples = samples - beta * (counts - mean_count)
+            rows.append((float(pi), samples.mean(), samples.std(ddof=1) / math.sqrt(samples.size)))
+        return rows
+
+    @pytest.mark.parametrize("i0", [0, 1])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_matches_column_sweep(self, gamma, i0):
+        """Distinct drifts, chain rates and mark laws, so a swapped state or
+        a mark law shared by mistake changes the rows."""
+        p0 = RegimeMarketParams(
+            r=0.045, mu=-0.05, lam=2.0, dist=ExponentialPositive(10.0),
+            margin=DifferentialRates(0.045, 0.05),
+        )
+        p1 = RegimeMarketParams(
+            r=0.03, mu=0.02, lam=0.5, dist=TwoPoint(-0.05, 0.08, 0.6),
+            margin=DifferentialRates(0.03, 0.05),
+        )
+        mkt = MarketModel(gen=GeneratorMatrix(2.0, 0.5), regimes=(p0, p1))
+        grid = np.round(np.linspace(-0.5, 1.5, 21), 10)
+        args = (mkt, Utility(gamma), 1.0, 1.0, grid, 20_000, 31)
+        pi_star, rows = grid_search_constant_portfolio(*args, i0=i0)
+        ref = self._column_sweep(*args, i0)
+        assert [math.isnan(r[1]) for r in rows] == [math.isnan(r[1]) for r in ref]
+        assert all(math.isnan(r[1]) for r in rows[:5])  # negative weights
+        for (pi, J, se), (_, J_ref, se_ref) in zip(rows, ref):
+            if not math.isnan(J_ref):
+                assert abs(J - J_ref) <= 1e-12 * max(1.0, abs(J_ref)), pi
+                assert abs(se - se_ref) <= 1e-9 * se_ref + 1e-15, pi
+        assert pi_star == grid[np.nanargmax([r[1] for r in ref])]
+
+    def test_log_keeps_jumps_at_full_weight(self):
+        """fig3's negative exponential marks at pi = 1: the jump factor is
+        e^y, which stays positive where expm1(y) rounds to -1.  No jump may
+        be dropped, so J(1) lies below the no-jump value and the argmax is
+        the log optimum (-3.54) clipped to the grid edge."""
+        mkt = load_config(FIG3).market
+        grid = np.linspace(-1.0, 1.0, 201)
+        pi_star, rows = grid_search_constant_portfolio(
+            mkt, Utility.log(), 1.0, 1.0, grid, 100_000, 20260823
+        )
+        _, J1, se1 = rows[-1]
+        assert pi_star == -1.0
+        assert math.isfinite(J1) and se1 > 0.0
+        assert abs(J1 - (-1.43127)) <= 3.0 * se1
