@@ -73,8 +73,6 @@ from .policy import (
     h_value,
     log_optimal_policy,
     optimal_portfolio,
-    optimal_portfolio_diffrates,
-    optimal_portfolio_short,
     power_optimal_policy,
     verify_conjugacy,
 )

@@ -81,9 +81,8 @@ def cmd_optimize(config: RunConfig, args) -> int:
         residual = verify_conjugacy(
             params.margin, config.market.constraint, policy.pi[i], policy.zeta[i]
         )
-        case = policy.cases[i] if policy.cases[i] else "generic"
         print(
-            f"  regime {i}: pi_hat={policy.pi[i]:.12g} case={case} "
+            f"  regime {i}: pi_hat={policy.pi[i]:.12g} case={policy.cases[i]} "
             f"zeta_hat={policy.zeta[i]:.12g} conjugacy_residual={residual:.3e}"
         )
     return EXIT_OK

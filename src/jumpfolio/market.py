@@ -199,13 +199,24 @@ def _checked_exp(log_level, times):
     return level
 
 
-def _wealth_terms(market: MarketModel, pi_pair, transform_f):
+def _log_jump(transform, pi):
+    """y -> log(1 + pi f(y)), finite wherever the factor is positive: under
+    the exponential transform the factor at pi = 1 is e^y, while
+    log1p(expm1(y)) is log(0) once expm1 rounds to -1 (y < -37).  An array
+    of weights takes the log1p form for every weight."""
+    if transform == "exponential" and np.ndim(pi) == 0 and pi == 1.0:
+        return lambda y: np.asarray(y, dtype=float)
+    f = jump_transform(transform)
+    return lambda y: np.log1p(pi * f(y))
+
+
+def _wealth_terms(market: MarketModel, pi_pair):
     """Per-state drift and jump-log callables for log V^{1,pi,0}."""
     drift = []
     jump_logs = []
     for params, pi in zip(market.regimes, pi_pair):
         drift.append(params.r + params.margin.g(pi) + pi * (params.mu - params.r))
-        jump_logs.append(lambda y, p=pi: np.log1p(p * transform_f(y)))
+        jump_logs.append(_log_jump(market.transform, pi))
     return drift, jump_logs
 
 
@@ -217,9 +228,8 @@ def stock_path(market: MarketModel, path: MarkedPointPath, s0: float, n_grid=DEF
     if s0 <= 0:
         raise ConfigError("initial price must be positive", field="s0")
     times = _report_grid(path, n_grid)
-    f = market.f
     drift = [p.mu for p in market.regimes]
-    log_level = _path_log_level(path, times, drift, [lambda y: np.log1p(f(y))] * 2)
+    log_level = _path_log_level(path, times, drift, [_log_jump(market.transform, 1.0)] * 2)
     return times, s0 * _checked_exp(log_level, times)
 
 
@@ -227,7 +237,7 @@ def _gross_log_wealth(market: MarketModel, pi, path: MarkedPointPath, n_grid=DEF
     """The reporting grid and log V^{1,pi,0} on it."""
     times = _report_grid(path, n_grid)
     pi_pair = (pi, pi) if np.isscalar(pi) else pi
-    drift, jump_logs = _wealth_terms(market, pi_pair, market.f)
+    drift, jump_logs = _wealth_terms(market, pi_pair)
     return times, _path_log_level(path, times, drift, jump_logs)
 
 

@@ -6,14 +6,18 @@ The central object is the strictly decreasing map
 
 whose level sets against the rate band determine the optimal weight.
 Log utility is the gamma = 0 member of the family, so one code path
-serves both utility classes.  The named four-case solvers implement the
-piecewise selections for the two canonical friction models; a generic
-solver handles arbitrary concave piecewise-linear margins by matching
-r - h(pi) against the margin's superdifferential.
+serves both utility classes.  One solver serves every concave
+piecewise-linear margin: it matches r - h(pi) against the margin's
+superdifferential in one left-to-right walk over the kinks and ends of
+the admissible weights.  The paper's four cases, for differential rates
+and for short rebates alike, are the cells of that domain (its closed
+finite ends, its kinks and the open pieces between them), numbered from
+the left.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -28,14 +32,7 @@ from .errors import (
     ModelAssumptionError,
     RangeError,
 )
-from .frictions import (
-    ConstraintSet,
-    DifferentialRates,
-    MarginModel,
-    ShortRebate,
-    conjugate_gk,
-    effective_domain,
-)
+from .frictions import ConstraintSet, MarginModel, conjugate_gk, effective_domain
 from .market import (
     ConsumptionRule,
     MarketModel,
@@ -85,7 +82,6 @@ class RegimeOptimum:
     pi: float
     zeta: float
     case: int
-    h_at_pi: float
 
 
 @dataclass(frozen=True)
@@ -154,7 +150,7 @@ def h_derivative(params: RegimeMarketParams, gamma: float, pi: float) -> float:
     return params.lam * (gamma - 1.0) * integral
 
 
-def h_inverse(params, gamma, target, K: ConstraintSet | None = None, bracket=None):
+def h_inverse(params, gamma, target, K: ConstraintSet | None = None):
     """Solve h(pi) = target on the feasible part of K by bracketed root finding.
 
     The bracket is grown geometrically until the strictly decreasing h
@@ -172,9 +168,6 @@ def h_inverse(params, gamma, target, K: ConstraintSet | None = None, bracket=Non
     shrink = 1e-9
     lo_b = lo if lo_closed else lo + shrink * max(1.0, abs(lo))
     hi_b = hi if hi_closed else hi - shrink * max(1.0, abs(hi))
-    if bracket is not None:
-        lo_b = max(lo_b, bracket[0])
-        hi_b = min(hi_b, bracket[1])
     if lo_b > hi_b:
         raise RangeError("empty feasible bracket for h inversion")
 
@@ -236,154 +229,82 @@ def verify_conjugacy(margin: MarginModel, K: ConstraintSet, pi_hat, zeta_hat) ->
     return abs(margin.g(pi_hat) - pi_hat * zeta_hat - conjugate_gk(margin, K, zeta_c))
 
 
-def optimal_portfolio_diffrates(params: RegimeMarketParams, gamma: float) -> RegimeOptimum:
-    """Four-case optimal weight under differential borrowing/lending rates, K = [0, inf)."""
-    margin = params.margin
-    if not isinstance(margin, DifferentialRates):
-        raise ConfigError("differential-rates solver needs a DifferentialRates margin")
-    r, R = params.r, margin.R
-    if not R > params.mu:
-        raise ModelAssumptionError(
-            f"borrowing rate R = {R:.6g} must exceed drift mu = {params.mu:.6g}"
-        )
-    h0 = h_value(params, gamma, 0.0)
-    h1 = h_value(params, gamma, 1.0)
-    if h0 < r:
-        pi, case = 0.0, 1
-    elif r < h1:
-        if h1 <= R:
-            pi, case = 1.0, 3
-        else:
-            pi, case = h_inverse(params, gamma, R, K=margin.canonical_constraint()), 4
-    else:  # h1 <= r <= h0
-        pi, case = h_inverse(params, gamma, r, K=margin.canonical_constraint()), 2
-    h_pi = h_value(params, gamma, pi)
-    return RegimeOptimum(pi=pi, zeta=r - h_pi, case=case, h_at_pi=h_pi)
-
-
-def optimal_portfolio_short(params: RegimeMarketParams, gamma: float) -> RegimeOptimum:
-    """Four-case optimal weight under short rebates, K = (-inf, 1]."""
-    margin = params.margin
-    if not isinstance(margin, ShortRebate):
-        raise ConfigError("short-rebate solver needs a ShortRebate margin")
-    r, rL = params.r, margin.rL
-    lower = 2.0 * r - rL
-    if not params.mu > lower:
-        raise ModelAssumptionError(
-            f"drift mu = {params.mu:.6g} must exceed 2r - rL = {lower:.6g}"
-        )
-    K = margin.canonical_constraint()
-    h0 = h_value(params, gamma, 0.0)
-    h1 = h_value(params, gamma, 1.0)
-    if h0 < lower:
-        pi, case = h_inverse(params, gamma, lower, K=K), 1
-    elif r <= h1:
-        pi, case = 1.0, 4
-    elif r <= h0:
-        pi, case = h_inverse(params, gamma, r, K=K), 3
-    else:  # lower <= h0 < r
-        pi, case = 0.0, 2
-    h_pi = h_value(params, gamma, pi)
-    return RegimeOptimum(pi=pi, zeta=r - h_pi, case=case, h_at_pi=h_pi)
-
-
 def optimal_portfolio(params: RegimeMarketParams, K: ConstraintSet, gamma: float) -> RegimeOptimum:
-    """Generic solver for any concave piecewise-linear margin over interval K.
+    """Optimal weight for a concave piecewise-linear margin over interval K.
 
-    The optimality condition pairs pi with zeta = r - h(pi) attaining the
-    conjugate, i.e. zeta lies in the superdifferential of g at pi
-    (one-sided at the constraint endpoints).  r - h is strictly
-    increasing and the margin slopes are nonincreasing, so it suffices to
-    test the kinks/endpoints and solve h(pi) = r - slope on each piece.
+    The optimality condition pairs pi with zeta = r - h(pi) in the
+    superdifferential of g at pi (one-sided at the ends of the domain,
+    K intersected with the feasible weights).  r - h increases and the
+    margin slopes do not, so one left-to-right walk over the domain's
+    points (finite ends and kinks) stops at the first point whose
+    superdifferential reaches r - h, or solves h = r - slope on the piece
+    before it.  The case label numbers the cells of the domain from the
+    left: the lower end when it is a finite, closed end, then open pieces
+    and kinks in turn.
     """
     margin = params.margin
-    lo_f, hi_f, _, _ = feasible_weight_interval(params)
-    lo = max(K.lower, lo_f)
-    hi = min(K.upper, hi_f)
+    slopes, kinks = margin.slopes, margin.breakpoints
+    r, mu = params.r, params.mu
+    lo_f, hi_f, lo_closed, hi_closed = feasible_weight_interval(params)
+    lo, lo_closed = max(K.lower, lo_f), lo_closed or K.lower > lo_f
+    hi, hi_closed = min(K.upper, hi_f), hi_closed or K.upper < hi_f
     if lo > hi:
         raise InfeasiblePolicyError("constraint set and jump feasibility do not meet")
-
-    def slope_left(p):
-        if p <= lo:
-            return math.inf
-        idx = int(np.searchsorted(margin.breakpoints, p, side="left"))
-        return margin.slopes[idx]
-
-    def slope_right(p):
-        if p >= hi:
-            return -math.inf
-        idx = int(np.searchsorted(margin.breakpoints, p, side="right"))
-        return margin.slopes[idx]
-
-    tol = 1e-11
-    points = sorted({b for b in margin.breakpoints if lo <= b <= hi})
-    if math.isfinite(lo):
-        points = sorted(set(points) | {lo})
-    if math.isfinite(hi):
-        points = sorted(set(points) | {hi})
-
-    for p in points:
-        psi = params.r - h_value(params, gamma, p)
-        if slope_right(p) - tol <= psi <= slope_left(p) + tol:
-            return _package_optimum(params, K, gamma, p)
-
-    # interior roots piece by piece
-    edges = [-math.inf] + points + [math.inf] if points else [lo, hi]
-    if points:
-        edges[0] = lo
-        edges[-1] = hi
-    for a, b in zip(edges[:-1], edges[1:]):
-        if a >= b:
-            continue
-        mid = 0.5 * (a + b) if math.isfinite(a) and math.isfinite(b) else (
-            a + 1.0 if math.isfinite(a) else (b - 1.0 if math.isfinite(b) else 0.0)
+    # h tends to mu at an unbounded end: the optimum exists only if r - mu
+    # lies strictly inside the outermost slope there
+    if math.isinf(hi) and not mu < r - slopes[-1]:
+        raise ModelAssumptionError(
+            f"drift mu = {mu:.6g} must lie below r - slope = {r - slopes[-1]:.6g} "
+            "where weights are unbounded above"
         )
-        s = margin.slopes[int(np.searchsorted(margin.breakpoints, mid, side="right"))]
-        try:
-            pi = h_inverse(params, gamma, params.r - s, K=K, bracket=(a, b))
-        except RangeError:
+    if math.isinf(lo) and not mu > r - slopes[0]:
+        raise ModelAssumptionError(
+            f"drift mu = {mu:.6g} must exceed r - slope = {r - slopes[0]:.6g} "
+            "where weights are unbounded below"
+        )
+
+    # an open end holds no weight: the piece next to it runs up to it
+    points = [lo] if math.isfinite(lo) and lo_closed else []
+    first_case = 1 if points else 2
+    points += [b for b in kinks if lo < b < hi]
+    if math.isfinite(hi) and hi_closed:
+        points.append(hi)
+    tol = 1e-11
+    for j, p in enumerate(points):
+        psi = r - h_value(params, gamma, p)
+        right = -math.inf if p == hi else slopes[bisect.bisect_right(kinks, p)]
+        if psi < right - tol:
             continue
-        if a - tol <= pi <= b + tol:
-            return _package_optimum(params, K, gamma, pi)
-
-    h_lo = h_value(params, gamma, max(lo, -BRACKET_LIMIT) if math.isinf(lo) else lo)
-    h_hi = h_value(params, gamma, min(hi, BRACKET_LIMIT) if math.isinf(hi) else hi)
-    raise InfeasiblePolicyError(
-        "no admissible weight satisfies the conjugacy condition: "
-        f"h-range over K is [{h_hi:.6g}, {h_lo:.6g}] against r = {params.r:.6g} "
-        f"and margin slopes {margin.slopes}"
-    )
+        left = math.inf if p == lo else slopes[bisect.bisect_left(kinks, p)]
+        if psi <= left + tol:
+            return _package_optimum(params, K, gamma, p, first_case + 2 * j)
+        pi = h_inverse(params, gamma, r - left, K=K)
+        return _package_optimum(params, K, gamma, pi, first_case + 2 * j - 1)
+    pi = h_inverse(params, gamma, r - slopes[-1], K=K)
+    return _package_optimum(params, K, gamma, pi, first_case + 2 * len(points) - 1)
 
 
-def _package_optimum(params, K, gamma, pi):
-    h_pi = h_value(params, gamma, pi)
-    zeta = params.r - h_pi
-    residual = verify_conjugacy(params.margin, K, pi, zeta)
+def _package_optimum(params, K, gamma, pi, case):
+    zeta = params.r - h_value(params, gamma, pi)
+    try:
+        residual = verify_conjugacy(params.margin, K, pi, zeta)
+    except DomainError as exc:  # a root hugging an open end can miss the band
+        raise InfeasiblePolicyError(f"candidate pi = {pi:.9g} fails conjugacy: {exc}") from exc
     # scale-aware: the difference of two O(|pi*zeta|) terms cannot beat
     # absolute 1e-9 once the weight is astronomically large
     if residual > 1e-9 * max(1.0, abs(pi * zeta)):
         raise InfeasiblePolicyError(
             f"candidate pi = {pi:.9g} fails conjugacy with residual {residual:.3e}"
         )
-    return RegimeOptimum(pi=pi, zeta=zeta, case=0, h_at_pi=h_pi)
+    return RegimeOptimum(pi=pi, zeta=zeta, case=case)
 
 
 def _optimal_policy(market: MarketModel, gamma: float, consumption: ConsumptionRule) -> Policy:
-    """Solve each regime, with the named four-case solver where the
-    constraint set is its margin's canonical one and the generic solver
-    otherwise; identical regimes are solved once."""
-
-    def solve(params):
-        canonical = market.constraint == params.margin.canonical_constraint()
-        if isinstance(params.margin, DifferentialRates) and canonical:
-            return optimal_portfolio_diffrates(params, gamma)
-        if isinstance(params.margin, ShortRebate) and canonical:
-            return optimal_portfolio_short(params, gamma)
-        return optimal_portfolio(params, market.constraint, gamma)
-
+    """Solve each regime; identical regimes are solved once."""
+    K = market.constraint
     first, second = market.regimes
-    optima = (solve(first),)
-    optima += optima if second == first else (solve(second),)
+    optima = (optimal_portfolio(first, K, gamma),)
+    optima += optima if second == first else (optimal_portfolio(second, K, gamma),)
     return Policy(
         pi=tuple(o.pi for o in optima),
         zeta=tuple(o.zeta for o in optima),

@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError, DomainError, InfeasiblePolicyError
 from .frictions import ConstraintSet, effective_domain
-from .market import MarketModel, _wealth_terms
+from .market import MarketModel, _log_jump, _wealth_terms
 from .policy import (
     Policy,
     feasible_weight_interval,
@@ -58,9 +56,8 @@ def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None
         raise ConfigError("regime value formulas assume the exponential jump transform")
     if policy is None:
         policy = log_optimal_policy(market, x, T)
-    f = market.f
     K = market.constraint
-    drift, _ = _wealth_terms(market, policy.pi, f)
+    drift, _ = _wealth_terms(market, policy.pi)
     eta = []
     d = []
     zeta = []
@@ -74,7 +71,7 @@ def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None
             raise InfeasiblePolicyError(
                 f"regime {i}: 1 + pi*(e^y - 1) <= 0 near support point y = {bad:.6g}"
             )
-        eta_i = params.dist.expect(lambda y: np.log1p(pi * f(y)))
+        eta_i = params.dist.expect(_log_jump(market.transform, pi))
         if not math.isfinite(eta_i):
             raise InfeasiblePolicyError(f"regime {i}: eta integral diverges")
         zeta_i = policy.zeta[i]

@@ -36,10 +36,10 @@ from .market import (
     _checked_exp,
     _deflated_wealth,
     _gross_log_wealth,
+    _log_jump,
     _path_log_level,
     _report_grid,
     _wealth_terms,
-    jump_transform,
 )
 from .mpp import MarkedPointPath, PathEnsemble, simulate_ensemble
 from .policy import Policy, Utility, feasible_weight_interval, log_optimal_policy
@@ -250,7 +250,7 @@ def budget_check(
     spec = state_price_spec(market, K, phi_policy)
     h_drift = spec.drift(market)
     h_jumps = spec.jump_logs()
-    v_drift, v_jumps = _wealth_terms(market, pi_pair, market.f)
+    v_drift, v_jumps = _wealth_terms(market, pi_pair)
 
     # combined log level of H * V^{1,pi,0}
     drift = [h_drift[i] + v_drift[i] for i in (0, 1)]
@@ -276,7 +276,7 @@ def mc_expected_utility(
     """Sample mean of int U1(t, c_t) dt + U2(V_T); inter-jump time integrals
     are closed-form (log and powers of piecewise exponentials)."""
     T, seed, kappa = ens.horizon, ens.seed, consumption.scale
-    drift, jumps = _wealth_terms(market, pi_pair, market.f)
+    drift, jumps = _wealth_terms(market, pi_pair)
 
     if kappa == 0.0:
         if utility.is_log:
@@ -358,16 +358,6 @@ def _skeleton_statistics(ens: PathEnsemble, with_integrals):
     return stats
 
 
-def _log_jump(transform, pi):
-    """y -> log(1 + pi f(y)), finite wherever the factor is positive: under
-    the exponential transform the factor at pi = 1 is e^y, while
-    log1p(expm1(y)) is log(0) once expm1 rounds to -1 (y < -37)."""
-    if transform == "exponential" and pi == 1.0:
-        return lambda y: np.asarray(y, dtype=float)
-    f = jump_transform(transform)
-    return lambda y: np.log1p(pi * f(y))
-
-
 def _jump_coefficients(market, utility, weights):
     """Per regime, the conditional jump term at each weight: E[log(1 + pi f)]
     for log utility, log E[(1 + pi f)^gamma] for power.  Regimes sharing a
@@ -420,12 +410,13 @@ def grid_search_constant_portfolio(
     lo0, hi0, lc0, hc0 = feasible_weight_interval(market.regimes[0])
     lo1, hi1, lc1, hc1 = feasible_weight_interval(market.regimes[1])
     lo, hi = max(lo0, lo1), min(hi0, hi1)
-    inside = ((lo < grid) & (grid < hi)) | ((grid == lo) & (lc0 and lc1)) | (
-        (grid == hi) & (hc0 and hc1)
-    )
+    # an end of the intersection is open when a regime whose end binds is
+    lo_closed = (lc0 or lo0 < lo) and (lc1 or lo1 < lo)
+    hi_closed = (hc0 or hi0 > hi) and (hc1 or hi1 > hi)
+    inside = ((lo < grid) & (grid < hi)) | ((grid == lo) & lo_closed) | ((grid == hi) & hi_closed)
     weights = grid[inside]
 
-    drift, _ = _wealth_terms(market, (weights, weights), market.f)
+    drift, _ = _wealth_terms(market, (weights, weights))
     coef = np.column_stack(drift + _jump_coefficients(market, utility, weights))
     if utility.is_log:
         offset = T * math.log(consumption_scale) + math.log(x - consumption_scale * T)

@@ -27,8 +27,7 @@ from jumpfolio.policy import (
     Utility,
     h_value,
     log_optimal_policy,
-    optimal_portfolio_diffrates,
-    optimal_portfolio_short,
+    optimal_portfolio,
     power_optimal_policy,
     verify_conjugacy,
 )
@@ -180,12 +179,12 @@ def test_criterion_3_portfolio_sweeps():
     t0 = time.time()
     gammas = np.linspace(0.0, 0.99, 200)
 
-    def sweep(params, K, solver):
+    def sweep(params, K):
         cases, unsolved, worst = set(), 0, 0.0
         domain_ok = True
         for g in gammas:
             try:
-                opt = solver(params, float(g))
+                opt = optimal_portfolio(params, K, float(g))
             except Exception:
                 unsolved += 1
                 continue
@@ -199,13 +198,9 @@ def test_criterion_3_portfolio_sweeps():
         return cases, unsolved, worst, domain_ok
 
     up = _config_up().market.regimes[0]
-    cases_up, unsolved_up, worst_up, dom_up = sweep(
-        up, NO_SHORTING, optimal_portfolio_diffrates
-    )
+    cases_up, unsolved_up, worst_up, dom_up = sweep(up, NO_SHORTING)
     down = _config_down().market.regimes[0]
-    cases_down, unsolved_down, worst_down, dom_down = sweep(
-        down, NO_BORROWING, optimal_portfolio_short
-    )
+    cases_down, unsolved_down, worst_down, dom_down = sweep(down, NO_BORROWING)
     dt = time.time() - t0
     ok = (
         {2, 3, 4} <= cases_up

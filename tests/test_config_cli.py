@@ -238,6 +238,31 @@ class TestCliOutputs:
         ]
         assert lines[-1] == "0.98999999999999999,,"
 
+    @pytest.mark.parametrize("config, figure", [("fig1", 2), ("fig3", 4)])
+    def test_figure_matches_bench_reference(self, tmp_path, config, figure):
+        """Figures 2 and 4 against bench/reference under the benchmark's
+        rule: |got - ref| <= 1e-8 max(|got|, |ref|) + 1e-10 per weight cell,
+        identical empty cells and case labels, comment lines ignored."""
+        root = os.path.join(os.path.dirname(__file__), "..")
+        cfg = os.path.join(root, "demos", "configs", f"{config}.yaml")
+        args = ["figures", cfg, "--figure", str(figure), "--output-dir", str(tmp_path)]
+        assert main(args) == 0
+
+        def rows(path):
+            with open(path) as fh:
+                return [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+
+        got = rows(tmp_path / f"fig{figure}.csv")
+        ref = rows(os.path.join(root, "bench", "reference", f"fig{figure}.csv"))
+        assert len(got) == len(ref) and got[0] == ref[0] == ["gamma", "pi_hat", "case"]
+        for row, ref_row in zip(got[1:], ref[1:]):
+            assert row[2] == ref_row[2], row  # case label
+            for a, b in zip(row[:2], ref_row[:2]):
+                assert (a == "") == (b == ""), row
+                if a:
+                    a, b = float(a), float(b)
+                    assert abs(a - b) <= 1e-8 * max(abs(a), abs(b)) + 1e-10, row
+
     def test_simulate_writes_paths(self, tmp_path):
         data = copy.deepcopy(BASE)
         data["utility"] = {"variant": "log"}

@@ -1,7 +1,4 @@
-"""Smoke test: the demos that only print run to completion.
-
-The other two demos write under demos/output/ and are left out.
-"""
+"""Smoke test: every demo script runs to completion and prints."""
 
 import os
 import subprocess

@@ -1,9 +1,11 @@
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jumpfolio.config import load_config
 from jumpfolio.distributions import ExponentialPositive, TwoPoint
 from jumpfolio.errors import BankruptcyError, ConfigError, DomainError, RuinError
 from jumpfolio.frictions import DifferentialRates, NO_SHORTING
@@ -20,6 +22,8 @@ from jumpfolio.market import (
     wealth_path,
 )
 from jumpfolio.mpp import GeneratorMatrix, MarkedPointPath, RegimePath, simulate_ensemble
+
+FIG3 = Path(__file__).resolve().parents[1] / "demos" / "configs" / "fig3.yaml"
 
 
 def make_market(lam=1.0, r=0.045, mu=-0.05, R=0.05, rate=10.0):
@@ -116,6 +120,17 @@ class TestGrossWealth:
             gross_wealth_path(mkt, 1.5, path)  # 1 + 1.5(e^-2 - 1) < 0
         assert exc.value.jump_time == pytest.approx(1.0)
         assert exc.value.mark == -2.0
+
+    def test_full_weight_jump_below_expm1_range(self):
+        """fig3's market, one jump with mark -40: expm1(-40) rounds to -1,
+        but the factor at pi = 1 is e^-40 > 0, so both levels stay finite."""
+        mkt = load_config(FIG3).market
+        path = fixed_path([0.5], [-40.0], T=1.0)
+        _, S = stock_path(mkt, path, s0=1.0)
+        _, V = gross_wealth_path(mkt, 1.0, path)
+        assert np.all(np.isfinite(S)) and np.all(np.isfinite(V))
+        assert math.log(S[-1]) == pytest.approx(0.07 * 1.0 - 40.0, rel=1e-12)
+        assert math.log(V[-1]) == pytest.approx(0.07 * 1.0 - 40.0, rel=1e-12)
 
     def test_overflow_raises(self):
         """At pi = 1 the log level is mu T = 1000, past the float range: raise, never inf."""

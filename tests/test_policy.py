@@ -1,15 +1,25 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jumpfolio.distributions import ExponentialNegative, ExponentialPositive
-from jumpfolio.errors import BracketLimitError, ConfigError, ModelAssumptionError, RangeError
+from jumpfolio.config import load_config
+from jumpfolio.distributions import ExponentialNegative, ExponentialPositive, TwoPoint
+from jumpfolio.errors import (
+    BracketLimitError,
+    ConfigError,
+    InfeasiblePolicyError,
+    JumpfolioError,
+    ModelAssumptionError,
+    RangeError,
+)
 from jumpfolio.frictions import (
     ConstraintSet,
     DifferentialRates,
+    Frictionless,
     NO_BORROWING,
     NO_SHORTING,
     ShortRebate,
@@ -24,11 +34,11 @@ from jumpfolio.policy import (
     h_value,
     log_optimal_policy,
     optimal_portfolio,
-    optimal_portfolio_diffrates,
-    optimal_portfolio_short,
     power_optimal_policy,
     verify_conjugacy,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 # borrowing-spread market with positive exponential jumps
 PARAMS_UP = RegimeMarketParams(
@@ -40,6 +50,97 @@ PARAMS_DOWN = RegimeMarketParams(
     r=0.03, mu=0.07, lam=1.0, dist=ExponentialNegative(10.0),
     margin=ShortRebate(0.03, 0.05),
 )
+
+
+# The closed four-case selections for the two canonical margins, kept as
+# the oracle that optimal_portfolio must reproduce on their canonical sets.
+@dataclasses.dataclass(frozen=True)
+class ReferenceOptimum:
+    pi: float
+    zeta: float
+    case: int
+    h_at_pi: float
+
+
+def reference_diffrates(params: RegimeMarketParams, gamma: float) -> ReferenceOptimum:
+    """Four-case optimal weight under differential borrowing/lending rates, K = [0, inf)."""
+    margin = params.margin
+    if not isinstance(margin, DifferentialRates):
+        raise ConfigError("differential-rates solver needs a DifferentialRates margin")
+    r, R = params.r, margin.R
+    if not R > params.mu:
+        raise ModelAssumptionError(
+            f"borrowing rate R = {R:.6g} must exceed drift mu = {params.mu:.6g}"
+        )
+    h0 = h_value(params, gamma, 0.0)
+    h1 = h_value(params, gamma, 1.0)
+    if h0 < r:
+        pi, case = 0.0, 1
+    elif r < h1:
+        if h1 <= R:
+            pi, case = 1.0, 3
+        else:
+            pi, case = h_inverse(params, gamma, R, K=margin.canonical_constraint()), 4
+    else:  # h1 <= r <= h0
+        pi, case = h_inverse(params, gamma, r, K=margin.canonical_constraint()), 2
+    h_pi = h_value(params, gamma, pi)
+    return ReferenceOptimum(pi=pi, zeta=r - h_pi, case=case, h_at_pi=h_pi)
+
+
+def reference_short(params: RegimeMarketParams, gamma: float) -> ReferenceOptimum:
+    """Four-case optimal weight under short rebates, K = (-inf, 1]."""
+    margin = params.margin
+    if not isinstance(margin, ShortRebate):
+        raise ConfigError("short-rebate solver needs a ShortRebate margin")
+    r, rL = params.r, margin.rL
+    lower = 2.0 * r - rL
+    if not params.mu > lower:
+        raise ModelAssumptionError(
+            f"drift mu = {params.mu:.6g} must exceed 2r - rL = {lower:.6g}"
+        )
+    K = margin.canonical_constraint()
+    h0 = h_value(params, gamma, 0.0)
+    h1 = h_value(params, gamma, 1.0)
+    if h0 < lower:
+        pi, case = h_inverse(params, gamma, lower, K=K), 1
+    elif r <= h1:
+        pi, case = 1.0, 4
+    elif r <= h0:
+        pi, case = h_inverse(params, gamma, r, K=K), 3
+    else:  # lower <= h0 < r
+        pi, case = 0.0, 2
+    h_pi = h_value(params, gamma, pi)
+    return ReferenceOptimum(pi=pi, zeta=r - h_pi, case=case, h_at_pi=h_pi)
+
+
+def _outcome(solve, *args):
+    """(optimum, None) or (None, error type) of one solve."""
+    try:
+        return solve(*args), None
+    except JumpfolioError as exc:
+        return None, type(exc)
+
+
+def _assert_matches_reference(params, gamma, rel=0.0):
+    """optimal_portfolio on the margin's canonical set against the four-case
+    oracle: the same error type, or the same case and pi within rel."""
+    K, reference = (
+        (NO_SHORTING, reference_diffrates)
+        if isinstance(params.margin, DifferentialRates)
+        else (NO_BORROWING, reference_short)
+    )
+    got, got_error = _outcome(optimal_portfolio, params, K, gamma)
+    ref, ref_error = _outcome(reference, params, gamma)
+    if got_error is InfeasiblePolicyError and ref is not None:
+        # the oracle returns its weight uncertified; the solver refuses one
+        # whose conjugacy residual exceeds its scale-aware bound
+        residual = verify_conjugacy(params.margin, K, ref.pi, ref.zeta)
+        assert residual > 1e-9 * max(1.0, abs(ref.pi * ref.zeta)), (gamma, ref)
+        return
+    assert got_error is ref_error, (gamma, got_error, ref_error)
+    if ref is not None:
+        assert got.case == ref.case, (gamma, got, ref)
+        assert abs(got.pi - ref.pi) <= rel * abs(ref.pi), (gamma, got, ref)
 
 
 class TestUtility:
@@ -111,7 +212,7 @@ class TestHInverse:
         """On the short-rebate market at gamma = 0.99 the root of h = 2r - rL
         lies below -BRACKET_LIMIT, inside the feasible set."""
         with pytest.raises(BracketLimitError, match="beyond the bracket limit"):
-            optimal_portfolio_short(PARAMS_DOWN, 0.99)
+            optimal_portfolio(PARAMS_DOWN, NO_BORROWING, 0.99)
 
 
 class TestFeasibleInterval:
@@ -128,26 +229,28 @@ class TestFeasibleInterval:
 class TestFourCaseSolvers:
     def test_diffrates_case_selection(self):
         # gamma = 0.5: h(1) = 0.05025 > R -> case 4
-        opt = optimal_portfolio_diffrates(PARAMS_UP, 0.5)
+        opt = optimal_portfolio(PARAMS_UP, NO_SHORTING, 0.5)
         assert opt.case == 4
         assert opt.pi == pytest.approx(1.0288992667, abs=1e-8)
         assert opt.zeta == pytest.approx(0.045 - 0.05, abs=1e-10)
         # gamma = 0: r < h(1) = 0.0409.. is false -> interior case 2
-        opt0 = optimal_portfolio_diffrates(PARAMS_UP, 0.0)
+        opt0 = optimal_portfolio(PARAMS_UP, NO_SHORTING, 0.0)
         assert opt0.case == 2
         assert opt0.pi == pytest.approx(0.7460618540, abs=1e-8)
         assert abs(opt0.zeta) <= 1e-12
 
     def test_diffrates_all_cases_reachable(self):
-        cases = {optimal_portfolio_diffrates(PARAMS_UP, g).case for g in np.linspace(0, 0.98, 120)}
+        cases = {
+            optimal_portfolio(PARAMS_UP, NO_SHORTING, g).case for g in np.linspace(0, 0.98, 120)
+        }
         assert {2, 3, 4} <= cases
         # a market with h(0) < r sits in case 1
         p = RegimeMarketParams(
             r=0.07, mu=-0.05, lam=1.0, dist=ExponentialPositive(10.0),
             margin=DifferentialRates(0.07, 0.08),
         )
-        assert optimal_portfolio_diffrates(p, 0.5).case == 1
-        assert optimal_portfolio_diffrates(p, 0.5).pi == 0.0
+        assert optimal_portfolio(p, NO_SHORTING, 0.5).case == 1
+        assert optimal_portfolio(p, NO_SHORTING, 0.5).pi == 0.0
 
     def test_diffrates_model_assumption(self):
         p = RegimeMarketParams(
@@ -155,11 +258,11 @@ class TestFourCaseSolvers:
             margin=DifferentialRates(0.01, 0.02),
         )
         with pytest.raises(ModelAssumptionError):
-            optimal_portfolio_diffrates(p, 0.5)  # R = 0.02 < mu
+            optimal_portfolio(p, NO_SHORTING, 0.5)  # R = 0.02 < mu
 
     def test_short_case_selection(self):
         # h(0) = -0.0209 < 2r - rL = 0.01 -> case 1 (short position)
-        opt = optimal_portfolio_short(PARAMS_DOWN, 0.5)
+        opt = optimal_portfolio(PARAMS_DOWN, NO_BORROWING, 0.5)
         assert opt.case == 1
         assert opt.pi == pytest.approx(-9.2293544664, abs=1e-7)
         assert opt.zeta == pytest.approx(0.03 - 0.01, abs=1e-10)
@@ -171,7 +274,7 @@ class TestFourCaseSolvers:
             margin=ShortRebate(0.03, 0.05),
         )
         with pytest.raises(ModelAssumptionError):
-            optimal_portfolio_short(p, 0.5)  # mu <= 2r - rL
+            optimal_portfolio(p, NO_BORROWING, 0.5)  # mu <= 2r - rL
 
     def test_conjugacy_at_optimum(self):
         for params, K, g in (
@@ -179,25 +282,20 @@ class TestFourCaseSolvers:
             (PARAMS_UP, NO_SHORTING, 0.0),
             (PARAMS_DOWN, NO_BORROWING, 0.5),
         ):
-            solver = (
-                optimal_portfolio_diffrates
-                if isinstance(params.margin, DifferentialRates)
-                else optimal_portfolio_short
-            )
-            opt = solver(params, g)
+            opt = optimal_portfolio(params, K, g)
             assert verify_conjugacy(params.margin, K, opt.pi, opt.zeta) <= 1e-9
 
 
 class TestGenericSolver:
     def test_matches_named_diffrates(self):
         for g in (0.0, 0.3, 0.5, 0.8):
-            named = optimal_portfolio_diffrates(PARAMS_UP, g)
+            named = reference_diffrates(PARAMS_UP, g)
             generic = optimal_portfolio(PARAMS_UP, NO_SHORTING, g)
             assert generic.pi == pytest.approx(named.pi, abs=1e-9)
 
     def test_matches_named_short(self):
         for g in (0.0, 0.3, 0.5):
-            named = optimal_portfolio_short(PARAMS_DOWN, g)
+            named = reference_short(PARAMS_DOWN, g)
             generic = optimal_portfolio(PARAMS_DOWN, NO_BORROWING, g)
             assert generic.pi == pytest.approx(named.pi, rel=1e-7)
 
@@ -206,6 +304,56 @@ class TestGenericSolver:
         opt = optimal_portfolio(PARAMS_UP, K, 0.0)
         # unconstrained optimum 0.746 > 0.5 -> endpoint optimum
         assert opt.pi == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "name, regime", [("fig1", 0), ("fig3", 0), ("regime_switching", 0), ("regime_switching", 1)]
+    )
+    def test_matches_reference_on_figure_sweeps(self, name, regime):
+        """The 200 gammas of figures 2 and 4: bit-equal weights and cases."""
+        params = load_config(CONFIGS / f"{name}.yaml").market.regimes[regime]
+        for g in np.linspace(0.0, 0.99, 200):
+            _assert_matches_reference(params, float(g))
+
+    def test_open_end_holds_no_case(self):
+        """Two-point marks bound the short side at the open end -19.5, which
+        holds no weight: a short optimum keeps the paper's case 1."""
+        params = RegimeMarketParams(
+            r=0.03, mu=0.03, lam=1.0, dist=TwoPoint(-0.2, 0.05, 0.5),
+            margin=ShortRebate(0.03, 0.05),
+        )
+        for g in (0.0, 0.5, 0.9):
+            _assert_matches_reference(params, g, rel=1e-12)
+        opt = optimal_portfolio(params, NO_BORROWING, 0.5)
+        assert opt.case == 1 and -19.5 < opt.pi < 0.0
+
+    @pytest.mark.parametrize("mu", [0.03, 0.05])
+    def test_unbounded_above_needs_drift_below_rate(self, mu):
+        """h tends to mu as pi -> inf, so with no friction an optimum over
+        [0, inf) needs mu < r."""
+        params = RegimeMarketParams(
+            r=0.03, mu=mu, lam=1.0, dist=ExponentialPositive(10.0), margin=Frictionless()
+        )
+        with pytest.raises(ModelAssumptionError, match="unbounded above"):
+            optimal_portfolio(params, ConstraintSet(), 0.5)
+
+    def test_root_beyond_bracket_limit_propagates(self):
+        """The root of h = 2r - rL lies below -BRACKET_LIMIT; a bounded upper
+        end must not turn that into 'no admissible weight'."""
+        with pytest.raises(BracketLimitError):
+            optimal_portfolio(PARAMS_DOWN, ConstraintSet(-math.inf, 0.5), 0.99)
+
+    @pytest.mark.parametrize(
+        "r, R, mu", [(0.033, 0.0756, -0.0341), (0.0025, 0.0321, -0.0822)]
+    )
+    def test_root_at_open_end_is_infeasible(self, r, R, mu):
+        """The root hugs the open lower end pi = -12.0067, where zeta misses
+        the conjugate's domain by about 1e-9: a typed policy failure, not a
+        DomainError, so figures 2 and 4 leave the cell empty."""
+        params = RegimeMarketParams(
+            r=r, mu=mu, lam=0.5, dist=TwoPoint(-0.05, 0.08, 0.5), margin=DifferentialRates(r, R)
+        )
+        with pytest.raises(InfeasiblePolicyError):
+            optimal_portfolio(params, ConstraintSet(), 0.9)
 
 
 class TestPolicyBuilders:
@@ -233,11 +381,11 @@ class TestPolicyBuilders:
         import jumpfolio.policy as policy_mod
 
         solved = []
-        solve = policy_mod.optimal_portfolio_diffrates
+        solve = policy_mod.optimal_portfolio
         monkeypatch.setattr(
             policy_mod,
-            "optimal_portfolio_diffrates",
-            lambda params, gamma: solved.append(params) or solve(params, gamma),
+            "optimal_portfolio",
+            lambda params, K, gamma: solved.append(params) or solve(params, K, gamma),
         )
         # an equal copy, not the same object, as a config file gives
         second = dataclasses.replace(PARAMS_UP, mu=mu1)
@@ -246,7 +394,7 @@ class TestPolicyBuilders:
         )
         pol = power_optimal_policy(mkt, 0.5)
         assert len(solved) == solves
-        assert pol.pi[1] == solve(second, 0.5).pi
+        assert pol.pi[1] == solve(second, NO_SHORTING, 0.5).pi
 
 
 @settings(max_examples=25, deadline=None)
@@ -261,6 +409,29 @@ def test_optimum_satisfies_first_order_band(gamma, rate):
         r=0.045, mu=-0.05, lam=1.0, dist=ExponentialPositive(rate),
         margin=DifferentialRates(0.045, 0.05),
     )
-    opt = optimal_portfolio_diffrates(params, gamma)
+    opt = optimal_portfolio(params, NO_SHORTING, gamma)
     assert -0.005 - 1e-12 <= opt.zeta
     assert verify_conjugacy(params.margin, NO_SHORTING, opt.pi, opt.zeta) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    r=st.floats(min_value=0.0, max_value=0.1),
+    mu=st.floats(min_value=-0.2, max_value=0.2),
+    # lam > 0 keeps h strictly decreasing; with h flat (lam ~ 0) a whole
+    # piece can be optimal and the two solvers may pick different weights
+    lam=st.floats(min_value=0.01, max_value=5.0),
+    rate=st.floats(min_value=1.5, max_value=30.0),
+    spread=st.floats(min_value=0.0, max_value=0.1),
+    gamma=st.floats(min_value=0.0, max_value=0.99),
+)
+def test_matches_reference_on_random_markets(r, mu, lam, rate, spread, gamma):
+    """Both canonical margins: the same error type, or the same case and
+    pi within 1e-12 relative (the target r - slope may differ from R or
+    2r - rL in the last bit)."""
+    for dist, margin in (
+        (ExponentialPositive(rate), DifferentialRates(r, r + spread)),
+        (ExponentialNegative(rate), ShortRebate(r, r + spread)),
+    ):
+        params = RegimeMarketParams(r=r, mu=mu, lam=lam, dist=dist, margin=margin)
+        _assert_matches_reference(params, gamma, rel=1e-12)

@@ -61,7 +61,7 @@ class TestEnsembleFunctionals:
         mkt = make_market()
         ens = simulate_ensemble(mkt.gen, 0, 2.0, mkt.dists, 64, 123)
         pi = 0.7
-        drift, jumps = _wealth_terms(mkt, (pi, pi), mkt.f)
+        drift, jumps = _wealth_terms(mkt, (pi, pi))
         return mkt, ens, pi, drift, jumps
 
     @staticmethod
@@ -69,7 +69,7 @@ class TestEnsembleFunctionals:
         """Per-state drift and jump logs of one level, and its single-path
         evaluation (path -> level on the grid)."""
         if kind == "wealth":
-            drift, jumps = _wealth_terms(mkt, (pi, pi), mkt.f)
+            drift, jumps = _wealth_terms(mkt, (pi, pi))
             return drift, jumps, lambda path: gross_wealth_path(mkt, pi, path, n_grid=1)[1]
         if kind == "stock":
             drift = [p.mu for p in mkt.regimes]
@@ -382,11 +382,15 @@ class TestGridSearch:
         mean_count = expected_jump_count(market, i0, T)
         rows = []
         for pi in grid:
-            inside = (lo < pi < hi) or (pi == lo and lc0 and lc1) or (pi == hi and hc0 and hc1)
+            inside = (
+                (lo < pi < hi)
+                or (pi == lo and (lc0 or lo0 < lo) and (lc1 or lo1 < lo))
+                or (pi == hi and (hc0 or hi0 > hi) and (hc1 or hi1 > hi))
+            )
             if not inside:
                 rows.append((float(pi), math.nan, math.nan))
                 continue
-            drift, _ = _wealth_terms(market, (pi, pi), f)
+            drift, _ = _wealth_terms(market, (pi, pi))
             if utility.is_log:
                 etas = [p.dist.expect(lambda y: np.log1p(pi * f(y))) for p in market.regimes]
                 jumps = [(lambda y, c=e: np.full(np.shape(y), c)) for e in etas]
@@ -433,6 +437,24 @@ class TestGridSearch:
                 assert abs(J - J_ref) <= 1e-12 * max(1.0, abs(J_ref)), pi
                 assert abs(se - se_ref) <= 1e-9 * se_ref + 1e-15, pi
         assert pi_star == grid[np.nanargmax([r[1] for r in ref])]
+
+    def test_closedness_comes_from_the_binding_end(self):
+        """Regime 0's closed lower end 0 binds; regime 1's open end -12 lies
+        below it, so the weight 0 is feasible in both and gets a row."""
+        p0 = RegimeMarketParams(
+            r=0.045, mu=-0.05, lam=2.0, dist=ExponentialPositive(10.0),
+            margin=DifferentialRates(0.045, 0.05),
+        )
+        p1 = RegimeMarketParams(
+            r=0.03, mu=0.02, lam=0.5, dist=TwoPoint(-0.05, 0.08, 0.6),
+            margin=DifferentialRates(0.03, 0.05),
+        )
+        mkt = MarketModel(gen=GeneratorMatrix(2.0, 0.5), regimes=(p0, p1))
+        _, rows = grid_search_constant_portfolio(
+            mkt, Utility.log(), 1.0, 1.0, np.array([-0.1, 0.0]), 2000, 31
+        )
+        assert math.isnan(rows[0][1])
+        assert math.isfinite(rows[1][1])
 
     def test_log_keeps_jumps_at_full_weight(self):
         """fig3's negative exponential marks at pi = 1: the jump factor is
