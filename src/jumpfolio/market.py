@@ -303,12 +303,13 @@ def wealth_path(
     return WealthPath(t=times, regime=regime, v_gross=v_gross, xi=xi, V=xi * v_gross)
 
 
+_CSV_ROW = "%.17g,%d,%.17g,%.17g,%.17g,%.17g\n"
+
+
 def export_path_csv(path_obj: WealthPath, stock, fh, comment_lines=()):
     """Write columns t, regime, S, V1pi0, xi, V with 17-significant-digit formatting."""
     header, rows = path_obj.to_csv_rows(stock)
     for line in comment_lines:
         fh.write(f"# {line}\n")
     fh.write(",".join(header) + "\n")
-    for row in rows:
-        fields = [f"{row[0]:.17g}", str(int(row[1]))] + [f"{v:.17g}" for v in row[2:]]
-        fh.write(",".join(fields) + "\n")
+    fh.write("".join(_CSV_ROW % tuple(row) for row in rows.tolist()))

@@ -5,7 +5,9 @@ mark of each event is drawn from the distribution attached to the
 pre-jump state.  There are two sample layouts: a path sample is a list
 of single paths (``simulate_paths``), and an ensemble keeps all paths in
 rectangular arrays padded only to its longest path, so the verification
-layer can evaluate path functionals with vectorised column sweeps.
+layer can evaluate path functionals with vectorised column sweeps.  A
+single chain draws its holding times in blocks; an ensemble draws a
+padding width in full only after a probe of its first rows resolves.
 
 Random-number contract: every simulator takes an integer seed and is
 bit-reproducible.  Streams are split with ``numpy.random.SeedSequence``
@@ -20,6 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+
+# holding times a single chain draws per block (even, so each block
+# starts in the same state)
+_CHAIN_BLOCK = 256
+# leading ensemble rows drawn to probe a padding width, and the widest
+# padding an ensemble may take
+_PROBE_ROWS = 64
+_MAX_WIDTH = 1 << 20
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
@@ -127,27 +137,34 @@ def simulate_regime_chain(gen: GeneratorMatrix, i0: int, T: float, seed) -> Regi
     """Simulate the two-state chain on [0, T].
 
     Holding times in state i are Exponential(lambda_i); a zero rate makes
-    the state absorbing.
+    the state absorbing.  They are drawn in blocks of standard
+    exponentials, scaled per state and accumulated from the running time,
+    which gives the same jump times as one draw per jump: the surplus
+    variates of the last block are never read.
     """
     if T <= 0:
         raise ConfigError("horizon T must be positive")
     if i0 not in (0, 1):
         raise ConfigError("initial state must be 0 or 1")
     rng = np.random.default_rng(seed_sequence(seed))
-    rates = gen.rates
-    times = []
+    # position k of every block holds in state (i0 + k) % 2, as blocks
+    # have even length; the chain ends at its first absorbing state
+    rates = gen.rates[(i0 + np.arange(_CHAIN_BLOCK)) % 2]
+    n_live = _CHAIN_BLOCK if rates.all() else int(np.argmin(rates > 0))
+    scales = 1.0 / rates[:n_live]
+    blocks = []
     t = 0.0
-    state = i0
     while True:
-        rate = rates[state]
-        if rate == 0.0:
+        times = rng.standard_exponential(_CHAIN_BLOCK)[:n_live]
+        times *= scales
+        times[:1] += t
+        np.cumsum(times, out=times)
+        n_in = int(np.searchsorted(times, T, side="right"))
+        blocks.append(times[:n_in])
+        if n_in < _CHAIN_BLOCK:
             break
-        t += rng.exponential(1.0 / rate)
-        if t > T:
-            break
-        times.append(t)
-        state = 1 - state
-    return RegimePath(initial_state=i0, jump_times=np.array(times), horizon=T)
+        t = times[-1]
+    return RegimePath(initial_state=i0, jump_times=np.concatenate(blocks), horizon=T)
 
 
 def simulate_marks(path: RegimePath, dists, seed) -> MarkedPointPath:
@@ -213,6 +230,22 @@ class PathEnsemble:
         return MarkedPointPath(regime=regime, marks=self.marks[p, :c].copy())
 
 
+def _draw_jump_times(rng, col_rates, out):
+    """Fill the rows of out with cumulative holding times, column j at
+    rate col_rates[j], continuing rng's stream row by row."""
+    rng.standard_exponential(out=out)
+    with np.errstate(divide="ignore"):
+        out *= np.where(col_rates > 0, 1.0 / col_rates, np.inf)
+    out[:, col_rates == 0] = np.inf
+    np.cumsum(out, axis=1, out=out)
+
+
+def _resolved(times, T):
+    """Whether every row's last column lies past T (or never comes)."""
+    last = times[:, -1]
+    return bool(np.all(last > T) or np.all(np.isinf(last)))
+
+
 def simulate_ensemble(
     gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed
 ) -> PathEnsemble:
@@ -221,31 +254,37 @@ def simulate_ensemble(
     Column j of the holding-time matrix is Exponential with the rate of
     the alternating state (i0 + j) % 2.  The padding width doubles until
     every path is fully resolved inside [0, T]; the arrays then keep only
-    the columns of the longest path.
+    the columns of the longest path.  Each width restarts the chain
+    stream, which fills the matrix row by row: its first ``_PROBE_ROWS``
+    rows are drawn first and the rest only once they resolve.  A width
+    its probe rows fail fails on the full matrix too, so the accepted
+    width is the one drawing every width in full would accept.
     """
     if T <= 0:
         raise ConfigError("horizon T must be positive")
     root = seed_sequence(seed)
     chain_ss, mark_ss = root.spawn(2)
     rates = gen.rates
+    n_probe = min(n_paths, _PROBE_ROWS)
 
     width = 16
     while True:
         rng = np.random.default_rng(chain_ss)
         col_rates = rates[(i0 + np.arange(width)) % 2]
-        with np.errstate(divide="ignore"):
-            scales = np.where(col_rates > 0, 1.0 / col_rates, np.inf)
-        # the ensemble's peak memory sits here: scale in place, free early
-        hold = rng.exponential(size=(n_paths, width))
-        hold *= scales
-        hold[:, col_rates == 0] = np.inf
-        times = np.cumsum(hold, axis=1)
-        del hold
-        if np.all(times[:, -1] > T) or np.all(np.isinf(times[:, -1])):
-            break
+        # the ensemble's peak memory sits here; rows past the probe are
+        # touched only once the probe resolves
+        times = np.empty((n_paths, width))
+        _draw_jump_times(rng, col_rates, times[:n_probe])
+        if _resolved(times[:n_probe], T):
+            _draw_jump_times(rng, col_rates, times[n_probe:])
+            if _resolved(times, T):
+                break
         width *= 2
-        if width > 1 << 20:
-            raise RuntimeError("ensemble jump count exploded; check chain rates")
+        if width > _MAX_WIDTH:
+            raise ConfigError(
+                f"ensemble needs more than {_MAX_WIDTH} jump columns at chain "
+                f"rates ({gen.lambda0:g}, {gen.lambda1:g}) over horizon T={T:g}"
+            )
 
     in_horizon = times <= T
     counts = in_horizon.sum(axis=1)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, DomainError, InfeasiblePolicyError
-from .frictions import ConstraintSet, effective_domain
+from .errors import ConfigError, InfeasiblePolicyError
+from .frictions import effective_domain
 from .market import MarketModel, _log_jump, _wealth_terms
 from .policy import (
     Policy,

@@ -7,12 +7,10 @@ published evaluation next to the re-derived one (reported, not asserted
 -- see the decisions ledger outside the package).
 """
 
-import copy
 import math
 import time
 
 import numpy as np
-import pytest
 
 from jumpfolio.config import parse_config
 from jumpfolio.frictions import (

@@ -1,6 +1,5 @@
 import copy
 import csv
-import math
 import os
 import sys
 
@@ -12,7 +11,6 @@ from jumpfolio.config import (
     RunConfig,
     config_hash,
     dump_config,
-    load_config,
     parse_config,
 )
 from jumpfolio.errors import ConfigError

@@ -21,7 +21,13 @@ from jumpfolio.market import (
     stock_path,
     wealth_path,
 )
-from jumpfolio.mpp import GeneratorMatrix, MarkedPointPath, RegimePath, simulate_ensemble
+from jumpfolio.mpp import (
+    GeneratorMatrix,
+    MarkedPointPath,
+    RegimePath,
+    simulate_ensemble,
+    simulate_path,
+)
 
 FIG3 = Path(__file__).resolve().parents[1] / "demos" / "configs" / "fig3.yaml"
 
@@ -173,7 +179,31 @@ class TestWealthFactorisation:
         assert np.max(np.abs(wp.V - reference)) <= 1e-10 * np.max(x * wp.v_gross)
 
 
+def reference_export_path_csv(path_obj, stock, fh, comment_lines=()):
+    """Oracle: one f-string per value, one write per row."""
+    header, rows = path_obj.to_csv_rows(stock)
+    for line in comment_lines:
+        fh.write(f"# {line}\n")
+    fh.write(",".join(header) + "\n")
+    for row in rows:
+        fields = [f"{row[0]:.17g}", str(int(row[1]))] + [f"{v:.17g}" for v in row[2:]]
+        fh.write(",".join(fields) + "\n")
+
+
 class TestCsvExport:
+    @pytest.mark.parametrize("with_stock", [True, False])
+    def test_matches_per_row_writer(self, with_stock):
+        mkt = make_market(lam=5.0)
+        path = simulate_path(mkt.gen, 1, 4.0, mkt.dists, 31)
+        assert path.n_jumps > 5
+        wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path)
+        stock = stock_path(mkt, path, s0=1.0)[1] if with_stock else None
+        got, ref = io.StringIO(), io.StringIO()
+        export_path_csv(wp, stock, got, comment_lines=("a", "b"))
+        reference_export_path_csv(wp, stock, ref, comment_lines=("a", "b"))
+        assert got.getvalue() == ref.getvalue()
+        assert ("nan" in got.getvalue()) != with_stock
+
     def test_seventeen_digit_round_trip(self):
         mkt = make_market()
         x, T = 1.0, 1.0

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from jumpfolio import mpp
 from jumpfolio.distributions import ExponentialNegative, ExponentialPositive
 from jumpfolio.errors import ConfigError
 from jumpfolio.mpp import (
     GeneratorMatrix,
+    PathEnsemble,
     RegimePath,
+    seed_sequence,
     simulate_ensemble,
     simulate_marks,
     simulate_path,
@@ -16,6 +19,66 @@ from jumpfolio.mpp import (
 )
 
 DISTS = (ExponentialPositive(10.0), ExponentialNegative(10.0))
+
+
+def reference_regime_chain(gen, i0, T, seed):
+    """Oracle: one scalar exponential per jump."""
+    rng = np.random.default_rng(seed_sequence(seed))
+    rates = gen.rates
+    times = []
+    t = 0.0
+    state = i0
+    while True:
+        rate = rates[state]
+        if rate == 0.0:
+            break
+        t += rng.exponential(1.0 / rate)
+        if t > T:
+            break
+        times.append(t)
+        state = 1 - state
+    return RegimePath(initial_state=i0, jump_times=np.array(times), horizon=T)
+
+
+def reference_ensemble(gen, i0, T, dists, n_paths, seed):
+    """Oracle: every candidate width drawn on all rows."""
+    root = seed_sequence(seed)
+    chain_ss, mark_ss = root.spawn(2)
+    rates = gen.rates
+
+    width = 16
+    while True:
+        rng = np.random.default_rng(chain_ss)
+        col_rates = rates[(i0 + np.arange(width)) % 2]
+        with np.errstate(divide="ignore"):
+            scales = np.where(col_rates > 0, 1.0 / col_rates, np.inf)
+        hold = rng.exponential(size=(n_paths, width))
+        hold *= scales
+        hold[:, col_rates == 0] = np.inf
+        times = np.cumsum(hold, axis=1)
+        del hold
+        if np.all(times[:, -1] > T) or np.all(np.isinf(times[:, -1])):
+            break
+        width *= 2
+        if width > 1 << 20:
+            raise RuntimeError("ensemble jump count exploded; check chain rates")
+
+    in_horizon = times <= T
+    counts = in_horizon.sum(axis=1)
+    width = int(counts.max())
+    in_horizon = in_horizon[:, :width]
+    times = np.where(in_horizon, times[:, :width], np.inf)
+
+    mark_rng = np.random.default_rng(mark_ss)
+    marks = np.zeros_like(times)
+    for j in range(width):
+        state = (i0 + j) % 2
+        col = dists[state].sample(n_paths, mark_rng)
+        marks[:, j] = np.where(in_horizon[:, j], col, 0.0)
+
+    return PathEnsemble(
+        initial_state=i0, horizon=T, times=times, marks=marks, counts=counts, seed=seed
+    )
 
 
 class TestGeneratorMatrix:
@@ -67,6 +130,24 @@ class TestChainSimulation:
                 first.append(p.jump_times[0])
         ks = stats.kstest(first, "expon", args=(0, 0.5))
         assert ks.pvalue > 1e-3
+
+    @pytest.mark.parametrize("i0", [0, 1])
+    @pytest.mark.parametrize(
+        "rates, T",
+        [((50.0, 50.0), 10.0), ((30.0, 80.0), 20.0), ((0.0, 3.0), 4.0), ((3.0, 0.0), 4.0)],
+    )
+    def test_matches_scalar_loop(self, rates, T, i0):
+        gen = GeneratorMatrix(*rates)
+        longest = 0
+        for child in np.random.SeedSequence(2718).spawn(8):
+            got = simulate_regime_chain(gen, i0, T, child)
+            ref = reference_regime_chain(gen, i0, T, child)
+            assert np.array_equal(got.jump_times, ref.jump_times)
+            longest = max(longest, got.n_jumps)
+        if 0.0 not in rates:
+            assert longest > mpp._CHAIN_BLOCK  # more than one block
+        else:
+            assert longest <= 1
 
     def test_marks_drawn_from_pre_jump_state(self):
         gen = GeneratorMatrix(3.0, 3.0)
@@ -130,6 +211,84 @@ class TestEnsemble:
         # a zero-rate start state never jumps: no columns at all
         idle = simulate_ensemble(GeneratorMatrix(0.0, 2.0), 0, 5.0, DISTS, 100, 1)
         assert idle.times.shape == idle.marks.shape == (100, 0)
+
+
+class TestEnsembleParity:
+    @pytest.mark.parametrize(
+        "rates, i0, T, n_paths, seed",
+        [
+            ((50.0, 50.0), 0, 10.0, 2000, 20260823),
+            ((0.0, 2.0), 1, 5.0, 300, 4),  # jumps once into the absorbing state
+            ((0.0, 2.0), 0, 5.0, 300, 4),  # never leaves it
+            ((1.5, 0.5), 1, 3.0, 500, 21),
+            ((1.0, 1.0), 0, 5.0, 40, 8),  # fewer paths than probe rows
+        ],
+    )
+    def test_matches_doubling_loop(self, rates, i0, T, n_paths, seed):
+        gen = GeneratorMatrix(*rates)
+        got = simulate_ensemble(gen, i0, T, DISTS, n_paths, seed)
+        ref = reference_ensemble(gen, i0, T, DISTS, n_paths, seed)
+        assert np.array_equal(got.times, ref.times)
+        assert np.array_equal(got.marks, ref.marks)
+        assert np.array_equal(got.counts, ref.counts)
+
+    def test_probe_resolves_where_full_draw_does_not(self):
+        gen = GeneratorMatrix(1.0, 1.0)
+        got = simulate_ensemble(gen, 0, 5.0, DISTS, 40_000, 17)
+        # width 16 holds every probe row but not every path
+        assert got.counts[: mpp._PROBE_ROWS].max() < 16 <= got.counts.max()
+        ref = reference_ensemble(gen, 0, 5.0, DISTS, 40_000, 17)
+        assert np.array_equal(got.times, ref.times)
+        assert np.array_equal(got.marks, ref.marks)
+        assert np.array_equal(got.counts, ref.counts)
+
+    def test_rejected_widths_drawn_on_probe_rows_only(self, monkeypatch):
+        n_paths, seed = 2000, 20260823
+        chain_ss = np.random.SeedSequence(seed).spawn(2)[0]
+        drawn = []
+        real_default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                method = getattr(self._rng, name)
+
+                def draw(*args, **kwargs):
+                    result = method(*args, **kwargs)
+                    drawn.append(np.size(result))
+                    return result
+
+                return draw if "exponential" in name else method
+
+        def spy(seed_arg=None):
+            rng = real_default_rng(seed_arg)
+            chain = (
+                isinstance(seed_arg, np.random.SeedSequence)
+                and seed_arg.entropy == chain_ss.entropy
+                and seed_arg.spawn_key == chain_ss.spawn_key
+            )
+            return CountingRng(rng) if chain else rng
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        simulate_ensemble(GeneratorMatrix(50.0, 50.0), 0, 10.0, DISTS, n_paths, seed)
+        monkeypatch.undo()
+
+        ref = reference_ensemble(GeneratorMatrix(50.0, 50.0), 0, 10.0, DISTS, n_paths, seed)
+        w_final = 16
+        while w_final < ref.counts.max() + 1:
+            w_final *= 2
+        rejected = sum(16 << k for k in range((w_final // 16).bit_length() - 1))
+        assert w_final == 1024
+        assert sum(drawn) <= n_paths * w_final + mpp._PROBE_ROWS * rejected
+        # the doubling loop draws every width on every row
+        assert sum(drawn) < n_paths * (w_final + rejected)
+
+    def test_width_cap_is_a_config_error(self):
+        gen = GeneratorMatrix(2e6, 2e6)
+        with pytest.raises(ConfigError, match=r"rates \(2e\+06, 2e\+06\).*T=1"):
+            simulate_ensemble(gen, 0, 1.0, DISTS, 1, 3)
 
 
 def test_simulate_paths_spawns_one_child_per_path():
