@@ -110,6 +110,8 @@ def cmd_value(config: RunConfig, args) -> int:
 
 
 def cmd_simulate(config: RunConfig, args) -> int:
+    if args.paths < 1:
+        raise ConfigError(f"--paths must be positive, got {args.paths}")
     os.makedirs(config.output_dir, exist_ok=True)
     policy = _solve_policy(config)
     paths = simulate_paths(

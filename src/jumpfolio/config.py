@@ -277,8 +277,11 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     mc = _require(data, "mc", "config")
     _reject_unknown(mc, {"n_paths", "seed"}, "config.mc")
     n_paths = _require(mc, "n_paths", "config.mc", int)
-    if n_paths <= 0:
-        raise ConfigError("config.mc.n_paths must be positive", field="config.mc.n_paths")
+    if n_paths < 2:
+        raise ConfigError(
+            "config.mc.n_paths must be at least 2: a standard error needs two paths",
+            field="config.mc.n_paths",
+        )
     seed = _require(mc, "seed", "config.mc", int)
 
     output_dir = data.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, ".")

@@ -4,10 +4,12 @@ A two-state continuous-time Markov chain generates the event times; the
 mark of each event is drawn from the distribution attached to the
 pre-jump state.  There are two sample layouts: a path sample is a list
 of single paths (``simulate_paths``), and an ensemble keeps all paths in
-rectangular arrays padded only to its longest path, so the verification
-layer can evaluate path functionals with vectorised column sweeps.  A
-single chain draws its holding times in blocks; an ensemble draws a
-padding width in full only after a probe of its first rows resolves.
+column-major rectangular arrays padded only to its longest path, so the
+verification layer can evaluate path functionals with vectorised sweeps
+over contiguous jump columns.  A single chain draws its holding times in
+blocks; an ensemble draws each padding width in row blocks, the first
+being a probe of its first rows, gives a width up at its first
+unresolved block, and never touches the columns past its longest path.
 
 Random-number contract: every simulator takes an integer seed and is
 bit-reproducible.  Streams are split with ``numpy.random.SeedSequence``
@@ -26,9 +28,11 @@ from .errors import ConfigError
 # holding times a single chain draws per block (even, so each block
 # starts in the same state)
 _CHAIN_BLOCK = 256
-# leading ensemble rows drawn to probe a padding width, and the widest
+# leading ensemble rows drawn to probe a padding width (an ensemble's
+# first row block), cells in each later row block, and the widest
 # padding an ensemble may take
 _PROBE_ROWS = 64
+_BLOCK_CELLS = 1 << 18
 _MAX_WIDTH = 1 << 20
 
 
@@ -199,9 +203,10 @@ class PathEnsemble:
 
     ``times[p, j]`` is the j-th jump time of path p (+inf past the last
     jump), ``marks[p, j]`` the matching mark (0 padding), ``counts[p]``
-    the number of jumps; there are ``counts.max()`` columns.  The
-    pre-jump state of column j is ``(initial_state + j) % 2`` for every
-    path, because the two-state chain alternates deterministically.
+    the number of jumps; there are ``counts.max()`` columns.  Both arrays
+    are column-major (Fortran order), so each jump column is contiguous.
+    The pre-jump state of column j is ``(initial_state + j) % 2`` for
+    every path, because the two-state chain alternates deterministically.
     """
 
     initial_state: int
@@ -246,6 +251,35 @@ def _resolved(times, T):
     return bool(np.all(last > T) or np.all(np.isinf(last)))
 
 
+def _draw_width(chain_ss, col_rates, T, n_paths):
+    """Jump times (column-major) and counts of n_paths chains padded to
+    len(col_rates) columns, or None if some chain jumps in every column.
+
+    A fresh chain stream fills the holding-time matrix row by row, in
+    blocks: the first ``_PROBE_ROWS`` rows, then about ``_BLOCK_CELLS``
+    cells each, giving the width up at the first unresolved block.  A
+    block writes only the columns of its own longest path; the caller
+    pads the cells past each path's last jump.
+    """
+    rng = np.random.default_rng(chain_ss)
+    width = col_rates.size
+    block_rows = max(1, _BLOCK_CELLS // width)
+    times = np.empty((n_paths, width), order="F")
+    counts = np.empty(n_paths, dtype=int)
+    block = np.empty((min(n_paths, max(_PROBE_ROWS, block_rows)), width))
+    lo, hi = 0, min(n_paths, _PROBE_ROWS)
+    while lo < n_paths:
+        rows = block[: hi - lo]
+        _draw_jump_times(rng, col_rates, rows)
+        if not _resolved(rows, T):
+            return None
+        counts[lo:hi] = (rows <= T).sum(axis=1)
+        longest = counts[lo:hi].max()
+        times[lo:hi, :longest] = rows[:, :longest]
+        lo, hi = hi, min(n_paths, hi + block_rows)
+    return times, counts
+
+
 def simulate_ensemble(
     gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed
 ) -> PathEnsemble:
@@ -255,52 +289,44 @@ def simulate_ensemble(
     the alternating state (i0 + j) % 2.  The padding width doubles until
     every path is fully resolved inside [0, T]; the arrays then keep only
     the columns of the longest path.  Each width restarts the chain
-    stream, which fills the matrix row by row: its first ``_PROBE_ROWS``
-    rows are drawn first and the rest only once they resolve.  A width
-    its probe rows fail fails on the full matrix too, so the accepted
-    width is the one drawing every width in full would accept.
+    stream and draws it in row blocks, the probe of the first
+    ``_PROBE_ROWS`` rows being the first (see ``_draw_width``); as the
+    stream fills the matrix row by row, the accepted width and every
+    sample are the ones drawing every width in full gives.  Columns past
+    the longest path are never touched, and are cut off in place.
     """
     if T <= 0:
         raise ConfigError("horizon T must be positive")
     root = seed_sequence(seed)
     chain_ss, mark_ss = root.spawn(2)
-    rates = gen.rates
-    n_probe = min(n_paths, _PROBE_ROWS)
 
     width = 16
     while True:
-        rng = np.random.default_rng(chain_ss)
-        col_rates = rates[(i0 + np.arange(width)) % 2]
-        # the ensemble's peak memory sits here; rows past the probe are
-        # touched only once the probe resolves
-        times = np.empty((n_paths, width))
-        _draw_jump_times(rng, col_rates, times[:n_probe])
-        if _resolved(times[:n_probe], T):
-            _draw_jump_times(rng, col_rates, times[n_probe:])
-            if _resolved(times, T):
-                break
+        col_rates = gen.rates[(i0 + np.arange(width)) % 2]
+        drawn = _draw_width(chain_ss, col_rates, T, n_paths)
+        if drawn is not None:
+            break
         width *= 2
         if width > _MAX_WIDTH:
             raise ConfigError(
                 f"ensemble needs more than {_MAX_WIDTH} jump columns at chain "
                 f"rates ({gen.lambda0:g}, {gen.lambda1:g}) over horizon T={T:g}"
             )
-
-    in_horizon = times <= T
-    counts = in_horizon.sum(axis=1)
-    # marks are drawn column by column, so dropping the all-padding
-    # columns leaves every real jump its mark; np.where copies, so the
-    # wide times array is freed
+    times, counts = drawn
+    # a Fortran-ordered resize keeps the leading columns; no view of
+    # times is alive here
     width = int(counts.max())
-    in_horizon = in_horizon[:, :width]
-    times = np.where(in_horizon, times[:, :width], np.inf)
+    times.resize((n_paths, width), refcheck=False)
 
+    # marks are drawn column by column; a path's jumps are the leading
+    # columns of its row, so column j is padding where counts <= j
     mark_rng = np.random.default_rng(mark_ss)
-    marks = np.zeros_like(times)
+    marks = np.empty_like(times)
     for j in range(width):
-        state = (i0 + j) % 2
-        col = dists[state].sample(n_paths, mark_rng)
-        marks[:, j] = np.where(in_horizon[:, j], col, 0.0)
+        pad = counts <= j
+        times[pad, j] = np.inf
+        col = dists[(i0 + j) % 2].sample(n_paths, mark_rng)
+        marks[:, j] = np.where(pad, 0.0, col)
 
     return PathEnsemble(
         initial_state=i0,

@@ -110,6 +110,15 @@ class TestParsing:
         parse_config(data, {"mc.seed": 1})
         assert data == BASE
 
+    @pytest.mark.parametrize("n_paths", [1, 0])
+    def test_standard_error_needs_two_paths(self, n_paths):
+        data = copy.deepcopy(BASE)
+        data["mc"]["n_paths"] = n_paths
+        for args in ((data,), (copy.deepcopy(BASE), {"mc.n_paths": n_paths})):
+            with pytest.raises(ConfigError, match="two paths") as exc:
+                parse_config(*args)
+            assert exc.value.field == "config.mc.n_paths"
+
     def test_output_dir_env(self, monkeypatch):
         monkeypatch.setenv("JUMPFOLIO_OUTPUT_DIR", "/tmp/somewhere")
         cfg = parse_config(copy.deepcopy(BASE))
@@ -129,6 +138,27 @@ class TestCliExitCodes:
         path = write_config(tmp_path, data)
         assert main(["optimize", path]) == 1
         assert "R" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "value"])
+    def test_one_path_monte_carlo_exit_1(self, tmp_path, capsys, command):
+        data = copy.deepcopy(BASE)
+        data["utility"] = {"variant": "log"}
+        path = write_config(tmp_path, data)
+        argv = [command, path, "--n-paths", "1", "--output-dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert "two paths" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("paths", ["-2", "0"])
+    def test_simulate_needs_a_path_exit_1(self, tmp_path, capsys, paths):
+        data = copy.deepcopy(BASE)
+        data["utility"] = {"variant": "log"}
+        path = write_config(tmp_path, data)
+        out_dir = tmp_path / "out"
+        argv = ["simulate", path, "--paths", paths, "--output-dir", str(out_dir)]
+        assert main(argv) == 1
+        assert "--paths must be positive" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_file_exit_1(self):
         assert main(["optimize", "/nonexistent/cfg.yaml"]) == 1

@@ -208,6 +208,7 @@ class TestEnsemble:
         ens = simulate_ensemble(gen, 0, 3.0, DISTS, 500, 21)
         assert ens.times.shape[1] == ens.marks.shape[1] == ens.counts.max()
         assert ens.times.flags.owndata and ens.marks.flags.owndata
+        assert ens.times.flags.f_contiguous and ens.marks.flags.f_contiguous
         # a zero-rate start state never jumps: no columns at all
         idle = simulate_ensemble(GeneratorMatrix(0.0, 2.0), 0, 5.0, DISTS, 100, 1)
         assert idle.times.shape == idle.marks.shape == (100, 0)
@@ -222,6 +223,9 @@ class TestEnsembleParity:
             ((0.0, 2.0), 0, 5.0, 300, 4),  # never leaves it
             ((1.5, 0.5), 1, 3.0, 500, 21),
             ((1.0, 1.0), 0, 5.0, 40, 8),  # fewer paths than probe rows
+            ((50.0, 50.0), 0, 10.0, 10_000, 20260823),  # width 1024: 256-row blocks
+            ((2.0, 1.0), 0, 3.0, 50_001, 6),  # width 16: a short last block
+            ((30.0, 60.0), 1, 4.0, 3001, 13),  # from state 1, width 256
         ],
     )
     def test_matches_doubling_loop(self, rates, i0, T, n_paths, seed):

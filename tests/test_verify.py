@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from jumpfolio.verify import (
     state_price_spec,
     state_price_wealth_identity,
     wealth_identity_check,
+    _skeleton_statistics,
     _wealth_terms,
 )
 
@@ -148,6 +150,26 @@ class TestEnsembleFunctionals:
         assert narrow.keys() == padded.keys()
         for key in narrow:
             assert np.array_equal(narrow[key], padded[key]), key
+
+    def test_memory_order_changes_nothing(self):
+        mkt, ens, pi, drift, jumps = self._setup()
+        assert ens.times.flags.f_contiguous and not ens.times.flags.c_contiguous
+        c_ordered = dataclasses.replace(
+            ens,
+            times=np.ascontiguousarray(ens.times),
+            marks=np.ascontiguousarray(ens.marks),
+        )
+        kwargs = dict(want_int_log=True, want_int_exp=True, exp_coeff=0.5)
+        got = ensemble_functionals(ens, drift, jumps, **kwargs)
+        ref = ensemble_functionals(c_ordered, drift, jumps, **kwargs)
+        assert got.keys() == ref.keys()
+        for key in got:
+            assert np.array_equal(got[key], ref[key]), key
+        for with_integrals in (False, True):
+            assert np.array_equal(
+                _skeleton_statistics(ens, with_integrals),
+                _skeleton_statistics(c_ordered, with_integrals),
+            )
 
     def test_invalid_jump_flagged(self):
         mkt, ens, pi, drift, _ = self._setup()
