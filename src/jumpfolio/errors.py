@@ -18,7 +18,8 @@ class DomainError(JumpfolioError):
 
 
 class QuadratureError(JumpfolioError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Quadrature failed to reach the requested tolerance, or met an
+    integrand that is not finite."""
 
     def __init__(self, message, estimate=None, achieved_tol=None):
         self.estimate = estimate

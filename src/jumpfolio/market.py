@@ -203,11 +203,18 @@ def _log_jump(transform, pi):
     """y -> log(1 + pi f(y)), finite wherever the factor is positive: under
     the exponential transform the factor at pi = 1 is e^y, while
     log1p(expm1(y)) is log(0) once expm1 rounds to -1 (y < -37).  An array
-    of weights takes the log1p form for every weight."""
-    if transform == "exponential" and np.ndim(pi) == 0 and pi == 1.0:
-        return lambda y: np.asarray(y, dtype=float)
+    of weights (broadcast against the marks) takes y where it holds 1."""
     f = jump_transform(transform)
-    return lambda y: np.log1p(pi * f(y))
+    if transform != "exponential" or not np.any(pi == 1.0):
+        return lambda y: np.log1p(pi * f(y))
+    if np.ndim(pi) == 0:
+        return lambda y: np.asarray(y, dtype=float)
+
+    def log_jump(y):
+        with np.errstate(divide="ignore"):
+            return np.where(pi == 1.0, y, np.log1p(pi * f(y)))
+
+    return log_jump
 
 
 def _wealth_terms(market: MarketModel, pi_pair):

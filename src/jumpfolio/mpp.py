@@ -297,6 +297,8 @@ def simulate_ensemble(
     """
     if T <= 0:
         raise ConfigError("horizon T must be positive")
+    if n_paths < 1:
+        raise ConfigError(f"an ensemble needs at least one path, got {n_paths}")
     root = seed_sequence(seed)
     chain_ss, mark_ss = root.spawn(2)
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     BracketLimitError,
@@ -211,11 +210,51 @@ def h_inverse(params, gamma, target, K: ConstraintSet | None = None):
         return a
     if hb == target:
         return b
-    return float(
-        scipy.optimize.brentq(
-            lambda p: h(p) - target, a, b, xtol=PI_TOL, rtol=max(PI_TOL, 4e-16)
-        )
+    return _brent(
+        lambda p: h(p) - target, a, b, ha - target, hb - target,
+        xtol=PI_TOL, rtol=max(PI_TOL, 4e-16),
     )
+
+
+def _brent(fn, a, b, fa, fb, xtol, rtol, maxiter=100):
+    """Root of fn in [a, b], where fa = fn(a) and fb = fn(b) differ in sign.
+
+    Brent's method (inverse quadratic interpolation, secant and bisection
+    steps) as in Brent (1973), ch. 4; it stops once the bracket is
+    narrower than xtol + rtol * |x|.
+    """
+    x_pre, x_cur, f_pre, f_cur = a, b, fa, fb
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(maxiter):
+        if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (xtol + rtol * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (
+                    d_blk * d_pre * (f_blk - f_pre)
+                )
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
+        f_cur = fn(x_cur)
+    raise RangeError(f"root finder did not converge in {maxiter} steps near {x_cur:.9g}")
 
 
 def verify_conjugacy(margin: MarginModel, K: ConstraintSet, pi_hat, zeta_hat) -> float:

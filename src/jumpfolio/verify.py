@@ -55,11 +55,17 @@ class McEstimate:
     seed: object
 
 
+def _check_paths(n):
+    if n < 2:
+        raise ConfigError(f"a standard error needs two paths, got {n}")
+
+
 def _estimate(samples, seed):
     samples = np.asarray(samples, dtype=float)
     n = samples.size
+    _check_paths(n)
     mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    stderr = float(samples.std(ddof=1) / math.sqrt(n))
     return McEstimate(mean=mean, stderr=stderr, n_paths=n, seed=seed)
 
 
@@ -360,14 +366,15 @@ def _skeleton_statistics(ens: PathEnsemble, with_integrals):
 
 def _jump_coefficients(market, utility, weights):
     """Per regime, the conditional jump term at each weight: E[log(1 + pi f)]
-    for log utility, log E[(1 + pi f)^gamma] for power.  Regimes sharing a
-    mark law share one quadrature per weight."""
+    for log utility, log E[(1 + pi f)^gamma] for power.  One quadrature per
+    mark law serves every weight; regimes sharing a law share it."""
     f, gamma = market.f, utility.gamma
+    w = np.asarray(weights, dtype=float)[:, None]
     if utility.is_log:
-        term = lambda dist, pi: dist.expect(_log_jump(market.transform, pi))
+        term = lambda dist: dist.expect(_log_jump(market.transform, w))
     else:
-        term = lambda dist, pi: math.log(dist.expect(lambda y: (1.0 + pi * f(y)) ** gamma))
-    by_law = {d: np.array([term(d, pi) for pi in weights]) for d in dict.fromkeys(market.dists)}
+        term = lambda dist: np.log(dist.expect(lambda y: (1.0 + w * f(y)) ** gamma))
+    by_law = {d: term(d) for d in dict.fromkeys(market.dists)}
     return [by_law[d] for d in market.dists]
 
 
@@ -402,6 +409,7 @@ def grid_search_constant_portfolio(
     NaN J for infeasible weights and for weights whose jump term is not
     finite.
     """
+    _check_paths(n_paths)
     grid = np.asarray(grid, dtype=float)
     if consumption_scale is None and utility.is_log:
         consumption_scale = x / (T + 1.0)
@@ -450,7 +458,7 @@ def grid_search_constant_portfolio(
             cov = (samples - samples.mean(axis=1, keepdims=True)) @ count_dev / (n - 1)
             samples -= (cov / count_var)[:, None] * count_excess
         J[at] = samples.mean(axis=1)
-        stderr[at] = samples.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else 0.0
+        stderr[at] = samples.std(axis=1, ddof=1) / math.sqrt(n)
     if not np.any(J > -math.inf):
         raise InfeasiblePolicyError("no feasible grid point")
     rows = [(float(p), float(j), float(s)) for p, j, s in zip(grid, J, stderr)]

@@ -138,7 +138,7 @@ def test_criterion_1_mgf_identities():
             closed1 = params.mu + params.lam * (m(g) - m(g - 1.0))
             # f/(1+f)^{1-g} = e^{gy} - e^{(g-1)y}
             quad1 = params.mu + params.lam * params.dist.expect(
-                lambda y: math.exp(g * y) - math.exp((g - 1.0) * y)
+                lambda y: np.exp(g * y) - np.exp((g - 1.0) * y)
             )
             worst = max(worst, abs(closed0 - quad0), abs(closed1 - quad1))
             worst = max(worst, abs(h_value(params, g, 0.0) - quad0))

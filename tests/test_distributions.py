@@ -10,7 +10,7 @@ from jumpfolio.distributions import (
     Tabulated,
     TwoPoint,
 )
-from jumpfolio.errors import ConfigError, DomainError
+from jumpfolio.errors import ConfigError, DomainError, QuadratureError
 
 
 class TestExponentialPositive:
@@ -30,7 +30,7 @@ class TestExponentialPositive:
     def test_expect_matches_mgf(self):
         d = ExponentialPositive(10.0)
         for s in (-2.0, -0.5, 0.5, 3.0, 9.0):
-            quad = d.expect(lambda y: math.exp(s * y))
+            quad = d.expect(lambda y: np.exp(s * y))
             assert quad == pytest.approx(d.mgf(s), abs=1e-9)
 
     def test_mean(self):
@@ -69,6 +69,58 @@ class TestExponentialNegative:
         rng = np.random.default_rng(1)
         ys = ExponentialNegative(10.0).sample(1000, rng)
         assert np.all(ys <= 0)
+
+
+class TestExponentialQuadrature:
+    """The composite Gauss-Legendre rule meets tol or raises QuadratureError."""
+
+    def test_slow_tail_raises(self):
+        """E[e^{0.99 Y}] = 100 at rate 1: the density no longer controls the
+        integrand inside the rule's range, so the last panel's share exceeds
+        tol (the truncated quadrature used to return inf silently)."""
+        with pytest.raises(QuadratureError):
+            ExponentialPositive(1.0).expect(lambda y: np.exp(0.99 * y))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e7])
+    def test_unresolved_oscillation_raises(self, offset):
+        """The rule cannot resolve cos(200 y); a large offset in the integral
+        buys no relative tolerance (only the rounding floor, 32 eps * 1e7)."""
+        with pytest.raises(QuadratureError) as exc:
+            ExponentialPositive(1.0).expect(lambda y: offset + np.cos(200.0 * y))
+        assert exc.value.achieved_tol > 1e-10
+
+    def test_non_finite_node_raises(self):
+        with pytest.raises(QuadratureError, match="not finite"):
+            ExponentialPositive(1.0).expect(lambda y: np.where(y > 3.0, np.inf, 1.0))
+
+    @pytest.mark.parametrize("dist", [ExponentialPositive(10.0), ExponentialNegative(2.5)])
+    def test_k_integrals_in_one_call(self, dist):
+        """An integrand returning (k, nodes) gives the k integrals of its rows."""
+        s = np.array([-2.0, 0.5, 1.5])[:, None]
+        batch = dist.expect(lambda y: np.exp(s * y))
+        assert batch.shape == (3,)
+        for row, si in zip(batch, s[:, 0]):
+            assert row == dist.expect(lambda y: np.exp(si * y))
+            assert row == pytest.approx(dist.mgf(si), rel=1e-14)
+
+    def test_constant_integrand(self):
+        assert ExponentialNegative(10.0).expect(lambda y: 1.0) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("rate", [1.5, 10.0, 30.0])
+    def test_matches_scipy_quad(self, rate):
+        """Smooth integrands against scipy's adaptive quadrature (test oracle)."""
+        from scipy import integrate
+
+        for sign, cls in ((1.0, ExponentialPositive), (-1.0, ExponentialNegative)):
+            d = cls(rate)
+            for g in (np.sin, np.log1p, lambda y: y**3, lambda y: 1.0 / (1.0 + y * y)):
+                if g is np.log1p and sign < 0:
+                    continue
+                ref, _ = integrate.quad(
+                    lambda t: g(sign * t) * rate * np.exp(-rate * t), 0.0, np.inf,
+                    epsabs=1e-14, epsrel=1e-13, limit=200,
+                )
+                assert d.expect(g) == pytest.approx(ref, rel=1e-12, abs=1e-13)
 
 
 class TestTwoPoint:
@@ -132,7 +184,7 @@ def test_mgf_quadrature_consistency(rate, s):
     """Closed-form MGF equals integration of exp(sY) against the density."""
     d = ExponentialPositive(rate)
     s_abs = s * rate  # keep s safely inside (-inf, rate)
-    quad = d.expect(lambda y: math.exp(s_abs * y))
+    quad = d.expect(lambda y: np.exp(s_abs * y))
     assert quad == pytest.approx(d.mgf(s_abs), rel=1e-8, abs=1e-9)
 
 

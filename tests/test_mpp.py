@@ -171,6 +171,11 @@ class TestEnsemble:
             assert np.all(ens.marks[p, c:] == 0.0)
             assert np.all(np.diff(ens.times[p, :c]) > 0)
 
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_needs_a_path(self, n_paths):
+        with pytest.raises(ConfigError, match="at least one path"):
+            simulate_ensemble(GeneratorMatrix(1.0, 1.0), 0, 1.0, DISTS, n_paths, 5)
+
     def test_column_state_alternates(self):
         gen = GeneratorMatrix(1.0, 1.0)
         ens = simulate_ensemble(gen, 1, 1.0, (DISTS[0], DISTS[0]), 10, 5)

@@ -27,7 +27,9 @@ from jumpfolio.frictions import (
 from jumpfolio.market import MarketModel, RegimeMarketParams
 from jumpfolio.mpp import GeneratorMatrix
 from jumpfolio.policy import (
+    PI_TOL,
     Utility,
+    _brent,
     feasible_weight_interval,
     h_derivative,
     h_inverse,
@@ -173,7 +175,7 @@ class TestHFunction:
                 assert h_value(params, g, 0.0) == pytest.approx(direct0, abs=1e-8)
                 # f/(1+f)^{1-g} = e^{gy} - e^{(g-1)y}, stable for y << 0
                 direct1 = params.mu + params.lam * params.dist.expect(
-                    lambda y: math.exp(g * y) - math.exp((g - 1.0) * y)
+                    lambda y: np.exp(g * y) - np.exp((g - 1.0) * y)
                 )
                 closed = params.mu + params.lam * (m(g) - m(g - 1.0))
                 assert h_value(params, g, 1.0) == pytest.approx(direct1, abs=1e-8)
@@ -395,6 +397,103 @@ class TestPolicyBuilders:
         pol = power_optimal_policy(mkt, 0.5)
         assert len(solved) == solves
         assert pol.pi[1] == solve(second, NO_SHORTING, 0.5).pi
+
+
+@pytest.mark.parametrize(
+    "fn, a, b",
+    [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.expm1(-1e4 * x) + 0.5, 0.0, 1.0),  # steep near the left end
+        (lambda x: 1e-3 - 1.0 / x, 1.0, 1e15),  # wide bracket, root at 1000
+    ],
+)
+def test_brent_matches_scipy(fn, a, b):
+    """The root finder against scipy.optimize.brentq (test oracle) under the
+    stop rule h_inverse uses."""
+    from scipy.optimize import brentq
+
+    xtol, rtol = PI_TOL, max(PI_TOL, 4e-16)
+    root = _brent(fn, a, b, fn(a), fn(b), xtol=xtol, rtol=rtol)
+    ref = brentq(fn, a, b, xtol=xtol, rtol=rtol)
+    assert abs(root - ref) <= 2.0 * (xtol + rtol * abs(ref))
+
+
+def _mpmath_h(params, gamma, pi, derivative=False):
+    """h(pi) or h'(pi) by mpmath quadrature at 30 digits, for an exponential
+    law on the exponential transform; the breakpoints bracket the scales
+    where 1 + pi f(y) turns over (|y| ~ 1/|pi| and pi e^y ~ 1)."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        rate, sign = mp.mpf(params.dist.rate), -1 if isinstance(params.dist, ExponentialNegative) else 1
+        pi, g = mp.mpf(pi), mp.mpf(gamma)
+
+        def integrand(t):
+            f = mp.expm1(sign * t)
+            term = f**2 / (1 + pi * f) ** (2 - g) if derivative else f / (1 + pi * f) ** (1 - g)
+            return term * rate * mp.exp(-rate * t)
+
+        knots = sorted({0.0, 0.1 / abs(pi), 1.0 / abs(pi), 10.0 / abs(pi), 0.1, 1.0, 3.0, 8.0, 20.0, 80.0})
+        integral = mp.quad(integrand, [k for k in knots if k <= 80.0] + [mp.inf])
+        if derivative:
+            return float(params.lam * (g - 1) * integral)
+        return float(params.mu + params.lam * integral)
+
+
+MPMATH_GRID = {
+    # config: weights (including each law's extreme figure optimum)
+    "fig1": (1e-3, 0.3, 1.0289, 1.7, 41.0, 6361.18),
+    "fig3": (-81006.49, -9.23, -1.0, 0.3, 0.9),
+}
+
+
+@pytest.mark.parametrize("config", sorted(MPMATH_GRID))
+def test_h_and_derivative_match_mpmath(config):
+    """h and h' within 1e-12 (relative above 1) of mpmath on the fig1 law
+    (Exponential(10) jumps up) and the fig3 law (Exponential(10) down), at
+    gamma in {0, 0.5, 0.9}."""
+    params = load_config(CONFIGS / f"{config}.yaml").market.regimes[0]
+    for gamma in (0.0, 0.5, 0.9):
+        for pi in MPMATH_GRID[config]:
+            for fn, derivative in ((h_value, False), (h_derivative, True)):
+                exact = _mpmath_h(params, gamma, pi, derivative)
+                got = fn(params, gamma, pi)
+                assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact)), (gamma, pi, fn, got, exact)
+
+
+@pytest.mark.parametrize(
+    "config, gamma, slope, reference, corrected",
+    [
+        ("fig1", 0.98502512562814071, -1, 6361.1798629074792, 6361.1797688820752),
+        ("fig3", 0.95517587939698489, 0, -81006.483824490017, -81006.486736858787),
+    ],
+)
+def test_figure_reference_errata(config, gamma, slope, reference, corrected):
+    """The two corrected weights of test_config_cli.REFERENCE_ERRATA solve
+    h = r - slope to mpmath precision; the bench/reference weights miss by
+    2e-11 and 1e-10, which the flat h turns into 1.5e-8 and 3.6e-8 relative
+    in the weight."""
+    market = load_config(CONFIGS / f"{config}.yaml").market
+    params = market.regimes[0]
+    target = params.r - params.margin.slopes[slope]
+    assert abs(_mpmath_h(params, gamma, corrected) - target) < 1e-15
+    assert abs(_mpmath_h(params, gamma, reference) - target) > 1e-11
+    got = optimal_portfolio(params, market.constraint, gamma).pi
+    assert got == pytest.approx(corrected, rel=1e-12)
+
+
+def test_h_near_zero_on_a_slowly_decaying_law():
+    """Mark rate 1.05, gamma = 0.95: h(0) = mu + lam (M(1) - 1) = 20.05 in
+    closed form, and h(1e-12) is 17.3914692306497551 by mpmath.  The gap is
+    real: h(pi) - h(0) falls like pi^0.05 (the factor turns over at
+    y = log(1/pi), where the density has not yet killed f), so the two may
+    not agree; each must match its own exact value."""
+    params = RegimeMarketParams(r=0.0, mu=0.05, lam=1.0, dist=ExponentialPositive(1.05))
+    assert h_value(params, 0.95, 0.0) == pytest.approx(20.05, rel=1e-14)
+    exact = _mpmath_h(params, 0.95, 1e-12)
+    assert exact == pytest.approx(17.3914692306497551, rel=1e-15)
+    assert h_value(params, 0.95, 1e-12) == pytest.approx(exact, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

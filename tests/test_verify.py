@@ -304,6 +304,15 @@ class TestExpectedUtility:
                 ensemble(mkt, 1.0, 100, 0),
             )
 
+    def test_one_path_has_no_standard_error(self):
+        """A single path would report stderr 0; every estimate refuses it."""
+        mkt = make_market()
+        with pytest.raises(ConfigError, match="two paths"):
+            mc_expected_utility(
+                mkt, (0.5, 0.5), log_optimal_consumption(1.0, 1.0), Utility.log(), 1.0,
+                ensemble(mkt, 1.0, 1, 0),
+            )
+
     def test_power_no_jump_oracle(self):
         """lam=0 gives a deterministic wealth: J = (x e^{bT})^g / g."""
         dist = ExponentialPositive(10.0)
@@ -381,6 +390,13 @@ class TestGridSearch:
         )
         assert abs(pi_star - 0.7460618540) <= 0.05 + 1e-9
         assert len(rows) == len(grid)
+
+    @pytest.mark.parametrize("utility", [Utility.log(), Utility.power(0.5)])
+    def test_one_path_has_no_standard_error(self, utility):
+        with pytest.raises(ConfigError, match="two paths"):
+            grid_search_constant_portfolio(
+                make_market(), utility, 1.0, 1.0, np.array([0.5, 1.0]), 1, 4
+            )
 
     def test_infeasible_points_get_nan(self):
         mkt = make_market()
