@@ -76,13 +76,14 @@ def _exponential_rule(rate, sign):
     package, functions of a weight's factor 1 + pi*(e^y - 1):
     - ratio-4 geometric panels from 2^-26 up to 1, where the factor turns
       over at |y| ~ 1/|pi| for large weights;
-    - width-4 panels (at most 64) up to 36/(rate - 1), since the factor
+    - width-4 panels (at most 64) up to 36/(rate - 2), since the factor
       turns over where pi*e^y ~ 1, a feature of unit width at any |y|, and
-      integrands growing like e^|y| stay above e^-36 of their scale there;
+      integrands growing like e^(2|y|), as h' does, stay above e^-36 of
+      their scale there;
     - doubling panels up to DENSITY_EXPONENT / rate.
     """
     y_max = DENSITY_EXPONENT / rate
-    y_steady = min(36.0 / (rate - 1.0), 256.0) if rate > 1.0 else 256.0
+    y_steady = min(36.0 / (rate - 2.0), 256.0) if rate > 2.0 else 256.0
     edges = [0.0, *4.0 ** np.arange(-13, 1), *np.arange(5.0, y_steady, 4.0)]
     while edges[-1] < y_max:
         edges.append(2.0 * edges[-1])
@@ -200,9 +201,10 @@ class TwoPoint(JumpDistribution):
         )
 
     def expect(self, integrand, tol=QUAD_ABS_TOL):
-        return (1.0 - self.p_hi) * integrand(self.y_lo) + self.p_hi * integrand(
-            self.y_hi
-        )
+        values = np.asarray(integrand(np.array([self.y_lo, self.y_hi])), dtype=float)
+        values = np.broadcast_to(values, values.shape[:-1] + (2,))
+        result = values @ np.array([1.0 - self.p_hi, self.p_hi])
+        return float(result) if result.ndim == 0 else result
 
     def support(self):
         if self.p_hi == 1.0:

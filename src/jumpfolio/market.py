@@ -207,8 +207,6 @@ def _log_jump(transform, pi):
     f = jump_transform(transform)
     if transform != "exponential" or not np.any(pi == 1.0):
         return lambda y: np.log1p(pi * f(y))
-    if np.ndim(pi) == 0:
-        return lambda y: np.asarray(y, dtype=float)
 
     def log_jump(y):
         with np.errstate(divide="ignore"):

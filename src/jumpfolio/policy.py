@@ -121,6 +121,16 @@ def feasible_weight_interval(params: RegimeMarketParams):
     return lo, hi, lo_closed, hi_closed
 
 
+def _jump_factor(params: RegimeMarketParams, pi: float):
+    """y -> 1 + pi f(y).  Under the exponential transform a weight in [0, 1]
+    gives (1 - pi) + pi e^y, a sum of nonnegative terms, where
+    1 + pi expm1(y) cancels as pi -> 1 and y -> -inf."""
+    if params.transform == "exponential" and 0.0 <= pi <= 1.0:
+        return lambda y: (1.0 - pi) + pi * np.exp(y)
+    f = params.f
+    return lambda y: 1.0 + pi * f(y)
+
+
 def h_value(params: RegimeMarketParams, gamma: float, pi: float) -> float:
     """h(pi); closed MGF form at pi in {0, 1} for the exponential transform."""
     if params.lam == 0.0:
@@ -131,9 +141,9 @@ def h_value(params: RegimeMarketParams, gamma: float, pi: float) -> float:
         if pi == 1.0:
             m = params.dist.mgf
             return params.mu + params.lam * (m(gamma) - m(gamma - 1.0))
-    f = params.f
+    f, factor = params.f, _jump_factor(params, pi)
     integral = params.dist.expect(
-        lambda y: f(y) / (1.0 + pi * f(y)) ** (1.0 - gamma), tol=H_QUAD_TOL
+        lambda y: f(y) / factor(y) ** (1.0 - gamma), tol=H_QUAD_TOL
     )
     return params.mu + params.lam * integral
 
@@ -142,10 +152,16 @@ def h_derivative(params: RegimeMarketParams, gamma: float, pi: float) -> float:
     """h'(pi) = lam (gamma - 1) int f^2 / [1 + pi f]^(2-gamma) F(dy) < 0."""
     if params.lam == 0.0:
         return 0.0
-    f = params.f
-    integral = params.dist.expect(
-        lambda y: f(y) ** 2 / (1.0 + pi * f(y)) ** (2.0 - gamma), tol=H_QUAD_TOL
-    )
+    f, factor = params.f, _jump_factor(params, pi)
+
+    def integrand(y):
+        # (f / factor)^2 factor^gamma: f^2 alone overflows where the integral
+        # is finite (rates below 2 at pi > 0)
+        fac = factor(y)
+        ratio = f(y) / fac
+        return ratio * ratio * fac**gamma
+
+    integral = params.dist.expect(integrand, tol=H_QUAD_TOL)
     return params.lam * (gamma - 1.0) * integral
 
 

@@ -1,3 +1,4 @@
+import bisect
 import copy
 import csv
 import os
@@ -11,10 +12,13 @@ from jumpfolio.config import (
     RunConfig,
     config_hash,
     dump_config,
+    load_config,
     parse_config,
 )
 from jumpfolio.errors import ConfigError
 from jumpfolio.frictions import DifferentialRates, ShortRebate
+
+from mpmath_oracle import mpmath_h
 
 
 BASE = {
@@ -35,18 +39,6 @@ BASE = {
     "horizon": 1.0,
     "initial_wealth": 1.0,
     "mc": {"n_paths": 1000, "seed": 7},
-}
-
-
-# Rows of bench/reference/fig2.csv and fig4.csv whose weight misses the root
-# of h = target by more than the benchmark's rule allows.  h is nearly flat
-# there, so the 1e-10-level error of the quadrature that wrote the
-# references moved the root by 1.5e-8 and 3.6e-8 relative.
-# test_policy.py::test_figure_reference_errata shows with mpmath that h at the
-# corrected weight meets the target and at the reference weight does not.
-REFERENCE_ERRATA = {
-    ("fig1", 2, "0.98502512562814071"): "6361.1797688820752",
-    ("fig3", 4, "0.95517587939698489"): "-81006.486736858787",
 }
 
 
@@ -282,9 +274,11 @@ class TestCliOutputs:
     def test_figure_matches_bench_reference(self, tmp_path, config, figure):
         """Figures 2 and 4 against bench/reference under the benchmark's
         rule: |got - ref| <= 1e-8 max(|got|, |ref|) + 1e-10 per weight cell,
-        identical empty cells and case labels, comment lines ignored.  The
-        rows of REFERENCE_ERRATA are held to the rule against their
-        corrected weight."""
+        identical empty cells and case labels, comment lines ignored.  A
+        weight outside the rule passes only where mpmath shows that it solves
+        h = r - s (s the margin's slope there) and the reference weight does
+        not: the flat h of gamma near 1 turns an h error of 1e-11 into a
+        weight error above 1e-8."""
         root = os.path.join(os.path.dirname(__file__), "..")
         cfg = os.path.join(root, "demos", "configs", f"{config}.yaml")
         args = ["figures", cfg, "--figure", str(figure), "--output-dir", str(tmp_path)]
@@ -294,19 +288,24 @@ class TestCliOutputs:
             with open(path) as fh:
                 return [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
 
+        params = load_config(cfg).market.regimes[0]
+
+        def residual(gamma, pi):
+            slope = params.margin.slopes[bisect.bisect_left(params.margin.breakpoints, pi)]
+            return abs(mpmath_h(params, gamma, pi) - (params.r - slope))
+
         got = rows(tmp_path / f"fig{figure}.csv")
         ref = rows(os.path.join(root, "bench", "reference", f"fig{figure}.csv"))
         assert len(got) == len(ref) and got[0] == ref[0] == ["gamma", "pi_hat", "case"]
         for row, ref_row in zip(got[1:], ref[1:]):
-            erratum = REFERENCE_ERRATA.get((config, figure, ref_row[0]))
-            if erratum is not None:
-                ref_row = [ref_row[0], erratum, ref_row[2]]
             assert row[2] == ref_row[2], row  # case label
             for a, b in zip(row[:2], ref_row[:2]):
                 assert (a == "") == (b == ""), row
                 if a:
                     a, b = float(a), float(b)
-                    assert abs(a - b) <= 1e-8 * max(abs(a), abs(b)) + 1e-10, row
+                    if abs(a - b) > 1e-8 * max(abs(a), abs(b)) + 1e-10:
+                        gamma = float(row[0])
+                        assert residual(gamma, a) <= 1e-14 < 1e-12 < residual(gamma, b), row
 
     def test_simulate_writes_paths(self, tmp_path):
         data = copy.deepcopy(BASE)

@@ -175,6 +175,26 @@ class TestTabulated:
             Tabulated(grid=np.array([0.0, 0.0, 1.0]), density=np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "dist",
+    [
+        ExponentialPositive(10.0),
+        TwoPoint(-0.2, 0.1, 0.75),
+        Tabulated(grid=np.linspace(-1.0, 1.0, 201), density=1.0 - np.abs(np.linspace(-1.0, 1.0, 201))),
+    ],
+    ids=["exponential", "two_point", "tabulated"],
+)
+def test_every_law_gives_k_integrals(dist):
+    """Every law takes one integrand call on an array of marks: a (k, marks)
+    result gives k integrals of shape (k,), a scalar result one float."""
+    s = np.array([-2.0, 0.5, 1.5])[:, None]
+    batch = dist.expect(lambda y: np.exp(s * y))
+    assert batch.shape == (3,)
+    for row, si in zip(batch, s[:, 0]):
+        assert row == pytest.approx(dist.expect(lambda y: np.exp(si * y)), rel=1e-15)
+    assert isinstance(dist.expect(lambda y: 1.0), float)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     rate=st.floats(min_value=0.5, max_value=50.0),

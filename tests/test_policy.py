@@ -40,6 +40,8 @@ from jumpfolio.policy import (
     verify_conjugacy,
 )
 
+from mpmath_oracle import mpmath_h
+
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 # borrowing-spread market with positive exponential jumps
@@ -419,28 +421,6 @@ def test_brent_matches_scipy(fn, a, b):
     assert abs(root - ref) <= 2.0 * (xtol + rtol * abs(ref))
 
 
-def _mpmath_h(params, gamma, pi, derivative=False):
-    """h(pi) or h'(pi) by mpmath quadrature at 30 digits, for an exponential
-    law on the exponential transform; the breakpoints bracket the scales
-    where 1 + pi f(y) turns over (|y| ~ 1/|pi| and pi e^y ~ 1)."""
-    import mpmath as mp
-
-    with mp.workdps(30):
-        rate, sign = mp.mpf(params.dist.rate), -1 if isinstance(params.dist, ExponentialNegative) else 1
-        pi, g = mp.mpf(pi), mp.mpf(gamma)
-
-        def integrand(t):
-            f = mp.expm1(sign * t)
-            term = f**2 / (1 + pi * f) ** (2 - g) if derivative else f / (1 + pi * f) ** (1 - g)
-            return term * rate * mp.exp(-rate * t)
-
-        knots = sorted({0.0, 0.1 / abs(pi), 1.0 / abs(pi), 10.0 / abs(pi), 0.1, 1.0, 3.0, 8.0, 20.0, 80.0})
-        integral = mp.quad(integrand, [k for k in knots if k <= 80.0] + [mp.inf])
-        if derivative:
-            return float(params.lam * (g - 1) * integral)
-        return float(params.mu + params.lam * integral)
-
-
 MPMATH_GRID = {
     # config: weights (including each law's extreme figure optimum)
     "fig1": (1e-3, 0.3, 1.0289, 1.7, 41.0, 6361.18),
@@ -457,7 +437,7 @@ def test_h_and_derivative_match_mpmath(config):
     for gamma in (0.0, 0.5, 0.9):
         for pi in MPMATH_GRID[config]:
             for fn, derivative in ((h_value, False), (h_derivative, True)):
-                exact = _mpmath_h(params, gamma, pi, derivative)
+                exact = mpmath_h(params, gamma, pi, derivative)
                 got = fn(params, gamma, pi)
                 assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact)), (gamma, pi, fn, got, exact)
 
@@ -470,17 +450,35 @@ def test_h_and_derivative_match_mpmath(config):
     ],
 )
 def test_figure_reference_errata(config, gamma, slope, reference, corrected):
-    """The two corrected weights of test_config_cli.REFERENCE_ERRATA solve
-    h = r - slope to mpmath precision; the bench/reference weights miss by
-    2e-11 and 1e-10, which the flat h turns into 1.5e-8 and 3.6e-8 relative
-    in the weight."""
+    """Two rows of bench/reference/fig2.csv and fig4.csv, written by a
+    quadrature with a 1e-7 relative error escape: the solver's weight solves
+    h = r - slope to mpmath precision, the reference weight misses by 2e-11
+    and 1e-10, which the flat h turns into 1.5e-8 and 3.6e-8 relative in the
+    weight.  The values to write when the references are regenerated."""
     market = load_config(CONFIGS / f"{config}.yaml").market
     params = market.regimes[0]
     target = params.r - params.margin.slopes[slope]
-    assert abs(_mpmath_h(params, gamma, corrected) - target) < 1e-15
-    assert abs(_mpmath_h(params, gamma, reference) - target) > 1e-11
+    assert abs(mpmath_h(params, gamma, corrected) - target) < 1e-15
+    assert abs(mpmath_h(params, gamma, reference) - target) > 1e-11
     got = optimal_portfolio(params, market.constraint, gamma).pi
     assert got == pytest.approx(corrected, rel=1e-12)
+
+
+@pytest.mark.parametrize("rate", [1.05, 1.5, 2.0, 2.5])
+def test_h_near_one_on_a_slowly_decaying_negative_law(rate):
+    """Just below the closed end pi = 1 of a slowly decaying downward law,
+    1 + pi f(y) tends to 1 - pi where the density still matters; h and h'
+    hold to mpmath there (the factor is summed as (1 - pi) + pi e^y), and
+    the root finder's probes near the end return values.  At rates 2 and
+    2.5 the integrand of h' stays near its scale out to |y| ~ 28, where the
+    factor turns over."""
+    params = RegimeMarketParams(r=0.0, mu=0.05, lam=1.0, dist=ExponentialNegative(rate))
+    pi = 1.0 - 1e-12
+    for gamma in (0.0, 0.5, 0.9):
+        for fn, derivative in ((h_value, False), (h_derivative, True)):
+            exact = mpmath_h(params, gamma, pi, derivative)
+            got = fn(params, gamma, pi)
+            assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact)), (gamma, fn, got, exact)
 
 
 def test_h_near_zero_on_a_slowly_decaying_law():
@@ -491,7 +489,7 @@ def test_h_near_zero_on_a_slowly_decaying_law():
     not agree; each must match its own exact value."""
     params = RegimeMarketParams(r=0.0, mu=0.05, lam=1.0, dist=ExponentialPositive(1.05))
     assert h_value(params, 0.95, 0.0) == pytest.approx(20.05, rel=1e-14)
-    exact = _mpmath_h(params, 0.95, 1e-12)
+    exact = mpmath_h(params, 0.95, 1e-12)
     assert exact == pytest.approx(17.3914692306497551, rel=1e-15)
     assert h_value(params, 0.95, 1e-12) == pytest.approx(exact, rel=1e-12)
 
