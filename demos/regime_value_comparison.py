@@ -18,8 +18,8 @@ from jumpfolio import (
     mc_expected_utility,
     regime_inputs,
     simulate_ensemble,
-    value_comparison,
 )
+from jumpfolio.regime_value import value_comparison
 
 X0, T, SEED, N_PATHS = 1.0, 1.0, 20260823, 100_000
 

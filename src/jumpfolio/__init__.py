@@ -56,12 +56,7 @@ from .mpp import (
     GeneratorMatrix,
     MarkedPointPath,
     PathEnsemble,
-    RegimePath,
     simulate_ensemble,
-    simulate_marks,
-    simulate_path,
-    simulate_paths,
-    simulate_regime_chain,
 )
 from .policy import (
     Policy,
@@ -77,23 +72,18 @@ from .policy import (
     verify_conjugacy,
 )
 from .regime_value import (
-    RegimeValueInputs,
     regime_inputs,
-    value_comparison,
     value_corollary,
     value_semianalytic,
 )
 from .verify import (
     McEstimate,
-    StatePriceSpec,
     budget_check,
     dual_functional_log,
     ensemble_functionals,
     grid_search_constant_portfolio,
     martingale_factor_check,
     mc_expected_utility,
-    simulate_state_price,
-    state_price_spec,
     state_price_wealth_identity,
     wealth_identity_check,
 )

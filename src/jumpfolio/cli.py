@@ -29,7 +29,7 @@ from .errors import (
     RuinError,
 )
 from .market import export_path_csv, stock_path, wealth_path
-from .mpp import simulate_ensemble, simulate_paths
+from .mpp import simulate_ensemble
 from .policy import (
     Policy,
     h_value,
@@ -114,11 +114,12 @@ def cmd_simulate(config: RunConfig, args) -> int:
         raise ConfigError(f"--paths must be positive, got {args.paths}")
     os.makedirs(config.output_dir, exist_ok=True)
     policy = _solve_policy(config)
-    paths = simulate_paths(
+    ens = simulate_ensemble(
         config.market.gen, config.initial_state, config.horizon,
         config.market.dists, args.paths, config.seed,
     )
-    for k, path in enumerate(paths):
+    for k in range(args.paths):
+        path = ens.path(k)
         wp = wealth_path(
             config.initial_wealth, config.market, policy.pi, policy.consumption, path
         )
@@ -198,7 +199,8 @@ def cmd_verify(config: RunConfig, args) -> int:
     i0 = config.initial_state
     n, seed = config.n_paths, config.seed
     policy = _solve_policy(config)
-    # one sample serves every Monte Carlo check (common random numbers)
+    # one sample serves every check (common random numbers); the pathwise
+    # identities read its first rows
     ens = simulate_ensemble(market.gen, i0, T, market.dists, n, seed)
 
     checks = []  # (name, passed or None if only reported, detail, estimate or None)
@@ -232,7 +234,7 @@ def cmd_verify(config: RunConfig, args) -> int:
     )
 
     if config.utility.is_log:
-        paths = simulate_paths(market.gen, i0, T, market.dists, min(n, 200), seed)
+        paths = [ens.path(p) for p in range(min(n, 200))]
         dev_hv = verify_mod.state_price_wealth_identity(market, K, x, paths)
         checks.append(
             ("state_price_wealth_identity", dev_hv <= 1e-10, f"max_dev={dev_hv:.3e}", None)

@@ -176,7 +176,7 @@ def _path_log_level(path: MarkedPointPath, times, drift_by_state, jump_log_by_st
     # time t lies on segment k = number of jumps at or before t
     starts = np.concatenate(([0.0], taus))
     drift = np.asarray(drift_by_state, dtype=float)[
-        (path.regime.initial_state + np.arange(starts.size)) % 2
+        (path.initial_state + np.arange(starts.size)) % 2
     ]
     cum_drift = np.concatenate(([0.0], np.cumsum(drift[:-1] * np.diff(starts))))
     cum_jump = np.concatenate(([0.0], np.cumsum(jump_logs)))
@@ -304,7 +304,7 @@ def wealth_path(
         raise ConfigError("initial wealth must be positive", field="x")
     times, v_gross = gross_wealth_path(market, pi, path, n_grid)
     xi = _deflated_wealth(x, consumption, times)
-    regime = path.regime.state_at(times)
+    regime = path.state_at(times)
     return WealthPath(t=times, regime=regime, v_gross=v_gross, xi=xi, V=xi * v_gross)
 
 

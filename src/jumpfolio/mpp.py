@@ -2,19 +2,20 @@
 
 A two-state continuous-time Markov chain generates the event times; the
 mark of each event is drawn from the distribution attached to the
-pre-jump state.  There are two sample layouts: a path sample is a list
-of single paths (``simulate_paths``), and an ensemble keeps all paths in
-column-major rectangular arrays padded only to its longest path, so the
-verification layer can evaluate path functionals with vectorised sweeps
-over contiguous jump columns.  A single chain draws its holding times in
-blocks; an ensemble draws each padding width in row blocks, the first
-being a probe of its first rows, gives a width up at its first
-unresolved block, and never touches the columns past its longest path.
+pre-jump state.  ``simulate_ensemble`` is the one sampler: it keeps all
+paths of a sample in column-major rectangular arrays padded only to its
+longest path, so the verification layer can evaluate path functionals
+with vectorised sweeps over contiguous jump columns, and a single path
+is a row of it (``PathEnsemble.path``).  An ensemble draws each padding
+width in row blocks, the first being a probe of its first rows, gives a
+width up at its first unresolved block, and never touches the columns
+past its longest path.
 
-Random-number contract: every simulator takes an integer seed and is
-bit-reproducible.  Streams are split with ``numpy.random.SeedSequence``
-so chain and mark draws never interleave; a path sample spawns one child
-stream per path, and an ensemble one per purpose.
+Random-number contract: an ensemble takes an integer seed and is
+bit-reproducible.  The seed is split with ``numpy.random.SeedSequence``
+into one chain stream and one mark stream, so chain and mark draws
+never interleave; path k of an ensemble therefore depends on its path
+count as well as on the seed.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-# holding times a single chain draws per block (even, so each block
-# starts in the same state)
-_CHAIN_BLOCK = 256
 # leading ensemble rows drawn to probe a padding width (an ensemble's
 # first row block), cells in each later row block, and the widest
 # padding an ensemble may take
@@ -59,28 +57,26 @@ class GeneratorMatrix:
         return np.array([self.lambda0, self.lambda1])
 
     @property
-    def matrix(self):
-        return np.array(
-            [[-self.lambda0, self.lambda0], [self.lambda1, -self.lambda1]]
-        )
-
-    @property
     def lambda_bar(self):
         # half the total switching rate; the chain mixes at rate 2*lambda_bar
         return 0.5 * (self.lambda0 + self.lambda1)
 
 
 @dataclass(frozen=True)
-class RegimePath:
-    """Realised chain trajectory on [0, T]: initial state plus sorted jump times."""
+class MarkedPointPath:
+    """One realised path on [0, T]: initial state, sorted jump times and
+    the mark realised at each jump."""
 
     initial_state: int
     jump_times: np.ndarray
+    marks: np.ndarray
     horizon: float
 
     def __post_init__(self):
         times = np.asarray(self.jump_times, dtype=float)
+        marks = np.asarray(self.marks, dtype=float)
         object.__setattr__(self, "jump_times", times)
+        object.__setattr__(self, "marks", marks)
         if self.initial_state not in (0, 1):
             raise ConfigError("initial_state must be 0 or 1")
         if self.horizon <= 0:
@@ -90,6 +86,8 @@ class RegimePath:
                 raise ConfigError("jump times must lie in (0, T]")
             if np.any(np.diff(times) <= 0):
                 raise ConfigError("jump times must be strictly increasing")
+        if marks.size != times.size:
+            raise ConfigError("need exactly one mark per jump time")
 
     @property
     def n_jumps(self):
@@ -98,103 +96,12 @@ class RegimePath:
     @property
     def pre_jump_states(self):
         """State right before each jump; alternates from the initial state."""
-        n = self.n_jumps
-        return (self.initial_state + np.arange(n)) % 2
+        return (self.initial_state + np.arange(self.n_jumps)) % 2
 
     def state_at(self, t):
         """Right-continuous state at time t (scalar or array)."""
         n_before = np.searchsorted(self.jump_times, t, side="right")
         return (self.initial_state + n_before) % 2
-
-
-@dataclass(frozen=True)
-class MarkedPointPath:
-    """Chain trajectory together with the mark realised at each jump."""
-
-    regime: RegimePath
-    marks: np.ndarray
-
-    def __post_init__(self):
-        marks = np.asarray(self.marks, dtype=float)
-        object.__setattr__(self, "marks", marks)
-        if marks.size != self.regime.n_jumps:
-            raise ConfigError("need exactly one mark per jump time")
-
-    @property
-    def jump_times(self):
-        return self.regime.jump_times
-
-    @property
-    def n_jumps(self):
-        return self.regime.n_jumps
-
-    @property
-    def horizon(self):
-        return self.regime.horizon
-
-    @property
-    def pre_jump_states(self):
-        return self.regime.pre_jump_states
-
-
-def simulate_regime_chain(gen: GeneratorMatrix, i0: int, T: float, seed) -> RegimePath:
-    """Simulate the two-state chain on [0, T].
-
-    Holding times in state i are Exponential(lambda_i); a zero rate makes
-    the state absorbing.  They are drawn in blocks of standard
-    exponentials, scaled per state and accumulated from the running time,
-    which gives the same jump times as one draw per jump: the surplus
-    variates of the last block are never read.
-    """
-    if T <= 0:
-        raise ConfigError("horizon T must be positive")
-    if i0 not in (0, 1):
-        raise ConfigError("initial state must be 0 or 1")
-    rng = np.random.default_rng(seed_sequence(seed))
-    # position k of every block holds in state (i0 + k) % 2, as blocks
-    # have even length; the chain ends at its first absorbing state
-    rates = gen.rates[(i0 + np.arange(_CHAIN_BLOCK)) % 2]
-    n_live = _CHAIN_BLOCK if rates.all() else int(np.argmin(rates > 0))
-    scales = 1.0 / rates[:n_live]
-    blocks = []
-    t = 0.0
-    while True:
-        times = rng.standard_exponential(_CHAIN_BLOCK)[:n_live]
-        times *= scales
-        times[:1] += t
-        np.cumsum(times, out=times)
-        n_in = int(np.searchsorted(times, T, side="right"))
-        blocks.append(times[:n_in])
-        if n_in < _CHAIN_BLOCK:
-            break
-        t = times[-1]
-    return RegimePath(initial_state=i0, jump_times=np.concatenate(blocks), horizon=T)
-
-
-def simulate_marks(path: RegimePath, dists, seed) -> MarkedPointPath:
-    """Attach marks to a chain path; mark n is drawn from the pre-jump state's law."""
-    rng = np.random.default_rng(seed_sequence(seed))
-    states = path.pre_jump_states
-    marks = np.empty(path.n_jumps)
-    for i in (0, 1):
-        sel = states == i
-        n = int(sel.sum())
-        if n:
-            marks[sel] = dists[i].sample(n, rng)
-    return MarkedPointPath(regime=path, marks=marks)
-
-
-def simulate_path(gen, i0, T, dists, seed) -> MarkedPointPath:
-    """Chain and marks in one call, on independent sub-streams of seed."""
-    chain_seed, mark_seed = seed_sequence(seed).spawn(2)
-    path = simulate_regime_chain(gen, i0, T, chain_seed)
-    return simulate_marks(path, dists, mark_seed)
-
-
-def simulate_paths(gen, i0, T, dists, n, seed) -> list:
-    """The n single paths of one seed: child k of the seed drives path k."""
-    children = seed_sequence(seed).spawn(n)
-    return [simulate_path(gen, i0, T, dists, child) for child in children]
 
 
 @dataclass
@@ -227,12 +134,12 @@ class PathEnsemble:
     def path(self, p) -> MarkedPointPath:
         """Extract path p as a MarkedPointPath."""
         c = int(self.counts[p])
-        regime = RegimePath(
+        return MarkedPointPath(
             initial_state=self.initial_state,
             jump_times=self.times[p, :c].copy(),
+            marks=self.marks[p, :c].copy(),
             horizon=self.horizon,
         )
-        return MarkedPointPath(regime=regime, marks=self.marks[p, :c].copy())
 
 
 def _draw_jump_times(rng, col_rates, out):

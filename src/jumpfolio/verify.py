@@ -11,9 +11,10 @@ per-regime constants.
 
 Every check is a function of the sample it is given: the Monte Carlo
 checks take a ``PathEnsemble`` (horizon, start regime and seed included)
-and the pathwise identities a list of single paths, whose log levels
-they compare.  A caller draws a sample once and passes it to every check
-(common random numbers); only the grid search draws its own ensemble.
+and the pathwise identities a list of single paths (rows of an
+ensemble), whose log levels they compare.  A caller draws a sample once
+and passes it to every check (common random numbers); only the grid
+search draws its own ensemble.
 The grid search does not sweep per weight: with the mark integrals done
 by quadrature, a path's sample depends only on four statistics of its
 jump skeleton, built in one pass over the columns, and the samples of a

@@ -39,7 +39,7 @@ from jumpfolio.verify import (
     wealth_identity_check,
 )
 from jumpfolio.market import ProportionalConsumption, ZeroConsumption
-from jumpfolio.mpp import simulate_ensemble, simulate_paths
+from jumpfolio.mpp import simulate_ensemble
 
 SEED = 20260823
 GAMMAS = (0.0, 0.25, 0.5, 0.75, 0.9)
@@ -258,8 +258,8 @@ def test_criterion_5_wealth_identity():
     t0 = time.time()
     cfg = _config_two_regimes()
     mkt = cfg.market
-    paths = simulate_paths(mkt.gen, 0, 1.0, mkt.dists, 1000, SEED)
-    dev = wealth_identity_check(mkt, 1.0, paths)
+    ens = simulate_ensemble(mkt.gen, 0, 1.0, mkt.dists, 1000, SEED)
+    dev = wealth_identity_check(mkt, 1.0, [ens.path(p) for p in range(1000)])
     dt = time.time() - t0
     _report(
         5, "log-wealth-identity", dev <= 1e-10,
@@ -372,7 +372,7 @@ def test_criterion_9_state_price_martingale():
     ens = simulate_ensemble(mkt.gen, 0, 1.0, mkt.dists, 100_000, SEED)
     est = martingale_factor_check(mkt, K, pol, ens)
     mart_ok = abs(est.mean - 1.0) <= 3.0 * est.stderr
-    paths = simulate_paths(mkt.gen, 0, 1.0, mkt.dists, 1000, SEED)
+    paths = [ens.path(p) for p in range(1000)]
     dev = state_price_wealth_identity(mkt, K, 1.0, paths)
     dt = time.time() - t0
     ok = mart_ok and dev <= 1e-10

@@ -1,9 +1,11 @@
 import bisect
 import copy
 import csv
+import io
 import os
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -17,6 +19,9 @@ from jumpfolio.config import (
 )
 from jumpfolio.errors import ConfigError
 from jumpfolio.frictions import DifferentialRates, ShortRebate
+from jumpfolio.market import export_path_csv, stock_path, wealth_path
+from jumpfolio.mpp import simulate_ensemble
+from jumpfolio.policy import log_optimal_policy
 
 from mpmath_oracle import mpmath_h
 
@@ -190,32 +195,40 @@ class TestCliExitCodes:
         assert "FAIL state_price_martingale" in capsys.readouterr().out
 
     def test_verify_draws_each_sample_once(self, tmp_path, monkeypatch, capsys):
-        """One ensemble for every Monte Carlo check and one sample of
-        min(n, 200) single paths for both pathwise identities."""
+        """One ensemble serves every check, the pathwise identities
+        included, and nothing else draws random numbers."""
         import jumpfolio.mpp as mpp
 
-        calls = {}
+        calls = []
+        inside = []
+        original = mpp.simulate_ensemble
 
-        def count(name):
-            original = getattr(mpp, name)
-
-            def counted(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
+        def counted(*args, **kwargs):
+            calls.append("simulate_ensemble")
+            inside.append(True)
+            try:
                 return original(*args, **kwargs)
+            finally:
+                inside.pop()
 
-            for mod_name, mod in list(sys.modules.items()):
-                if mod_name.split(".")[0] == "jumpfolio" and getattr(mod, name, None) is original:
-                    monkeypatch.setattr(mod, name, counted)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "jumpfolio" and getattr(mod, "simulate_ensemble", None) is original:
+                monkeypatch.setattr(mod, "simulate_ensemble", counted)
+        real_default_rng = np.random.default_rng
 
-        count("simulate_ensemble")
-        count("simulate_path")
+        def spy(*args, **kwargs):
+            if not inside:
+                calls.append("default_rng")
+            return real_default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
         data = copy.deepcopy(BASE)
         data["utility"] = {"variant": "log"}
         data["mc"]["n_paths"] = 300
         path = write_config(tmp_path, data)
         assert main(["verify", path, "--output-dir", str(tmp_path)]) == 0
         assert "wealth_factorisation_identity" in capsys.readouterr().out
-        assert calls == {"simulate_ensemble": 1, "simulate_path": 200}
+        assert calls == ["simulate_ensemble"]
 
     def test_corollary_is_reported_not_checked(self, tmp_path, capsys):
         data = copy.deepcopy(BASE)
@@ -320,6 +333,30 @@ class TestCliOutputs:
             assert out.exists()
             lines = out.read_text().splitlines()
             assert lines[1].split(",") == ["t", "regime", "S", "V1pi0", "xi", "V"]
+
+    def test_simulate_writes_rows_of_one_ensemble(self, tmp_path):
+        """path_k.csv is row k of the ensemble of --paths paths, exported
+        under the optimal log policy."""
+        data = copy.deepcopy(BASE)
+        data["utility"] = {"variant": "log"}
+        path = write_config(tmp_path, data)
+        out_dir = tmp_path / "out"
+        argv = ["simulate", path, "--paths", "3", "--output-dir", str(out_dir)]
+        assert main(argv) == 0
+        config = load_config(path, {"output_dir": str(out_dir)})
+        market, x, T = config.market, config.initial_wealth, config.horizon
+        policy = log_optimal_policy(market, x, T)
+        ens = simulate_ensemble(market.gen, config.initial_state, T, market.dists, 3, config.seed)
+        for k in range(3):
+            row = ens.path(k)
+            buf = io.StringIO()
+            export_path_csv(
+                wealth_path(x, market, policy.pi, policy.consumption, row),
+                stock_path(market, row, s0=1.0)[1],
+                buf,
+                comment_lines=(f"config_hash={config_hash(config)} seed={config.seed} path={k}",),
+            )
+            assert (out_dir / f"path_{k:03d}.csv").read_text() == buf.getvalue()
 
     def test_value_prints_all_three(self, tmp_path, capsys):
         data = copy.deepcopy(BASE)

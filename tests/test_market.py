@@ -24,9 +24,7 @@ from jumpfolio.market import (
 from jumpfolio.mpp import (
     GeneratorMatrix,
     MarkedPointPath,
-    RegimePath,
     simulate_ensemble,
-    simulate_path,
 )
 
 FIG3 = Path(__file__).resolve().parents[1] / "demos" / "configs" / "fig3.yaml"
@@ -44,8 +42,10 @@ def make_market(lam=1.0, r=0.045, mu=-0.05, R=0.05, rate=10.0):
 
 def fixed_path(times, marks, T=2.0, i0=0):
     return MarkedPointPath(
-        regime=RegimePath(initial_state=i0, jump_times=np.asarray(times, float), horizon=T),
+        initial_state=i0,
+        jump_times=np.asarray(times, float),
         marks=np.asarray(marks, float),
+        horizon=T,
     )
 
 
@@ -194,7 +194,7 @@ class TestCsvExport:
     @pytest.mark.parametrize("with_stock", [True, False])
     def test_matches_per_row_writer(self, with_stock):
         mkt = make_market(lam=5.0)
-        path = simulate_path(mkt.gen, 1, 4.0, mkt.dists, 31)
+        path = simulate_ensemble(mkt.gen, 1, 4.0, mkt.dists, 1, 31).path(0)
         assert path.n_jumps > 5
         wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path)
         stock = stock_path(mkt, path, s0=1.0)[1] if with_stock else None

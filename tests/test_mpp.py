@@ -1,43 +1,48 @@
+import inspect
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+import jumpfolio
 from jumpfolio import mpp
 from jumpfolio.distributions import ExponentialNegative, ExponentialPositive
 from jumpfolio.errors import ConfigError
 from jumpfolio.mpp import (
     GeneratorMatrix,
+    MarkedPointPath,
     PathEnsemble,
-    RegimePath,
     seed_sequence,
     simulate_ensemble,
-    simulate_marks,
-    simulate_path,
-    simulate_paths,
-    simulate_regime_chain,
 )
 
 DISTS = (ExponentialPositive(10.0), ExponentialNegative(10.0))
 
 
-def reference_regime_chain(gen, i0, T, seed):
-    """Oracle: one scalar exponential per jump."""
-    rng = np.random.default_rng(seed_sequence(seed))
-    rates = gen.rates
-    times = []
-    t = 0.0
-    state = i0
+def scalar_jump_times(gen, i0, T, n_paths, seed):
+    """Oracle: the ensemble's jump times, one scalar exponential per jump.
+
+    The chain stream fills the holding-time matrix row by row, so at a
+    padding width w row p holds variates p*w .. p*w + w - 1; a width is
+    kept once every row's last column lies past T (or never comes).
+    """
+    chain_ss = seed_sequence(seed).spawn(2)[0]
+    width = 16
     while True:
-        rate = rates[state]
-        if rate == 0.0:
-            break
-        t += rng.exponential(1.0 / rate)
-        if t > T:
-            break
-        times.append(t)
-        state = 1 - state
-    return RegimePath(initial_state=i0, jump_times=np.array(times), horizon=T)
+        rng = np.random.default_rng(chain_ss)
+        rows, resolved = [], True
+        for _ in range(n_paths):
+            t, times = 0.0, []
+            for j in range(width):
+                rate = gen.rates[(i0 + j) % 2]
+                e = rng.standard_exponential()
+                t += e * (1.0 / rate) if rate > 0 else np.inf
+                times.append(t)
+            resolved &= times[-1] > T
+            rows.append([u for u in times if u <= T])
+        if resolved:
+            return rows
+        width *= 2
 
 
 def reference_ensemble(gen, i0, T, dists, n_paths, seed):
@@ -82,9 +87,9 @@ def reference_ensemble(gen, i0, T, dists, n_paths, seed):
 
 
 class TestGeneratorMatrix:
-    def test_matrix_rows_sum_to_zero(self):
+    def test_rates_and_lambda_bar(self):
         gen = GeneratorMatrix(0.7, 1.3)
-        assert np.allclose(gen.matrix.sum(axis=1), 0.0)
+        assert np.array_equal(gen.rates, [0.7, 1.3])
         assert gen.lambda_bar == pytest.approx(1.0)
 
     def test_negative_rate_rejected(self):
@@ -93,43 +98,55 @@ class TestGeneratorMatrix:
 
 
 class TestRegimePath:
+    """The regime trajectory a MarkedPointPath carries."""
+
     def test_alternation(self):
-        path = RegimePath(initial_state=1, jump_times=np.array([0.5, 1.0, 2.0]), horizon=3.0)
+        path = MarkedPointPath(
+            initial_state=1,
+            jump_times=np.array([0.5, 1.0, 2.0]),
+            marks=np.zeros(3),
+            horizon=3.0,
+        )
         assert list(path.pre_jump_states) == [1, 0, 1]
         assert path.state_at(0.0) == 1
         assert path.state_at(0.5) == 0  # right-continuous
         assert list(path.state_at(np.array([0.25, 0.75, 1.5, 2.5]))) == [1, 0, 1, 0]
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            RegimePath(initial_state=0, jump_times=np.array([2.0, 1.0]), horizon=3.0)
-        with pytest.raises(ConfigError):
-            RegimePath(initial_state=0, jump_times=np.array([4.0]), horizon=3.0)
+        bad = [
+            (0, [2.0, 1.0], [0.0, 0.0], 3.0),  # not increasing
+            (0, [4.0], [0.0], 3.0),  # past the horizon
+            (0, [0.0], [0.0], 3.0),  # not after 0
+            (2, [], [], 3.0),  # no such state
+            (0, [], [], 0.0),  # empty horizon
+            (0, [1.0, 2.0], [0.0], 3.0),  # a jump without a mark
+        ]
+        for i0, times, marks, T in bad:
+            with pytest.raises(ConfigError):
+                MarkedPointPath(
+                    initial_state=i0, jump_times=np.array(times), marks=np.array(marks), horizon=T
+                )
 
 
 class TestChainSimulation:
+    """Chain and mark laws of the ensemble's rows."""
+
     def test_deterministic_per_seed(self):
         gen = GeneratorMatrix(1.0, 2.0)
-        a = simulate_regime_chain(gen, 0, 10.0, 42)
-        b = simulate_regime_chain(gen, 0, 10.0, 42)
-        assert np.array_equal(a.jump_times, b.jump_times)
+        a = simulate_ensemble(gen, 0, 10.0, DISTS, 8, 42)
+        b = simulate_ensemble(gen, 0, 10.0, DISTS, 8, 42)
+        c = simulate_ensemble(gen, 0, 10.0, DISTS, 8, 43)
+        for p in range(8):
+            assert np.array_equal(a.path(p).jump_times, b.path(p).jump_times)
+            assert np.array_equal(a.path(p).marks, b.path(p).marks)
+        assert not np.array_equal(a.times, c.times)
 
     def test_zero_rate_absorbing(self):
+        """From state 1 a chain jumps once into the absorbing state 0."""
         gen = GeneratorMatrix(0.0, 5.0)
-        path = simulate_regime_chain(gen, 0, 10.0, 0)
-        assert path.n_jumps == 0
-
-    def test_holding_time_distribution(self):
-        """First holding time in state 0 is Exponential(lambda0)."""
-        gen = GeneratorMatrix(2.0, 1.0)
-        first = []
-        root = np.random.SeedSequence(7)
-        for child in root.spawn(4000):
-            p = simulate_regime_chain(gen, 0, 50.0, child)
-            if p.n_jumps:
-                first.append(p.jump_times[0])
-        ks = stats.kstest(first, "expon", args=(0, 0.5))
-        assert ks.pvalue > 1e-3
+        ens = simulate_ensemble(gen, 1, 10.0, DISTS, 200, 0)
+        assert set(ens.counts) == {1}
+        assert ens.times.shape == (200, 1)
 
     @pytest.mark.parametrize("i0", [0, 1])
     @pytest.mark.parametrize(
@@ -138,25 +155,32 @@ class TestChainSimulation:
     )
     def test_matches_scalar_loop(self, rates, T, i0):
         gen = GeneratorMatrix(*rates)
-        longest = 0
-        for child in np.random.SeedSequence(2718).spawn(8):
-            got = simulate_regime_chain(gen, i0, T, child)
-            ref = reference_regime_chain(gen, i0, T, child)
-            assert np.array_equal(got.jump_times, ref.jump_times)
-            longest = max(longest, got.n_jumps)
+        ens = simulate_ensemble(gen, i0, T, DISTS, 8, 2718)
+        ref = scalar_jump_times(gen, i0, T, 8, 2718)
+        for p in range(8):
+            assert np.array_equal(ens.path(p).jump_times, ref[p])
         if 0.0 not in rates:
-            assert longest > mpp._CHAIN_BLOCK  # more than one block
+            assert ens.counts.max() > 256  # rows of several hundred jumps
         else:
-            assert longest <= 1
+            assert ens.counts.max() <= 1
+
+    def test_holding_time_distribution(self):
+        """First holding time in state 0 is Exponential(lambda0)."""
+        gen = GeneratorMatrix(2.0, 1.0)
+        ens = simulate_ensemble(gen, 0, 50.0, DISTS, 4000, 7)
+        first = ens.times[ens.counts > 0, 0]
+        ks = stats.kstest(first, "expon", args=(0, 0.5))
+        assert ks.pvalue > 1e-3
 
     def test_marks_drawn_from_pre_jump_state(self):
         gen = GeneratorMatrix(3.0, 3.0)
-        chain = simulate_regime_chain(gen, 0, 100.0, 11)
-        mp = simulate_marks(chain, DISTS, 12)
-        states = mp.pre_jump_states
+        ens = simulate_ensemble(gen, 0, 100.0, DISTS, 20, 11)
+        jumps = np.isfinite(ens.times)
+        states = ens.column_state(np.arange(ens.times.shape[1]))
         # regime 0 marks are positive (Exp+), regime 1 marks negative (Exp-)
-        assert np.all(mp.marks[states == 0] >= 0)
-        assert np.all(mp.marks[states == 1] <= 0)
+        assert np.all(ens.marks[jumps & (states == 0)] > 0)
+        assert np.all(ens.marks[jumps & (states == 1)] < 0)
+        assert (jumps & (states == 1)).sum() > 1000
 
 
 class TestEnsemble:
@@ -300,26 +324,25 @@ class TestEnsembleParity:
             simulate_ensemble(gen, 0, 1.0, DISTS, 1, 3)
 
 
-def test_simulate_paths_spawns_one_child_per_path():
-    gen = GeneratorMatrix(2.0, 1.0)
-    paths = simulate_paths(gen, 1, 4.0, DISTS, 5, 11)
-    children = np.random.SeedSequence(11).spawn(5)
-    assert len(paths) == 5
-    for path, child in zip(paths, children):
-        ref = simulate_path(gen, 1, 4.0, DISTS, child)
-        assert np.array_equal(path.jump_times, ref.jump_times)
-        assert np.array_equal(path.marks, ref.marks)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31),
-    i0=st.integers(min_value=0, max_value=1),
-)
-def test_simulate_path_reproducible(seed, i0):
-    gen = GeneratorMatrix(2.0, 1.0)
-    a = simulate_path(gen, i0, 4.0, DISTS, seed)
-    b = simulate_path(gen, i0, 4.0, DISTS, seed)
-    assert np.array_equal(a.jump_times, b.jump_times)
-    assert np.array_equal(a.marks, b.marks)
-    assert a.regime.initial_state == i0
+def test_simulate_ensemble_is_the_only_sampler():
+    samplers = [
+        name
+        for name, obj in vars(mpp).items()
+        if inspect.isfunction(obj)
+        and obj.__module__ == mpp.__name__
+        and name.lstrip("_").startswith("simulate")
+    ]
+    assert samplers == ["simulate_ensemble"]
+    retired = {
+        "RegimePath",
+        "simulate_regime_chain",
+        "simulate_marks",
+        "simulate_path",
+        "simulate_paths",
+        "state_price_spec",
+        "StatePriceSpec",
+        "simulate_state_price",
+        "RegimeValueInputs",
+        "value_comparison",
+    }
+    assert not retired & set(vars(jumpfolio))

@@ -19,7 +19,7 @@ from jumpfolio.market import (
     log_optimal_consumption,
     stock_path,
 )
-from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, simulate_ensemble, simulate_paths
+from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, simulate_ensemble
 from jumpfolio.policy import Policy, Utility, feasible_weight_interval, log_optimal_policy
 from jumpfolio.verify import (
     budget_check,
@@ -44,6 +44,11 @@ FIG3 = Path(__file__).resolve().parents[1] / "demos" / "configs" / "fig3.yaml"
 def ensemble(mkt, T, n_paths, seed):
     """An ensemble of mkt started in regime 0."""
     return simulate_ensemble(mkt.gen, 0, T, mkt.dists, n_paths, seed)
+
+
+def rows(ens):
+    """Every path of an ensemble, as single paths."""
+    return [ens.path(p) for p in range(ens.n_paths)]
 
 
 def make_market(lam=1.0):
@@ -204,7 +209,7 @@ class TestInfeasiblePolicy:
 class TestStatePrice:
     def test_log_case_is_reciprocal_wealth(self):
         mkt = make_market()
-        paths = simulate_paths(mkt.gen, 0, 2.0, mkt.dists, 30, 5)
+        paths = rows(ensemble(mkt, 2.0, 30, 5))
         dev = state_price_wealth_identity(mkt, NO_SHORTING, 1.0, paths)
         assert dev <= 1e-10
 
@@ -229,7 +234,7 @@ class TestStatePrice:
             "mc": {"n_paths": 5, "seed": 20260823},
         }
         mkt = parse_config(data).market
-        paths = simulate_paths(mkt.gen, 0, 10.0, mkt.dists, 5, 20260823)
+        paths = rows(ensemble(mkt, 10.0, 5, 20260823))
         pol = log_optimal_policy(mkt, 1.0, 10.0)
         with pytest.raises(DomainError):
             gross_wealth_path(mkt, pol.pi, paths[0])
@@ -240,9 +245,7 @@ class TestStatePrice:
         mkt = make_market()
         pol = log_optimal_policy(mkt, 1.0, 2.0)
         spec = state_price_spec(mkt, NO_SHORTING, pol)
-        from jumpfolio.mpp import simulate_path
-
-        path = simulate_path(mkt.gen, 0, 2.0, mkt.dists, 77)
+        path = ensemble(mkt, 2.0, 1, 77).path(0)
         t, H = simulate_state_price(spec, mkt, path)
         assert t[0] == 0.0 and H[0] == 1.0
         assert np.all(H > 0)
@@ -365,7 +368,7 @@ class TestExpectedUtility:
 class TestWealthIdentity:
     def test_identity_tolerance(self):
         mkt = make_market()
-        paths = simulate_paths(mkt.gen, 0, 2.0, mkt.dists, 25, 13)
+        paths = rows(ensemble(mkt, 2.0, 25, 13))
         assert wealth_identity_check(mkt, 1.0, paths) <= 1e-10
 
 
