@@ -87,6 +87,6 @@ from .verify import (
     state_price_wealth_identity,
     wealth_identity_check,
 )
-from .config import RunConfig, config_hash, dump_config, load_config, parse_config
+from .config import RunConfig, config_hash, load_config, parse_config
 
 __version__ = "0.1.0"

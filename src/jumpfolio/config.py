@@ -329,11 +329,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     return parse_config(data, overrides)
 
 
-def dump_config(config: RunConfig) -> str:
-    """Serialise back to YAML; re-parsing yields an identical structure."""
-    return yaml.safe_dump(config.raw, sort_keys=True)
-
-
 def config_hash(config: RunConfig) -> str:
     """Short content hash for CSV provenance headers."""
     canonical = json.dumps(config.raw, sort_keys=True)

@@ -3,12 +3,14 @@
 All dynamics are piecewise closed-form: between event times the state
 variables are exponentials of linear drifts, and each event multiplies
 them by a jump factor.  One engine, ``_path_log_level``, evaluates the
-log of such a level on a single path from a per-regime drift and a
-per-regime jump log; the stock, the gross wealth and (in the verification
+log of such a level from a per-regime drift and a per-regime jump log on
+a block of ensemble rows, each on its own reporting grid; a single path
+is a one-row call.  The stock, the gross wealth and (in the verification
 layer) the state-price density exponentiate it through ``_checked_exp``,
-and pathwise identities compare the log levels directly.  Portfolio
-weights are per-regime constants.  Nothing is Euler-discretised; the
-reporting grid only chooses where the closed forms are evaluated.
+and pathwise identities compare the log levels of many rows at once.
+Portfolio weights are per-regime constants.  Nothing is
+Euler-discretised; the reporting grid only chooses where the closed
+forms are evaluated.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .distributions import JumpDistribution
 from .errors import BankruptcyError, ConfigError, DomainError, RuinError
 from .frictions import ConstraintSet, Frictionless, MarginModel
-from .mpp import GeneratorMatrix, MarkedPointPath
+from .mpp import GeneratorMatrix, MarkedPointPath, PathEnsemble
 
 DEFAULT_GRID_POINTS = 256
 
@@ -137,51 +139,89 @@ def log_optimal_consumption(x: float, T: float) -> ProportionalConsumption:
 
 
 # ---------------------------------------------------------------------------
-# the single-path level engine
+# the log-level engine over ensemble rows
 # ---------------------------------------------------------------------------
 
 
-def _report_grid(path: MarkedPointPath, n_grid=DEFAULT_GRID_POINTS):
-    return np.union1d(np.linspace(0.0, path.horizon, n_grid + 1), path.jump_times)
+def _report_grid(ens: PathEnsemble, n_grid=DEFAULT_GRID_POINTS):
+    """Each row's reporting grid: n_grid + 1 even points on [0, T] merged
+    with the row's own jump times, in time order.
+
+    Returns (times, segment), both of shape (rows, n_grid + 1 + width);
+    segment counts the row's jumps at or before each time, so a time at a
+    jump lies on the segment after it.  A row with fewer jumps than the
+    width repeats its point at T in the cells left over.
+    """
+    rows, width = ens.times.shape
+    even = np.broadcast_to(np.linspace(0.0, ens.horizon, n_grid + 1), (rows, n_grid + 1))
+    merged = np.concatenate((ens.times, even), axis=1)
+    # a stable sort puts each jump before a grid point at the same time
+    order = np.argsort(merged, axis=1, kind="stable")
+    segment = np.cumsum(order < width, axis=1)
+    times = np.take_along_axis(merged, order, axis=1)
+    # padding jumps lie past T and sort last
+    times[times > ens.horizon] = ens.horizon
+    np.minimum(segment, ens.counts[:, None], out=segment)
+    return times, segment
 
 
-def _path_log_level(path: MarkedPointPath, times, drift_by_state, jump_log_by_state):
-    """A piecewise-linear log level at the requested times.
+def _path_log_level(ens: PathEnsemble, grid, drift_by_state, jump_log_by_state):
+    """A piecewise-linear log level of every row on its grid (``_report_grid``).
 
     The log level starts at 0, grows at drift_by_state[i] while the chain
     is in state i and jumps by jump_log_by_state[i](mark) at each event
     whose pre-jump state is i; it is right-continuous.  This is the
-    description ``verify.ensemble_functionals`` takes for a path ensemble.
+    description ``verify.ensemble_functionals`` takes; a single path is a
+    one-row call (``_single_path_log_level``).  Sums run along each row in
+    time order.
 
     Raises BankruptcyError when a jump factor is nonpositive (its log is
     NaN or -inf).
     """
-    taus, marks = path.jump_times, path.marks
-    states = path.pre_jump_states
-    jump_logs = np.empty(taus.size)
+    times, segment = grid
+    rows, width = ens.times.shape
+    live = np.arange(width) < ens.counts[:, None]
+    # column j is segment j's regime and the pre-jump state of jump j
+    state = (ens.initial_state + np.arange(width + 1)) % 2
+    jump_logs = np.zeros((rows, width))
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in (0, 1):
-            sel = states == i
-            jump_logs[sel] = jump_log_by_state[i](marks[sel])
-    bad = np.isnan(jump_logs) | (jump_logs == -np.inf)
+            sel = live & (state[:-1] == i)
+            jump_logs[sel] = jump_log_by_state[i](ens.marks[sel])
+    bad = live & (np.isnan(jump_logs) | (jump_logs == -np.inf))
     if np.any(bad):
-        n = int(np.argmax(bad))
+        p, j = np.argwhere(bad)[0]
+        tau, mark = float(ens.times[p, j]), float(ens.marks[p, j])
         raise BankruptcyError(
-            f"jump at t={taus[n]:.6g} with mark {marks[n]:.6g} has a nonpositive factor",
-            jump_time=float(taus[n]),
-            mark=float(marks[n]),
+            f"jump at t={tau:.6g} with mark {mark:.6g} has a nonpositive factor",
+            jump_time=tau,
+            mark=mark,
         )
 
-    # segment k starts at starts[k] and carries the state (i0 + k) % 2; a
-    # time t lies on segment k = number of jumps at or before t
-    starts = np.concatenate(([0.0], taus))
-    drift = np.asarray(drift_by_state, dtype=float)[
-        (path.initial_state + np.arange(starts.size)) % 2
-    ]
-    cum_drift = np.concatenate(([0.0], np.cumsum(drift[:-1] * np.diff(starts))))
-    cum_jump = np.concatenate(([0.0], np.cumsum(jump_logs)))
-    k = np.searchsorted(taus, times, side="right")
-    return cum_drift[k] + drift[k] * (times - starts[k]) + cum_jump[k]
+    # segment k starts at starts[:, k]
+    starts = np.concatenate((np.zeros((rows, 1)), np.where(live, ens.times, ens.horizon)), axis=1)
+    drift = np.asarray(drift_by_state, dtype=float)[state]
+    zero = np.zeros((rows, 1))
+    cum_drift = np.concatenate((zero, np.cumsum(drift[:-1] * np.diff(starts, axis=1), axis=1)), axis=1)
+    cum_jump = np.concatenate((zero, np.cumsum(jump_logs, axis=1)), axis=1)
+    # flat index of each grid time's segment in the (rows, width + 1) arrays
+    flat = segment + (width + 1) * np.arange(rows)[:, None]
+    at = lambda a: a.ravel()[flat]
+    return at(cum_drift) + drift[segment] * (times - at(starts)) + at(cum_jump)
+
+
+def _single_path_log_level(path: MarkedPointPath, n_grid, drift_by_state, jump_log_by_state):
+    """One path's reporting grid and its log level there: a one-row
+    ``_path_log_level`` call."""
+    row = PathEnsemble(
+        initial_state=path.initial_state,
+        horizon=path.horizon,
+        times=path.jump_times[None, :],
+        marks=path.marks[None, :],
+        counts=np.array([path.n_jumps]),
+    )
+    grid = _report_grid(row, n_grid)
+    return grid[0][0], _path_log_level(row, grid, drift_by_state, jump_log_by_state)[0]
 
 
 def _checked_exp(log_level, times):
@@ -232,18 +272,10 @@ def stock_path(market: MarketModel, path: MarkedPointPath, s0: float, n_grid=DEF
     """
     if s0 <= 0:
         raise ConfigError("initial price must be positive", field="s0")
-    times = _report_grid(path, n_grid)
     drift = [p.mu for p in market.regimes]
-    log_level = _path_log_level(path, times, drift, [_log_jump(market.transform, 1.0)] * 2)
+    jump_logs = [_log_jump(market.transform, 1.0)] * 2
+    times, log_level = _single_path_log_level(path, n_grid, drift, jump_logs)
     return times, s0 * _checked_exp(log_level, times)
-
-
-def _gross_log_wealth(market: MarketModel, pi, path: MarkedPointPath, n_grid=DEFAULT_GRID_POINTS):
-    """The reporting grid and log V^{1,pi,0} on it."""
-    times = _report_grid(path, n_grid)
-    pi_pair = (pi, pi) if np.isscalar(pi) else pi
-    drift, jump_logs = _wealth_terms(market, pi_pair)
-    return times, _path_log_level(path, times, drift, jump_logs)
 
 
 def gross_wealth_path(market: MarketModel, pi, path: MarkedPointPath, n_grid=DEFAULT_GRID_POINTS):
@@ -252,15 +284,16 @@ def gross_wealth_path(market: MarketModel, pi, path: MarkedPointPath, n_grid=DEF
 
     Returns (t, V) arrays.
     """
-    times, log_v = _gross_log_wealth(market, pi, path, n_grid)
+    pi_pair = (pi, pi) if np.isscalar(pi) else pi
+    times, log_v = _single_path_log_level(path, n_grid, *_wealth_terms(market, pi_pair))
     return times, _checked_exp(log_v, times)
 
 
 def _deflated_wealth(x, consumption: ConsumptionRule, times):
     """xi_t = x - scale * t at the given times; raises RuinError with the
-    crossing time if it turns negative by the last."""
+    crossing time if it turns negative by the last (of each row)."""
     xi = x - consumption.scale * times
-    if xi[-1] < 0:
+    if np.any(xi[..., -1] < 0):
         t_ruin = x / consumption.scale
         raise RuinError(
             f"proportional consumption ruins the path at t={t_ruin:.6g}",

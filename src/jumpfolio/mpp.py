@@ -93,11 +93,6 @@ class MarkedPointPath:
     def n_jumps(self):
         return int(self.jump_times.size)
 
-    @property
-    def pre_jump_states(self):
-        """State right before each jump; alternates from the initial state."""
-        return (self.initial_state + np.arange(self.n_jumps)) % 2
-
     def state_at(self, t):
         """Right-continuous state at time t (scalar or array)."""
         n_before = np.searchsorted(self.jump_times, t, side="right")
@@ -130,6 +125,19 @@ class PathEnsemble:
     def column_state(self, j):
         """Pre-jump state of jump column j (= regime on segment j)."""
         return (self.initial_state + j) % 2
+
+    def head(self, n) -> "PathEnsemble":
+        """The first n paths, padded to the longest of them."""
+        counts = self.counts[:n]
+        width = int(counts.max())
+        return PathEnsemble(
+            initial_state=self.initial_state,
+            horizon=self.horizon,
+            times=self.times[:n, :width],
+            marks=self.marks[:n, :width],
+            counts=counts,
+            seed=self.seed,
+        )
 
     def path(self, p) -> MarkedPointPath:
         """Extract path p as a MarkedPointPath."""

@@ -44,6 +44,7 @@ from .market import (
 H_QUAD_TOL = 1e-13
 PI_TOL = 1e-12
 BRACKET_LIMIT = 1e15
+EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -340,14 +341,19 @@ def optimal_portfolio(params: RegimeMarketParams, K: ConstraintSet, gamma: float
 
 
 def _package_optimum(params, K, gamma, pi, case):
-    zeta = params.r - h_value(params, gamma, pi)
+    h = h_value(params, gamma, pi)
+    zeta = params.r - h
     try:
         residual = verify_conjugacy(params.margin, K, pi, zeta)
     except DomainError as exc:  # a root hugging an open end can miss the band
         raise InfeasiblePolicyError(f"candidate pi = {pi:.9g} fails conjugacy: {exc}") from exc
     # scale-aware: the difference of two O(|pi*zeta|) terms cannot beat
-    # absolute 1e-9 once the weight is astronomically large
-    if residual > 1e-9 * max(1.0, abs(pi * zeta)):
+    # absolute 1e-9 once the weight is astronomically large; and the
+    # residual carries |pi| times the rounding of zeta = r - (mu + lam*int),
+    # sized from the magnitudes of those terms, which is all of it when the
+    # optimal zeta is 0
+    zeta_rounding = 2.0 * EPS * (abs(params.r) + abs(params.mu) + abs(h - params.mu))
+    if residual > 1e-9 * max(1.0, abs(pi * zeta)) + abs(pi) * zeta_rounding:
         raise InfeasiblePolicyError(
             f"candidate pi = {pi:.9g} fails conjugacy with residual {residual:.3e}"
         )

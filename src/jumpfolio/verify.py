@@ -4,21 +4,22 @@ Every level here is described the same way: a per-regime linear
 log-drift plus a per-jump log factor.  On a path ensemble, gross wealth,
 the state-price process and every mixed integral of the two are
 accumulated column by column over the padded arrays
-(``ensemble_functionals``); on a single path the market layer's engine
-evaluates the same description, so ``simulate_state_price`` only
-supplies the state-price drift and jump logs.  Portfolio weights are
-per-regime constants.
+(``ensemble_functionals``); at reporting-grid times the market layer's
+engine evaluates the same description on a block of ensemble rows, so
+``simulate_state_price`` only supplies the state-price drift and jump
+logs.  Portfolio weights are per-regime constants.
 
 Every check is a function of the sample it is given: the Monte Carlo
 checks take a ``PathEnsemble`` (horizon, start regime and seed included)
-and the pathwise identities a list of single paths (rows of an
-ensemble), whose log levels they compare.  A caller draws a sample once
-and passes it to every check (common random numbers); only the grid
-search draws its own ensemble.
+and the pathwise identities the rows to check (``PathEnsemble.head``),
+whose log levels they compare in one engine call per level.  A caller
+draws a sample once and passes it to every check (common random
+numbers); only the grid search draws its own ensemble.
 The grid search does not sweep per weight: with the mark integrals done
 by quadrature, a path's sample depends only on four statistics of its
-jump skeleton, built in one pass over the columns, and the samples of a
-block of weights are one matrix product with them.
+jump skeleton, built in one pass over the columns.  A log sample is
+affine in them, so log utility needs only their moments; power samples
+are formed for a block of weights at a time, by one matrix product.
 Reductions run in fixed path order, so estimates are bit-reproducible.
 """
 
@@ -36,10 +37,10 @@ from .market import (
     MarketModel,
     _checked_exp,
     _deflated_wealth,
-    _gross_log_wealth,
     _log_jump,
     _path_log_level,
     _report_grid,
+    _single_path_log_level,
     _wealth_terms,
 )
 from .mpp import MarkedPointPath, PathEnsemble, simulate_ensemble
@@ -203,8 +204,7 @@ def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> S
 
 def simulate_state_price(spec: StatePriceSpec, market: MarketModel, path: MarkedPointPath, n_grid=256):
     """H_t on the reporting grid, exact between jumps.  Returns (t, H)."""
-    times = _report_grid(path, n_grid)
-    log_h = _path_log_level(path, times, spec.drift(market), spec.jump_logs())
+    times, log_h = _single_path_log_level(path, n_grid, spec.drift(market), spec.jump_logs())
     return times, _checked_exp(log_h, times)
 
 
@@ -225,18 +225,16 @@ def martingale_factor_check(market, K, policy, ens: PathEnsemble) -> McEstimate:
     return _estimate(np.exp(res["final_log"]), ens.seed)
 
 
-def state_price_wealth_identity(market, K, x, paths) -> float:
-    """max over paths/grid of |H^phi * V^{1,pi_hat,0} - 1| for the log-optimal
-    pair, as |expm1(log H + log V)|."""
-    policy = log_optimal_policy(market, x, paths[0].horizon)
+def state_price_wealth_identity(market, K, x, ens: PathEnsemble) -> float:
+    """max over the rows of ens and their reporting grids of
+    |H^phi * V^{1,pi_hat,0} - 1| for the log-optimal pair, as
+    |expm1(log H + log V)|."""
+    policy = log_optimal_policy(market, x, ens.horizon)
     spec = state_price_spec(market, K, policy)
-    h_drift, h_jumps = spec.drift(market), spec.jump_logs()
-    devs = []
-    for path in paths:
-        t, log_v = _gross_log_wealth(market, policy.pi, path)
-        log_h = _path_log_level(path, t, h_drift, h_jumps)
-        devs.append(np.max(np.abs(np.expm1(log_h + log_v))))
-    return float(np.max(devs))
+    grid = _report_grid(ens)
+    log_v = _path_log_level(ens, grid, *_wealth_terms(market, policy.pi))
+    log_h = _path_log_level(ens, grid, spec.drift(market), spec.jump_logs())
+    return float(np.max(np.abs(np.expm1(log_h + log_v))))
 
 
 def budget_check(
@@ -332,9 +330,10 @@ def expected_jump_count(market, i0, T) -> float:
     return lam_stat * T + (lam_start - lam_stat) * (1.0 - math.exp(-total * T)) / total
 
 
-# cells per block of the grid search (weights x paths): a block of samples
-# stays at about 1 MB whatever the path count, so it adds little to the peak
-_BLOCK_CELLS = 1 << 17
+# cells per block of the power grid search (weights x paths): a block of
+# samples and its fitted values take about 8 MB whatever the path count,
+# less than the ensemble freed before them at 1e5 paths, so the peak holds
+_BLOCK_CELLS = 1 << 19
 
 
 def _skeleton_statistics(ens: PathEnsemble, with_integrals):
@@ -379,6 +378,65 @@ def _jump_coefficients(market, utility, weights):
     return [by_law[d] for d in market.dists]
 
 
+def _log_moments(coef, stats, counts, excess, offset, T):
+    """J and its standard error at each weight for log utility, from the
+    first two moments of the skeleton statistics and the jump count.
+
+    A log sample is offset + coef . stats, so the control-variate mean and
+    variance are linear and quadratic forms in the means and the centred
+    covariance of (stats, counts).  The occupation rows sum to
+    T (1 + T/2), which makes that covariance singular: row 1 is dropped and
+    its coefficient moved into the constant, so identical regimes lose no
+    digits to cancellation.
+    """
+    n = counts.size
+    z = np.vstack((stats[[0, 2, 3]], counts))
+    means = z.mean(axis=1)
+    z -= means[:, None]
+    cov = z @ z.T / (n - 1)
+    a = np.column_stack((coef[:, 0] - coef[:, 1], coef[:, 2:]))
+    mean = offset + T * (1.0 + 0.5 * T) * coef[:, 1] + a @ means[:3]
+    var = np.einsum("wi,ij,wj->w", a, cov[:3, :3], a)
+    count_var = counts.var()
+    if count_var > 0.0:
+        cov_count = a @ cov[:3, 3]
+        beta = cov_count / count_var
+        mean -= beta * excess
+        var += beta * (beta * cov[3, 3] - 2.0 * cov_count)
+    return mean, np.sqrt(np.maximum(var, 0.0) / n)
+
+
+def _power_moments(coef, stats, counts, excess):
+    """Control-variate mean and standard error of exp(coef . stats) at
+    each weight (a row of coef).
+
+    Weights go in blocks of about ``_BLOCK_CELLS`` samples: a block's
+    samples are one matrix product and one exp.  Two passes reduce them:
+    the (pairwise) mean and the control-variate slope, then the centred
+    residual after the control variate, built by one more product and
+    reduced by a row-wise dot product.
+    """
+    n = counts.size
+    count_var = counts.var()
+    count_dev = counts - counts.mean()
+    basis = np.vstack((np.ones(n), count_dev))
+    block = max(1, _BLOCK_CELLS // n)
+    samples = np.empty((block, n))
+    fit = np.empty((block, n))
+    mean = np.empty(coef.shape[0])
+    var = np.empty(coef.shape[0])
+    for b in range(0, coef.shape[0], block):
+        c = coef[b : b + block]
+        s = np.matmul(c, stats, out=samples[: c.shape[0]])
+        np.exp(s, out=s)
+        m = s.mean(axis=1)
+        beta = s @ count_dev / (n - 1) / count_var if count_var > 0.0 else np.zeros_like(m)
+        s -= np.matmul(np.column_stack((m, beta)), basis, out=fit[: c.shape[0]])
+        mean[b : b + block] = m - beta * excess
+        var[b : b + block] = np.einsum("ij,ij->i", s, s) / (n - 1)
+    return mean, np.sqrt(var / n)
+
+
 def grid_search_constant_portfolio(
     market,
     utility: Utility,
@@ -404,8 +462,10 @@ def grid_search_constant_portfolio(
 
     Given the quadratures, a path's sample depends on its skeleton only
     through four statistics (``_skeleton_statistics``, one pass over the
-    columns): the log sample is affine in them, the power sample the exp
-    of a linear form, so a block of weights is one matrix product.
+    columns).  The log sample is affine in them, so J and its standard
+    error at every weight follow from their moments with the jump count
+    (``_log_moments``); the power sample is the exp of a linear form,
+    reduced a block of weights at a time (``_power_moments``).
     Returns (pi_star, table) where table rows are (pi, J, stderr) with
     NaN J for infeasible weights and for weights whose jump term is not
     finite.
@@ -439,43 +499,30 @@ def grid_search_constant_portfolio(
     stats = _skeleton_statistics(ens, utility.is_log)
     counts = ens.counts.astype(float)
     del ens
-    n = counts.size
-    count_var = float(counts.var())
-    count_dev = counts - counts.mean()
-    count_excess = counts - expected_jump_count(market, i0, T)
+    excess = counts.mean() - expected_jump_count(market, i0, T)
 
     J = np.full(grid.size, math.nan)
     stderr = np.full(grid.size, math.nan)
-    block = max(1, _BLOCK_CELLS // n)
-    for b in range(0, rows_at.size, block):
-        at = rows_at[b : b + block]
-        samples = coef[b : b + block] @ stats  # (weights in block, paths)
-        if utility.is_log:
-            samples += offset
-        else:
-            np.exp(samples, out=samples)
-            samples *= x**gamma / gamma
-        if count_var > 0.0:
-            cov = (samples - samples.mean(axis=1, keepdims=True)) @ count_dev / (n - 1)
-            samples -= (cov / count_var)[:, None] * count_excess
-        J[at] = samples.mean(axis=1)
-        stderr[at] = samples.std(axis=1, ddof=1) / math.sqrt(n)
+    if utility.is_log:
+        J[rows_at], stderr[rows_at] = _log_moments(coef, stats, counts, excess, offset, T)
+    else:
+        mean, se = _power_moments(coef, stats, counts, excess)
+        J[rows_at], stderr[rows_at] = mean * (x**gamma / gamma), se * (x**gamma / gamma)
     if not np.any(J > -math.inf):
         raise InfeasiblePolicyError("no feasible grid point")
     rows = [(float(p), float(j), float(s)) for p, j, s in zip(grid, J, stderr)]
     return float(grid[np.nanargmax(J)]), rows
 
 
-def wealth_identity_check(market, x, paths) -> float:
+def wealth_identity_check(market, x, ens: PathEnsemble) -> float:
     """Max relative deviation of V^{x,pi_hat,c_hat} = xi V^{1,pi_hat,0} from
-    V^{x,pi_hat,0} (1 - t/(T+1)) over paths and grid points, compared in
-    log space."""
-    T = paths[0].horizon
+    V^{x,pi_hat,0} (1 - t/(T+1)) over the rows of ens and their reporting
+    grids, compared in log space."""
+    T = ens.horizon
     policy = log_optimal_policy(market, x, T)
-    devs = []
-    for path in paths:
-        t, log_gross = _gross_log_wealth(market, policy.pi, path)
-        log_v = np.log(_deflated_wealth(x, policy.consumption, t)) + log_gross
-        log_ref = math.log(x) + np.log1p(-t / (T + 1.0)) + log_gross
-        devs.append(np.max(np.abs(np.expm1(log_v - log_ref))))
-    return float(np.max(devs))
+    grid = _report_grid(ens)
+    t = grid[0]
+    log_gross = _path_log_level(ens, grid, *_wealth_terms(market, policy.pi))
+    log_v = np.log(_deflated_wealth(x, policy.consumption, t)) + log_gross
+    log_ref = math.log(x) + np.log1p(-t / (T + 1.0)) + log_gross
+    return float(np.max(np.abs(np.expm1(log_v - log_ref))))

@@ -259,7 +259,7 @@ def test_criterion_5_wealth_identity():
     cfg = _config_two_regimes()
     mkt = cfg.market
     ens = simulate_ensemble(mkt.gen, 0, 1.0, mkt.dists, 1000, SEED)
-    dev = wealth_identity_check(mkt, 1.0, [ens.path(p) for p in range(1000)])
+    dev = wealth_identity_check(mkt, 1.0, ens)
     dt = time.time() - t0
     _report(
         5, "log-wealth-identity", dev <= 1e-10,
@@ -372,8 +372,7 @@ def test_criterion_9_state_price_martingale():
     ens = simulate_ensemble(mkt.gen, 0, 1.0, mkt.dists, 100_000, SEED)
     est = martingale_factor_check(mkt, K, pol, ens)
     mart_ok = abs(est.mean - 1.0) <= 3.0 * est.stderr
-    paths = [ens.path(p) for p in range(1000)]
-    dev = state_price_wealth_identity(mkt, K, 1.0, paths)
+    dev = state_price_wealth_identity(mkt, K, 1.0, ens.head(1000))
     dt = time.time() - t0
     ok = mart_ok and dev <= 1e-10
     _report(

@@ -13,7 +13,6 @@ from jumpfolio.cli import main
 from jumpfolio.config import (
     RunConfig,
     config_hash,
-    dump_config,
     load_config,
     parse_config,
 )
@@ -99,7 +98,7 @@ class TestParsing:
 
     def test_round_trip(self):
         cfg = parse_config(copy.deepcopy(BASE))
-        reparsed = parse_config(yaml.safe_load(dump_config(cfg)))
+        reparsed = parse_config(yaml.safe_load(yaml.safe_dump(cfg.raw, sort_keys=True)))
         assert reparsed.raw == cfg.raw
         assert config_hash(reparsed) == config_hash(cfg)
 

@@ -107,7 +107,6 @@ class TestRegimePath:
             marks=np.zeros(3),
             horizon=3.0,
         )
-        assert list(path.pre_jump_states) == [1, 0, 1]
         assert path.state_at(0.0) == 1
         assert path.state_at(0.5) == 0  # right-continuous
         assert list(path.state_at(np.array([0.25, 0.75, 1.5, 2.5]))) == [1, 0, 1, 0]
@@ -219,6 +218,16 @@ class TestEnsemble:
         c = ens.counts[7]
         assert np.array_equal(p.jump_times, ens.times[7, :c])
         assert np.array_equal(p.marks, ens.marks[7, :c])
+
+    def test_head_keeps_rows_and_cuts_padding(self):
+        gen = GeneratorMatrix(1.5, 0.5)
+        ens = simulate_ensemble(gen, 0, 3.0, DISTS, 50, 21)
+        head = ens.head(5)
+        assert head.times.shape == head.marks.shape == (5, ens.counts[:5].max())
+        assert (head.initial_state, head.horizon, head.seed) == (0, 3.0, 21)
+        for p in range(5):
+            assert np.array_equal(head.path(p).jump_times, ens.path(p).jump_times)
+            assert np.array_equal(head.path(p).marks, ens.path(p).marks)
 
     def test_deterministic_per_seed(self):
         gen = GeneratorMatrix(1.0, 2.0)

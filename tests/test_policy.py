@@ -359,6 +359,21 @@ class TestGenericSolver:
         with pytest.raises(InfeasiblePolicyError):
             optimal_portfolio(params, ConstraintSet(), 0.9)
 
+    def test_zero_optimal_zeta_at_a_huge_weight_is_certified(self):
+        """With zero spread the root of h = r lies at pi = -9.97e11, where
+        zeta = r - h(pi) is 0 up to the rounding of mu + lam*int: the
+        residual |pi*zeta| (1.4e-5) is that rounding, not a failed optimum,
+        and the solver returns the four-case oracle's weight."""
+        params = RegimeMarketParams(
+            r=0.0, mu=0.0625, lam=1.0, dist=ExponentialNegative(2.0),
+            margin=ShortRebate(0.0, 0.0),
+        )
+        got = optimal_portfolio(params, NO_BORROWING, 0.9375)
+        ref = reference_short(params, 0.9375)
+        assert (got.case, got.pi) == (ref.case, ref.pi)
+        assert got.pi < -1e11
+        assert verify_conjugacy(params.margin, NO_BORROWING, got.pi, got.zeta) > 1e-9
+
 
 class TestPolicyBuilders:
     def _market(self, params, K):

@@ -19,16 +19,19 @@ print(json.dumps([after_import, code, scipy()]))
 
 
 def test_cli_never_loads_scipy(tmp_path):
-    """A fresh process: neither ``import jumpfolio.cli`` nor a full ``value``
-    run (closed form plus Monte Carlo) puts a scipy module in sys.modules."""
+    """A fresh process per command: neither ``import jumpfolio.cli`` nor a
+    full ``value``, ``verify`` or ``verify --gamma 0.5`` run (closed form,
+    Monte Carlo, the pathwise identities and their reductions) puts a scipy
+    module in sys.modules."""
     config = ROOT / "demos" / "configs" / "regime_switching.yaml"
-    argv = ["value", str(config), "--n-paths", "2000", "--output-dir", str(tmp_path)]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    after_import, code, after_value = json.loads(proc.stdout.splitlines()[-1])
-    assert after_import == []
-    assert code == 0
-    assert after_value == []
+    for command in (["value"], ["verify"], ["verify", "--gamma", "0.5"]):
+        argv = [*command, str(config), "--n-paths", "2000", "--output-dir", str(tmp_path)]
+        proc = subprocess.run(
+            [sys.executable, "-c", PROBE, *argv],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        after_import, code, after_run = json.loads(proc.stdout.splitlines()[-1])
+        assert after_import == [], command
+        assert code == 0, command
+        assert after_run == [], command

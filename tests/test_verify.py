@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 from pathlib import Path
@@ -18,6 +19,8 @@ from jumpfolio.market import (
     gross_wealth_path,
     log_optimal_consumption,
     stock_path,
+    _path_log_level,
+    _report_grid,
 )
 from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, simulate_ensemble
 from jumpfolio.policy import Policy, Utility, feasible_weight_interval, log_optimal_policy
@@ -38,17 +41,16 @@ from jumpfolio.verify import (
 )
 
 
-FIG3 = Path(__file__).resolve().parents[1] / "demos" / "configs" / "fig3.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+FIG1 = ROOT / "demos" / "configs" / "fig1.yaml"
+FIG3 = ROOT / "demos" / "configs" / "fig3.yaml"
+REGIME_SWITCHING = ROOT / "demos" / "configs" / "regime_switching.yaml"
+PATHS_DENSE = ROOT / "bench" / "configs" / "paths_dense.yaml"
 
 
 def ensemble(mkt, T, n_paths, seed):
     """An ensemble of mkt started in regime 0."""
     return simulate_ensemble(mkt.gen, 0, T, mkt.dists, n_paths, seed)
-
-
-def rows(ens):
-    """Every path of an ensemble, as single paths."""
-    return [ens.path(p) for p in range(ens.n_paths)]
 
 
 def make_market(lam=1.0):
@@ -209,8 +211,8 @@ class TestInfeasiblePolicy:
 class TestStatePrice:
     def test_log_case_is_reciprocal_wealth(self):
         mkt = make_market()
-        paths = rows(ensemble(mkt, 2.0, 30, 5))
-        dev = state_price_wealth_identity(mkt, NO_SHORTING, 1.0, paths)
+        ens = ensemble(mkt, 2.0, 30, 5)
+        dev = state_price_wealth_identity(mkt, NO_SHORTING, 1.0, ens)
         assert dev <= 1e-10
 
     def test_identities_hold_where_levels_leave_the_float_range(self):
@@ -234,12 +236,12 @@ class TestStatePrice:
             "mc": {"n_paths": 5, "seed": 20260823},
         }
         mkt = parse_config(data).market
-        paths = rows(ensemble(mkt, 10.0, 5, 20260823))
+        ens = ensemble(mkt, 10.0, 5, 20260823)
         pol = log_optimal_policy(mkt, 1.0, 10.0)
         with pytest.raises(DomainError):
-            gross_wealth_path(mkt, pol.pi, paths[0])
-        assert state_price_wealth_identity(mkt, mkt.constraint, 1.0, paths) <= 1e-10
-        assert wealth_identity_check(mkt, 1.0, paths) <= 1e-10
+            gross_wealth_path(mkt, pol.pi, ens.path(0))
+        assert state_price_wealth_identity(mkt, mkt.constraint, 1.0, ens) <= 1e-10
+        assert wealth_identity_check(mkt, 1.0, ens) <= 1e-10
 
     def test_simulate_state_price_drift_segment(self):
         mkt = make_market()
@@ -368,8 +370,79 @@ class TestExpectedUtility:
 class TestWealthIdentity:
     def test_identity_tolerance(self):
         mkt = make_market()
-        paths = rows(ensemble(mkt, 2.0, 25, 13))
-        assert wealth_identity_check(mkt, 1.0, paths) <= 1e-10
+        assert wealth_identity_check(mkt, 1.0, ensemble(mkt, 2.0, 25, 13)) <= 1e-10
+
+
+def scalar_log_level(path, times, drift_by_state, jump_log_by_state):
+    """The log level of one path at the given times, one Python float at a
+    time: the per-row reference for the batched engine.  Its sums run in
+    time order, as the engine's do."""
+    i0, taus = path.initial_state, [float(t) for t in path.jump_times]
+    drift = [float(drift_by_state[(i0 + k) % 2]) for k in range(len(taus) + 1)]
+    starts = [0.0] + taus
+    cum_drift, cum_jump = [0.0], [0.0]
+    for k, mark in enumerate(path.marks):
+        cum_drift.append(cum_drift[-1] + drift[k] * (starts[k + 1] - starts[k]))
+        jump_log = jump_log_by_state[(i0 + k) % 2](np.array([mark]))
+        cum_jump.append(cum_jump[-1] + float(jump_log[0]))
+    out = []
+    for t in times:
+        k = bisect.bisect_right(taus, t)
+        out.append(cum_drift[k] + drift[k] * (t - starts[k]) + cum_jump[k])
+    return np.array(out)
+
+
+class TestBatchedIdentities:
+    """Both pathwise identities over a block of ensemble rows against one
+    scalar evaluation per row on its own union1d grid, bit for bit."""
+
+    @staticmethod
+    def _reference(mkt, x, ens):
+        T = ens.horizon
+        policy = log_optimal_policy(mkt, x, T)
+        spec = state_price_spec(mkt, mkt.constraint, policy)
+        v_terms = _wealth_terms(mkt, policy.pi)
+        dev_hv, dev_w = [], []
+        for p in range(ens.n_paths):
+            path = ens.path(p)
+            t = np.union1d(np.linspace(0.0, T, 257), path.jump_times)
+            log_v = scalar_log_level(path, t, *v_terms)
+            log_h = scalar_log_level(path, t, spec.drift(mkt), spec.jump_logs())
+            dev_hv.append(np.max(np.abs(np.expm1(log_h + log_v))))
+            log_xv = np.log(x - policy.consumption.scale * t) + log_v
+            log_ref = math.log(x) + np.log1p(-t / (T + 1.0)) + log_v
+            dev_w.append(np.max(np.abs(np.expm1(log_xv - log_ref))))
+        return max(dev_hv), max(dev_w)
+
+    @pytest.mark.parametrize("config, n_rows", [(REGIME_SWITCHING, 40), (PATHS_DENSE, 6)])
+    def test_identities_match_per_row_reference(self, config, n_rows):
+        cfg = load_config(config)
+        mkt, T = cfg.market, cfg.horizon
+        ens = simulate_ensemble(mkt.gen, 0, T, mkt.dists, 3 * n_rows, 20260823).head(n_rows)
+        counts = ens.counts
+        assert len(set(counts.tolist())) > 1  # rows of different lengths
+        if config == REGIME_SWITCHING:
+            assert np.any(counts == 0) and np.any(counts >= 3)
+        dev_hv = state_price_wealth_identity(mkt, mkt.constraint, 1.0, ens)
+        dev_w = wealth_identity_check(mkt, 1.0, ens)
+        assert (dev_hv, dev_w) == self._reference(mkt, 1.0, ens)
+
+    def test_engine_rows_match_per_row_reference(self):
+        """Every row's level on its own grid, the cells past it repeating
+        the level at T."""
+        cfg = load_config(REGIME_SWITCHING)
+        mkt, T = cfg.market, cfg.horizon
+        ens = simulate_ensemble(mkt.gen, 1, T, mkt.dists, 30, 5)
+        drift, jumps = _wealth_terms(mkt, (0.8, 1.3))
+        grid = _report_grid(ens)
+        level = _path_log_level(ens, grid, drift, jumps)
+        for p in range(ens.n_paths):
+            path = ens.path(p)
+            t = np.union1d(np.linspace(0.0, T, 257), path.jump_times)
+            ref = scalar_log_level(path, t, drift, jumps)
+            assert np.array_equal(grid[0][p, : t.size], t)
+            assert np.array_equal(level[p, : t.size], ref)
+            assert np.all(level[p, t.size :] == ref[-1])
 
 
 class TestGridSearch:
@@ -468,16 +541,31 @@ class TestGridSearch:
         )
         mkt = MarketModel(gen=GeneratorMatrix(2.0, 0.5), regimes=(p0, p1))
         grid = np.round(np.linspace(-0.5, 1.5, 21), 10)
-        args = (mkt, Utility(gamma), 1.0, 1.0, grid, 20_000, 31)
+        rows = self._assert_matches_column_sweep(mkt, Utility(gamma), grid, i0)
+        assert all(math.isnan(r[1]) for r in rows[:5])  # negative weights
+
+    @pytest.mark.parametrize("i0", [0, 1])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_matches_column_sweep_on_identical_regimes(self, gamma, i0):
+        """fig1's identical regimes: the two occupation times sum to T on
+        every path, so the covariance of the skeleton statistics is
+        singular, and the weight 0 has a constant sample."""
+        mkt = load_config(FIG1).market
+        assert mkt.regimes[0] == mkt.regimes[1]
+        grid = np.round(np.linspace(0.0, 2.0, 21), 10)
+        self._assert_matches_column_sweep(mkt, Utility(gamma), grid, i0)
+
+    def _assert_matches_column_sweep(self, mkt, utility, grid, i0):
+        args = (mkt, utility, 1.0, 1.0, grid, 20_000, 31)
         pi_star, rows = grid_search_constant_portfolio(*args, i0=i0)
         ref = self._column_sweep(*args, i0)
         assert [math.isnan(r[1]) for r in rows] == [math.isnan(r[1]) for r in ref]
-        assert all(math.isnan(r[1]) for r in rows[:5])  # negative weights
         for (pi, J, se), (_, J_ref, se_ref) in zip(rows, ref):
             if not math.isnan(J_ref):
                 assert abs(J - J_ref) <= 1e-12 * max(1.0, abs(J_ref)), pi
                 assert abs(se - se_ref) <= 1e-9 * se_ref + 1e-15, pi
         assert pi_star == grid[np.nanargmax([r[1] for r in ref])]
+        return rows
 
     def test_closedness_comes_from_the_binding_end(self):
         """Regime 0's closed lower end 0 binds; regime 1's open end -12 lies
