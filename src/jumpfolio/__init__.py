@@ -46,7 +46,6 @@ from .market import (
     WealthPath,
     ZeroConsumption,
     export_path_csv,
-    gross_wealth_path,
     jump_transform,
     log_optimal_consumption,
     stock_path,
@@ -54,7 +53,6 @@ from .market import (
 )
 from .mpp import (
     GeneratorMatrix,
-    MarkedPointPath,
     PathEnsemble,
     simulate_ensemble,
 )
@@ -85,7 +83,6 @@ from .verify import (
     martingale_factor_check,
     mc_expected_utility,
     state_price_wealth_identity,
-    wealth_identity_check,
 )
 from .config import RunConfig, config_hash, load_config, parse_config
 

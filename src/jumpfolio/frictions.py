@@ -35,9 +35,6 @@ class ConstraintSet:
     def contains(self, pi, tol=0.0):
         return self.lower - tol <= pi <= self.upper + tol
 
-    def clip(self, pi):
-        return min(max(pi, self.lower), self.upper)
-
 
 NO_SHORTING = ConstraintSet(0.0, math.inf)
 NO_BORROWING = ConstraintSet(-math.inf, 1.0)

@@ -4,10 +4,10 @@ All dynamics are piecewise closed-form: between event times the state
 variables are exponentials of linear drifts, and each event multiplies
 them by a jump factor.  One engine, ``_path_log_level``, evaluates the
 log of such a level from a per-regime drift and a per-regime jump log on
-a block of ensemble rows, each on its own reporting grid; a single path
-is a one-row call.  The stock, the gross wealth and (in the verification
-layer) the state-price density exponentiate it through ``_checked_exp``,
-and pathwise identities compare the log levels of many rows at once.
+a block of ensemble rows, each on its own reporting grid.  The stock and
+the wealth exponentiate it through ``_checked_exp`` and return one row
+per path; pathwise identities (in the verification layer) compare the
+log levels of many rows at once.
 Portfolio weights are per-regime constants.  Nothing is
 Euler-discretised; the reporting grid only chooses where the closed
 forms are evaluated.
@@ -24,7 +24,7 @@ import numpy as np
 from .distributions import JumpDistribution
 from .errors import BankruptcyError, ConfigError, DomainError, RuinError
 from .frictions import ConstraintSet, Frictionless, MarginModel
-from .mpp import GeneratorMatrix, MarkedPointPath, PathEnsemble
+from .mpp import GeneratorMatrix, PathEnsemble
 
 DEFAULT_GRID_POINTS = 256
 
@@ -171,9 +171,9 @@ def _path_log_level(ens: PathEnsemble, grid, drift_by_state, jump_log_by_state):
     The log level starts at 0, grows at drift_by_state[i] while the chain
     is in state i and jumps by jump_log_by_state[i](mark) at each event
     whose pre-jump state is i; it is right-continuous.  This is the
-    description ``verify.ensemble_functionals`` takes; a single path is a
-    one-row call (``_single_path_log_level``).  Sums run along each row in
-    time order.
+    description ``verify.ensemble_functionals`` takes.  Sums run along
+    each row in time order, and padding never enters a row's own cells,
+    so a row's level does not depend on the rows evaluated with it.
 
     Raises BankruptcyError when a jump factor is nonpositive (its log is
     NaN or -inf).
@@ -210,31 +210,18 @@ def _path_log_level(ens: PathEnsemble, grid, drift_by_state, jump_log_by_state):
     return at(cum_drift) + drift[segment] * (times - at(starts)) + at(cum_jump)
 
 
-def _single_path_log_level(path: MarkedPointPath, n_grid, drift_by_state, jump_log_by_state):
-    """One path's reporting grid and its log level there: a one-row
-    ``_path_log_level`` call."""
-    row = PathEnsemble(
-        initial_state=path.initial_state,
-        horizon=path.horizon,
-        times=path.jump_times[None, :],
-        marks=path.marks[None, :],
-        counts=np.array([path.n_jumps]),
-    )
-    grid = _report_grid(row, n_grid)
-    return grid[0][0], _path_log_level(row, grid, drift_by_state, jump_log_by_state)[0]
-
-
 def _checked_exp(log_level, times):
-    """exp of a log level; raises DomainError naming the time when the
-    level is not a finite positive float, which includes a +inf jump log."""
+    """exp of the log level of a block of rows; raises DomainError naming
+    the first row and time where the level is not a finite positive
+    float, which includes a +inf jump log."""
     with np.errstate(over="ignore", invalid="ignore"):
         level = np.exp(log_level)
     bad = ~(np.isfinite(level) & (level > 0.0))
     if np.any(bad):
-        n = int(np.argmax(bad))
+        p, n = np.argwhere(bad)[0]
         raise DomainError(
-            f"path level exp({log_level[n]:.6g}) at t={times[n]:.6g} is not a finite "
-            "positive float"
+            f"path level exp({log_level[p, n]:.6g}) of row {p} at t={times[p, n]:.6g} "
+            "is not a finite positive float"
         )
     return level
 
@@ -265,28 +252,19 @@ def _wealth_terms(market: MarketModel, pi_pair):
     return drift, jump_logs
 
 
-def stock_path(market: MarketModel, path: MarkedPointPath, s0: float, n_grid=DEFAULT_GRID_POINTS):
-    """Stock price at the reporting grid: exact piecewise exponential times jump factors.
+def stock_path(market: MarketModel, rows: PathEnsemble, s0: float, n_grid=DEFAULT_GRID_POINTS):
+    """Stock price of each row at its reporting grid: exact piecewise
+    exponential times jump factors.
 
-    Returns (t, S) arrays.
+    Returns (t, S) arrays, one row per path (see ``_report_grid``).
     """
     if s0 <= 0:
         raise ConfigError("initial price must be positive", field="s0")
     drift = [p.mu for p in market.regimes]
     jump_logs = [_log_jump(market.transform, 1.0)] * 2
-    times, log_level = _single_path_log_level(path, n_grid, drift, jump_logs)
-    return times, s0 * _checked_exp(log_level, times)
-
-
-def gross_wealth_path(market: MarketModel, pi, path: MarkedPointPath, n_grid=DEFAULT_GRID_POINTS):
-    """V^{1,pi,0} at the reporting grid for per-regime constant weights pi
-    (a scalar or a pair); exact between jumps.
-
-    Returns (t, V) arrays.
-    """
-    pi_pair = (pi, pi) if np.isscalar(pi) else pi
-    times, log_v = _single_path_log_level(path, n_grid, *_wealth_terms(market, pi_pair))
-    return times, _checked_exp(log_v, times)
+    grid = _report_grid(rows, n_grid)
+    times = grid[0]
+    return times, s0 * _checked_exp(_path_log_level(rows, grid, drift, jump_logs), times)
 
 
 def _deflated_wealth(x, consumption: ConsumptionRule, times):
@@ -304,7 +282,8 @@ def _deflated_wealth(x, consumption: ConsumptionRule, times):
 
 @dataclass(frozen=True)
 class WealthPath:
-    """Wealth trajectory and its consumption factorisation V = xi * V^{1,pi,0}."""
+    """Wealth trajectories and their consumption factorisation
+    V = xi * V^{1,pi,0}: one path per row of each array, or one path."""
 
     t: np.ndarray
     regime: np.ndarray
@@ -318,16 +297,25 @@ class WealthPath:
         rows = np.column_stack([self.t, self.regime, s, self.v_gross, self.xi, self.V])
         return header, rows
 
+    def row(self, k, cells):
+        """Path k of a block: the first ``cells`` cells of its row."""
+        return WealthPath(
+            *(a[k, :cells] for a in (self.t, self.regime, self.v_gross, self.xi, self.V))
+        )
+
 
 def wealth_path(
     x: float,
     market: MarketModel,
     pi,
     consumption: ConsumptionRule,
-    path: MarkedPointPath,
+    rows: PathEnsemble,
     n_grid=DEFAULT_GRID_POINTS,
 ) -> WealthPath:
-    """Wealth under (pi, c) via the factorisation V_t = xi_t * V_t^{1,pi,0}.
+    """Wealth under (pi, c) of each row at its reporting grid, via the
+    factorisation V_t = xi_t * V_t^{1,pi,0}; V^{1,pi,0} is exact between
+    jumps.  Row k's own cells are its first n_grid + 1 + counts[k] (see
+    ``_report_grid``).
 
     pi is a scalar or a per-regime pair.  Raises RuinError with the
     crossing time if consumption exhausts wealth strictly before the
@@ -335,9 +323,13 @@ def wealth_path(
     """
     if x <= 0:
         raise ConfigError("initial wealth must be positive", field="x")
-    times, v_gross = gross_wealth_path(market, pi, path, n_grid)
+    pi_pair = (pi, pi) if np.isscalar(pi) else pi
+    grid = _report_grid(rows, n_grid)
+    times, segment = grid
+    log_v = _path_log_level(rows, grid, *_wealth_terms(market, pi_pair))
+    v_gross = _checked_exp(log_v, times)
     xi = _deflated_wealth(x, consumption, times)
-    regime = path.state_at(times)
+    regime = (rows.initial_state + segment) % 2
     return WealthPath(t=times, regime=regime, v_gross=v_gross, xi=xi, V=xi * v_gross)
 
 
@@ -345,7 +337,8 @@ _CSV_ROW = "%.17g,%d,%.17g,%.17g,%.17g,%.17g\n"
 
 
 def export_path_csv(path_obj: WealthPath, stock, fh, comment_lines=()):
-    """Write columns t, regime, S, V1pi0, xi, V with 17-significant-digit formatting."""
+    """Write one path's columns t, regime, S, V1pi0, xi, V with
+    17-significant-digit formatting."""
     header, rows = path_obj.to_csv_rows(stock)
     for line in comment_lines:
         fh.write(f"# {line}\n")

@@ -2,14 +2,15 @@
 
 A two-state continuous-time Markov chain generates the event times; the
 mark of each event is drawn from the distribution attached to the
-pre-jump state.  ``simulate_ensemble`` is the one sampler: it keeps all
-paths of a sample in column-major rectangular arrays padded only to its
-longest path, so the verification layer can evaluate path functionals
-with vectorised sweeps over contiguous jump columns, and a single path
-is a row of it (``PathEnsemble.path``).  An ensemble draws each padding
-width in row blocks, the first being a probe of its first rows, gives a
-width up at its first unresolved block, and never touches the columns
-past its longest path.
+pre-jump state.  ``simulate_ensemble`` is the one sampler and
+``PathEnsemble`` the one path type: it keeps all paths of a sample in
+column-major rectangular arrays padded only to its longest path, so the
+verification layer can evaluate path functionals with vectorised sweeps
+over contiguous jump columns, and a path is a row of it (a block of
+rows is ``PathEnsemble.rows``).  An ensemble draws each padding width
+in row blocks, the first being a probe of its first rows, gives a width
+up at its first unresolved block, and never touches the columns past
+its longest path.
 
 Random-number contract: an ensemble takes an integer seed and is
 bit-reproducible.  The seed is split with ``numpy.random.SeedSequence``
@@ -62,43 +63,6 @@ class GeneratorMatrix:
         return 0.5 * (self.lambda0 + self.lambda1)
 
 
-@dataclass(frozen=True)
-class MarkedPointPath:
-    """One realised path on [0, T]: initial state, sorted jump times and
-    the mark realised at each jump."""
-
-    initial_state: int
-    jump_times: np.ndarray
-    marks: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        times = np.asarray(self.jump_times, dtype=float)
-        marks = np.asarray(self.marks, dtype=float)
-        object.__setattr__(self, "jump_times", times)
-        object.__setattr__(self, "marks", marks)
-        if self.initial_state not in (0, 1):
-            raise ConfigError("initial_state must be 0 or 1")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
-        if times.size:
-            if times[0] <= 0 or times[-1] > self.horizon:
-                raise ConfigError("jump times must lie in (0, T]")
-            if np.any(np.diff(times) <= 0):
-                raise ConfigError("jump times must be strictly increasing")
-        if marks.size != times.size:
-            raise ConfigError("need exactly one mark per jump time")
-
-    @property
-    def n_jumps(self):
-        return int(self.jump_times.size)
-
-    def state_at(self, t):
-        """Right-continuous state at time t (scalar or array)."""
-        n_before = np.searchsorted(self.jump_times, t, side="right")
-        return (self.initial_state + n_before) % 2
-
-
 @dataclass
 class PathEnsemble:
     """N marked point paths in padded rectangular arrays.
@@ -126,27 +90,17 @@ class PathEnsemble:
         """Pre-jump state of jump column j (= regime on segment j)."""
         return (self.initial_state + j) % 2
 
-    def head(self, n) -> "PathEnsemble":
-        """The first n paths, padded to the longest of them."""
-        counts = self.counts[:n]
+    def rows(self, lo, hi) -> "PathEnsemble":
+        """Paths lo .. hi - 1, padded to the longest of them."""
+        counts = self.counts[lo:hi]
         width = int(counts.max())
         return PathEnsemble(
             initial_state=self.initial_state,
             horizon=self.horizon,
-            times=self.times[:n, :width],
-            marks=self.marks[:n, :width],
+            times=self.times[lo:hi, :width],
+            marks=self.marks[lo:hi, :width],
             counts=counts,
             seed=self.seed,
-        )
-
-    def path(self, p) -> MarkedPointPath:
-        """Extract path p as a MarkedPointPath."""
-        c = int(self.counts[p])
-        return MarkedPointPath(
-            initial_state=self.initial_state,
-            jump_times=self.times[p, :c].copy(),
-            marks=self.marks[p, :c].copy(),
-            horizon=self.horizon,
         )
 
 

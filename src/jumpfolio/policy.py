@@ -71,9 +71,6 @@ class Utility:
     def is_log(self):
         return self.gamma == 0.0
 
-    def terminal(self, v):
-        return np.log(v) if self.is_log else np.power(v, self.gamma) / self.gamma
-
 
 @dataclass(frozen=True)
 class RegimeOptimum:
@@ -93,9 +90,6 @@ class Policy:
     cases: tuple
     gamma: float
     consumption: ConsumptionRule
-
-    def weight(self, t, regime):
-        return self.pi[regime]
 
 
 def feasible_weight_interval(params: RegimeMarketParams):
@@ -285,6 +279,20 @@ def verify_conjugacy(margin: MarginModel, K: ConstraintSet, pi_hat, zeta_hat) ->
     return abs(margin.g(pi_hat) - pi_hat * zeta_hat - conjugate_gk(margin, K, zeta_c))
 
 
+def conjugacy_tolerance(params: RegimeMarketParams, pi, zeta) -> float:
+    """The bound a conjugacy residual at (pi, zeta = r - h(pi)) must meet.
+
+    Scale-aware: the difference of two O(|pi*zeta|) terms cannot beat
+    absolute 1e-9 once the weight is astronomically large; and the
+    residual carries |pi| times the rounding of zeta = r - (mu + lam*int),
+    sized from the magnitudes of those terms, which is all of it when the
+    optimal zeta is 0.
+    """
+    h = params.r - zeta
+    zeta_rounding = 2.0 * EPS * (abs(params.r) + abs(params.mu) + abs(h - params.mu))
+    return 1e-9 * max(1.0, abs(pi * zeta)) + abs(pi) * zeta_rounding
+
+
 def optimal_portfolio(params: RegimeMarketParams, K: ConstraintSet, gamma: float) -> RegimeOptimum:
     """Optimal weight for a concave piecewise-linear margin over interval K.
 
@@ -341,19 +349,12 @@ def optimal_portfolio(params: RegimeMarketParams, K: ConstraintSet, gamma: float
 
 
 def _package_optimum(params, K, gamma, pi, case):
-    h = h_value(params, gamma, pi)
-    zeta = params.r - h
+    zeta = params.r - h_value(params, gamma, pi)
     try:
         residual = verify_conjugacy(params.margin, K, pi, zeta)
     except DomainError as exc:  # a root hugging an open end can miss the band
         raise InfeasiblePolicyError(f"candidate pi = {pi:.9g} fails conjugacy: {exc}") from exc
-    # scale-aware: the difference of two O(|pi*zeta|) terms cannot beat
-    # absolute 1e-9 once the weight is astronomically large; and the
-    # residual carries |pi| times the rounding of zeta = r - (mu + lam*int),
-    # sized from the magnitudes of those terms, which is all of it when the
-    # optimal zeta is 0
-    zeta_rounding = 2.0 * EPS * (abs(params.r) + abs(params.mu) + abs(h - params.mu))
-    if residual > 1e-9 * max(1.0, abs(pi * zeta)) + abs(pi) * zeta_rounding:
+    if residual > conjugacy_tolerance(params, pi, zeta):
         raise InfeasiblePolicyError(
             f"candidate pi = {pi:.9g} fails conjugacy with residual {residual:.3e}"
         )

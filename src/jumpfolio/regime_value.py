@@ -19,6 +19,7 @@ from .frictions import effective_domain
 from .market import MarketModel, _log_jump, _wealth_terms
 from .policy import (
     Policy,
+    conjugacy_tolerance,
     feasible_weight_interval,
     log_optimal_policy,
     verify_conjugacy,
@@ -29,19 +30,15 @@ from .policy import (
 class RegimeValueInputs:
     """Per-regime log growth rates and chain mixing data for the value formulas."""
 
-    lambda_bar: float  # (lambda0 + lambda1) / 2
     lambda0: float
     lambda1: float
     d_bar: tuple  # per-regime mean log-wealth growth rate
-    eta_bar: tuple  # per-regime E[ln(1 + pi (e^Y - 1))]
-    pi_bar: tuple
-    zeta_bar: tuple
     horizon: float
     initial_wealth: float
 
     def __post_init__(self):
-        if self.lambda_bar <= 0:
-            raise ConfigError("degenerate generator: lambda_bar must be positive")
+        if self.lambda0 + self.lambda1 <= 0:
+            raise ConfigError("degenerate generator: lambda0 + lambda1 must be positive")
         if self.horizon <= 0 or self.initial_wealth <= 0:
             raise ConfigError("horizon and wealth must be positive")
 
@@ -50,7 +47,7 @@ def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None
     """Assemble value-formula inputs, checking the three optimality conditions.
 
     Condition (i): eta finite; (ii): zeta in the conjugate domain;
-    (iii): conjugacy holds with residual <= 1e-9.
+    (iii): conjugacy holds within ``policy.conjugacy_tolerance``.
     """
     if market.transform != "exponential":
         raise ConfigError("regime value formulas assume the exponential jump transform")
@@ -58,9 +55,7 @@ def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None
         policy = log_optimal_policy(market, x, T)
     K = market.constraint
     drift, _ = _wealth_terms(market, policy.pi)
-    eta = []
     d = []
-    zeta = []
     for i, params in enumerate(market.regimes):
         pi = policy.pi[i]
         lo, hi, lo_closed, hi_closed = feasible_weight_interval(params)
@@ -81,24 +76,17 @@ def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None
                 f"regime {i}: zeta = {zeta_i:.6g} outside domain [{dom[0]:.6g}, {dom[1]:.6g}]"
             )
         residual = verify_conjugacy(params.margin, K, pi, zeta_i)
-        if residual > 1e-9:
+        bound = conjugacy_tolerance(params, pi, zeta_i)
+        if residual > bound:
             raise InfeasiblePolicyError(
-                f"regime {i}: conjugacy residual {residual:.3e} exceeds 1e-9"
+                f"regime {i}: conjugacy residual {residual:.3e} exceeds {bound:.3e}"
             )
         # mean log-growth rate of the gross wealth in regime i
-        d_i = drift[i] + params.lam * eta_i
-        eta.append(eta_i)
-        d.append(d_i)
-        zeta.append(zeta_i)
-    gen = market.gen
+        d.append(drift[i] + params.lam * eta_i)
     return RegimeValueInputs(
-        lambda_bar=gen.lambda_bar,
-        lambda0=gen.lambda0,
-        lambda1=gen.lambda1,
+        lambda0=market.gen.lambda0,
+        lambda1=market.gen.lambda1,
         d_bar=tuple(d),
-        eta_bar=tuple(eta),
-        pi_bar=tuple(policy.pi),
-        zeta_bar=tuple(zeta),
         horizon=T,
         initial_wealth=x,
     )

@@ -5,14 +5,14 @@ log-drift plus a per-jump log factor.  On a path ensemble, gross wealth,
 the state-price process and every mixed integral of the two are
 accumulated column by column over the padded arrays
 (``ensemble_functionals``); at reporting-grid times the market layer's
-engine evaluates the same description on a block of ensemble rows, so
-``simulate_state_price`` only supplies the state-price drift and jump
-logs.  Portfolio weights are per-regime constants.
+engine evaluates the same description on a block of ensemble rows, given
+the state-price drift and jump logs of ``StatePriceSpec``.  Portfolio
+weights are per-regime constants.
 
 Every check is a function of the sample it is given: the Monte Carlo
 checks take a ``PathEnsemble`` (horizon, start regime and seed included)
-and the pathwise identities the rows to check (``PathEnsemble.head``),
-whose log levels they compare in one engine call per level.  A caller
+and the pathwise identity the rows to check (``PathEnsemble.rows``),
+whose log levels it compares in one engine call per level.  A caller
 draws a sample once and passes it to every check (common random
 numbers); only the grid search draws its own ensemble.
 The grid search does not sweep per weight: with the mark integrals done
@@ -35,15 +35,12 @@ from .frictions import ConstraintSet, conjugate_gk, effective_domain
 from .market import (
     ConsumptionRule,
     MarketModel,
-    _checked_exp,
-    _deflated_wealth,
     _log_jump,
     _path_log_level,
     _report_grid,
-    _single_path_log_level,
     _wealth_terms,
 )
-from .mpp import MarkedPointPath, PathEnsemble, simulate_ensemble
+from .mpp import PathEnsemble, simulate_ensemble
 from .policy import Policy, Utility, feasible_weight_interval, log_optimal_policy
 
 
@@ -200,12 +197,6 @@ def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> S
     return StatePriceSpec(
         phi=tuple(phis), zeta=tuple(zetas), compensator=tuple(comps), gk=tuple(gks)
     )
-
-
-def simulate_state_price(spec: StatePriceSpec, market: MarketModel, path: MarkedPointPath, n_grid=256):
-    """H_t on the reporting grid, exact between jumps.  Returns (t, H)."""
-    times, log_h = _single_path_log_level(path, n_grid, spec.drift(market), spec.jump_logs())
-    return times, _checked_exp(log_h, times)
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +504,3 @@ def grid_search_constant_portfolio(
     rows = [(float(p), float(j), float(s)) for p, j, s in zip(grid, J, stderr)]
     return float(grid[np.nanargmax(J)]), rows
 
-
-def wealth_identity_check(market, x, ens: PathEnsemble) -> float:
-    """Max relative deviation of V^{x,pi_hat,c_hat} = xi V^{1,pi_hat,0} from
-    V^{x,pi_hat,0} (1 - t/(T+1)) over the rows of ens and their reporting
-    grids, compared in log space."""
-    T = ens.horizon
-    policy = log_optimal_policy(market, x, T)
-    grid = _report_grid(ens)
-    t = grid[0]
-    log_gross = _path_log_level(ens, grid, *_wealth_terms(market, policy.pi))
-    log_v = np.log(_deflated_wealth(x, policy.consumption, t)) + log_gross
-    log_ref = math.log(x) + np.log1p(-t / (T + 1.0)) + log_gross
-    return float(np.max(np.abs(np.expm1(log_v - log_ref))))

