@@ -32,8 +32,8 @@ class ConstraintSet:
         if self.lower > self.upper:
             raise ConfigError("constraint interval is empty")
 
-    def contains(self, pi, tol=0.0):
-        return self.lower - tol <= pi <= self.upper + tol
+    def contains(self, pi):
+        return self.lower <= pi <= self.upper
 
 
 NO_SHORTING = ConstraintSet(0.0, math.inf)

@@ -7,31 +7,29 @@ pre-jump state.  ``simulate_ensemble`` is the one sampler and
 column-major rectangular arrays padded only to its longest path, so the
 verification layer can evaluate path functionals with vectorised sweeps
 over contiguous jump columns, and a path is a row of it (a block of
-rows is ``PathEnsemble.rows``).  An ensemble draws each padding width
-in row blocks, the first being a probe of its first rows, gives a width
-up at its first unresolved block, and never touches the columns past
-its longest path.
+rows is ``PathEnsemble.rows``).  The chain alternates, so jump column j
+of every path has the rate of state (i0 + j) % 2: an ensemble is drawn
+in one forward pass, column by column, until no path is left inside the
+horizon.
 
 Random-number contract: an ensemble takes an integer seed and is
 bit-reproducible.  The seed is split with ``numpy.random.SeedSequence``
 into one chain stream and one mark stream, so chain and mark draws
-never interleave; path k of an ensemble therefore depends on its path
-count as well as on the seed.
+never interleave.  Each stream is drawn one column of all paths at a
+time, so path k of an ensemble depends on its path count as well as on
+the seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
-# leading ensemble rows drawn to probe a padding width (an ensemble's
-# first row block), cells in each later row block, and the widest
-# padding an ensemble may take
-_PROBE_ROWS = 64
-_BLOCK_CELLS = 1 << 18
+# the most jump columns an ensemble may take
 _MAX_WIDTH = 1 << 20
 
 
@@ -57,10 +55,14 @@ class GeneratorMatrix:
     def rates(self):
         return np.array([self.lambda0, self.lambda1])
 
-    @property
-    def lambda_bar(self):
-        # half the total switching rate; the chain mixes at rate 2*lambda_bar
-        return 0.5 * (self.lambda0 + self.lambda1)
+    def mean_jump_count(self, i0, T) -> float:
+        """E[N_T | initial state i0]: the chain's mean event count on [0, T]."""
+        total = self.lambda0 + self.lambda1
+        if total == 0.0:
+            return 0.0
+        lam_stat = 2.0 * self.lambda0 * self.lambda1 / total
+        lam_start = (self.lambda0, self.lambda1)[i0]
+        return lam_stat * T + (lam_start - lam_stat) * (1.0 - math.exp(-total * T)) / total
 
 
 @dataclass
@@ -72,7 +74,8 @@ class PathEnsemble:
     the number of jumps; there are ``counts.max()`` columns.  Both arrays
     are column-major (Fortran order), so each jump column is contiguous.
     The pre-jump state of column j is ``(initial_state + j) % 2`` for
-    every path, because the two-state chain alternates deterministically.
+    every path, because the two-state chain alternates deterministically;
+    ``simulate_ensemble`` draws the arrays one jump column at a time.
     """
 
     initial_state: int
@@ -104,49 +107,11 @@ class PathEnsemble:
         )
 
 
-def _draw_jump_times(rng, col_rates, out):
-    """Fill the rows of out with cumulative holding times, column j at
-    rate col_rates[j], continuing rng's stream row by row."""
-    rng.standard_exponential(out=out)
-    with np.errstate(divide="ignore"):
-        out *= np.where(col_rates > 0, 1.0 / col_rates, np.inf)
-    out[:, col_rates == 0] = np.inf
-    np.cumsum(out, axis=1, out=out)
-
-
-def _resolved(times, T):
-    """Whether every row's last column lies past T (or never comes)."""
-    last = times[:, -1]
-    return bool(np.all(last > T) or np.all(np.isinf(last)))
-
-
-def _draw_width(chain_ss, col_rates, T, n_paths):
-    """Jump times (column-major) and counts of n_paths chains padded to
-    len(col_rates) columns, or None if some chain jumps in every column.
-
-    A fresh chain stream fills the holding-time matrix row by row, in
-    blocks: the first ``_PROBE_ROWS`` rows, then about ``_BLOCK_CELLS``
-    cells each, giving the width up at the first unresolved block.  A
-    block writes only the columns of its own longest path; the caller
-    pads the cells past each path's last jump.
-    """
-    rng = np.random.default_rng(chain_ss)
-    width = col_rates.size
-    block_rows = max(1, _BLOCK_CELLS // width)
-    times = np.empty((n_paths, width), order="F")
-    counts = np.empty(n_paths, dtype=int)
-    block = np.empty((min(n_paths, max(_PROBE_ROWS, block_rows)), width))
-    lo, hi = 0, min(n_paths, _PROBE_ROWS)
-    while lo < n_paths:
-        rows = block[: hi - lo]
-        _draw_jump_times(rng, col_rates, rows)
-        if not _resolved(rows, T):
-            return None
-        counts[lo:hi] = (rows <= T).sum(axis=1)
-        longest = counts[lo:hi].max()
-        times[lo:hi, :longest] = rows[:, :longest]
-        lo, hi = hi, min(n_paths, hi + block_rows)
-    return times, counts
+def _too_wide(gen, T):
+    return ConfigError(
+        f"ensemble needs more than {_MAX_WIDTH} jump columns at chain "
+        f"rates ({gen.lambda0:g}, {gen.lambda1:g}) over horizon T={T:g}"
+    )
 
 
 def simulate_ensemble(
@@ -154,50 +119,63 @@ def simulate_ensemble(
 ) -> PathEnsemble:
     """Simulate n_paths marked point paths into padded arrays.
 
-    Column j of the holding-time matrix is Exponential with the rate of
-    the alternating state (i0 + j) % 2.  The padding width doubles until
-    every path is fully resolved inside [0, T]; the arrays then keep only
-    the columns of the longest path.  Each width restarts the chain
-    stream and draws it in row blocks, the probe of the first
-    ``_PROBE_ROWS`` rows being the first (see ``_draw_width``); as the
-    stream fills the matrix row by row, the accepted width and every
-    sample are the ones drawing every width in full gives.  Columns past
-    the longest path are never touched, and are cut off in place.
+    One forward pass over jump columns: column j adds n_paths
+    exponential holding times at the rate of the alternating state
+    (i0 + j) % 2 to the running jump times, and stores them, with +inf
+    where a path has left [0, T].  The pass stops at the first column
+    with no path left inside, so the times keep exactly the columns of
+    the longest path: they are sized once from the chain's mean jump
+    count, widened only if a path outgrows that, and cut off in place;
+    no column past the last one drawn is ever written.  The marks are
+    then drawn column by column from the mark stream, 0 past each
+    path's last jump.
     """
     if T <= 0:
         raise ConfigError("horizon T must be positive")
     if n_paths < 1:
         raise ConfigError(f"an ensemble needs at least one path, got {n_paths}")
-    root = seed_sequence(seed)
-    chain_ss, mark_ss = root.spawn(2)
+    mean = gen.mean_jump_count(i0, T)
+    if mean > _MAX_WIDTH:
+        raise _too_wide(gen, T)
+    chain_ss, mark_ss = seed_sequence(seed).spawn(2)
+    chain_rng = np.random.default_rng(chain_ss)
 
-    width = 16
+    # N_T seldom strays more than a few sqrt(mean) past its mean
+    capacity = min(_MAX_WIDTH, int(mean + 8.0 * math.sqrt(mean)) + 16)
+    times = np.empty((n_paths, capacity), order="F")
+    counts = np.zeros(n_paths, dtype=int)
+    t = np.zeros(n_paths)
+    step = np.empty(n_paths)
+    rates = gen.rates
+    width = 0
     while True:
-        col_rates = gen.rates[(i0 + np.arange(width)) % 2]
-        drawn = _draw_width(chain_ss, col_rates, T, n_paths)
-        if drawn is not None:
+        rate = rates[(i0 + width) % 2]
+        if rate == 0.0:  # an absorbing state: no path jumps again
             break
-        width *= 2
-        if width > _MAX_WIDTH:
-            raise ConfigError(
-                f"ensemble needs more than {_MAX_WIDTH} jump columns at chain "
-                f"rates ({gen.lambda0:g}, {gen.lambda1:g}) over horizon T={T:g}"
-            )
-    times, counts = drawn
+        chain_rng.standard_exponential(out=step)
+        step /= rate
+        t += step
+        live = t <= T
+        if not live.any():
+            break
+        if width == capacity:
+            if capacity == _MAX_WIDTH:
+                raise _too_wide(gen, T)
+            capacity = min(_MAX_WIDTH, 2 * capacity)
+            wider = np.empty((n_paths, capacity), order="F")
+            wider[:, :width] = times
+            times = wider
+        times[:, width] = np.where(live, t, np.inf)
+        counts += live
+        width += 1
     # a Fortran-ordered resize keeps the leading columns; no view of
     # times is alive here
-    width = int(counts.max())
     times.resize((n_paths, width), refcheck=False)
 
-    # marks are drawn column by column; a path's jumps are the leading
-    # columns of its row, so column j is padding where counts <= j
     mark_rng = np.random.default_rng(mark_ss)
     marks = np.empty_like(times)
     for j in range(width):
-        pad = counts <= j
-        times[pad, j] = np.inf
-        col = dists[(i0 + j) % 2].sample(n_paths, mark_rng)
-        marks[:, j] = np.where(pad, 0.0, col)
+        marks[:, j] = np.where(counts > j, dists[(i0 + j) % 2].sample(n_paths, mark_rng), 0.0)
 
     return PathEnsemble(
         initial_state=i0,

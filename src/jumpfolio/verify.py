@@ -310,17 +310,6 @@ def dual_functional_log(market, K, phi_policy: Policy, x, ens: PathEnsemble) -> 
     return _estimate(vals, ens.seed)
 
 
-def expected_jump_count(market, i0, T) -> float:
-    """E[N_T | initial state i0]: the chain's mean event count on [0, T]."""
-    lam0, lam1 = market.gen.lambda0, market.gen.lambda1
-    total = lam0 + lam1
-    if total == 0.0:
-        return 0.0
-    lam_stat = 2.0 * lam0 * lam1 / total
-    lam_start = (lam0, lam1)[i0]
-    return lam_stat * T + (lam_start - lam_stat) * (1.0 - math.exp(-total * T)) / total
-
-
 # cells per block of the power grid search (weights x paths): a block of
 # samples and its fitted values take about 8 MB whatever the path count,
 # less than the ensemble freed before them at 1e5 paths, so the peak holds
@@ -446,8 +435,8 @@ def grid_search_constant_portfolio(
 
     The estimator is conditional Monte Carlo: given each simulated jump
     skeleton the mark integrals are done by quadrature, and the residual
-    skeleton noise is absorbed by a jump-count control variate (its mean
-    is known from the chain alone).  Both reductions are unbiased and
+    skeleton noise is absorbed by a jump-count control variate (its mean,
+    ``GeneratorMatrix.mean_jump_count``, is known from the chain alone).  Both reductions are unbiased and
     shared across the grid, so the empirical argmax localises the true
     maximiser to about one grid step at moderate path counts.
 
@@ -490,7 +479,7 @@ def grid_search_constant_portfolio(
     stats = _skeleton_statistics(ens, utility.is_log)
     counts = ens.counts.astype(float)
     del ens
-    excess = counts.mean() - expected_jump_count(market, i0, T)
+    excess = counts.mean() - market.gen.mean_jump_count(i0, T)
 
     J = np.full(grid.size, math.nan)
     stderr = np.full(grid.size, math.nan)

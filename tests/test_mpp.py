@@ -1,4 +1,6 @@
 import inspect
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,78 +21,46 @@ from jumpfolio.mpp import (
 DISTS = (ExponentialPositive(10.0), ExponentialNegative(10.0))
 
 
-def scalar_jump_times(gen, i0, T, n_paths, seed):
-    """Oracle: the ensemble's jump times, one scalar exponential per jump.
+def scalar_column_loop(gen, i0, T, dists, n_paths, seed):
+    """Oracle: the ensemble's jumps and marks, one scalar draw per cell.
 
-    The chain stream fills the holding-time matrix row by row, so at a
-    padding width w row p holds variates p*w .. p*w + w - 1; a width is
-    kept once every row's last column lies past T (or never comes).
+    Column j takes one holding time per path from the chain stream, at
+    the rate of state (i0 + j) % 2 (a zero rate never ends), then one
+    mark per path from the mark stream; it stops at the first column
+    with no path inside [0, T].
     """
-    chain_ss = seed_sequence(seed).spawn(2)[0]
-    width = 16
-    while True:
-        rng = np.random.default_rng(chain_ss)
-        rows, resolved = [], True
-        for _ in range(n_paths):
-            t, times = 0.0, []
-            for j in range(width):
-                rate = gen.rates[(i0 + j) % 2]
-                e = rng.standard_exponential()
-                t += e * (1.0 / rate) if rate > 0 else np.inf
-                times.append(t)
-            resolved &= times[-1] > T
-            rows.append([u for u in times if u <= T])
-        if resolved:
-            return rows
-        width *= 2
-
-
-def reference_ensemble(gen, i0, T, dists, n_paths, seed):
-    """Oracle: every candidate width drawn on all rows."""
-    root = seed_sequence(seed)
-    chain_ss, mark_ss = root.spawn(2)
-    rates = gen.rates
-
-    width = 16
-    while True:
-        rng = np.random.default_rng(chain_ss)
-        col_rates = rates[(i0 + np.arange(width)) % 2]
-        with np.errstate(divide="ignore"):
-            scales = np.where(col_rates > 0, 1.0 / col_rates, np.inf)
-        hold = rng.exponential(size=(n_paths, width))
-        hold *= scales
-        hold[:, col_rates == 0] = np.inf
-        times = np.cumsum(hold, axis=1)
-        del hold
-        if np.all(times[:, -1] > T) or np.all(np.isinf(times[:, -1])):
-            break
-        width *= 2
-        if width > 1 << 20:
-            raise RuntimeError("ensemble jump count exploded; check chain rates")
-
-    in_horizon = times <= T
-    counts = in_horizon.sum(axis=1)
-    width = int(counts.max())
-    in_horizon = in_horizon[:, :width]
-    times = np.where(in_horizon, times[:, :width], np.inf)
-
+    chain_ss, mark_ss = seed_sequence(seed).spawn(2)
+    chain_rng = np.random.default_rng(chain_ss)
     mark_rng = np.random.default_rng(mark_ss)
-    marks = np.zeros_like(times)
-    for j in range(width):
+    t = [0.0] * n_paths
+    times = [[] for _ in range(n_paths)]
+    marks = [[] for _ in range(n_paths)]
+    for j in itertools.count():
         state = (i0 + j) % 2
-        col = dists[state].sample(n_paths, mark_rng)
-        marks[:, j] = np.where(in_horizon[:, j], col, 0.0)
-
-    return PathEnsemble(
-        initial_state=i0, horizon=T, times=times, marks=marks, counts=counts, seed=seed
-    )
+        rate = gen.rates[state]
+        for p in range(n_paths):
+            e = chain_rng.standard_exponential()
+            t[p] += e / rate if rate > 0 else math.inf
+        if all(u > T for u in t):
+            return times, marks
+        for p in range(n_paths):
+            mark = dists[state].sample(1, mark_rng)[0]
+            if t[p] <= T:
+                times[p].append(t[p])
+                marks[p].append(mark)
 
 
 class TestGeneratorMatrix:
-    def test_rates_and_lambda_bar(self):
+    def test_rates_and_mean_jump_count(self):
         gen = GeneratorMatrix(0.7, 1.3)
         assert np.array_equal(gen.rates, [0.7, 1.3])
-        assert gen.lambda_bar == pytest.approx(1.0)
+        assert GeneratorMatrix(1.5, 1.5).mean_jump_count(1, 2.0) == pytest.approx(3.0)
+        # one jump at most, into the absorbing state
+        assert GeneratorMatrix(0.0, 3.0).mean_jump_count(1, 2.0) == pytest.approx(
+            1.0 - math.exp(-6.0)
+        )
+        assert GeneratorMatrix(0.0, 3.0).mean_jump_count(0, 2.0) == 0.0
+        assert GeneratorMatrix(0.0, 0.0).mean_jump_count(0, 2.0) == 0.0
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError):
@@ -146,9 +116,13 @@ class TestChainSimulation:
     def test_matches_scalar_loop(self, rates, T, i0):
         gen = GeneratorMatrix(*rates)
         ens = simulate_ensemble(gen, i0, T, DISTS, 8, 2718)
-        ref = scalar_jump_times(gen, i0, T, 8, 2718)
-        for p in range(8):
-            assert np.array_equal(ens.rows(p, p + 1).times[0], ref[p])
+        times, marks = scalar_column_loop(gen, i0, T, DISTS, 8, 2718)
+        assert ens.counts.tolist() == [len(row) for row in times]
+        assert ens.times.shape == ens.marks.shape == (8, ens.counts.max())
+        for p, c in enumerate(ens.counts):
+            assert np.array_equal(ens.times[p, :c], times[p])
+            assert np.array_equal(ens.marks[p, :c], marks[p])
+            assert np.all(np.isinf(ens.times[p, c:])) and np.all(ens.marks[p, c:] == 0.0)
         if 0.0 not in rates:
             assert ens.counts.max() > 256  # rows of several hundred jumps
         else:
@@ -235,6 +209,25 @@ class TestEnsemble:
         ens = simulate_ensemble(gen, 0, 5.0, DISTS, 100, 1)
         assert np.all(ens.counts == 0)
 
+    def test_widening_changes_nothing(self, monkeypatch):
+        """Arrays sized too small for the longest path grow without
+        changing a cell."""
+        gen = GeneratorMatrix(30.0, 60.0)
+        ref = simulate_ensemble(gen, 1, 4.0, DISTS, 300, 13)
+        monkeypatch.setattr(GeneratorMatrix, "mean_jump_count", lambda self, i0, T: 0.0)
+        got = simulate_ensemble(gen, 1, 4.0, DISTS, 300, 13)
+        assert ref.times.shape[1] > 64  # sized for 16 columns, widened twice at least
+        assert np.array_equal(got.times, ref.times)
+        assert np.array_equal(got.marks, ref.marks)
+        assert np.array_equal(got.counts, ref.counts)
+        assert got.times.flags.f_contiguous and got.marks.flags.f_contiguous
+
+    def test_column_cap_reached_in_the_pass(self, monkeypatch):
+        monkeypatch.setattr(GeneratorMatrix, "mean_jump_count", lambda self, i0, T: 0.0)
+        monkeypatch.setattr(mpp, "_MAX_WIDTH", 64)
+        with pytest.raises(ConfigError, match="more than 64 jump columns"):
+            simulate_ensemble(GeneratorMatrix(50.0, 50.0), 0, 10.0, DISTS, 10, 3)
+
     def test_width_is_longest_path(self):
         gen = GeneratorMatrix(1.5, 0.5)
         ens = simulate_ensemble(gen, 0, 3.0, DISTS, 500, 21)
@@ -247,79 +240,23 @@ class TestEnsemble:
 
 
 class TestEnsembleParity:
-    @pytest.mark.parametrize(
-        "rates, i0, T, n_paths, seed",
-        [
-            ((50.0, 50.0), 0, 10.0, 2000, 20260823),
-            ((0.0, 2.0), 1, 5.0, 300, 4),  # jumps once into the absorbing state
-            ((0.0, 2.0), 0, 5.0, 300, 4),  # never leaves it
-            ((1.5, 0.5), 1, 3.0, 500, 21),
-            ((1.0, 1.0), 0, 5.0, 40, 8),  # fewer paths than probe rows
-            ((50.0, 50.0), 0, 10.0, 10_000, 20260823),  # width 1024: 256-row blocks
-            ((2.0, 1.0), 0, 3.0, 50_001, 6),  # width 16: a short last block
-            ((30.0, 60.0), 1, 4.0, 3001, 13),  # from state 1, width 256
-        ],
-    )
-    def test_matches_doubling_loop(self, rates, i0, T, n_paths, seed):
-        gen = GeneratorMatrix(*rates)
-        got = simulate_ensemble(gen, i0, T, DISTS, n_paths, seed)
-        ref = reference_ensemble(gen, i0, T, DISTS, n_paths, seed)
-        assert np.array_equal(got.times, ref.times)
-        assert np.array_equal(got.marks, ref.marks)
-        assert np.array_equal(got.counts, ref.counts)
+    """The ensemble's jump counts against the chain's exact law."""
 
-    def test_probe_resolves_where_full_draw_does_not(self):
-        gen = GeneratorMatrix(1.0, 1.0)
-        got = simulate_ensemble(gen, 0, 5.0, DISTS, 40_000, 17)
-        # width 16 holds every probe row but not every path
-        assert got.counts[: mpp._PROBE_ROWS].max() < 16 <= got.counts.max()
-        ref = reference_ensemble(gen, 0, 5.0, DISTS, 40_000, 17)
-        assert np.array_equal(got.times, ref.times)
-        assert np.array_equal(got.marks, ref.marks)
-        assert np.array_equal(got.counts, ref.counts)
+    def test_jump_count_law_single_regime(self):
+        """With equal rates N_T is Poisson(lam * T): mean and variance lam * T."""
+        gen, T, n = GeneratorMatrix(2.0, 2.0), 4.0, 20_000
+        counts = simulate_ensemble(gen, 0, T, DISTS, n, 31).counts
+        lam_t = 8.0
+        # a Poisson sample variance has variance (lam_t + 2 lam_t^2) / n
+        assert abs(counts.mean() - lam_t) < 3 * math.sqrt(lam_t / n)
+        assert abs(counts.var(ddof=1) - lam_t) < 3 * math.sqrt((lam_t + 2 * lam_t**2) / n)
 
-    def test_rejected_widths_drawn_on_probe_rows_only(self, monkeypatch):
-        n_paths, seed = 2000, 20260823
-        chain_ss = np.random.SeedSequence(seed).spawn(2)[0]
-        drawn = []
-        real_default_rng = np.random.default_rng
-
-        class CountingRng:
-            def __init__(self, rng):
-                self._rng = rng
-
-            def __getattr__(self, name):
-                method = getattr(self._rng, name)
-
-                def draw(*args, **kwargs):
-                    result = method(*args, **kwargs)
-                    drawn.append(np.size(result))
-                    return result
-
-                return draw if "exponential" in name else method
-
-        def spy(seed_arg=None):
-            rng = real_default_rng(seed_arg)
-            chain = (
-                isinstance(seed_arg, np.random.SeedSequence)
-                and seed_arg.entropy == chain_ss.entropy
-                and seed_arg.spawn_key == chain_ss.spawn_key
-            )
-            return CountingRng(rng) if chain else rng
-
-        monkeypatch.setattr(np.random, "default_rng", spy)
-        simulate_ensemble(GeneratorMatrix(50.0, 50.0), 0, 10.0, DISTS, n_paths, seed)
-        monkeypatch.undo()
-
-        ref = reference_ensemble(GeneratorMatrix(50.0, 50.0), 0, 10.0, DISTS, n_paths, seed)
-        w_final = 16
-        while w_final < ref.counts.max() + 1:
-            w_final *= 2
-        rejected = sum(16 << k for k in range((w_final // 16).bit_length() - 1))
-        assert w_final == 1024
-        assert sum(drawn) <= n_paths * w_final + mpp._PROBE_ROWS * rejected
-        # the doubling loop draws every width on every row
-        assert sum(drawn) < n_paths * (w_final + rejected)
+    @pytest.mark.parametrize("i0", [0, 1])
+    def test_mean_jump_count_two_regimes(self, i0):
+        gen, T = GeneratorMatrix(2.0, 0.5), 3.0
+        counts = simulate_ensemble(gen, i0, T, DISTS, 20_000, 37).counts
+        stderr = counts.std(ddof=1) / math.sqrt(counts.size)
+        assert abs(counts.mean() - gen.mean_jump_count(i0, T)) < 3 * stderr
 
     def test_width_cap_is_a_config_error(self):
         gen = GeneratorMatrix(2e6, 2e6)

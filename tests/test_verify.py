@@ -28,7 +28,6 @@ from jumpfolio.verify import (
     budget_check,
     dual_functional_log,
     ensemble_functionals,
-    expected_jump_count,
     grid_search_constant_portfolio,
     martingale_factor_check,
     mc_expected_utility,
@@ -443,7 +442,7 @@ class TestBatchedIdentities:
 class TestGridSearch:
     def test_expected_jump_count(self):
         mkt = make_market(lam=1.0)
-        assert expected_jump_count(mkt, 0, 2.0) == pytest.approx(2.0)
+        assert mkt.gen.mean_jump_count(0, 2.0) == pytest.approx(2.0)
         dist = ExponentialPositive(10.0)
         p0 = RegimeMarketParams(r=0.0, mu=0.0, lam=2.0, dist=dist)
         p1 = RegimeMarketParams(r=0.0, mu=0.0, lam=0.5, dist=dist)
@@ -451,7 +450,7 @@ class TestGridSearch:
         ens = simulate_ensemble(mkt2.gen, 0, 3.0, mkt2.dists, 40_000, 19)
         mc = ens.counts.mean()
         stderr = ens.counts.std(ddof=1) / math.sqrt(ens.n_paths)
-        assert abs(expected_jump_count(mkt2, 0, 3.0) - mc) < 4 * stderr
+        assert abs(mkt2.gen.mean_jump_count(0, 3.0) - mc) < 4 * stderr
 
     def test_small_grid_finds_optimum(self):
         mkt = make_market()
@@ -488,7 +487,7 @@ class TestGridSearch:
         lo1, hi1, lc1, hc1 = feasible_weight_interval(market.regimes[1])
         lo, hi = max(lo0, lo1), min(hi0, hi1)
         counts = ens.counts.astype(float)
-        mean_count = expected_jump_count(market, i0, T)
+        mean_count = market.gen.mean_jump_count(i0, T)
         rows = []
         for pi in grid:
             inside = (
