@@ -22,8 +22,8 @@ Schema (all keys required unless a default is noted):
     constraint:                   # default: canonical set of regime 0's margin
       lower: 0.0                  # may be -.inf
       upper: .inf
-    horizon: 1.0
-    initial_wealth: 1.0
+    horizon: 1.0                  # finite and positive
+    initial_wealth: 1.0           # finite and positive
     mc:
       n_paths: 100000
       seed: 12345
@@ -266,12 +266,16 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     )
 
     horizon = _require(data, "horizon", "config", float)
-    if horizon <= 0:
-        raise ConfigError("config.horizon must be positive", field="config.horizon")
-    x = _require(data, "initial_wealth", "config", float)
-    if x <= 0:
+    if not (math.isfinite(horizon) and horizon > 0):
         raise ConfigError(
-            "config.initial_wealth must be positive", field="config.initial_wealth"
+            f"config.horizon must be finite and positive, got {horizon}",
+            field="config.horizon",
+        )
+    x = _require(data, "initial_wealth", "config", float)
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigError(
+            f"config.initial_wealth must be finite and positive, got {x}",
+            field="config.initial_wealth",
         )
 
     mc = _require(data, "mc", "config")

@@ -55,14 +55,79 @@ class GeneratorMatrix:
     def rates(self):
         return np.array([self.lambda0, self.lambda1])
 
+    def occupation(self, i0, T):
+        """Expected occupation of each state on [0, T], from state i0.
+
+        Returns (occ, weighted), arrays over the states: occ[i] is
+        E[occ_i(T)] = int_0^T P(eps_s = i) ds, and weighted[i] is
+        E[occ_i(T) + int_0^T occ_i(t) dt] = int_0^T P(eps_s = i)(1 + T - s) ds.
+        With q = lambda0 + lambda1 and p the stationary law,
+        P(eps_s = i) = p_i + e^{-qs} (1{i = i0} - p_i), so both integrals
+        need only int_0^T e^{-qs} ds = T phi1(qT) and
+        int_0^T e^{-qs} (T - s) ds = T^2 phi2(qT), which stay accurate as
+        qT -> 0 (Pedler 1971 gives the occupation law itself).
+        """
+        total = self.lambda0 + self.lambda1
+        start = np.array([i0 == 0, i0 == 1], dtype=float)
+        stat = np.array([self.lambda1, self.lambda0]) / total if total > 0.0 else start
+        z = total * T
+        decay = T * _phi1(z)
+        decay_weighted = decay + T * T * _phi2(z)
+        dev = start - stat
+        return stat * T + dev * decay, stat * (T + 0.5 * T * T) + dev * decay_weighted
+
     def mean_jump_count(self, i0, T) -> float:
         """E[N_T | initial state i0]: the chain's mean event count on [0, T]."""
-        total = self.lambda0 + self.lambda1
-        if total == 0.0:
-            return 0.0
-        lam_stat = 2.0 * self.lambda0 * self.lambda1 / total
-        lam_start = (self.lambda0, self.lambda1)[i0]
-        return lam_stat * T + (lam_start - lam_stat) * (1.0 - math.exp(-total * T)) / total
+        occ, _ = self.occupation(i0, T)
+        return float(self.lambda0 * occ[0] + self.lambda1 * occ[1])
+
+
+def _phi1(z):
+    """(1 - e^{-z}) / z elementwise, 1 at z = 0."""
+    z = np.asarray(z, dtype=float)
+    return np.divide(-np.expm1(-z), z, out=np.ones_like(z), where=z > 0.0)
+
+
+def _phi2(z):
+    """(e^{-z} - 1 + z) / z^2, by its alternating series sum_k (-z)^k/(k+2)!
+    below z = 1, where the closed form cancels."""
+    if z >= 1.0:
+        return (math.expm1(-z) + z) / (z * z)
+    term = total = 0.5
+    for k in range(3, 21):  # the first term left out is below 1e-19
+        term *= -z / k
+        total += term
+    return total
+
+
+def exponential_functional(diag, off, T):
+    """e^{TM} 1 for a stack of 2x2 matrices M with nonnegative off-diagonals.
+
+    ``diag`` holds (M_00, M_11) and ``off`` (M_01, M_10) in its last axis,
+    and so does the result, (e^{TM} 1)_i.  With s and h the half sum and
+    half difference of the diagonal, and delta = sqrt(h^2 + M_01 M_10) half
+    the eigenvalue gap, Sylvester's formula (Moler & Van Loan 2003) gives
+
+        (e^{TM} 1)_0 = e^{(s+delta)T} [e^{-2 delta T} + g (delta + h + M_01)]
+
+    and entry 1 with -h and M_10, where g = (1 - e^{-2 delta T}) / (2 delta)
+    (T at delta = 0).  Factoring out e^{(s+delta)T} keeps a large rate
+    times T from overflowing, and every term is nonnegative once the
+    smaller of delta +- h is written as M_01 M_10 / (delta + |h|).
+    """
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    s = 0.5 * (diag[..., 0] + diag[..., 1])
+    h = 0.5 * (diag[..., 0] - diag[..., 1])
+    bc = off[..., 0] * off[..., 1]
+    delta = np.sqrt(h * h + bc)
+    big = delta + np.abs(h)
+    small = np.divide(bc, big, out=np.zeros_like(bc), where=big > 0.0)
+    plus_minus = np.stack((np.where(h >= 0.0, big, small), np.where(h >= 0.0, small, big)), -1)
+    g = T * _phi1(2.0 * delta * T)
+    fade = np.exp(-2.0 * delta * T)
+    scale = np.exp((s + delta) * T)
+    return scale[..., None] * (fade[..., None] + g[..., None] * (plus_minus + off))
 
 
 @dataclass

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import ConfigError, InfeasiblePolicyError
 from .frictions import effective_domain
 from .market import MarketModel, _log_jump, _wealth_terms
+from .mpp import GeneratorMatrix
 from .policy import (
     Policy,
     conjugacy_tolerance,
@@ -110,29 +111,27 @@ def value_corollary(inputs: RegimeValueInputs, start_regime: int) -> float:
 
 
 def value_semianalytic(inputs: RegimeValueInputs, start_regime: int) -> float:
-    """Independent value: integrate the mean log-wealth drift along the chain.
-
-    E[d(eps_s) | eps_0 = i] relaxes exponentially to the stationary mean
-    at rate lambda0 + lambda1, so both the running-consumption and the
-    terminal term integrate in closed form.
-    """
+    """Independent value: integrate the mean log-wealth drift along the chain
+    (``log_value``)."""
     if start_regime not in (0, 1):
         raise ConfigError("start regime must be 0 or 1")
-    T = inputs.horizon
-    x = inputs.initial_wealth
-    lam0, lam1 = inputs.lambda0, inputs.lambda1
-    two_lam = lam0 + lam1
-    d0, d1 = inputs.d_bar
-    d_stat = (lam1 * d0 + lam0 * d1) / two_lam
-    d_start = d0 if start_regime == 0 else d1
-    dev = d_start - d_stat
+    gen = GeneratorMatrix(inputs.lambda0, inputs.lambda1)
+    x, T = inputs.initial_wealth, inputs.horizon
+    return float(log_value(gen, inputs.d_bar, x, T, start_regime))
 
-    # D(t) = int_0^t E[d(eps_s)] ds
-    decay_T = (1.0 - math.exp(-two_lam * T)) / two_lam
-    D_T = d_stat * T + dev * decay_T
-    int_D = d_stat * T * T / 2.0 + dev * (T - decay_T) / two_lam
 
-    return (T + 1.0) * math.log(x / (T + 1.0)) + int_D + D_T
+def log_value(gen: GeneratorMatrix, d_bar, x, T, start_regime):
+    """J of per-regime constant weights under log utility with the
+    log-optimal consumption rule: (T+1) log(x/(T+1)) + sum_i d_bar_i w_i.
+
+    d_bar_i is the mean log-growth rate of gross wealth in regime i, and
+    w_i the occupation of regime i weighted by 1 + T - s
+    (``GeneratorMatrix.occupation``): the running-consumption term weights
+    the growth up to s by the time left, and the terminal term by 1.  Each
+    d_bar_i may be an array, one entry per weight.
+    """
+    _, w = gen.occupation(start_regime, T)
+    return (T + 1.0) * math.log(x / (T + 1.0)) + d_bar[0] * w[0] + d_bar[1] * w[1]
 
 
 def value_comparison(inputs: RegimeValueInputs, start_regime: int):

@@ -14,13 +14,11 @@ checks take a ``PathEnsemble`` (horizon, start regime and seed included)
 and the pathwise identity the rows to check (``PathEnsemble.rows``),
 whose log levels it compares in one engine call per level.  A caller
 draws a sample once and passes it to every check (common random
-numbers); only the grid search draws its own ensemble.
-The grid search does not sweep per weight: with the mark integrals done
-by quadrature, a path's sample depends only on four statistics of its
-jump skeleton, built in one pass over the columns.  A log sample is
-affine in them, so log utility needs only their moments; power samples
-are formed for a block of weights at a time, by one matrix product.
-Reductions run in fixed path order, so estimates are bit-reproducible.
+numbers).  Reductions run in fixed path order, so estimates are
+bit-reproducible.
+The grid search simulates nothing: for weights constant in each regime,
+J has a closed form in the chain's expected occupation (log) or in a
+2x2 matrix exponential (power), both in ``mpp``.
 """
 
 from __future__ import annotations
@@ -40,8 +38,9 @@ from .market import (
     _report_grid,
     _wealth_terms,
 )
-from .mpp import PathEnsemble, simulate_ensemble
-from .policy import Policy, Utility, feasible_weight_interval, log_optimal_policy
+from .mpp import PathEnsemble, exponential_functional
+from .policy import Policy, Utility, feasible_weight_interval, h_value, log_optimal_policy
+from .regime_value import log_value
 
 
 @dataclass(frozen=True)
@@ -54,15 +53,11 @@ class McEstimate:
     seed: object
 
 
-def _check_paths(n):
-    if n < 2:
-        raise ConfigError(f"a standard error needs two paths, got {n}")
-
-
 def _estimate(samples, seed):
     samples = np.asarray(samples, dtype=float)
     n = samples.size
-    _check_paths(n)
+    if n < 2:
+        raise ConfigError(f"a standard error needs two paths, got {n}")
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(n))
     return McEstimate(mean=mean, stderr=stderr, n_paths=n, seed=seed)
@@ -180,8 +175,8 @@ def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> S
     for i, params in enumerate(market.regimes):
         pi = policy.pi[i]
         phi = lambda y, p=pi: 1.0 / (1.0 + p * f(y)) ** (1.0 - gamma)
-        integral_fphi = params.dist.expect(lambda y: f(y) * phi(y), tol=1e-13)
-        zeta = params.r - params.mu - params.lam * integral_fphi
+        # h(pi) = mu + lam int f phi F(dy)
+        zeta = params.r - h_value(params, gamma, pi)
         lo, hi = effective_domain(params.margin, K)
         if not lo - 1e-12 <= zeta <= hi + 1e-12:
             raise DomainError(
@@ -310,152 +305,40 @@ def dual_functional_log(market, K, phi_policy: Policy, x, ens: PathEnsemble) -> 
     return _estimate(vals, ens.seed)
 
 
-# cells per block of the power grid search (weights x paths): a block of
-# samples and its fitted values take about 8 MB whatever the path count,
-# less than the ensemble freed before them at 1e5 paths, so the peak holds
-_BLOCK_CELLS = 1 << 19
-
-
-def _skeleton_statistics(ens: PathEnsemble, with_integrals):
-    """Per-path statistics of the jump skeleton as a (4, n) array: for each
-    state i, its occupation time on [0, T] (rows 0 and 1) and the number of
-    jumps leaving it (rows 2 and 3).
-
-    With integrals every row also adds its own integral over [0, T]: a
-    state-i segment [t0, t1] adds dt*(T - t1) + dt^2/2 to int_0^T occ_i,
-    and a jump at tau adds T - tau to int_0^T N_i.
-    """
-    n, m = ens.times.shape
-    T = ens.horizon
-    stats = np.zeros((4, n))
-    t_prev = np.zeros(n)
-    for j in range(m + 1):
-        state = ens.column_state(j)
-        t_next = np.minimum(ens.times[:, j], T) if j < m else np.full(n, T)
-        dt = t_next - t_prev
-        if with_integrals:
-            stats[state] += dt * (1.0 + (T - t_next) + 0.5 * dt)
-        else:
-            stats[state] += dt
-        if j < m:
-            jump = ens.times[:, j] <= T
-            stats[2 + state] += (1.0 + (T - t_next)) * jump if with_integrals else jump
-        t_prev = t_next
-    return stats
-
-
 def _jump_coefficients(market, utility, weights):
     """Per regime, the conditional jump term at each weight: E[log(1 + pi f)]
-    for log utility, log E[(1 + pi f)^gamma] for power.  One quadrature per
+    for log utility, E[(1 + pi f)^gamma] for power.  One quadrature per
     mark law serves every weight; regimes sharing a law share it."""
     f, gamma = market.f, utility.gamma
     w = np.asarray(weights, dtype=float)[:, None]
     if utility.is_log:
         term = lambda dist: dist.expect(_log_jump(market.transform, w))
     else:
-        term = lambda dist: np.log(dist.expect(lambda y: (1.0 + w * f(y)) ** gamma))
+        term = lambda dist: dist.expect(lambda y: (1.0 + w * f(y)) ** gamma)
     by_law = {d: term(d) for d in dict.fromkeys(market.dists)}
     return [by_law[d] for d in market.dists]
 
 
-def _log_moments(coef, stats, counts, excess, offset, T):
-    """J and its standard error at each weight for log utility, from the
-    first two moments of the skeleton statistics and the jump count.
-
-    A log sample is offset + coef . stats, so the control-variate mean and
-    variance are linear and quadratic forms in the means and the centred
-    covariance of (stats, counts).  The occupation rows sum to
-    T (1 + T/2), which makes that covariance singular: row 1 is dropped and
-    its coefficient moved into the constant, so identical regimes lose no
-    digits to cancellation.
-    """
-    n = counts.size
-    z = np.vstack((stats[[0, 2, 3]], counts))
-    means = z.mean(axis=1)
-    z -= means[:, None]
-    cov = z @ z.T / (n - 1)
-    a = np.column_stack((coef[:, 0] - coef[:, 1], coef[:, 2:]))
-    mean = offset + T * (1.0 + 0.5 * T) * coef[:, 1] + a @ means[:3]
-    var = np.einsum("wi,ij,wj->w", a, cov[:3, :3], a)
-    count_var = counts.var()
-    if count_var > 0.0:
-        cov_count = a @ cov[:3, 3]
-        beta = cov_count / count_var
-        mean -= beta * excess
-        var += beta * (beta * cov[3, 3] - 2.0 * cov_count)
-    return mean, np.sqrt(np.maximum(var, 0.0) / n)
-
-
-def _power_moments(coef, stats, counts, excess):
-    """Control-variate mean and standard error of exp(coef . stats) at
-    each weight (a row of coef).
-
-    Weights go in blocks of about ``_BLOCK_CELLS`` samples: a block's
-    samples are one matrix product and one exp.  Two passes reduce them:
-    the (pairwise) mean and the control-variate slope, then the centred
-    residual after the control variate, built by one more product and
-    reduced by a row-wise dot product.
-    """
-    n = counts.size
-    count_var = counts.var()
-    count_dev = counts - counts.mean()
-    basis = np.vstack((np.ones(n), count_dev))
-    block = max(1, _BLOCK_CELLS // n)
-    samples = np.empty((block, n))
-    fit = np.empty((block, n))
-    mean = np.empty(coef.shape[0])
-    var = np.empty(coef.shape[0])
-    for b in range(0, coef.shape[0], block):
-        c = coef[b : b + block]
-        s = np.matmul(c, stats, out=samples[: c.shape[0]])
-        np.exp(s, out=s)
-        m = s.mean(axis=1)
-        beta = s @ count_dev / (n - 1) / count_var if count_var > 0.0 else np.zeros_like(m)
-        s -= np.matmul(np.column_stack((m, beta)), basis, out=fit[: c.shape[0]])
-        mean[b : b + block] = m - beta * excess
-        var[b : b + block] = np.einsum("ij,ij->i", s, s) / (n - 1)
-    return mean, np.sqrt(var / n)
-
-
 def grid_search_constant_portfolio(
-    market,
-    utility: Utility,
-    x,
-    T,
-    grid,
-    n_paths,
-    seed,
-    i0=0,
-    consumption_scale=None,
+    market, utility: Utility, x, T, grid, n_paths=None, seed=None, i0=0
 ):
-    """Common-random-number sweep of J over constant portfolio weights.
+    """Exact J over constant portfolio weights pi = pi_0 = pi_1.
 
     Log utility pairs every weight with the proportional rule at scale
-    x/(T+1) (its optimal form); power utility runs without consumption.
+    x/(T+1) (its optimal form), so J is ``regime_value.log_value`` with
+    d_bar_i = drift_i + lambda_i E_i[log(1 + pi f)].  Power utility runs
+    without consumption: J = (x^gamma/gamma) (e^{TM} 1)_{i0}
+    (``mpp.exponential_functional``), with M_ii = gamma drift_i - lambda_i
+    and M_ij = lambda_i E_i[(1 + pi f)^gamma].  The mark integrals are done
+    by quadrature, one per mark law for the whole grid.
 
-    The estimator is conditional Monte Carlo: given each simulated jump
-    skeleton the mark integrals are done by quadrature, and the residual
-    skeleton noise is absorbed by a jump-count control variate (its mean,
-    ``GeneratorMatrix.mean_jump_count``, is known from the chain alone).  Both reductions are unbiased and
-    shared across the grid, so the empirical argmax localises the true
-    maximiser to about one grid step at moderate path counts.
-
-    Given the quadratures, a path's sample depends on its skeleton only
-    through four statistics (``_skeleton_statistics``, one pass over the
-    columns).  The log sample is affine in them, so J and its standard
-    error at every weight follow from their moments with the jump count
-    (``_log_moments``); the power sample is the exp of a linear form,
-    reduced a block of weights at a time (``_power_moments``).
-    Returns (pi_star, table) where table rows are (pi, J, stderr) with
-    NaN J for infeasible weights and for weights whose jump term is not
+    Nothing is simulated: ``n_paths`` and ``seed`` are unused, kept only
+    for the positional call in ``bench/workloads.py``.
+    Returns (pi_star, table) where table rows are (pi, J) with NaN J for
+    infeasible weights and for weights whose drift or jump term is not
     finite.
     """
-    _check_paths(n_paths)
     grid = np.asarray(grid, dtype=float)
-    if consumption_scale is None and utility.is_log:
-        consumption_scale = x / (T + 1.0)
-    gamma = utility.gamma
-
     lo0, hi0, lc0, hc0 = feasible_weight_interval(market.regimes[0])
     lo1, hi1, lc1, hc1 = feasible_weight_interval(market.regimes[1])
     lo, hi = max(lo0, lo1), min(hi0, hi1)
@@ -467,29 +350,19 @@ def grid_search_constant_portfolio(
 
     drift, _ = _wealth_terms(market, (weights, weights))
     coef = np.column_stack(drift + _jump_coefficients(market, utility, weights))
-    if utility.is_log:
-        offset = T * math.log(consumption_scale) + math.log(x - consumption_scale * T)
-    else:
-        coef[:, :2] *= gamma
     finite = np.all(np.isfinite(coef), axis=1)
-    coef = coef[finite]
-    rows_at = np.flatnonzero(inside)[finite]
-
-    ens = simulate_ensemble(market.gen, i0, T, market.dists, n_paths, seed)
-    stats = _skeleton_statistics(ens, utility.is_log)
-    counts = ens.counts.astype(float)
-    del ens
-    excess = counts.mean() - market.gen.mean_jump_count(i0, T)
+    drift, jump = coef[finite, :2], coef[finite, 2:]
+    lam = market.gen.rates
+    if utility.is_log:
+        values = log_value(market.gen, (drift + lam * jump).T, x, T, i0)
+    else:
+        gamma = utility.gamma
+        growth = exponential_functional(gamma * drift - lam, lam * jump, T)
+        values = (x**gamma / gamma) * growth[:, i0]
 
     J = np.full(grid.size, math.nan)
-    stderr = np.full(grid.size, math.nan)
-    if utility.is_log:
-        J[rows_at], stderr[rows_at] = _log_moments(coef, stats, counts, excess, offset, T)
-    else:
-        mean, se = _power_moments(coef, stats, counts, excess)
-        J[rows_at], stderr[rows_at] = mean * (x**gamma / gamma), se * (x**gamma / gamma)
+    J[np.flatnonzero(inside)[finite]] = values
     if not np.any(J > -math.inf):
         raise InfeasiblePolicyError("no feasible grid point")
-    rows = [(float(p), float(j), float(s)) for p, j, s in zip(grid, J, stderr)]
+    rows = [(float(p), float(j)) for p, j in zip(grid, J)]
     return float(grid[np.nanargmax(J)]), rows
-

@@ -1,7 +1,8 @@
 """Acceptance suite: nine end-to-end criteria, one printed pass/fail line each.
 
 Each criterion states its tolerance inline.  Monte Carlo checks run at
-N = 1e5 with fixed seeds and compare against independent closed forms;
+N = 1e5 with fixed seeds and compare against independent closed forms
+(the grid search of criterion 4 is exact and simulates nothing);
 the regime-switching value check additionally reports the verbatim
 published evaluation next to the re-derived one (reported, not asserted
 -- see the decisions ledger outside the package).
@@ -224,10 +225,11 @@ def test_criterion_3_portfolio_sweeps():
 
 
 def test_criterion_4_grid_search():
-    """CRN Monte Carlo over a 0.01-step grid in K cap [-2, 2] at N=1e5,
-    T=1 localises the closed-form optimum to one grid step (the
-    short-rebate optimum lies outside the window, so its target is the
-    window edge)."""
+    """The exact J of constant weights over a 0.01-step grid in K cap
+    [-2, 2] at T=1 puts its argmax within one grid step of the solved
+    optimum (the short-rebate optimum lies outside the window, so its
+    target is the window edge).  Nothing is simulated: the path count and
+    seed passed are unused."""
     t0 = time.time()
     details, ok = [], True
     runs = (

@@ -2,6 +2,7 @@ import bisect
 import copy
 import csv
 import io
+import math
 import os
 import sys
 
@@ -128,6 +129,13 @@ class TestParsing:
                 parse_config(*args)
             assert exc.value.field == "config.mc.n_paths"
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["horizon", "initial_wealth"])
+    def test_horizon_and_wealth_must_be_finite(self, key, value):
+        with pytest.raises(ConfigError, match="finite and positive") as exc:
+            parse_config(copy.deepcopy(BASE), {key: value})
+        assert exc.value.field == f"config.{key}"
+
     def test_output_dir_env(self, monkeypatch):
         monkeypatch.setenv("JUMPFOLIO_OUTPUT_DIR", "/tmp/somewhere")
         cfg = parse_config(copy.deepcopy(BASE))
@@ -147,6 +155,20 @@ class TestCliExitCodes:
         path = write_config(tmp_path, data)
         assert main(["optimize", path]) == 1
         assert "R" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--horizon", "inf", "horizon"), ("--wealth", "nan", "initial_wealth")],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "value"])
+    def test_non_finite_horizon_or_wealth_exit_1(
+        self, tmp_path, capsys, command, flag, value, field
+    ):
+        data = copy.deepcopy(BASE)
+        data["utility"] = {"variant": "log"}
+        path = write_config(tmp_path, data)
+        assert main([command, path, flag, value]) == 1
+        assert f"config.{field} must be finite and positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["verify", "value"])
     def test_one_path_monte_carlo_exit_1(self, tmp_path, capsys, command):

@@ -100,6 +100,32 @@ class TestSemianalytic:
             T + 1.0, abs=1e-10
         )
 
+    @pytest.mark.parametrize("start", [0, 1])
+    @pytest.mark.parametrize("lam", [1.0, 1e-3, 1e-6, 1e-9])
+    def test_slow_chain_matches_mpmath(self, lam, start):
+        """Rates (lam, 2 lam): J = (T+1)ln(x/(T+1))
+        + sum_i d_i int_0^T P(eps_s = i)(1 + T - s) ds, by 40-digit
+        quadrature.  (1 - e^{-qT})/q-style algebra loses the digits of
+        qT, up to 6.5e-2 relative at lam = 1e-9."""
+        import mpmath as mp
+
+        d_bar, T, x = (0.03, -0.01), 1.0, 1.0
+        inp = RegimeValueInputs(
+            lambda0=lam, lambda1=2.0 * lam, d_bar=d_bar, horizon=T, initial_wealth=x
+        )
+        with mp.workdps(40):
+            lam0, lam1 = mp.mpf(lam), mp.mpf(2.0 * lam)
+            q = lam0 + lam1
+            stat = (lam1 / q, lam0 / q)
+
+            def weighted_law(i, s):
+                return (stat[i] + mp.exp(-q * s) * ((i == start) - stat[i])) * (1 + T - s)
+
+            ref = (T + 1) * mp.log(mp.mpf(x) / (T + 1)) + sum(
+                d_bar[i] * mp.quad(lambda s: weighted_law(i, s), [0, T]) for i in (0, 1)
+            )
+        assert abs(value_semianalytic(inp, start) - float(ref)) <= 1e-12 * abs(float(ref))
+
     def test_start_regime_matters_when_asymmetric(self):
         mkt = two_regime_market()
         inp = regime_inputs(mkt, 1.0, 1.0)

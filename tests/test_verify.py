@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from jumpfolio import mpp, verify
 from jumpfolio.distributions import ExponentialPositive, TwoPoint
 from jumpfolio.config import load_config, parse_config
 from jumpfolio.errors import ConfigError, DomainError, InfeasiblePolicyError
@@ -24,6 +25,7 @@ from jumpfolio.market import (
 )
 from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, simulate_ensemble
 from jumpfolio.policy import Policy, Utility, feasible_weight_interval, log_optimal_policy
+from jumpfolio.regime_value import regime_inputs, value_semianalytic
 from jumpfolio.verify import (
     budget_check,
     dual_functional_log,
@@ -33,7 +35,6 @@ from jumpfolio.verify import (
     mc_expected_utility,
     state_price_spec,
     state_price_wealth_identity,
-    _skeleton_statistics,
     _wealth_terms,
 )
 
@@ -172,11 +173,6 @@ class TestEnsembleFunctionals:
         assert got.keys() == ref.keys()
         for key in got:
             assert np.array_equal(got[key], ref[key]), key
-        for with_integrals in (False, True):
-            assert np.array_equal(
-                _skeleton_statistics(ens, with_integrals),
-                _skeleton_statistics(c_ordered, with_integrals),
-            )
 
     def test_invalid_jump_flagged(self):
         mkt, ens, pi, drift, _ = self._setup()
@@ -461,13 +457,6 @@ class TestGridSearch:
         assert abs(pi_star - 0.7460618540) <= 0.05 + 1e-9
         assert len(rows) == len(grid)
 
-    @pytest.mark.parametrize("utility", [Utility.log(), Utility.power(0.5)])
-    def test_one_path_has_no_standard_error(self, utility):
-        with pytest.raises(ConfigError, match="two paths"):
-            grid_search_constant_portfolio(
-                make_market(), utility, 1.0, 1.0, np.array([0.5, 1.0]), 1, 4
-            )
-
     def test_infeasible_points_get_nan(self):
         mkt = make_market()
         grid = np.array([-0.5, 0.0, 0.5])  # -0.5 outside K cap via feasibility
@@ -478,8 +467,8 @@ class TestGridSearch:
 
     @staticmethod
     def _column_sweep(market, utility, x, T, grid, n_paths, seed, i0):
-        """The grid search as one column sweep per weight: the reference
-        for the estimator on skeleton statistics."""
+        """J by conditional Monte Carlo, one column sweep per weight, with
+        a jump-count control variate: the reference for the exact J."""
         ens = simulate_ensemble(market.gen, i0, T, market.dists, n_paths, seed)
         f, gamma = market.f, utility.gamma
         kappa = x / (T + 1.0)
@@ -541,24 +530,32 @@ class TestGridSearch:
     @pytest.mark.parametrize("i0", [0, 1])
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     def test_matches_column_sweep_on_identical_regimes(self, gamma, i0):
-        """fig1's identical regimes: the two occupation times sum to T on
-        every path, so the covariance of the skeleton statistics is
-        singular, and the weight 0 has a constant sample."""
+        """fig1's identical regimes, where the weight 0 has a constant
+        sample and the two regimes' terms coincide."""
         mkt = load_config(FIG1).market
         assert mkt.regimes[0] == mkt.regimes[1]
         grid = np.round(np.linspace(0.0, 2.0, 21), 10)
         self._assert_matches_column_sweep(mkt, Utility(gamma), grid, i0)
+        if gamma == 0.0:  # at the log-optimal weight J is the optimal value
+            policy = log_optimal_policy(mkt, 1.0, 1.0)
+            _, ((_, J),) = grid_search_constant_portfolio(
+                mkt, Utility.log(), 1.0, 1.0, [policy.pi[0]], i0=i0
+            )
+            semi = value_semianalytic(regime_inputs(mkt, 1.0, 1.0, policy), i0)
+            assert abs(J - semi) <= 1e-13 * abs(semi)
 
     def _assert_matches_column_sweep(self, mkt, utility, grid, i0):
+        """Exact J within 3 standard errors of the column sweep's estimate
+        at every feasible weight (the sample is constant at the weight 0 on
+        identical regimes, hence the rounding term)."""
         args = (mkt, utility, 1.0, 1.0, grid, 20_000, 31)
         pi_star, rows = grid_search_constant_portfolio(*args, i0=i0)
         ref = self._column_sweep(*args, i0)
         assert [math.isnan(r[1]) for r in rows] == [math.isnan(r[1]) for r in ref]
-        for (pi, J, se), (_, J_ref, se_ref) in zip(rows, ref):
+        for (pi, J), (_, J_ref, se_ref) in zip(rows, ref):
             if not math.isnan(J_ref):
-                assert abs(J - J_ref) <= 1e-12 * max(1.0, abs(J_ref)), pi
-                assert abs(se - se_ref) <= 1e-9 * se_ref + 1e-15, pi
-        assert pi_star == grid[np.nanargmax([r[1] for r in ref])]
+                assert abs(J - J_ref) <= 3.0 * se_ref + 1e-12 * max(1.0, abs(J_ref)), pi
+        assert pi_star == grid[np.nanargmax([r[1] for r in rows])]
         return rows
 
     def test_closedness_comes_from_the_binding_end(self):
@@ -589,7 +586,19 @@ class TestGridSearch:
         pi_star, rows = grid_search_constant_portfolio(
             mkt, Utility.log(), 1.0, 1.0, grid, 100_000, 20260823
         )
-        _, J1, se1 = rows[-1]
+        _, J1 = rows[-1]
         assert pi_star == -1.0
-        assert math.isfinite(J1) and se1 > 0.0
-        assert abs(J1 - (-1.43127)) <= 3.0 * se1
+        assert J1 == pytest.approx(-1.4312943611, rel=1e-9)
+
+    def test_draws_no_ensemble(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid search drew an ensemble")
+
+        monkeypatch.setattr(mpp, "simulate_ensemble", refuse)
+        monkeypatch.setattr(verify, "simulate_ensemble", refuse, raising=False)
+        grid = np.array([0.5, 1.0])
+        for utility in (Utility.log(), Utility.power(0.5)):
+            _, rows = grid_search_constant_portfolio(
+                make_market(), utility, 1.0, 1.0, grid, 2000, 4
+            )
+            assert all(math.isfinite(J) for _, J in rows)
