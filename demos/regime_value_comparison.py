@@ -1,8 +1,9 @@
-"""Value of the log-investor's problem in a regime-switching market.
+"""Value of per-regime weights in a regime-switching market.
 
-Computes the expected-utility value from both closed-form evaluations
-(the semi-analytic chain-relaxation form and the shorter corollary-style
-display) and cross-checks against Monte Carlo, from each starting regime.
+From each starting regime: the exact value of the log-optimal policy, the
+published corollary display (which deviates from it), and the exact value
+of the per-regime power weights at gamma = 0.5, each cross-checked against
+Monte Carlo.
 """
 
 from jumpfolio import (
@@ -14,12 +15,14 @@ from jumpfolio import (
     RegimeMarketParams,
     ShortRebate,
     Utility,
+    exact_value,
     log_optimal_policy,
     mc_expected_utility,
+    power_optimal_policy,
     regime_inputs,
     simulate_ensemble,
+    value_corollary,
 )
-from jumpfolio.regime_value import value_comparison
 
 X0, T, SEED, N_PATHS = 1.0, 1.0, 20260823, 100_000
 
@@ -39,18 +42,24 @@ market = MarketModel(
     ),
 )
 
-policy = log_optimal_policy(market, X0, T)
-inputs = regime_inputs(market, X0, T, policy)
-print(f"optimal weights by regime: {policy.pi[0]:.6f}, {policy.pi[1]:.6f}")
+log_policy = log_optimal_policy(market, X0, T)
+power_policy = power_optimal_policy(market, 0.5)
+d_bar = regime_inputs(market, X0, T, log_policy)
+print(f"log-optimal weights by regime: {log_policy.pi[0]:.6f}, {log_policy.pi[1]:.6f}")
+print(f"myopic power weights (gamma = 0.5): {power_policy.pi[0]:.6f}, {power_policy.pi[1]:.6f}")
 
 for i0 in (0, 1):
-    comp = value_comparison(inputs, i0)
     ens = simulate_ensemble(market.gen, i0, T, market.dists, N_PATHS, SEED)
-    mc = mc_expected_utility(market, policy.pi, policy.consumption, Utility.log(), X0, ens)
-    semi, coro, dev = comp["semianalytic"], comp["corollary"], comp["deviation"]
-    z = (mc.mean - semi) / mc.stderr
     print(f"\nstarting regime {i0}:")
-    print(f"  semi-analytic value: {semi:.8f}")
-    print(f"  corollary display:   {coro:.8f} (deviation {dev:+.3e})")
-    print(f"  monte carlo:         {mc.mean:.8f} +/- {mc.stderr:.2e} "
-          f"(z = {z:+.2f} vs semi-analytic)")
+    for label, utility, policy in (
+        ("log optimal value", Utility.log(), log_policy),
+        ("power value, myopic weights", Utility.power(0.5), power_policy),
+    ):
+        exact = exact_value(market, utility, X0, T, [policy.pi], i0)[0]
+        mc = mc_expected_utility(market, policy.pi, policy.consumption, utility, X0, ens)
+        z = (mc.mean - exact) / mc.stderr
+        print(f"  {label}: exact {exact:.8f}, monte carlo {mc.mean:.8f} "
+              f"+/- {mc.stderr:.2e} (z = {z:+.2f})")
+        if utility.is_log:
+            coro = value_corollary(market.gen, d_bar, X0, T, i0)
+            print(f"  published corollary display: {coro:.8f} (deviation {coro - exact:+.3e})")

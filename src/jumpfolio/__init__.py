@@ -70,9 +70,9 @@ from .policy import (
     verify_conjugacy,
 )
 from .regime_value import (
+    exact_value,
     regime_inputs,
     value_corollary,
-    value_semianalytic,
 )
 from .verify import (
     McEstimate,

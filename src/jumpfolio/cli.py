@@ -38,7 +38,7 @@ from .policy import (
     power_optimal_policy,
     verify_conjugacy,
 )
-from .regime_value import regime_inputs, value_corollary, value_semianalytic
+from .regime_value import exact_value, regime_inputs, value_corollary
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -97,22 +97,33 @@ def cmd_optimize(config: RunConfig, args) -> int:
 
 
 def cmd_value(config: RunConfig, args) -> int:
-    if not config.utility.is_log:
-        raise ConfigError("the closed-form value is available for log utility only")
-    x, T = config.initial_wealth, config.horizon
-    policy = log_optimal_policy(config.market, x, T)
-    inputs = regime_inputs(config.market, x, T, policy)
-    i0 = config.initial_state
-    semi = value_semianalytic(inputs, i0)
-    coro = value_corollary(inputs, i0)
-    market = config.market
+    market, utility = config.market, config.utility
+    x, T, i0 = config.initial_wealth, config.horizon, config.initial_state
+    policy = _solve_policy(config)
+    if utility.is_log:
+        d_bar = regime_inputs(market, x, T, policy)
+    exact = float(exact_value(market, utility, x, T, [policy.pi], i0)[0])
     ens = simulate_ensemble(market.gen, i0, T, market.dists, config.n_paths, config.seed)
-    est = verify_mod.mc_expected_utility(
-        market, policy.pi, policy.consumption, config.utility, x, ens
-    )
-    print(f"optimal value, start regime {i0}:")
-    print(f"  semianalytic  {semi:.12g}")
-    print(f"  corollary     {coro:.12g}  (deviation {coro - semi:.6g})")
+    est = verify_mod.mc_expected_utility(market, policy.pi, policy.consumption, utility, x, ens)
+    if utility.is_log:
+        print(f"optimal value, start regime {i0}:")
+        print(f"  semianalytic  {exact:.12g}")
+        coro = value_corollary(market.gen, d_bar, x, T, i0)
+        if coro is None:
+            print("  corollary     undefined at lambda0 + lambda1 = 0")
+        else:
+            print(f"  corollary     {coro:.12g}  (deviation {coro - exact:.6g})")
+    else:
+        # the per-regime (myopic) power weights are optimal only when the
+        # chain cannot change the market
+        if market.regimes[0] == market.regimes[1]:
+            print(f"optimal value (power gamma={utility.gamma:g}), start regime {i0}:")
+        else:
+            print(
+                f"value of the per-regime myopic policy (power gamma={utility.gamma:g}), "
+                f"start regime {i0}; not the optimal value, since the regimes differ:"
+            )
+        print(f"  exact         {exact:.12g}")
     print(f"  monte carlo   {est.mean:.12g} +- {est.stderr:.3g}  (N={est.n_paths})")
     return EXIT_OK
 
@@ -249,8 +260,8 @@ def cmd_verify(config: RunConfig, args) -> int:
         checks.append(
             ("state_price_wealth_identity", dev_hv <= 1e-10, f"max_dev={dev_hv:.3e}", None)
         )
-        inputs = regime_inputs(market, x, T, policy)
-        semi = value_semianalytic(inputs, i0)
+        d_bar = regime_inputs(market, x, T, policy)
+        semi = float(exact_value(market, config.utility, x, T, [policy.pi], i0)[0])
         est_v = verify_mod.mc_expected_utility(
             market, policy.pi, policy.consumption, config.utility, x, ens
         )
@@ -262,12 +273,14 @@ def cmd_verify(config: RunConfig, args) -> int:
                 est_v,
             )
         )
-        coro = value_corollary(inputs, i0)
+        coro = value_corollary(market.gen, d_bar, x, T, i0)
         checks.append(
             (
                 "value_corollary_reported",
                 None,  # reported, not asserted: the published display deviates
-                f"corollary={coro:.8g} deviation={coro - semi:.6g}",
+                "undefined at lambda0 + lambda1 = 0"
+                if coro is None
+                else f"corollary={coro:.8g} deviation={coro - semi:.6g}",
                 None,
             )
         )

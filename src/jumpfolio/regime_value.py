@@ -1,25 +1,34 @@
-"""Closed-form optimal value for the regime-switching log-utility model.
+"""Exact value of per-regime constant weights, and the published display.
 
-Two evaluations are provided side by side.  ``value_corollary`` is the
-published two-regime display evaluated verbatim.  ``value_semianalytic``
-integrates the mean log-wealth drift against the chain's transition
-probabilities from scratch and is the independent oracle: the two
-disagree in sign and in one coefficient (see the comparison helpers and
-the Monte Carlo check in the verification layer, which arbitrates in
-favour of the semi-analytic form).
+``exact_value`` is the one evaluation of J for weights held constant in
+each regime: the chain's weighted occupation for log utility and a 2x2
+matrix exponential for power utility, both closed forms in ``mpp``.
+``value``, ``verify`` and the grid search all call it.
+
+``value_corollary`` is the published two-regime display evaluated
+verbatim.  It differs from the exact log value, and two edits make the
+two agree for every input (tested to 1e-12 relative):
+(a) flip the sign of both growth terms, the stationary term
+    (lambda1 d0 + lambda0 d1)(T + T^2/2) and the start-regime term;
+(b) in the bracket, replace (1 + 1/q) by (1 - 1/q), q = lambda0 + lambda1.
+Edit (b) follows from int_0^T (1 - e^{-qt})/q dt whatever the sign
+convention for d_bar.  Edit (a) may be a convention instead, such as d_bar
+read as a decay rate; without the paper's text both readings stand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, InfeasiblePolicyError
 from .frictions import effective_domain
 from .market import MarketModel, _log_jump, _wealth_terms
-from .mpp import GeneratorMatrix
+from .mpp import GeneratorMatrix, exponential_functional
 from .policy import (
     Policy,
+    Utility,
     conjugacy_tolerance,
     feasible_weight_interval,
     log_optimal_policy,
@@ -27,25 +36,72 @@ from .policy import (
 )
 
 
-@dataclass(frozen=True)
-class RegimeValueInputs:
-    """Per-regime log growth rates and chain mixing data for the value formulas."""
+def _growth_terms(market: MarketModel, utility: Utility, weights):
+    """Per-regime drift and jump term of J at rows of weights (k, 2).
 
-    lambda0: float
-    lambda1: float
-    d_bar: tuple  # per-regime mean log-wealth growth rate
-    horizon: float
-    initial_wealth: float
+    The drift is that of gross wealth, r_i + g_i(pi_i) + pi_i (mu_i - r_i);
+    the jump term is E_i[log(1 + pi_i f)] for log utility and
+    E_i[(1 + pi_i f)^gamma] for power.  There is one quadrature per (mark
+    law, weight column), so rows (w, w) on a shared law cost one.
+    """
+    drift, _ = _wealth_terms(market, weights.T)
+    f, gamma = market.f, utility.gamma
+    if utility.is_log:
+        term = lambda w: _log_jump(market.transform, w)
+    else:
+        term = lambda w: lambda y: (1.0 + w * f(y)) ** gamma
+    done, jump = {}, []
+    for dist, w in zip(market.dists, weights.T):
+        key = (dist, w.tobytes())
+        if key not in done:
+            done[key] = dist.expect(term(w[:, None]))
+        jump.append(done[key])
+    return np.column_stack(drift), np.column_stack(jump)
 
-    def __post_init__(self):
-        if self.lambda0 + self.lambda1 <= 0:
-            raise ConfigError("degenerate generator: lambda0 + lambda1 must be positive")
-        if self.horizon <= 0 or self.initial_wealth <= 0:
-            raise ConfigError("horizon and wealth must be positive")
+
+def mean_log_growth(market: MarketModel, weights):
+    """d_bar_i = drift_i + lambda_i E_i[log(1 + pi_i f)], the mean log-growth
+    rate of gross wealth in regime i, at rows of weights (k, 2)."""
+    drift, jump = _growth_terms(market, Utility.log(), np.asarray(weights, dtype=float))
+    return drift + market.gen.rates * jump
 
 
-def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None = None) -> RegimeValueInputs:
-    """Assemble value-formula inputs, checking the three optimality conditions.
+def exact_value(market: MarketModel, utility: Utility, x, T, weights, i0):
+    """J from regime i0 of each row of per-regime constant weights (k, 2).
+
+    Log utility pairs the weights with the log-optimal consumption rule:
+    J = (T+1) log(x/(T+1)) + sum_i d_bar_i w_i (``mean_log_growth``), with
+    w_i the occupation of regime i weighted by 1 + T - s
+    (``GeneratorMatrix.occupation``): running consumption weights the
+    growth up to s by the time left, the terminal term by 1.  Power utility
+    runs without consumption: J = (x^gamma/gamma) (e^{TM} 1)_{i0}
+    (``mpp.exponential_functional``), with M_ii = gamma drift_i - lambda_i
+    and M_ij = lambda_i E_i[(1 + pi_i f)^gamma].
+
+    Returns J (k,), NaN in rows whose drift or jump term is not finite.
+    """
+    if i0 not in (0, 1):
+        raise ConfigError("start regime must be 0 or 1")
+    drift, jump = _growth_terms(market, utility, np.asarray(weights, dtype=float))
+    finite = np.all(np.isfinite(drift) & np.isfinite(jump), axis=1)
+    drift, jump = drift[finite], jump[finite]
+    lam = market.gen.rates
+    if utility.is_log:
+        d_bar = drift + lam * jump
+        _, w = market.gen.occupation(i0, T)
+        values = (T + 1.0) * math.log(x / (T + 1.0)) + d_bar[:, 0] * w[0] + d_bar[:, 1] * w[1]
+    else:
+        gamma = utility.gamma
+        growth = exponential_functional(gamma * drift - lam, lam * jump, T)
+        values = (x**gamma / gamma) * growth[:, i0]
+    J = np.full(finite.size, math.nan)
+    J[finite] = values
+    return J
+
+
+def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None = None):
+    """Check the three optimality conditions of the log policy and return
+    its per-regime d_bar (``mean_log_growth``).
 
     Condition (i): eta finite; (ii): zeta in the conjugate domain;
     (iii): conjugacy holds within ``policy.conjugacy_tolerance``.
@@ -55,10 +111,8 @@ def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None
     if policy is None:
         policy = log_optimal_policy(market, x, T)
     K = market.constraint
-    drift, _ = _wealth_terms(market, policy.pi)
-    d = []
     for i, params in enumerate(market.regimes):
-        pi = policy.pi[i]
+        pi, zeta_i = policy.pi[i], policy.zeta[i]
         lo, hi, lo_closed, hi_closed = feasible_weight_interval(params)
         inside = (lo < pi < hi) or (pi == lo and lo_closed) or (pi == hi and hi_closed)
         if not inside:
@@ -67,10 +121,6 @@ def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None
             raise InfeasiblePolicyError(
                 f"regime {i}: 1 + pi*(e^y - 1) <= 0 near support point y = {bad:.6g}"
             )
-        eta_i = params.dist.expect(_log_jump(market.transform, pi))
-        if not math.isfinite(eta_i):
-            raise InfeasiblePolicyError(f"regime {i}: eta integral diverges")
-        zeta_i = policy.zeta[i]
         dom = effective_domain(params.margin, K)
         if not dom[0] - 1e-12 <= zeta_i <= dom[1] + 1e-12:
             raise InfeasiblePolicyError(
@@ -82,60 +132,26 @@ def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None
             raise InfeasiblePolicyError(
                 f"regime {i}: conjugacy residual {residual:.3e} exceeds {bound:.3e}"
             )
-        # mean log-growth rate of the gross wealth in regime i
-        d.append(drift[i] + params.lam * eta_i)
-    return RegimeValueInputs(
-        lambda0=market.gen.lambda0,
-        lambda1=market.gen.lambda1,
-        d_bar=tuple(d),
-        horizon=T,
-        initial_wealth=x,
-    )
+    d_bar = tuple(float(d) for d in mean_log_growth(market, [policy.pi])[0])
+    for i, d in enumerate(d_bar):
+        if not math.isfinite(d):
+            raise InfeasiblePolicyError(f"regime {i}: eta integral diverges")
+    return d_bar
 
 
-def value_corollary(inputs: RegimeValueInputs, start_regime: int) -> float:
-    """Published closed form for the optimal value, evaluated verbatim."""
+def value_corollary(gen: GeneratorMatrix, d_bar, x, T, start_regime: int):
+    """Published closed form for the optimal log value, evaluated verbatim;
+    None on a still chain (lambda0 + lambda1 = 0), where it is undefined."""
     if start_regime not in (0, 1):
         raise ConfigError("start regime must be 0 or 1")
-    T = inputs.horizon
-    x = inputs.initial_wealth
-    lam0, lam1 = inputs.lambda0, inputs.lambda1
+    lam0, lam1 = gen.lambda0, gen.lambda1
     two_lam = lam0 + lam1
-    d0, d1 = inputs.d_bar
+    if two_lam == 0.0:
+        return None
+    d0, d1 = d_bar
     head = (T + 1.0) * math.log(x) - (T + 1.0) * math.log(T + 1.0)
     sym = (lam1 * d0 + lam0 * d1) * (T + T * T / 2.0)
     bracket = T + (1.0 - math.exp(-two_lam * T)) * (1.0 + 1.0 / two_lam)
     lam_i = lam0 if start_regime == 0 else lam1
     sign = 1.0 if start_regime == 0 else -1.0
     return head - (sym + sign * lam_i * (d0 - d1) / two_lam * bracket) / two_lam
-
-
-def value_semianalytic(inputs: RegimeValueInputs, start_regime: int) -> float:
-    """Independent value: integrate the mean log-wealth drift along the chain
-    (``log_value``)."""
-    if start_regime not in (0, 1):
-        raise ConfigError("start regime must be 0 or 1")
-    gen = GeneratorMatrix(inputs.lambda0, inputs.lambda1)
-    x, T = inputs.initial_wealth, inputs.horizon
-    return float(log_value(gen, inputs.d_bar, x, T, start_regime))
-
-
-def log_value(gen: GeneratorMatrix, d_bar, x, T, start_regime):
-    """J of per-regime constant weights under log utility with the
-    log-optimal consumption rule: (T+1) log(x/(T+1)) + sum_i d_bar_i w_i.
-
-    d_bar_i is the mean log-growth rate of gross wealth in regime i, and
-    w_i the occupation of regime i weighted by 1 + T - s
-    (``GeneratorMatrix.occupation``): the running-consumption term weights
-    the growth up to s by the time left, and the terminal term by 1.  Each
-    d_bar_i may be an array, one entry per weight.
-    """
-    _, w = gen.occupation(start_regime, T)
-    return (T + 1.0) * math.log(x / (T + 1.0)) + d_bar[0] * w[0] + d_bar[1] * w[1]
-
-
-def value_comparison(inputs: RegimeValueInputs, start_regime: int):
-    """Both evaluations and their difference, for reporting."""
-    a = value_corollary(inputs, start_regime)
-    b = value_semianalytic(inputs, start_regime)
-    return {"corollary": a, "semianalytic": b, "deviation": a - b}

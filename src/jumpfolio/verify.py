@@ -17,8 +17,7 @@ draws a sample once and passes it to every check (common random
 numbers).  Reductions run in fixed path order, so estimates are
 bit-reproducible.
 The grid search simulates nothing: for weights constant in each regime,
-J has a closed form in the chain's expected occupation (log) or in a
-2x2 matrix exponential (power), both in ``mpp``.
+J is exact (``regime_value.exact_value``).
 """
 
 from __future__ import annotations
@@ -33,14 +32,13 @@ from .frictions import ConstraintSet, conjugate_gk, effective_domain
 from .market import (
     ConsumptionRule,
     MarketModel,
-    _log_jump,
     _path_log_level,
     _report_grid,
     _wealth_terms,
 )
-from .mpp import PathEnsemble, exponential_functional
+from .mpp import PathEnsemble
 from .policy import Policy, Utility, feasible_weight_interval, h_value, log_optimal_policy
-from .regime_value import log_value
+from .regime_value import exact_value
 
 
 @dataclass(frozen=True)
@@ -305,32 +303,13 @@ def dual_functional_log(market, K, phi_policy: Policy, x, ens: PathEnsemble) -> 
     return _estimate(vals, ens.seed)
 
 
-def _jump_coefficients(market, utility, weights):
-    """Per regime, the conditional jump term at each weight: E[log(1 + pi f)]
-    for log utility, E[(1 + pi f)^gamma] for power.  One quadrature per
-    mark law serves every weight; regimes sharing a law share it."""
-    f, gamma = market.f, utility.gamma
-    w = np.asarray(weights, dtype=float)[:, None]
-    if utility.is_log:
-        term = lambda dist: dist.expect(_log_jump(market.transform, w))
-    else:
-        term = lambda dist: dist.expect(lambda y: (1.0 + w * f(y)) ** gamma)
-    by_law = {d: term(d) for d in dict.fromkeys(market.dists)}
-    return [by_law[d] for d in market.dists]
-
-
 def grid_search_constant_portfolio(
     market, utility: Utility, x, T, grid, n_paths=None, seed=None, i0=0
 ):
-    """Exact J over constant portfolio weights pi = pi_0 = pi_1.
-
-    Log utility pairs every weight with the proportional rule at scale
-    x/(T+1) (its optimal form), so J is ``regime_value.log_value`` with
-    d_bar_i = drift_i + lambda_i E_i[log(1 + pi f)].  Power utility runs
-    without consumption: J = (x^gamma/gamma) (e^{TM} 1)_{i0}
-    (``mpp.exponential_functional``), with M_ii = gamma drift_i - lambda_i
-    and M_ij = lambda_i E_i[(1 + pi f)^gamma].  The mark integrals are done
-    by quadrature, one per mark law for the whole grid.
+    """Exact J over constant portfolio weights pi = pi_0 = pi_1: the rows
+    (pi, pi) of ``regime_value.exact_value`` (log utility with the
+    proportional rule at scale x/(T+1), its optimal form; power without
+    consumption), one quadrature per mark law for the whole grid.
 
     Nothing is simulated: ``n_paths`` and ``seed`` are unused, kept only
     for the positional call in ``bench/workloads.py``.
@@ -346,22 +325,8 @@ def grid_search_constant_portfolio(
     lo_closed = (lc0 or lo0 < lo) and (lc1 or lo1 < lo)
     hi_closed = (hc0 or hi0 > hi) and (hc1 or hi1 > hi)
     inside = ((lo < grid) & (grid < hi)) | ((grid == lo) & lo_closed) | ((grid == hi) & hi_closed)
-    weights = grid[inside]
-
-    drift, _ = _wealth_terms(market, (weights, weights))
-    coef = np.column_stack(drift + _jump_coefficients(market, utility, weights))
-    finite = np.all(np.isfinite(coef), axis=1)
-    drift, jump = coef[finite, :2], coef[finite, 2:]
-    lam = market.gen.rates
-    if utility.is_log:
-        values = log_value(market.gen, (drift + lam * jump).T, x, T, i0)
-    else:
-        gamma = utility.gamma
-        growth = exponential_functional(gamma * drift - lam, lam * jump, T)
-        values = (x**gamma / gamma) * growth[:, i0]
-
     J = np.full(grid.size, math.nan)
-    J[np.flatnonzero(inside)[finite]] = values
+    J[inside] = exact_value(market, utility, x, T, np.repeat(grid[inside, None], 2, 1), i0)
     if not np.any(J > -math.inf):
         raise InfeasiblePolicyError("no feasible grid point")
     rows = [(float(p), float(j)) for p, j in zip(grid, J)]

@@ -30,7 +30,7 @@ from jumpfolio.policy import (
     power_optimal_policy,
     verify_conjugacy,
 )
-from jumpfolio.regime_value import regime_inputs, value_corollary, value_semianalytic
+from jumpfolio.regime_value import exact_value, regime_inputs, value_corollary
 from jumpfolio.verify import (
     budget_check,
     grid_search_constant_portfolio,
@@ -346,11 +346,11 @@ def test_criterion_7_regime_value():
     mkt = cfg.market
     x, T = 1.0, 1.0
     pol = log_optimal_policy(mkt, x, T)
-    inputs = regime_inputs(mkt, x, T, pol)
+    d_bar = regime_inputs(mkt, x, T, pol)
     details, ok = [], True
     for start in (0, 1):
-        semi = value_semianalytic(inputs, start)
-        coro = value_corollary(inputs, start)
+        semi = exact_value(mkt, Utility.log(), x, T, [pol.pi], start)[0]
+        coro = value_corollary(mkt.gen, d_bar, x, T, start)
         ens = simulate_ensemble(mkt.gen, start, T, mkt.dists, 100_000, SEED)
         est = mc_expected_utility(mkt, pol.pi, pol.consumption, Utility.log(), x, ens)
         z = (est.mean - semi) / est.stderr

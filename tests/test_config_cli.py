@@ -395,6 +395,19 @@ class TestCliOutputs:
         out = capsys.readouterr().out
         assert "semianalytic" in out and "corollary" in out and "monte carlo" in out
 
-    def test_value_requires_log(self, tmp_path):
+    def test_value_prints_power(self, tmp_path, capsys):
+        """Power `value` prints the exact J and a Monte Carlo estimate; on
+        distinct regimes it calls J the myopic policy's value, not the
+        optimal value."""
         path = write_config(tmp_path, BASE)
-        assert main(["value", path]) == 1
+        assert main(["value", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("optimal value (power gamma=0.5), start regime 0:\n  exact ")
+        assert "  monte carlo " in out
+        data = copy.deepcopy(BASE)
+        data["model"]["regimes"].append(dict(data["model"]["regimes"][0], r=0.03, mu=0.01))
+        path = write_config(tmp_path, data, "distinct.yaml")
+        assert main(["value", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("value of the per-regime myopic policy (power gamma=0.5)")
+        assert "not the optimal value" in out and "  exact " in out

@@ -350,6 +350,8 @@ def test_simulate_ensemble_is_the_only_sampler():
         "simulate_state_price",
         "RegimeValueInputs",
         "value_comparison",
+        "value_semianalytic",
+        "log_value",
     }
     assert not retired & set(vars(jumpfolio))
     # the one path type is an ensemble row: no single-path class or
