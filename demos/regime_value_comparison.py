@@ -18,8 +18,8 @@ from jumpfolio import (
     exact_value,
     log_optimal_policy,
     mc_expected_utility,
+    mean_log_growth,
     power_optimal_policy,
-    regime_inputs,
     simulate_ensemble,
     value_corollary,
 )
@@ -44,7 +44,7 @@ market = MarketModel(
 
 log_policy = log_optimal_policy(market, X0, T)
 power_policy = power_optimal_policy(market, 0.5)
-d_bar = regime_inputs(market, X0, T, log_policy)
+d_bar = mean_log_growth(market, [log_policy.pi])[0]
 print(f"log-optimal weights by regime: {log_policy.pi[0]:.6f}, {log_policy.pi[1]:.6f}")
 print(f"myopic power weights (gamma = 0.5): {power_policy.pi[0]:.6f}, {power_policy.pi[1]:.6f}")
 

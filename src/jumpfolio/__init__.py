@@ -60,6 +60,7 @@ from .policy import (
     Policy,
     RegimeOptimum,
     Utility,
+    certify,
     feasible_weight_interval,
     h_derivative,
     h_inverse,
@@ -67,11 +68,10 @@ from .policy import (
     log_optimal_policy,
     optimal_portfolio,
     power_optimal_policy,
-    verify_conjugacy,
 )
 from .regime_value import (
     exact_value,
-    regime_inputs,
+    mean_log_growth,
     value_corollary,
 )
 from .verify import (

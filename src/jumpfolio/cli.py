@@ -11,6 +11,7 @@ formatting.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -30,15 +31,8 @@ from .errors import (
 )
 from .market import DEFAULT_GRID_POINTS, export_path_csv, stock_path, wealth_path
 from .mpp import simulate_ensemble
-from .policy import (
-    Policy,
-    conjugacy_tolerance,
-    h_value,
-    log_optimal_policy,
-    power_optimal_policy,
-    verify_conjugacy,
-)
-from .regime_value import exact_value, regime_inputs, value_corollary
+from .policy import Policy, certify, h_value, log_optimal_policy, power_optimal_policy
+from .regime_value import exact_value, mean_log_growth, value_corollary
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -81,17 +75,37 @@ def _solve_policy(config: RunConfig) -> Policy:
     return power_optimal_policy(config.market, config.utility.gamma)
 
 
+def _exact_value(config: RunConfig, policy: Policy) -> float:
+    """Exact J of the solved weights from the start regime; a typed error,
+    not a printed nan, where a drift or jump term is not finite."""
+    i0 = config.initial_state
+    J = float(
+        exact_value(
+            config.market, config.utility, config.initial_wealth, config.horizon,
+            [policy.pi], i0,
+        )[0]
+    )
+    if not math.isfinite(J):
+        raise InfeasiblePolicyError(f"the solved weights have no finite value from regime {i0}")
+    return J
+
+
+def _within_noise(est, target) -> bool:
+    """|mean - target| <= 3 stderr, the stderr floored at 1e-12 max(1, |target|):
+    the rounding of a mean and a target that agree, so a constant sample
+    (stderr 0 up to rounding) is judged by that rounding, not bit equality."""
+    return abs(est.mean - target) <= 3.0 * max(est.stderr, 1e-12 * max(1.0, abs(target)))
+
+
 def cmd_optimize(config: RunConfig, args) -> int:
     policy = _solve_policy(config)
     kind = "log" if config.utility.is_log else f"power gamma={config.utility.gamma:g}"
     print(f"optimal policy ({kind} utility)")
     for i, params in enumerate(config.market.regimes):
-        residual = verify_conjugacy(
-            params.margin, config.market.constraint, policy.pi[i], policy.zeta[i]
-        )
+        cert = certify(params, config.market.constraint, policy.gamma, policy.pi[i])
         print(
             f"  regime {i}: pi_hat={policy.pi[i]:.12g} case={policy.cases[i]} "
-            f"zeta_hat={policy.zeta[i]:.12g} conjugacy_residual={residual:.3e}"
+            f"zeta_hat={policy.zeta[i]:.12g} conjugacy_residual={cert.residual:.3e}"
         )
     return EXIT_OK
 
@@ -100,15 +114,13 @@ def cmd_value(config: RunConfig, args) -> int:
     market, utility = config.market, config.utility
     x, T, i0 = config.initial_wealth, config.horizon, config.initial_state
     policy = _solve_policy(config)
-    if utility.is_log:
-        d_bar = regime_inputs(market, x, T, policy)
-    exact = float(exact_value(market, utility, x, T, [policy.pi], i0)[0])
+    exact = _exact_value(config, policy)
     ens = simulate_ensemble(market.gen, i0, T, market.dists, config.n_paths, config.seed)
     est = verify_mod.mc_expected_utility(market, policy.pi, policy.consumption, utility, x, ens)
     if utility.is_log:
         print(f"optimal value, start regime {i0}:")
         print(f"  semianalytic  {exact:.12g}")
-        coro = value_corollary(market.gen, d_bar, x, T, i0)
+        coro = value_corollary(market.gen, mean_log_growth(market, [policy.pi])[0], x, T, i0)
         if coro is None:
             print("  corollary     undefined at lambda0 + lambda1 = 0")
         else:
@@ -228,16 +240,16 @@ def cmd_verify(config: RunConfig, args) -> int:
     checks = []  # (name, passed or None if only reported, detail, estimate or None)
 
     for i, params in enumerate(market.regimes):
-        pi, zeta = policy.pi[i], policy.zeta[i]
-        residual = verify_conjugacy(params.margin, K, pi, zeta)
-        passed = residual <= conjugacy_tolerance(params, pi, zeta)
-        checks.append((f"conjugacy_regime{i}", passed, f"residual={residual:.3e}", None))
+        cert = certify(params, K, policy.gamma, policy.pi[i])
+        checks.append(
+            (f"conjugacy_regime{i}", cert.residual <= cert.bound, f"residual={cert.residual:.3e}", None)
+        )
 
     est_m = verify_mod.martingale_factor_check(market, K, policy, ens)
     checks.append(
         (
             "state_price_martingale",
-            abs(est_m.mean - 1.0) <= 3.0 * est_m.stderr,
+            _within_noise(est_m, 1.0),
             f"mean={est_m.mean:.8g} stderr={est_m.stderr:.3g}",
             est_m,
         )
@@ -260,20 +272,19 @@ def cmd_verify(config: RunConfig, args) -> int:
         checks.append(
             ("state_price_wealth_identity", dev_hv <= 1e-10, f"max_dev={dev_hv:.3e}", None)
         )
-        d_bar = regime_inputs(market, x, T, policy)
-        semi = float(exact_value(market, config.utility, x, T, [policy.pi], i0)[0])
+        semi = _exact_value(config, policy)
         est_v = verify_mod.mc_expected_utility(
             market, policy.pi, policy.consumption, config.utility, x, ens
         )
         checks.append(
             (
                 "value_vs_monte_carlo",
-                abs(est_v.mean - semi) <= 3.0 * est_v.stderr,
+                _within_noise(est_v, semi),
                 f"semianalytic={semi:.8g} mc={est_v.mean:.8g} stderr={est_v.stderr:.3g}",
                 est_v,
             )
         )
-        coro = value_corollary(market.gen, d_bar, x, T, i0)
+        coro = value_corollary(market.gen, mean_log_growth(market, [policy.pi])[0], x, T, i0)
         checks.append(
             (
                 "value_corollary_reported",

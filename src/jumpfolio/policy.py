@@ -92,12 +92,14 @@ class Policy:
     consumption: ConsumptionRule
 
 
-def feasible_weight_interval(params: RegimeMarketParams):
-    """Interval of pi with 1 + pi f(y) > 0 on the mark support.
+def feasible_weight_interval(params: RegimeMarketParams, K: ConstraintSet | None = None):
+    """Admissible weights: K intersected with {pi : 1 + pi f(y) > 0 on the
+    mark support}, or the jump-feasible weights alone when K is None.
 
-    Returns (lo, hi, lo_closed, hi_closed).  The exponential transform on
-    a support unbounded below gives ess inf f = -1 without attaining it,
-    which closes the pi = 1 endpoint.
+    Returns (lo, hi, lo_closed, hi_closed); an end of K that binds is
+    closed.  The exponential transform on a support unbounded below gives
+    ess inf f = -1 without attaining it, which closes the pi = 1 endpoint.
+    Both sets hold 0, so the interval is never empty.
     """
     f_lo, f_hi = transform_range(params.dist, params.transform)
     y_lo, _ = params.dist.support()
@@ -113,6 +115,11 @@ def feasible_weight_interval(params: RegimeMarketParams):
         lo, lo_closed = 0.0, True
     else:
         lo, lo_closed = -1.0 / f_hi, False
+    if K is not None:
+        if K.lower > lo:
+            lo, lo_closed = K.lower, True
+        if K.upper < hi:
+            hi, hi_closed = K.upper, True
     return lo, hi, lo_closed, hi_closed
 
 
@@ -169,12 +176,7 @@ def h_inverse(params, gamma, target, K: ConstraintSet | None = None):
     BracketLimitError when the bracket stops at BRACKET_LIMIT short of the
     feasible end.
     """
-    lo, hi, lo_closed, hi_closed = feasible_weight_interval(params)
-    if K is not None:
-        if K.lower > lo:
-            lo, lo_closed = K.lower, True
-        if K.upper < hi:
-            hi, hi_closed = K.upper, True
+    lo, hi, lo_closed, hi_closed = feasible_weight_interval(params, K)
     shrink = 1e-9
     lo_b = lo if lo_closed else lo + shrink * max(1.0, abs(lo))
     hi_b = hi if hi_closed else hi - shrink * max(1.0, abs(hi))
@@ -268,15 +270,19 @@ def _brent(fn, a, b, fa, fb, xtol, rtol, maxiter=100):
     raise RangeError(f"root finder did not converge in {maxiter} steps near {x_cur:.9g}")
 
 
-def verify_conjugacy(margin: MarginModel, K: ConstraintSet, pi_hat, zeta_hat) -> float:
-    """|g(pi) - pi*zeta - conj(zeta)|; DomainError if zeta leaves the domain."""
+def _conjugate(margin: MarginModel, K: ConstraintSet, zeta) -> float:
+    """The margin's conjugate over K at zeta; DomainError if zeta leaves the
+    effective domain.  zeta = r - h(pi) carries the rounding of h, so a
+    zeta within 1e-12 of the domain is clamped into it."""
     lo, hi = effective_domain(margin, K)
-    if not (lo - 1e-12 <= zeta_hat <= hi + 1e-12):
-        raise DomainError(
-            f"zeta = {zeta_hat:.6g} outside effective domain [{lo:.6g}, {hi:.6g}]"
-        )
-    zeta_c = min(max(zeta_hat, lo), hi)
-    return abs(margin.g(pi_hat) - pi_hat * zeta_hat - conjugate_gk(margin, K, zeta_c))
+    if not lo - 1e-12 <= zeta <= hi + 1e-12:
+        raise DomainError(f"zeta = {zeta:.6g} outside effective domain [{lo:.6g}, {hi:.6g}]")
+    return conjugate_gk(margin, K, min(max(zeta, lo), hi))
+
+
+def verify_conjugacy(margin: MarginModel, K: ConstraintSet, pi_hat, zeta_hat) -> float:
+    """|g(pi) - pi*zeta - conj(zeta)| over K; DomainError if zeta leaves the domain."""
+    return abs(margin.g(pi_hat) - pi_hat * zeta_hat - _conjugate(margin, K, zeta_hat))
 
 
 def conjugacy_tolerance(params: RegimeMarketParams, pi, zeta) -> float:
@@ -297,23 +303,19 @@ def optimal_portfolio(params: RegimeMarketParams, K: ConstraintSet, gamma: float
     """Optimal weight for a concave piecewise-linear margin over interval K.
 
     The optimality condition pairs pi with zeta = r - h(pi) in the
-    superdifferential of g at pi (one-sided at the ends of the domain,
-    K intersected with the feasible weights).  r - h increases and the
-    margin slopes do not, so one left-to-right walk over the domain's
-    points (finite ends and kinks) stops at the first point whose
-    superdifferential reaches r - h, or solves h = r - slope on the piece
-    before it.  The case label numbers the cells of the domain from the
+    superdifferential of g at pi (one-sided at the ends of the domain, the
+    admissible weights ``feasible_weight_interval(params, K)``).  r - h
+    increases and the margin slopes do not, so one left-to-right walk over
+    the domain's points (finite ends and kinks) stops at the first point
+    whose superdifferential reaches r - h, or solves h = r - slope on the
+    piece before it.  The case label numbers the cells of the domain from the
     left: the lower end when it is a finite, closed end, then open pieces
     and kinks in turn.
     """
     margin = params.margin
     slopes, kinks = margin.slopes, margin.breakpoints
     r, mu = params.r, params.mu
-    lo_f, hi_f, lo_closed, hi_closed = feasible_weight_interval(params)
-    lo, lo_closed = max(K.lower, lo_f), lo_closed or K.lower > lo_f
-    hi, hi_closed = min(K.upper, hi_f), hi_closed or K.upper < hi_f
-    if lo > hi:
-        raise InfeasiblePolicyError("constraint set and jump feasibility do not meet")
+    lo, hi, lo_closed, hi_closed = feasible_weight_interval(params, K)
     # h tends to mu at an unbounded end: the optimum exists only if r - mu
     # lies strictly inside the outermost slope there
     if math.isinf(hi) and not mu < r - slopes[-1]:
@@ -348,17 +350,44 @@ def optimal_portfolio(params: RegimeMarketParams, K: ConstraintSet, gamma: float
     return _package_optimum(params, K, gamma, pi, first_case + 2 * len(points) - 1)
 
 
-def _package_optimum(params, K, gamma, pi, case):
+@dataclass(frozen=True)
+class Certificate:
+    """Duality certificate of a weight pi in one regime."""
+
+    zeta: float  # r - h(pi)
+    gk: float  # the margin's conjugate at zeta
+    residual: float  # |g(pi) - pi*zeta - gk|
+    bound: float  # conjugacy_tolerance(params, pi, zeta)
+
+
+def certify(params: RegimeMarketParams, K: ConstraintSet, gamma: float, pi) -> Certificate:
+    """The one certificate of pi: zeta = r - h(pi), the conjugate taken
+    over the closed admissible weights (``feasible_weight_interval(params,
+    K)``), the conjugacy residual and its bound.
+
+    Positive wealth across every jump constrains pi as K does, so the
+    conjugate's set is K intersected with the jump-feasible weights
+    (Cvitanic and Karatzas 1992); an optimum at a binding feasible end
+    has a zeta outside the domain of the conjugate over K alone.
+    DomainError if zeta leaves the effective domain.
+    """
+    lo, hi, _, _ = feasible_weight_interval(params, K)
     zeta = params.r - h_value(params, gamma, pi)
+    gk = _conjugate(params.margin, ConstraintSet(lo, hi), zeta)
+    residual = abs(params.margin.g(pi) - pi * zeta - gk)
+    return Certificate(zeta, gk, residual, conjugacy_tolerance(params, pi, zeta))
+
+
+def _package_optimum(params, K, gamma, pi, case):
     try:
-        residual = verify_conjugacy(params.margin, K, pi, zeta)
-    except DomainError as exc:  # a root hugging an open end can miss the band
+        cert = certify(params, K, gamma, pi)
+    except DomainError as exc:  # a root off by more than the domain slack
         raise InfeasiblePolicyError(f"candidate pi = {pi:.9g} fails conjugacy: {exc}") from exc
-    if residual > conjugacy_tolerance(params, pi, zeta):
+    if cert.residual > cert.bound:
         raise InfeasiblePolicyError(
-            f"candidate pi = {pi:.9g} fails conjugacy with residual {residual:.3e}"
+            f"candidate pi = {pi:.9g} fails conjugacy with residual {cert.residual:.3e}"
         )
-    return RegimeOptimum(pi=pi, zeta=zeta, case=case)
+    return RegimeOptimum(pi=pi, zeta=cert.zeta, case=case)
 
 
 def _optimal_policy(market: MarketModel, gamma: float, consumption: ConsumptionRule) -> Policy:

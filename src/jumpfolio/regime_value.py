@@ -22,18 +22,10 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, InfeasiblePolicyError
-from .frictions import effective_domain
+from .errors import ConfigError
 from .market import MarketModel, _log_jump, _wealth_terms
 from .mpp import GeneratorMatrix, exponential_functional
-from .policy import (
-    Policy,
-    Utility,
-    conjugacy_tolerance,
-    feasible_weight_interval,
-    log_optimal_policy,
-    verify_conjugacy,
-)
+from .policy import Utility
 
 
 def _growth_terms(market: MarketModel, utility: Utility, weights):
@@ -97,46 +89,6 @@ def exact_value(market: MarketModel, utility: Utility, x, T, weights, i0):
     J = np.full(finite.size, math.nan)
     J[finite] = values
     return J
-
-
-def regime_inputs(market: MarketModel, x: float, T: float, policy: Policy | None = None):
-    """Check the three optimality conditions of the log policy and return
-    its per-regime d_bar (``mean_log_growth``).
-
-    Condition (i): eta finite; (ii): zeta in the conjugate domain;
-    (iii): conjugacy holds within ``policy.conjugacy_tolerance``.
-    """
-    if market.transform != "exponential":
-        raise ConfigError("regime value formulas assume the exponential jump transform")
-    if policy is None:
-        policy = log_optimal_policy(market, x, T)
-    K = market.constraint
-    for i, params in enumerate(market.regimes):
-        pi, zeta_i = policy.pi[i], policy.zeta[i]
-        lo, hi, lo_closed, hi_closed = feasible_weight_interval(params)
-        inside = (lo < pi < hi) or (pi == lo and lo_closed) or (pi == hi and hi_closed)
-        if not inside:
-            y_lo, y_hi = params.dist.support()
-            bad = y_lo if pi > 0 else y_hi
-            raise InfeasiblePolicyError(
-                f"regime {i}: 1 + pi*(e^y - 1) <= 0 near support point y = {bad:.6g}"
-            )
-        dom = effective_domain(params.margin, K)
-        if not dom[0] - 1e-12 <= zeta_i <= dom[1] + 1e-12:
-            raise InfeasiblePolicyError(
-                f"regime {i}: zeta = {zeta_i:.6g} outside domain [{dom[0]:.6g}, {dom[1]:.6g}]"
-            )
-        residual = verify_conjugacy(params.margin, K, pi, zeta_i)
-        bound = conjugacy_tolerance(params, pi, zeta_i)
-        if residual > bound:
-            raise InfeasiblePolicyError(
-                f"regime {i}: conjugacy residual {residual:.3e} exceeds {bound:.3e}"
-            )
-    d_bar = tuple(float(d) for d in mean_log_growth(market, [policy.pi])[0])
-    for i, d in enumerate(d_bar):
-        if not math.isfinite(d):
-            raise InfeasiblePolicyError(f"regime {i}: eta integral diverges")
-    return d_bar
 
 
 def value_corollary(gen: GeneratorMatrix, d_bar, x, T, start_regime: int):

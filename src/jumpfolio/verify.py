@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, InfeasiblePolicyError
-from .frictions import ConstraintSet, conjugate_gk, effective_domain
+from .frictions import ConstraintSet
 from .market import (
     ConsumptionRule,
     MarketModel,
@@ -37,7 +37,7 @@ from .market import (
     _wealth_terms,
 )
 from .mpp import PathEnsemble
-from .policy import Policy, Utility, feasible_weight_interval, h_value, log_optimal_policy
+from .policy import Policy, Utility, certify, feasible_weight_interval, log_optimal_policy
 from .regime_value import exact_value
 
 
@@ -164,31 +164,24 @@ class StatePriceSpec:
 def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> StatePriceSpec:
     """Build the candidate dual density from a policy:
     phi_i(y) = 1 / [1 + pi_i f(y)]^(1-gamma)."""
-    f = market.f
-    gamma = policy.gamma
-    phis = []
-    zetas = []
-    comps = []
-    gks = []
+    f, gamma = market.f, policy.gamma
+    phis, certs, comps = [], [], []
     for i, params in enumerate(market.regimes):
         pi = policy.pi[i]
         phi = lambda y, p=pi: 1.0 / (1.0 + p * f(y)) ** (1.0 - gamma)
-        # h(pi) = mu + lam int f phi F(dy)
-        zeta = params.r - h_value(params, gamma, pi)
-        lo, hi = effective_domain(params.margin, K)
-        if not lo - 1e-12 <= zeta <= hi + 1e-12:
-            raise DomainError(
-                f"regime {i}: zeta^phi = {zeta:.6g} leaves the conjugate domain "
-                f"[{lo:.6g}, {hi:.6g}] as soon as the chain enters this regime"
-            )
-        comp = params.lam * params.dist.expect(lambda y: phi(y) - 1.0, tol=1e-13)
-        gk = conjugate_gk(params.margin, K, min(max(zeta, lo), hi))
+        # h(pi) = mu + lam int f phi F(dy), so phi's dual variable is the
+        # certificate's zeta = r - h(pi), and gk its conjugate value
+        try:
+            certs.append(certify(params, K, gamma, pi))
+        except DomainError as exc:
+            raise DomainError(f"regime {i}: {exc}") from exc
         phis.append(phi)
-        zetas.append(zeta)
-        comps.append(comp)
-        gks.append(gk)
+        comps.append(params.lam * params.dist.expect(lambda y: phi(y) - 1.0, tol=1e-13))
     return StatePriceSpec(
-        phi=tuple(phis), zeta=tuple(zetas), compensator=tuple(comps), gk=tuple(gks)
+        phi=tuple(phis),
+        zeta=tuple(c.zeta for c in certs),
+        compensator=tuple(comps),
+        gk=tuple(c.gk for c in certs),
     )
 
 
@@ -318,13 +311,10 @@ def grid_search_constant_portfolio(
     finite.
     """
     grid = np.asarray(grid, dtype=float)
-    lo0, hi0, lc0, hc0 = feasible_weight_interval(market.regimes[0])
-    lo1, hi1, lc1, hc1 = feasible_weight_interval(market.regimes[1])
-    lo, hi = max(lo0, lo1), min(hi0, hi1)
-    # an end of the intersection is open when a regime whose end binds is
-    lo_closed = (lc0 or lo0 < lo) and (lc1 or lo1 < lo)
-    hi_closed = (hc0 or hi0 > hi) and (hc1 or hi1 > hi)
-    inside = ((lo < grid) & (grid < hi)) | ((grid == lo) & lo_closed) | ((grid == hi) & hi_closed)
+    inside = np.ones(grid.size, dtype=bool)
+    for params in market.regimes:
+        lo, hi, lo_closed, hi_closed = feasible_weight_interval(params)
+        inside &= ((lo < grid) & (grid < hi)) | ((grid == lo) & lo_closed) | ((grid == hi) & hi_closed)
     J = np.full(grid.size, math.nan)
     J[inside] = exact_value(market, utility, x, T, np.repeat(grid[inside, None], 2, 1), i0)
     if not np.any(J > -math.inf):

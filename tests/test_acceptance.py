@@ -30,7 +30,7 @@ from jumpfolio.policy import (
     power_optimal_policy,
     verify_conjugacy,
 )
-from jumpfolio.regime_value import exact_value, regime_inputs, value_corollary
+from jumpfolio.regime_value import exact_value, mean_log_growth, value_corollary
 from jumpfolio.verify import (
     budget_check,
     grid_search_constant_portfolio,
@@ -346,7 +346,7 @@ def test_criterion_7_regime_value():
     mkt = cfg.market
     x, T = 1.0, 1.0
     pol = log_optimal_policy(mkt, x, T)
-    d_bar = regime_inputs(mkt, x, T, pol)
+    d_bar = mean_log_growth(mkt, [pol.pi])[0]
     details, ok = [], True
     for start in (0, 1):
         semi = exact_value(mkt, Utility.log(), x, T, [pol.pi], start)[0]

@@ -411,3 +411,74 @@ class TestCliOutputs:
         out = capsys.readouterr().out
         assert out.startswith("value of the per-regime myopic policy (power gamma=0.5)")
         assert "not the optimal value" in out and "  exact " in out
+
+
+def low_drift(margin):
+    """regime_switching.yaml with mu = -0.3 in regime 0 and one margin for
+    both regimes."""
+    regime = {
+        "r": 0.045, "mu": -0.3, "lam": 1.0, "transform": "exponential", "margin": margin,
+        "distribution": {"variant": "exponential_positive", "rate": 10.0},
+    }
+    return {
+        "model": {"initial_state": 0, "regimes": [regime, dict(regime, r=0.03, mu=0.01)]},
+        "utility": {"variant": "log"},
+        "horizon": 1.0,
+        "initial_wealth": 1.0,
+        "mc": {"n_paths": 100000, "seed": 20260823},
+    }
+
+
+class TestBindingFeasibleEnd:
+    """Positive unbounded marks ruin any short position, so the jump-feasible
+    weights are pi >= 0; with mu = -0.3 the objective already falls at 0
+    (h(0) - r = -0.2339), so regime 0's optimum is the feasible end 0,
+    which K does not bound for these margins.  The conjugate over K alone
+    rejected it (zeta = 0.233889 outside [0, 0], exit 2)."""
+
+    @pytest.mark.parametrize(
+        "margin, pi, cases",
+        [
+            ({"variant": "frictionless"}, (0.0, 31.5091717971), (1, 2)),
+            ({"variant": "short_rebate", "rL": 0.06}, (0.0, 1.0), (1, 3)),
+        ],
+    )
+    def test_optimize_and_verify_exit_0(self, tmp_path, capsys, margin, pi, cases):
+        path = write_config(tmp_path, low_drift(margin))
+        policy = log_optimal_policy(load_config(path).market, 1.0, 1.0)
+        assert policy.cases == cases
+        assert policy.pi == pytest.approx(pi, rel=1e-11, abs=0.0)
+        assert policy.zeta[0] == pytest.approx(0.233888888889, rel=1e-11)
+        for gamma in ([], ["--gamma", "0.5"]):
+            for command in ("optimize", "verify"):
+                assert main([command, path, *gamma, "--output-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "PASS value_vs_monte_carlo" in out
+
+
+@pytest.mark.parametrize("command", ["value", "verify"])
+def test_non_finite_value_is_a_typed_error(tmp_path, monkeypatch, capsys, command):
+    """A NaN exact value is an infeasible policy (exit 2), never a printed nan."""
+    monkeypatch.setattr(cli, "exact_value", lambda *a: np.array([math.nan]))
+    data = copy.deepcopy(BASE)
+    data["utility"] = {"variant": "log"}
+    path = write_config(tmp_path, data)
+    assert main([command, path, "--output-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "nan" not in out and "no finite value" in err
+
+
+def test_still_chain_verify_floors_the_standard_error(tmp_path, monkeypatch, capsys):
+    """On a still chain the value and martingale samples are constant
+    (stderr 7e-19 and 0), so the 3-stderr test must not demand bit
+    equality: an exact value moved by one ulp still passes."""
+    data = low_drift({"variant": "differential_rates", "R": 0.05})
+    data["model"]["regimes"][0]["mu"] = -0.05
+    for regime in data["model"]["regimes"]:
+        regime["lam"] = 0.0
+    path = write_config(tmp_path, data)
+    exact = cli.exact_value
+    monkeypatch.setattr(cli, "exact_value", lambda *a: np.nextafter(exact(*a), math.inf))
+    argv = ["verify", path, "--n-paths", "1000", "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert "PASS value_vs_monte_carlo" in capsys.readouterr().out

@@ -352,6 +352,7 @@ def test_simulate_ensemble_is_the_only_sampler():
         "value_comparison",
         "value_semianalytic",
         "log_value",
+        "regime_inputs",
     }
     assert not retired & set(vars(jumpfolio))
     # the one path type is an ensemble row: no single-path class or

@@ -11,6 +11,7 @@ from jumpfolio.distributions import ExponentialNegative, ExponentialPositive, Tw
 from jumpfolio.errors import (
     BracketLimitError,
     ConfigError,
+    DomainError,
     InfeasiblePolicyError,
     JumpfolioError,
     ModelAssumptionError,
@@ -30,6 +31,7 @@ from jumpfolio.policy import (
     PI_TOL,
     Utility,
     _brent,
+    certify,
     conjugacy_tolerance,
     feasible_weight_interval,
     h_derivative,
@@ -344,17 +346,30 @@ class TestGenericSolver:
             optimal_portfolio(PARAMS_DOWN, ConstraintSet(-math.inf, 0.5), 0.99)
 
     @pytest.mark.parametrize(
-        "r, R, mu", [(0.033, 0.0756, -0.0341), (0.0025, 0.0321, -0.0822)]
+        "r, R, mu, pi",
+        [
+            pytest.param(0.033, 0.0756, -0.0341, -12.006645889822478, id="0.033-0.0756--0.0341"),
+            pytest.param(0.0025, 0.0321, -0.0822, -12.006663286475545, id="0.0025-0.0321--0.0822"),
+        ],
     )
-    def test_root_at_open_end_is_infeasible(self, r, R, mu):
-        """The root hugs the open lower end pi = -12.0067, where zeta misses
-        the conjugate's domain by about 1e-9: a typed policy failure, not a
-        DomainError, so figures 2 and 4 leave the cell empty."""
+    def test_root_at_open_end_is_certified(self, r, R, mu, pi):
+        """The root hugs the open lower end pi = -12.0067 of the jump-feasible
+        weights, where zeta (about 1e-9) lies outside the domain of the
+        conjugate over K alone; over the closed admissible weights it is
+        inside, and the open piece left of the kink is case 1."""
         params = RegimeMarketParams(
             r=r, mu=mu, lam=0.5, dist=TwoPoint(-0.05, 0.08, 0.5), margin=DifferentialRates(r, R)
         )
-        with pytest.raises(InfeasiblePolicyError):
-            optimal_portfolio(params, ConstraintSet(), 0.9)
+        K = ConstraintSet()
+        opt = optimal_portfolio(params, K, 0.9)
+        assert (opt.pi, opt.case) == (pi, 1)
+        assert 0.0 < opt.zeta < 1e-9
+        lo, _, lo_closed, _ = feasible_weight_interval(params, K)
+        assert lo < opt.pi < lo + 1e-4 and not lo_closed
+        with pytest.raises(DomainError):
+            verify_conjugacy(params.margin, K, opt.pi, opt.zeta)
+        cert = certify(params, K, 0.9, opt.pi)
+        assert cert.zeta == opt.zeta and cert.residual <= cert.bound
 
     def test_zero_optimal_zeta_at_a_huge_weight_is_certified(self):
         """With zero spread the root of h = r lies at pi = -9.97e11, where
@@ -372,9 +387,9 @@ class TestGenericSolver:
         assert verify_conjugacy(params.margin, NO_BORROWING, got.pi, got.zeta) > 1e-9
 
     def test_one_conjugacy_bound_certifies_the_zero_spread_optimum(self):
-        """The solver, ``verify`` and the value inputs certify with one bound:
-        the zero-spread optimum's residual (1.384e-05) meets it, and fails
-        the absolute 1e-9 ``verify`` and ``regime_inputs`` applied before."""
+        """The solver and ``verify`` certify with one bound: the zero-spread
+        optimum's residual (1.384e-05) meets it, and fails the absolute
+        1e-9 that ``verify`` applied before."""
         params = RegimeMarketParams(
             r=0.0, mu=0.0625, lam=1.0, dist=ExponentialNegative(2.0),
             margin=ShortRebate(0.0, 0.0),

@@ -16,7 +16,6 @@ from jumpfolio.policy import Utility, log_optimal_policy, power_optimal_policy
 from jumpfolio.regime_value import (
     exact_value,
     mean_log_growth,
-    regime_inputs,
     value_corollary,
 )
 from jumpfolio.verify import mc_expected_utility
@@ -56,9 +55,10 @@ def solved_value(mkt, utility, x, T, i0):
 
 class TestInputs:
     def test_condition_checks_and_drift(self):
+        """d_bar of the solved log weights; the solver certifies them."""
         mkt = two_regime_market()
-        d_bar = regime_inputs(mkt, x=2.0, T=3.0)
         pol = log_optimal_policy(mkt, 2.0, 3.0)
+        d_bar = mean_log_growth(mkt, [pol.pi])[0]
         for i, params in enumerate(mkt.regimes):
             pi = pol.pi[i]
             d_manual = (
@@ -81,7 +81,7 @@ class TestInputs:
         cfg = load_config(str(path))
         mkt, x, T = cfg.market, cfg.initial_wealth, cfg.horizon
         policy = log_optimal_policy(mkt, x, T)
-        d_bar = regime_inputs(mkt, x, T, policy)
+        d_bar = mean_log_growth(mkt, [policy.pi])[0]
         for i0 in (0, 1):
             J = exact_value(mkt, Utility.log(), x, T, [policy.pi], i0)[0]
             expected = (T + 1.0) * math.log(x / (T + 1.0)) + d_bar[i0] * (T + T * T / 2.0)
@@ -92,6 +92,37 @@ class TestInputs:
         argv = ["value", str(path), "--n-paths", "1000", "--output-dir", str(tmp_path)]
         assert main(argv) == 0
         assert "  corollary     undefined at lambda0 + lambda1 = 0\n" in capsys.readouterr().out
+
+
+class TestIdentityTransform:
+    """The exact value does not assume the exponential transform."""
+
+    @pytest.fixture
+    def config_path(self, tmp_path):
+        data = yaml.safe_load(REGIME_SWITCHING.read_text())
+        for regime in data["model"]["regimes"]:
+            regime["transform"] = "identity"
+        path = tmp_path / "identity.yaml"
+        path.write_text(yaml.safe_dump(data))
+        return path
+
+    @pytest.mark.parametrize("i0", [0, 1])
+    @pytest.mark.parametrize("utility", UTILITIES, ids=["log", "power"])
+    def test_exact_value_matches_monte_carlo(self, config_path, utility, i0):
+        """Within 3 standard errors at 1e5 paths (z = +0.39 and -0.68 for
+        log, +0.54 and -0.88 for power, from regimes 0 and 1)."""
+        cfg = load_config(str(config_path))
+        mkt, x, T = cfg.market, cfg.initial_wealth, cfg.horizon
+        policy = solved_policy(mkt, utility, x, T)
+        J = exact_value(mkt, utility, x, T, [policy.pi], i0)[0]
+        ens = simulate_ensemble(mkt.gen, i0, T, mkt.dists, cfg.n_paths, cfg.seed)
+        est = mc_expected_utility(mkt, policy.pi, policy.consumption, utility, x, ens)
+        assert abs(est.mean - J) <= 3.0 * est.stderr
+
+    def test_value_and_verify_exit_0(self, config_path, tmp_path, capsys):
+        for command in ("value", "verify"):
+            assert main([command, str(config_path), "--output-dir", str(tmp_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestSemianalytic:
@@ -220,7 +251,7 @@ class TestCorollaryComparison:
         """The published display deviates from the exact value from both
         start regimes; the deviation is surfaced, not hidden."""
         mkt = two_regime_market()
-        d_bar = regime_inputs(mkt, 1.0, 1.0)
+        d_bar = mean_log_growth(mkt, [log_optimal_policy(mkt, 1.0, 1.0).pi])[0]
         for i0 in (0, 1):
             coro = value_corollary(mkt.gen, d_bar, 1.0, 1.0, i0)
             assert abs(coro - solved_value(mkt, Utility.log(), 1.0, 1.0, i0)) > 1e-3
@@ -257,7 +288,7 @@ class TestCorollaryComparison:
 
     def test_start_state_validated(self):
         mkt = two_regime_market()
-        d_bar = regime_inputs(mkt, 1.0, 1.0)
+        d_bar = mean_log_growth(mkt, [log_optimal_policy(mkt, 1.0, 1.0).pi])[0]
         with pytest.raises(ConfigError):
             value_corollary(mkt.gen, d_bar, 1.0, 1.0, 2)
         with pytest.raises(ConfigError):

@@ -25,7 +25,7 @@ from jumpfolio.market import (
 )
 from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, simulate_ensemble
 from jumpfolio.policy import Policy, Utility, feasible_weight_interval, log_optimal_policy
-from jumpfolio.regime_value import regime_inputs
+from jumpfolio.regime_value import mean_log_growth
 from jumpfolio.verify import (
     budget_check,
     dual_functional_log,
@@ -541,7 +541,7 @@ class TestGridSearch:
             _, ((_, J),) = grid_search_constant_portfolio(
                 mkt, Utility.log(), 1.0, 1.0, [policy.pi[0]], i0=i0
             )
-            d_bar = regime_inputs(mkt, 1.0, 1.0, policy)[i0]
+            d_bar = mean_log_growth(mkt, [policy.pi])[0][i0]
             semi = 2.0 * math.log(0.5) + d_bar * 1.5  # (T+1) ln(x/(T+1)) + d (T + T^2/2)
             assert abs(J - semi) <= 1e-13 * abs(semi)
 
