@@ -245,7 +245,18 @@ def cmd_verify(config: RunConfig, args) -> int:
             (f"conjugacy_regime{i}", cert.residual <= cert.bound, f"residual={cert.residual:.3e}", None)
         )
 
-    est_m = verify_mod.martingale_factor_check(market, K, policy, ens)
+    # one sweep of the sample serves every Monte Carlo check
+    mc_checks = [
+        verify_mod.martingale_mc(market, K, policy),
+        verify_mod.budget_mc(market, K, policy.pi, policy.consumption, policy, x, T),
+    ]
+    if config.utility.is_log:
+        mc_checks.append(
+            verify_mod.expected_utility_mc(
+                market, policy.pi, policy.consumption, config.utility, x, T
+            )
+        )
+    est_m, est_b, *est_u = verify_mod.sweep_estimates(market, ens, mc_checks)
     checks.append(
         (
             "state_price_martingale",
@@ -253,10 +264,6 @@ def cmd_verify(config: RunConfig, args) -> int:
             f"mean={est_m.mean:.8g} stderr={est_m.stderr:.3g}",
             est_m,
         )
-    )
-
-    est_b = verify_mod.budget_check(
-        market, K, policy.pi, policy.consumption, policy, x, ens
     )
     checks.append(
         (
@@ -273,9 +280,7 @@ def cmd_verify(config: RunConfig, args) -> int:
             ("state_price_wealth_identity", dev_hv <= 1e-10, f"max_dev={dev_hv:.3e}", None)
         )
         semi = _exact_value(config, policy)
-        est_v = verify_mod.mc_expected_utility(
-            market, policy.pi, policy.consumption, config.utility, x, ens
-        )
+        (est_v,) = est_u
         checks.append(
             (
                 "value_vs_monte_carlo",

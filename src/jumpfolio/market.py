@@ -170,8 +170,9 @@ def _path_log_level(ens: PathEnsemble, grid, drift_by_state, jump_log_by_state):
 
     The log level starts at 0, grows at drift_by_state[i] while the chain
     is in state i and jumps by jump_log_by_state[i](mark) at each event
-    whose pre-jump state is i; it is right-continuous.  This is the
-    description ``verify.ensemble_functionals`` takes.  Sums run along
+    whose pre-jump state is i; it is right-continuous.  This is the level
+    ``verify.ensemble_functionals`` sweeps to T, there with the jump log
+    written as coefficients of shared jump bases.  Sums run along
     each row in time order, and padding never enters a row's own cells,
     so a row's level does not depend on the rows evaluated with it.
 
@@ -343,4 +344,5 @@ def export_path_csv(path_obj: WealthPath, stock, fh, comment_lines=()):
     for line in comment_lines:
         fh.write(f"# {line}\n")
     fh.write(",".join(header) + "\n")
-    fh.write("".join(_CSV_ROW % tuple(row) for row in rows.tolist()))
+    # one format call for the whole path: byte-identical to one per row
+    fh.write((_CSV_ROW * len(rows)) % tuple(rows.ravel().tolist()))

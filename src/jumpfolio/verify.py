@@ -1,10 +1,19 @@
 """Monte Carlo and pathwise verification of the duality machinery.
 
 Every level here is described the same way: a per-regime linear
-log-drift plus a per-jump log factor.  On a path ensemble, gross wealth,
-the state-price process and every mixed integral of the two are
-accumulated column by column over the padded arrays
-(``ensemble_functionals``); at reporting-grid times the market layer's
+log-drift plus a per-jump log factor.  Each factor is a multiple of one
+jump basis per weight pair, l_i(y) = log(1 + pi_i f(y)): wealth V jumps
+by l, the state-price process H by -(1-gamma) l and H V by gamma l.
+
+On a path ensemble, ``ensemble_functionals`` accumulates any number of
+levels (final log and, per level, int log or int exp) in one pass over
+the padded columns, evaluating each basis once per column.  A Monte
+Carlo check is a ``McCheck``: its level and the reduction of that
+level's functionals to one sample per path.  ``sweep_estimates`` sweeps
+the levels of several checks at once, and ``verify`` sweeps all of its
+checks so; a check function called alone (``martingale_factor_check``,
+``budget_check``, ``mc_expected_utility``, ``dual_functional_log``)
+sweeps only its own level.  At reporting-grid times the market layer's
 engine evaluates the same description on a block of ensemble rows, given
 the state-price drift and jump logs of ``StatePriceSpec``.  Portfolio
 weights are per-regime constants.
@@ -15,7 +24,8 @@ and the pathwise identity the rows to check (``PathEnsemble.rows``),
 whose log levels it compares in one engine call per level.  A caller
 draws a sample once and passes it to every check (common random
 numbers).  Reductions run in fixed path order, so estimates are
-bit-reproducible.
+bit-reproducible, and a level's functionals do not depend on the levels
+swept with it.
 The grid search simulates nothing: for weights constant in each regime,
 J is exact (``regime_value.exact_value``).
 """
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +43,7 @@ from .frictions import ConstraintSet
 from .market import (
     ConsumptionRule,
     MarketModel,
+    _log_jump,
     _path_log_level,
     _report_grid,
     _wealth_terms,
@@ -66,75 +78,84 @@ def _estimate(samples, seed):
 # ---------------------------------------------------------------------------
 
 
-def ensemble_functionals(
-    ens: PathEnsemble,
-    drift_by_state,
-    jump_log_by_state,
-    want_int_log=False,
-    want_int_exp=False,
-    exp_coeff=1.0,
-):
-    """Accumulate per-path log-level functionals over the padded ensemble.
+@dataclass(frozen=True)
+class Level:
+    """A per-path log level: 0 at t = 0, growing at drift[i] while the chain
+    is in state i and jumping at each event by sum_b jumps[b] * basis_b(mark)
+    over the sweep's jump bases.  int_log asks for int_0^T log dt, and
+    exp_coeff, when set, for int_0^T exp(exp_coeff * log) dt."""
 
-    The log level starts at 0, grows linearly at drift_by_state[i] on
-    each inter-jump segment and jumps by jump_log_by_state[i](mark).
-    Returns final_log always; optionally int_0^T log dt and
-    int_0^T exp(exp_coeff * log) dt, all exact per segment.
+    drift: Sequence  # per state
+    jumps: dict  # jump-basis key -> coefficient
+    int_log: bool = False
+    exp_coeff: float | None = None
+
+
+def ensemble_functionals(ens: PathEnsemble, jump_bases, levels):
+    """Accumulate every level's functionals in one pass over the columns of
+    the padded ensemble.
+
+    jump_bases maps a key to a per-state pair of callables of the mark;
+    each basis is evaluated once per column holding an event in [0, T],
+    however many levels read it.  Returns (invalid, results): invalid
+    flags the paths on which some basis is not finite at one of their
+    events, and results[k] holds final_log of levels[k] and, as asked,
+    int_log or int_exp, all exact per segment.  Each level's arithmetic is
+    the same whatever levels are swept with it.
     """
     n, m = ens.times.shape
     T = ens.horizon
-    drift = np.asarray(drift_by_state, dtype=float)
-
-    level = np.zeros(n)
-    t_prev = np.zeros(n)
-    int_log = np.zeros(n) if want_int_log else None
-    int_exp = np.zeros(n) if want_int_exp else None
+    drifts = [np.asarray(lv.drift, dtype=float) for lv in levels]
+    results = []
+    for lv in levels:
+        res = {"final_log": np.zeros(n)}
+        if lv.int_log:
+            res["int_log"] = np.zeros(n)
+        if lv.exp_coeff is not None:
+            res["int_exp"] = np.zeros(n)
+        results.append(res)
+    # per basis, the (log level, coefficient) pairs that read it
+    readers = {
+        key: [(res["final_log"], lv.jumps[key]) for lv, res in zip(levels, results) if lv.jumps.get(key)]
+        for key in jump_bases
+    }
     invalid = np.zeros(n, dtype=bool)
+    t_prev = np.zeros(n)
 
     for j in range(m + 1):
         state = ens.column_state(j)
-        a = drift[state]
         if j < m:
             t_next = np.minimum(ens.times[:, j], T)
         else:
             t_next = np.full(n, T)
         dt = t_next - t_prev
-        if want_int_log:
-            int_log += level * dt + 0.5 * a * dt * dt
-        if want_int_exp:
-            c = exp_coeff
-            ca = c * a
-            if abs(ca) < 1e-14:
-                seg = np.exp(c * level) * dt
-            else:
-                seg = np.exp(c * level) * np.expm1(ca * dt) / ca
-            int_exp += seg
-        level = level + a * dt
+        t_prev = t_next  # frees the old times before the levels' temporaries
+        for lv, drift, res in zip(levels, drifts, results):
+            level, a = res["final_log"], drift[state]
+            if lv.int_log:
+                res["int_log"] += level * dt + 0.5 * a * dt * dt
+            if lv.exp_coeff is not None:
+                c = lv.exp_coeff
+                ca = c * a
+                if abs(ca) < 1e-14:
+                    seg = np.exp(c * level) * dt
+                else:
+                    seg = np.exp(c * level) * np.expm1(ca * dt) / ca
+                res["int_exp"] += seg
+            level += a * dt
         if j < m:
             active = ens.times[:, j] <= T
             if np.any(active):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    jl = jump_log_by_state[state](ens.marks[:, j])
-                jl = np.where(active, jl, 0.0)
-                bad = active & ~np.isfinite(jl)
-                invalid |= bad
-                level = level + np.where(bad, 0.0, jl)
-        t_prev = t_next
-
-    out = {"final_log": level, "invalid": invalid}
-    if want_int_log:
-        out["int_log"] = int_log
-    if want_int_exp:
-        out["int_exp"] = int_exp
-    return out
-
-
-def _valid_functionals(ens, drift_by_state, jump_log_by_state, **kwargs):
-    """ensemble_functionals, raising if a jump log is not finite on some path."""
-    res = ensemble_functionals(ens, drift_by_state, jump_log_by_state, **kwargs)
-    if np.any(res["invalid"]):
-        raise InfeasiblePolicyError("a jump made 1 + pi*f nonpositive on some path")
-    return res
+                for key, basis in jump_bases.items():
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        jl = np.where(active, basis[state](ens.marks[:, j]), 0.0)
+                    finite = np.isfinite(jl)
+                    if not finite.all():
+                        invalid |= ~finite
+                        jl[~finite] = 0.0
+                    for level, c in readers[key]:
+                        level += c * jl
+    return invalid, results
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +163,20 @@ def _valid_functionals(ens, drift_by_state, jump_log_by_state, **kwargs):
 # ---------------------------------------------------------------------------
 
 
+def _weights(pi_pair):
+    """A per-regime weight pair as the key of its jump basis log(1 + pi_i f)."""
+    return tuple(float(p) for p in pi_pair)
+
+
 @dataclass(frozen=True)
 class StatePriceSpec:
-    """Per-regime data of the dual density H: jump tilt phi, its dual
-    variable zeta, compensator integral and conjugate value."""
+    """Per-regime data of the dual density H: its jump log
+    jump_coeff * log(1 + pi_i f(y)) = log phi_i(y), the dual variable zeta
+    of the tilt phi, its compensator integral and conjugate value."""
 
-    phi: tuple  # callables of the mark, per regime
+    pi: tuple
+    jump_coeff: float  # -(1 - gamma)
+    log_jump: tuple  # y -> log(1 + pi_i f(y)), per regime
     zeta: tuple
     compensator: tuple  # lam_i * int (phi_i - 1) F_i(dy)
     gk: tuple  # conjugate value at zeta_i
@@ -158,27 +187,40 @@ class StatePriceSpec:
         ]
 
     def jump_logs(self):
-        return [lambda y, f=self.phi[i]: np.log(f(y)) for i in (0, 1)]
+        c = self.jump_coeff
+        return [lambda y, ell=ell: c * ell(y) for ell in self.log_jump]
+
+    def jumps(self):
+        """H's jump as a level's {basis key: coefficient}."""
+        return {_weights(self.pi): self.jump_coeff}
 
 
 def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> StatePriceSpec:
     """Build the candidate dual density from a policy:
-    phi_i(y) = 1 / [1 + pi_i f(y)]^(1-gamma)."""
-    f, gamma = market.f, policy.gamma
-    phis, certs, comps = [], [], []
+    phi_i(y) = 1 / [1 + pi_i f(y)]^(1-gamma), whose log is read from the
+    wealth's jump log, so it is finite wherever 1 + pi_i f(y) > 0.
+    Raises InfeasiblePolicyError where the compensator is not finite, as
+    when 1 + pi_i f is not positive on the mark support."""
+    coeff = -(1.0 - policy.gamma)
+    ells, certs, comps = [], [], []
     for i, params in enumerate(market.regimes):
-        pi = policy.pi[i]
-        phi = lambda y, p=pi: 1.0 / (1.0 + p * f(y)) ** (1.0 - gamma)
+        ell = _log_jump(market.transform, policy.pi[i])
         # h(pi) = mu + lam int f phi F(dy), so phi's dual variable is the
         # certificate's zeta = r - h(pi), and gk its conjugate value
         try:
-            certs.append(certify(params, K, gamma, pi))
+            certs.append(certify(params, K, policy.gamma, policy.pi[i]))
         except DomainError as exc:
             raise DomainError(f"regime {i}: {exc}") from exc
-        phis.append(phi)
-        comps.append(params.lam * params.dist.expect(lambda y: phi(y) - 1.0, tol=1e-13))
+        with np.errstate(invalid="ignore"):
+            comp = params.lam * params.dist.expect(lambda y: np.expm1(coeff * ell(y)), tol=1e-13)
+        if not math.isfinite(comp):
+            raise InfeasiblePolicyError(f"regime {i}: 1 + pi*f is not positive on the mark support")
+        ells.append(ell)
+        comps.append(comp)
     return StatePriceSpec(
-        phi=tuple(phis),
+        pi=tuple(policy.pi),
+        jump_coeff=coeff,
+        log_jump=tuple(ells),
         zeta=tuple(c.zeta for c in certs),
         compensator=tuple(comps),
         gk=tuple(c.gk for c in certs),
@@ -186,20 +228,45 @@ def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> S
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo checks
+# Monte Carlo checks: a level, its reduction to samples, one shared sweep
 # ---------------------------------------------------------------------------
 
 
-def martingale_factor_check(market, K, policy, ens: PathEnsemble) -> McEstimate:
-    """E[H_T * exp(int (r + gk))] for the policy's dual density; target 1."""
+@dataclass(frozen=True)
+class McCheck:
+    """A Monte Carlo check: the level it sweeps and the reduction of that
+    level's functionals (``ensemble_functionals``) to one sample per path."""
+
+    level: Level
+    reduce: Callable
+
+
+def sweep_estimates(market, ens: PathEnsemble, checks) -> list:
+    """The McEstimate of each check, from one sweep of ens over all their
+    levels.  A jump key is a per-regime weight pair, and its basis
+    log(1 + pi_i f) is evaluated once per column for every level that
+    reads it.  Raises InfeasiblePolicyError if a jump factor is
+    nonpositive on some path."""
+    levels = [check.level for check in checks]
+    keys = dict.fromkeys(key for lv in levels for key in lv.jumps)
+    bases = {pi: [_log_jump(market.transform, p) for p in pi] for pi in keys}
+    invalid, results = ensemble_functionals(ens, bases, levels)
+    if np.any(invalid):
+        raise InfeasiblePolicyError("a jump made 1 + pi*f nonpositive on some path")
+    return [_estimate(check.reduce(res), ens.seed) for check, res in zip(checks, results)]
+
+
+def martingale_mc(market, K, policy) -> McCheck:
+    """H_T * exp(int (r + gk)) for the policy's dual density; target 1."""
     spec = state_price_spec(market, K, policy)
     # drift reduces to minus the compensator once r + gk is added back
-    res = _valid_functionals(
-        ens,
-        [-spec.compensator[0], -spec.compensator[1]],
-        spec.jump_logs(),
-    )
-    return _estimate(np.exp(res["final_log"]), ens.seed)
+    level = Level((-spec.compensator[0], -spec.compensator[1]), spec.jumps())
+    return McCheck(level, lambda res: np.exp(res["final_log"]))
+
+
+def martingale_factor_check(market, K, policy, ens: PathEnsemble) -> McEstimate:
+    """``martingale_mc`` on ens."""
+    return sweep_estimates(market, ens, [martingale_mc(market, K, policy)])[0]
 
 
 def state_price_wealth_identity(market, K, x, ens: PathEnsemble) -> float:
@@ -214,86 +281,94 @@ def state_price_wealth_identity(market, K, x, ens: PathEnsemble) -> float:
     return float(np.max(np.abs(np.expm1(log_h + log_v))))
 
 
-def budget_check(
-    market,
-    K,
-    pi_pair,
-    consumption: ConsumptionRule,
-    phi_policy: Policy,
-    x,
-    ens: PathEnsemble,
-) -> McEstimate:
-    """McEstimate of E[H_T V_T + int H_s c_s ds] - x against the dual density
-    of phi_policy; nonpositive up to noise for admissible pairs, zero at the
-    optimum."""
-    T, kappa = ens.horizon, consumption.scale
+def budget_mc(
+    market, K, pi_pair, consumption: ConsumptionRule, phi_policy: Policy, x, T
+) -> McCheck:
+    """H_T V_T + int H_s c_s ds - x against the dual density of phi_policy;
+    nonpositive in mean up to noise for admissible pairs, zero at the
+    optimum.  The level log(H V^{1,pi,0}) reads two jump bases, one where
+    pi_pair is phi_policy's weights."""
+    kappa = consumption.scale
     if kappa * T >= x:
         raise ConfigError("proportional consumption ruins the pair before T")
     spec = state_price_spec(market, K, phi_policy)
     h_drift = spec.drift(market)
-    h_jumps = spec.jump_logs()
-    v_drift, v_jumps = _wealth_terms(market, pi_pair)
-
-    # combined log level of H * V^{1,pi,0}
+    v_drift, _ = _wealth_terms(market, pi_pair)
+    jumps = spec.jumps()
+    key = _weights(pi_pair)
+    jumps[key] = jumps.get(key, 0.0) + 1.0
     drift = [h_drift[i] + v_drift[i] for i in (0, 1)]
-    jumps = [
-        (lambda y, i=i: h_jumps[i](y) + v_jumps[i](y)) for i in (0, 1)
-    ]
-    res = _valid_functionals(ens, drift, jumps, want_int_exp=kappa != 0.0)
+    level = Level(drift, jumps, exp_coeff=1.0 if kappa != 0.0 else None)
     xi_T = x - kappa * T
-    total = xi_T * np.exp(res["final_log"])
-    if kappa != 0.0:
-        total = total + kappa * res["int_exp"]
-    return _estimate(total - x, ens.seed)
+
+    def reduce(res):
+        total = xi_T * np.exp(res["final_log"])
+        if kappa != 0.0:
+            total = total + kappa * res["int_exp"]
+        return total - x
+
+    return McCheck(level, reduce)
 
 
-def mc_expected_utility(
-    market,
-    pi_pair,
-    consumption: ConsumptionRule,
-    utility: Utility,
-    x,
-    ens: PathEnsemble,
+def budget_check(
+    market, K, pi_pair, consumption: ConsumptionRule, phi_policy: Policy, x, ens: PathEnsemble
 ) -> McEstimate:
-    """Sample mean of int U1(t, c_t) dt + U2(V_T); inter-jump time integrals
-    are closed-form (log and powers of piecewise exponentials)."""
-    T, seed, kappa = ens.horizon, ens.seed, consumption.scale
-    drift, jumps = _wealth_terms(market, pi_pair)
+    """``budget_mc`` on ens."""
+    check = budget_mc(market, K, pi_pair, consumption, phi_policy, x, ens.horizon)
+    return sweep_estimates(market, ens, [check])[0]
+
+
+def expected_utility_mc(
+    market, pi_pair, consumption: ConsumptionRule, utility: Utility, x, T
+) -> McCheck:
+    """int U1(t, c_t) dt + U2(V_T); inter-jump time integrals are
+    closed-form (log and powers of piecewise exponentials)."""
+    kappa = consumption.scale
+    drift, _ = _wealth_terms(market, pi_pair)
+    jumps = {_weights(pi_pair): 1.0}
+    g = utility.gamma
 
     if kappa == 0.0:
         if utility.is_log:
             raise ConfigError("zero consumption gives -inf log utility; use power or a positive rule")
-        res = _valid_functionals(ens, drift, jumps)
-        vals = (x**utility.gamma) * np.exp(utility.gamma * res["final_log"]) / utility.gamma
-        return _estimate(vals, seed)
+        return McCheck(
+            Level(drift, jumps), lambda res: (x**g) * np.exp(g * res["final_log"]) / g
+        )
 
     if kappa < 0 or kappa * T >= x:
         raise ConfigError("proportional scale must lie in (0, x/T)")
     xi_T = x - kappa * T
     if utility.is_log:
-        res = _valid_functionals(ens, drift, jumps, want_int_log=True)
-        vals = (
-            T * math.log(kappa)
-            + res["int_log"]
-            + math.log(xi_T)
-            + res["final_log"]
+        return McCheck(
+            Level(drift, jumps, int_log=True),
+            lambda res: T * math.log(kappa) + res["int_log"] + math.log(xi_T) + res["final_log"],
         )
-        return _estimate(vals, seed)
-    g = utility.gamma
-    res = _valid_functionals(ens, drift, jumps, want_int_exp=True, exp_coeff=g)
-    vals = (kappa**g) * res["int_exp"] / g + (xi_T**g) * np.exp(g * res["final_log"]) / g
-    return _estimate(vals, seed)
+    return McCheck(
+        Level(drift, jumps, exp_coeff=g),
+        lambda res: (kappa**g) * res["int_exp"] / g + (xi_T**g) * np.exp(g * res["final_log"]) / g,
+    )
+
+
+def mc_expected_utility(
+    market, pi_pair, consumption: ConsumptionRule, utility: Utility, x, ens: PathEnsemble
+) -> McEstimate:
+    """``expected_utility_mc`` on ens."""
+    check = expected_utility_mc(market, pi_pair, consumption, utility, x, ens.horizon)
+    return sweep_estimates(market, ens, [check])[0]
+
+
+def dual_log_mc(market, K, phi_policy: Policy, x, T) -> McCheck:
+    """The dual bound L(x; phi) for log utility:
+    (T+1) log(x/(T+1)) - int_0^T log H dt - log H_T."""
+    spec = state_price_spec(market, K, phi_policy)
+    level = Level(spec.drift(market), spec.jumps(), int_log=True)
+    c = (T + 1.0) * math.log(x / (T + 1.0))
+    return McCheck(level, lambda res: c - res["int_log"] - res["final_log"])
 
 
 def dual_functional_log(market, K, phi_policy: Policy, x, ens: PathEnsemble) -> McEstimate:
-    """MC estimate of the dual bound L(x; phi) for log utility."""
-    T = ens.horizon
-    spec = state_price_spec(market, K, phi_policy)
-    res = _valid_functionals(
-        ens, spec.drift(market), spec.jump_logs(), want_int_log=True
-    )
-    vals = (T + 1.0) * math.log(x / (T + 1.0)) - res["int_log"] - res["final_log"]
-    return _estimate(vals, ens.seed)
+    """``dual_log_mc`` on ens."""
+    return sweep_estimates(market, ens, [dual_log_mc(market, K, phi_policy, x, ens.horizon)])[0]
 
 
 def grid_search_constant_portfolio(

@@ -1,6 +1,7 @@
 import bisect
 import copy
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -203,18 +204,58 @@ class TestCliExitCodes:
 
     def test_verify_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         import jumpfolio.cli as cli_mod
-        from jumpfolio.verify import McEstimate
 
+        # the martingale estimate is the reduction of its check's level:
+        # make every sample 2.0, so the estimate is 2.0
+        original = cli_mod.verify_mod.martingale_mc
         monkeypatch.setattr(
             cli_mod.verify_mod,
-            "martingale_factor_check",
-            lambda *a, **k: McEstimate(mean=2.0, stderr=1e-6, n_paths=10, seed=0),
+            "martingale_mc",
+            lambda *a, **k: dataclasses.replace(
+                original(*a, **k), reduce=lambda res: np.full_like(res["final_log"], 2.0)
+            ),
         )
         data = copy.deepcopy(BASE)
         data["mc"]["n_paths"] = 200
         path = write_config(tmp_path, data)
         assert main(["verify", path, "--output-dir", str(tmp_path)]) == 3
         assert "FAIL state_price_martingale" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gamma, n_levels", [("0", 3), ("0.5", 2)])
+    def test_verify_sweeps_the_sample_once(self, tmp_path, monkeypatch, capsys, gamma, n_levels):
+        """Every Monte Carlo check of verify reads one sweep of the sample,
+        and the sweep evaluates each jump basis once per column holding an
+        event in [0, T]."""
+        import jumpfolio.verify as verify_mod
+
+        original = verify_mod.ensemble_functionals
+        sweeps = []
+
+        def counted(ens, jump_bases, levels):
+            calls = dict.fromkeys(jump_bases, 0)
+
+            def count(key, f):
+                def basis(y):
+                    calls[key] += 1
+                    return f(y)
+
+                return basis
+
+            active = int(np.any(ens.times <= ens.horizon, axis=0).sum())
+            sweeps.append((calls, active, len(levels)))
+            bases = {key: [count(key, f) for f in pair] for key, pair in jump_bases.items()}
+            return original(ens, bases, levels)
+
+        monkeypatch.setattr(verify_mod, "ensemble_functionals", counted)
+        data = copy.deepcopy(BASE)
+        data["mc"]["n_paths"] = 3000
+        path = write_config(tmp_path, data)
+        assert main(["verify", path, "--gamma", gamma, "--output-dir", str(tmp_path)]) == 0
+        assert len(sweeps) == 1
+        calls, active, levels = sweeps[0]
+        assert levels == n_levels and active > 0
+        # the checked policy's weights are the only jump basis
+        assert list(calls.values()) == [active]
 
     def test_verify_draws_each_sample_once(self, tmp_path, monkeypatch, capsys):
         """One ensemble serves every check, the pathwise identities

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from pathlib import Path
@@ -15,6 +16,7 @@ from jumpfolio.market import (
     ProportionalConsumption,
     RegimeMarketParams,
     ZeroConsumption,
+    _CSV_ROW,
     _checked_exp,
     export_path_csv,
     jump_transform,
@@ -249,6 +251,23 @@ class TestCsvExport:
         reference_export_path_csv(wp, stock, ref, comment_lines=("a", "b"))
         assert got.getvalue() == ref.getvalue()
         assert ("nan" in got.getvalue()) != with_stock
+
+    def test_one_format_call_matches_one_per_row(self):
+        """The whole path in one % call gives the bytes of one % per row,
+        non-finite cells included."""
+        mkt = make_market(lam=5.0)
+        path = simulate_ensemble(mkt.gen, 0, 4.0, mkt.dists, 1, 32)
+        cells = DEFAULT_GRID_POINTS + 1 + path.counts[0]
+        wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path).row(0, cells)
+        V = wp.V.copy()
+        V[3], V[7] = np.inf, -np.inf
+        wp = dataclasses.replace(wp, V=V)
+        got = io.StringIO()
+        export_path_csv(wp, None, got)
+        header, rows = wp.to_csv_rows()
+        per_row = ",".join(header) + "\n" + "".join(_CSV_ROW % tuple(r) for r in rows.tolist())
+        assert got.getvalue() == per_row
+        assert ",inf\n" in per_row and ",-inf\n" in per_row and ",nan," in per_row
 
     def test_seventeen_digit_round_trip(self):
         mkt = make_market()

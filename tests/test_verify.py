@@ -20,21 +20,35 @@ from jumpfolio.market import (
     log_optimal_consumption,
     stock_path,
     wealth_path,
+    _log_jump,
     _path_log_level,
     _report_grid,
 )
 from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, simulate_ensemble
-from jumpfolio.policy import Policy, Utility, feasible_weight_interval, log_optimal_policy
+from jumpfolio.policy import (
+    Policy,
+    Utility,
+    certify,
+    feasible_weight_interval,
+    log_optimal_policy,
+    power_optimal_policy,
+)
 from jumpfolio.regime_value import mean_log_growth
 from jumpfolio.verify import (
+    Level,
     budget_check,
+    budget_mc,
     dual_functional_log,
+    dual_log_mc,
     ensemble_functionals,
+    expected_utility_mc,
     grid_search_constant_portfolio,
     martingale_factor_check,
+    martingale_mc,
     mc_expected_utility,
     state_price_spec,
     state_price_wealth_identity,
+    sweep_estimates,
     _wealth_terms,
 )
 
@@ -49,6 +63,13 @@ PATHS_DENSE = ROOT / "bench" / "configs" / "paths_dense.yaml"
 def ensemble(mkt, T, n_paths, seed):
     """An ensemble of mkt started in regime 0."""
     return simulate_ensemble(mkt.gen, 0, T, mkt.dists, n_paths, seed)
+
+
+def sweep(ens, drift, jumps, **level):
+    """One level swept alone, its jump log the only basis: its functionals
+    and the invalid flags."""
+    invalid, (res,) = ensemble_functionals(ens, {"w": jumps}, [Level(drift, {"w": 1.0}, **level)])
+    return {**res, "invalid": invalid}
 
 
 def make_market(lam=1.0):
@@ -96,7 +117,7 @@ class TestEnsembleFunctionals:
     def test_final_log_matches_pathwise_wealth(self, kind):
         mkt, ens, pi, _, _ = self._setup()
         drift, jumps, level = self._level_terms(kind, mkt, pi)
-        res = ensemble_functionals(ens, drift, jumps)
+        res = sweep(ens, drift, jumps)
         # cells past a row's own repeat its level at T
         final = level(ens)[:, -1]
         for p in range(ens.n_paths):
@@ -123,7 +144,7 @@ class TestEnsembleFunctionals:
 
     def test_int_log_matches_quadrature(self):
         mkt, ens, pi, drift, jumps = self._setup()
-        res = ensemble_functionals(ens, drift, jumps, want_int_log=True)
+        res = sweep(ens, drift, jumps, int_log=True)
         for p in range(0, ens.n_paths, 7):
             # log V is piecewise linear, so the corrected trapezoid is exact
             brute = self._segment_trapezoid(mkt, pi, ens.rows(p, p + 1), lambda u: u, 64)
@@ -132,9 +153,7 @@ class TestEnsembleFunctionals:
     def test_int_exp_matches_quadrature(self):
         mkt, ens, pi, drift, jumps = self._setup()
         gamma = 0.5
-        res = ensemble_functionals(
-            ens, drift, jumps, want_int_exp=True, exp_coeff=gamma
-        )
+        res = sweep(ens, drift, jumps, exp_coeff=gamma)
         for p in range(0, ens.n_paths, 9):
             brute = self._segment_trapezoid(
                 mkt, pi, ens.rows(p, p + 1), lambda u: math.exp(gamma * u), 8192
@@ -152,9 +171,9 @@ class TestEnsembleFunctionals:
             counts=ens.counts,
             seed=ens.seed,
         )
-        kwargs = dict(want_int_log=True, want_int_exp=True, exp_coeff=0.5)
-        narrow = ensemble_functionals(ens, drift, jumps, **kwargs)
-        padded = ensemble_functionals(wide, drift, jumps, **kwargs)
+        kwargs = dict(int_log=True, exp_coeff=0.5)
+        narrow = sweep(ens, drift, jumps, **kwargs)
+        padded = sweep(wide, drift, jumps, **kwargs)
         assert narrow.keys() == padded.keys()
         for key in narrow:
             assert np.array_equal(narrow[key], padded[key]), key
@@ -167,9 +186,9 @@ class TestEnsembleFunctionals:
             times=np.ascontiguousarray(ens.times),
             marks=np.ascontiguousarray(ens.marks),
         )
-        kwargs = dict(want_int_log=True, want_int_exp=True, exp_coeff=0.5)
-        got = ensemble_functionals(ens, drift, jumps, **kwargs)
-        ref = ensemble_functionals(c_ordered, drift, jumps, **kwargs)
+        kwargs = dict(int_log=True, exp_coeff=0.5)
+        got = sweep(ens, drift, jumps, **kwargs)
+        ref = sweep(c_ordered, drift, jumps, **kwargs)
         assert got.keys() == ref.keys()
         for key in got:
             assert np.array_equal(got[key], ref[key]), key
@@ -177,8 +196,145 @@ class TestEnsembleFunctionals:
     def test_invalid_jump_flagged(self):
         mkt, ens, pi, drift, _ = self._setup()
         bad = [lambda y: np.log(-np.ones_like(y))] * 2  # log of negative
-        res = ensemble_functionals(ens, drift, bad)
+        res = sweep(ens, drift, bad)
         assert np.array_equal(res["invalid"], ens.counts > 0)
+
+
+def one_level_sweep(ens, drift_by_state, jump_log_by_state, exp_coeff=1.0):
+    """One level per sweep, its jump log one callable per state, as each
+    check swept before the checks shared one pass: the reference for the
+    shared pass.  Returns final_log, int_log and int_exp."""
+    n, m = ens.times.shape
+    T = ens.horizon
+    drift = np.asarray(drift_by_state, dtype=float)
+    level, t_prev = np.zeros(n), np.zeros(n)
+    int_log, int_exp = np.zeros(n), np.zeros(n)
+    for j in range(m + 1):
+        state = ens.column_state(j)
+        a = drift[state]
+        t_next = np.minimum(ens.times[:, j], T) if j < m else np.full(n, T)
+        dt = t_next - t_prev
+        int_log += level * dt + 0.5 * a * dt * dt
+        c = exp_coeff
+        ca = c * a
+        if abs(ca) < 1e-14:
+            int_exp += np.exp(c * level) * dt
+        else:
+            int_exp += np.exp(c * level) * np.expm1(ca * dt) / ca
+        level = level + a * dt
+        if j < m:
+            active = ens.times[:, j] <= T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                jl = np.where(active, jump_log_by_state[state](ens.marks[:, j]), 0.0)
+            assert np.all(np.isfinite(jl))
+            level = level + jl
+        t_prev = t_next
+    return level, int_log, int_exp
+
+
+def per_check_estimates(mkt, K, policy, pair, cons, utility, x, ens):
+    """The martingale, budget, expected-utility and (log) dual estimates,
+    one sweep each, with H's tilt phi = 1/(1 + pi f)^(1 - gamma) written
+    out in its jump log and compensator."""
+    T, f, gamma = ens.horizon, mkt.f, policy.gamma
+    comps, h_drift, h_jumps = [], [], []
+    for params, pi in zip(mkt.regimes, policy.pi):
+        phi = lambda y, p=pi: 1.0 / (1.0 + p * f(y)) ** (1.0 - gamma)
+        comp = params.lam * params.dist.expect(lambda y: phi(y) - 1.0, tol=1e-13)
+        comps.append(comp)
+        h_drift.append(-(params.r + certify(params, K, gamma, pi).gk + comp))
+        h_jumps.append(lambda y, phi=phi: np.log(phi(y)))
+    v_drift, v_jumps = _wealth_terms(mkt, pair)
+    kappa, xi_T = cons.scale, x - cons.scale * T
+
+    final, _, _ = one_level_sweep(ens, [-c for c in comps], h_jumps)
+    samples = [np.exp(final)]
+    final, _, int_exp = one_level_sweep(
+        ens,
+        [h_drift[i] + v_drift[i] for i in (0, 1)],
+        [lambda y, i=i: h_jumps[i](y) + v_jumps[i](y) for i in (0, 1)],
+    )
+    samples.append(xi_T * np.exp(final) + kappa * int_exp - x)
+    g = utility.gamma
+    final, int_log, int_exp = one_level_sweep(ens, v_drift, v_jumps, exp_coeff=g)
+    if utility.is_log:
+        samples.append(T * math.log(kappa) + int_log + math.log(xi_T) + final)
+        final, int_log, _ = one_level_sweep(ens, h_drift, h_jumps)
+        samples.append((T + 1.0) * math.log(x / (T + 1.0)) - int_log - final)
+    else:
+        samples.append((kappa**g) * int_exp / g + (xi_T**g) * np.exp(g * final) / g)
+    return [verify._estimate(s, ens.seed) for s in samples]
+
+
+class TestOnePass:
+    """The Monte Carlo checks as levels of one shared sweep."""
+
+    @staticmethod
+    def _checks(mkt, K, policy, pair, cons, utility, x, T):
+        checks = [
+            martingale_mc(mkt, K, policy),
+            budget_mc(mkt, K, pair, cons, policy, x, T),
+            expected_utility_mc(mkt, pair, cons, utility, x, T),
+        ]
+        if utility.is_log:
+            checks.append(dual_log_mc(mkt, K, policy, x, T))
+        return checks
+
+    def test_level_swept_with_others_is_bit_identical(self):
+        """Levels of one and two jump bases, with int_log and int_exp, each
+        swept alone and all together."""
+        cfg = load_config(REGIME_SWITCHING)
+        mkt, K, T = cfg.market, cfg.market.constraint, cfg.horizon
+        ens = simulate_ensemble(mkt.gen, 0, T, mkt.dists, 3000, 8)
+        pol = log_optimal_policy(mkt, 1.0, T)
+        checks = self._checks(
+            mkt, K, pol, (0.5, 2.0), ProportionalConsumption(0.3), Utility.power(0.5), 1.0, T
+        ) + self._checks(mkt, K, pol, pol.pi, pol.consumption, Utility.log(), 1.0, T)
+        levels = [c.level for c in checks]
+        bases = {
+            pi: [_log_jump(mkt.transform, p) for p in pi] for lv in levels for pi in lv.jumps
+        }
+        assert len(bases) == 2
+        invalid, together = ensemble_functionals(ens, bases, levels)
+        assert not np.any(invalid)
+        for lv, res in zip(levels, together):
+            _, (alone,) = ensemble_functionals(ens, {k: bases[k] for k in lv.jumps}, [lv])
+            assert res.keys() == alone.keys()
+            for key in res:
+                assert np.array_equal(res[key], alone[key]), key
+        assert sweep_estimates(mkt, ens, checks) == [
+            sweep_estimates(mkt, ens, [c])[0] for c in checks
+        ]
+
+    @pytest.mark.parametrize(
+        "config, gamma, n_paths, pair, cons",
+        [
+            (REGIME_SWITCHING, 0.0, 4000, None, None),
+            (REGIME_SWITCHING, 0.5, 4000, None, None),
+            (PATHS_DENSE, 0.0, 300, None, None),
+            (FIG3, 0.5, 4000, None, None),
+            (REGIME_SWITCHING, 0.0, 4000, (0.5, 2.0), ProportionalConsumption(0.3)),
+            (REGIME_SWITCHING, 0.5, 4000, (0.5, 2.0), ProportionalConsumption(0.3)),
+        ],
+    )
+    def test_matches_per_check_sweeps(self, config, gamma, n_paths, pair, cons):
+        """Within 1e-12 of the estimate's size (of x for the budget, a
+        difference from x), against one sweep per check; pair None checks
+        the policy's own pair, else a sub-optimal pair (two jump bases)."""
+        cfg = load_config(config)
+        mkt, K, x, T = cfg.market, cfg.market.constraint, cfg.initial_wealth, cfg.horizon
+        utility = Utility(gamma)
+        pol = log_optimal_policy(mkt, x, T) if gamma == 0.0 else power_optimal_policy(mkt, gamma)
+        pair = pol.pi if pair is None else pair
+        cons = pol.consumption if cons is None else cons
+        ens = simulate_ensemble(mkt.gen, cfg.initial_state, T, mkt.dists, n_paths, cfg.seed)
+        got = sweep_estimates(mkt, ens, self._checks(mkt, K, pol, pair, cons, utility, x, T))
+        ref = per_check_estimates(mkt, K, pol, pair, cons, utility, x, ens)
+        assert len(got) == len(ref) == (4 if utility.is_log else 3)
+        for k, (a, b) in enumerate(zip(got, ref)):
+            scale = max(abs(b.mean), x if k == 1 else 0.0)
+            assert abs(a.mean - b.mean) <= 1e-12 * scale, k
+            assert abs(a.stderr - b.stderr) <= 1e-12 * scale, k
 
 
 class TestInfeasiblePolicy:
@@ -251,6 +407,42 @@ class TestStatePrice:
         # up to the first jump, log H is the regime-0 drift times t
         before = t < row.times[0, 0]
         assert np.array_equal(log_h[before], spec.drift(mkt)[0] * t[before])
+
+    def test_jump_log_finite_at_unit_weight(self):
+        """At pi = 1 the factor 1 + (e^y - 1) = e^y is positive, yet
+        1 + expm1(y) rounds to 0 below y = -37: H's jump log reads the
+        wealth's log(1 + pi f), which is y there, not the log of 1/0."""
+        data = {
+            "model": {
+                "initial_state": 0,
+                "regimes": [
+                    {"r": 0.03, "mu": 1.0, "lam": 1.0, "transform": "exponential",
+                     "margin": {"variant": "short_rebate", "rL": 0.05},
+                     "distribution": {"variant": "exponential_negative", "rate": 10.0}},
+                ],
+            },
+            "utility": {"variant": "log"},
+            "horizon": 1.0,
+            "initial_wealth": 1.0,
+            "mc": {"n_paths": 2, "seed": 1},
+        }
+        mkt = parse_config(data).market
+        pol = log_optimal_policy(mkt, 1.0, 1.0)
+        assert pol.pi == (1.0, 1.0)  # the no-borrowing bound binds
+        spec = state_price_spec(mkt, mkt.constraint, pol)
+        rows = PathEnsemble(
+            initial_state=0,
+            horizon=1.0,
+            times=np.full((2, 1), 0.5),
+            marks=np.full((2, 1), -40.0),
+            counts=np.array([1, 1]),
+            seed=None,
+        )
+        log_h = _path_log_level(rows, _report_grid(rows), spec.drift(mkt), spec.jump_logs())
+        assert np.all(np.isfinite(log_h))
+        assert log_h[0, -1] == pytest.approx(spec.drift(mkt)[0] * 1.0 + 40.0, rel=1e-12)
+        est = martingale_factor_check(mkt, mkt.constraint, pol, rows)  # no InfeasiblePolicyError
+        assert math.isfinite(est.mean)
 
     def test_martingale_factor_near_one(self):
         mkt = make_market()
@@ -491,7 +683,7 @@ class TestGridSearch:
             if utility.is_log:
                 etas = [p.dist.expect(lambda y: np.log1p(pi * f(y))) for p in market.regimes]
                 jumps = [(lambda y, c=e: np.full(np.shape(y), c)) for e in etas]
-                res = ensemble_functionals(ens, drift, jumps, want_int_log=True)
+                res = sweep(ens, drift, jumps, int_log=True)
                 samples = (
                     T * math.log(kappa) + res["int_log"] + math.log(x - kappa * T)
                     + res["final_log"]
@@ -502,7 +694,7 @@ class TestGridSearch:
                     for p in market.regimes
                 ]
                 jumps = [(lambda y, c=math.log(m): np.full(np.shape(y), c)) for m in ms]
-                res = ensemble_functionals(ens, [gamma * d for d in drift], jumps)
+                res = sweep(ens, [gamma * d for d in drift], jumps)
                 samples = (x**gamma) * np.exp(res["final_log"]) / gamma
             beta = float(np.cov(samples, counts)[0, 1]) / float(counts.var())
             samples = samples - beta * (counts - mean_count)
