@@ -359,6 +359,22 @@ class TestInfeasiblePolicy:
         with pytest.raises(InfeasiblePolicyError):
             budget_check(mkt, NO_SHORTING, pol.pi, pol.consumption, pol, 1.0, ens)
 
+    def test_sweep_rejects_a_pair_the_dual_density_allows(self):
+        """A feasible dual density, so the rejection comes from the sweep:
+        the budget pair's factor 1 + 1.5 (e^-2 - 1) < 0 at the low mark."""
+        dist = TwoPoint(y_lo=-2.0, y_hi=0.5, p_hi=0.5)
+        params = RegimeMarketParams(
+            r=0.045, mu=0.06, lam=1.0, dist=dist, margin=DifferentialRates(0.045, 0.05)
+        )
+        mkt = MarketModel(
+            gen=GeneratorMatrix(1.0, 1.0), regimes=(params, params), constraint=NO_SHORTING
+        )
+        pol = log_optimal_policy(mkt, 1.0, 1.0)
+        ens = ensemble(mkt, 1.0, 2000, 3)
+        budget_check(mkt, NO_SHORTING, pol.pi, pol.consumption, pol, 1.0, ens)
+        with pytest.raises(InfeasiblePolicyError, match="on some path"):
+            budget_check(mkt, NO_SHORTING, (1.5, 1.5), pol.consumption, pol, 1.0, ens)
+
 
 class TestStatePrice:
     def test_log_case_is_reciprocal_wealth(self):
