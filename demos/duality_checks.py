@@ -24,6 +24,7 @@ from jumpfolio import (
     mc_expected_utility,
     simulate_ensemble,
 )
+from jumpfolio.verify import state_price_spec
 
 X0, T, SEED, N_PATHS = 1.0, 1.0, 20260823, 50_000
 
@@ -43,21 +44,23 @@ print(f"log-optimal weight: {policy.pi[0]:.10f} (case {policy.cases[0]})")
 
 # one shared ensemble so every estimate below sees the same randomness
 ens = simulate_ensemble(market.gen, 0, T, market.dists, N_PATHS, SEED)
+# the policy's dual density, shared by every check that reads it
+spec = state_price_spec(market, K, policy)
 
-mart = martingale_factor_check(market, K, policy, ens)
+mart = martingale_factor_check(market, spec, ens)
 print(
     f"martingale factor:  E[H_T V^(1,pi,0)_T] = {mart.mean:.8f} "
     f"+/- {mart.stderr:.2e}  (target 1)"
 )
 
-budget = budget_check(market, K, policy.pi, policy.consumption, policy, X0, ens)
+budget = budget_check(market, spec, policy.pi, policy.consumption, X0, ens)
 print(
     f"budget at optimum:  E[H_T V_T + int H c dt] - x = {budget.mean:.3e} "
     f"+/- {budget.stderr:.2e}  (target 0)"
 )
 
 primal = mc_expected_utility(market, policy.pi, policy.consumption, Utility.log(), X0, ens)
-dual = dual_functional_log(market, K, policy, X0, ens)
+dual = dual_functional_log(market, spec, X0, ens)
 print(f"primal utility:     {primal.mean:.8f} +/- {primal.stderr:.2e}")
 print(f"dual functional:    {dual.mean:.8f} +/- {dual.stderr:.2e}")
 print(f"duality gap:        {dual.mean - primal.mean:.3e}")
@@ -66,5 +69,5 @@ print(f"duality gap:        {dual.mean - primal.mean:.3e}")
 print("\nbudget slack for perturbed weights (negative = strictly feasible):")
 for bump in (-0.3, -0.1, 0.1, 0.3):
     pi_sub = tuple(np.clip(p + bump, K.lower, K.upper) for p in policy.pi)
-    sub = budget_check(market, K, pi_sub, policy.consumption, policy, X0, ens)
+    sub = budget_check(market, spec, pi_sub, policy.consumption, X0, ens)
     print(f"  pi = {pi_sub[0]:.4f}: slack {sub.mean:+.6f} +/- {sub.stderr:.2e}")

@@ -52,8 +52,11 @@ from .market import (
     wealth_path,
 )
 from .mpp import (
+    ColumnStream,
     GeneratorMatrix,
+    KeptRows,
     PathEnsemble,
+    jump_columns,
     simulate_ensemble,
 )
 from .policy import (

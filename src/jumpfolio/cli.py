@@ -30,7 +30,7 @@ from .errors import (
     RuinError,
 )
 from .market import DEFAULT_GRID_POINTS, export_path_csv, stock_path, wealth_path
-from .mpp import simulate_ensemble
+from .mpp import KeptRows, jump_columns, simulate_ensemble
 from .policy import Policy, certify, h_value, log_optimal_policy, power_optimal_policy
 from .regime_value import exact_value, mean_log_growth, value_corollary
 from . import verify as verify_mod
@@ -48,6 +48,9 @@ FIGURE_GAMMAS = (0.0, 0.25, 0.5, 0.75, 0.9)
 # bench/configs/paths_dense.yaml at the peak of evaluating one row at a
 # time, 32 rows raise it by 2 MB)
 SIMULATE_BLOCK_ROWS = 16
+
+# the first rows of verify's sample that its pathwise identity checks
+IDENTITY_ROWS = 200
 
 
 def _fmt(value):
@@ -115,8 +118,9 @@ def cmd_value(config: RunConfig, args) -> int:
     x, T, i0 = config.initial_wealth, config.horizon, config.initial_state
     policy = _solve_policy(config)
     exact = _exact_value(config, policy)
-    ens = simulate_ensemble(market.gen, i0, T, market.dists, config.n_paths, config.seed)
-    est = verify_mod.mc_expected_utility(market, policy.pi, policy.consumption, utility, x, ens)
+    stream = jump_columns(market.gen, i0, T, market.dists, config.n_paths, config.seed)
+    check = verify_mod.expected_utility_mc(market, policy.pi, policy.consumption, utility, x, T)
+    (est,) = verify_mod.sweep_estimates(market, stream, [check])
     if utility.is_log:
         print(f"optimal value, start regime {i0}:")
         print(f"  semianalytic  {exact:.12g}")
@@ -233,9 +237,9 @@ def cmd_verify(config: RunConfig, args) -> int:
     i0 = config.initial_state
     n, seed = config.n_paths, config.seed
     policy = _solve_policy(config)
-    # one sample serves every check (common random numbers); the pathwise
-    # identity reads its first rows
-    ens = simulate_ensemble(market.gen, i0, T, market.dists, n, seed)
+    # one sample serves every check (common random numbers), swept as it is
+    # drawn; the pathwise identity reads its first rows, kept as they pass
+    head = KeptRows(jump_columns(market.gen, i0, T, market.dists, n, seed), IDENTITY_ROWS)
 
     checks = []  # (name, passed or None if only reported, detail, estimate or None)
 
@@ -245,10 +249,11 @@ def cmd_verify(config: RunConfig, args) -> int:
             (f"conjugacy_regime{i}", cert.residual <= cert.bound, f"residual={cert.residual:.3e}", None)
         )
 
-    # one sweep of the sample serves every Monte Carlo check
+    # one dual density and one sweep of the sample serve every check
+    spec = verify_mod.state_price_spec(market, K, policy)
     mc_checks = [
-        verify_mod.martingale_mc(market, K, policy),
-        verify_mod.budget_mc(market, K, policy.pi, policy.consumption, policy, x, T),
+        verify_mod.martingale_mc(spec),
+        verify_mod.budget_mc(market, spec, policy.pi, policy.consumption, x, T),
     ]
     if config.utility.is_log:
         mc_checks.append(
@@ -256,7 +261,7 @@ def cmd_verify(config: RunConfig, args) -> int:
                 market, policy.pi, policy.consumption, config.utility, x, T
             )
         )
-    est_m, est_b, *est_u = verify_mod.sweep_estimates(market, ens, mc_checks)
+    est_m, est_b, *est_u = verify_mod.sweep_estimates(market, head.stream, mc_checks)
     checks.append(
         (
             "state_price_martingale",
@@ -275,7 +280,7 @@ def cmd_verify(config: RunConfig, args) -> int:
     )
 
     if config.utility.is_log:
-        dev_hv = verify_mod.state_price_wealth_identity(market, K, x, ens.rows(0, 200))
+        dev_hv = verify_mod.state_price_wealth_identity(market, spec, head.ensemble())
         checks.append(
             ("state_price_wealth_identity", dev_hv <= 1e-10, f"max_dev={dev_hv:.3e}", None)
         )

@@ -327,9 +327,22 @@ def _json_default(obj):
         return str(obj)
 
 
+# libyaml's parser where PyYAML was built with it, else the pure-Python
+# one; both build the same safe objects
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
+    """Read and validate a YAML config file; a file that is not valid
+    YAML raises ConfigError naming the path and the place."""
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.load(fh, Loader=_LOADER)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(exc, "problem", None) or exc
+            raise ConfigError(f"{path}: not valid YAML{where}: {problem}") from exc
     return parse_config(data, overrides)
 
 

@@ -171,7 +171,7 @@ def _path_log_level(ens: PathEnsemble, grid, drift_by_state, jump_log_by_state):
     The log level starts at 0, grows at drift_by_state[i] while the chain
     is in state i and jumps by jump_log_by_state[i](mark) at each event
     whose pre-jump state is i; it is right-continuous.  This is the level
-    ``verify.ensemble_functionals`` sweeps to T, there with the jump log
+    ``verify.column_functionals`` sweeps to T, there with the jump log
     written as coefficients of shared jump bases.  Sums run along
     each row in time order, and padding never enters a row's own cells,
     so a row's level does not depend on the rows evaluated with it.

@@ -2,28 +2,32 @@
 
 A two-state continuous-time Markov chain generates the event times; the
 mark of each event is drawn from the distribution attached to the
-pre-jump state.  ``simulate_ensemble`` is the one sampler and
-``PathEnsemble`` the one path type: it keeps all paths of a sample in
-column-major rectangular arrays padded only to its longest path, so the
-verification layer can evaluate path functionals with vectorised sweeps
-over contiguous jump columns, and a path is a row of it (a block of
-rows is ``PathEnsemble.rows``).  The chain alternates, so jump column j
-of every path has the rate of state (i0 + j) % 2: an ensemble is drawn
-in one forward pass, column by column, until no path is left inside the
-horizon.
+pre-jump state.  The chain alternates, so jump column j of every path
+has the rate of state (i0 + j) % 2, and a sample is drawn in one forward
+pass, column by column, until no path is left inside the horizon.
+``jump_columns`` is that pass: it yields each column as it is drawn (a
+``ColumnStream``), so a reader that needs only per-path accumulators,
+such as the verification layer's sweep, never holds more than a column.
+``simulate_ensemble`` stores every column of the same pass in a
+``PathEnsemble``, the one stored path type: column-major rectangular
+arrays padded only to the longest path; a path is a row of it (a block
+of rows is ``PathEnsemble.rows``), and ``PathEnsemble.columns`` streams
+the stored columns again.  ``KeptRows`` stores the first rows of a
+stream as it passes.
 
-Random-number contract: an ensemble takes an integer seed and is
-bit-reproducible.  The seed is split with ``numpy.random.SeedSequence``
-into one chain stream and one mark stream, so chain and mark draws
-never interleave.  Each stream is drawn one column of all paths at a
-time, so path k of an ensemble depends on its path count as well as on
-the seed.
+Random-number contract: a sample takes an integer seed and is
+bit-reproducible, streamed or stored.  The seed is split with
+``numpy.random.SeedSequence`` into one chain stream and one mark stream,
+so chain and mark draws never interleave.  Each stream is drawn one
+column of all paths at a time, so path k of a sample depends on its path
+count as well as on the seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -130,6 +134,24 @@ def exponential_functional(diag, off, T):
     return scale[..., None] * (fade[..., None] + g[..., None] * (plus_minus + off))
 
 
+@dataclass(frozen=True)
+class ColumnStream:
+    """The jump columns of a sample of ``n_paths`` paths, in time order,
+    each passed on once.  Column j is (times, live, marks) over the paths:
+    ``live`` marks the paths with a j-th jump in [0, T], and the others
+    hold time +inf and mark 0.  The pre-jump state of column j is
+    ``(initial_state + j) % 2``.  ``capacity`` is how many columns a store
+    of the stream reserves at first.
+    """
+
+    initial_state: int
+    horizon: float
+    n_paths: int
+    seed: object
+    capacity: int
+    columns: Iterator
+
+
 @dataclass
 class PathEnsemble:
     """N marked point paths in padded rectangular arrays.
@@ -139,8 +161,7 @@ class PathEnsemble:
     the number of jumps; there are ``counts.max()`` columns.  Both arrays
     are column-major (Fortran order), so each jump column is contiguous.
     The pre-jump state of column j is ``(initial_state + j) % 2`` for
-    every path, because the two-state chain alternates deterministically;
-    ``simulate_ensemble`` draws the arrays one jump column at a time.
+    every path, because the two-state chain alternates deterministically.
     """
 
     initial_state: int
@@ -171,6 +192,20 @@ class PathEnsemble:
             seed=self.seed,
         )
 
+    def columns(self) -> ColumnStream:
+        """The stored jump columns as a stream."""
+        T, width = self.horizon, self.times.shape[1]
+        return ColumnStream(
+            initial_state=self.initial_state,
+            horizon=T,
+            n_paths=self.n_paths,
+            seed=self.seed,
+            capacity=width,
+            columns=(
+                (self.times[:, j], self.times[:, j] <= T, self.marks[:, j]) for j in range(width)
+            ),
+        )
+
 
 def _too_wide(gen, T):
     return ConfigError(
@@ -179,21 +214,17 @@ def _too_wide(gen, T):
     )
 
 
-def simulate_ensemble(
-    gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed
-) -> PathEnsemble:
-    """Simulate n_paths marked point paths into padded arrays.
+def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed) -> ColumnStream:
+    """Draw n_paths marked point paths one jump column at a time.
 
-    One forward pass over jump columns: column j adds n_paths
-    exponential holding times at the rate of the alternating state
-    (i0 + j) % 2 to the running jump times, and stores them, with +inf
-    where a path has left [0, T].  The pass stops at the first column
-    with no path left inside, so the times keep exactly the columns of
-    the longest path: they are sized once from the chain's mean jump
-    count, widened only if a path outgrows that, and cut off in place;
-    no column past the last one drawn is ever written.  The marks are
-    then drawn column by column from the mark stream, 0 past each
-    path's last jump.
+    Column j adds n_paths exponential holding times from the chain stream,
+    at the rate of the alternating state (i0 + j) % 2, to the running jump
+    times, and then draws its n_paths marks from the mark stream.  The
+    stream ends at the first column with no path left inside [0, T], or
+    at once at an absorbing state (rate 0), which draws nothing.  The
+    arguments are checked and both random streams made at the call; the
+    columns are drawn as they are read, so no column is held longer than
+    its reader keeps it.
     """
     if T <= 0:
         raise ConfigError("horizon T must be positive")
@@ -204,49 +235,99 @@ def simulate_ensemble(
         raise _too_wide(gen, T)
     chain_ss, mark_ss = seed_sequence(seed).spawn(2)
     chain_rng = np.random.default_rng(chain_ss)
+    mark_rng = np.random.default_rng(mark_ss)
+    return ColumnStream(
+        initial_state=i0,
+        horizon=T,
+        n_paths=n_paths,
+        seed=seed,
+        # N_T seldom strays more than a few sqrt(mean) past its mean
+        capacity=min(_MAX_WIDTH, int(mean + 8.0 * math.sqrt(mean)) + 16),
+        columns=_draw_columns(gen, i0, T, dists, n_paths, chain_rng, mark_rng),
+    )
 
-    # N_T seldom strays more than a few sqrt(mean) past its mean
-    capacity = min(_MAX_WIDTH, int(mean + 8.0 * math.sqrt(mean)) + 16)
-    times = np.empty((n_paths, capacity), order="F")
-    counts = np.zeros(n_paths, dtype=int)
-    t = np.zeros(n_paths)
-    step = np.empty(n_paths)
+
+def _draw_columns(gen, i0, T, dists, n, chain_rng, mark_rng):
+    t = np.zeros(n)
+    step = np.empty(n)
     rates = gen.rates
-    width = 0
-    while True:
-        rate = rates[(i0 + width) % 2]
+    for j in range(_MAX_WIDTH + 1):
+        state = (i0 + j) % 2
+        rate = rates[state]
         if rate == 0.0:  # an absorbing state: no path jumps again
-            break
+            return
         chain_rng.standard_exponential(out=step)
         step /= rate
         t += step
         live = t <= T
         if not live.any():
-            break
-        if width == capacity:
-            if capacity == _MAX_WIDTH:
-                raise _too_wide(gen, T)
-            capacity = min(_MAX_WIDTH, 2 * capacity)
-            wider = np.empty((n_paths, capacity), order="F")
-            wider[:, :width] = times
-            times = wider
-        times[:, width] = np.where(live, t, np.inf)
-        counts += live
-        width += 1
-    # a Fortran-ordered resize keeps the leading columns; no view of
-    # times is alive here
-    times.resize((n_paths, width), refcheck=False)
+            return
+        if j == _MAX_WIDTH:
+            raise _too_wide(gen, T)
+        marks = np.where(live, dists[state].sample(n, mark_rng), 0.0)
+        yield np.where(live, t, np.inf), live, marks
 
-    mark_rng = np.random.default_rng(mark_ss)
-    marks = np.empty_like(times)
-    for j in range(width):
-        marks[:, j] = np.where(counts > j, dists[(i0 + j) % 2].sample(n_paths, mark_rng), 0.0)
 
-    return PathEnsemble(
-        initial_state=i0,
-        horizon=T,
-        times=times,
-        marks=marks,
-        counts=counts,
-        seed=seed,
-    )
+class KeptRows:
+    """Rows 0 .. k-1 of a column stream, stored as the stream passes.
+
+    ``stream`` passes on the columns of the given stream and stores those
+    rows of each in column-major arrays, sized to the stream's capacity and
+    widened by doubling.  Once it is spent, ``ensemble()`` cuts them in
+    place to the longest of the rows: they are the rows ``rows(0, k)``
+    of the stored sample would give.
+    """
+
+    def __init__(self, stream: ColumnStream, k: int):
+        self._source = stream
+        rows = min(k, stream.n_paths)
+        self._times = np.empty((rows, stream.capacity), order="F")
+        self._marks = np.empty_like(self._times)
+        self._counts = np.zeros(rows, dtype=int)
+        self.stream = replace(stream, columns=self._store(stream.columns, rows))
+
+    def _store(self, columns, k):
+        for j, (times, live, marks) in enumerate(columns):
+            if j == self._times.shape[1]:
+                wider = min(_MAX_WIDTH, 2 * j)
+                self._times, self._marks = _widened(self._times, wider), _widened(self._marks, wider)
+            self._times[:, j] = times[:k]
+            self._marks[:, j] = marks[:k]
+            self._counts += live[:k]
+            yield times, live, marks
+
+    def ensemble(self) -> PathEnsemble:
+        shape = (self._counts.size, int(self._counts.max()))
+        # a Fortran-ordered resize keeps the leading columns; no view of
+        # the arrays is alive here
+        self._times.resize(shape, refcheck=False)
+        self._marks.resize(shape, refcheck=False)
+        src = self._source
+        return PathEnsemble(
+            initial_state=src.initial_state,
+            horizon=src.horizon,
+            times=self._times,
+            marks=self._marks,
+            counts=self._counts,
+            seed=src.seed,
+        )
+
+
+def _widened(a, capacity):
+    wider = np.empty((a.shape[0], capacity), order="F")
+    wider[:, : a.shape[1]] = a
+    return wider
+
+
+def simulate_ensemble(
+    gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed
+) -> PathEnsemble:
+    """Simulate n_paths marked point paths into padded arrays: every row of
+    ``jump_columns``, kept (``KeptRows``) as the columns are drawn.  The
+    arrays are sized once from the chain's mean jump count, widened only
+    if a path outgrows that, and cut to the longest path in place.
+    """
+    kept = KeptRows(jump_columns(gen, i0, T, dists, n_paths, seed), n_paths)
+    for _ in kept.stream.columns:
+        pass
+    return kept.ensemble()

@@ -5,27 +5,33 @@ log-drift plus a per-jump log factor.  Each factor is a multiple of one
 jump basis per weight pair, l_i(y) = log(1 + pi_i f(y)): wealth V jumps
 by l, the state-price process H by -(1-gamma) l and H V by gamma l.
 
-On a path ensemble, ``ensemble_functionals`` accumulates any number of
-levels (final log and, per level, int log or int exp) in one pass over
-the padded columns, evaluating each basis once per column.  A Monte
-Carlo check is a ``McCheck``: its level and the reduction of that
-level's functionals to one sample per path.  ``sweep_estimates`` sweeps
-the levels of several checks at once, and ``verify`` sweeps all of its
-checks so; a check function called alone (``martingale_factor_check``,
+``column_functionals`` accumulates any number of levels (final log and,
+per level, int log or int exp) in one pass over the jump columns of a
+sample, evaluating each basis once per column; it reads a
+``ColumnStream``, so a sample swept as it is drawn (``mpp.jump_columns``)
+is never stored, and ``ensemble_functionals`` sweeps a stored
+``PathEnsemble`` through the same loop.  A Monte Carlo check is a
+``McCheck``: its level and the reduction of that level's functionals to
+one sample per path.  ``sweep_estimates`` sweeps the levels of several
+checks at once, and ``verify`` sweeps all of its checks so; a check
+function called alone on an ensemble (``martingale_factor_check``,
 ``budget_check``, ``mc_expected_utility``, ``dual_functional_log``)
-sweeps only its own level.  At reporting-grid times the market layer's
-engine evaluates the same description on a block of ensemble rows, given
-the state-price drift and jump logs of ``StatePriceSpec``.  Portfolio
+sweeps only its own level.  The checks that read the dual density H
+take its ``StatePriceSpec``, built once per policy by
+``state_price_spec``.  At reporting-grid times the market layer's engine
+evaluates the same description on a block of ensemble rows, given the
+state-price drift and jump logs of ``StatePriceSpec``.  Portfolio
 weights are per-regime constants.
 
-Every check is a function of the sample it is given: the Monte Carlo
-checks take a ``PathEnsemble`` (horizon, start regime and seed included)
-and the pathwise identity the rows to check (``PathEnsemble.rows``),
-whose log levels it compares in one engine call per level.  A caller
-draws a sample once and passes it to every check (common random
-numbers).  Reductions run in fixed path order, so estimates are
-bit-reproducible, and a level's functionals do not depend on the levels
-swept with it.
+Every check is a function of the sample it is given: a Monte Carlo
+check takes a column stream or an ensemble (horizon, start regime and
+seed included), and the pathwise identity the rows to check, whose log
+levels it compares in one engine call per level.  A caller draws a
+sample once and passes it to every check (common random numbers);
+``verify`` keeps the identity's rows (``mpp.KeptRows``) as its sweep
+passes them.  Reductions run in fixed path order, so estimates are
+bit-reproducible, streamed or stored, and a level's functionals do not
+depend on the levels swept with it.
 The grid search simulates nothing: for weights constant in each regime,
 J is exact (``regime_value.exact_value``).
 """
@@ -48,8 +54,8 @@ from .market import (
     _report_grid,
     _wealth_terms,
 )
-from .mpp import PathEnsemble
-from .policy import Policy, Utility, certify, feasible_weight_interval, log_optimal_policy
+from .mpp import ColumnStream, PathEnsemble
+from .policy import Policy, Utility, certify, feasible_weight_interval
 from .regime_value import exact_value
 
 
@@ -91,9 +97,9 @@ class Level:
     exp_coeff: float | None = None
 
 
-def ensemble_functionals(ens: PathEnsemble, jump_bases, levels):
-    """Accumulate every level's functionals in one pass over the columns of
-    the padded ensemble.
+def column_functionals(stream: ColumnStream, jump_bases, levels):
+    """Accumulate every level's functionals in one pass over the columns
+    of a sample, each read once as the stream passes it on.
 
     jump_bases maps a key to a per-state pair of callables of the mark;
     each basis is evaluated once per column holding an event in [0, T],
@@ -103,8 +109,7 @@ def ensemble_functionals(ens: PathEnsemble, jump_bases, levels):
     int_log or int_exp, all exact per segment.  Each level's arithmetic is
     the same whatever levels are swept with it.
     """
-    n, m = ens.times.shape
-    T = ens.horizon
+    n, T = stream.n_paths, stream.horizon
     drifts = [np.asarray(lv.drift, dtype=float) for lv in levels]
     results = []
     for lv in levels:
@@ -122,12 +127,9 @@ def ensemble_functionals(ens: PathEnsemble, jump_bases, levels):
     invalid = np.zeros(n, dtype=bool)
     t_prev = np.zeros(n)
 
-    for j in range(m + 1):
-        state = ens.column_state(j)
-        if j < m:
-            t_next = np.minimum(ens.times[:, j], T)
-        else:
-            t_next = np.full(n, T)
+    def advance(t_next, state):
+        """Every level over the segment from t_prev to t_next in state."""
+        nonlocal t_prev
         dt = t_next - t_prev
         t_prev = t_next  # frees the old times before the levels' temporaries
         for lv, drift, res in zip(levels, drifts, results):
@@ -143,19 +145,28 @@ def ensemble_functionals(ens: PathEnsemble, jump_bases, levels):
                     seg = np.exp(c * level) * np.expm1(ca * dt) / ca
                 res["int_exp"] += seg
             level += a * dt
-        if j < m:
-            active = ens.times[:, j] <= T
-            if np.any(active):
-                for key, basis in jump_bases.items():
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        jl = np.where(active, basis[state](ens.marks[:, j]), 0.0)
-                    finite = np.isfinite(jl)
-                    if not finite.all():
-                        invalid |= ~finite
-                        jl[~finite] = 0.0
-                    for level, c in readers[key]:
-                        level += c * jl
+
+    state = stream.initial_state
+    for times, active, marks in stream.columns:
+        advance(np.minimum(times, T), state)
+        if np.any(active):
+            for key, basis in jump_bases.items():
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    jl = np.where(active, basis[state](marks), 0.0)
+                finite = np.isfinite(jl)
+                if not finite.all():
+                    invalid |= ~finite
+                    jl[~finite] = 0.0
+                for level, c in readers[key]:
+                    level += c * jl
+        state = 1 - state
+    advance(np.full(n, T), state)
     return invalid, results
+
+
+def ensemble_functionals(ens: PathEnsemble, jump_bases, levels):
+    """``column_functionals`` over the stored columns of ens."""
+    return column_functionals(ens.columns(), jump_bases, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -235,63 +246,59 @@ def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> S
 @dataclass(frozen=True)
 class McCheck:
     """A Monte Carlo check: the level it sweeps and the reduction of that
-    level's functionals (``ensemble_functionals``) to one sample per path."""
+    level's functionals (``column_functionals``) to one sample per path."""
 
     level: Level
     reduce: Callable
 
 
-def sweep_estimates(market, ens: PathEnsemble, checks) -> list:
-    """The McEstimate of each check, from one sweep of ens over all their
-    levels.  A jump key is a per-regime weight pair, and its basis
-    log(1 + pi_i f) is evaluated once per column for every level that
-    reads it.  Raises InfeasiblePolicyError if a jump factor is
-    nonpositive on some path."""
+def sweep_estimates(market, stream: ColumnStream, checks) -> list:
+    """The McEstimate of each check, from one sweep of the sample over all
+    their levels (``PathEnsemble.columns`` streams a stored one).  A jump
+    key is a per-regime weight pair, and its basis log(1 + pi_i f) is
+    evaluated once per column for every level that reads it.  Raises
+    InfeasiblePolicyError if a jump factor is nonpositive on some path."""
     levels = [check.level for check in checks]
     keys = dict.fromkeys(key for lv in levels for key in lv.jumps)
     bases = {pi: [_log_jump(market.transform, p) for p in pi] for pi in keys}
-    invalid, results = ensemble_functionals(ens, bases, levels)
+    invalid, results = column_functionals(stream, bases, levels)
     if np.any(invalid):
         raise InfeasiblePolicyError("a jump made 1 + pi*f nonpositive on some path")
-    return [_estimate(check.reduce(res), ens.seed) for check, res in zip(checks, results)]
+    return [_estimate(check.reduce(res), stream.seed) for check, res in zip(checks, results)]
 
 
-def martingale_mc(market, K, policy) -> McCheck:
-    """H_T * exp(int (r + gk)) for the policy's dual density; target 1."""
-    spec = state_price_spec(market, K, policy)
+def martingale_mc(spec: StatePriceSpec) -> McCheck:
+    """H_T * exp(int (r + gk)) for the dual density spec; target 1."""
     # drift reduces to minus the compensator once r + gk is added back
     level = Level((-spec.compensator[0], -spec.compensator[1]), spec.jumps())
     return McCheck(level, lambda res: np.exp(res["final_log"]))
 
 
-def martingale_factor_check(market, K, policy, ens: PathEnsemble) -> McEstimate:
+def martingale_factor_check(market, spec: StatePriceSpec, ens: PathEnsemble) -> McEstimate:
     """``martingale_mc`` on ens."""
-    return sweep_estimates(market, ens, [martingale_mc(market, K, policy)])[0]
+    return sweep_estimates(market, ens.columns(), [martingale_mc(spec)])[0]
 
 
-def state_price_wealth_identity(market, K, x, ens: PathEnsemble) -> float:
+def state_price_wealth_identity(market, spec: StatePriceSpec, ens: PathEnsemble) -> float:
     """max over the rows of ens and their reporting grids of
-    |H^phi * V^{1,pi_hat,0} - 1| for the log-optimal pair, as
-    |expm1(log H + log V)|."""
-    policy = log_optimal_policy(market, x, ens.horizon)
-    spec = state_price_spec(market, K, policy)
+    |H^phi * V^{1,pi,0} - 1|, as |expm1(log H + log V)|, where spec is the
+    dual density of the log-optimal policy and pi its weights."""
     grid = _report_grid(ens)
-    log_v = _path_log_level(ens, grid, *_wealth_terms(market, policy.pi))
+    log_v = _path_log_level(ens, grid, *_wealth_terms(market, spec.pi))
     log_h = _path_log_level(ens, grid, spec.drift(market), spec.jump_logs())
     return float(np.max(np.abs(np.expm1(log_h + log_v))))
 
 
 def budget_mc(
-    market, K, pi_pair, consumption: ConsumptionRule, phi_policy: Policy, x, T
+    market, spec: StatePriceSpec, pi_pair, consumption: ConsumptionRule, x, T
 ) -> McCheck:
-    """H_T V_T + int H_s c_s ds - x against the dual density of phi_policy;
+    """H_T V_T + int H_s c_s ds - x against the dual density spec;
     nonpositive in mean up to noise for admissible pairs, zero at the
     optimum.  The level log(H V^{1,pi,0}) reads two jump bases, one where
-    pi_pair is phi_policy's weights."""
+    pi_pair is the weights spec was built from."""
     kappa = consumption.scale
     if kappa * T >= x:
         raise ConfigError("proportional consumption ruins the pair before T")
-    spec = state_price_spec(market, K, phi_policy)
     h_drift = spec.drift(market)
     v_drift, _ = _wealth_terms(market, pi_pair)
     jumps = spec.jumps()
@@ -311,11 +318,11 @@ def budget_mc(
 
 
 def budget_check(
-    market, K, pi_pair, consumption: ConsumptionRule, phi_policy: Policy, x, ens: PathEnsemble
+    market, spec: StatePriceSpec, pi_pair, consumption: ConsumptionRule, x, ens: PathEnsemble
 ) -> McEstimate:
     """``budget_mc`` on ens."""
-    check = budget_mc(market, K, pi_pair, consumption, phi_policy, x, ens.horizon)
-    return sweep_estimates(market, ens, [check])[0]
+    check = budget_mc(market, spec, pi_pair, consumption, x, ens.horizon)
+    return sweep_estimates(market, ens.columns(), [check])[0]
 
 
 def expected_utility_mc(
@@ -354,21 +361,20 @@ def mc_expected_utility(
 ) -> McEstimate:
     """``expected_utility_mc`` on ens."""
     check = expected_utility_mc(market, pi_pair, consumption, utility, x, ens.horizon)
-    return sweep_estimates(market, ens, [check])[0]
+    return sweep_estimates(market, ens.columns(), [check])[0]
 
 
-def dual_log_mc(market, K, phi_policy: Policy, x, T) -> McCheck:
-    """The dual bound L(x; phi) for log utility:
+def dual_log_mc(market, spec: StatePriceSpec, x, T) -> McCheck:
+    """The dual bound L(x; phi) for log utility at the dual density spec:
     (T+1) log(x/(T+1)) - int_0^T log H dt - log H_T."""
-    spec = state_price_spec(market, K, phi_policy)
     level = Level(spec.drift(market), spec.jumps(), int_log=True)
     c = (T + 1.0) * math.log(x / (T + 1.0))
     return McCheck(level, lambda res: c - res["int_log"] - res["final_log"])
 
 
-def dual_functional_log(market, K, phi_policy: Policy, x, ens: PathEnsemble) -> McEstimate:
+def dual_functional_log(market, spec: StatePriceSpec, x, ens: PathEnsemble) -> McEstimate:
     """``dual_log_mc`` on ens."""
-    return sweep_estimates(market, ens, [dual_log_mc(market, K, phi_policy, x, ens.horizon)])[0]
+    return sweep_estimates(market, ens.columns(), [dual_log_mc(market, spec, x, ens.horizon)])[0]
 
 
 def grid_search_constant_portfolio(

@@ -36,6 +36,7 @@ from jumpfolio.verify import (
     grid_search_constant_portfolio,
     martingale_factor_check,
     mc_expected_utility,
+    state_price_spec,
     state_price_wealth_identity,
 )
 from jumpfolio.market import (
@@ -314,7 +315,8 @@ def test_criterion_6_budget_inequality():
     pol = log_optimal_policy(mkt, x, T)
     ens = simulate_ensemble(mkt.gen, 0, T, mkt.dists, 100_000, SEED)
 
-    opt = budget_check(mkt, K, pol.pi, pol.consumption, pol, x, ens)
+    spec = state_price_spec(mkt, K, pol)
+    opt = budget_check(mkt, spec, pol.pi, pol.consumption, x, ens)
     equality_ok = abs(opt.mean) <= max(3.0 * opt.stderr, 1e-10 * x)
 
     rng = np.random.default_rng(SEED)
@@ -325,7 +327,7 @@ def test_criterion_6_budget_inequality():
             cons = ZeroConsumption()
         else:
             cons = ProportionalConsumption(float(rng.uniform(0.05, 0.9)) * x / T)
-        est = budget_check(mkt, K, (pi, pi), cons, pol, x, ens)
+        est = budget_check(mkt, spec, (pi, pi), cons, x, ens)
         if est.mean > 3.0 * est.stderr:
             violations += 1
     dt = time.time() - t0
@@ -407,9 +409,10 @@ def test_criterion_9_state_price_martingale():
     mkt, K = cfg.market, cfg.market.constraint
     pol = log_optimal_policy(mkt, 1.0, 1.0)
     ens = simulate_ensemble(mkt.gen, 0, 1.0, mkt.dists, 100_000, SEED)
-    est = martingale_factor_check(mkt, K, pol, ens)
+    spec = state_price_spec(mkt, K, pol)
+    est = martingale_factor_check(mkt, spec, ens)
     mart_ok = abs(est.mean - 1.0) <= 3.0 * est.stderr
-    dev = state_price_wealth_identity(mkt, K, 1.0, ens.rows(0, 1000))
+    dev = state_price_wealth_identity(mkt, spec, ens.rows(0, 1000))
     dt = time.time() - t0
     ok = mart_ok and dev <= 1e-10
     _report(

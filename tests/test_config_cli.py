@@ -6,6 +6,8 @@ import io
 import math
 import os
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from jumpfolio.mpp import simulate_ensemble
 from jumpfolio.policy import log_optimal_policy
 
 from mpmath_oracle import mpmath_h
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 BASE = {
@@ -143,6 +147,26 @@ class TestParsing:
         assert cfg.output_dir == "/tmp/somewhere"
 
 
+    @pytest.mark.parametrize(
+        "path",
+        sorted((ROOT / "demos" / "configs").glob("*.yaml"))
+        + [ROOT / "bench" / "configs" / "paths_dense.yaml"],
+        ids=lambda p: p.name,
+    )
+    def test_both_yaml_loaders_agree(self, path):
+        """libyaml's parser, where PyYAML has it, reads every shipped
+        config as the pure-Python parser does."""
+        text = path.read_text()
+        fast = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+        assert load_config(path).raw == parse_config(yaml.load(text, Loader=yaml.SafeLoader)).raw
+
+    def test_malformed_yaml_is_a_config_error(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("model: {regimes: [{r: 0.04}\n")
+        with pytest.raises(ConfigError, match=r"cfg\.yaml: not valid YAML at line 2"):
+            load_config(path)
+
 class TestCliExitCodes:
     def test_optimize_success(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)
@@ -195,6 +219,15 @@ class TestCliExitCodes:
     def test_missing_file_exit_1(self):
         assert main(["optimize", "/nonexistent/cfg.yaml"]) == 1
 
+    def test_malformed_config_exit_1(self, tmp_path, capsys):
+        """An unclosed flow mapping: one error line, no traceback."""
+        path = tmp_path / "cfg.yaml"
+        path.write_text("model: {regimes: [{r: 0.04}\n")
+        assert main(["optimize", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not valid YAML" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_infeasible_model_exit_2(self, tmp_path, capsys):
         data = copy.deepcopy(BASE)
         data["model"]["regimes"][0]["mu"] = 0.06  # violates R > mu
@@ -228,11 +261,12 @@ class TestCliExitCodes:
         event in [0, T]."""
         import jumpfolio.verify as verify_mod
 
-        original = verify_mod.ensemble_functionals
+        original = verify_mod.column_functionals
         sweeps = []
 
-        def counted(ens, jump_bases, levels):
+        def counted(stream, jump_bases, levels):
             calls = dict.fromkeys(jump_bases, 0)
+            active = [0]
 
             def count(key, f):
                 def basis(y):
@@ -241,33 +275,37 @@ class TestCliExitCodes:
 
                 return basis
 
-            active = int(np.any(ens.times <= ens.horizon, axis=0).sum())
+            def columns():
+                for column in stream.columns:
+                    active[0] += bool(np.any(column[1]))
+                    yield column
+
             sweeps.append((calls, active, len(levels)))
             bases = {key: [count(key, f) for f in pair] for key, pair in jump_bases.items()}
-            return original(ens, bases, levels)
+            return original(dataclasses.replace(stream, columns=columns()), bases, levels)
 
-        monkeypatch.setattr(verify_mod, "ensemble_functionals", counted)
+        monkeypatch.setattr(verify_mod, "column_functionals", counted)
         data = copy.deepcopy(BASE)
         data["mc"]["n_paths"] = 3000
         path = write_config(tmp_path, data)
         assert main(["verify", path, "--gamma", gamma, "--output-dir", str(tmp_path)]) == 0
         assert len(sweeps) == 1
-        calls, active, levels = sweeps[0]
+        calls, (active,), levels = sweeps[0]
         assert levels == n_levels and active > 0
         # the checked policy's weights are the only jump basis
         assert list(calls.values()) == [active]
 
     def test_verify_draws_each_sample_once(self, tmp_path, monkeypatch, capsys):
-        """One ensemble serves every check, the pathwise identities
+        """One drawn sample serves every check, the pathwise identities
         included, and nothing else draws random numbers."""
         import jumpfolio.mpp as mpp
 
         calls = []
         inside = []
-        original = mpp.simulate_ensemble
+        original = mpp.jump_columns
 
         def counted(*args, **kwargs):
-            calls.append("simulate_ensemble")
+            calls.append("jump_columns")
             inside.append(True)
             try:
                 return original(*args, **kwargs)
@@ -275,8 +313,8 @@ class TestCliExitCodes:
                 inside.pop()
 
         for mod_name, mod in list(sys.modules.items()):
-            if mod_name.split(".")[0] == "jumpfolio" and getattr(mod, "simulate_ensemble", None) is original:
-                monkeypatch.setattr(mod, "simulate_ensemble", counted)
+            if mod_name.split(".")[0] == "jumpfolio" and getattr(mod, "jump_columns", None) is original:
+                monkeypatch.setattr(mod, "jump_columns", counted)
         real_default_rng = np.random.default_rng
 
         def spy(*args, **kwargs):
@@ -291,7 +329,40 @@ class TestCliExitCodes:
         path = write_config(tmp_path, data)
         assert main(["verify", path, "--output-dir", str(tmp_path)]) == 0
         assert "state_price_wealth_identity" in capsys.readouterr().out
-        assert calls == ["simulate_ensemble"]
+        assert calls == ["jump_columns"]
+
+    def test_verify_builds_one_dual_density(self, tmp_path, monkeypatch, capsys):
+        """A log verify solves its policy once and builds the policy's dual
+        density once, for every check that reads it."""
+        import jumpfolio.policy as policy_mod
+        import jumpfolio.verify as verify_mod
+
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name, owner in (
+            ("log_optimal_policy", policy_mod),
+            ("power_optimal_policy", policy_mod),
+            ("state_price_spec", verify_mod),
+        ):
+            original = getattr(owner, name)
+            wrapper = counted(name, original)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "jumpfolio" and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, wrapper)
+        data = copy.deepcopy(BASE)
+        data["utility"] = {"variant": "log"}
+        data["mc"]["n_paths"] = 300
+        path = write_config(tmp_path, data)
+        assert main(["verify", path, "--output-dir", str(tmp_path)]) == 0
+        assert "PASS state_price_wealth_identity" in capsys.readouterr().out
+        assert sorted(calls) == ["log_optimal_policy", "state_price_spec"]
 
     def test_corollary_is_reported_not_checked(self, tmp_path, capsys):
         data = copy.deepcopy(BASE)
@@ -523,3 +594,35 @@ def test_still_chain_verify_floors_the_standard_error(tmp_path, monkeypatch, cap
     argv = ["verify", path, "--n-paths", "1000", "--output-dir", str(tmp_path)]
     assert main(argv) == 0
     assert "PASS value_vs_monte_carlo" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["verify", "value"])
+def test_monte_carlo_holds_no_paths_by_jumps_array(tmp_path, monkeypatch, command):
+    """verify and value sweep each jump column as it is drawn: at 2,000
+    paths with lambda = 50 and T = 10 (about 580 jump columns), the traced
+    memory peak up to the end of the Monte Carlo stage (for verify, the
+    entry of the pathwise identity, whose rows it keeps) stays below a
+    quarter of the (n x m) times and marks arrays."""
+    import jumpfolio.verify as verify_mod
+
+    peaks = []
+    identity = verify_mod.state_price_wealth_identity
+
+    def spy(*args, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return identity(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "state_price_wealth_identity", spy)
+    path = ROOT / "bench" / "configs" / "paths_dense.yaml"
+    argv = [command, str(path), "--n-paths", "2000", "--output-dir", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    cfg = load_config(path)
+    mkt = cfg.market
+    n, m = simulate_ensemble(mkt.gen, cfg.initial_state, cfg.horizon, mkt.dists, 2000, cfg.seed).times.shape
+    assert m > 500
+    assert peaks[0] < n * m * 16 / 4

@@ -21,7 +21,7 @@ CALLERLESS = {
     "h_inverse": "root of h, called inside policy; tested against mpmath",
     "optimal_portfolio": "the per-regime solver, called inside policy",
     "McEstimate": "type returned by the Monte Carlo checks",
-    "ensemble_functionals": "the column sweep, called inside verify; the benchmark traces it",
+    "ensemble_functionals": "the column sweep over a stored ensemble; the benchmark traces it",
     "grid_search_constant_portfolio": "called by the benchmark, outside src/ and demos/",
     "parse_config": "load_config for a dict already in memory",
 }

@@ -13,7 +13,9 @@ from jumpfolio.errors import ConfigError
 from jumpfolio.market import MarketModel, RegimeMarketParams, ZeroConsumption, wealth_path
 from jumpfolio.mpp import (
     GeneratorMatrix,
+    KeptRows,
     PathEnsemble,
+    jump_columns,
     seed_sequence,
     simulate_ensemble,
 )
@@ -300,6 +302,64 @@ class TestEnsemble:
         # a zero-rate start state never jumps: no columns at all
         idle = simulate_ensemble(GeneratorMatrix(0.0, 2.0), 0, 5.0, DISTS, 100, 1)
         assert idle.times.shape == idle.marks.shape == (100, 0)
+
+
+class TestColumnStream:
+    """The column sampler, its kept rows and the stored ensemble's columns."""
+
+    @pytest.mark.parametrize("T, n_paths", [(0.0, 10), (-1.0, 10), (1.0, 0), (1.0, -3)])
+    def test_checks_arguments_at_the_call(self, T, n_paths):
+        """A generator would defer its checks to the first read; the
+        sampler checks at the call, so no sweep starts on bad arguments."""
+        with pytest.raises(ConfigError):
+            jump_columns(GeneratorMatrix(1.0, 1.0), 0, T, DISTS, n_paths, 5)
+
+    @pytest.mark.parametrize("rates, i0", [((30.0, 80.0), 1), ((1.5, 0.5), 0), ((0.0, 3.0), 1)])
+    def test_stream_is_the_stored_columns(self, rates, i0):
+        gen = GeneratorMatrix(*rates)
+        ens = simulate_ensemble(gen, i0, 4.0, DISTS, 40, 19)
+        stream = jump_columns(gen, i0, 4.0, DISTS, 40, 19)
+        stored = ens.columns()
+        assert (stream.initial_state, stream.horizon, stream.n_paths, stream.seed) == (
+            stored.initial_state, stored.horizon, stored.n_paths, stored.seed
+        )
+        drawn, read = list(stream.columns), list(stored.columns)
+        assert len(drawn) == len(read) == ens.times.shape[1]
+        for a, b in zip(drawn, read):
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("k", [1, 7, 50, 80])
+    def test_kept_rows_are_the_ensemble_rows(self, k):
+        """Rows 0 .. k-1 kept as the stream passes are rows(0, k) of the
+        stored sample, k beyond the path count included; the columns
+        pass on unchanged."""
+        gen = GeneratorMatrix(30.0, 60.0)
+        ens = simulate_ensemble(gen, 1, 3.0, DISTS, 50, 23)
+        kept = KeptRows(jump_columns(gen, 1, 3.0, DISTS, 50, 23), k)
+        for j, (times, live, marks) in enumerate(kept.stream.columns):
+            assert np.array_equal(times, ens.times[:, j])
+            assert np.array_equal(live, ens.times[:, j] <= 3.0)
+            assert np.array_equal(marks, ens.marks[:, j])
+        head, ref = kept.ensemble(), ens.rows(0, k)
+        assert head.times.shape == ref.times.shape == (min(k, 50), ref.counts.max())
+        assert np.array_equal(head.times, ref.times)
+        assert np.array_equal(head.marks, ref.marks)
+        assert np.array_equal(head.counts, ref.counts)
+        assert (head.initial_state, head.horizon, head.seed) == (1, 3.0, 23)
+
+    def test_kept_rows_widen_without_change(self, monkeypatch):
+        gen = GeneratorMatrix(30.0, 60.0)
+        ref = simulate_ensemble(gen, 1, 4.0, DISTS, 30, 13).rows(0, 20)
+        monkeypatch.setattr(GeneratorMatrix, "mean_jump_count", lambda self, i0, T: 0.0)
+        kept = KeptRows(jump_columns(gen, 1, 4.0, DISTS, 30, 13), 20)
+        assert kept.stream.capacity == 16
+        for _ in kept.stream.columns:
+            pass
+        head = kept.ensemble()
+        assert ref.times.shape[1] > 64
+        assert np.array_equal(head.times, ref.times)
+        assert np.array_equal(head.marks, ref.marks)
 
 
 class TestEnsembleParity:

@@ -48,3 +48,18 @@ def test_one_domain_slack_comparison():
         if isinstance(node, ast.Compare) and any(map(_widened, [node.left, *node.comparators]))
     ]
     assert found == ["policy"]
+
+
+def test_only_simulate_stores_the_sample():
+    """verify and value sweep the sample as it is drawn: in src/, only the
+    simulate command calls the sampler that stores every path."""
+    callers = set()
+    for module, tree in _trees().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers.update(
+                    (module, fn.name)
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and _called(node) == "simulate_ensemble"
+                )
+    assert callers == {("cli", "cmd_simulate")}

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy import integrate
 
 from jumpfolio import mpp, verify
@@ -24,7 +25,7 @@ from jumpfolio.market import (
     _path_log_level,
     _report_grid,
 )
-from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, simulate_ensemble
+from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, jump_columns, simulate_ensemble
 from jumpfolio.policy import (
     Policy,
     Utility,
@@ -38,6 +39,7 @@ from jumpfolio.verify import (
     Level,
     budget_check,
     budget_mc,
+    column_functionals,
     dual_functional_log,
     dual_log_mc,
     ensemble_functionals,
@@ -271,13 +273,14 @@ class TestOnePass:
 
     @staticmethod
     def _checks(mkt, K, policy, pair, cons, utility, x, T):
+        spec = state_price_spec(mkt, K, policy)
         checks = [
-            martingale_mc(mkt, K, policy),
-            budget_mc(mkt, K, pair, cons, policy, x, T),
+            martingale_mc(spec),
+            budget_mc(mkt, spec, pair, cons, x, T),
             expected_utility_mc(mkt, pair, cons, utility, x, T),
         ]
         if utility.is_log:
-            checks.append(dual_log_mc(mkt, K, policy, x, T))
+            checks.append(dual_log_mc(mkt, spec, x, T))
         return checks
 
     def test_level_swept_with_others_is_bit_identical(self):
@@ -302,8 +305,8 @@ class TestOnePass:
             assert res.keys() == alone.keys()
             for key in res:
                 assert np.array_equal(res[key], alone[key]), key
-        assert sweep_estimates(mkt, ens, checks) == [
-            sweep_estimates(mkt, ens, [c])[0] for c in checks
+        assert sweep_estimates(mkt, ens.columns(), checks) == [
+            sweep_estimates(mkt, ens.columns(), [c])[0] for c in checks
         ]
 
     @pytest.mark.parametrize(
@@ -328,13 +331,75 @@ class TestOnePass:
         pair = pol.pi if pair is None else pair
         cons = pol.consumption if cons is None else cons
         ens = simulate_ensemble(mkt.gen, cfg.initial_state, T, mkt.dists, n_paths, cfg.seed)
-        got = sweep_estimates(mkt, ens, self._checks(mkt, K, pol, pair, cons, utility, x, T))
+        got = sweep_estimates(
+            mkt, ens.columns(), self._checks(mkt, K, pol, pair, cons, utility, x, T)
+        )
         ref = per_check_estimates(mkt, K, pol, pair, cons, utility, x, ens)
         assert len(got) == len(ref) == (4 if utility.is_log else 3)
         for k, (a, b) in enumerate(zip(got, ref)):
             scale = max(abs(b.mean), x if k == 1 else 0.0)
             assert abs(a.mean - b.mean) <= 1e-12 * scale, k
             assert abs(a.stderr - b.stderr) <= 1e-12 * scale, k
+
+
+def _regime_switching(lam=(1.0, 1.0), n_paths=None):
+    """regime_switching.yaml with the given chain rates and path count."""
+    data = yaml.safe_load(REGIME_SWITCHING.read_text())
+    for regime, rate in zip(data["model"]["regimes"], lam):
+        regime["lam"] = rate
+    if n_paths is not None:
+        data["mc"]["n_paths"] = n_paths
+    return parse_config(data)
+
+
+class TestStreamedSweep:
+    """Checks swept as the sample is drawn, against sweeping the arrays of
+    the same sample drawn first: the same numbers, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "case, gamma, n_paths",
+        [
+            ("regime_switching", 0.0, 3000),
+            ("regime_switching", 0.5, 3000),
+            ("paths_dense", 0.0, 300),
+            ("fig3", 0.5, 3000),
+            ("still", 0.0, 500),
+            ("absorbing", 0.0, 500),
+            ("regime_switching", 0.0, 1),
+            ("regime_switching", 0.5, 2),
+        ],
+    )
+    def test_bit_identical_to_the_stored_sample(self, case, gamma, n_paths):
+        cfg = {
+            "regime_switching": lambda: _regime_switching(),
+            "paths_dense": lambda: load_config(PATHS_DENSE),
+            "fig3": lambda: load_config(FIG3),
+            "still": lambda: _regime_switching((0.0, 0.0)),
+            "absorbing": lambda: _regime_switching((2.0, 0.0)),
+        }[case]()
+        mkt, K, x, T, i0 = (
+            cfg.market, cfg.market.constraint, cfg.initial_wealth, cfg.horizon, cfg.initial_state
+        )
+        pol = log_optimal_policy(mkt, x, T) if gamma == 0.0 else power_optimal_policy(mkt, gamma)
+        checks = TestOnePass._checks(mkt, K, pol, pol.pi, pol.consumption, Utility(gamma), x, T)
+        draw = (mkt.gen, i0, T, mkt.dists, n_paths, cfg.seed)
+        ens = simulate_ensemble(*draw)
+        if case == "still":
+            assert ens.times.shape[1] == 0
+        if case == "absorbing":
+            assert ens.times.shape[1] == 1
+        levels = [c.level for c in checks]
+        bases = {pi: [_log_jump(mkt.transform, p) for p in pi] for lv in levels for pi in lv.jumps}
+        streamed = column_functionals(jump_columns(*draw), bases, levels)
+        stored = ensemble_functionals(ens, bases, levels)
+        assert np.array_equal(streamed[0], stored[0])
+        for a, b in zip(streamed[1], stored[1]):
+            assert a.keys() == b.keys()
+            for key in a:
+                assert np.array_equal(a[key], b[key]), key
+        if n_paths > 1:
+            got = sweep_estimates(mkt, jump_columns(*draw), checks)
+            assert got == sweep_estimates(mkt, ens.columns(), checks)
 
 
 class TestInfeasiblePolicy:
@@ -353,11 +418,14 @@ class TestInfeasiblePolicy:
         )
         ens = ensemble(mkt, 1.0, 2000, 3)
         with pytest.raises(InfeasiblePolicyError):
-            martingale_factor_check(mkt, NO_SHORTING, pol, ens)
+            spec = state_price_spec(mkt, NO_SHORTING, pol)
+            martingale_factor_check(mkt, spec, ens)
         with pytest.raises(InfeasiblePolicyError):
-            dual_functional_log(mkt, NO_SHORTING, pol, 1.0, ens)
+            dual_functional_log(mkt, state_price_spec(mkt, NO_SHORTING, pol), 1.0, ens)
         with pytest.raises(InfeasiblePolicyError):
-            budget_check(mkt, NO_SHORTING, pol.pi, pol.consumption, pol, 1.0, ens)
+            budget_check(
+                mkt, state_price_spec(mkt, NO_SHORTING, pol), pol.pi, pol.consumption, 1.0, ens
+            )
 
     def test_sweep_rejects_a_pair_the_dual_density_allows(self):
         """A feasible dual density, so the rejection comes from the sweep:
@@ -371,16 +439,18 @@ class TestInfeasiblePolicy:
         )
         pol = log_optimal_policy(mkt, 1.0, 1.0)
         ens = ensemble(mkt, 1.0, 2000, 3)
-        budget_check(mkt, NO_SHORTING, pol.pi, pol.consumption, pol, 1.0, ens)
+        spec = state_price_spec(mkt, NO_SHORTING, pol)
+        budget_check(mkt, spec, pol.pi, pol.consumption, 1.0, ens)
         with pytest.raises(InfeasiblePolicyError, match="on some path"):
-            budget_check(mkt, NO_SHORTING, (1.5, 1.5), pol.consumption, pol, 1.0, ens)
+            budget_check(mkt, spec, (1.5, 1.5), pol.consumption, 1.0, ens)
 
 
 class TestStatePrice:
     def test_log_case_is_reciprocal_wealth(self):
         mkt = make_market()
         ens = ensemble(mkt, 2.0, 30, 5)
-        dev = state_price_wealth_identity(mkt, NO_SHORTING, 1.0, ens)
+        spec = state_price_spec(mkt, NO_SHORTING, log_optimal_policy(mkt, 1.0, 2.0))
+        dev = state_price_wealth_identity(mkt, spec, ens)
         assert dev <= 1e-10
 
     def test_identities_hold_where_levels_leave_the_float_range(self):
@@ -408,7 +478,8 @@ class TestStatePrice:
         pol = log_optimal_policy(mkt, 1.0, 10.0)
         with pytest.raises(DomainError):
             wealth_path(1.0, mkt, pol.pi, pol.consumption, ens)
-        assert state_price_wealth_identity(mkt, mkt.constraint, 1.0, ens) <= 1e-10
+        spec = state_price_spec(mkt, mkt.constraint, pol)
+        assert state_price_wealth_identity(mkt, spec, ens) <= 1e-10
 
     def test_simulate_state_price_drift_segment(self):
         mkt = make_market()
@@ -457,20 +528,22 @@ class TestStatePrice:
         log_h = _path_log_level(rows, _report_grid(rows), spec.drift(mkt), spec.jump_logs())
         assert np.all(np.isfinite(log_h))
         assert log_h[0, -1] == pytest.approx(spec.drift(mkt)[0] * 1.0 + 40.0, rel=1e-12)
-        est = martingale_factor_check(mkt, mkt.constraint, pol, rows)  # no InfeasiblePolicyError
+        est = martingale_factor_check(mkt, spec, rows)  # no InfeasiblePolicyError
         assert math.isfinite(est.mean)
 
     def test_martingale_factor_near_one(self):
         mkt = make_market()
         pol = log_optimal_policy(mkt, 1.0, 1.0)
-        est = martingale_factor_check(mkt, NO_SHORTING, pol, ensemble(mkt, 1.0, 20_000, 42))
+        spec = state_price_spec(mkt, NO_SHORTING, pol)
+        est = martingale_factor_check(mkt, spec, ensemble(mkt, 1.0, 20_000, 42))
         assert abs(est.mean - 1.0) <= 3.0 * est.stderr
 
     def test_estimates_deterministic_per_seed(self):
         mkt = make_market()
         pol = log_optimal_policy(mkt, 1.0, 1.0)
-        a = martingale_factor_check(mkt, NO_SHORTING, pol, ensemble(mkt, 1.0, 2000, 9))
-        b = martingale_factor_check(mkt, NO_SHORTING, pol, ensemble(mkt, 1.0, 2000, 9))
+        spec = state_price_spec(mkt, NO_SHORTING, pol)
+        a = martingale_factor_check(mkt, spec, ensemble(mkt, 1.0, 2000, 9))
+        b = martingale_factor_check(mkt, spec, ensemble(mkt, 1.0, 2000, 9))
         assert a.mean == b.mean and a.stderr == b.stderr
 
 
@@ -479,9 +552,8 @@ class TestBudget:
         mkt = make_market()
         x, T = 2.0, 1.5
         pol = log_optimal_policy(mkt, x, T)
-        est = budget_check(
-            mkt, NO_SHORTING, pol.pi, pol.consumption, pol, x, ensemble(mkt, T, 5000, 3)
-        )
+        spec = state_price_spec(mkt, NO_SHORTING, pol)
+        est = budget_check(mkt, spec, pol.pi, pol.consumption, x, ensemble(mkt, T, 5000, 3))
         assert abs(est.mean) <= 1e-12 * x
         assert est.stderr <= 1e-12 * x
 
@@ -490,12 +562,13 @@ class TestBudget:
         x, T = 1.0, 1.0
         pol = log_optimal_policy(mkt, x, T)
         ens = ensemble(mkt, T, 30_000, 11)
+        spec = state_price_spec(mkt, NO_SHORTING, pol)
         for pi, cons in (
             (0.3, ZeroConsumption()),
             (1.2, ProportionalConsumption(0.4)),
             (0.0, ProportionalConsumption(0.9)),
         ):
-            est = budget_check(mkt, NO_SHORTING, (pi, pi), cons, pol, x, ens)
+            est = budget_check(mkt, spec, (pi, pi), cons, x, ens)
             assert est.mean <= 3.0 * est.stderr
 
     def test_over_consumption_rejected(self):
@@ -503,8 +576,8 @@ class TestBudget:
         pol = log_optimal_policy(mkt, 1.0, 1.0)
         with pytest.raises(ConfigError):
             budget_check(
-                mkt, NO_SHORTING, pol.pi, ProportionalConsumption(2.0), pol,
-                1.0, ensemble(mkt, 1.0, 100, 0),
+                mkt, state_price_spec(mkt, NO_SHORTING, pol), pol.pi,
+                ProportionalConsumption(2.0), 1.0, ensemble(mkt, 1.0, 100, 0),
             )
 
 
@@ -571,7 +644,7 @@ class TestExpectedUtility:
         pol = log_optimal_policy(mkt, x, T)
         ens = ensemble(mkt, T, 5000, 77)
         primal = mc_expected_utility(mkt, pol.pi, pol.consumption, Utility.log(), x, ens)
-        dual = dual_functional_log(mkt, NO_SHORTING, pol, x, ens)
+        dual = dual_functional_log(mkt, state_price_spec(mkt, NO_SHORTING, pol), x, ens)
         assert dual.mean == pytest.approx(primal.mean, abs=1e-10)
 
 
@@ -622,7 +695,8 @@ class TestBatchedIdentities:
         assert len(set(counts.tolist())) > 1  # rows of different lengths
         if config == REGIME_SWITCHING:
             assert np.any(counts == 0) and np.any(counts >= 3)
-        dev_hv = state_price_wealth_identity(mkt, mkt.constraint, 1.0, ens)
+        spec = state_price_spec(mkt, mkt.constraint, log_optimal_policy(mkt, 1.0, T))
+        dev_hv = state_price_wealth_identity(mkt, spec, ens)
         assert dev_hv == self._reference(mkt, 1.0, ens)
 
     def test_engine_rows_match_per_row_reference(self):
