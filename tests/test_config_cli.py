@@ -146,7 +146,6 @@ class TestParsing:
         cfg = parse_config(copy.deepcopy(BASE))
         assert cfg.output_dir == "/tmp/somewhere"
 
-
     @pytest.mark.parametrize(
         "path",
         sorted((ROOT / "demos" / "configs").glob("*.yaml"))
@@ -166,6 +165,7 @@ class TestParsing:
         path.write_text("model: {regimes: [{r: 0.04}\n")
         with pytest.raises(ConfigError, match=r"cfg\.yaml: not valid YAML at line 2"):
             load_config(path)
+
 
 class TestCliExitCodes:
     def test_optimize_success(self, tmp_path, capsys):

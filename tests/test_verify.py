@@ -342,13 +342,11 @@ class TestOnePass:
             assert abs(a.stderr - b.stderr) <= 1e-12 * scale, k
 
 
-def _regime_switching(lam=(1.0, 1.0), n_paths=None):
-    """regime_switching.yaml with the given chain rates and path count."""
+def _regime_switching(lam=(1.0, 1.0)):
+    """regime_switching.yaml with the given chain rates."""
     data = yaml.safe_load(REGIME_SWITCHING.read_text())
     for regime, rate in zip(data["model"]["regimes"], lam):
         regime["lam"] = rate
-    if n_paths is not None:
-        data["mc"]["n_paths"] = n_paths
     return parse_config(data)
 
 
