@@ -16,13 +16,13 @@ from jumpfolio import (
     ShortRebate,
     Utility,
     exact_value,
+    jump_columns,
     log_optimal_policy,
-    mc_expected_utility,
     mean_log_growth,
     power_optimal_policy,
-    simulate_ensemble,
     value_corollary,
 )
+from jumpfolio.verify import expected_utility_mc, sweep_estimates
 
 X0, T, SEED, N_PATHS = 1.0, 1.0, 20260823, 100_000
 
@@ -48,15 +48,20 @@ d_bar = mean_log_growth(market, [log_policy.pi])[0]
 print(f"log-optimal weights by regime: {log_policy.pi[0]:.6f}, {log_policy.pi[1]:.6f}")
 print(f"myopic power weights (gamma = 0.5): {power_policy.pi[0]:.6f}, {power_policy.pi[1]:.6f}")
 
+values = (
+    ("log optimal value", Utility.log(), log_policy),
+    ("power value, myopic weights", Utility.power(0.5), power_policy),
+)
 for i0 in (0, 1):
-    ens = simulate_ensemble(market.gen, i0, T, market.dists, N_PATHS, SEED)
+    # both values are estimated from one sweep of one sample
+    estimates = sweep_estimates(
+        market,
+        jump_columns(market.gen, i0, T, market.dists, N_PATHS, SEED),
+        [expected_utility_mc(market, pol.pi, pol.consumption, u, X0, T) for _, u, pol in values],
+    )
     print(f"\nstarting regime {i0}:")
-    for label, utility, policy in (
-        ("log optimal value", Utility.log(), log_policy),
-        ("power value, myopic weights", Utility.power(0.5), power_policy),
-    ):
+    for (label, utility, policy), mc in zip(values, estimates):
         exact = exact_value(market, utility, X0, T, [policy.pi], i0)[0]
-        mc = mc_expected_utility(market, policy.pi, policy.consumption, utility, X0, ens)
         z = (mc.mean - exact) / mc.stderr
         print(f"  {label}: exact {exact:.8f}, monte carlo {mc.mean:.8f} "
               f"+/- {mc.stderr:.2e} (z = {z:+.2f})")

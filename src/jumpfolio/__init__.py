@@ -46,7 +46,6 @@ from .market import (
     WealthPath,
     ZeroConsumption,
     export_path_csv,
-    jump_transform,
     log_optimal_consumption,
     stock_path,
     wealth_path,
@@ -65,11 +64,8 @@ from .policy import (
     Utility,
     certify,
     feasible_weight_interval,
-    h_derivative,
-    h_inverse,
     h_value,
     log_optimal_policy,
-    optimal_portfolio,
     power_optimal_policy,
 )
 from .regime_value import (
@@ -79,14 +75,8 @@ from .regime_value import (
 )
 from .verify import (
     McEstimate,
-    budget_check,
-    dual_functional_log,
-    ensemble_functionals,
-    grid_search_constant_portfolio,
-    martingale_factor_check,
-    mc_expected_utility,
     state_price_wealth_identity,
 )
-from .config import RunConfig, config_hash, load_config, parse_config
+from .config import RunConfig, config_hash, load_config
 
 __version__ = "0.1.0"

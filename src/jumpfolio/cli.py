@@ -29,7 +29,7 @@ from .errors import (
     RangeError,
     RuinError,
 )
-from .market import DEFAULT_GRID_POINTS, export_path_csv, stock_path, wealth_path
+from .market import BLOCK_ROWS, DEFAULT_GRID_POINTS, export_path_csv, stock_path, wealth_path
 from .mpp import KeptRows, jump_columns, simulate_ensemble
 from .policy import Policy, certify, h_value, log_optimal_policy, power_optimal_policy
 from .regime_value import exact_value, mean_log_growth, value_corollary
@@ -41,13 +41,6 @@ EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
 
 FIGURE_GAMMAS = (0.0, 0.25, 0.5, 0.75, 0.9)
-
-# ensemble rows simulate evaluates at a time; a block's CSVs are written
-# before the next block is evaluated, so memory holds the ensemble and
-# one block of grids (16 rows keep `simulate --paths 1000` on
-# bench/configs/paths_dense.yaml at the peak of evaluating one row at a
-# time, 32 rows raise it by 2 MB)
-SIMULATE_BLOCK_ROWS = 16
 
 # the first rows of verify's sample that its pathwise identity checks
 IDENTITY_ROWS = 200
@@ -154,8 +147,9 @@ def cmd_simulate(config: RunConfig, args) -> int:
         config.market.dists, args.paths, config.seed,
     )
     provenance = f"config_hash={config_hash(config)} seed={config.seed}"
-    for lo in range(0, args.paths, SIMULATE_BLOCK_ROWS):
-        rows = ens.rows(lo, lo + SIMULATE_BLOCK_ROWS)
+    # a block's CSVs are written before the next block is evaluated
+    for lo in range(0, args.paths, BLOCK_ROWS):
+        rows = ens.rows(lo, lo + BLOCK_ROWS)
         try:
             wp = wealth_path(
                 config.initial_wealth, config.market, policy.pi, policy.consumption, rows

@@ -7,7 +7,7 @@ log of such a level from a per-regime drift and a per-regime jump log on
 a block of ensemble rows, each on its own reporting grid.  The stock and
 the wealth exponentiate it through ``_checked_exp`` and return one row
 per path; pathwise identities (in the verification layer) compare the
-log levels of many rows at once.
+log levels of a block of rows at a time.
 Portfolio weights are per-regime constants.  Nothing is
 Euler-discretised; the reporting grid only chooses where the closed
 forms are evaluated.
@@ -141,6 +141,13 @@ def log_optimal_consumption(x: float, T: float) -> ProportionalConsumption:
 # ---------------------------------------------------------------------------
 # the log-level engine over ensemble rows
 # ---------------------------------------------------------------------------
+
+# ensemble rows the engine is given at a time by callers that walk a whole
+# sample (simulate's CSVs, verify's pathwise identity): memory holds one
+# block of grids, not one per row (16 rows keep `simulate --paths 1000` on
+# bench/configs/paths_dense.yaml at the peak of evaluating one row at a
+# time, 32 rows raise it by 2 MB)
+BLOCK_ROWS = 16
 
 
 def _report_grid(ens: PathEnsemble, n_grid=DEFAULT_GRID_POINTS):

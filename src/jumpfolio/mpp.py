@@ -12,8 +12,8 @@ such as the verification layer's sweep, never holds more than a column.
 ``PathEnsemble``, the one stored path type: column-major rectangular
 arrays padded only to the longest path; a path is a row of it (a block
 of rows is ``PathEnsemble.rows``), and ``PathEnsemble.columns`` streams
-the stored columns again.  ``KeptRows`` stores the first rows of a
-stream as it passes.
+the stored columns again, the one way a stored sample is swept.
+``KeptRows`` stores the first rows of a stream as it passes.
 
 Random-number contract: a sample takes an integer seed and is
 bit-reproducible, streamed or stored.  The seed is split with
@@ -174,10 +174,6 @@ class PathEnsemble:
     @property
     def n_paths(self):
         return self.times.shape[0]
-
-    def column_state(self, j):
-        """Pre-jump state of jump column j (= regime on segment j)."""
-        return (self.initial_state + j) % 2
 
     def rows(self, lo, hi) -> "PathEnsemble":
         """Paths lo .. hi - 1, padded to the longest of them."""

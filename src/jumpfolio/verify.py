@@ -9,29 +9,26 @@ by l, the state-price process H by -(1-gamma) l and H V by gamma l.
 per level, int log or int exp) in one pass over the jump columns of a
 sample, evaluating each basis once per column; it reads a
 ``ColumnStream``, so a sample swept as it is drawn (``mpp.jump_columns``)
-is never stored, and ``ensemble_functionals`` sweeps a stored
-``PathEnsemble`` through the same loop.  A Monte Carlo check is a
-``McCheck``: its level and the reduction of that level's functionals to
-one sample per path.  ``sweep_estimates`` sweeps the levels of several
-checks at once, and ``verify`` sweeps all of its checks so; a check
-function called alone on an ensemble (``martingale_factor_check``,
-``budget_check``, ``mc_expected_utility``, ``dual_functional_log``)
-sweeps only its own level.  The checks that read the dual density H
-take its ``StatePriceSpec``, built once per policy by
+is never stored, and a stored one is swept through
+``PathEnsemble.columns``.  A Monte Carlo check is a ``McCheck``: its
+level and the reduction of that level's functionals to one sample per
+path.  Every estimate comes from ``sweep_estimates``, which sweeps the
+levels of any number of checks at once.  The checks that read the dual
+density H take its ``StatePriceSpec``, built once per policy by
 ``state_price_spec``.  At reporting-grid times the market layer's engine
 evaluates the same description on a block of ensemble rows, given the
 state-price drift and jump logs of ``StatePriceSpec``.  Portfolio
 weights are per-regime constants.
 
 Every check is a function of the sample it is given: a Monte Carlo
-check takes a column stream or an ensemble (horizon, start regime and
-seed included), and the pathwise identity the rows to check, whose log
-levels it compares in one engine call per level.  A caller draws a
-sample once and passes it to every check (common random numbers);
-``verify`` keeps the identity's rows (``mpp.KeptRows``) as its sweep
-passes them.  Reductions run in fixed path order, so estimates are
-bit-reproducible, streamed or stored, and a level's functionals do not
-depend on the levels swept with it.
+check a column stream (horizon, start regime and seed included), and
+the pathwise identity the rows to check, whose log levels it compares
+one block of rows at a time.  A caller draws a sample once and passes
+it to every check (common random numbers); ``verify`` keeps the
+identity's rows (``mpp.KeptRows``) as its sweep passes them.
+Reductions run in fixed path order, so estimates are bit-reproducible,
+streamed or stored, and a level's functionals do not depend on the
+levels swept with it.
 The grid search simulates nothing: for weights constant in each regime,
 J is exact (``regime_value.exact_value``).
 """
@@ -47,6 +44,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, InfeasiblePolicyError
 from .frictions import ConstraintSet
 from .market import (
+    BLOCK_ROWS,
     ConsumptionRule,
     MarketModel,
     _log_jump,
@@ -164,11 +162,6 @@ def column_functionals(stream: ColumnStream, jump_bases, levels):
     return invalid, results
 
 
-def ensemble_functionals(ens: PathEnsemble, jump_bases, levels):
-    """``column_functionals`` over the stored columns of ens."""
-    return column_functionals(ens.columns(), jump_bases, levels)
-
-
 # ---------------------------------------------------------------------------
 # state-price process
 # ---------------------------------------------------------------------------
@@ -254,10 +247,13 @@ class McCheck:
 
 def sweep_estimates(market, stream: ColumnStream, checks) -> list:
     """The McEstimate of each check, from one sweep of the sample over all
-    their levels (``PathEnsemble.columns`` streams a stored one).  A jump
-    key is a per-regime weight pair, and its basis log(1 + pi_i f) is
-    evaluated once per column for every level that reads it.  Raises
-    InfeasiblePolicyError if a jump factor is nonpositive on some path."""
+    their levels: the one way to a Monte Carlo estimate.  stream is a
+    sample drawn as it is swept (``mpp.jump_columns``) or a stored one
+    (``PathEnsemble.columns``); both give the same bits, and so does a
+    check swept alone or with others.  A jump key is a per-regime weight
+    pair, and its basis log(1 + pi_i f) is evaluated once per column for
+    every level that reads it.  Raises InfeasiblePolicyError, for every
+    check, if a jump factor of any of them is nonpositive on some path."""
     levels = [check.level for check in checks]
     keys = dict.fromkeys(key for lv in levels for key in lv.jumps)
     bases = {pi: [_log_jump(market.transform, p) for p in pi] for pi in keys}
@@ -274,19 +270,21 @@ def martingale_mc(spec: StatePriceSpec) -> McCheck:
     return McCheck(level, lambda res: np.exp(res["final_log"]))
 
 
-def martingale_factor_check(market, spec: StatePriceSpec, ens: PathEnsemble) -> McEstimate:
-    """``martingale_mc`` on ens."""
-    return sweep_estimates(market, ens.columns(), [martingale_mc(spec)])[0]
-
-
 def state_price_wealth_identity(market, spec: StatePriceSpec, ens: PathEnsemble) -> float:
     """max over the rows of ens and their reporting grids of
     |H^phi * V^{1,pi,0} - 1|, as |expm1(log H + log V)|, where spec is the
-    dual density of the log-optimal policy and pi its weights."""
-    grid = _report_grid(ens)
-    log_v = _path_log_level(ens, grid, *_wealth_terms(market, spec.pi))
-    log_h = _path_log_level(ens, grid, spec.drift(market), spec.jump_logs())
-    return float(np.max(np.abs(np.expm1(log_h + log_v))))
+    dual density of the log-optimal policy and pi its weights.  Rows are
+    evaluated ``BLOCK_ROWS`` at a time; a row's levels do not depend on
+    its block."""
+    v_terms = _wealth_terms(market, spec.pi)
+    h_terms = spec.drift(market), spec.jump_logs()
+    dev = 0.0
+    for lo in range(0, ens.n_paths, BLOCK_ROWS):
+        rows = ens.rows(lo, lo + BLOCK_ROWS)
+        grid = _report_grid(rows)
+        log_hv = _path_log_level(rows, grid, *h_terms) + _path_log_level(rows, grid, *v_terms)
+        dev = max(dev, float(np.max(np.abs(np.expm1(log_hv)))))
+    return dev
 
 
 def budget_mc(
@@ -315,14 +313,6 @@ def budget_mc(
         return total - x
 
     return McCheck(level, reduce)
-
-
-def budget_check(
-    market, spec: StatePriceSpec, pi_pair, consumption: ConsumptionRule, x, ens: PathEnsemble
-) -> McEstimate:
-    """``budget_mc`` on ens."""
-    check = budget_mc(market, spec, pi_pair, consumption, x, ens.horizon)
-    return sweep_estimates(market, ens.columns(), [check])[0]
 
 
 def expected_utility_mc(
@@ -356,25 +346,12 @@ def expected_utility_mc(
     )
 
 
-def mc_expected_utility(
-    market, pi_pair, consumption: ConsumptionRule, utility: Utility, x, ens: PathEnsemble
-) -> McEstimate:
-    """``expected_utility_mc`` on ens."""
-    check = expected_utility_mc(market, pi_pair, consumption, utility, x, ens.horizon)
-    return sweep_estimates(market, ens.columns(), [check])[0]
-
-
 def dual_log_mc(market, spec: StatePriceSpec, x, T) -> McCheck:
     """The dual bound L(x; phi) for log utility at the dual density spec:
     (T+1) log(x/(T+1)) - int_0^T log H dt - log H_T."""
     level = Level(spec.drift(market), spec.jumps(), int_log=True)
     c = (T + 1.0) * math.log(x / (T + 1.0))
     return McCheck(level, lambda res: c - res["int_log"] - res["final_log"])
-
-
-def dual_functional_log(market, spec: StatePriceSpec, x, ens: PathEnsemble) -> McEstimate:
-    """``dual_log_mc`` on ens."""
-    return sweep_estimates(market, ens.columns(), [dual_log_mc(market, spec, x, ens.horizon)])[0]
 
 
 def grid_search_constant_portfolio(

@@ -32,12 +32,13 @@ from jumpfolio.policy import (
 )
 from jumpfolio.regime_value import exact_value, mean_log_growth, value_corollary
 from jumpfolio.verify import (
-    budget_check,
+    budget_mc,
+    expected_utility_mc,
     grid_search_constant_portfolio,
-    martingale_factor_check,
-    mc_expected_utility,
+    martingale_mc,
     state_price_spec,
     state_price_wealth_identity,
+    sweep_estimates,
 )
 from jumpfolio.market import (
     DEFAULT_GRID_POINTS,
@@ -45,7 +46,7 @@ from jumpfolio.market import (
     ZeroConsumption,
     wealth_path,
 )
-from jumpfolio.mpp import simulate_ensemble
+from jumpfolio.mpp import jump_columns, simulate_ensemble
 
 SEED = 20260823
 GAMMAS = (0.0, 0.25, 0.5, 0.75, 0.9)
@@ -313,23 +314,21 @@ def test_criterion_6_budget_inequality():
     mkt, K = cfg.market, cfg.market.constraint
     x, T = 1.0, 1.0
     pol = log_optimal_policy(mkt, x, T)
-    ens = simulate_ensemble(mkt.gen, 0, T, mkt.dists, 100_000, SEED)
-
     spec = state_price_spec(mkt, K, pol)
-    opt = budget_check(mkt, spec, pol.pi, pol.consumption, x, ens)
-    equality_ok = abs(opt.mean) <= max(3.0 * opt.stderr, 1e-10 * x)
-
+    checks = [budget_mc(mkt, spec, pol.pi, pol.consumption, x, T)]
     rng = np.random.default_rng(SEED)
-    violations = 0
     for _ in range(20):
         pi = float(rng.uniform(0.0, 2.0))
         if rng.random() < 0.5:
             cons = ZeroConsumption()
         else:
             cons = ProportionalConsumption(float(rng.uniform(0.05, 0.9)) * x / T)
-        est = budget_check(mkt, spec, (pi, pi), cons, x, ens)
-        if est.mean > 3.0 * est.stderr:
-            violations += 1
+        checks.append(budget_mc(mkt, spec, (pi, pi), cons, x, T))
+    # the optimum and the suboptimal pairs share one sweep of the sample
+    sample = jump_columns(mkt.gen, 0, T, mkt.dists, 100_000, SEED)
+    opt, *suboptimal = sweep_estimates(mkt, sample, checks)
+    equality_ok = abs(opt.mean) <= max(3.0 * opt.stderr, 1e-10 * x)
+    violations = sum(est.mean > 3.0 * est.stderr for est in suboptimal)
     dt = time.time() - t0
     ok = equality_ok and violations == 0 and dt < 300.0
     _report(
@@ -353,8 +352,9 @@ def test_criterion_7_regime_value():
     for start in (0, 1):
         semi = exact_value(mkt, Utility.log(), x, T, [pol.pi], start)[0]
         coro = value_corollary(mkt.gen, d_bar, x, T, start)
-        ens = simulate_ensemble(mkt.gen, start, T, mkt.dists, 100_000, SEED)
-        est = mc_expected_utility(mkt, pol.pi, pol.consumption, Utility.log(), x, ens)
+        sample = jump_columns(mkt.gen, start, T, mkt.dists, 100_000, SEED)
+        check = expected_utility_mc(mkt, pol.pi, pol.consumption, Utility.log(), x, T)
+        (est,) = sweep_estimates(mkt, sample, [check])
         z = (est.mean - semi) / est.stderr
         ok &= abs(est.mean - semi) <= 3.0 * est.stderr
         details.append(
@@ -410,7 +410,7 @@ def test_criterion_9_state_price_martingale():
     pol = log_optimal_policy(mkt, 1.0, 1.0)
     ens = simulate_ensemble(mkt.gen, 0, 1.0, mkt.dists, 100_000, SEED)
     spec = state_price_spec(mkt, K, pol)
-    est = martingale_factor_check(mkt, spec, ens)
+    (est,) = sweep_estimates(mkt, ens.columns(), [martingale_mc(spec)])
     mart_ok = abs(est.mean - 1.0) <= 3.0 * est.stderr
     dev = state_price_wealth_identity(mkt, spec, ens.rows(0, 1000))
     dt = time.time() - t0

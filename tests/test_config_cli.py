@@ -472,7 +472,7 @@ class TestCliOutputs:
         """path_k.csv is row k of the ensemble of --paths paths, exported
         under the optimal log policy: byte for byte what a one-row
         evaluation of that row writes, whichever block evaluated it."""
-        monkeypatch.setattr(cli, "SIMULATE_BLOCK_ROWS", 2)  # blocks {0, 1}, {2, 3}, {4}
+        monkeypatch.setattr(cli, "BLOCK_ROWS", 2)  # blocks {0, 1}, {2, 3}, {4}
         data = copy.deepcopy(BASE)
         data["utility"] = {"variant": "log"}
         path = write_config(tmp_path, data)

@@ -1,8 +1,12 @@
 """Every package export has a caller in src/ or demos/ outside the module
-that defines it, or a stated reason on the allowlist below."""
+that defines it, or a stated reason on the allowlist below; only types
+and constants may stand there."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import jumpfolio
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jumpfolio"
@@ -15,15 +19,8 @@ CALLERLESS = {
     "PiecewiseLinearConcave": "only tests build it: wire it into the config or remove it",
     "ProportionalConsumption": "type returned by log_optimal_consumption",
     "WealthPath": "type returned by wealth_path",
-    "jump_transform": "the transform-name map behind MarketModel.f",
-    "RegimeOptimum": "type returned by optimal_portfolio",
-    "h_derivative": "h' for a root finder that would use it; tested against mpmath",
-    "h_inverse": "root of h, called inside policy; tested against mpmath",
-    "optimal_portfolio": "the per-regime solver, called inside policy",
-    "McEstimate": "type returned by the Monte Carlo checks",
-    "ensemble_functionals": "the column sweep over a stored ensemble; the benchmark traces it",
-    "grid_search_constant_portfolio": "called by the benchmark, outside src/ and demos/",
-    "parse_config": "load_config for a dict already in memory",
+    "RegimeOptimum": "type returned by policy.optimal_portfolio",
+    "McEstimate": "type returned by verify.sweep_estimates",
 }
 
 
@@ -61,3 +58,11 @@ def test_callerless_exports_are_the_allowlist():
     }
     assert callerless == set(CALLERLESS)
     assert "exact_value" in _exports()
+
+
+def test_allowlist_holds_only_types_and_constants():
+    """A function without a caller leaves the package's exports and stays
+    in its module; it is not allowlisted."""
+    for name in CALLERLESS:
+        obj = getattr(jumpfolio, name)
+        assert inspect.isclass(obj) or not callable(obj), name

@@ -201,11 +201,13 @@ class TestChainSimulation:
         ks = stats.kstest(first, "expon", args=(0, 0.5))
         assert ks.pvalue > 1e-3
 
-    def test_marks_drawn_from_pre_jump_state(self):
+    @pytest.mark.parametrize("i0", [0, 1])
+    def test_marks_drawn_from_pre_jump_state(self, i0):
+        """Column j's marks follow the law of the alternating state (i0 + j) % 2."""
         gen = GeneratorMatrix(3.0, 3.0)
-        ens = simulate_ensemble(gen, 0, 100.0, DISTS, 20, 11)
+        ens = simulate_ensemble(gen, i0, 100.0, DISTS, 20, 11)
         jumps = np.isfinite(ens.times)
-        states = ens.column_state(np.arange(ens.times.shape[1]))
+        states = (i0 + np.arange(ens.times.shape[1])) % 2
         # regime 0 marks are positive (Exp+), regime 1 marks negative (Exp-)
         assert np.all(ens.marks[jumps & (states == 0)] > 0)
         assert np.all(ens.marks[jumps & (states == 1)] < 0)
@@ -228,11 +230,6 @@ class TestEnsemble:
     def test_needs_a_path(self, n_paths):
         with pytest.raises(ConfigError, match="at least one path"):
             simulate_ensemble(GeneratorMatrix(1.0, 1.0), 0, 1.0, DISTS, n_paths, 5)
-
-    def test_column_state_alternates(self):
-        gen = GeneratorMatrix(1.0, 1.0)
-        ens = simulate_ensemble(gen, 1, 1.0, (DISTS[0], DISTS[0]), 10, 5)
-        assert [ens.column_state(j) for j in range(4)] == [1, 0, 1, 0]
 
     def test_mean_jump_count_single_regime(self):
         """With equal rates the count is Poisson(lam * T)."""

@@ -11,14 +11,14 @@ from jumpfolio.distributions import ExponentialPositive
 from jumpfolio.errors import ConfigError
 from jumpfolio.frictions import DifferentialRates, NO_SHORTING
 from jumpfolio.market import MarketModel, RegimeMarketParams
-from jumpfolio.mpp import GeneratorMatrix, simulate_ensemble
+from jumpfolio.mpp import GeneratorMatrix, jump_columns
 from jumpfolio.policy import Utility, log_optimal_policy, power_optimal_policy
 from jumpfolio.regime_value import (
     exact_value,
     mean_log_growth,
     value_corollary,
 )
-from jumpfolio.verify import mc_expected_utility
+from jumpfolio.verify import expected_utility_mc, sweep_estimates
 
 REGIME_SWITCHING = Path(__file__).resolve().parents[1] / "demos" / "configs" / "regime_switching.yaml"
 UTILITIES = (Utility.log(), Utility.power(0.5))
@@ -115,8 +115,9 @@ class TestIdentityTransform:
         mkt, x, T = cfg.market, cfg.initial_wealth, cfg.horizon
         policy = solved_policy(mkt, utility, x, T)
         J = exact_value(mkt, utility, x, T, [policy.pi], i0)[0]
-        ens = simulate_ensemble(mkt.gen, i0, T, mkt.dists, cfg.n_paths, cfg.seed)
-        est = mc_expected_utility(mkt, policy.pi, policy.consumption, utility, x, ens)
+        sample = jump_columns(mkt.gen, i0, T, mkt.dists, cfg.n_paths, cfg.seed)
+        check = expected_utility_mc(mkt, policy.pi, policy.consumption, utility, x, T)
+        (est,) = sweep_estimates(mkt, sample, [check])
         assert abs(est.mean - J) <= 3.0 * est.stderr
 
     def test_value_and_verify_exit_0(self, config_path, tmp_path, capsys):
@@ -222,8 +223,9 @@ class TestSemianalytic:
         policy = power_optimal_policy(mkt, utility.gamma)
         assert policy.pi[0] != policy.pi[1]
         J = exact_value(mkt, utility, x, T, [policy.pi], i0)[0]
-        ens = simulate_ensemble(mkt.gen, i0, T, mkt.dists, 100_000, cfg.seed)
-        est = mc_expected_utility(mkt, policy.pi, policy.consumption, utility, x, ens)
+        sample = jump_columns(mkt.gen, i0, T, mkt.dists, 100_000, cfg.seed)
+        check = expected_utility_mc(mkt, policy.pi, policy.consumption, utility, x, T)
+        (est,) = sweep_estimates(mkt, sample, [check])
         assert abs(est.mean - J) <= 3.0 * est.stderr
 
 

@@ -1,6 +1,7 @@
 """One admissible set and one certificate: only ``frictions`` and
 ``policy`` evaluate the margin's conjugate or its domain, and one
-comparison in src/ widens the domain by its rounding slack."""
+comparison in src/ widens the domain by its rounding slack.  One sampler
+stores the sample, and one sweep makes every Monte Carlo estimate."""
 
 import ast
 from pathlib import Path
@@ -50,9 +51,8 @@ def test_one_domain_slack_comparison():
     assert found == ["policy"]
 
 
-def test_only_simulate_stores_the_sample():
-    """verify and value sweep the sample as it is drawn: in src/, only the
-    simulate command calls the sampler that stores every path."""
+def _callers(names):
+    """(module, function) of every function in src/ that calls one of names."""
     callers = set()
     for module, tree in _trees().items():
         for fn in ast.walk(tree):
@@ -60,6 +60,19 @@ def test_only_simulate_stores_the_sample():
                 callers.update(
                     (module, fn.name)
                     for node in ast.walk(fn)
-                    if isinstance(node, ast.Call) and _called(node) == "simulate_ensemble"
+                    if isinstance(node, ast.Call) and _called(node) in names
                 )
-    assert callers == {("cli", "cmd_simulate")}
+    return callers
+
+
+def test_only_simulate_stores_the_sample():
+    """verify and value sweep the sample as it is drawn: in src/, only the
+    simulate command calls the sampler that stores every path."""
+    assert _callers({"simulate_ensemble"}) == {("cli", "cmd_simulate")}
+
+
+def test_one_way_to_an_estimate():
+    """Every Monte Carlo estimate comes from one sweep: in src/, only
+    sweep_estimates calls the column sweep or the estimator."""
+    callers = _callers({"column_functionals", "_estimate"})
+    assert callers == {("verify", "sweep_estimates")}

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,17 +38,12 @@ from jumpfolio.policy import (
 from jumpfolio.regime_value import mean_log_growth
 from jumpfolio.verify import (
     Level,
-    budget_check,
     budget_mc,
     column_functionals,
-    dual_functional_log,
     dual_log_mc,
-    ensemble_functionals,
     expected_utility_mc,
     grid_search_constant_portfolio,
-    martingale_factor_check,
     martingale_mc,
-    mc_expected_utility,
     state_price_spec,
     state_price_wealth_identity,
     sweep_estimates,
@@ -67,10 +63,16 @@ def ensemble(mkt, T, n_paths, seed):
     return simulate_ensemble(mkt.gen, 0, T, mkt.dists, n_paths, seed)
 
 
+def columns(mkt, T, n_paths, seed):
+    """The sample of ``ensemble(mkt, T, n_paths, seed)``, drawn as it is swept."""
+    return jump_columns(mkt.gen, 0, T, mkt.dists, n_paths, seed)
+
+
 def sweep(ens, drift, jumps, **level):
     """One level swept alone, its jump log the only basis: its functionals
     and the invalid flags."""
-    invalid, (res,) = ensemble_functionals(ens, {"w": jumps}, [Level(drift, {"w": 1.0}, **level)])
+    level = Level(drift, {"w": 1.0}, **level)
+    invalid, (res,) = column_functionals(ens.columns(), {"w": jumps}, [level])
     return {**res, "invalid": invalid}
 
 
@@ -212,7 +214,7 @@ def one_level_sweep(ens, drift_by_state, jump_log_by_state, exp_coeff=1.0):
     level, t_prev = np.zeros(n), np.zeros(n)
     int_log, int_exp = np.zeros(n), np.zeros(n)
     for j in range(m + 1):
-        state = ens.column_state(j)
+        state = (ens.initial_state + j) % 2
         a = drift[state]
         t_next = np.minimum(ens.times[:, j], T) if j < m else np.full(n, T)
         dt = t_next - t_prev
@@ -298,10 +300,10 @@ class TestOnePass:
             pi: [_log_jump(mkt.transform, p) for p in pi] for lv in levels for pi in lv.jumps
         }
         assert len(bases) == 2
-        invalid, together = ensemble_functionals(ens, bases, levels)
+        invalid, together = column_functionals(ens.columns(), bases, levels)
         assert not np.any(invalid)
         for lv, res in zip(levels, together):
-            _, (alone,) = ensemble_functionals(ens, {k: bases[k] for k in lv.jumps}, [lv])
+            _, (alone,) = column_functionals(ens.columns(), {k: bases[k] for k in lv.jumps}, [lv])
             assert res.keys() == alone.keys()
             for key in res:
                 assert np.array_equal(res[key], alone[key]), key
@@ -389,7 +391,7 @@ class TestStreamedSweep:
         levels = [c.level for c in checks]
         bases = {pi: [_log_jump(mkt.transform, p) for p in pi] for lv in levels for pi in lv.jumps}
         streamed = column_functionals(jump_columns(*draw), bases, levels)
-        stored = ensemble_functionals(ens, bases, levels)
+        stored = column_functionals(ens.columns(), bases, levels)
         assert np.array_equal(streamed[0], stored[0])
         for a, b in zip(streamed[1], stored[1]):
             assert a.keys() == b.keys()
@@ -414,16 +416,17 @@ class TestInfeasiblePolicy:
             pi=(1.5, 1.5), zeta=(0.0, 0.0), cases=(0, 0), gamma=0.0,
             consumption=log_optimal_consumption(1.0, 1.0),
         )
-        ens = ensemble(mkt, 1.0, 2000, 3)
+        sample = lambda: columns(mkt, 1.0, 2000, 3)
         with pytest.raises(InfeasiblePolicyError):
             spec = state_price_spec(mkt, NO_SHORTING, pol)
-            martingale_factor_check(mkt, spec, ens)
+            sweep_estimates(mkt, sample(), [martingale_mc(spec)])
         with pytest.raises(InfeasiblePolicyError):
-            dual_functional_log(mkt, state_price_spec(mkt, NO_SHORTING, pol), 1.0, ens)
+            spec = state_price_spec(mkt, NO_SHORTING, pol)
+            sweep_estimates(mkt, sample(), [dual_log_mc(mkt, spec, 1.0, 1.0)])
         with pytest.raises(InfeasiblePolicyError):
-            budget_check(
-                mkt, state_price_spec(mkt, NO_SHORTING, pol), pol.pi, pol.consumption, 1.0, ens
-            )
+            spec = state_price_spec(mkt, NO_SHORTING, pol)
+            check = budget_mc(mkt, spec, pol.pi, pol.consumption, 1.0, 1.0)
+            sweep_estimates(mkt, sample(), [check])
 
     def test_sweep_rejects_a_pair_the_dual_density_allows(self):
         """A feasible dual density, so the rejection comes from the sweep:
@@ -436,11 +439,11 @@ class TestInfeasiblePolicy:
             gen=GeneratorMatrix(1.0, 1.0), regimes=(params, params), constraint=NO_SHORTING
         )
         pol = log_optimal_policy(mkt, 1.0, 1.0)
-        ens = ensemble(mkt, 1.0, 2000, 3)
         spec = state_price_spec(mkt, NO_SHORTING, pol)
-        budget_check(mkt, spec, pol.pi, pol.consumption, 1.0, ens)
+        budget = lambda pair: budget_mc(mkt, spec, pair, pol.consumption, 1.0, 1.0)
+        sweep_estimates(mkt, columns(mkt, 1.0, 2000, 3), [budget(pol.pi)])
         with pytest.raises(InfeasiblePolicyError, match="on some path"):
-            budget_check(mkt, spec, (1.5, 1.5), pol.consumption, 1.0, ens)
+            sweep_estimates(mkt, columns(mkt, 1.0, 2000, 3), [budget((1.5, 1.5))])
 
 
 class TestStatePrice:
@@ -450,6 +453,35 @@ class TestStatePrice:
         spec = state_price_spec(mkt, NO_SHORTING, log_optimal_policy(mkt, 1.0, 2.0))
         dev = state_price_wealth_identity(mkt, spec, ens)
         assert dev <= 1e-10
+
+    @staticmethod
+    def _dense_identity_inputs():
+        """200 rows of paths_dense (some 500 jumps a row) and the dual
+        density of its log optimum."""
+        cfg = load_config(PATHS_DENSE)
+        mkt, x, T = cfg.market, cfg.initial_wealth, cfg.horizon
+        ens = simulate_ensemble(mkt.gen, cfg.initial_state, T, mkt.dists, 200, cfg.seed)
+        return mkt, state_price_spec(mkt, mkt.constraint, log_optimal_policy(mkt, x, T)), ens
+
+    def test_identity_does_not_depend_on_its_row_blocks(self, monkeypatch):
+        mkt, spec, ens = self._dense_identity_inputs()
+        dev = state_price_wealth_identity(mkt, spec, ens)
+        assert dev <= 1e-10
+        for rows in (1, 7, ens.n_paths):
+            monkeypatch.setattr(verify, "BLOCK_ROWS", rows)
+            assert state_price_wealth_identity(mkt, spec, ens) == dev, rows
+
+    def test_identity_holds_one_block_of_grids(self):
+        """The identity's memory is one block of rows' grids, not all 200
+        (about 15 MB at once on these rows)."""
+        mkt, spec, ens = self._dense_identity_inputs()
+        tracemalloc.start()
+        try:
+            state_price_wealth_identity(mkt, spec, ens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_identities_hold_where_levels_leave_the_float_range(self):
         """lambda = 50 over T = 10 drives log V past 709 on every path, so the
@@ -526,22 +558,23 @@ class TestStatePrice:
         log_h = _path_log_level(rows, _report_grid(rows), spec.drift(mkt), spec.jump_logs())
         assert np.all(np.isfinite(log_h))
         assert log_h[0, -1] == pytest.approx(spec.drift(mkt)[0] * 1.0 + 40.0, rel=1e-12)
-        est = martingale_factor_check(mkt, spec, rows)  # no InfeasiblePolicyError
+        # no InfeasiblePolicyError
+        (est,) = sweep_estimates(mkt, rows.columns(), [martingale_mc(spec)])
         assert math.isfinite(est.mean)
 
     def test_martingale_factor_near_one(self):
         mkt = make_market()
         pol = log_optimal_policy(mkt, 1.0, 1.0)
         spec = state_price_spec(mkt, NO_SHORTING, pol)
-        est = martingale_factor_check(mkt, spec, ensemble(mkt, 1.0, 20_000, 42))
+        (est,) = sweep_estimates(mkt, columns(mkt, 1.0, 20_000, 42), [martingale_mc(spec)])
         assert abs(est.mean - 1.0) <= 3.0 * est.stderr
 
     def test_estimates_deterministic_per_seed(self):
         mkt = make_market()
         pol = log_optimal_policy(mkt, 1.0, 1.0)
         spec = state_price_spec(mkt, NO_SHORTING, pol)
-        a = martingale_factor_check(mkt, spec, ensemble(mkt, 1.0, 2000, 9))
-        b = martingale_factor_check(mkt, spec, ensemble(mkt, 1.0, 2000, 9))
+        (a,) = sweep_estimates(mkt, columns(mkt, 1.0, 2000, 9), [martingale_mc(spec)])
+        (b,) = sweep_estimates(mkt, columns(mkt, 1.0, 2000, 9), [martingale_mc(spec)])
         assert a.mean == b.mean and a.stderr == b.stderr
 
 
@@ -551,7 +584,8 @@ class TestBudget:
         x, T = 2.0, 1.5
         pol = log_optimal_policy(mkt, x, T)
         spec = state_price_spec(mkt, NO_SHORTING, pol)
-        est = budget_check(mkt, spec, pol.pi, pol.consumption, x, ensemble(mkt, T, 5000, 3))
+        check = budget_mc(mkt, spec, pol.pi, pol.consumption, x, T)
+        (est,) = sweep_estimates(mkt, columns(mkt, T, 5000, 3), [check])
         assert abs(est.mean) <= 1e-12 * x
         assert est.stderr <= 1e-12 * x
 
@@ -559,23 +593,25 @@ class TestBudget:
         mkt = make_market()
         x, T = 1.0, 1.0
         pol = log_optimal_policy(mkt, x, T)
-        ens = ensemble(mkt, T, 30_000, 11)
         spec = state_price_spec(mkt, NO_SHORTING, pol)
-        for pi, cons in (
-            (0.3, ZeroConsumption()),
-            (1.2, ProportionalConsumption(0.4)),
-            (0.0, ProportionalConsumption(0.9)),
-        ):
-            est = budget_check(mkt, spec, (pi, pi), cons, x, ens)
+        checks = [
+            budget_mc(mkt, spec, (pi, pi), cons, x, T)
+            for pi, cons in (
+                (0.3, ZeroConsumption()),
+                (1.2, ProportionalConsumption(0.4)),
+                (0.0, ProportionalConsumption(0.9)),
+            )
+        ]
+        for est in sweep_estimates(mkt, columns(mkt, T, 30_000, 11), checks):
             assert est.mean <= 3.0 * est.stderr
 
     def test_over_consumption_rejected(self):
         mkt = make_market()
         pol = log_optimal_policy(mkt, 1.0, 1.0)
         with pytest.raises(ConfigError):
-            budget_check(
+            budget_mc(
                 mkt, state_price_spec(mkt, NO_SHORTING, pol), pol.pi,
-                ProportionalConsumption(2.0), 1.0, ensemble(mkt, 1.0, 100, 0),
+                ProportionalConsumption(2.0), 1.0, 1.0,
             )
 
 
@@ -583,19 +619,16 @@ class TestExpectedUtility:
     def test_log_requires_consumption(self):
         mkt = make_market()
         with pytest.raises(ConfigError):
-            mc_expected_utility(
-                mkt, (0.5, 0.5), ZeroConsumption(), Utility.log(), 1.0,
-                ensemble(mkt, 1.0, 100, 0),
-            )
+            expected_utility_mc(mkt, (0.5, 0.5), ZeroConsumption(), Utility.log(), 1.0, 1.0)
 
     def test_one_path_has_no_standard_error(self):
         """A single path would report stderr 0; every estimate refuses it."""
         mkt = make_market()
+        check = expected_utility_mc(
+            mkt, (0.5, 0.5), log_optimal_consumption(1.0, 1.0), Utility.log(), 1.0, 1.0
+        )
         with pytest.raises(ConfigError, match="two paths"):
-            mc_expected_utility(
-                mkt, (0.5, 0.5), log_optimal_consumption(1.0, 1.0), Utility.log(), 1.0,
-                ensemble(mkt, 1.0, 1, 0),
-            )
+            sweep_estimates(mkt, columns(mkt, 1.0, 1, 0), [check])
 
     def test_power_no_jump_oracle(self):
         """lam=0 gives a deterministic wealth: J = (x e^{bT})^g / g."""
@@ -608,9 +641,8 @@ class TestExpectedUtility:
             constraint=NO_SHORTING,
         )
         g, pi, x, T = 0.5, 0.8, 2.0, 1.5
-        est = mc_expected_utility(
-            mkt, (pi, pi), ZeroConsumption(), Utility.power(g), x, ensemble(mkt, T, 50, 1)
-        )
+        check = expected_utility_mc(mkt, (pi, pi), ZeroConsumption(), Utility.power(g), x, T)
+        (est,) = sweep_estimates(mkt, columns(mkt, T, 50, 1), [check])
         b = 0.045 + pi * (0.06 - 0.045)
         expected = (x * math.exp(b * T)) ** g / g
         assert est.mean == pytest.approx(expected, rel=1e-12)
@@ -626,10 +658,10 @@ class TestExpectedUtility:
             constraint=NO_SHORTING,
         )
         pi, x, T, kappa = 0.5, 1.0, 2.0, 0.25
-        est = mc_expected_utility(
-            mkt, (pi, pi), ProportionalConsumption(kappa), Utility.log(), x,
-            ensemble(mkt, T, 20, 1),
+        check = expected_utility_mc(
+            mkt, (pi, pi), ProportionalConsumption(kappa), Utility.log(), x, T
         )
+        (est,) = sweep_estimates(mkt, columns(mkt, T, 20, 1), [check])
         b = 0.03 + pi * (0.05 - 0.03)
         int_log, _ = integrate.quad(lambda t: b * t, 0.0, T)
         expected = T * math.log(kappa) + int_log + math.log(x - kappa * T) + b * T
@@ -640,9 +672,14 @@ class TestExpectedUtility:
         mkt = make_market()
         x, T = 1.0, 1.0
         pol = log_optimal_policy(mkt, x, T)
-        ens = ensemble(mkt, T, 5000, 77)
-        primal = mc_expected_utility(mkt, pol.pi, pol.consumption, Utility.log(), x, ens)
-        dual = dual_functional_log(mkt, state_price_spec(mkt, NO_SHORTING, pol), x, ens)
+        primal, dual = sweep_estimates(
+            mkt,
+            columns(mkt, T, 5000, 77),
+            [
+                expected_utility_mc(mkt, pol.pi, pol.consumption, Utility.log(), x, T),
+                dual_log_mc(mkt, state_price_spec(mkt, NO_SHORTING, pol), x, T),
+            ],
+        )
         assert dual.mean == pytest.approx(primal.mean, abs=1e-10)
 
 
