@@ -29,7 +29,7 @@ from .errors import (
     RangeError,
     RuinError,
 )
-from .market import BLOCK_ROWS, DEFAULT_GRID_POINTS, export_path_csv, stock_path, wealth_path
+from .market import DEFAULT_GRID_POINTS, block_rows, export_path_csv, stock_path, wealth_path
 from .mpp import KeptRows, jump_columns, simulate_ensemble
 from .policy import Policy, certify, h_value, log_optimal_policy, power_optimal_policy
 from .regime_value import exact_value, mean_log_growth, value_corollary
@@ -148,8 +148,9 @@ def cmd_simulate(config: RunConfig, args) -> int:
     )
     provenance = f"config_hash={config_hash(config)} seed={config.seed}"
     # a block's CSVs are written before the next block is evaluated
-    for lo in range(0, args.paths, BLOCK_ROWS):
-        rows = ens.rows(lo, lo + BLOCK_ROWS)
+    step = block_rows(ens)
+    for lo in range(0, args.paths, step):
+        rows = ens.rows(lo, lo + step)
         try:
             wp = wealth_path(
                 config.initial_wealth, config.market, policy.pi, policy.consumption, rows

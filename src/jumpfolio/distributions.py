@@ -66,6 +66,15 @@ class JumpDistribution:
         return self.expect(lambda y: y)
 
 
+_LEGGAUSS = {}  # n -> the n-point Gauss-Legendre nodes and weights, once per process
+
+
+def _leggauss(n):
+    if n not in _LEGGAUSS:
+        _LEGGAUSS[n] = leggauss(n)
+    return _LEGGAUSS[n]
+
+
 def _exponential_rule(rate, sign):
     """Composite Gauss-Legendre rule for the law of sign * Exponential(rate).
 
@@ -92,7 +101,7 @@ def _exponential_rule(rate, sign):
     half = 0.5 * np.diff(edges)[:, None]
     nodes, weights = [], []
     for n in (GL_NODES, 2 * GL_NODES):
-        x, w = leggauss(n)
+        x, w = _leggauss(n)
         y = (mid + half * x).ravel()
         nodes.append(sign * y)
         weights.append((half * w).ravel() * rate * np.exp(-rate * y))

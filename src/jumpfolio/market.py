@@ -142,12 +142,19 @@ def log_optimal_consumption(x: float, T: float) -> ProportionalConsumption:
 # the log-level engine over ensemble rows
 # ---------------------------------------------------------------------------
 
-# ensemble rows the engine is given at a time by callers that walk a whole
-# sample (simulate's CSVs, verify's pathwise identity): memory holds one
-# block of grids, not one per row (16 rows keep `simulate --paths 1000` on
-# bench/configs/paths_dense.yaml at the peak of evaluating one row at a
-# time, 32 rows raise it by 2 MB)
-BLOCK_ROWS = 16
+# grid cells (rows x (grid points + jumps)) the engine is given at a time
+# by callers that walk a whole sample (simulate's CSVs, verify's pathwise
+# identity): memory holds one block of grids, not one per row, and the
+# fixed cost of a block is paid once per budget, not once per few narrow
+# rows (about 9 rows of bench/configs/paths_dense.yaml, 31 of
+# regime_switching.yaml)
+BLOCK_CELLS = 1 << 13
+
+
+def block_rows(ens: PathEnsemble) -> int:
+    """How many rows of ens make one block: as many as ``BLOCK_CELLS``
+    holds at the reporting-grid width of the longest row, and at least one."""
+    return max(1, BLOCK_CELLS // (DEFAULT_GRID_POINTS + 1 + int(ens.counts.max())))
 
 
 def _report_grid(ens: PathEnsemble, n_grid=DEFAULT_GRID_POINTS):

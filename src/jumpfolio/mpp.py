@@ -18,9 +18,12 @@ the stored columns again, the one way a stored sample is swept.
 Random-number contract: a sample takes an integer seed and is
 bit-reproducible, streamed or stored.  The seed is split with
 ``numpy.random.SeedSequence`` into one chain stream and one mark stream,
-so chain and mark draws never interleave.  Each stream is drawn one
-column of all paths at a time, so path k of a sample depends on its path
-count as well as on the seed.
+so chain and mark draws never interleave.  Jump column j draws, in path
+order, one holding time for each path still inside [0, T] after column
+j - 1 (every path at column 0), and then one mark for each path whose
+j-th jump lies in [0, T]; a path that has left the horizon draws
+nothing more.  So path k of a sample depends on the path count and on
+when the other paths leave, as well as on the seed.
 """
 
 from __future__ import annotations
@@ -137,11 +140,15 @@ def exponential_functional(diag, off, T):
 @dataclass(frozen=True)
 class ColumnStream:
     """The jump columns of a sample of ``n_paths`` paths, in time order,
-    each passed on once.  Column j is (times, live, marks) over the paths:
-    ``live`` marks the paths with a j-th jump in [0, T], and the others
-    hold time +inf and mark 0.  The pre-jump state of column j is
-    ``(initial_state + j) % 2``.  ``capacity`` is how many columns a store
-    of the stream reserves at first.
+    each passed on once.  Column j is (times, marks, keep) over the paths
+    with a j-th jump in [0, T], in path order: their j-th jump times and
+    marks, and ``keep``, the integer positions of these paths among
+    column j - 1's (among all the paths at column 0), or None when every
+    one of those has a j-th jump.  A path missing from a column has left
+    the horizon and appears in no later column.  The stream ends before
+    the first column with no path left.  The pre-jump state of column j
+    is ``(initial_state + j) % 2``.  ``capacity`` is how many columns a
+    store of the stream reserves at first.
     """
 
     initial_state: int
@@ -189,18 +196,27 @@ class PathEnsemble:
         )
 
     def columns(self) -> ColumnStream:
-        """The stored jump columns as a stream."""
-        T, width = self.horizon, self.times.shape[1]
+        """The stored jump columns as a stream, in its compacted layout."""
         return ColumnStream(
             initial_state=self.initial_state,
-            horizon=T,
+            horizon=self.horizon,
             n_paths=self.n_paths,
             seed=self.seed,
-            capacity=width,
-            columns=(
-                (self.times[:, j], self.times[:, j] <= T, self.marks[:, j]) for j in range(width)
-            ),
+            capacity=self.times.shape[1],
+            columns=self._compacted_columns(),
         )
+
+    def _compacted_columns(self):
+        rows = np.arange(self.n_paths)  # the paths of the last column
+        for j in range(self.times.shape[1]):
+            keep = np.flatnonzero(self.counts[rows] > j)
+            if keep.size == 0:
+                return
+            if keep.size < rows.size:
+                rows = rows[keep]
+            else:
+                keep = None
+            yield self.times[rows, j], self.marks[rows, j], keep
 
 
 def _too_wide(gen, T):
@@ -213,9 +229,10 @@ def _too_wide(gen, T):
 def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed) -> ColumnStream:
     """Draw n_paths marked point paths one jump column at a time.
 
-    Column j adds n_paths exponential holding times from the chain stream,
-    at the rate of the alternating state (i0 + j) % 2, to the running jump
-    times, and then draws its n_paths marks from the mark stream.  The
+    Column j adds an exponential holding time from the chain stream, at
+    the rate of the alternating state (i0 + j) % 2, to the running jump
+    time of each path still inside [0, T], and then draws one mark from
+    the mark stream for each path whose new time is still inside.  The
     stream ends at the first column with no path left inside [0, T], or
     at once at an absorbing state (rate 0), which draws nothing.  The
     arguments are checked and both random streams made at the call; the
@@ -244,24 +261,29 @@ def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, s
 
 
 def _draw_columns(gen, i0, T, dists, n, chain_rng, mark_rng):
-    t = np.zeros(n)
-    step = np.empty(n)
+    t = np.zeros(n)  # the jump times of the last column; yielded, so never written
     rates = gen.rates
     for j in range(_MAX_WIDTH + 1):
         state = (i0 + j) % 2
         rate = rates[state]
         if rate == 0.0:  # an absorbing state: no path jumps again
             return
-        chain_rng.standard_exponential(out=step)
+        step = chain_rng.standard_exponential(t.size)
         step /= rate
-        t += step
-        live = t <= T
-        if not live.any():
+        step += t
+        # an integer gather: on a random mask it is several times faster
+        # than a boolean one
+        keep = np.flatnonzero(step <= T)
+        if keep.size == 0:
             return
         if j == _MAX_WIDTH:
             raise _too_wide(gen, T)
-        marks = np.where(live, dists[state].sample(n, mark_rng), 0.0)
-        yield np.where(live, t, np.inf), live, marks
+        if keep.size < step.size:
+            step = step[keep]
+        else:
+            keep = None
+        t = step
+        yield t, dists[state].sample(t.size, mark_rng), keep
 
 
 class KeptRows:
@@ -280,17 +302,25 @@ class KeptRows:
         self._times = np.empty((rows, stream.capacity), order="F")
         self._marks = np.empty_like(self._times)
         self._counts = np.zeros(rows, dtype=int)
-        self.stream = replace(stream, columns=self._store(stream.columns, rows))
+        self.stream = replace(stream, columns=self._store(stream.columns))
 
-    def _store(self, columns, k):
-        for j, (times, live, marks) in enumerate(columns):
-            if j == self._times.shape[1]:
-                wider = min(_MAX_WIDTH, 2 * j)
-                self._times, self._marks = _widened(self._times, wider), _widened(self._marks, wider)
-            self._times[:, j] = times[:k]
-            self._marks[:, j] = marks[:k]
-            self._counts += live[:k]
-            yield times, live, marks
+    def _store(self, columns):
+        # the kept rows still inside the horizon lead every column, in order
+        kept = np.arange(self._counts.size)
+        for j, (times, marks, keep) in enumerate(columns):
+            if keep is not None:
+                kept = kept[keep[: np.searchsorted(keep, kept.size)]]
+            # columns past the longest kept row are cut: never widened or written
+            if kept.size:
+                if j == self._times.shape[1]:
+                    wider = min(_MAX_WIDTH, 2 * j)
+                    self._times, self._marks = _widened(self._times, wider), _widened(self._marks, wider)
+                self._times[:, j] = np.inf
+                self._marks[:, j] = 0.0
+                self._times[kept, j] = times[: kept.size]
+                self._marks[kept, j] = marks[: kept.size]
+                self._counts[kept] += 1
+            yield times, marks, keep
 
     def ensemble(self) -> PathEnsemble:
         shape = (self._counts.size, int(self._counts.max()))

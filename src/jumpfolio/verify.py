@@ -44,13 +44,13 @@ import numpy as np
 from .errors import ConfigError, DomainError, InfeasiblePolicyError
 from .frictions import ConstraintSet
 from .market import (
-    BLOCK_ROWS,
     ConsumptionRule,
     MarketModel,
     _log_jump,
     _path_log_level,
     _report_grid,
     _wealth_terms,
+    block_rows,
 )
 from .mpp import ColumnStream, PathEnsemble
 from .policy import Policy, Utility, certify, feasible_weight_interval
@@ -100,8 +100,11 @@ def column_functionals(stream: ColumnStream, jump_bases, levels):
     of a sample, each read once as the stream passes it on.
 
     jump_bases maps a key to a per-state pair of callables of the mark;
-    each basis is evaluated once per column holding an event in [0, T],
-    however many levels read it.  Returns (invalid, results): invalid
+    each basis is evaluated once per column, on the column's events,
+    however many levels read it.  The sweep works only on the paths still
+    inside [0, T]: a path that leaves is advanced to T in the column where
+    it leaves and set aside, and the set-aside values are put back in path
+    order once, at the end.  Returns (invalid, results): invalid
     flags the paths on which some basis is not finite at one of their
     events, and results[k] holds final_log of levels[k] and, as asked,
     int_log or int_exp, all exact per segment.  Each level's arithmetic is
@@ -117,23 +120,24 @@ def column_functionals(stream: ColumnStream, jump_bases, levels):
         if lv.exp_coeff is not None:
             res["int_exp"] = np.zeros(n)
         results.append(res)
-    # per basis, the (log level, coefficient) pairs that read it
+    # per basis, the (level index, coefficient) pairs that read it
     readers = {
-        key: [(res["final_log"], lv.jumps[key]) for lv, res in zip(levels, results) if lv.jumps.get(key)]
+        key: [(k, lv.jumps[key]) for k, lv in enumerate(levels) if lv.jumps.get(key)]
         for key in jump_bases
     }
+    accumulators = [acc for res in results for acc in res.values()]
     invalid = np.zeros(n, dtype=bool)
     t_prev = np.zeros(n)
+    # the accumulators hold the m paths still inside first, in path order,
+    # and the paths that left after them; rows[i] is the sample row of slot i
+    m, rows = n, np.arange(n)
 
-    def advance(t_next, state):
-        """Every level over the segment from t_prev to t_next in state."""
-        nonlocal t_prev
-        dt = t_next - t_prev
-        t_prev = t_next  # frees the old times before the levels' temporaries
+    def advance(dt, state):
+        """Every level over a segment of length dt in state, on the paths inside."""
         for lv, drift, res in zip(levels, drifts, results):
-            level, a = res["final_log"], drift[state]
+            level, a = res["final_log"][:m], drift[state]
             if lv.int_log:
-                res["int_log"] += level * dt + 0.5 * a * dt * dt
+                res["int_log"][:m] += level * dt + 0.5 * a * dt * dt
             if lv.exp_coeff is not None:
                 c = lv.exp_coeff
                 ca = c * a
@@ -141,24 +145,42 @@ def column_functionals(stream: ColumnStream, jump_bases, levels):
                     seg = np.exp(c * level) * dt
                 else:
                     seg = np.exp(c * level) * np.expm1(ca * dt) / ca
-                res["int_exp"] += seg
+                res["int_exp"][:m] += seg
             level += a * dt
 
     state = stream.initial_state
-    for times, active, marks in stream.columns:
-        advance(np.minimum(times, T), state)
-        if np.any(active):
-            for key, basis in jump_bases.items():
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    jl = np.where(active, basis[state](marks), 0.0)
-                finite = np.isfinite(jl)
-                if not finite.all():
-                    invalid |= ~finite
-                    jl[~finite] = 0.0
-                for level, c in readers[key]:
-                    level += c * jl
+    for times, marks, keep in stream.columns:
+        if keep is None:
+            dt = times - t_prev
+        else:
+            # the paths left out of this column end in this state at T
+            dt = np.full(m, T)
+            dt[keep] = times
+            dt -= t_prev
+        t_prev = times  # frees the old times before the levels' temporaries
+        advance(dt, state)
+        if keep is not None:
+            # in place: the accumulators keep their size, so the sweep
+            # holds no second copy of them and no run of ever smaller ones
+            gone = np.ones(m, dtype=bool)
+            gone[keep] = False
+            order = np.concatenate((keep, np.flatnonzero(gone)))
+            for acc in (rows, *accumulators):
+                acc[:m] = acc[:m][order]
+            m = keep.size
+        for key, basis in jump_bases.items():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                jl = basis[state](marks)
+            finite = np.isfinite(jl)
+            if not finite.all():
+                invalid[rows[:m][~finite]] = True
+                jl = np.where(finite, jl, 0.0)
+            for k, c in readers[key]:
+                results[k]["final_log"][:m] += c * jl
         state = 1 - state
-    advance(np.full(n, T), state)
+    advance(T - t_prev, state)
+    for acc in accumulators:  # back to path order
+        acc[rows] = acc.copy()
     return invalid, results
 
 
@@ -274,13 +296,14 @@ def state_price_wealth_identity(market, spec: StatePriceSpec, ens: PathEnsemble)
     """max over the rows of ens and their reporting grids of
     |H^phi * V^{1,pi,0} - 1|, as |expm1(log H + log V)|, where spec is the
     dual density of the log-optimal policy and pi its weights.  Rows are
-    evaluated ``BLOCK_ROWS`` at a time; a row's levels do not depend on
-    its block."""
+    evaluated a block (``market.block_rows``) at a time; a row's levels do
+    not depend on its block."""
     v_terms = _wealth_terms(market, spec.pi)
     h_terms = spec.drift(market), spec.jump_logs()
     dev = 0.0
-    for lo in range(0, ens.n_paths, BLOCK_ROWS):
-        rows = ens.rows(lo, lo + BLOCK_ROWS)
+    step = block_rows(ens)
+    for lo in range(0, ens.n_paths, step):
+        rows = ens.rows(lo, lo + step)
         grid = _report_grid(rows)
         log_hv = _path_log_level(rows, grid, *h_terms) + _path_log_level(rows, grid, *v_terms)
         dev = max(dev, float(np.max(np.abs(np.expm1(log_hv)))))

@@ -14,6 +14,7 @@ import pytest
 import yaml
 
 from jumpfolio import cli
+from jumpfolio import market as market_mod
 from jumpfolio.cli import main
 from jumpfolio.config import (
     RunConfig,
@@ -257,8 +258,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("gamma, n_levels", [("0", 3), ("0.5", 2)])
     def test_verify_sweeps_the_sample_once(self, tmp_path, monkeypatch, capsys, gamma, n_levels):
         """Every Monte Carlo check of verify reads one sweep of the sample,
-        and the sweep evaluates each jump basis once per column holding an
-        event in [0, T]."""
+        and the sweep evaluates each jump basis once per column, on the
+        column's events in [0, T]."""
         import jumpfolio.verify as verify_mod
 
         original = verify_mod.column_functionals
@@ -266,21 +267,24 @@ class TestCliExitCodes:
 
         def counted(stream, jump_bases, levels):
             calls = dict.fromkeys(jump_bases, 0)
-            active = [0]
+            marks_read = dict.fromkeys(jump_bases, 0)
+            columns_events = [0, 0]
 
             def count(key, f):
                 def basis(y):
                     calls[key] += 1
+                    marks_read[key] += y.size
                     return f(y)
 
                 return basis
 
             def columns():
-                for column in stream.columns:
-                    active[0] += bool(np.any(column[1]))
-                    yield column
+                for times, marks, keep in stream.columns:
+                    columns_events[0] += 1
+                    columns_events[1] += times.size
+                    yield times, marks, keep
 
-            sweeps.append((calls, active, len(levels)))
+            sweeps.append((calls, marks_read, columns_events, len(levels)))
             bases = {key: [count(key, f) for f in pair] for key, pair in jump_bases.items()}
             return original(dataclasses.replace(stream, columns=columns()), bases, levels)
 
@@ -290,10 +294,11 @@ class TestCliExitCodes:
         path = write_config(tmp_path, data)
         assert main(["verify", path, "--gamma", gamma, "--output-dir", str(tmp_path)]) == 0
         assert len(sweeps) == 1
-        calls, (active,), levels = sweeps[0]
-        assert levels == n_levels and active > 0
+        calls, marks_read, (n_columns, n_events), levels = sweeps[0]
+        assert levels == n_levels and 0 < n_columns < n_events
         # the checked policy's weights are the only jump basis
-        assert list(calls.values()) == [active]
+        assert list(calls.values()) == [n_columns]
+        assert list(marks_read.values()) == [n_events]
 
     def test_verify_draws_each_sample_once(self, tmp_path, monkeypatch, capsys):
         """One drawn sample serves every check, the pathwise identities
@@ -472,18 +477,21 @@ class TestCliOutputs:
         """path_k.csv is row k of the ensemble of --paths paths, exported
         under the optimal log policy: byte for byte what a one-row
         evaluation of that row writes, whichever block evaluated it."""
-        monkeypatch.setattr(cli, "BLOCK_ROWS", 2)  # blocks {0, 1}, {2, 3}, {4}
         data = copy.deepcopy(BASE)
         data["utility"] = {"variant": "log"}
         path = write_config(tmp_path, data)
         out_dir = tmp_path / "out"
-        argv = ["simulate", path, "--paths", "5", "--output-dir", str(out_dir)]
-        assert main(argv) == 0
         config = load_config(path, {"output_dir": str(out_dir)})
         market, x, T = config.market, config.initial_wealth, config.horizon
         policy = log_optimal_policy(market, x, T)
         ens = simulate_ensemble(market.gen, config.initial_state, T, market.dists, 5, config.seed)
         assert len(set(ens.counts.tolist())) > 1  # blocks pad their shorter rows
+        # a budget of two of the longest rows: blocks {0, 1}, {2, 3}, {4}
+        row_cells = DEFAULT_GRID_POINTS + 1 + ens.counts.max()
+        monkeypatch.setattr(market_mod, "BLOCK_CELLS", 2 * row_cells)
+        assert market_mod.block_rows(ens) == 2
+        argv = ["simulate", path, "--paths", "5", "--output-dir", str(out_dir)]
+        assert main(argv) == 0
         wrote = capsys.readouterr().out.splitlines()
         for k in range(5):
             row = ens.rows(k, k + 1)

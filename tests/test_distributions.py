@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial.legendre import leggauss
 
+from jumpfolio import distributions
 from jumpfolio.distributions import (
     ExponentialNegative,
     ExponentialPositive,
@@ -215,3 +217,20 @@ def test_sampling_deterministic_per_seed(seed):
     a = d.sample(16, np.random.default_rng(seed))
     b = d.sample(16, np.random.default_rng(seed))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "rate, law", [(10.0, ExponentialPositive), (1.05, ExponentialNegative), (2.5, ExponentialPositive)]
+)
+def test_rule_from_cached_nodes_is_the_fresh_rule(rate, law, monkeypatch):
+    """The Gauss-Legendre nodes are computed once per process: a law built
+    afterwards calls no ``leggauss``, and its rule is bit for bit the one
+    built from fresh ``leggauss`` calls."""
+    law(3.0)  # fills the cache
+    monkeypatch.setattr(distributions, "leggauss", None)
+    cached = law(rate)._rule
+    monkeypatch.setattr(distributions, "_leggauss", leggauss)
+    fresh = distributions._exponential_rule(rate, law.sign)
+    assert len(cached) == len(fresh) == 3
+    for a, b in zip(cached, fresh):
+        assert np.array_equal(a, b)

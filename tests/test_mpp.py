@@ -26,30 +26,60 @@ DISTS = (ExponentialPositive(10.0), ExponentialNegative(10.0))
 def scalar_column_loop(gen, i0, T, dists, n_paths, seed):
     """Oracle: the ensemble's jumps and marks, one scalar draw per cell.
 
-    Column j takes one holding time per path from the chain stream, at
-    the rate of state (i0 + j) % 2 (a zero rate never ends), then one
-    mark per path from the mark stream; it stops at the first column
-    with no path inside [0, T].
+    Column j takes one holding time from the chain stream, at the rate of
+    state (i0 + j) % 2 (a zero rate never ends), for each path still
+    inside [0, T], in path order, then one mark from the mark stream for
+    each path whose new time is inside; it stops at the first column with
+    no path inside [0, T].
     """
     chain_ss, mark_ss = seed_sequence(seed).spawn(2)
     chain_rng = np.random.default_rng(chain_ss)
     mark_rng = np.random.default_rng(mark_ss)
     t = [0.0] * n_paths
+    inside = list(range(n_paths))
     times = [[] for _ in range(n_paths)]
     marks = [[] for _ in range(n_paths)]
     for j in itertools.count():
         state = (i0 + j) % 2
         rate = gen.rates[state]
-        for p in range(n_paths):
+        for p in inside:
             e = chain_rng.standard_exponential()
             t[p] += e / rate if rate > 0 else math.inf
-        if all(u > T for u in t):
+        inside = [p for p in inside if t[p] <= T]
+        if not inside:
             return times, marks
-        for p in range(n_paths):
-            mark = dists[state].sample(1, mark_rng)[0]
-            if t[p] <= T:
-                times[p].append(t[p])
-                marks[p].append(mark)
+        for p in inside:
+            times[p].append(t[p])
+            marks[p].append(dists[state].sample(1, mark_rng)[0])
+
+
+def expand(columns, n_paths):
+    """The padded (paths x columns) times and marks of compacted columns."""
+    times = np.full((n_paths, len(columns)), np.inf)
+    marks = np.zeros((n_paths, len(columns)))
+    rows = np.arange(n_paths)
+    for j, (t, m, keep) in enumerate(columns):
+        if keep is not None:
+            rows = rows[keep]
+        times[rows, j], marks[rows, j] = t, m
+    return times, marks
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the numbers it draws."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.drawn += np.size(out)
+            return out
+
+        return counted
 
 
 class TestGeneratorMatrix:
@@ -322,9 +352,67 @@ class TestColumnStream:
         )
         drawn, read = list(stream.columns), list(stored.columns)
         assert len(drawn) == len(read) == ens.times.shape[1]
-        for a, b in zip(drawn, read):
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y)
+        for (t, m, keep), (t_ref, m_ref, keep_ref) in zip(drawn, read):
+            assert np.array_equal(t, t_ref) and np.array_equal(m, m_ref)
+            assert (keep is None) == (keep_ref is None)
+            if keep is not None:
+                assert keep.dtype.kind == "i" and np.array_equal(keep, keep_ref)
+        times, marks = expand(drawn, 40)
+        assert np.array_equal(times, ens.times) and np.array_equal(marks, ens.marks)
+
+    @pytest.mark.parametrize("rates, i0", [((30.0, 80.0), 1), ((1.5, 0.5), 0)])
+    def test_columns_hold_only_the_paths_inside(self, rates, i0):
+        """Column j holds the paths with a j-th jump in [0, T], in path
+        order, and keep places them among column j - 1's paths."""
+        gen = GeneratorMatrix(*rates)
+        ens = simulate_ensemble(gen, i0, 4.0, DISTS, 300, 7)
+        rows = np.arange(300)
+        compacted = 0
+        stream = jump_columns(gen, i0, 4.0, DISTS, 300, 7)
+        for j, (times, marks, keep) in enumerate(stream.columns):
+            if keep is not None:
+                assert keep.size < rows.size and np.all(np.diff(keep) > 0)
+                rows = rows[keep]
+                compacted += 1
+            assert np.array_equal(rows, np.flatnonzero(ens.counts > j))
+            assert times.size == marks.size == rows.size > 0
+            assert np.all(times <= 4.0)
+        assert compacted > 1
+
+    def test_draws_only_for_the_paths_inside(self, monkeypatch):
+        """A column draws one holding time for each path of the last
+        column (every path at column 0) and one mark for each of its own
+        paths: n plus the survivor counts, and the survivor counts."""
+        generators = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            generators.append(CountingGenerator(real(*args, **kwargs)))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        gen, n = GeneratorMatrix(1.5, 0.5), 1000
+        survivors = [t.size for t, _, _ in jump_columns(gen, 0, 3.0, DISTS, n, 5).columns]
+        chain, mark = generators
+        assert len(survivors) > 5
+        assert chain.drawn == n + sum(survivors)
+        assert mark.drawn == sum(survivors)
+        # an absorbing state draws nothing: one column of holding times
+        generators.clear()
+        stream = jump_columns(GeneratorMatrix(0.0, 3.0), 1, 3.0, DISTS, n, 5)
+        survivors = [t.size for t, _, _ in stream.columns]
+        chain, mark = generators
+        assert chain.drawn == n and mark.drawn == sum(survivors) > 0
+
+    def test_yielded_columns_are_never_written(self):
+        gen = GeneratorMatrix(30.0, 80.0)
+        seen = []
+        for column in jump_columns(gen, 0, 2.0, DISTS, 200, 3).columns:
+            seen.append((column, [None if a is None else a.copy() for a in column]))
+        assert len(seen) > 100
+        for column, copies in seen:
+            for a, b in zip(column, copies):
+                assert (a is None and b is None) or np.array_equal(a, b)
 
     @pytest.mark.parametrize("k", [1, 7, 50, 80])
     def test_kept_rows_are_the_ensemble_rows(self, k):
@@ -334,10 +422,10 @@ class TestColumnStream:
         gen = GeneratorMatrix(30.0, 60.0)
         ens = simulate_ensemble(gen, 1, 3.0, DISTS, 50, 23)
         kept = KeptRows(jump_columns(gen, 1, 3.0, DISTS, 50, 23), k)
-        for j, (times, live, marks) in enumerate(kept.stream.columns):
-            assert np.array_equal(times, ens.times[:, j])
-            assert np.array_equal(live, ens.times[:, j] <= 3.0)
-            assert np.array_equal(marks, ens.marks[:, j])
+        stored = ens.columns().columns
+        for (times, marks, keep), ref in zip(kept.stream.columns, stored, strict=True):
+            assert np.array_equal(times, ref[0]) and np.array_equal(marks, ref[1])
+            assert (keep is None and ref[2] is None) or np.array_equal(keep, ref[2])
         head, ref = kept.ensemble(), ens.rows(0, k)
         assert head.times.shape == ref.times.shape == (min(k, 50), ref.counts.max())
         assert np.array_equal(head.times, ref.times)

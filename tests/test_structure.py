@@ -1,10 +1,13 @@
 """One admissible set and one certificate: only ``frictions`` and
 ``policy`` evaluate the margin's conjugate or its domain, and one
 comparison in src/ widens the domain by its rounding slack.  One sampler
-stores the sample, and one sweep makes every Monte Carlo estimate."""
+stores the sample, one module draws random numbers, and one sweep makes
+every Monte Carlo estimate."""
 
 import ast
 from pathlib import Path
+
+import numpy as np
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jumpfolio"
 CONJUGATE = {"effective_domain", "conjugate_gk"}
@@ -51,24 +54,53 @@ def test_one_domain_slack_comparison():
     assert found == ["policy"]
 
 
-def _callers(names):
-    """(module, function) of every function in src/ that calls one of names."""
-    callers = set()
+def _call_sites(match):
+    """(module, function) of every function in src/ with a call that match accepts."""
+    sites = set()
     for module, tree in _trees().items():
         for fn in ast.walk(tree):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                callers.update(
+                sites.update(
                     (module, fn.name)
                     for node in ast.walk(fn)
-                    if isinstance(node, ast.Call) and _called(node) in names
+                    if isinstance(node, ast.Call) and match(node)
                 )
-    return callers
+    return sites
+
+
+def _callers(names):
+    """(module, function) of every function in src/ that calls one of names."""
+    return _call_sites(lambda node: _called(node) in names)
 
 
 def test_only_simulate_stores_the_sample():
     """verify and value sweep the sample as it is drawn: in src/, only the
     simulate command calls the sampler that stores every path."""
     assert _callers({"simulate_ensemble"}) == {("cli", "cmd_simulate")}
+
+
+# a law's sampler and every drawing method of a numpy Generator
+DRAWS = {"sample"} | {
+    name for name in dir(np.random.Generator) if not name.startswith("_")
+} - {"bit_generator", "spawn"}
+
+
+def _is_draw(node):
+    """A method call named like a draw, bar a class's own (``Utility.power``)."""
+    func = node.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in DRAWS
+        and not (isinstance(func.value, ast.Name) and func.value.id[0].isupper())
+    )
+
+
+def test_only_mpp_draws():
+    """One draw site: in src/, only mpp calls a law's sample or a
+    generator's draw method, apart from a law's own sample, which draws
+    its marks from the generator it is given."""
+    sites = _call_sites(_is_draw)
+    assert sites - {("distributions", "sample")} == {("mpp", "_draw_columns")}
 
 
 def test_one_way_to_an_estimate():

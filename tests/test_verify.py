@@ -9,7 +9,7 @@ import pytest
 import yaml
 from scipy import integrate
 
-from jumpfolio import mpp, verify
+from jumpfolio import market, mpp, verify
 from jumpfolio.distributions import ExponentialPositive, TwoPoint
 from jumpfolio.config import load_config, parse_config
 from jumpfolio.errors import ConfigError, DomainError, InfeasiblePolicyError
@@ -203,6 +203,28 @@ class TestEnsembleFunctionals:
         res = sweep(ens, drift, bad)
         assert np.array_equal(res["invalid"], ens.counts > 0)
 
+    def test_invalid_jump_flags_its_own_row_after_compactions(self):
+        """Paths leave at columns 0, 1, 2 and 3, so the sweep has compacted
+        its accumulators four times when row 5's fourth mark makes the
+        basis not finite: row 5 is flagged, and every other row's
+        functionals are those of a sweep without the bad mark."""
+        counts = np.array([3, 1, 4, 0, 2, 4, 3])
+        times = np.where(np.arange(4) < counts[:, None], 0.2 * np.arange(1, 5), np.inf)
+        marks = np.where(np.isfinite(times), 0.1 * np.arange(1, 29).reshape(7, 4), 0.0)
+        ens = PathEnsemble(0, 1.0, times, marks, counts)
+        assert [keep is not None for *_, keep in ens.columns().columns] == [True] * 4
+        bad = marks.copy()
+        bad[5, 3] = -2.0
+        basis = [np.log1p] * 2
+        kwargs = dict(int_log=True, exp_coeff=0.5)
+        got = sweep(dataclasses.replace(ens, marks=bad), (0.1, -0.2), basis, **kwargs)
+        ref = sweep(ens, (0.1, -0.2), basis, **kwargs)
+        assert np.flatnonzero(got.pop("invalid")).tolist() == [5]
+        assert not np.any(ref.pop("invalid"))
+        rows = np.arange(7) != 5
+        for key in ref:
+            assert np.array_equal(got[key][rows], ref[key][rows]), key
+
 
 def one_level_sweep(ens, drift_by_state, jump_log_by_state, exp_coeff=1.0):
     """One level per sweep, its jump log one callable per state, as each
@@ -344,11 +366,13 @@ class TestOnePass:
             assert abs(a.stderr - b.stderr) <= 1e-12 * scale, k
 
 
-def _regime_switching(lam=(1.0, 1.0)):
-    """regime_switching.yaml with the given chain rates."""
+def _regime_switching(lam=(1.0, 1.0), horizon=None):
+    """regime_switching.yaml with the given chain rates (and horizon)."""
     data = yaml.safe_load(REGIME_SWITCHING.read_text())
     for regime, rate in zip(data["model"]["regimes"], lam):
         regime["lam"] = rate
+    if horizon is not None:
+        data["horizon"] = horizon
     return parse_config(data)
 
 
@@ -367,6 +391,8 @@ class TestStreamedSweep:
             ("absorbing", 0.0, 500),
             ("regime_switching", 0.0, 1),
             ("regime_switching", 0.5, 2),
+            ("short", 0.0, 500),
+            ("short", 0.5, 500),
         ],
     )
     def test_bit_identical_to_the_stored_sample(self, case, gamma, n_paths):
@@ -376,6 +402,8 @@ class TestStreamedSweep:
             "fig3": lambda: load_config(FIG3),
             "still": lambda: _regime_switching((0.0, 0.0)),
             "absorbing": lambda: _regime_switching((2.0, 0.0)),
+            # every path leaves at column 0
+            "short": lambda: _regime_switching(horizon=1e-6),
         }[case]()
         mkt, K, x, T, i0 = (
             cfg.market, cfg.market.constraint, cfg.initial_wealth, cfg.horizon, cfg.initial_state
@@ -384,7 +412,7 @@ class TestStreamedSweep:
         checks = TestOnePass._checks(mkt, K, pol, pol.pi, pol.consumption, Utility(gamma), x, T)
         draw = (mkt.gen, i0, T, mkt.dists, n_paths, cfg.seed)
         ens = simulate_ensemble(*draw)
-        if case == "still":
+        if case in ("still", "short"):
             assert ens.times.shape[1] == 0
         if case == "absorbing":
             assert ens.times.shape[1] == 1
@@ -467,8 +495,10 @@ class TestStatePrice:
         mkt, spec, ens = self._dense_identity_inputs()
         dev = state_price_wealth_identity(mkt, spec, ens)
         assert dev <= 1e-10
+        row_cells = market.DEFAULT_GRID_POINTS + 1 + ens.counts.max()
         for rows in (1, 7, ens.n_paths):
-            monkeypatch.setattr(verify, "BLOCK_ROWS", rows)
+            monkeypatch.setattr(market, "BLOCK_CELLS", rows * row_cells)
+            assert market.block_rows(ens) == rows
             assert state_price_wealth_identity(mkt, spec, ens) == dev, rows
 
     def test_identity_holds_one_block_of_grids(self):
