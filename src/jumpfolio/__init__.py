@@ -4,7 +4,7 @@ The market is driven by a marked point process whose events are the
 jumps of a two-state Markov chain; wealth dynamics carry concave
 piecewise-linear frictions (borrowing spreads, short rebates).  Optimal
 policies come from convex duality in closed or semi-closed form, and the
-verification layer checks them pathwise and by Monte Carlo.
+verification layer checks them in closed form and by Monte Carlo.
 """
 
 from .distributions import (
@@ -53,7 +53,6 @@ from .market import (
 from .mpp import (
     ColumnStream,
     GeneratorMatrix,
-    KeptRows,
     PathEnsemble,
     jump_columns,
     simulate_ensemble,

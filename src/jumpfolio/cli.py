@@ -30,7 +30,7 @@ from .errors import (
     RuinError,
 )
 from .market import DEFAULT_GRID_POINTS, block_rows, export_path_csv, stock_path, wealth_path
-from .mpp import KeptRows, jump_columns, simulate_ensemble
+from .mpp import jump_columns, simulate_ensemble
 from .policy import Policy, certify, h_value, log_optimal_policy, power_optimal_policy
 from .regime_value import exact_value, mean_log_growth, value_corollary
 from . import verify as verify_mod
@@ -41,9 +41,6 @@ EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
 
 FIGURE_GAMMAS = (0.0, 0.25, 0.5, 0.75, 0.9)
-
-# the first rows of verify's sample that its pathwise identity checks
-IDENTITY_ROWS = 200
 
 
 def _fmt(value):
@@ -232,9 +229,9 @@ def cmd_verify(config: RunConfig, args) -> int:
     i0 = config.initial_state
     n, seed = config.n_paths, config.seed
     policy = _solve_policy(config)
-    # one sample serves every check (common random numbers), swept as it is
-    # drawn; the pathwise identity reads its first rows, kept as they pass
-    head = KeptRows(jump_columns(market.gen, i0, T, market.dists, n, seed), IDENTITY_ROWS)
+    # one sample serves every Monte Carlo check (common random numbers),
+    # swept as it is drawn
+    stream = jump_columns(market.gen, i0, T, market.dists, n, seed)
 
     checks = []  # (name, passed or None if only reported, detail, estimate or None)
 
@@ -256,7 +253,7 @@ def cmd_verify(config: RunConfig, args) -> int:
                 market, policy.pi, policy.consumption, config.utility, x, T
             )
         )
-    est_m, est_b, *est_u = verify_mod.sweep_estimates(market, head.stream, mc_checks)
+    est_m, est_b, *est_u = verify_mod.sweep_estimates(market, stream, mc_checks)
     checks.append(
         (
             "state_price_martingale",
@@ -275,7 +272,7 @@ def cmd_verify(config: RunConfig, args) -> int:
     )
 
     if config.utility.is_log:
-        dev_hv = verify_mod.state_price_wealth_identity(market, spec, head.ensemble())
+        dev_hv = verify_mod.state_price_wealth_identity(market, spec, T)
         checks.append(
             ("state_price_wealth_identity", dev_hv <= 1e-10, f"max_dev={dev_hv:.3e}", None)
         )

@@ -6,8 +6,7 @@ them by a jump factor.  One engine, ``_path_log_level``, evaluates the
 log of such a level from a per-regime drift and a per-regime jump log on
 a block of ensemble rows, each on its own reporting grid.  The stock and
 the wealth exponentiate it through ``_checked_exp`` and return one row
-per path; pathwise identities (in the verification layer) compare the
-log levels of a block of rows at a time.
+per path.
 Portfolio weights are per-regime constants.  Nothing is
 Euler-discretised; the reporting grid only chooses where the closed
 forms are evaluated.
@@ -143,11 +142,10 @@ def log_optimal_consumption(x: float, T: float) -> ProportionalConsumption:
 # ---------------------------------------------------------------------------
 
 # grid cells (rows x (grid points + jumps)) the engine is given at a time
-# by callers that walk a whole sample (simulate's CSVs, verify's pathwise
-# identity): memory holds one block of grids, not one per row, and the
-# fixed cost of a block is paid once per budget, not once per few narrow
-# rows (about 9 rows of bench/configs/paths_dense.yaml, 31 of
-# regime_switching.yaml)
+# by a caller that walks a whole sample (simulate's CSVs): memory holds
+# one block of grids, not one per row, and the fixed cost of a block is
+# paid once per budget, not once per few narrow rows (about 9 rows of
+# bench/configs/paths_dense.yaml, 31 of regime_switching.yaml)
 BLOCK_CELLS = 1 << 13
 
 

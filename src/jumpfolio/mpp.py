@@ -13,7 +13,6 @@ such as the verification layer's sweep, never holds more than a column.
 arrays padded only to the longest path; a path is a row of it (a block
 of rows is ``PathEnsemble.rows``), and ``PathEnsemble.columns`` streams
 the stored columns again, the one way a stored sample is swept.
-``KeptRows`` stores the first rows of a stream as it passes.
 
 Random-number contract: a sample takes an integer seed and is
 bit-reproducible, streamed or stored.  The seed is split with
@@ -29,7 +28,7 @@ when the other paths leave, as well as on the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -286,59 +285,6 @@ def _draw_columns(gen, i0, T, dists, n, chain_rng, mark_rng):
         yield t, dists[state].sample(t.size, mark_rng), keep
 
 
-class KeptRows:
-    """Rows 0 .. k-1 of a column stream, stored as the stream passes.
-
-    ``stream`` passes on the columns of the given stream and stores those
-    rows of each in column-major arrays, sized to the stream's capacity and
-    widened by doubling.  Once it is spent, ``ensemble()`` cuts them in
-    place to the longest of the rows: they are the rows ``rows(0, k)``
-    of the stored sample would give.
-    """
-
-    def __init__(self, stream: ColumnStream, k: int):
-        self._source = stream
-        rows = min(k, stream.n_paths)
-        self._times = np.empty((rows, stream.capacity), order="F")
-        self._marks = np.empty_like(self._times)
-        self._counts = np.zeros(rows, dtype=int)
-        self.stream = replace(stream, columns=self._store(stream.columns))
-
-    def _store(self, columns):
-        # the kept rows still inside the horizon lead every column, in order
-        kept = np.arange(self._counts.size)
-        for j, (times, marks, keep) in enumerate(columns):
-            if keep is not None:
-                kept = kept[keep[: np.searchsorted(keep, kept.size)]]
-            # columns past the longest kept row are cut: never widened or written
-            if kept.size:
-                if j == self._times.shape[1]:
-                    wider = min(_MAX_WIDTH, 2 * j)
-                    self._times, self._marks = _widened(self._times, wider), _widened(self._marks, wider)
-                self._times[:, j] = np.inf
-                self._marks[:, j] = 0.0
-                self._times[kept, j] = times[: kept.size]
-                self._marks[kept, j] = marks[: kept.size]
-                self._counts[kept] += 1
-            yield times, marks, keep
-
-    def ensemble(self) -> PathEnsemble:
-        shape = (self._counts.size, int(self._counts.max()))
-        # a Fortran-ordered resize keeps the leading columns; no view of
-        # the arrays is alive here
-        self._times.resize(shape, refcheck=False)
-        self._marks.resize(shape, refcheck=False)
-        src = self._source
-        return PathEnsemble(
-            initial_state=src.initial_state,
-            horizon=src.horizon,
-            times=self._times,
-            marks=self._marks,
-            counts=self._counts,
-            seed=src.seed,
-        )
-
-
 def _widened(a, capacity):
     wider = np.empty((a.shape[0], capacity), order="F")
     wider[:, : a.shape[1]] = a
@@ -348,12 +294,32 @@ def _widened(a, capacity):
 def simulate_ensemble(
     gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed
 ) -> PathEnsemble:
-    """Simulate n_paths marked point paths into padded arrays: every row of
-    ``jump_columns``, kept (``KeptRows``) as the columns are drawn.  The
-    arrays are sized once from the chain's mean jump count, widened only
-    if a path outgrows that, and cut to the longest path in place.
+    """Simulate n_paths marked point paths into padded arrays: every column
+    of ``jump_columns``, stored as it is drawn.  The column-major arrays
+    are sized once to the stream's capacity, widened by doubling only if a
+    path outgrows that, and cut to the longest path in place.
     """
-    kept = KeptRows(jump_columns(gen, i0, T, dists, n_paths, seed), n_paths)
-    for _ in kept.stream.columns:
-        pass
-    return kept.ensemble()
+    stream = jump_columns(gen, i0, T, dists, n_paths, seed)
+    times = np.empty((n_paths, stream.capacity), order="F")
+    marks = np.empty_like(times)
+    counts = np.zeros(n_paths, dtype=int)
+    rows = np.arange(n_paths)  # the paths of the last column, in order
+    for j, (t, m, keep) in enumerate(stream.columns):
+        if keep is not None:
+            rows = rows[keep]
+        if j == times.shape[1]:
+            wider = min(_MAX_WIDTH, 2 * j)
+            times, marks = _widened(times, wider), _widened(marks, wider)
+        times[:, j] = np.inf
+        marks[:, j] = 0.0
+        times[rows, j] = t
+        marks[rows, j] = m
+        counts[rows] += 1
+    # a Fortran-ordered resize keeps the leading columns; no view of the
+    # arrays is alive here
+    shape = (n_paths, int(counts.max()))
+    times.resize(shape, refcheck=False)
+    marks.resize(shape, refcheck=False)
+    return PathEnsemble(
+        initial_state=i0, horizon=T, times=times, marks=marks, counts=counts, seed=seed
+    )

@@ -1,4 +1,4 @@
-"""Monte Carlo and pathwise verification of the duality machinery.
+"""Monte Carlo and closed-form verification of the duality machinery.
 
 Every level here is described the same way: a per-regime linear
 log-drift plus a per-jump log factor.  Each factor is a multiple of one
@@ -15,20 +15,15 @@ level and the reduction of that level's functionals to one sample per
 path.  Every estimate comes from ``sweep_estimates``, which sweeps the
 levels of any number of checks at once.  The checks that read the dual
 density H take its ``StatePriceSpec``, built once per policy by
-``state_price_spec``.  At reporting-grid times the market layer's engine
-evaluates the same description on a block of ensemble rows, given the
-state-price drift and jump logs of ``StatePriceSpec``.  Portfolio
-weights are per-regime constants.
+``state_price_spec``.  Portfolio weights are per-regime constants.
 
-Every check is a function of the sample it is given: a Monte Carlo
-check a column stream (horizon, start regime and seed included), and
-the pathwise identity the rows to check, whose log levels it compares
-one block of rows at a time.  A caller draws a sample once and passes
-it to every check (common random numbers); ``verify`` keeps the
-identity's rows (``mpp.KeptRows``) as its sweep passes them.
-Reductions run in fixed path order, so estimates are bit-reproducible,
-streamed or stored, and a level's functionals do not depend on the
-levels swept with it.
+Every Monte Carlo check is a function of the column stream it is given
+(horizon, start regime and seed included).  A caller draws a sample once
+and passes it to every check (common random numbers).  Reductions run in
+fixed path order, so estimates are bit-reproducible, streamed or stored,
+and a level's functionals do not depend on the levels swept with it.
+The identity H V = 1 at the log optimum needs no sample: its level has
+no jump and a per-regime drift, so it is checked in closed form.
 The grid search simulates nothing: for weights constant in each regime,
 J is exact (``regime_value.exact_value``).
 """
@@ -43,16 +38,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, InfeasiblePolicyError
 from .frictions import ConstraintSet
-from .market import (
-    ConsumptionRule,
-    MarketModel,
-    _log_jump,
-    _path_log_level,
-    _report_grid,
-    _wealth_terms,
-    block_rows,
-)
-from .mpp import ColumnStream, PathEnsemble
+from .market import ConsumptionRule, MarketModel, _log_jump, _wealth_terms
+from .mpp import ColumnStream
 from .policy import Policy, Utility, certify, feasible_weight_interval
 from .regime_value import exact_value
 
@@ -197,13 +184,11 @@ def _weights(pi_pair):
 @dataclass(frozen=True)
 class StatePriceSpec:
     """Per-regime data of the dual density H: its jump log
-    jump_coeff * log(1 + pi_i f(y)) = log phi_i(y), the dual variable zeta
-    of the tilt phi, its compensator integral and conjugate value."""
+    jump_coeff * log(1 + pi_i f(y)) = log phi_i(y), its compensator
+    integral and conjugate value."""
 
     pi: tuple
     jump_coeff: float  # -(1 - gamma)
-    log_jump: tuple  # y -> log(1 + pi_i f(y)), per regime
-    zeta: tuple
     compensator: tuple  # lam_i * int (phi_i - 1) F_i(dy)
     gk: tuple  # conjugate value at zeta_i
 
@@ -211,10 +196,6 @@ class StatePriceSpec:
         return [
             -(market.regimes[i].r + self.gk[i] + self.compensator[i]) for i in (0, 1)
         ]
-
-    def jump_logs(self):
-        c = self.jump_coeff
-        return [lambda y, ell=ell: c * ell(y) for ell in self.log_jump]
 
     def jumps(self):
         """H's jump as a level's {basis key: coefficient}."""
@@ -228,28 +209,22 @@ def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> S
     Raises InfeasiblePolicyError where the compensator is not finite, as
     when 1 + pi_i f is not positive on the mark support."""
     coeff = -(1.0 - policy.gamma)
-    ells, certs, comps = [], [], []
+    gks, comps = [], []
     for i, params in enumerate(market.regimes):
         ell = _log_jump(market.transform, policy.pi[i])
         # h(pi) = mu + lam int f phi F(dy), so phi's dual variable is the
         # certificate's zeta = r - h(pi), and gk its conjugate value
         try:
-            certs.append(certify(params, K, policy.gamma, policy.pi[i]))
+            gks.append(certify(params, K, policy.gamma, policy.pi[i]).gk)
         except DomainError as exc:
             raise DomainError(f"regime {i}: {exc}") from exc
         with np.errstate(invalid="ignore"):
             comp = params.lam * params.dist.expect(lambda y: np.expm1(coeff * ell(y)), tol=1e-13)
         if not math.isfinite(comp):
             raise InfeasiblePolicyError(f"regime {i}: 1 + pi*f is not positive on the mark support")
-        ells.append(ell)
         comps.append(comp)
     return StatePriceSpec(
-        pi=tuple(policy.pi),
-        jump_coeff=coeff,
-        log_jump=tuple(ells),
-        zeta=tuple(c.zeta for c in certs),
-        compensator=tuple(comps),
-        gk=tuple(c.gk for c in certs),
+        pi=tuple(policy.pi), jump_coeff=coeff, compensator=tuple(comps), gk=tuple(gks)
     )
 
 
@@ -292,22 +267,31 @@ def martingale_mc(spec: StatePriceSpec) -> McCheck:
     return McCheck(level, lambda res: np.exp(res["final_log"]))
 
 
-def state_price_wealth_identity(market, spec: StatePriceSpec, ens: PathEnsemble) -> float:
-    """max over the rows of ens and their reporting grids of
-    |H^phi * V^{1,pi,0} - 1|, as |expm1(log H + log V)|, where spec is the
-    dual density of the log-optimal policy and pi its weights.  Rows are
-    evaluated a block (``market.block_rows``) at a time; a row's levels do
-    not depend on its block."""
-    v_terms = _wealth_terms(market, spec.pi)
-    h_terms = spec.drift(market), spec.jump_logs()
-    dev = 0.0
-    step = block_rows(ens)
-    for lo in range(0, ens.n_paths, step):
-        rows = ens.rows(lo, lo + step)
-        grid = _report_grid(rows)
-        log_hv = _path_log_level(rows, grid, *h_terms) + _path_log_level(rows, grid, *v_terms)
-        dev = max(dev, float(np.max(np.abs(np.expm1(log_hv)))))
-    return dev
+def _state_price_wealth_level(market, spec: StatePriceSpec, pi_pair, exp_coeff=None) -> Level:
+    """The level log(H V^{1,pi,0}) for the dual density spec: H's drift
+    plus the wealth's, and H's jump coefficient plus 1 on the basis of
+    pi_pair (one basis when pi_pair is the weights spec was built from)."""
+    h_drift = spec.drift(market)
+    v_drift, _ = _wealth_terms(market, pi_pair)
+    jumps = spec.jumps()
+    key = _weights(pi_pair)
+    jumps[key] = jumps.get(key, 0.0) + 1.0
+    return Level([h_drift[i] + v_drift[i] for i in (0, 1)], jumps, exp_coeff=exp_coeff)
+
+
+def state_price_wealth_identity(market, spec: StatePriceSpec, T) -> float:
+    """sup over every path and every t in [0, T] of |H_t V_t^{1,pi,0} - 1|,
+    pi the weights spec was built from, in closed form.  The level
+    log(H V), the one ``budget_mc`` sweeps, grows at d_i in regime i; when
+    its jump coefficients are 0, as at the log optimum, log(H_t V_t) =
+    sum_i d_i occ_i(t) lies between T min(0, d_0, d_1) and
+    T max(0, d_0, d_1), so the supremum is max_i |expm1(T d_i)|.  Returns
+    inf when a jump coefficient is not 0."""
+    level = _state_price_wealth_level(market, spec, spec.pi)
+    if any(level.jumps.values()):
+        return math.inf
+    with np.errstate(over="ignore"):  # a drift past the float range reads inf
+        return float(np.max(np.abs(np.expm1(T * np.asarray(level.drift)))))
 
 
 def budget_mc(
@@ -320,13 +304,9 @@ def budget_mc(
     kappa = consumption.scale
     if kappa * T >= x:
         raise ConfigError("proportional consumption ruins the pair before T")
-    h_drift = spec.drift(market)
-    v_drift, _ = _wealth_terms(market, pi_pair)
-    jumps = spec.jumps()
-    key = _weights(pi_pair)
-    jumps[key] = jumps.get(key, 0.0) + 1.0
-    drift = [h_drift[i] + v_drift[i] for i in (0, 1)]
-    level = Level(drift, jumps, exp_coeff=1.0 if kappa != 0.0 else None)
+    level = _state_price_wealth_level(
+        market, spec, pi_pair, exp_coeff=1.0 if kappa != 0.0 else None
+    )
     xi_T = x - kappa * T
 
     def reduce(res):

@@ -255,6 +255,26 @@ class TestCliExitCodes:
         assert main(["verify", path, "--output-dir", str(tmp_path)]) == 3
         assert "FAIL state_price_martingale" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("regime", [0, 1])
+    def test_verify_fails_a_compensator_off_by_1e9(self, tmp_path, monkeypatch, capsys, regime):
+        """H V = 1 holds only while H's compensator matches the wealth's
+        drift: moving one regime's compensator by 1e-9 fails the identity."""
+        import jumpfolio.verify as verify_mod
+
+        original = verify_mod.state_price_spec
+
+        def perturbed(*args, **kwargs):
+            spec = original(*args, **kwargs)
+            comp = list(spec.compensator)
+            comp[regime] += 1e-9
+            return dataclasses.replace(spec, compensator=tuple(comp))
+
+        monkeypatch.setattr(verify_mod, "state_price_spec", perturbed)
+        path = ROOT / "demos" / "configs" / "regime_switching.yaml"
+        argv = ["verify", str(path), "--n-paths", "2000", "--output-dir", str(tmp_path)]
+        assert main(argv) == 3
+        assert "FAIL state_price_wealth_identity: max_dev=1.000e-09" in capsys.readouterr().out
+
     @pytest.mark.parametrize("gamma, n_levels", [("0", 3), ("0.5", 2)])
     def test_verify_sweeps_the_sample_once(self, tmp_path, monkeypatch, capsys, gamma, n_levels):
         """Every Monte Carlo check of verify reads one sweep of the sample,
@@ -609,8 +629,8 @@ def test_monte_carlo_holds_no_paths_by_jumps_array(tmp_path, monkeypatch, comman
     """verify and value sweep each jump column as it is drawn: at 2,000
     paths with lambda = 50 and T = 10 (about 580 jump columns), the traced
     memory peak up to the end of the Monte Carlo stage (for verify, the
-    entry of the pathwise identity, whose rows it keeps) stays below a
-    quarter of the (n x m) times and marks arrays."""
+    entry of the closed-form identity; verify keeps no rows) stays below
+    a quarter of the (n x m) times and marks arrays."""
     import jumpfolio.verify as verify_mod
 
     peaks = []
@@ -634,3 +654,18 @@ def test_monte_carlo_holds_no_paths_by_jumps_array(tmp_path, monkeypatch, comman
     n, m = simulate_ensemble(mkt.gen, cfg.initial_state, cfg.horizon, mkt.dists, 2000, cfg.seed).times.shape
     assert m > 500
     assert peaks[0] < n * m * 16 / 4
+
+
+def test_repeated_runs_in_one_process_print_the_same_bytes(tmp_path, capsys):
+    """verify, value and verify --gamma 0.5, run three times over in one
+    process as the benchmark runs its body, print the same bytes each
+    time: no state carries over from one call to the next."""
+    path = str(ROOT / "demos" / "configs" / "regime_switching.yaml")
+    common = ["--n-paths", "2000", "--output-dir", str(tmp_path)]
+    body = [["verify", path, *common], ["value", path, *common], ["verify", path, "--gamma", "0.5", *common]]
+    runs = []
+    for _ in range(3):
+        codes = [main(argv) for argv in body]
+        runs.append((codes, capsys.readouterr().out.encode()))
+    assert runs[0][0] == [0, 0, 0]
+    assert runs[1] == runs[0] and runs[2] == runs[0]

@@ -13,7 +13,6 @@ from jumpfolio.errors import ConfigError
 from jumpfolio.market import MarketModel, RegimeMarketParams, ZeroConsumption, wealth_path
 from jumpfolio.mpp import (
     GeneratorMatrix,
-    KeptRows,
     PathEnsemble,
     jump_columns,
     seed_sequence,
@@ -332,7 +331,7 @@ class TestEnsemble:
 
 
 class TestColumnStream:
-    """The column sampler, its kept rows and the stored ensemble's columns."""
+    """The column sampler and the stored ensemble's columns."""
 
     @pytest.mark.parametrize("T, n_paths", [(0.0, 10), (-1.0, 10), (1.0, 0), (1.0, -3)])
     def test_checks_arguments_at_the_call(self, T, n_paths):
@@ -414,38 +413,6 @@ class TestColumnStream:
             for a, b in zip(column, copies):
                 assert (a is None and b is None) or np.array_equal(a, b)
 
-    @pytest.mark.parametrize("k", [1, 7, 50, 80])
-    def test_kept_rows_are_the_ensemble_rows(self, k):
-        """Rows 0 .. k-1 kept as the stream passes are rows(0, k) of the
-        stored sample, k beyond the path count included; the columns
-        pass on unchanged."""
-        gen = GeneratorMatrix(30.0, 60.0)
-        ens = simulate_ensemble(gen, 1, 3.0, DISTS, 50, 23)
-        kept = KeptRows(jump_columns(gen, 1, 3.0, DISTS, 50, 23), k)
-        stored = ens.columns().columns
-        for (times, marks, keep), ref in zip(kept.stream.columns, stored, strict=True):
-            assert np.array_equal(times, ref[0]) and np.array_equal(marks, ref[1])
-            assert (keep is None and ref[2] is None) or np.array_equal(keep, ref[2])
-        head, ref = kept.ensemble(), ens.rows(0, k)
-        assert head.times.shape == ref.times.shape == (min(k, 50), ref.counts.max())
-        assert np.array_equal(head.times, ref.times)
-        assert np.array_equal(head.marks, ref.marks)
-        assert np.array_equal(head.counts, ref.counts)
-        assert (head.initial_state, head.horizon, head.seed) == (1, 3.0, 23)
-
-    def test_kept_rows_widen_without_change(self, monkeypatch):
-        gen = GeneratorMatrix(30.0, 60.0)
-        ref = simulate_ensemble(gen, 1, 4.0, DISTS, 30, 13).rows(0, 20)
-        monkeypatch.setattr(GeneratorMatrix, "mean_jump_count", lambda self, i0, T: 0.0)
-        kept = KeptRows(jump_columns(gen, 1, 4.0, DISTS, 30, 13), 20)
-        assert kept.stream.capacity == 16
-        for _ in kept.stream.columns:
-            pass
-        head = kept.ensemble()
-        assert ref.times.shape[1] > 64
-        assert np.array_equal(head.times, ref.times)
-        assert np.array_equal(head.marks, ref.marks)
-
 
 class TestEnsembleParity:
     """The ensemble's jump counts against the chain's exact law."""
@@ -501,8 +468,10 @@ def test_simulate_ensemble_is_the_only_sampler():
     }
     assert not retired & set(vars(jumpfolio))
     # the one path type is an ensemble row: no single-path class or
-    # single-path level, and the wealth identity that could not fail
+    # single-path level, no store of a stream's first rows, and the wealth
+    # identity that could not fail
     gone = {
+        "KeptRows",
         "MarkedPointPath",
         "gross_wealth_path",
         "simulate_state_price",

@@ -1,8 +1,9 @@
 """One admissible set and one certificate: only ``frictions`` and
 ``policy`` evaluate the margin's conjugate or its domain, and one
 comparison in src/ widens the domain by its rounding slack.  One sampler
-stores the sample, one module draws random numbers, and one sweep makes
-every Monte Carlo estimate."""
+stores the sample, one module draws random numbers, one sweep makes
+every Monte Carlo estimate, and the row engine serves only the stock and
+wealth paths."""
 
 import ast
 from pathlib import Path
@@ -77,6 +78,20 @@ def test_only_simulate_stores_the_sample():
     """verify and value sweep the sample as it is drawn: in src/, only the
     simulate command calls the sampler that stores every path."""
     assert _callers({"simulate_ensemble"}) == {("cli", "cmd_simulate")}
+
+
+def test_only_simulate_ensemble_stores_a_stream():
+    """One store of a stream's rows: in src/, a PathEnsemble is built only
+    by simulate_ensemble, from every row of the stream it draws, and by
+    PathEnsemble.rows, as a block of rows already stored."""
+    assert _callers({"PathEnsemble"}) == {("mpp", "simulate_ensemble"), ("mpp", "rows")}
+
+
+def test_only_stock_and_wealth_paths_call_the_row_engine():
+    """The row engine serves simulate alone: in src/, only wealth_path and
+    stock_path evaluate levels on ensemble rows and their reporting grids."""
+    callers = _callers({"_path_log_level", "_report_grid"})
+    assert callers == {("market", "wealth_path"), ("market", "stock_path")}
 
 
 # a law's sampler and every drawing method of a numpy Generator

@@ -1,7 +1,6 @@
 import bisect
 import dataclasses
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 import yaml
 from scipy import integrate
 
-from jumpfolio import market, mpp, verify
+from jumpfolio import mpp, verify
 from jumpfolio.distributions import ExponentialPositive, TwoPoint
 from jumpfolio.config import load_config, parse_config
 from jumpfolio.errors import ConfigError, DomainError, InfeasiblePolicyError
@@ -36,6 +35,7 @@ from jumpfolio.policy import (
     power_optimal_policy,
 )
 from jumpfolio.regime_value import mean_log_growth
+from row_identity import h_jump_logs, pathwise_identity
 from jumpfolio.verify import (
     Level,
     budget_mc,
@@ -110,7 +110,7 @@ class TestEnsembleFunctionals:
             jumps = [lambda y: np.log1p(mkt.f(y))] * 2
             return drift, jumps, lambda rows: stock_path(mkt, rows, s0=1.0, n_grid=1)[1]
         spec = state_price_spec(mkt, NO_SHORTING, log_optimal_policy(mkt, 1.0, 2.0))
-        drift, jumps = spec.drift(mkt), spec.jump_logs()
+        drift, jumps = spec.drift(mkt), h_jump_logs(mkt, spec)
         return (
             drift,
             jumps,
@@ -477,41 +477,18 @@ class TestInfeasiblePolicy:
 class TestStatePrice:
     def test_log_case_is_reciprocal_wealth(self):
         mkt = make_market()
-        ens = ensemble(mkt, 2.0, 30, 5)
         spec = state_price_spec(mkt, NO_SHORTING, log_optimal_policy(mkt, 1.0, 2.0))
-        dev = state_price_wealth_identity(mkt, spec, ens)
-        assert dev <= 1e-10
+        assert state_price_wealth_identity(mkt, spec, 2.0) <= 1e-10
+        # a drift that takes H V past the float range reads inf, not an error
+        far = dataclasses.replace(spec, compensator=(-1e3, -1e3))
+        assert state_price_wealth_identity(mkt, far, 2.0) == math.inf
 
-    @staticmethod
-    def _dense_identity_inputs():
-        """200 rows of paths_dense (some 500 jumps a row) and the dual
-        density of its log optimum."""
-        cfg = load_config(PATHS_DENSE)
-        mkt, x, T = cfg.market, cfg.initial_wealth, cfg.horizon
-        ens = simulate_ensemble(mkt.gen, cfg.initial_state, T, mkt.dists, 200, cfg.seed)
-        return mkt, state_price_spec(mkt, mkt.constraint, log_optimal_policy(mkt, x, T)), ens
-
-    def test_identity_does_not_depend_on_its_row_blocks(self, monkeypatch):
-        mkt, spec, ens = self._dense_identity_inputs()
-        dev = state_price_wealth_identity(mkt, spec, ens)
-        assert dev <= 1e-10
-        row_cells = market.DEFAULT_GRID_POINTS + 1 + ens.counts.max()
-        for rows in (1, 7, ens.n_paths):
-            monkeypatch.setattr(market, "BLOCK_CELLS", rows * row_cells)
-            assert market.block_rows(ens) == rows
-            assert state_price_wealth_identity(mkt, spec, ens) == dev, rows
-
-    def test_identity_holds_one_block_of_grids(self):
-        """The identity's memory is one block of rows' grids, not all 200
-        (about 15 MB at once on these rows)."""
-        mkt, spec, ens = self._dense_identity_inputs()
-        tracemalloc.start()
-        try:
-            state_price_wealth_identity(mkt, spec, ens)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+    def test_identity_has_no_bound_where_h_v_jumps(self):
+        """Off the log optimum H V jumps by gamma log(1 + pi f): the closed
+        form does not hold, and the identity says so with inf."""
+        mkt = make_market()
+        spec = state_price_spec(mkt, NO_SHORTING, power_optimal_policy(mkt, 0.5))
+        assert state_price_wealth_identity(mkt, spec, 2.0) == math.inf
 
     def test_identities_hold_where_levels_leave_the_float_range(self):
         """lambda = 50 over T = 10 drives log V past 709 on every path, so the
@@ -539,7 +516,8 @@ class TestStatePrice:
         with pytest.raises(DomainError):
             wealth_path(1.0, mkt, pol.pi, pol.consumption, ens)
         spec = state_price_spec(mkt, mkt.constraint, pol)
-        assert state_price_wealth_identity(mkt, spec, ens) <= 1e-10
+        assert state_price_wealth_identity(mkt, spec, 10.0) <= 1e-10
+        assert pathwise_identity(mkt, spec, ens) <= 1e-10
 
     def test_simulate_state_price_drift_segment(self):
         mkt = make_market()
@@ -547,7 +525,7 @@ class TestStatePrice:
         spec = state_price_spec(mkt, NO_SHORTING, pol)
         row = ensemble(mkt, 2.0, 1, 77)
         grid = _report_grid(row)
-        log_h = _path_log_level(row, grid, spec.drift(mkt), spec.jump_logs())[0]
+        log_h = _path_log_level(row, grid, spec.drift(mkt), h_jump_logs(mkt, spec))[0]
         t, H = grid[0][0], np.exp(log_h)
         assert t[0] == 0.0 and H[0] == 1.0
         assert np.all(H > 0)
@@ -585,7 +563,7 @@ class TestStatePrice:
             counts=np.array([1, 1]),
             seed=None,
         )
-        log_h = _path_log_level(rows, _report_grid(rows), spec.drift(mkt), spec.jump_logs())
+        log_h = _path_log_level(rows, _report_grid(rows), spec.drift(mkt), h_jump_logs(mkt, spec))
         assert np.all(np.isfinite(log_h))
         assert log_h[0, -1] == pytest.approx(spec.drift(mkt)[0] * 1.0 + 40.0, rel=1e-12)
         # no InfeasiblePolicyError
@@ -733,8 +711,8 @@ def scalar_log_level(row, times, drift_by_state, jump_log_by_state):
 
 
 class TestBatchedIdentities:
-    """The pathwise identity H V = 1 over a block of ensemble rows against
-    one scalar evaluation per row on its own union1d grid, bit for bit."""
+    """The row engine's H V = 1 over a block of ensemble rows against one
+    scalar evaluation per row on its own union1d grid, bit for bit."""
 
     @staticmethod
     def _reference(mkt, x, ens):
@@ -747,7 +725,7 @@ class TestBatchedIdentities:
             row = ens.rows(p, p + 1)
             t = np.union1d(np.linspace(0.0, T, 257), row.times[0])
             log_v = scalar_log_level(row, t, *v_terms)
-            log_h = scalar_log_level(row, t, spec.drift(mkt), spec.jump_logs())
+            log_h = scalar_log_level(row, t, spec.drift(mkt), h_jump_logs(mkt, spec))
             dev_hv.append(np.max(np.abs(np.expm1(log_h + log_v))))
         return max(dev_hv)
 
@@ -761,8 +739,7 @@ class TestBatchedIdentities:
         if config == REGIME_SWITCHING:
             assert np.any(counts == 0) and np.any(counts >= 3)
         spec = state_price_spec(mkt, mkt.constraint, log_optimal_policy(mkt, 1.0, T))
-        dev_hv = state_price_wealth_identity(mkt, spec, ens)
-        assert dev_hv == self._reference(mkt, 1.0, ens)
+        assert pathwise_identity(mkt, spec, ens) == self._reference(mkt, 1.0, ens)
 
     def test_engine_rows_match_per_row_reference(self):
         """Every row's level on its own grid, the cells past it repeating
