@@ -10,6 +10,12 @@ per path.
 Portfolio weights are per-regime constants.  Nothing is
 Euler-discretised; the reporting grid only chooses where the closed
 forms are evaluated.
+
+``export_path_csv`` writes one path as CSV rows t, regime, S, V1pi0, xi,
+V in the bytes of ``_CSV_ROW % row``: 17 significant digits per float
+cell under the %g rules (fixed notation for exponents -4 to 16, otherwise
+scientific), and S ``nan`` when no stock is given.  A numpy kernel makes
+them, exact by construction (``_csv_text``).
 """
 
 from __future__ import annotations
@@ -346,15 +352,192 @@ def wealth_path(
     return WealthPath(t=times, regime=regime, v_gross=v_gross, xi=xi, V=xi * v_gross)
 
 
+# ---------------------------------------------------------------------------
+# CSV export: the bytes of _CSV_ROW, made in numpy
+# ---------------------------------------------------------------------------
+
 _CSV_ROW = "%.17g,%d,%.17g,%.17g,%.17g,%.17g\n"
+_CELL_FORMATS = _CSV_ROW[:-1].split(",")
+_COLUMNS = len(_CELL_FORMATS)
+_REGIME_COLUMN = _CELL_FORMATS.index("%d")
+_SEPARATORS = np.frombuffer(b"," * (_COLUMNS - 1) + b"\n", dtype=np.uint8)
+# rows formatted per call, which bounds the kernel's arrays on a long path
+_CSV_BLOCK_ROWS = 1024
+
+# a cell in fixed notation (%g exponent x in [-4, 16], sign s) is in group
+# x + 4 + 21 s; regime cells of 0 or 1 and fallback cells come after
+_REGIME_GROUP = 42
+_FALLBACK_GROUP = 43
+# chars in a group's text: sign, 17 digits, the point, and the "0.000" of x < 0
+_GROUP_WIDTH = [s + 18 - min(x, 0) - (x == 16) for s in (0, 1) for x in range(-4, 17)]
+
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _halves(a):
+    """Veltkamp's split: a = hi + lo exactly, each with at most 26 bits."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# 10**p for p = 0..20, exact doubles, and their halves
+_POW10 = 10.0 ** np.arange(21)
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _chunk_table():
+    """The 4-digit chunks 0000..9999 as ASCII, one uint32 each, with
+    trailing zeros blanked to NUL; then the same chunks in full (index +
+    10000).  Built by copies alone: arithmetic here raised the peak memory
+    of commands that never write a CSV."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    text = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)  # chunk digits, then char
+    text[..., 0] = digits[:, None, None, None]
+    text[..., 1] = digits[:, None, None]
+    text[..., 2] = digits[:, None]
+    text[..., 3] = digits
+    blanked = text.copy()
+    blanked[..., 0, 3] = 0
+    blanked[..., 0, 0, 2] = 0
+    blanked[:, 0, 0, 0, 1] = 0
+    blanked[0, 0, 0, 0, 0] = 0
+    return np.concatenate((blanked, text)).view(np.uint32).ravel()
+
+
+_CHUNKS = _chunk_table()
+
+
+def _round_scaled(a, x):
+    """a * 10**(16 - x) rounded half to even, for a > 0 and x in [-4, 16].
+    Dekker's two-product gives a * 10**p = hi + lo exactly (Numer. Math.
+    18, 1971).  A result of 10**16 or more has hi >= 2**53, an even
+    integer, so rounding lo half to even rounds hi + lo half to even, and
+    the result is exact; a smaller one may be off, but stays below 10**16."""
+    p = 16 - x
+    hi = a * _POW10[p]
+    a_hi, a_lo = _halves(a)
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _fixed_notation(values):
+    """(group, D) of each float cell: its 17 significant digits D, and
+    group x + 4 + 21 s if it prints in fixed notation (%g exponent x, sign
+    s), else _FALLBACK_GROUP.  D is rounded at x = floor(log10|v|), and x
+    steps once where D is not in [10**16, 10**17) (log10 off by one next
+    to a power of ten, or a rounding carry); a cell is fixed only where D
+    is then in that range, and so exact, at an x in [-4, 16]."""
+    a = np.abs(values)
+    fixed = (a >= 1e-5) & (a < 1e18)  # never inf, nan, 0 or a subnormal
+    a[~fixed] = 1.0
+    x = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
+    D = _round_scaled(a, x)
+    off = fixed & ((D < 10**16) | (D >= 10**17))
+    if off.any():
+        i = np.flatnonzero(off)
+        x_i = x[i] + np.where(D[i] < 10**16, -1, 1)
+        inside = (x_i >= -4) & (x_i <= 16)
+        np.clip(x_i, -4, 16, out=x_i)
+        D_i = _round_scaled(a[i], x_i)
+        fixed[i] = inside & (D_i >= 10**16) & (D_i < 10**17)
+        x[i], D[i] = x_i, D_i
+    group = x + 4 + 21 * (values < 0)
+    group[~fixed] = _FALLBACK_GROUP
+    return group, D
+
+
+def _digit_rows(D):
+    """The 17 digits of each D in [10**16, 10**17) as ASCII, one row each,
+    with the trailing zeros blanked to NUL."""
+    # D in chunks of 1, 4, 4, 4 and 4 digits, one contiguous row per chunk
+    chunks = np.empty((5, D.size), dtype=np.intp)
+    high = D // 10**8
+    low = D - 10**8 * high
+    np.floor_divide(high, 10**8, out=chunks[0])
+    high -= 10**8 * chunks[0]
+    np.floor_divide(high, 10**4, out=chunks[1])
+    np.subtract(high, 10**4 * chunks[1], out=chunks[2])
+    np.floor_divide(low, 10**4, out=chunks[3])
+    np.subtract(low, 10**4 * chunks[3], out=chunks[4])
+    # a chunk keeps its trailing zeros where a later chunk is not zero
+    later = chunks[1:] != 0
+    for j in (2, 1, 0):
+        later[j] |= later[j + 1]
+    np.add(chunks[:4], 10000, out=chunks[:4], where=later)
+    text = np.empty((D.size, 5), dtype=np.uint32)
+    for j, row in enumerate(_CHUNKS.take(chunks)):
+        text[:, j] = row
+    return text.view(np.uint8)[:, 3:]  # the first chunk has one digit
+
+
+def _fallback_cells(values, cells):
+    """The cells of values at the flat indices cells in _CSV_ROW's own
+    formats: the cells the digit kernel leaves out (0, -0, scientific
+    notation, inf, nan, subnormals, and regimes other than 0 or 1)."""
+    formats = [_CELL_FORMATS[i % _COLUMNS] for i in cells.tolist()]
+    return [f % x for f, x in zip(formats, values[cells].tolist())]
+
+
+def _csv_text(rows):
+    """``(_CSV_ROW * len(rows)) % tuple(rows.ravel().tolist())``, byte for
+    byte, for rows of shape (n, 6).  A float cell in fixed notation prints
+    the digits ``_fixed_notation`` gives it, with the point after digit x
+    and trailing fraction zeros dropped; a regime of 0 or 1 prints as one
+    digit; ``_fallback_cells`` prints the rest.  Cells are rows of one
+    char matrix, padded with NUL and sorted by group, so that each group's
+    layout is a few slices."""
+    values = rows.ravel()
+    n = values.size
+    group, D = _fixed_notation(values)
+    regime = values[_REGIME_COLUMN::_COLUMNS]
+    group[_REGIME_COLUMN::_COLUMNS] = np.where(
+        (regime == 0.0) | (regime == 1.0), _REGIME_GROUP, _FALLBACK_GROUP
+    )
+    group = group.astype(np.uint8)
+    order = np.argsort(group, kind="stable")
+    start = [0] + np.cumsum(np.bincount(group, minlength=_FALLBACK_GROUP + 1)).tolist()
+    groups = [g for g in range(_REGIME_GROUP) if start[g + 1] > start[g]]
+
+    fallback = _fallback_cells(values, order[start[_FALLBACK_GROUP] :])
+    width = 1 + max([1] + [_GROUP_WIDTH[g] for g in groups] + [len(t) for t in fallback])
+    text = np.zeros((n, width), dtype=np.uint8)
+    digits = _digit_rows(D[order[: start[_REGIME_GROUP]]])
+    for g in groups:
+        x, s = g % 21 - 4, g // 21
+        t = text[start[g] : start[g + 1]]
+        d = digits[start[g] : start[g + 1]]
+        if s:
+            t[:, 0] = ord("-")
+        if x >= 0:
+            np.maximum(d[:, : x + 1], ord("0"), out=t[:, s : s + x + 1])
+            if x < 16:  # a point only where a fraction digit follows
+                np.minimum(d[:, x + 1], ord("."), out=t[:, s + x + 1])
+                t[:, s + x + 2 : s + 18] = d[:, x + 1 :]
+        else:
+            t[:, s : s + 1 - x] = ord("0")
+            t[:, s + 1] = ord(".")
+            t[:, s + 1 - x : s + 18 - x] = d
+    lo, hi = start[_REGIME_GROUP], start[_FALLBACK_GROUP]
+    text[lo:hi, 0] = values[order[lo:hi]] + ord("0")
+    if fallback:
+        padded = "".join(t.ljust(width, "\0") for t in fallback).encode("ascii")
+        text[hi:] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, width)
+
+    unsort = np.empty_like(order)
+    unsort[order] = np.arange(n)
+    text = text.take(unsort, axis=0)
+    text.reshape(-1, _COLUMNS, width)[:, :, -1] = _SEPARATORS
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def export_path_csv(path_obj: WealthPath, stock, fh, comment_lines=()):
-    """Write one path's columns t, regime, S, V1pi0, xi, V with
-    17-significant-digit formatting."""
+    """Write one path's columns t, regime, S, V1pi0, xi, V: each row the
+    bytes of ``_CSV_ROW``, made by ``_csv_text``."""
     header, rows = path_obj.to_csv_rows(stock)
     for line in comment_lines:
         fh.write(f"# {line}\n")
     fh.write(",".join(header) + "\n")
-    # one format call for the whole path: byte-identical to one per row
-    fh.write((_CSV_ROW * len(rows)) % tuple(rows.ravel().tolist()))
+    for lo in range(0, len(rows), _CSV_BLOCK_ROWS):
+        fh.write(_csv_text(rows[lo : lo + _CSV_BLOCK_ROWS]))

@@ -1,11 +1,15 @@
 import dataclasses
 import io
 import math
+import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jumpfolio import market as market_mod
 from jumpfolio.config import load_config
 from jumpfolio.distributions import ExponentialPositive, TwoPoint
 from jumpfolio.errors import BankruptcyError, ConfigError, DomainError, RuinError
@@ -18,6 +22,7 @@ from jumpfolio.market import (
     ZeroConsumption,
     _CSV_ROW,
     _checked_exp,
+    _csv_text,
     export_path_csv,
     jump_transform,
     log_optimal_consumption,
@@ -29,8 +34,11 @@ from jumpfolio.mpp import (
     PathEnsemble,
     simulate_ensemble,
 )
+from jumpfolio.policy import log_optimal_policy
 
-FIG3 = Path(__file__).resolve().parents[1] / "demos" / "configs" / "fig3.yaml"
+ROOT = Path(__file__).resolve().parents[1]
+FIG3 = ROOT / "demos" / "configs" / "fig3.yaml"
+PATHS_DENSE = ROOT / "bench" / "configs" / "paths_dense.yaml"
 
 
 def make_market(lam=1.0, r=0.045, mu=-0.05, R=0.05, rate=10.0):
@@ -253,8 +261,8 @@ class TestCsvExport:
         assert ("nan" in got.getvalue()) != with_stock
 
     def test_one_format_call_matches_one_per_row(self):
-        """The whole path in one % call gives the bytes of one % per row,
-        non-finite cells included."""
+        """The whole path gives the bytes of one % per row, non-finite
+        cells included."""
         mkt = make_market(lam=5.0)
         path = simulate_ensemble(mkt.gen, 0, 4.0, mkt.dists, 1, 32)
         cells = DEFAULT_GRID_POINTS + 1 + path.counts[0]
@@ -283,3 +291,191 @@ class TestCsvExport:
         # numeric fields round-trip exactly through the 17-digit format
         values = lines[2 + np.searchsorted(wp.t, 0.25)].split(",")
         assert float(values[3]) == wp.v_gross[np.searchsorted(wp.t, 0.25)]
+
+
+def per_row_csv(rows):
+    """Oracle: _CSV_ROW applied to one row at a time."""
+    return "".join(_CSV_ROW % tuple(row) for row in rows.tolist())
+
+
+def cell_rows(values, regimes=(0.0, 1.0)):
+    """values in the five float columns, row after row (the last row padded
+    with 1), and regimes repeated down the regime column."""
+    values = np.asarray(values, dtype=float).ravel()
+    values = np.concatenate((values, np.ones(-values.size % 5)))
+    rows = np.empty((values.size // 5, 6))
+    rows[:, [0, 2, 3, 4, 5]] = values.reshape(-1, 5)
+    rows[:, 1] = np.resize(np.asarray(regimes, dtype=float), len(rows))
+    return rows
+
+
+def assert_matches_per_row(rows):
+    got, ref = _csv_text(rows).splitlines(), per_row_csv(rows).splitlines()
+    assert len(got) == len(ref)
+    bad = [k for k in range(len(ref)) if got[k] != ref[k]]
+    assert not bad, (rows[bad[0]].tolist(), got[bad[0]], ref[bad[0]])
+
+
+def adversarial_cells():
+    """Powers of ten and 1 or 2 ulps either side, 9.99...e k that round to
+    10**(k + 1), values at %g exponents -5, -4, 16 and 17, dyadic values,
+    exact ties at the 17th digit and their neighbours, +-0, subnormals,
+    inf and nan, each with both signs."""
+    rng = np.random.default_rng(2026)
+    powers = 10.0 ** np.arange(-8, 23)
+    below = np.nextafter(powers, 0.0)
+    above = np.nextafter(powers, np.inf)
+    near = [powers, below, above, np.nextafter(below, 0.0), np.nextafter(above, np.inf)]
+    carries = np.array([float(f"9.99999999999999999{d}e{e}") for e in range(-7, 20) for d in range(10)])
+    at_edges = np.array([m * 10.0**e for m in (1.0, 1.2345678901234567, 9.87654321) for e in (-5, -4, 16, 17)])
+    dyadic = rng.integers(1, 2**20, 2000) * 2.0 ** rng.integers(-40, 40, 2000)
+    # odd m / 2**(17 - k) in [10**k, 10**(k + 1)) has 18 significant
+    # digits, the last a 5: an exact tie at digit 17
+    ties = []
+    for k in range(-4, 16):
+        lo = math.ceil(10.0**k * 2 ** (17 - k))
+        m = 2 * rng.integers(lo // 2, min(10 * lo, 2**53) // 2, 50) + 1
+        ties.append(m / 2.0 ** (17 - k))
+        digits = Decimal(float(ties[-1][0])).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    special = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+               np.inf, np.nan, 0.5, 1.5, 2.5, 0.1, 1 / 3, 0.0390625, 12345678.0]
+    cells = np.concatenate(near + [carries, np.nextafter(carries, 0.0), np.nextafter(carries, np.inf),
+                                   at_edges, dyadic, np.nextafter(dyadic, 0.0), np.nextafter(dyadic, np.inf),
+                                   *ties, special])
+    with np.errstate(over="ignore"):
+        cells = np.concatenate((cells, np.nextafter(cells, 0.0), np.nextafter(cells, np.inf)))
+    return np.concatenate((cells, -cells))
+
+
+class TestCsvKernel:
+    """_csv_text writes the bytes of _CSV_ROW % row, row by row."""
+
+    def test_adversarial_cells(self):
+        assert_matches_per_row(cell_rows(adversarial_cells()))
+
+    def test_regimes_other_than_zero_and_one(self):
+        regimes = [0.0, 1.0, -0.0, 2.0, 1.5, -3.0, 1e300, -1e-300]
+        assert_matches_per_row(cell_rows(np.linspace(0.0, 10.0, 5 * 24), regimes))
+
+    def test_nonfinite_regime_raises_as_the_row_format_does(self):
+        rows = cell_rows(np.ones(10), [0.0, np.nan])
+        with pytest.raises(ValueError):
+            per_row_csv(rows)
+        with pytest.raises(ValueError):
+            _csv_text(rows)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(7).integers(0, 2**64, 2 * 10**5, dtype=np.uint64)
+        assert_matches_per_row(cell_rows(bits.view(np.float64)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([0.0, 1.0]),
+                *[st.floats(allow_nan=True, allow_infinity=True)] * 4,
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_any_floats(self, rows):
+        assert_matches_per_row(np.array(rows, dtype=float))
+
+    def test_a_path_longer_than_a_call(self, monkeypatch):
+        """A path longer than the rows formatted per call writes the same
+        bytes as in one call."""
+        mkt = make_market(lam=5.0)
+        path = simulate_ensemble(mkt.gen, 1, 4.0, mkt.dists, 1, 33)
+        cells = DEFAULT_GRID_POINTS + 1 + path.counts[0]
+        wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path).row(0, cells)
+        whole, blocks = io.StringIO(), io.StringIO()
+        export_path_csv(wp, None, whole)
+        monkeypatch.setattr(market_mod, "_CSV_BLOCK_ROWS", 7)
+        export_path_csv(wp, None, blocks)
+        assert blocks.getvalue() == whole.getvalue()
+
+
+class _Sink:
+    """A text file that keeps only the number of chars written."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+@pytest.fixture(scope="module")
+def paths_dense_sample():
+    """The sample of simulate --paths 100 on paths_dense at its config seed,
+    and a function that evaluates rows lo..hi of it as simulate does:
+    (wealth, stock, cells per row)."""
+    config = load_config(PATHS_DENSE)
+    market, x, T = config.market, config.initial_wealth, config.horizon
+    ens = simulate_ensemble(market.gen, config.initial_state, T, market.dists, 100, config.seed)
+    policy = log_optimal_policy(market, x, T)
+
+    def evaluate(lo, hi):
+        rows = ens.rows(lo, hi)
+        wp = wealth_path(x, market, policy.pi, policy.consumption, rows)
+        stock = stock_path(market, rows, s0=1.0)[1]
+        return wp, stock, DEFAULT_GRID_POINTS + 1 + rows.counts
+
+    return ens, evaluate
+
+
+class TestCsvOnPathsDense:
+    def test_bytes_and_fast_path_coverage(self, paths_dense_sample, monkeypatch):
+        """On simulate's first block of rows, each path's CSV is the
+        reference writer's, byte for byte, and the digit kernel leaves to
+        the fallback only the cells it cannot print: t = 0, and the few
+        stock prices below 1e-4, which %g writes in scientific notation."""
+        ens, evaluate = paths_dense_sample
+        wp, stock, cells = evaluate(0, market_mod.block_rows(ens))
+        sent = []
+        fallback = market_mod._fallback_cells
+
+        def spy(values, flat):
+            sent.append(flat)
+            return fallback(values, flat)
+
+        monkeypatch.setattr(market_mod, "_fallback_cells", spy)
+        scientific = 0
+        for p, n in enumerate(cells.tolist()):
+            got, ref = io.StringIO(), io.StringIO()
+            export_path_csv(wp.row(p, n), stock[p, :n], got, comment_lines=("a",))
+            reference_export_path_csv(wp.row(p, n), stock[p, :n], ref, comment_lines=("a",))
+            assert got.getvalue() == ref.getvalue()
+            _, rows = wp.row(p, n).to_csv_rows(stock[p, :n])
+            not_fixed = [
+                i
+                for i, v in enumerate(rows.ravel().tolist())
+                if i % 6 != 1 and (v == 0.0 or "e" in f"{v:.17g}")
+            ]
+            assert sent[p].tolist() == not_fixed
+            assert not_fixed[0] == 0 and rows[0, 0] == 0.0  # t = 0
+            assert all(i % 6 == 2 for i in not_fixed[1:])  # S only
+            scientific += len(not_fixed) - 1
+        assert len(sent) == len(cells)  # one call per path
+        assert scientific < 1e-3 * 6 * cells.sum()
+
+    def test_peak_memory_of_the_longest_row(self, paths_dense_sample):
+        """Writing the sample's longest row allocates under 1 MB at peak."""
+        ens, evaluate = paths_dense_sample
+        k = int(np.argmax(ens.counts))
+        wp, stock, cells = evaluate(k, k + 1)
+        n = int(cells[0])
+        assert n > 800
+        path_obj, s = wp.row(0, n), stock[0, :n].copy()
+        export_path_csv(path_obj, s, _Sink())  # warm up
+        sink = _Sink()
+        tracemalloc.start()
+        try:
+            export_path_csv(path_obj, s, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 70_000
+        assert peak < 1_000_000

@@ -123,3 +123,53 @@ def test_one_way_to_an_estimate():
     sweep_estimates calls the column sweep or the estimator."""
     callers = _callers({"column_functionals", "_estimate"})
     assert callers == {("verify", "sweep_estimates")}
+
+
+def _loads(names):
+    """(module, function or None) of every read of one of names in src/."""
+    sites = set()
+    for module, tree in _trees().items():
+        for node in tree.body:
+            fns = [node] if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else []
+            sites.update(
+                (module, fns[0].name if fns else None)
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Name) and sub.id in names and isinstance(sub.ctx, ast.Load)
+            )
+    return sites
+
+
+def test_path_cells_are_formatted_only_by_the_fallback():
+    """One writer of path cells: in src/, the row format _CSV_ROW and the
+    cell formats taken from it are read at market's module level and, in
+    a function, only by market's fallback; no other code %-formats a
+    string literal."""
+    assert _loads({"_CSV_ROW", "_CELL_FORMATS"}) == {("market", None), ("market", "_fallback_cells")}
+    literal_formats = [
+        module
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mod)
+        and isinstance(node.left, ast.Constant)
+        and isinstance(node.left.value, str)
+    ]
+    assert literal_formats == []
+
+
+def test_simulate_writes_path_csvs_only_through_export_path_csv():
+    """cmd_simulate is the only caller of export_path_csv in src/, and it
+    writes to no file itself."""
+    assert _callers({"export_path_csv"}) == {("cli", "cmd_simulate")}
+    cmd = next(
+        node
+        for node in ast.walk(_trees()["cli"])
+        if isinstance(node, ast.FunctionDef) and node.name == "cmd_simulate"
+    )
+    writes = [
+        node
+        for node in ast.walk(cmd)
+        if isinstance(node, ast.Call)
+        and (_called(node) in {"write", "writelines"} or any(k.arg == "file" for k in node.keywords))
+    ]
+    assert writes == []
