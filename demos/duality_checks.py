@@ -11,10 +11,11 @@ and shows the budget slackening when the portfolio weight is perturbed.
 import numpy as np
 
 from jumpfolio import (
-    DifferentialRates,
+    NO_SHORTING,
     ExponentialPositive,
     GeneratorMatrix,
     MarketModel,
+    PiecewiseLinearConcave,
     RegimeMarketParams,
     Utility,
     jump_columns,
@@ -34,12 +35,12 @@ X0, T, SEED, N_PATHS = 1.0, 1.0, 20260823, 50_000
 params = RegimeMarketParams(
     r=0.045, mu=-0.05, lam=1.0,
     dist=ExponentialPositive(10.0),
-    margin=DifferentialRates(0.045, 0.05),
+    margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
 )
 market = MarketModel(
     gen=GeneratorMatrix(1.0, 1.0),
     regimes=(params, params),
-    constraint=params.margin.canonical_constraint(),
+    constraint=NO_SHORTING,
 )
 K = market.constraint
 policy = log_optimal_policy(market, X0, T)

@@ -7,13 +7,12 @@ Monte Carlo.
 """
 
 from jumpfolio import (
-    DifferentialRates,
     ExponentialNegative,
     ExponentialPositive,
     GeneratorMatrix,
     MarketModel,
+    PiecewiseLinearConcave,
     RegimeMarketParams,
-    ShortRebate,
     Utility,
     exact_value,
     jump_columns,
@@ -32,12 +31,12 @@ market = MarketModel(
         RegimeMarketParams(
             r=0.045, mu=-0.05, lam=1.0,
             dist=ExponentialPositive(10.0),
-            margin=DifferentialRates(0.045, 0.05),
+            margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         ),
         RegimeMarketParams(
             r=0.03, mu=0.07, lam=2.0,
             dist=ExponentialNegative(10.0),
-            margin=ShortRebate(0.03, 0.05),
+            margin=PiecewiseLinearConcave.short_rebate(0.03, 0.05),
         ),
     ),
 )

@@ -30,11 +30,7 @@ from .frictions import (
     NO_BORROWING,
     NO_SHORTING,
     ConstraintSet,
-    DifferentialRates,
-    Frictionless,
-    MarginModel,
     PiecewiseLinearConcave,
-    ShortRebate,
     conjugate_gk,
     effective_domain,
 )

@@ -29,7 +29,9 @@ from .errors import (
     RangeError,
     RuinError,
 )
-from .market import DEFAULT_GRID_POINTS, block_rows, export_path_csv, stock_path, wealth_path
+from .market import (
+    DEFAULT_GRID_POINTS, block_rows, export_path_csv, report_grid, stock_path, wealth_path
+)
 from .mpp import jump_columns, simulate_ensemble
 from .policy import Policy, certify, h_value, log_optimal_policy, power_optimal_policy
 from .regime_value import exact_value, mean_log_growth, value_corollary
@@ -148,11 +150,12 @@ def cmd_simulate(config: RunConfig, args) -> int:
     step = block_rows(ens)
     for lo in range(0, args.paths, step):
         rows = ens.rows(lo, lo + step)
+        grid = report_grid(rows)
         try:
             wp = wealth_path(
-                config.initial_wealth, config.market, policy.pi, policy.consumption, rows
+                config.initial_wealth, config.market, policy.pi, policy.consumption, rows, grid
             )
-            _, stock = stock_path(config.market, rows, s0=1.0)
+            _, stock = stock_path(config.market, rows, s0=1.0, grid=grid)
         except DomainError as exc:  # its row counts from the block's first path
             raise DomainError(f"paths {lo} to {lo + rows.n_paths - 1}: {exc}") from exc
         for p, events in enumerate(rows.counts.tolist()):

@@ -19,7 +19,9 @@ Schema (all keys required unless a default is noted):
     utility:
       variant: log                # log | power
       # gamma: 0.5                # required for power
-    constraint:                   # default: canonical set of regime 0's margin
+    constraint:                   # default: the canonical set of regime 0's margin
+                                  # variant: all weights (frictionless), [0, inf)
+                                  # (differential_rates), (-inf, 1] (short_rebate)
       lower: 0.0                  # may be -.inf
       upper: .inf
     horizon: 1.0                  # finite and positive
@@ -50,12 +52,7 @@ from .distributions import (
     TwoPoint,
 )
 from .errors import ConfigError
-from .frictions import (
-    ConstraintSet,
-    DifferentialRates,
-    Frictionless,
-    ShortRebate,
-)
+from .frictions import NO_BORROWING, NO_SHORTING, ConstraintSet, PiecewiseLinearConcave
 from .market import MarketModel, RegimeMarketParams
 from .mpp import GeneratorMatrix
 from .policy import Utility
@@ -138,35 +135,36 @@ def _parse_distribution(node, path):
     )
 
 
+# margin variant -> its rate key (None: it takes none) and its canonical
+# constraint set; the variant names PiecewiseLinearConcave's constructor
+_MARGIN_VARIANTS = {
+    "frictionless": (None, ConstraintSet()),
+    "differential_rates": ("R", NO_SHORTING),
+    "short_rebate": ("rL", NO_BORROWING),
+}
+_FRICTIONLESS = {"variant": "frictionless"}
+
+
 def _parse_margin(node, r, path):
-    if node is None:
-        return Frictionless()
+    node = _FRICTIONLESS if node is None else node
     variant = _require(node, "variant", path)
-    if variant == "frictionless":
+    if variant not in _MARGIN_VARIANTS:
+        raise ConfigError(
+            f"unknown margin variant {variant!r} at {path}.variant",
+            field=f"{path}.variant",
+        )
+    key, _ = _MARGIN_VARIANTS[variant]
+    build = getattr(PiecewiseLinearConcave, variant)
+    if key is None:
         _reject_unknown(node, {"variant"}, path)
-        return Frictionless()
-    if variant == "differential_rates":
-        _reject_unknown(node, {"variant", "R"}, path)
-        R = _require(node, "R", path, float)
-        if R < r:
-            raise ConfigError(
-                f"borrowing rate {path}.R = {R} is below the lending rate r = {r}",
-                field=f"{path}.R",
-            )
-        return DifferentialRates(r=r, R=R)
-    if variant == "short_rebate":
-        _reject_unknown(node, {"variant", "rL"}, path)
-        rL = _require(node, "rL", path, float)
-        if rL < r:
-            raise ConfigError(
-                f"stock loan fee {path}.rL = {rL} is below the rate r = {r}",
-                field=f"{path}.rL",
-            )
-        return ShortRebate(r=r, rL=rL)
-    raise ConfigError(
-        f"unknown margin variant {variant!r} at {path}.variant",
-        field=f"{path}.variant",
-    )
+        return build()
+    _reject_unknown(node, {"variant", key}, path)
+    rate = _require(node, key, path, float)
+    try:
+        return build(r, rate)
+    except ConfigError as exc:  # the rate order, reported at its dotted path
+        field = f"{path}.{exc.field}"
+        raise ConfigError(exc.message.replace(exc.field, field, 1), field=field) from None
 
 
 def _parse_regime(node, path):
@@ -256,8 +254,9 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
             lower=_float(cnode.get("lower", -math.inf)),
             upper=_float(cnode.get("upper", math.inf)),
         )
-    else:
-        constraint = regimes[0].margin.canonical_constraint()
+    else:  # the canonical set of regime 0's margin variant
+        margin = regimes_node[0].get("margin") or _FRICTIONLESS
+        constraint = _MARGIN_VARIANTS[margin["variant"]][1]
 
     market = MarketModel(
         gen=GeneratorMatrix(regimes[0].lam, regimes[1].lam),

@@ -10,6 +10,7 @@ class ConfigError(JumpfolioError):
 
     def __init__(self, message, field=None):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}" if field else message)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .distributions import JumpDistribution
 from .errors import BankruptcyError, ConfigError, DomainError, RuinError
-from .frictions import ConstraintSet, Frictionless, MarginModel
+from .frictions import ConstraintSet, PiecewiseLinearConcave
 from .mpp import GeneratorMatrix, PathEnsemble
 
 DEFAULT_GRID_POINTS = 256
@@ -61,7 +61,7 @@ class RegimeMarketParams:
     lam: float
     dist: JumpDistribution
     transform: str = "exponential"
-    margin: MarginModel = field(default_factory=Frictionless)
+    margin: PiecewiseLinearConcave = field(default_factory=PiecewiseLinearConcave.frictionless)
 
     def __post_init__(self):
         if self.lam < 0:
@@ -161,7 +161,7 @@ def block_rows(ens: PathEnsemble) -> int:
     return max(1, BLOCK_CELLS // (DEFAULT_GRID_POINTS + 1 + int(ens.counts.max())))
 
 
-def _report_grid(ens: PathEnsemble, n_grid=DEFAULT_GRID_POINTS):
+def report_grid(ens: PathEnsemble, n_grid=DEFAULT_GRID_POINTS):
     """Each row's reporting grid: n_grid + 1 even points on [0, T] merged
     with the row's own jump times, in time order.
 
@@ -184,7 +184,7 @@ def _report_grid(ens: PathEnsemble, n_grid=DEFAULT_GRID_POINTS):
 
 
 def _path_log_level(ens: PathEnsemble, grid, drift_by_state, jump_log_by_state):
-    """A piecewise-linear log level of every row on its grid (``_report_grid``).
+    """A piecewise-linear log level of every row on its grid (``report_grid``).
 
     The log level starts at 0, grows at drift_by_state[i] while the chain
     is in state i and jumps by jump_log_by_state[i](mark) at each event
@@ -271,17 +271,17 @@ def _wealth_terms(market: MarketModel, pi_pair):
     return drift, jump_logs
 
 
-def stock_path(market: MarketModel, rows: PathEnsemble, s0: float, n_grid=DEFAULT_GRID_POINTS):
-    """Stock price of each row at its reporting grid: exact piecewise
-    exponential times jump factors.
+def stock_path(market: MarketModel, rows: PathEnsemble, s0: float, grid=None):
+    """Stock price of each row at its reporting grid ``grid``, by default
+    ``report_grid(rows)``: exact piecewise exponential times jump factors.
 
-    Returns (t, S) arrays, one row per path (see ``_report_grid``).
+    Returns (t, S) arrays, one row per path.
     """
     if s0 <= 0:
         raise ConfigError("initial price must be positive", field="s0")
     drift = [p.mu for p in market.regimes]
     jump_logs = [_log_jump(market.transform, 1.0)] * 2
-    grid = _report_grid(rows, n_grid)
+    grid = report_grid(rows) if grid is None else grid
     times = grid[0]
     return times, s0 * _checked_exp(_path_log_level(rows, grid, drift, jump_logs), times)
 
@@ -329,12 +329,12 @@ def wealth_path(
     pi,
     consumption: ConsumptionRule,
     rows: PathEnsemble,
-    n_grid=DEFAULT_GRID_POINTS,
+    grid=None,
 ) -> WealthPath:
-    """Wealth under (pi, c) of each row at its reporting grid, via the
-    factorisation V_t = xi_t * V_t^{1,pi,0}; V^{1,pi,0} is exact between
-    jumps.  Row k's own cells are its first n_grid + 1 + counts[k] (see
-    ``_report_grid``).
+    """Wealth under (pi, c) of each row at its reporting grid ``grid``, by
+    default ``report_grid(rows)``, via the factorisation
+    V_t = xi_t * V_t^{1,pi,0}; V^{1,pi,0} is exact between jumps.  Row k's
+    own cells are its first n_grid + 1 + counts[k] (see ``report_grid``).
 
     pi is a scalar or a per-regime pair.  Raises RuinError with the
     crossing time if consumption exhausts wealth strictly before the
@@ -343,7 +343,7 @@ def wealth_path(
     if x <= 0:
         raise ConfigError("initial wealth must be positive", field="x")
     pi_pair = (pi, pi) if np.isscalar(pi) else pi
-    grid = _report_grid(rows, n_grid)
+    grid = report_grid(rows) if grid is None else grid
     times, segment = grid
     log_v = _path_log_level(rows, grid, *_wealth_terms(market, pi_pair))
     v_gross = _checked_exp(log_v, times)

@@ -31,7 +31,7 @@ from .errors import (
     ModelAssumptionError,
     RangeError,
 )
-from .frictions import ConstraintSet, MarginModel, conjugate_gk, effective_domain
+from .frictions import ConstraintSet, PiecewiseLinearConcave, conjugate_gk, effective_domain
 from .market import (
     ConsumptionRule,
     MarketModel,
@@ -270,7 +270,7 @@ def _brent(fn, a, b, fa, fb, xtol, rtol, maxiter=100):
     raise RangeError(f"root finder did not converge in {maxiter} steps near {x_cur:.9g}")
 
 
-def _conjugate(margin: MarginModel, K: ConstraintSet, zeta) -> float:
+def _conjugate(margin: PiecewiseLinearConcave, K: ConstraintSet, zeta) -> float:
     """The margin's conjugate over K at zeta; DomainError if zeta leaves the
     effective domain.  zeta = r - h(pi) carries the rounding of h, so a
     zeta within 1e-12 of the domain is clamped into it."""
@@ -280,7 +280,7 @@ def _conjugate(margin: MarginModel, K: ConstraintSet, zeta) -> float:
     return conjugate_gk(margin, K, min(max(zeta, lo), hi))
 
 
-def verify_conjugacy(margin: MarginModel, K: ConstraintSet, pi_hat, zeta_hat) -> float:
+def verify_conjugacy(margin: PiecewiseLinearConcave, K: ConstraintSet, pi_hat, zeta_hat) -> float:
     """|g(pi) - pi*zeta - conj(zeta)| over K; DomainError if zeta leaves the domain."""
     return abs(margin.g(pi_hat) - pi_hat * zeta_hat - _conjugate(margin, K, zeta_hat))
 

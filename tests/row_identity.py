@@ -4,7 +4,7 @@ the closed-form ``verify.state_price_wealth_identity``."""
 
 import numpy as np
 
-from jumpfolio.market import _log_jump, _path_log_level, _report_grid, _wealth_terms
+from jumpfolio.market import _log_jump, _path_log_level, report_grid, _wealth_terms
 
 
 def h_jump_logs(mkt, spec):
@@ -16,7 +16,7 @@ def h_jump_logs(mkt, spec):
 def pathwise_identity(mkt, spec, rows):
     """max over the rows and their reporting grids of |H V^{1,pi,0} - 1|,
     as |expm1(log H + log V)|, pi the weights spec was built from."""
-    grid = _report_grid(rows)
+    grid = report_grid(rows)
     log_h = _path_log_level(rows, grid, spec.drift(mkt), h_jump_logs(mkt, spec))
     log_v = _path_log_level(rows, grid, *_wealth_terms(mkt, spec.pi))
     return float(np.max(np.abs(np.expm1(log_h + log_v))))

@@ -15,10 +15,9 @@ import numpy as np
 
 from jumpfolio.config import parse_config
 from jumpfolio.frictions import (
-    DifferentialRates,
     NO_BORROWING,
     NO_SHORTING,
-    ShortRebate,
+    PiecewiseLinearConcave,
     conjugate_gk,
     effective_domain,
 )
@@ -375,9 +374,9 @@ def test_criterion_8_conjugate_correctness():
     worst = 0.0
     fenchel_ok = True
     setups = (
-        (DifferentialRates(0.045, 0.05), NO_SHORTING,
+        (PiecewiseLinearConcave.differential_rates(0.045, 0.05), NO_SHORTING,
          np.linspace(-0.00499, 0.1, 100), np.linspace(0.0, 80.0, 80_001)),
-        (ShortRebate(0.03, 0.05), NO_BORROWING,
+        (PiecewiseLinearConcave.short_rebate(0.03, 0.05), NO_BORROWING,
          np.linspace(-0.1, 0.0199, 100), np.linspace(-80.0, 1.0, 80_001)),
     )
     for margin, K, zetas, pi_dense in setups:

@@ -23,7 +23,7 @@ from jumpfolio.config import (
     parse_config,
 )
 from jumpfolio.errors import ConfigError
-from jumpfolio.frictions import DifferentialRates, ShortRebate
+from jumpfolio.frictions import PiecewiseLinearConcave
 from jumpfolio.market import DEFAULT_GRID_POINTS, export_path_csv, stock_path, wealth_path
 from jumpfolio.mpp import simulate_ensemble
 from jumpfolio.policy import log_optimal_policy
@@ -64,7 +64,8 @@ class TestParsing:
     def test_valid_config_builds_model(self):
         cfg = parse_config(copy.deepcopy(BASE))
         assert isinstance(cfg, RunConfig)
-        assert isinstance(cfg.market.regimes[0].margin, DifferentialRates)
+        margin = PiecewiseLinearConcave.differential_rates(0.045, 0.05)
+        assert cfg.market.regimes[0].margin == margin
         # single regime entry is replicated
         assert cfg.market.regimes[0].r == cfg.market.regimes[1].r
         assert cfg.market.constraint.lower == 0.0
@@ -89,6 +90,16 @@ class TestParsing:
         with pytest.raises(ConfigError) as exc:
             parse_config(data)
         assert "R" in str(exc.value)
+        field = "config.model.regimes[0].margin.R"
+        assert exc.value.field == field
+        assert str(exc.value) == (
+            f"{field}: borrowing rate {field} = 0.01 is below the lending rate r = 0.045"
+        )
+        data["model"]["regimes"][0]["margin"] = {"variant": "short_rebate", "rL": 0.01}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(data)
+        field = "config.model.regimes[0].margin.rL"
+        assert str(exc.value) == f"{field}: stock loan fee {field} = 0.01 is below the rate r = 0.045"
 
     def test_short_rebate_variant(self):
         data = copy.deepcopy(BASE)
@@ -101,7 +112,7 @@ class TestParsing:
             }
         )
         cfg = parse_config(data)
-        assert isinstance(cfg.market.regimes[0].margin, ShortRebate)
+        assert cfg.market.regimes[0].margin == PiecewiseLinearConcave.short_rebate(0.03, 0.05)
         assert cfg.market.constraint.upper == 1.0  # canonical no-borrowing set
 
     def test_round_trip(self):
@@ -526,6 +537,29 @@ class TestCliOutputs:
             out = out_dir / f"path_{k:03d}.csv"
             assert out.read_text() == buf.getvalue()
             assert wrote[k] == f"wrote {out} ({row.counts[0]} events)"
+
+    def test_simulate_builds_one_grid_per_block(self, tmp_path, monkeypatch, capsys):
+        """A block's wealth and stock paths share one reporting grid:
+        simulate --paths 100 on paths_dense builds it once for each of its
+        10 blocks."""
+        grid, steps, calls = market_mod.report_grid, [], []
+
+        def counted_grid(*args, **kwargs):
+            calls.append(args[0].n_paths)
+            return grid(*args, **kwargs)
+
+        def recorded_step(ens):
+            steps.append(market_mod.block_rows(ens))
+            return steps[-1]
+
+        for mod in (cli, market_mod):
+            monkeypatch.setattr(mod, "report_grid", counted_grid)
+        monkeypatch.setattr(cli, "block_rows", recorded_step)
+        config = ROOT / "bench" / "configs" / "paths_dense.yaml"
+        argv = ["simulate", str(config), "--paths", "100", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(calls) == math.ceil(100 / steps[0]) == 10
+        assert sum(calls) == 100
 
     def test_value_prints_all_three(self, tmp_path, capsys):
         data = copy.deepcopy(BASE)

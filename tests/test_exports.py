@@ -14,9 +14,6 @@ PACKAGE = ROOT / "src" / "jumpfolio"
 # export -> why it has no caller outside its module
 CALLERLESS = {
     "JumpfolioError": "base class of every package error, for a caller's except clause",
-    "NO_BORROWING": "constraint constant for library users",
-    "NO_SHORTING": "constraint constant for library users",
-    "PiecewiseLinearConcave": "only tests build it: wire it into the config or remove it",
     "ProportionalConsumption": "type returned by log_optimal_consumption",
     "WealthPath": "type returned by wealth_path",
     "RegimeOptimum": "type returned by policy.optimal_portfolio",
@@ -58,6 +55,16 @@ def test_callerless_exports_are_the_allowlist():
     }
     assert callerless == set(CALLERLESS)
     assert "exact_value" in _exports()
+
+
+def test_margin_variants_are_constructors():
+    """The margin variants are named constructors of the one margin class,
+    not classes of their own."""
+    removed = {"MarginModel", "Frictionless", "DifferentialRates", "ShortRebate"}
+    assert not removed & set(_exports())
+    assert not any(hasattr(jumpfolio.frictions, name) for name in removed)
+    for variant in ("frictionless", "differential_rates", "short_rebate"):
+        assert callable(getattr(jumpfolio.PiecewiseLinearConcave, variant))
 
 
 def test_allowlist_holds_only_types_and_constants():

@@ -9,10 +9,7 @@ from jumpfolio.frictions import (
     NO_BORROWING,
     NO_SHORTING,
     ConstraintSet,
-    DifferentialRates,
-    Frictionless,
     PiecewiseLinearConcave,
-    ShortRebate,
     conjugate_gk,
     effective_domain,
 )
@@ -45,12 +42,12 @@ class TestConstraintSet:
 
 class TestMarginEvaluation:
     def test_frictionless_zero(self):
-        g = Frictionless()
+        g = PiecewiseLinearConcave.frictionless()
         for pi in (-3.0, 0.0, 1.7):
             assert g.g(pi) == 0.0
 
     def test_differential_rates_values(self):
-        g = DifferentialRates(r=0.045, R=0.05)
+        g = PiecewiseLinearConcave.differential_rates(r=0.045, R=0.05)
         assert g.g(0.0) == 0.0
         assert g.g(1.0) == 0.0
         assert g.g(2.0) == pytest.approx(-0.005, abs=1e-15)
@@ -58,7 +55,7 @@ class TestMarginEvaluation:
         assert g.g(-1.0) == 0.0  # only excess borrowing is penalised
 
     def test_short_rebate_values(self):
-        g = ShortRebate(r=0.03, rL=0.05)
+        g = PiecewiseLinearConcave.short_rebate(r=0.03, rL=0.05)
         assert g.g(0.0) == 0.0
         assert g.g(1.0) == 0.0
         assert g.g(-1.0) == pytest.approx(-0.02, abs=1e-15)
@@ -66,9 +63,9 @@ class TestMarginEvaluation:
 
     def test_invalid_rate_order(self):
         with pytest.raises(ConfigError):
-            DifferentialRates(r=0.05, R=0.04)
+            PiecewiseLinearConcave.differential_rates(r=0.05, R=0.04)
         with pytest.raises(ConfigError):
-            ShortRebate(r=0.05, rL=0.04)
+            PiecewiseLinearConcave.short_rebate(r=0.05, rL=0.04)
 
     def test_piecewise_concavity_enforced(self):
         with pytest.raises(ConfigError):
@@ -85,9 +82,9 @@ class TestMarginEvaluation:
     @pytest.mark.parametrize(
         "margin",
         [
-            Frictionless(),
-            DifferentialRates(r=0.045, R=0.05),
-            ShortRebate(r=0.03, rL=0.05),
+            PiecewiseLinearConcave.frictionless(),
+            PiecewiseLinearConcave.differential_rates(r=0.045, R=0.05),
+            PiecewiseLinearConcave.short_rebate(r=0.03, rL=0.05),
             PiecewiseLinearConcave(breakpoints=(-2.0, -0.5, 1.5), slopes=(0.5, 0.1, -0.2, -0.9)),
         ],
     )
@@ -104,7 +101,7 @@ class TestMarginEvaluation:
 
 class TestConjugate:
     def test_diffrates_against_dense_grid(self):
-        margin = DifferentialRates(r=0.045, R=0.05)
+        margin = PiecewiseLinearConcave.differential_rates(r=0.045, R=0.05)
         K = NO_SHORTING
         grid = np.concatenate([np.linspace(0.0, 60.0, 60_001), [1.0]])
         for zeta in np.linspace(-0.005, 0.1, 57):
@@ -113,7 +110,7 @@ class TestConjugate:
             assert exact == pytest.approx(dense, abs=1e-9)
 
     def test_short_rebate_against_dense_grid(self):
-        margin = ShortRebate(r=0.03, rL=0.05)
+        margin = PiecewiseLinearConcave.short_rebate(r=0.03, rL=0.05)
         K = NO_BORROWING
         grid = np.concatenate([np.linspace(-60.0, 1.0, 60_001), [0.0]])
         for zeta in np.linspace(-0.1, 0.02, 57):
@@ -122,7 +119,7 @@ class TestConjugate:
             assert exact == pytest.approx(dense, abs=1e-9)
 
     def test_short_rebate_branch_values(self):
-        margin = ShortRebate(r=0.03, rL=0.05)
+        margin = PiecewiseLinearConcave.short_rebate(r=0.03, rL=0.05)
         # conj(zeta) = -zeta for zeta <= 0; 0 on [0, rL - r]; +inf beyond
         assert conjugate_gk(margin, NO_BORROWING, -0.01) == pytest.approx(0.01)
         assert conjugate_gk(margin, NO_BORROWING, 0.01) == 0.0
@@ -130,23 +127,23 @@ class TestConjugate:
         assert conjugate_gk(margin, NO_BORROWING, 0.03) == math.inf
 
     def test_diffrates_branch_values(self):
-        margin = DifferentialRates(r=0.045, R=0.05)
+        margin = PiecewiseLinearConcave.differential_rates(r=0.045, R=0.05)
         # conj(zeta) = 0 on [0, inf); -zeta... attained at pi=1 for -(R-r) <= zeta < 0
         assert conjugate_gk(margin, NO_SHORTING, 0.02) == 0.0
         assert conjugate_gk(margin, NO_SHORTING, -0.003) == pytest.approx(0.003)
         assert conjugate_gk(margin, NO_SHORTING, -0.01) == math.inf
 
     def test_effective_domains(self):
-        d = effective_domain(DifferentialRates(0.045, 0.05), NO_SHORTING)
+        d = effective_domain(PiecewiseLinearConcave.differential_rates(0.045, 0.05), NO_SHORTING)
         assert d[0] == pytest.approx(-0.005) and d[1] == math.inf
-        s = effective_domain(ShortRebate(0.03, 0.05), NO_BORROWING)
+        s = effective_domain(PiecewiseLinearConcave.short_rebate(0.03, 0.05), NO_BORROWING)
         assert s[0] == -math.inf and s[1] == pytest.approx(0.02)
 
     def test_bounded_constraint_full_domain(self):
         K = ConstraintSet(-2.0, 2.0)
-        d = effective_domain(Frictionless(), K)
+        d = effective_domain(PiecewiseLinearConcave.frictionless(), K)
         assert d == (-math.inf, math.inf)
-        assert conjugate_gk(Frictionless(), K, 5.0) == pytest.approx(10.0)
+        assert conjugate_gk(PiecewiseLinearConcave.frictionless(), K, 5.0) == pytest.approx(10.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -157,7 +154,7 @@ class TestConjugate:
 )
 def test_fenchel_inequality_diffrates(pi, zeta, spread):
     """g(pi) - pi*zeta <= conj(zeta) for every pi in K."""
-    margin = DifferentialRates(r=0.03, R=0.03 + spread)
+    margin = PiecewiseLinearConcave.differential_rates(r=0.03, R=0.03 + spread)
     K = NO_SHORTING
     pi = min(max(pi, K.lower), K.upper)
     conj = conjugate_gk(margin, K, zeta)
@@ -171,7 +168,7 @@ def test_fenchel_inequality_diffrates(pi, zeta, spread):
     fee=st.floats(min_value=0.0, max_value=0.1),
 )
 def test_fenchel_inequality_short_rebate(pi, zeta, fee):
-    margin = ShortRebate(r=0.03, rL=0.03 + fee)
+    margin = PiecewiseLinearConcave.short_rebate(r=0.03, rL=0.03 + fee)
     K = NO_BORROWING
     pi = min(max(pi, K.lower), K.upper)
     conj = conjugate_gk(margin, K, zeta)

@@ -13,7 +13,7 @@ from jumpfolio import market as market_mod
 from jumpfolio.config import load_config
 from jumpfolio.distributions import ExponentialPositive, TwoPoint
 from jumpfolio.errors import BankruptcyError, ConfigError, DomainError, RuinError
-from jumpfolio.frictions import DifferentialRates, NO_SHORTING
+from jumpfolio.frictions import NO_SHORTING, PiecewiseLinearConcave
 from jumpfolio.market import (
     DEFAULT_GRID_POINTS,
     MarketModel,
@@ -26,6 +26,7 @@ from jumpfolio.market import (
     export_path_csv,
     jump_transform,
     log_optimal_consumption,
+    report_grid,
     stock_path,
     wealth_path,
 )
@@ -44,7 +45,7 @@ PATHS_DENSE = ROOT / "bench" / "configs" / "paths_dense.yaml"
 def make_market(lam=1.0, r=0.045, mu=-0.05, R=0.05, rate=10.0):
     dist = ExponentialPositive(rate)
     params = RegimeMarketParams(
-        r=r, mu=mu, lam=lam, dist=dist, margin=DifferentialRates(r, R)
+        r=r, mu=mu, lam=lam, dist=dist, margin=PiecewiseLinearConcave.differential_rates(r, R)
     )
     return MarketModel(
         gen=GeneratorMatrix(lam, lam), regimes=(params, params), constraint=NO_SHORTING
@@ -102,7 +103,7 @@ class TestStockPath:
         mkt = make_market()
         T = 1.0
         ens = simulate_ensemble(mkt.gen, 0, T, mkt.dists, 40_000, 17)
-        _, S = stock_path(mkt, ens, s0=1.0, n_grid=1)
+        _, S = stock_path(mkt, ens, s0=1.0, grid=report_grid(ens, 1))
         finals = S[:, -1]
         m1 = mkt.dists[0].mgf(1.0)
         target = math.exp((-0.05 + 1.0 * (m1 - 1.0)) * T)

@@ -10,7 +10,13 @@ import jumpfolio
 from jumpfolio import market, mpp, verify
 from jumpfolio.distributions import ExponentialNegative, ExponentialPositive
 from jumpfolio.errors import ConfigError
-from jumpfolio.market import MarketModel, RegimeMarketParams, ZeroConsumption, wealth_path
+from jumpfolio.market import (
+    MarketModel,
+    RegimeMarketParams,
+    ZeroConsumption,
+    report_grid,
+    wealth_path,
+)
 from jumpfolio.mpp import (
     GeneratorMatrix,
     PathEnsemble,
@@ -174,7 +180,7 @@ class TestRegimePath:
             marks=np.zeros((1, 3)),
             counts=np.array([3]),
         )
-        wp = wealth_path(1.0, mkt, 0.5, ZeroConsumption(), row, n_grid=12)
+        wp = wealth_path(1.0, mkt, 0.5, ZeroConsumption(), row, grid=report_grid(row, 12))
         state_at = dict(zip(wp.t[0].tolist(), wp.regime[0].tolist()))
         assert state_at[0.0] == 1
         assert wp.regime[0, list(wp.t[0]).index(0.5)] == 0  # right-continuous

@@ -19,11 +19,9 @@ from jumpfolio.errors import (
 )
 from jumpfolio.frictions import (
     ConstraintSet,
-    DifferentialRates,
-    Frictionless,
     NO_BORROWING,
     NO_SHORTING,
-    ShortRebate,
+    PiecewiseLinearConcave,
 )
 from jumpfolio.market import MarketModel, RegimeMarketParams
 from jumpfolio.mpp import GeneratorMatrix
@@ -50,12 +48,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 # borrowing-spread market with positive exponential jumps
 PARAMS_UP = RegimeMarketParams(
     r=0.045, mu=-0.05, lam=1.0, dist=ExponentialPositive(10.0),
-    margin=DifferentialRates(0.045, 0.05),
+    margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
 )
 # short-rebate market with negative exponential jumps
 PARAMS_DOWN = RegimeMarketParams(
     r=0.03, mu=0.07, lam=1.0, dist=ExponentialNegative(10.0),
-    margin=ShortRebate(0.03, 0.05),
+    margin=PiecewiseLinearConcave.short_rebate(0.03, 0.05),
 )
 
 
@@ -69,12 +67,11 @@ class ReferenceOptimum:
     h_at_pi: float
 
 
-def reference_diffrates(params: RegimeMarketParams, gamma: float) -> ReferenceOptimum:
+def reference_diffrates(params: RegimeMarketParams, gamma: float, R: float) -> ReferenceOptimum:
     """Four-case optimal weight under differential borrowing/lending rates, K = [0, inf)."""
-    margin = params.margin
-    if not isinstance(margin, DifferentialRates):
-        raise ConfigError("differential-rates solver needs a DifferentialRates margin")
-    r, R = params.r, margin.R
+    if params.margin != PiecewiseLinearConcave.differential_rates(params.r, R):
+        raise ConfigError("differential-rates solver needs the differential_rates(r, R) margin")
+    r = params.r
     if not R > params.mu:
         raise ModelAssumptionError(
             f"borrowing rate R = {R:.6g} must exceed drift mu = {params.mu:.6g}"
@@ -87,25 +84,24 @@ def reference_diffrates(params: RegimeMarketParams, gamma: float) -> ReferenceOp
         if h1 <= R:
             pi, case = 1.0, 3
         else:
-            pi, case = h_inverse(params, gamma, R, K=margin.canonical_constraint()), 4
+            pi, case = h_inverse(params, gamma, R, K=NO_SHORTING), 4
     else:  # h1 <= r <= h0
-        pi, case = h_inverse(params, gamma, r, K=margin.canonical_constraint()), 2
+        pi, case = h_inverse(params, gamma, r, K=NO_SHORTING), 2
     h_pi = h_value(params, gamma, pi)
     return ReferenceOptimum(pi=pi, zeta=r - h_pi, case=case, h_at_pi=h_pi)
 
 
-def reference_short(params: RegimeMarketParams, gamma: float) -> ReferenceOptimum:
+def reference_short(params: RegimeMarketParams, gamma: float, rL: float) -> ReferenceOptimum:
     """Four-case optimal weight under short rebates, K = (-inf, 1]."""
-    margin = params.margin
-    if not isinstance(margin, ShortRebate):
-        raise ConfigError("short-rebate solver needs a ShortRebate margin")
-    r, rL = params.r, margin.rL
+    if params.margin != PiecewiseLinearConcave.short_rebate(params.r, rL):
+        raise ConfigError("short-rebate solver needs the short_rebate(r, rL) margin")
+    r = params.r
     lower = 2.0 * r - rL
     if not params.mu > lower:
         raise ModelAssumptionError(
             f"drift mu = {params.mu:.6g} must exceed 2r - rL = {lower:.6g}"
         )
-    K = margin.canonical_constraint()
+    K = NO_BORROWING
     h0 = h_value(params, gamma, 0.0)
     h1 = h_value(params, gamma, 1.0)
     if h0 < lower:
@@ -128,16 +124,20 @@ def _outcome(solve, *args):
         return None, type(exc)
 
 
-def _assert_matches_reference(params, gamma, rel=0.0):
+# margin variant -> its rate key, canonical constraint set and four-case oracle
+ORACLES = {
+    "differential_rates": ("R", NO_SHORTING, reference_diffrates),
+    "short_rebate": ("rL", NO_BORROWING, reference_short),
+}
+
+
+def _assert_matches_reference(params, gamma, variant, rate, rel=0.0):
     """optimal_portfolio on the margin's canonical set against the four-case
-    oracle: the same error type, or the same case and pi within rel."""
-    K, reference = (
-        (NO_SHORTING, reference_diffrates)
-        if isinstance(params.margin, DifferentialRates)
-        else (NO_BORROWING, reference_short)
-    )
+    oracle of the margin variant with that rate: the same error type, or
+    the same case and pi within rel."""
+    _, K, reference = ORACLES[variant]
     got, got_error = _outcome(optimal_portfolio, params, K, gamma)
-    ref, ref_error = _outcome(reference, params, gamma)
+    ref, ref_error = _outcome(reference, params, gamma, rate)
     if got_error is InfeasiblePolicyError and ref is not None:
         # the oracle returns its weight uncertified; the solver refuses one
         # whose conjugacy residual exceeds its scale-aware bound
@@ -250,7 +250,7 @@ class TestFourCaseSolvers:
         # a market with h(0) < r sits in case 1
         p = RegimeMarketParams(
             r=0.07, mu=-0.05, lam=1.0, dist=ExponentialPositive(10.0),
-            margin=DifferentialRates(0.07, 0.08),
+            margin=PiecewiseLinearConcave.differential_rates(0.07, 0.08),
         )
         assert optimal_portfolio(p, NO_SHORTING, 0.5).case == 1
         assert optimal_portfolio(p, NO_SHORTING, 0.5).pi == 0.0
@@ -258,7 +258,7 @@ class TestFourCaseSolvers:
     def test_diffrates_model_assumption(self):
         p = RegimeMarketParams(
             r=0.01, mu=0.05, lam=1.0, dist=ExponentialPositive(10.0),
-            margin=DifferentialRates(0.01, 0.02),
+            margin=PiecewiseLinearConcave.differential_rates(0.01, 0.02),
         )
         with pytest.raises(ModelAssumptionError):
             optimal_portfolio(p, NO_SHORTING, 0.5)  # R = 0.02 < mu
@@ -274,7 +274,7 @@ class TestFourCaseSolvers:
     def test_short_model_assumption(self):
         p = RegimeMarketParams(
             r=0.03, mu=0.005, lam=1.0, dist=ExponentialNegative(10.0),
-            margin=ShortRebate(0.03, 0.05),
+            margin=PiecewiseLinearConcave.short_rebate(0.03, 0.05),
         )
         with pytest.raises(ModelAssumptionError):
             optimal_portfolio(p, NO_BORROWING, 0.5)  # mu <= 2r - rL
@@ -292,13 +292,13 @@ class TestFourCaseSolvers:
 class TestGenericSolver:
     def test_matches_named_diffrates(self):
         for g in (0.0, 0.3, 0.5, 0.8):
-            named = reference_diffrates(PARAMS_UP, g)
+            named = reference_diffrates(PARAMS_UP, g, 0.05)
             generic = optimal_portfolio(PARAMS_UP, NO_SHORTING, g)
             assert generic.pi == pytest.approx(named.pi, abs=1e-9)
 
     def test_matches_named_short(self):
         for g in (0.0, 0.3, 0.5):
-            named = reference_short(PARAMS_DOWN, g)
+            named = reference_short(PARAMS_DOWN, g, 0.05)
             generic = optimal_portfolio(PARAMS_DOWN, NO_BORROWING, g)
             assert generic.pi == pytest.approx(named.pi, rel=1e-7)
 
@@ -313,19 +313,23 @@ class TestGenericSolver:
     )
     def test_matches_reference_on_figure_sweeps(self, name, regime):
         """The 200 gammas of figures 2 and 4: bit-equal weights and cases."""
-        params = load_config(CONFIGS / f"{name}.yaml").market.regimes[regime]
+        config = load_config(CONFIGS / f"{name}.yaml")
+        params = config.market.regimes[regime]
+        margin = config.raw["model"]["regimes"][regime]["margin"]
+        variant = margin["variant"]
+        rate = float(margin[ORACLES[variant][0]])
         for g in np.linspace(0.0, 0.99, 200):
-            _assert_matches_reference(params, float(g))
+            _assert_matches_reference(params, float(g), variant, rate)
 
     def test_open_end_holds_no_case(self):
         """Two-point marks bound the short side at the open end -19.5, which
         holds no weight: a short optimum keeps the paper's case 1."""
         params = RegimeMarketParams(
             r=0.03, mu=0.03, lam=1.0, dist=TwoPoint(-0.2, 0.05, 0.5),
-            margin=ShortRebate(0.03, 0.05),
+            margin=PiecewiseLinearConcave.short_rebate(0.03, 0.05),
         )
         for g in (0.0, 0.5, 0.9):
-            _assert_matches_reference(params, g, rel=1e-12)
+            _assert_matches_reference(params, g, "short_rebate", 0.05, rel=1e-12)
         opt = optimal_portfolio(params, NO_BORROWING, 0.5)
         assert opt.case == 1 and -19.5 < opt.pi < 0.0
 
@@ -334,7 +338,8 @@ class TestGenericSolver:
         """h tends to mu as pi -> inf, so with no friction an optimum over
         [0, inf) needs mu < r."""
         params = RegimeMarketParams(
-            r=0.03, mu=mu, lam=1.0, dist=ExponentialPositive(10.0), margin=Frictionless()
+            r=0.03, mu=mu, lam=1.0, dist=ExponentialPositive(10.0),
+            margin=PiecewiseLinearConcave.frictionless(),
         )
         with pytest.raises(ModelAssumptionError, match="unbounded above"):
             optimal_portfolio(params, ConstraintSet(), 0.5)
@@ -358,7 +363,8 @@ class TestGenericSolver:
         conjugate over K alone; over the closed admissible weights it is
         inside, and the open piece left of the kink is case 1."""
         params = RegimeMarketParams(
-            r=r, mu=mu, lam=0.5, dist=TwoPoint(-0.05, 0.08, 0.5), margin=DifferentialRates(r, R)
+            r=r, mu=mu, lam=0.5, dist=TwoPoint(-0.05, 0.08, 0.5),
+            margin=PiecewiseLinearConcave.differential_rates(r, R),
         )
         K = ConstraintSet()
         opt = optimal_portfolio(params, K, 0.9)
@@ -378,10 +384,10 @@ class TestGenericSolver:
         and the solver returns the four-case oracle's weight."""
         params = RegimeMarketParams(
             r=0.0, mu=0.0625, lam=1.0, dist=ExponentialNegative(2.0),
-            margin=ShortRebate(0.0, 0.0),
+            margin=PiecewiseLinearConcave.short_rebate(0.0, 0.0),
         )
         got = optimal_portfolio(params, NO_BORROWING, 0.9375)
-        ref = reference_short(params, 0.9375)
+        ref = reference_short(params, 0.9375, 0.0)
         assert (got.case, got.pi) == (ref.case, ref.pi)
         assert got.pi < -1e11
         assert verify_conjugacy(params.margin, NO_BORROWING, got.pi, got.zeta) > 1e-9
@@ -392,13 +398,79 @@ class TestGenericSolver:
         1e-9 that ``verify`` applied before."""
         params = RegimeMarketParams(
             r=0.0, mu=0.0625, lam=1.0, dist=ExponentialNegative(2.0),
-            margin=ShortRebate(0.0, 0.0),
+            margin=PiecewiseLinearConcave.short_rebate(0.0, 0.0),
         )
         got = optimal_portfolio(params, NO_BORROWING, 0.9375)
         assert got.pi == pytest.approx(-9.97e11, rel=1e-3)
         residual = verify_conjugacy(params.margin, NO_BORROWING, got.pi, got.zeta)
         assert residual == pytest.approx(1.384e-05, rel=1e-3)
         assert 1e-9 < residual <= conjugacy_tolerance(params, got.pi, got.zeta)
+
+
+class TestTwoKinkMargin:
+    """Both frictions at once: g(pi) = -(R - r)(pi - 1)^+ - (rL - r)pi^-
+    over all weights, on one-regime markets with two-point marks, so the
+    admissible weights are a bounded open interval around [0, 1].  The
+    walk's five cells are: short at the fee, at 0, long unlevered, at the
+    kink pi = 1, and levered."""
+
+    r, rL, R = 0.03, 0.06, 0.05
+    DIST = TwoPoint(-0.1, 0.1, 0.5)
+    MARGIN = PiecewiseLinearConcave((0.0, 1.0), (rL - r, 0.0, -(R - r)))
+
+    def _params(self, mu):
+        return RegimeMarketParams(r=self.r, mu=mu, lam=1.0, dist=self.DIST, margin=self.MARGIN)
+
+    def _drift_for(self, case, gamma):
+        """A drift whose optimum lies in the cell: h is mu plus a term that
+        does not depend on mu, so each cell's band on h(0) or h(1) is a
+        band on mu."""
+        r, rL, R = self.r, self.rL, self.R
+        c0, c1 = (h_value(self._params(0.0), gamma, p) for p in (0.0, 1.0))
+        return {
+            1: (2.0 * r - rL) - 0.01 - c0,  # h(0) < 2r - rL
+            2: 0.5 * ((2.0 * r - rL) + r) - c0,  # 2r - rL <= h(0) <= r
+            3: r - 0.5 * (c0 + c1),  # h(1) < r < h(0)
+            4: 0.5 * (r + R) - c1,  # r <= h(1) <= R
+            5: R + 0.01 - c1,  # h(1) > R
+        }[case]
+
+    def _objective(self, params, gamma, pi):
+        """The concave one-regime objective whose first-order condition is
+        r - h(pi) in the superdifferential of g: the growth rate of
+        V^{1,pi,0} for log utility, its power analogue otherwise."""
+        f = np.expm1(np.array([self.DIST.y_lo, self.DIST.y_hi]))
+        factor = 1.0 + np.multiply.outer(pi, f)
+        psi = np.log(factor) if gamma == 0.0 else (factor**gamma - 1.0) / gamma
+        jump = psi @ np.array([1.0 - self.DIST.p_hi, self.DIST.p_hi])
+        return params.r + self.MARGIN.g(pi) + pi * (params.mu - params.r) + params.lam * jump
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
+    def test_an_optimum_in_each_cell(self, case, gamma):
+        params = self._params(self._drift_for(case, gamma))
+        K = ConstraintSet()
+        lo, hi, lo_closed, hi_closed = feasible_weight_interval(params, K)
+        assert lo < 0.0 < 1.0 < hi and not (lo_closed or hi_closed)
+        opt = optimal_portfolio(params, K, gamma)
+        assert opt.case == case
+        in_cell = {
+            1: opt.pi < 0.0,
+            2: opt.pi == 0.0,
+            3: 0.0 < opt.pi < 1.0,
+            4: opt.pi == 1.0,
+            5: opt.pi > 1.0,
+        }
+        assert in_cell[case], opt
+        cert = certify(params, K, gamma, opt.pi)
+        assert cert.residual <= cert.bound
+        # the objective is strictly concave, so on a grid its maximum lies
+        # at a neighbour of the optimum
+        grid, step = np.linspace(lo, hi, 200_001)[1:-1], (hi - lo) / 200_000
+        values = self._objective(params, gamma, grid)
+        best = self._objective(params, gamma, opt.pi)
+        assert best >= values.max() - 1e-15
+        assert abs(grid[np.argmax(values)] - opt.pi) <= step
 
 
 class TestPolicyBuilders:
@@ -544,7 +616,7 @@ def test_optimum_satisfies_first_order_band(gamma, rate):
     the conjugacy residual vanishes."""
     params = RegimeMarketParams(
         r=0.045, mu=-0.05, lam=1.0, dist=ExponentialPositive(rate),
-        margin=DifferentialRates(0.045, 0.05),
+        margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
     )
     opt = optimal_portfolio(params, NO_SHORTING, gamma)
     assert -0.005 - 1e-12 <= opt.zeta
@@ -566,9 +638,10 @@ def test_matches_reference_on_random_markets(r, mu, lam, rate, spread, gamma):
     """Both canonical margins: the same error type, or the same case and
     pi within 1e-12 relative (the target r - slope may differ from R or
     2r - rL in the last bit)."""
-    for dist, margin in (
-        (ExponentialPositive(rate), DifferentialRates(r, r + spread)),
-        (ExponentialNegative(rate), ShortRebate(r, r + spread)),
+    for dist, variant in (
+        (ExponentialPositive(rate), "differential_rates"),
+        (ExponentialNegative(rate), "short_rebate"),
     ):
+        margin = getattr(PiecewiseLinearConcave, variant)(r, r + spread)
         params = RegimeMarketParams(r=r, mu=mu, lam=lam, dist=dist, margin=margin)
-        _assert_matches_reference(params, gamma, rel=1e-12)
+        _assert_matches_reference(params, gamma, variant, r + spread, rel=1e-12)

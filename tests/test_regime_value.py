@@ -9,7 +9,7 @@ from jumpfolio.cli import main
 from jumpfolio.config import load_config
 from jumpfolio.distributions import ExponentialPositive
 from jumpfolio.errors import ConfigError
-from jumpfolio.frictions import DifferentialRates, NO_SHORTING
+from jumpfolio.frictions import NO_SHORTING, PiecewiseLinearConcave
 from jumpfolio.market import MarketModel, RegimeMarketParams
 from jumpfolio.mpp import GeneratorMatrix, jump_columns
 from jumpfolio.policy import Utility, log_optimal_policy, power_optimal_policy
@@ -27,10 +27,12 @@ UTILITIES = (Utility.log(), Utility.power(0.5))
 def two_regime_market(lam0=1.0, lam1=1.0, r1=0.03, mu1=0.01):
     dist = ExponentialPositive(10.0)
     p0 = RegimeMarketParams(
-        r=0.045, mu=-0.05, lam=lam0, dist=dist, margin=DifferentialRates(0.045, 0.05)
+        r=0.045, mu=-0.05, lam=lam0, dist=dist,
+        margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
     )
     p1 = RegimeMarketParams(
-        r=r1, mu=mu1, lam=lam1, dist=dist, margin=DifferentialRates(r1, 0.05)
+        r=r1, mu=mu1, lam=lam1, dist=dist,
+        margin=PiecewiseLinearConcave.differential_rates(r1, 0.05),
     )
     return MarketModel(
         gen=GeneratorMatrix(lam0, lam1), regimes=(p0, p1), constraint=NO_SHORTING
@@ -153,10 +155,12 @@ class TestSemianalytic:
         mkt_a = two_regime_market(lam0=0.8, lam1=1.4)
         dist = ExponentialPositive(10.0)
         p0 = RegimeMarketParams(
-            r=0.03, mu=0.01, lam=1.4, dist=dist, margin=DifferentialRates(0.03, 0.05)
+            r=0.03, mu=0.01, lam=1.4, dist=dist,
+            margin=PiecewiseLinearConcave.differential_rates(0.03, 0.05),
         )
         p1 = RegimeMarketParams(
-            r=0.045, mu=-0.05, lam=0.8, dist=dist, margin=DifferentialRates(0.045, 0.05)
+            r=0.045, mu=-0.05, lam=0.8, dist=dist,
+            margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         )
         mkt_b = MarketModel(
             gen=GeneratorMatrix(1.4, 0.8), regimes=(p0, p1), constraint=NO_SHORTING
@@ -274,7 +278,7 @@ class TestCorollaryComparison:
                     RegimeMarketParams(
                         r=r, mu=rng.uniform(-0.1, 0.1), lam=lam[i],
                         dist=ExponentialPositive(rng.uniform(5.0, 20.0)),
-                        margin=DifferentialRates(r, r + 0.02),
+                        margin=PiecewiseLinearConcave.differential_rates(r, r + 0.02),
                     )
                 )
             mkt = MarketModel(gen=GeneratorMatrix(*lam), regimes=tuple(regimes))

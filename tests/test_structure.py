@@ -1,4 +1,6 @@
-"""One admissible set and one certificate: only ``frictions`` and
+"""One margin class, one admissible set and one certificate: every
+margin is a ``PiecewiseLinearConcave``, only ``config`` pairs a margin
+variant with its canonical constraint set, only ``frictions`` and
 ``policy`` evaluate the margin's conjugate or its domain, and one
 comparison in src/ widens the domain by its rounding slack.  One sampler
 stores the sample, one module draws random numbers, one sweep makes
@@ -22,6 +24,53 @@ def _trees():
 def _called(node):
     func = node.func
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _defines(cls, name):
+    """Whether a class body defines name as a method or an attribute."""
+    for stmt in cls.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name == name:
+            return True
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return True
+    return False
+
+
+def test_one_margin_class():
+    """In src/, one class describes a margin (it defines g or its slopes),
+    and no class derives from it."""
+    classes = [
+        (module, node)
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
+    margins = {
+        (module, cls.name) for module, cls in classes if _defines(cls, "g") or _defines(cls, "slopes")
+    }
+    assert margins == {("frictions", "PiecewiseLinearConcave")}
+    bases = {
+        base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+        for _, cls in classes
+        for base in cls.bases
+    }
+    assert "PiecewiseLinearConcave" not in bases
+
+
+def test_only_config_maps_a_margin_variant_to_its_constraint():
+    """A margin carries no constraint set: in src/, only config reads the
+    canonical sets NO_SHORTING and NO_BORROWING, and nothing defines or
+    calls a canonical_constraint."""
+    assert {module for module, _ in _loads({"NO_SHORTING", "NO_BORROWING"})} == {"config"}
+    named = [
+        module
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if getattr(node, "name", None) == "canonical_constraint"
+        or getattr(node, "attr", None) == "canonical_constraint"
+    ]
+    assert named == []
 
 
 def test_only_frictions_and_policy_call_the_conjugate():
@@ -89,9 +138,12 @@ def test_only_simulate_ensemble_stores_a_stream():
 
 def test_only_stock_and_wealth_paths_call_the_row_engine():
     """The row engine serves simulate alone: in src/, only wealth_path and
-    stock_path evaluate levels on ensemble rows and their reporting grids."""
-    callers = _callers({"_path_log_level", "_report_grid"})
-    assert callers == {("market", "wealth_path"), ("market", "stock_path")}
+    stock_path evaluate levels on ensemble rows, and only they and the
+    simulate command, which builds one grid per block for both, build
+    reporting grids."""
+    paths = {("market", "wealth_path"), ("market", "stock_path")}
+    assert _callers({"_path_log_level"}) == paths
+    assert _callers({"report_grid"}) == paths | {("cli", "cmd_simulate")}
 
 
 # a law's sampler and every drawing method of a numpy Generator

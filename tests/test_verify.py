@@ -12,7 +12,7 @@ from jumpfolio import mpp, verify
 from jumpfolio.distributions import ExponentialPositive, TwoPoint
 from jumpfolio.config import load_config, parse_config
 from jumpfolio.errors import ConfigError, DomainError, InfeasiblePolicyError
-from jumpfolio.frictions import DifferentialRates, NO_SHORTING
+from jumpfolio.frictions import NO_SHORTING, PiecewiseLinearConcave
 from jumpfolio.market import (
     MarketModel,
     ProportionalConsumption,
@@ -23,7 +23,7 @@ from jumpfolio.market import (
     wealth_path,
     _log_jump,
     _path_log_level,
-    _report_grid,
+    report_grid,
 )
 from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, jump_columns, simulate_ensemble
 from jumpfolio.policy import (
@@ -79,7 +79,8 @@ def sweep(ens, drift, jumps, **level):
 def make_market(lam=1.0):
     dist = ExponentialPositive(10.0)
     params = RegimeMarketParams(
-        r=0.045, mu=-0.05, lam=lam, dist=dist, margin=DifferentialRates(0.045, 0.05)
+        r=0.045, mu=-0.05, lam=lam, dist=dist,
+        margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
     )
     return MarketModel(
         gen=GeneratorMatrix(lam, lam), regimes=(params, params), constraint=NO_SHORTING
@@ -103,18 +104,20 @@ class TestEnsembleFunctionals:
         if kind == "wealth":
             drift, jumps = _wealth_terms(mkt, (pi, pi))
             return drift, jumps, lambda rows: wealth_path(
-                1.0, mkt, pi, ZeroConsumption(), rows, n_grid=1
+                1.0, mkt, pi, ZeroConsumption(), rows, grid=report_grid(rows, 1)
             ).v_gross
         if kind == "stock":
             drift = [p.mu for p in mkt.regimes]
             jumps = [lambda y: np.log1p(mkt.f(y))] * 2
-            return drift, jumps, lambda rows: stock_path(mkt, rows, s0=1.0, n_grid=1)[1]
+            return drift, jumps, lambda rows: stock_path(
+                mkt, rows, s0=1.0, grid=report_grid(rows, 1)
+            )[1]
         spec = state_price_spec(mkt, NO_SHORTING, log_optimal_policy(mkt, 1.0, 2.0))
         drift, jumps = spec.drift(mkt), h_jump_logs(mkt, spec)
         return (
             drift,
             jumps,
-            lambda rows: np.exp(_path_log_level(rows, _report_grid(rows, 1), drift, jumps)),
+            lambda rows: np.exp(_path_log_level(rows, report_grid(rows, 1), drift, jumps)),
         )
 
     @pytest.mark.parametrize("kind", ["wealth", "stock", "state_price"])
@@ -132,7 +135,7 @@ class TestEnsembleFunctionals:
         """Trapezoid of transform(log V) over a one-row ensemble, with
         jump-time right endpoints replaced by their left limits (log V is
         right-continuous)."""
-        wp = wealth_path(1.0, mkt, pi, ZeroConsumption(), row, n_grid=n_grid)
+        wp = wealth_path(1.0, mkt, pi, ZeroConsumption(), row, grid=report_grid(row, n_grid))
         t, log_v = wp.t[0], np.log(wp.v_gross[0])
         f = mkt.f
         jump_log = {
@@ -435,7 +438,8 @@ class TestInfeasiblePolicy:
         """pi = 1.5 against a mark with e^y - 1 = e^-2 - 1 gives 1 + pi f < 0."""
         dist = TwoPoint(y_lo=-2.0, y_hi=0.5, p_hi=0.5)
         params = RegimeMarketParams(
-            r=0.045, mu=-5.0, lam=1.0, dist=dist, margin=DifferentialRates(0.045, 0.05)
+            r=0.045, mu=-5.0, lam=1.0, dist=dist,
+            margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         )
         mkt = MarketModel(
             gen=GeneratorMatrix(1.0, 1.0), regimes=(params, params), constraint=NO_SHORTING
@@ -461,7 +465,8 @@ class TestInfeasiblePolicy:
         the budget pair's factor 1 + 1.5 (e^-2 - 1) < 0 at the low mark."""
         dist = TwoPoint(y_lo=-2.0, y_hi=0.5, p_hi=0.5)
         params = RegimeMarketParams(
-            r=0.045, mu=0.06, lam=1.0, dist=dist, margin=DifferentialRates(0.045, 0.05)
+            r=0.045, mu=0.06, lam=1.0, dist=dist,
+            margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         )
         mkt = MarketModel(
             gen=GeneratorMatrix(1.0, 1.0), regimes=(params, params), constraint=NO_SHORTING
@@ -524,7 +529,7 @@ class TestStatePrice:
         pol = log_optimal_policy(mkt, 1.0, 2.0)
         spec = state_price_spec(mkt, NO_SHORTING, pol)
         row = ensemble(mkt, 2.0, 1, 77)
-        grid = _report_grid(row)
+        grid = report_grid(row)
         log_h = _path_log_level(row, grid, spec.drift(mkt), h_jump_logs(mkt, spec))[0]
         t, H = grid[0][0], np.exp(log_h)
         assert t[0] == 0.0 and H[0] == 1.0
@@ -563,7 +568,7 @@ class TestStatePrice:
             counts=np.array([1, 1]),
             seed=None,
         )
-        log_h = _path_log_level(rows, _report_grid(rows), spec.drift(mkt), h_jump_logs(mkt, spec))
+        log_h = _path_log_level(rows, report_grid(rows), spec.drift(mkt), h_jump_logs(mkt, spec))
         assert np.all(np.isfinite(log_h))
         assert log_h[0, -1] == pytest.approx(spec.drift(mkt)[0] * 1.0 + 40.0, rel=1e-12)
         # no InfeasiblePolicyError
@@ -642,7 +647,8 @@ class TestExpectedUtility:
         """lam=0 gives a deterministic wealth: J = (x e^{bT})^g / g."""
         dist = ExponentialPositive(10.0)
         params = RegimeMarketParams(
-            r=0.045, mu=0.06, lam=0.0, dist=dist, margin=DifferentialRates(0.045, 0.05)
+            r=0.045, mu=0.06, lam=0.0, dist=dist,
+            margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         )
         mkt = MarketModel(
             gen=GeneratorMatrix(0.0, 0.0), regimes=(params, params),
@@ -659,7 +665,8 @@ class TestExpectedUtility:
     def test_log_with_consumption_no_jump_oracle(self):
         dist = ExponentialPositive(10.0)
         params = RegimeMarketParams(
-            r=0.03, mu=0.05, lam=0.0, dist=dist, margin=DifferentialRates(0.03, 0.05)
+            r=0.03, mu=0.05, lam=0.0, dist=dist,
+            margin=PiecewiseLinearConcave.differential_rates(0.03, 0.05),
         )
         mkt = MarketModel(
             gen=GeneratorMatrix(0.0, 0.0), regimes=(params, params),
@@ -748,7 +755,7 @@ class TestBatchedIdentities:
         mkt, T = cfg.market, cfg.horizon
         ens = simulate_ensemble(mkt.gen, 1, T, mkt.dists, 30, 5)
         drift, jumps = _wealth_terms(mkt, (0.8, 1.3))
-        grid = _report_grid(ens)
+        grid = report_grid(ens)
         level = _path_log_level(ens, grid, drift, jumps)
         for p in range(ens.n_paths):
             row = ens.rows(p, p + 1)
@@ -840,11 +847,11 @@ class TestGridSearch:
         a mark law shared by mistake changes the rows."""
         p0 = RegimeMarketParams(
             r=0.045, mu=-0.05, lam=2.0, dist=ExponentialPositive(10.0),
-            margin=DifferentialRates(0.045, 0.05),
+            margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         )
         p1 = RegimeMarketParams(
             r=0.03, mu=0.02, lam=0.5, dist=TwoPoint(-0.05, 0.08, 0.6),
-            margin=DifferentialRates(0.03, 0.05),
+            margin=PiecewiseLinearConcave.differential_rates(0.03, 0.05),
         )
         mkt = MarketModel(gen=GeneratorMatrix(2.0, 0.5), regimes=(p0, p1))
         grid = np.round(np.linspace(-0.5, 1.5, 21), 10)
@@ -888,11 +895,11 @@ class TestGridSearch:
         below it, so the weight 0 is feasible in both and gets a row."""
         p0 = RegimeMarketParams(
             r=0.045, mu=-0.05, lam=2.0, dist=ExponentialPositive(10.0),
-            margin=DifferentialRates(0.045, 0.05),
+            margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         )
         p1 = RegimeMarketParams(
             r=0.03, mu=0.02, lam=0.5, dist=TwoPoint(-0.05, 0.08, 0.6),
-            margin=DifferentialRates(0.03, 0.05),
+            margin=PiecewiseLinearConcave.differential_rates(0.03, 0.05),
         )
         mkt = MarketModel(gen=GeneratorMatrix(2.0, 0.5), regimes=(p0, p1))
         _, rows = grid_search_constant_portfolio(
