@@ -135,12 +135,12 @@ def _parse_distribution(node, path):
     )
 
 
-# margin variant -> its rate key (None: it takes none) and its canonical
-# constraint set; the variant names PiecewiseLinearConcave's constructor
+# margin variant -> its rate key (None: it takes none), its constructor and
+# its canonical constraint set
 _MARGIN_VARIANTS = {
-    "frictionless": (None, ConstraintSet()),
-    "differential_rates": ("R", NO_SHORTING),
-    "short_rebate": ("rL", NO_BORROWING),
+    "frictionless": (None, PiecewiseLinearConcave.frictionless, ConstraintSet()),
+    "differential_rates": ("R", PiecewiseLinearConcave.differential_rates, NO_SHORTING),
+    "short_rebate": ("rL", PiecewiseLinearConcave.short_rebate, NO_BORROWING),
 }
 _FRICTIONLESS = {"variant": "frictionless"}
 
@@ -153,8 +153,7 @@ def _parse_margin(node, r, path):
             f"unknown margin variant {variant!r} at {path}.variant",
             field=f"{path}.variant",
         )
-    key, _ = _MARGIN_VARIANTS[variant]
-    build = getattr(PiecewiseLinearConcave, variant)
+    key, build, _ = _MARGIN_VARIANTS[variant]
     if key is None:
         _reject_unknown(node, {"variant"}, path)
         return build()
@@ -256,7 +255,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
         )
     else:  # the canonical set of regime 0's margin variant
         margin = regimes_node[0].get("margin") or _FRICTIONLESS
-        constraint = _MARGIN_VARIANTS[margin["variant"]][1]
+        constraint = _MARGIN_VARIANTS[margin["variant"]][2]
 
     market = MarketModel(
         gen=GeneratorMatrix(regimes[0].lam, regimes[1].lam),
