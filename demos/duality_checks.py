@@ -13,7 +13,6 @@ import numpy as np
 from jumpfolio import (
     NO_SHORTING,
     ExponentialPositive,
-    GeneratorMatrix,
     MarketModel,
     PiecewiseLinearConcave,
     RegimeMarketParams,
@@ -37,11 +36,7 @@ params = RegimeMarketParams(
     dist=ExponentialPositive(10.0),
     margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
 )
-market = MarketModel(
-    gen=GeneratorMatrix(1.0, 1.0),
-    regimes=(params, params),
-    constraint=NO_SHORTING,
-)
+market = MarketModel(regimes=(params, params), constraint=NO_SHORTING)
 K = market.constraint
 policy = log_optimal_policy(market, X0, T)
 print(f"log-optimal weight: {policy.pi[0]:.10f} (case {policy.cases[0]})")

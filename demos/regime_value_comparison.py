@@ -9,7 +9,6 @@ Monte Carlo.
 from jumpfolio import (
     ExponentialNegative,
     ExponentialPositive,
-    GeneratorMatrix,
     MarketModel,
     PiecewiseLinearConcave,
     RegimeMarketParams,
@@ -26,7 +25,6 @@ from jumpfolio.verify import expected_utility_mc, sweep_estimates
 X0, T, SEED, N_PATHS = 1.0, 1.0, 20260823, 100_000
 
 market = MarketModel(
-    gen=GeneratorMatrix(1.0, 2.0),
     regimes=(
         RegimeMarketParams(
             r=0.045, mu=-0.05, lam=1.0,

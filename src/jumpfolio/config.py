@@ -54,7 +54,6 @@ from .distributions import (
 from .errors import ConfigError
 from .frictions import NO_BORROWING, NO_SHORTING, ConstraintSet, PiecewiseLinearConcave
 from .market import MarketModel, RegimeMarketParams
-from .mpp import GeneratorMatrix
 from .policy import Utility
 
 OUTPUT_DIR_ENV = "JUMPFOLIO_OUTPUT_DIR"
@@ -257,11 +256,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
         margin = regimes_node[0].get("margin") or _FRICTIONLESS
         constraint = _MARGIN_VARIANTS[margin["variant"]][2]
 
-    market = MarketModel(
-        gen=GeneratorMatrix(regimes[0].lam, regimes[1].lam),
-        regimes=tuple(regimes),
-        constraint=constraint,
-    )
+    market = MarketModel(regimes=tuple(regimes), constraint=constraint)
 
     horizon = _require(data, "horizon", "config", float)
     if not (math.isfinite(horizon) and horizon > 0):

@@ -17,6 +17,7 @@ attainable, so that floor is the only relaxation of ``tol``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,6 +195,9 @@ class TwoPoint(JumpDistribution):
     p_hi: float
 
     def __post_init__(self):
+        for name, value in (("y_lo", self.y_lo), ("y_hi", self.y_hi)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} = {value} must be finite", field=name)
         if not 0.0 <= self.p_hi <= 1.0:
             raise ConfigError("p_hi must lie in [0, 1]", field="p_hi")
 
@@ -243,6 +247,9 @@ class Tabulated(JumpDistribution):
         object.__setattr__(self, "density", density)
         if grid.ndim != 1 or grid.shape != density.shape or grid.size < 2:
             raise ConfigError("grid and density must be 1-d arrays of equal length >= 2")
+        for name, values in (("grid", grid), ("density", density)):
+            if not np.all(np.isfinite(values)):
+                raise ConfigError(f"{name} values must be finite", field=name)
         if np.any(np.diff(grid) <= 0):
             raise ConfigError("grid must be strictly increasing", field="grid")
         if np.any(density < 0):

@@ -37,8 +37,6 @@ class ConstraintSet:
     def __post_init__(self):
         if not (self.lower <= 0.0 <= self.upper):
             raise ConfigError("constraint interval must contain 0")
-        if self.lower > self.upper:
-            raise ConfigError("constraint interval is empty")
 
     def contains(self, pi):
         return self.lower <= pi <= self.upper
@@ -66,7 +64,7 @@ class PiecewiseLinearConcave:
             raise ConfigError("need exactly one slope more than breakpoints")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ConfigError("breakpoints must be strictly increasing")
-        if any(s2 > s1 + 1e-15 for s1, s2 in zip(sl, sl[1:])):
+        if any(s2 > s1 for s1, s2 in zip(sl, sl[1:])):
             raise ConfigError("slopes must be nonincreasing (concavity)")
 
     @classmethod
@@ -77,6 +75,8 @@ class PiecewiseLinearConcave:
     @classmethod
     def differential_rates(cls, r, R) -> PiecewiseLinearConcave:
         """Borrowing above the lending rate: g(pi) = -(R - r) * (pi - 1)^+."""
+        if not math.isfinite(R):
+            raise ConfigError(f"borrowing rate R = {R} must be finite", field="R")
         if R < r:
             raise ConfigError(
                 f"borrowing rate R = {R} is below the lending rate r = {r}", field="R"
@@ -86,6 +86,8 @@ class PiecewiseLinearConcave:
     @classmethod
     def short_rebate(cls, r, rL) -> PiecewiseLinearConcave:
         """Short positions pay the stock-loan fee: g(pi) = (r - rL) * pi^-."""
+        if not math.isfinite(rL):
+            raise ConfigError(f"stock loan fee rL = {rL} must be finite", field="rL")
         if rL < r:
             raise ConfigError(f"stock loan fee rL = {rL} is below the rate r = {r}", field="rL")
         return cls((0.0,), (rL - r, 0.0))

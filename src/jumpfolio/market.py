@@ -64,8 +64,13 @@ class RegimeMarketParams:
     margin: PiecewiseLinearConcave = field(default_factory=PiecewiseLinearConcave.frictionless)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError("event intensity must be nonnegative", field="lam")
+        for name, value in (("r", self.r), ("mu", self.mu)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} = {value} must be finite", field=name)
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(
+                f"event intensity lam = {self.lam} must be finite and nonnegative", field="lam"
+            )
         lo, _ = transform_range(self.dist, self.transform)
         if lo <= -1.0 and self.transform == "identity":
             raise ConfigError(
@@ -80,11 +85,16 @@ class RegimeMarketParams:
 
 @dataclass(frozen=True)
 class MarketModel:
-    """Two-regime market: chain generator plus per-regime coefficients."""
+    """Two-regime market: per-regime coefficients and the chain they imply.
 
-    gen: GeneratorMatrix
+    Every event is a jump of the chain, so the chain's exit rate from
+    regime i is regime i's event intensity: ``gen`` is derived from the
+    regimes' ``lam``, never given.
+    """
+
     regimes: tuple  # (RegimeMarketParams, RegimeMarketParams)
     constraint: ConstraintSet = field(default_factory=ConstraintSet)
+    gen: GeneratorMatrix = field(init=False, compare=False)
 
     def __post_init__(self):
         if len(self.regimes) != 2:
@@ -92,15 +102,7 @@ class MarketModel:
         t0 = self.regimes[0].transform
         if self.regimes[1].transform != t0:
             raise ConfigError("both regimes must share the jump transform")
-        # events are the chain's own jumps, so the per-regime event
-        # intensity must equal the chain's exit rate from that regime
-        for i, rate in enumerate((self.gen.lambda0, self.gen.lambda1)):
-            if self.regimes[i].lam != rate:
-                raise ConfigError(
-                    f"regime {i} event intensity {self.regimes[i].lam} does not "
-                    f"match the chain rate {rate}",
-                    field=f"regimes[{i}].lam",
-                )
+        object.__setattr__(self, "gen", GeneratorMatrix(self.regimes[0].lam, self.regimes[1].lam))
 
     @property
     def dists(self):

@@ -8,9 +8,10 @@ pass, column by column, until no path is left inside the horizon.
 ``jump_columns`` is that pass: it yields each column as it is drawn (a
 ``ColumnStream``), so a reader that needs only per-path accumulators,
 such as the verification layer's sweep, never holds more than a column.
-``simulate_ensemble`` stores every column of the same pass in a
-``PathEnsemble``, the one stored path type: column-major rectangular
-arrays padded only to the longest path; a path is a row of it (a block
+``simulate_ensemble`` keeps every column of the same pass and lays them
+out, once the longest path is known, in a ``PathEnsemble``, the one
+stored path type: column-major rectangular arrays padded only to the
+longest path; a path is a row of it (a block
 of rows is ``PathEnsemble.rows``), and ``PathEnsemble.columns`` streams
 the stored columns again, the one way a stored sample is swept.
 
@@ -39,13 +40,6 @@ from .errors import ConfigError
 _MAX_WIDTH = 1 << 20
 
 
-def seed_sequence(seed) -> np.random.SeedSequence:
-    """Wrap an integer seed, passing SeedSequence children through untouched."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Intensity matrix of the two-state chain, parameterised by its off-diagonal rates."""
@@ -54,7 +48,7 @@ class GeneratorMatrix:
     lambda1: float
 
     def __post_init__(self):
-        if self.lambda0 < 0 or self.lambda1 < 0:
+        if not (self.lambda0 >= 0 and self.lambda1 >= 0):
             raise ConfigError("chain rates must be nonnegative")
 
     @property
@@ -146,15 +140,13 @@ class ColumnStream:
     one of those has a j-th jump.  A path missing from a column has left
     the horizon and appears in no later column.  The stream ends before
     the first column with no path left.  The pre-jump state of column j
-    is ``(initial_state + j) % 2``.  ``capacity`` is how many columns a
-    store of the stream reserves at first.
+    is ``(initial_state + j) % 2``.
     """
 
     initial_state: int
     horizon: float
     n_paths: int
     seed: object
-    capacity: int
     columns: Iterator
 
 
@@ -201,7 +193,6 @@ class PathEnsemble:
             horizon=self.horizon,
             n_paths=self.n_paths,
             seed=self.seed,
-            capacity=self.times.shape[1],
             columns=self._compacted_columns(),
         )
 
@@ -242,10 +233,9 @@ def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, s
         raise ConfigError("horizon T must be positive")
     if n_paths < 1:
         raise ConfigError(f"an ensemble needs at least one path, got {n_paths}")
-    mean = gen.mean_jump_count(i0, T)
-    if mean > _MAX_WIDTH:
+    if gen.mean_jump_count(i0, T) > _MAX_WIDTH:
         raise _too_wide(gen, T)
-    chain_ss, mark_ss = seed_sequence(seed).spawn(2)
+    chain_ss, mark_ss = np.random.SeedSequence(seed).spawn(2)
     chain_rng = np.random.default_rng(chain_ss)
     mark_rng = np.random.default_rng(mark_ss)
     return ColumnStream(
@@ -253,8 +243,6 @@ def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, s
         horizon=T,
         n_paths=n_paths,
         seed=seed,
-        # N_T seldom strays more than a few sqrt(mean) past its mean
-        capacity=min(_MAX_WIDTH, int(mean + 8.0 * math.sqrt(mean)) + 16),
         columns=_draw_columns(gen, i0, T, dists, n_paths, chain_rng, mark_rng),
     )
 
@@ -285,41 +273,26 @@ def _draw_columns(gen, i0, T, dists, n, chain_rng, mark_rng):
         yield t, dists[state].sample(t.size, mark_rng), keep
 
 
-def _widened(a, capacity):
-    wider = np.empty((a.shape[0], capacity), order="F")
-    wider[:, : a.shape[1]] = a
-    return wider
-
-
 def simulate_ensemble(
     gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed
 ) -> PathEnsemble:
     """Simulate n_paths marked point paths into padded arrays: every column
-    of ``jump_columns``, stored as it is drawn.  The column-major arrays
-    are sized once to the stream's capacity, widened by doubling only if a
-    path outgrows that, and cut to the longest path in place.
+    of ``jump_columns``, kept as it is drawn with the positions of its
+    paths, and laid out once the width, the longest path, is known.
     """
-    stream = jump_columns(gen, i0, T, dists, n_paths, seed)
-    times = np.empty((n_paths, stream.capacity), order="F")
-    marks = np.empty_like(times)
-    counts = np.zeros(n_paths, dtype=int)
+    drawn = []
     rows = np.arange(n_paths)  # the paths of the last column, in order
-    for j, (t, m, keep) in enumerate(stream.columns):
+    for t, m, keep in jump_columns(gen, i0, T, dists, n_paths, seed).columns:
         if keep is not None:
             rows = rows[keep]
-        if j == times.shape[1]:
-            wider = min(_MAX_WIDTH, 2 * j)
-            times, marks = _widened(times, wider), _widened(marks, wider)
-        times[:, j] = np.inf
-        marks[:, j] = 0.0
+        drawn.append((rows, t, m))
+    times = np.full((n_paths, len(drawn)), np.inf, order="F")
+    marks = np.zeros_like(times)
+    counts = np.zeros(n_paths, dtype=int)
+    for j, (rows, t, m) in enumerate(drawn):
         times[rows, j] = t
         marks[rows, j] = m
-        counts[rows] += 1
-    # a Fortran-ordered resize keeps the leading columns; no view of the
-    # arrays is alive here
-    shape = (n_paths, int(counts.max()))
-    times.resize(shape, refcheck=False)
-    marks.resize(shape, refcheck=False)
+        counts[rows] = j + 1
     return PathEnsemble(
         initial_state=i0, horizon=T, times=times, marks=marks, counts=counts, seed=seed
     )

@@ -54,6 +54,11 @@ BASE = {
 }
 
 
+MARGIN = "config.model.regimes[0].margin"
+TWO_POINT = {"variant": "two_point", "y_lo": -0.1, "y_hi": 0.1, "p_hi": 0.5}
+TABULATED = {"variant": "tabulated", "grid": [0.0, 0.5, 1.0], "density": [1.0, 1.0, 1.0]}
+
+
 def write_config(tmp_path, data, name="cfg.yaml"):
     p = tmp_path / name
     p.write_text(yaml.safe_dump(data))
@@ -206,6 +211,44 @@ class TestCliExitCodes:
         path = write_config(tmp_path, data)
         assert main([command, path, flag, value]) == 1
         assert f"config.{field} must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [
+            pytest.param("r", math.nan, "r", id="r-nan"),
+            pytest.param("mu", math.nan, "mu", id="mu-nan"),
+            pytest.param("lam", math.nan, "lam", id="lam-nan"),
+            pytest.param("lam", math.inf, "lam", id="lam-inf"),
+            pytest.param("lam", -1.0, "lam", id="lam-negative"),
+            pytest.param(
+                "margin", {"variant": "differential_rates", "R": math.nan}, f"{MARGIN}.R", id="R-nan"
+            ),
+            pytest.param(
+                "margin", {"variant": "short_rebate", "rL": math.nan}, f"{MARGIN}.rL", id="rL-nan"
+            ),
+            pytest.param("distribution", {**TWO_POINT, "y_lo": math.nan}, "y_lo", id="y_lo-nan"),
+            pytest.param("distribution", {**TWO_POINT, "y_hi": math.inf}, "y_hi", id="y_hi-inf"),
+            pytest.param(
+                "distribution", {**TABULATED, "grid": [0.0, math.nan, 1.0]}, "grid", id="grid-nan"
+            ),
+            pytest.param(
+                "distribution",
+                {**TABULATED, "density": [1.0, math.nan, 1.0]},
+                "density",
+                id="density-nan",
+            ),
+        ],
+    )
+    def test_non_finite_model_input_exit_1(self, tmp_path, capsys, key, value, field):
+        """A non-finite or negative model input is a config error naming its
+        field, not an infeasible model (exit 2) or a solved one (exit 0)."""
+        data = copy.deepcopy(BASE)
+        data["utility"] = {"variant": "log"}
+        data["model"]["regimes"][0][key] = value
+        path = write_config(tmp_path, data)
+        assert main(["optimize", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "must be finite" in err
 
     @pytest.mark.parametrize("command", ["verify", "value"])
     def test_one_path_monte_carlo_exit_1(self, tmp_path, capsys, command):

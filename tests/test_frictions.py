@@ -66,10 +66,22 @@ class TestMarginEvaluation:
             PiecewiseLinearConcave.differential_rates(r=0.05, R=0.04)
         with pytest.raises(ConfigError):
             PiecewiseLinearConcave.short_rebate(r=0.05, rL=0.04)
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="must be finite"):
+                PiecewiseLinearConcave.differential_rates(r=0.05, R=rate)
+            with pytest.raises(ConfigError, match="must be finite"):
+                PiecewiseLinearConcave.short_rebate(r=0.05, rL=rate)
 
     def test_piecewise_concavity_enforced(self):
         with pytest.raises(ConfigError):
             PiecewiseLinearConcave(breakpoints=(0.0,), slopes=(-0.1, 0.2))
+        # no rise is forgiven: a slope up by 9e-16 is convex
+        with pytest.raises(ConfigError, match="concavity"):
+            PiecewiseLinearConcave(breakpoints=(0.0,), slopes=(0.0, 9e-16))
+        # equal slopes (no kink) and the constructors at equal rates are concave
+        assert PiecewiseLinearConcave((0.0,), (0.01, 0.01)).g(-2.0) == -0.02
+        assert PiecewiseLinearConcave.differential_rates(0.05, 0.05).g(3.0) == 0.0
+        assert PiecewiseLinearConcave.short_rebate(0.05, 0.05).g(-3.0) == 0.0
 
     def test_piecewise_general_evaluation(self):
         g = PiecewiseLinearConcave(breakpoints=(-1.0, 1.0), slopes=(0.3, 0.1, -0.2))

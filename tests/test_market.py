@@ -30,11 +30,7 @@ from jumpfolio.market import (
     stock_path,
     wealth_path,
 )
-from jumpfolio.mpp import (
-    GeneratorMatrix,
-    PathEnsemble,
-    simulate_ensemble,
-)
+from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, simulate_ensemble
 from jumpfolio.policy import log_optimal_policy
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,9 +43,7 @@ def make_market(lam=1.0, r=0.045, mu=-0.05, R=0.05, rate=10.0):
     params = RegimeMarketParams(
         r=r, mu=mu, lam=lam, dist=dist, margin=PiecewiseLinearConcave.differential_rates(r, R)
     )
-    return MarketModel(
-        gen=GeneratorMatrix(lam, lam), regimes=(params, params), constraint=NO_SHORTING
-    )
+    return MarketModel(regimes=(params, params), constraint=NO_SHORTING)
 
 
 def fixed_path(times, marks, T=2.0, i0=0):
@@ -70,12 +64,17 @@ def gross_wealth(mkt, pi, path):
 
 
 class TestModelValidation:
-    def test_intensity_must_match_chain_rate(self):
+    def test_chain_is_derived_from_the_intensities(self):
+        """Events are the chain's jumps: its exit rates are the regimes' lam,
+        and no chain can be passed in."""
         dist = ExponentialPositive(10.0)
         p0 = RegimeMarketParams(r=0.0, mu=0.0, lam=1.0, dist=dist)
         p1 = RegimeMarketParams(r=0.0, mu=0.0, lam=2.0, dist=dist)
-        with pytest.raises(ConfigError):
-            MarketModel(gen=GeneratorMatrix(1.0, 1.0), regimes=(p0, p1))
+        mkt = MarketModel(regimes=(p0, p1))
+        assert mkt.gen == GeneratorMatrix(1.0, 2.0)
+        assert MarketModel(regimes=(p1, p0)).gen == GeneratorMatrix(2.0, 1.0)
+        with pytest.raises(TypeError):
+            MarketModel(gen=GeneratorMatrix(1.0, 2.0), regimes=(p0, p1))
 
     def test_transform_names(self):
         f = jump_transform("exponential")
@@ -155,7 +154,7 @@ class TestGrossWealth:
     def test_bankruptcy_raises(self):
         dist = TwoPoint(y_lo=-2.0, y_hi=0.5, p_hi=0.5)
         params = RegimeMarketParams(r=0.0, mu=0.0, lam=1.0, dist=dist)
-        mkt = MarketModel(gen=GeneratorMatrix(1.0, 1.0), regimes=(params, params))
+        mkt = MarketModel(regimes=(params, params))
         path = fixed_path([1.0], [-2.0], T=2.0)
         with pytest.raises(BankruptcyError) as exc:
             gross_wealth(mkt, 1.5, path)  # 1 + 1.5(e^-2 - 1) < 0

@@ -1,6 +1,8 @@
 import inspect
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy import stats
 
 import jumpfolio
 from jumpfolio import market, mpp, verify
+from jumpfolio.config import load_config
 from jumpfolio.distributions import ExponentialNegative, ExponentialPositive
 from jumpfolio.errors import ConfigError
 from jumpfolio.market import (
@@ -21,11 +24,13 @@ from jumpfolio.mpp import (
     GeneratorMatrix,
     PathEnsemble,
     jump_columns,
-    seed_sequence,
     simulate_ensemble,
 )
 
 DISTS = (ExponentialPositive(10.0), ExponentialNegative(10.0))
+REGIME_SWITCHING = (
+    Path(__file__).resolve().parents[1] / "demos" / "configs" / "regime_switching.yaml"
+)
 
 
 def scalar_column_loop(gen, i0, T, dists, n_paths, seed):
@@ -37,7 +42,7 @@ def scalar_column_loop(gen, i0, T, dists, n_paths, seed):
     each path whose new time is inside; it stops at the first column with
     no path inside [0, T].
     """
-    chain_ss, mark_ss = seed_sequence(seed).spawn(2)
+    chain_ss, mark_ss = np.random.SeedSequence(seed).spawn(2)
     chain_rng = np.random.default_rng(chain_ss)
     mark_rng = np.random.default_rng(mark_ss)
     t = [0.0] * n_paths
@@ -100,8 +105,9 @@ class TestGeneratorMatrix:
         assert GeneratorMatrix(0.0, 0.0).mean_jump_count(0, 2.0) == 0.0
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(ConfigError):
-            GeneratorMatrix(-1.0, 1.0)
+        for rates in ((-1.0, 1.0), (1.0, math.nan)):
+            with pytest.raises(ConfigError, match="nonnegative"):
+                GeneratorMatrix(*rates)
 
 
 def expm_ones(diag, off, T):
@@ -172,7 +178,7 @@ class TestRegimePath:
 
     def test_alternation(self):
         params = RegimeMarketParams(r=0.0, mu=0.0, lam=1.0, dist=DISTS[0])
-        mkt = MarketModel(gen=GeneratorMatrix(1.0, 1.0), regimes=(params, params))
+        mkt = MarketModel(regimes=(params, params))
         row = PathEnsemble(
             initial_state=1,
             horizon=3.0,
@@ -306,18 +312,22 @@ class TestEnsemble:
         ens = simulate_ensemble(gen, 0, 5.0, DISTS, 100, 1)
         assert np.all(ens.counts == 0)
 
-    def test_widening_changes_nothing(self, monkeypatch):
-        """Arrays sized too small for the longest path grow without
-        changing a cell."""
-        gen = GeneratorMatrix(30.0, 60.0)
-        ref = simulate_ensemble(gen, 1, 4.0, DISTS, 300, 13)
-        monkeypatch.setattr(GeneratorMatrix, "mean_jump_count", lambda self, i0, T: 0.0)
-        got = simulate_ensemble(gen, 1, 4.0, DISTS, 300, 13)
-        assert ref.times.shape[1] > 64  # sized for 16 columns, widened twice at least
-        assert np.array_equal(got.times, ref.times)
-        assert np.array_equal(got.marks, ref.marks)
-        assert np.array_equal(got.counts, ref.counts)
-        assert got.times.flags.f_contiguous and got.marks.flags.f_contiguous
+    def test_memory_is_the_drawn_sample(self):
+        """The arrays are laid out once, at the width of the longest path:
+        over 40,000 paths of regime_switching.yaml (8 columns, 5.1 MB of
+        times and marks) the traced peak stays below 10 MB."""
+        cfg = load_config(REGIME_SWITCHING)
+        mkt = cfg.market
+        tracemalloc.start()
+        try:
+            ens = simulate_ensemble(
+                mkt.gen, cfg.initial_state, cfg.horizon, mkt.dists, 40_000, cfg.seed
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.times.shape == (40_000, ens.counts.max())
+        assert peak < 10e6
 
     def test_column_cap_reached_in_the_pass(self, monkeypatch):
         monkeypatch.setattr(GeneratorMatrix, "mean_jump_count", lambda self, i0, T: 0.0)

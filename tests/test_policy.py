@@ -24,7 +24,6 @@ from jumpfolio.frictions import (
     PiecewiseLinearConcave,
 )
 from jumpfolio.market import MarketModel, RegimeMarketParams
-from jumpfolio.mpp import GeneratorMatrix
 from jumpfolio.policy import (
     PI_TOL,
     Utility,
@@ -476,7 +475,6 @@ class TestTwoKinkMargin:
 class TestPolicyBuilders:
     def _market(self, params, K):
         return MarketModel(
-            gen=GeneratorMatrix(params.lam, params.lam),
             regimes=(params, params),
             constraint=K,
         )
@@ -505,9 +503,7 @@ class TestPolicyBuilders:
         )
         # an equal copy, not the same object, as a config file gives
         second = dataclasses.replace(PARAMS_UP, mu=mu1)
-        mkt = MarketModel(
-            gen=GeneratorMatrix(1.0, 1.0), regimes=(PARAMS_UP, second), constraint=NO_SHORTING
-        )
+        mkt = MarketModel(regimes=(PARAMS_UP, second), constraint=NO_SHORTING)
         pol = power_optimal_policy(mkt, 0.5)
         assert len(solved) == solves
         assert pol.pi[1] == solve(second, NO_SHORTING, 0.5).pi

@@ -11,7 +11,7 @@ from jumpfolio.distributions import ExponentialPositive
 from jumpfolio.errors import ConfigError
 from jumpfolio.frictions import NO_SHORTING, PiecewiseLinearConcave
 from jumpfolio.market import MarketModel, RegimeMarketParams
-from jumpfolio.mpp import GeneratorMatrix, jump_columns
+from jumpfolio.mpp import jump_columns
 from jumpfolio.policy import Utility, log_optimal_policy, power_optimal_policy
 from jumpfolio.regime_value import (
     exact_value,
@@ -34,9 +34,7 @@ def two_regime_market(lam0=1.0, lam1=1.0, r1=0.03, mu1=0.01):
         r=r1, mu=mu1, lam=lam1, dist=dist,
         margin=PiecewiseLinearConcave.differential_rates(r1, 0.05),
     )
-    return MarketModel(
-        gen=GeneratorMatrix(lam0, lam1), regimes=(p0, p1), constraint=NO_SHORTING
-    )
+    return MarketModel(regimes=(p0, p1), constraint=NO_SHORTING)
 
 
 def symmetric_market():
@@ -162,9 +160,7 @@ class TestSemianalytic:
             r=0.045, mu=-0.05, lam=0.8, dist=dist,
             margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         )
-        mkt_b = MarketModel(
-            gen=GeneratorMatrix(1.4, 0.8), regimes=(p0, p1), constraint=NO_SHORTING
-        )
+        mkt_b = MarketModel(regimes=(p0, p1), constraint=NO_SHORTING)
         for utility in UTILITIES:
             for i0 in (0, 1):
                 assert solved_value(mkt_a, utility, 1.0, 2.0, i0) == pytest.approx(
@@ -281,7 +277,7 @@ class TestCorollaryComparison:
                         margin=PiecewiseLinearConcave.differential_rates(r, r + 0.02),
                     )
                 )
-            mkt = MarketModel(gen=GeneratorMatrix(*lam), regimes=tuple(regimes))
+            mkt = MarketModel(regimes=tuple(regimes))
             weights = [rng.uniform(0.0, 2.0, size=2)]
             x, T, i0 = rng.uniform(0.1, 0.5), rng.uniform(0.5, 3.0), int(rng.integers(2))
             d_bar = mean_log_growth(mkt, weights)[0]

@@ -4,8 +4,8 @@ variant with its canonical constraint set, only ``frictions`` and
 ``policy`` evaluate the margin's conjugate or its domain, and one
 comparison in src/ widens the domain by its rounding slack.  One sampler
 stores the sample, one module draws random numbers, one sweep makes
-every Monte Carlo estimate, and the row engine serves only the stock and
-wealth paths."""
+every Monte Carlo estimate, the row engine serves only the stock and
+wealth paths, and only the market builds the regime chain."""
 
 import ast
 from pathlib import Path
@@ -56,6 +56,26 @@ def test_one_margin_class():
         for base in cls.bases
     }
     assert "PiecewiseLinearConcave" not in bases
+
+
+def test_only_the_market_builds_the_chain():
+    """Every event is a jump of the chain, so the chain's rates are the
+    regimes' intensities: in src/, only MarketModel constructs a
+    GeneratorMatrix, once, from its regimes."""
+
+    def builds(node):
+        return sum(
+            isinstance(sub, ast.Call) and _called(sub) == "GeneratorMatrix" for sub in ast.walk(node)
+        )
+
+    trees = _trees()
+    market = next(
+        node
+        for node in ast.walk(trees["market"])
+        if isinstance(node, ast.ClassDef) and node.name == "MarketModel"
+    )
+    assert builds(market) == 1
+    assert sum(map(builds, trees.values())) == 1
 
 
 def test_only_config_maps_a_margin_variant_to_its_constraint():

@@ -25,7 +25,7 @@ from jumpfolio.market import (
     _path_log_level,
     report_grid,
 )
-from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, jump_columns, simulate_ensemble
+from jumpfolio.mpp import PathEnsemble, jump_columns, simulate_ensemble
 from jumpfolio.policy import (
     Policy,
     Utility,
@@ -82,9 +82,7 @@ def make_market(lam=1.0):
         r=0.045, mu=-0.05, lam=lam, dist=dist,
         margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
     )
-    return MarketModel(
-        gen=GeneratorMatrix(lam, lam), regimes=(params, params), constraint=NO_SHORTING
-    )
+    return MarketModel(regimes=(params, params), constraint=NO_SHORTING)
 
 
 class TestEnsembleFunctionals:
@@ -441,9 +439,7 @@ class TestInfeasiblePolicy:
             r=0.045, mu=-5.0, lam=1.0, dist=dist,
             margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         )
-        mkt = MarketModel(
-            gen=GeneratorMatrix(1.0, 1.0), regimes=(params, params), constraint=NO_SHORTING
-        )
+        mkt = MarketModel(regimes=(params, params), constraint=NO_SHORTING)
         pol = Policy(
             pi=(1.5, 1.5), zeta=(0.0, 0.0), cases=(0, 0), gamma=0.0,
             consumption=log_optimal_consumption(1.0, 1.0),
@@ -468,9 +464,7 @@ class TestInfeasiblePolicy:
             r=0.045, mu=0.06, lam=1.0, dist=dist,
             margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         )
-        mkt = MarketModel(
-            gen=GeneratorMatrix(1.0, 1.0), regimes=(params, params), constraint=NO_SHORTING
-        )
+        mkt = MarketModel(regimes=(params, params), constraint=NO_SHORTING)
         pol = log_optimal_policy(mkt, 1.0, 1.0)
         spec = state_price_spec(mkt, NO_SHORTING, pol)
         budget = lambda pair: budget_mc(mkt, spec, pair, pol.consumption, 1.0, 1.0)
@@ -651,7 +645,7 @@ class TestExpectedUtility:
             margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         )
         mkt = MarketModel(
-            gen=GeneratorMatrix(0.0, 0.0), regimes=(params, params),
+            regimes=(params, params),
             constraint=NO_SHORTING,
         )
         g, pi, x, T = 0.5, 0.8, 2.0, 1.5
@@ -669,7 +663,7 @@ class TestExpectedUtility:
             margin=PiecewiseLinearConcave.differential_rates(0.03, 0.05),
         )
         mkt = MarketModel(
-            gen=GeneratorMatrix(0.0, 0.0), regimes=(params, params),
+            regimes=(params, params),
             constraint=NO_SHORTING,
         )
         pi, x, T, kappa = 0.5, 1.0, 2.0, 0.25
@@ -773,7 +767,7 @@ class TestGridSearch:
         dist = ExponentialPositive(10.0)
         p0 = RegimeMarketParams(r=0.0, mu=0.0, lam=2.0, dist=dist)
         p1 = RegimeMarketParams(r=0.0, mu=0.0, lam=0.5, dist=dist)
-        mkt2 = MarketModel(gen=GeneratorMatrix(2.0, 0.5), regimes=(p0, p1))
+        mkt2 = MarketModel(regimes=(p0, p1))
         ens = simulate_ensemble(mkt2.gen, 0, 3.0, mkt2.dists, 40_000, 19)
         mc = ens.counts.mean()
         stderr = ens.counts.std(ddof=1) / math.sqrt(ens.n_paths)
@@ -853,7 +847,7 @@ class TestGridSearch:
             r=0.03, mu=0.02, lam=0.5, dist=TwoPoint(-0.05, 0.08, 0.6),
             margin=PiecewiseLinearConcave.differential_rates(0.03, 0.05),
         )
-        mkt = MarketModel(gen=GeneratorMatrix(2.0, 0.5), regimes=(p0, p1))
+        mkt = MarketModel(regimes=(p0, p1))
         grid = np.round(np.linspace(-0.5, 1.5, 21), 10)
         rows = self._assert_matches_column_sweep(mkt, Utility(gamma), grid, i0)
         assert all(math.isnan(r[1]) for r in rows[:5])  # negative weights
@@ -901,7 +895,7 @@ class TestGridSearch:
             r=0.03, mu=0.02, lam=0.5, dist=TwoPoint(-0.05, 0.08, 0.6),
             margin=PiecewiseLinearConcave.differential_rates(0.03, 0.05),
         )
-        mkt = MarketModel(gen=GeneratorMatrix(2.0, 0.5), regimes=(p0, p1))
+        mkt = MarketModel(regimes=(p0, p1))
         _, rows = grid_search_constant_portfolio(
             mkt, Utility.log(), 1.0, 1.0, np.array([-0.1, 0.0]), 2000, 31
         )
