@@ -2,7 +2,10 @@
 
 Subcommands: optimize, value, simulate, figures, verify.  Each reads one
 YAML config (schema documented in the config module), with selected
-fields overridable by flags.  Exit codes: 0 success, 1 validation error,
+fields overridable by flags.  ``value`` prints, and ``verify`` checks,
+one run of the value stages (``_value_stages``): the draw, one sweep of
+the utility level and verify's checks, the exact J and the log corollary.
+Exit codes: 0 success, 1 validation error,
 2 infeasible model, 3 verification failure.  All CSV output carries a
 provenance comment (config hash + seed) and 17-significant-digit
 formatting.
@@ -11,6 +14,7 @@ formatting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -33,7 +37,7 @@ from .market import (
     DEFAULT_GRID_POINTS, block_rows, export_path_csv, report_grid, stock_path, wealth_path
 )
 from .mpp import jump_columns, simulate_ensemble
-from .policy import Policy, certify, h_value, log_optimal_policy, power_optimal_policy
+from .policy import Policy, Utility, certify, h_value, log_optimal_policy, power_optimal_policy
 from .regime_value import exact_value, mean_log_growth, value_corollary
 from . import verify as verify_mod
 
@@ -70,21 +74,6 @@ def _solve_policy(config: RunConfig) -> Policy:
     return power_optimal_policy(config.market, config.utility.gamma)
 
 
-def _exact_value(config: RunConfig, policy: Policy) -> float:
-    """Exact J of the solved weights from the start regime; a typed error,
-    not a printed nan, where a drift or jump term is not finite."""
-    i0 = config.initial_state
-    J = float(
-        exact_value(
-            config.market, config.utility, config.initial_wealth, config.horizon,
-            [policy.pi], i0,
-        )[0]
-    )
-    if not math.isfinite(J):
-        raise InfeasiblePolicyError(f"the solved weights have no finite value from regime {i0}")
-    return J
-
-
 def _within_noise(est, target) -> bool:
     """|mean - target| <= 3 stderr, the stderr floored at 1e-12 max(1, |target|):
     the rounding of a mean and a target that agree, so a constant sample
@@ -92,10 +81,44 @@ def _within_noise(est, target) -> bool:
     return abs(est.mean - target) <= 3.0 * max(est.stderr, 1e-12 * max(1.0, abs(target)))
 
 
+def _myopic_label(config: RunConfig, where="") -> str | None:
+    """The per-regime power weights are optimal only when the chain cannot
+    change the market: their label where the regimes differ, else None."""
+    if not config.utility.is_log and config.market.regimes[0] != config.market.regimes[1]:
+        gamma = config.utility.gamma
+        return (
+            f"per-regime myopic policy (power gamma={gamma:g}){where}; "
+            "not the optimal value, since the regimes differ"
+        )
+
+
+def _value_stages(config: RunConfig, policy: Policy, checks=()):
+    """The value stages of value and verify: draw the sample; sweep the
+    utility level with checks in one sweep (no estimate depends on the
+    levels swept with it); the exact J from the start regime; for log
+    utility the corollary.  Returns the checks' estimates, the level's
+    estimate, J and the corollary (None for power and where undefined)."""
+    market, utility = config.market, config.utility
+    x, T, i0 = config.initial_wealth, config.horizon, config.initial_state
+    stream = jump_columns(market.gen, i0, T, market.dists, config.n_paths, config.seed)
+    level = verify_mod.expected_utility_mc(market, policy.pi, policy.consumption, utility, x, T)
+    *estimates, est = verify_mod.sweep_estimates(market, stream, [*checks, level])
+    exact = float(exact_value(market, utility, x, T, [policy.pi], i0)[0])
+    if not math.isfinite(exact):  # a typed error, not a printed nan
+        raise InfeasiblePolicyError(f"the solved weights have no finite value from regime {i0}")
+    coro = None
+    if utility.is_log:
+        coro = value_corollary(market.gen, mean_log_growth(market, [policy.pi])[0], x, T, i0)
+    return estimates, est, exact, coro
+
+
 def cmd_optimize(config: RunConfig, args) -> int:
     policy = _solve_policy(config)
-    kind = "log" if config.utility.is_log else f"power gamma={config.utility.gamma:g}"
-    print(f"optimal policy ({kind} utility)")
+    label = _myopic_label(config)
+    if label is None:
+        kind = "log" if config.utility.is_log else f"power gamma={config.utility.gamma:g}"
+        label = f"optimal policy ({kind} utility)"
+    print(label)
     for i, params in enumerate(config.market.regimes):
         cert = certify(params, config.market.constraint, policy.gamma, policy.pi[i])
         print(
@@ -106,31 +129,21 @@ def cmd_optimize(config: RunConfig, args) -> int:
 
 
 def cmd_value(config: RunConfig, args) -> int:
-    market, utility = config.market, config.utility
-    x, T, i0 = config.initial_wealth, config.horizon, config.initial_state
-    policy = _solve_policy(config)
-    exact = _exact_value(config, policy)
-    stream = jump_columns(market.gen, i0, T, market.dists, config.n_paths, config.seed)
-    check = verify_mod.expected_utility_mc(market, policy.pi, policy.consumption, utility, x, T)
-    (est,) = verify_mod.sweep_estimates(market, stream, [check])
+    utility, i0 = config.utility, config.initial_state
+    _, est, exact, coro = _value_stages(config, _solve_policy(config))
     if utility.is_log:
         print(f"optimal value, start regime {i0}:")
         print(f"  semianalytic  {exact:.12g}")
-        coro = value_corollary(market.gen, mean_log_growth(market, [policy.pi])[0], x, T, i0)
         if coro is None:
             print("  corollary     undefined at lambda0 + lambda1 = 0")
         else:
             print(f"  corollary     {coro:.12g}  (deviation {coro - exact:.6g})")
     else:
-        # the per-regime (myopic) power weights are optimal only when the
-        # chain cannot change the market
-        if market.regimes[0] == market.regimes[1]:
+        myopic = _myopic_label(config, f", start regime {i0}")
+        if myopic is None:
             print(f"optimal value (power gamma={utility.gamma:g}), start regime {i0}:")
         else:
-            print(
-                f"value of the per-regime myopic policy (power gamma={utility.gamma:g}), "
-                f"start regime {i0}; not the optimal value, since the regimes differ:"
-            )
+            print(f"value of the {myopic}:")
         print(f"  exact         {exact:.12g}")
     print(f"  monte carlo   {est.mean:.12g} +- {est.stderr:.3g}  (N={est.n_paths})")
     return EXIT_OK
@@ -173,15 +186,13 @@ def cmd_simulate(config: RunConfig, args) -> int:
 
 def cmd_figures(config: RunConfig, args) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
-    fig = args.figure
-    params = config.market.regimes[config.initial_state]
+    fig, i0 = args.figure, config.initial_state
+    params = config.market.regimes[i0]
     out = os.path.join(config.output_dir, f"fig{fig}.csv")
-
+    rows, footnotes = [], []
     if fig in (1, 3):
         grid = np.linspace(0.0, 2.0, 201) if fig == 1 else np.linspace(-12.0, 1.0, 201)
         header = ["pi"] + [f"h_gamma{g:g}" for g in FIGURE_GAMMAS]
-        rows = []
-        footnotes = []
         for pi in grid:
             row = [float(pi)]
             for g in FIGURE_GAMMAS:
@@ -190,25 +201,14 @@ def cmd_figures(config: RunConfig, args) -> int:
                 except (DomainError, QuadratureError, FloatingPointError):
                     row.append(None)
                     if not footnotes:
-                        footnotes.append(
-                            "empty cells: h undefined at this (pi, gamma)"
-                        )
+                        footnotes.append("empty cells: h undefined at this (pi, gamma)")
             rows.append(row)
-        _write_csv(out, header, rows, config, footnotes)
     elif fig in (2, 4):
-        gammas = np.linspace(0.0, 0.99, 200)
         header = ["gamma", "pi_hat", "case"]
-        rows = []
-        footnotes = []
-        for g in gammas:
+        for g in np.linspace(0.0, 0.99, 200):
             try:
-                pol = (
-                    log_optimal_policy(config.market, config.initial_wealth, config.horizon)
-                    if g == 0.0
-                    else power_optimal_policy(config.market, float(g))
-                )
-                i = config.initial_state
-                rows.append([float(g), pol.pi[i], pol.cases[i]])
+                pol = _solve_policy(dataclasses.replace(config, utility=Utility(float(g))))
+                rows.append([float(g), pol.pi[i0], pol.cases[i0]])
             except (InfeasiblePolicyError, RangeError, ModelAssumptionError) as exc:
                 rows.append([float(g), None, None])
                 if isinstance(exc, BracketLimitError):
@@ -217,9 +217,9 @@ def cmd_figures(config: RunConfig, args) -> int:
                     note = "empty cells: no admissible optimum at this gamma"
                 if note not in footnotes:
                     footnotes.append(note)
-        _write_csv(out, header, rows, config, footnotes)
     else:
         raise ConfigError("figure id must be 1, 2, 3 or 4")
+    _write_csv(out, header, rows, config, footnotes)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -229,12 +229,7 @@ def cmd_verify(config: RunConfig, args) -> int:
     market = config.market
     K = market.constraint
     x, T = config.initial_wealth, config.horizon
-    i0 = config.initial_state
-    n, seed = config.n_paths, config.seed
     policy = _solve_policy(config)
-    # one sample serves every Monte Carlo check (common random numbers),
-    # swept as it is drawn
-    stream = jump_columns(market.gen, i0, T, market.dists, n, seed)
 
     checks = []  # (name, passed or None if only reported, detail, estimate or None)
 
@@ -244,19 +239,14 @@ def cmd_verify(config: RunConfig, args) -> int:
             (f"conjugacy_regime{i}", cert.residual <= cert.bound, f"residual={cert.residual:.3e}", None)
         )
 
-    # one dual density and one sweep of the sample serve every check
+    # one dual density and one sweep of the sample (common random numbers)
+    # serve every Monte Carlo check and the value
     spec = verify_mod.state_price_spec(market, K, policy)
     mc_checks = [
         verify_mod.martingale_mc(spec),
         verify_mod.budget_mc(market, spec, policy.pi, policy.consumption, x, T),
     ]
-    if config.utility.is_log:
-        mc_checks.append(
-            verify_mod.expected_utility_mc(
-                market, policy.pi, policy.consumption, config.utility, x, T
-            )
-        )
-    est_m, est_b, *est_u = verify_mod.sweep_estimates(market, stream, mc_checks)
+    (est_m, est_b), est_v, semi, coro = _value_stages(config, policy, mc_checks)
     checks.append(
         (
             "state_price_martingale",
@@ -273,23 +263,20 @@ def cmd_verify(config: RunConfig, args) -> int:
             est_b,
         )
     )
-
     if config.utility.is_log:
         dev_hv = verify_mod.state_price_wealth_identity(market, spec, T)
         checks.append(
             ("state_price_wealth_identity", dev_hv <= 1e-10, f"max_dev={dev_hv:.3e}", None)
         )
-        semi = _exact_value(config, policy)
-        (est_v,) = est_u
-        checks.append(
-            (
-                "value_vs_monte_carlo",
-                _within_noise(est_v, semi),
-                f"semianalytic={semi:.8g} mc={est_v.mean:.8g} stderr={est_v.stderr:.3g}",
-                est_v,
-            )
+    checks.append(
+        (
+            "value_vs_monte_carlo",
+            _within_noise(est_v, semi),
+            f"semianalytic={semi:.8g} mc={est_v.mean:.8g} stderr={est_v.stderr:.3g}",
+            est_v,
         )
-        coro = value_corollary(market.gen, mean_log_growth(market, [policy.pi])[0], x, T, i0)
+    )
+    if config.utility.is_log:
         checks.append(
             (
                 "value_corollary_reported",

@@ -160,7 +160,9 @@ def _parse_margin(node, r, path):
     rate = _require(node, key, path, float)
     try:
         return build(r, rate)
-    except ConfigError as exc:  # the rate order, reported at its dotted path
+    except ConfigError as exc:  # the margin's rate, reported at its dotted path
+        if exc.field != key:  # the regime's r, reported as the regime reports it
+            raise
         field = f"{path}.{exc.field}"
         raise ConfigError(exc.message.replace(exc.field, field, 1), field=field) from None
 

@@ -3,7 +3,8 @@
 Each distribution knows how to sample, evaluate its moment generating
 function on its analytic domain, and integrate integrands against
 itself: a composite Gauss-Legendre rule, built once per law, for the
-exponential families, exact weighted sums for the discrete/tabulated ones.
+exponential families, the exact two-atom sum for ``TwoPoint``, and for
+``Tabulated`` a trapezoid sum with no error estimate, which ignores ``tol``.
 
 Integrands are numpy-vectorised: called with an array of marks they
 return one value per mark, or a (k, marks) array for k integrals at once.
@@ -119,8 +120,8 @@ class _Exponential(JumpDistribution):
     sign = 1.0
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ConfigError("rate must be positive", field="rate")
+        if not 0 < self.rate < math.inf:
+            raise ConfigError(f"rate = {self.rate} must be finite and positive", field="rate")
         object.__setattr__(self, "_rule", _exponential_rule(self.rate, self.sign))
 
     def expect(self, integrand, tol=QUAD_ABS_TOL):

@@ -46,6 +46,15 @@ NO_SHORTING = ConstraintSet(0.0, math.inf)
 NO_BORROWING = ConstraintSet(-math.inf, 1.0)
 
 
+def _check_rates(r, name, rate, what, below):
+    """r and the margin's rate, name, are finite, and that rate is not below r."""
+    for field, value, label in (("r", r, "r"), (name, rate, f"{what} {name}")):
+        if not math.isfinite(value):
+            raise ConfigError(f"{label} = {value} must be finite", field=field)
+    if rate < r:
+        raise ConfigError(f"{what} {name} = {rate} is below {below} r = {r}", field=name)
+
+
 @dataclass(frozen=True)
 class PiecewiseLinearConcave:
     """Concave piecewise-linear cash-outflow term g(pi) with g(0) = 0:
@@ -62,6 +71,8 @@ class PiecewiseLinearConcave:
         object.__setattr__(self, "slopes", sl)
         if len(sl) != len(bp) + 1:
             raise ConfigError("need exactly one slope more than breakpoints")
+        if not all(map(math.isfinite, bp + sl)):
+            raise ConfigError("breakpoints and slopes must be finite")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ConfigError("breakpoints must be strictly increasing")
         if any(s2 > s1 for s1, s2 in zip(sl, sl[1:])):
@@ -75,21 +86,13 @@ class PiecewiseLinearConcave:
     @classmethod
     def differential_rates(cls, r, R) -> PiecewiseLinearConcave:
         """Borrowing above the lending rate: g(pi) = -(R - r) * (pi - 1)^+."""
-        if not math.isfinite(R):
-            raise ConfigError(f"borrowing rate R = {R} must be finite", field="R")
-        if R < r:
-            raise ConfigError(
-                f"borrowing rate R = {R} is below the lending rate r = {r}", field="R"
-            )
+        _check_rates(r, "R", R, "borrowing rate", "the lending rate")
         return cls((1.0,), (0.0, -(R - r)))
 
     @classmethod
     def short_rebate(cls, r, rL) -> PiecewiseLinearConcave:
         """Short positions pay the stock-loan fee: g(pi) = (r - rL) * pi^-."""
-        if not math.isfinite(rL):
-            raise ConfigError(f"stock loan fee rL = {rL} must be finite", field="rL")
-        if rL < r:
-            raise ConfigError(f"stock loan fee rL = {rL} is below the rate r = {r}", field="rL")
+        _check_rates(r, "rL", rL, "stock loan fee", "the rate")
         return cls((0.0,), (rL - r, 0.0))
 
     def g(self, pi):

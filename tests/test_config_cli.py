@@ -5,6 +5,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -55,6 +56,7 @@ BASE = {
 
 
 MARGIN = "config.model.regimes[0].margin"
+EXPONENTIAL = {"variant": "exponential_positive", "rate": 10.0}
 TWO_POINT = {"variant": "two_point", "y_lo": -0.1, "y_hi": 0.1, "p_hi": 0.5}
 TABULATED = {"variant": "tabulated", "grid": [0.0, 0.5, 1.0], "density": [1.0, 1.0, 1.0]}
 
@@ -226,6 +228,13 @@ class TestCliExitCodes:
             pytest.param(
                 "margin", {"variant": "short_rebate", "rL": math.nan}, f"{MARGIN}.rL", id="rL-nan"
             ),
+            pytest.param("distribution", {**EXPONENTIAL, "rate": math.inf}, "rate", id="rate-inf"),
+            pytest.param(
+                "distribution",
+                {**EXPONENTIAL, "variant": "exponential_negative", "rate": math.inf},
+                "rate",
+                id="negative-rate-inf",
+            ),
             pytest.param("distribution", {**TWO_POINT, "y_lo": math.nan}, "y_lo", id="y_lo-nan"),
             pytest.param("distribution", {**TWO_POINT, "y_hi": math.inf}, "y_hi", id="y_hi-inf"),
             pytest.param(
@@ -329,7 +338,7 @@ class TestCliExitCodes:
         assert main(argv) == 3
         assert "FAIL state_price_wealth_identity: max_dev=1.000e-09" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("gamma, n_levels", [("0", 3), ("0.5", 2)])
+    @pytest.mark.parametrize("gamma, n_levels", [("0", 3), ("0.5", 3)])
     def test_verify_sweeps_the_sample_once(self, tmp_path, monkeypatch, capsys, gamma, n_levels):
         """Every Monte Carlo check of verify reads one sweep of the sample,
         and the sweep evaluates each jump basis once per column, on the
@@ -629,6 +638,28 @@ class TestCliOutputs:
         assert out.startswith("value of the per-regime myopic policy (power gamma=0.5)")
         assert "not the optimal value" in out and "  exact " in out
 
+    def test_optimize_labels_the_myopic_policy(self, tmp_path, capsys):
+        """On distinct regimes optimize gives the power weights value's
+        myopic label; log and identical regimes keep the optimal label,
+        and the per-regime lines keep their form."""
+        data = copy.deepcopy(BASE)
+        data["model"]["regimes"].append(dict(data["model"]["regimes"][0], r=0.03, mu=0.01))
+        path = write_config(tmp_path, data)
+        myopic = "per-regime myopic policy (power gamma=0.5)"
+        note = "not the optimal value, since the regimes differ"
+        assert main(["optimize", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"{myopic}; {note}"
+        assert lines[1].startswith("  regime 0: pi_hat=") and lines[2].startswith("  regime 1: pi_hat=")
+        assert main(["value", path]) == 0
+        assert capsys.readouterr().out.startswith(f"value of the {myopic}, start regime 0; {note}:\n")
+        for argv, label in (
+            ([path, "--gamma", "0"], "optimal policy (log utility)"),
+            ([write_config(tmp_path, BASE, "same.yaml")], "optimal policy (power gamma=0.5 utility)"),
+        ):
+            assert main(["optimize", *argv]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == label
+
 
 def low_drift(margin):
     """regime_switching.yaml with mu = -0.3 in regime 0 and one margin for
@@ -746,3 +777,27 @@ def test_repeated_runs_in_one_process_print_the_same_bytes(tmp_path, capsys):
         runs.append((codes, capsys.readouterr().out.encode()))
     assert runs[0][0] == [0, 0, 0]
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("gamma", ["0", "0.5"])
+def test_value_prints_the_numbers_of_verify(tmp_path, capsys, gamma):
+    """value and verify run one value stage: value's exact and Monte Carlo
+    numbers are verify's value_vs_monte_carlo numbers to every printed
+    digit, for log and for power, and verify's power line follows its
+    budget line."""
+    path = str(ROOT / "demos" / "configs" / "regime_switching.yaml")
+    common = ["--gamma", gamma, "--n-paths", "2000", "--output-dir", str(tmp_path)]
+    assert main(["value", path, *common]) == 0
+    value = capsys.readouterr().out
+    exact = re.search(r"^  (?:semianalytic|exact) +(\S+)$", value, re.M).group(1)
+    mc, se, n = re.search(r"^  monte carlo +(\S+) \+- (\S+)  \(N=(\d+)\)$", value, re.M).groups()
+    assert main(["verify", path, *common]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    with open(tmp_path / "verify_report.csv") as fh:
+        rows = {r[0]: r[1:] for r in csv.reader(fh) if r and not r[0].startswith("#")}
+    status, mean, stderr, n_paths = rows["value_vs_monte_carlo"]
+    assert (status, f"{float(mean):.12g}", f"{float(stderr):.3g}", n_paths) == ("PASS", mc, se, n)
+    names = [line.split(":")[0] for line in lines]
+    assert names.index("PASS value_vs_monte_carlo") > names.index("PASS budget_equality_at_optimum")
+    detail = lines[names.index("PASS value_vs_monte_carlo")].split(": ", 1)[1]
+    assert detail == f"semianalytic={float(exact):.8g} mc={float(mc):.8g} stderr={se}"

@@ -71,6 +71,11 @@ class TestMarginEvaluation:
                 PiecewiseLinearConcave.differential_rates(r=0.05, R=rate)
             with pytest.raises(ConfigError, match="must be finite"):
                 PiecewiseLinearConcave.short_rebate(r=0.05, rL=rate)
+            # a non-finite r made a nan slope; it is named as the regime names it
+            with pytest.raises(ConfigError, match=f"^r: r = {rate} must be finite$"):
+                PiecewiseLinearConcave.differential_rates(r=rate, R=0.05)
+            with pytest.raises(ConfigError, match=f"^r: r = {rate} must be finite$"):
+                PiecewiseLinearConcave.short_rebate(r=rate, rL=0.05)
 
     def test_piecewise_concavity_enforced(self):
         with pytest.raises(ConfigError):
@@ -82,6 +87,19 @@ class TestMarginEvaluation:
         assert PiecewiseLinearConcave((0.0,), (0.01, 0.01)).g(-2.0) == -0.02
         assert PiecewiseLinearConcave.differential_rates(0.05, 0.05).g(3.0) == 0.0
         assert PiecewiseLinearConcave.short_rebate(0.05, 0.05).g(-3.0) == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_breakpoint_rejected(self, value):
+        """A NaN breakpoint passes every order comparison, and g was nan."""
+        with pytest.raises(ConfigError, match="must be finite"):
+            PiecewiseLinearConcave((value,), (0.0, -0.1))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slope_rejected(self, value):
+        with pytest.raises(ConfigError, match="must be finite"):
+            PiecewiseLinearConcave((0.0,), (0.1, value))
+        with pytest.raises(ConfigError, match="must be finite"):
+            PiecewiseLinearConcave((), (value,))
 
     def test_piecewise_general_evaluation(self):
         g = PiecewiseLinearConcave(breakpoints=(-1.0, 1.0), slopes=(0.3, 0.1, -0.2))

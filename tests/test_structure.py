@@ -5,7 +5,8 @@ variant with its canonical constraint set, only ``frictions`` and
 comparison in src/ widens the domain by its rounding slack.  One sampler
 stores the sample, one module draws random numbers, one sweep makes
 every Monte Carlo estimate, the row engine serves only the stock and
-wealth paths, and only the market builds the regime chain."""
+wealth paths, only the market builds the regime chain, and value and
+verify share one call of each value stage."""
 
 import ast
 from pathlib import Path
@@ -195,6 +196,23 @@ def test_one_way_to_an_estimate():
     sweep_estimates calls the column sweep or the estimator."""
     callers = _callers({"column_functionals", "_estimate"})
     assert callers == {("verify", "sweep_estimates")}
+
+
+def test_value_and_verify_share_one_value_stage():
+    """value and verify run the same value stages: in cli, one call each
+    draws the sample, sweeps it, computes the exact value and evaluates
+    the corollary, all in _value_stages."""
+    stages = ("jump_columns", "sweep_estimates", "exact_value", "value_corollary")
+    assert {
+        name: [
+            fn.name
+            for fn in ast.walk(_trees()["cli"])
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and _called(node) == name
+        ]
+        for name in stages
+    } == {name: ["_value_stages"] for name in stages}
 
 
 def _loads(names):
