@@ -163,8 +163,7 @@ def _parse_margin(node, r, path):
     except ConfigError as exc:  # the margin's rate, reported at its dotted path
         if exc.field != key:  # the regime's r, reported as the regime reports it
             raise
-        field = f"{path}.{exc.field}"
-        raise ConfigError(exc.message.replace(exc.field, field, 1), field=field) from None
+        raise ConfigError(exc.message, field=f"{path}.{exc.field}") from None
 
 
 def _parse_regime(node, path):

@@ -1,19 +1,21 @@
 """Jump-size (mark) distributions.
 
-Each distribution knows how to sample, evaluate its moment generating
-function on its analytic domain, and integrate integrands against
-itself: a composite Gauss-Legendre rule, built once per law, for the
-exponential families, the exact two-atom sum for ``TwoPoint``, and for
-``Tabulated`` a trapezoid sum with no error estimate, which ignores ``tol``.
+Each distribution samples itself and builds its quadrature rule once:
+a composite Gauss-Legendre rule for the exponential families, the exact
+atom sum for ``TwoPoint``, and the trapezoid sum for ``Tabulated``.  The
+one ``JumpDistribution.expect`` integrates against every rule, and the
+MGF is ``expect`` of e^{sY} where a law has no closed form.
 
 Integrands are numpy-vectorised: called with an array of marks they
 return one value per mark, or a (k, marks) array for k integrals at once.
-An exponential-family ``expect`` meets its absolute tolerance, or raises
-``QuadratureError``: the rule's result is compared with the rule of half
-as many nodes per panel, the last panel's share bounds the truncated
-tail, and a non-finite integrand value at any node is refused.  Below
-the rounding floor ``ROUNDING_FLOOR * int |integrand|`` no tolerance is
-attainable, so that floor is the only relaxation of ``tol``.
+``expect`` meets its absolute tolerance, or raises ``QuadratureError``:
+the rule's result is compared with its coarse rule, the last panel's
+share bounds the truncated tail, and a non-finite integrand value at any
+node is refused.  Below the rounding floor ``ROUNDING_FLOOR * int
+|integrand|`` no tolerance is attainable, so that floor is the only
+relaxation of ``tol``.  The two-point rule is exact; the tabulated rule
+has no error estimate (its coarse rule is its fine one) until it
+integrates the interpolated density.
 """
 
 from __future__ import annotations
@@ -34,14 +36,19 @@ DENSITY_EXPONENT = 700.0  # the rule ends where the density is e^-700, still a n
 
 
 class JumpDistribution:
-    """Base class for mark laws F(dy)."""
+    """Base class for mark laws F(dy).  A law sets ``_rule = (nodes, coarse,
+    fine)``, weights with density included: coarse weights the first nodes
+    and fine the last, so an exact rule (coarse is fine) lists its nodes
+    once.  The last ``_tail_nodes`` fine terms bound the truncated tail."""
+
+    _tail_nodes = 0
 
     def sample(self, n, rng):
         raise NotImplementedError
 
     def mgf_domain(self):
         """Open interval (lo, hi) on which E[exp(sY)] is finite."""
-        raise NotImplementedError
+        return (-np.inf, np.inf)
 
     def mgf(self, s):
         """E[exp(sY)]; raises DomainError outside the analytic domain."""
@@ -53,11 +60,32 @@ class JumpDistribution:
         return self._mgf(s)
 
     def _mgf(self, s):
-        raise NotImplementedError
+        return self.expect(lambda y: np.exp(s * y))
 
     def expect(self, integrand, tol=QUAD_ABS_TOL):
-        """Integral of integrand(y) against F(dy)."""
-        raise NotImplementedError
+        """Integral of integrand(y) against F(dy), within tol plus the
+        rounding floor, or QuadratureError (see the module docstring)."""
+        nodes, coarse, fine = self._rule
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = np.asarray(integrand(nodes), dtype=float)
+        values = np.broadcast_to(values, values.shape[:-1] + nodes.shape)
+        if not np.all(np.isfinite(values)):
+            raise QuadratureError("integrand is not finite at a quadrature node")
+        terms = values[..., nodes.size - fine.size :] * fine
+        result = terms.sum(axis=-1)
+        error = np.abs(result - (values[..., : coarse.size] * coarse).sum(axis=-1))
+        tail = np.abs(terms[..., fine.size - self._tail_nodes :].sum(axis=-1))
+        bound = np.maximum(tol, ROUNDING_FLOOR * np.abs(terms).sum(axis=-1))
+        achieved = np.maximum(error, tail)
+        if np.any(achieved > bound) or not np.all(np.isfinite(result)):
+            worst = np.argmax(achieved - bound)
+            raise QuadratureError(
+                f"quadrature reached abs error {np.ravel(achieved)[worst]:.3e} "
+                f"(target {np.ravel(bound)[worst]:.0e})",
+                estimate=result,
+                achieved_tol=achieved,
+            )
+        return float(result) if result.ndim == 0 else result
 
     def support(self):
         """Essential support endpoints (y_min, y_max), possibly infinite."""
@@ -118,37 +146,12 @@ class _Exponential(JumpDistribution):
     rate: float
     _rule: tuple = field(init=False, repr=False, compare=False)
     sign = 1.0
+    _tail_nodes = 2 * GL_NODES
 
     def __post_init__(self):
         if not 0 < self.rate < math.inf:
             raise ConfigError(f"rate = {self.rate} must be finite and positive", field="rate")
         object.__setattr__(self, "_rule", _exponential_rule(self.rate, self.sign))
-
-    def expect(self, integrand, tol=QUAD_ABS_TOL):
-        """Integral against the law, within tol plus the rounding floor, or
-        QuadratureError (see the module docstring)."""
-        nodes, coarse, fine = self._rule
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values = np.asarray(integrand(nodes), dtype=float)
-        values = np.broadcast_to(values, values.shape[:-1] + nodes.shape)
-        if not np.all(np.isfinite(values)):
-            raise QuadratureError("integrand is not finite at a quadrature node")
-        k = coarse.size
-        terms = values[..., k:] * fine
-        result = terms.sum(axis=-1)
-        error = np.abs(result - (values[..., :k] * coarse).sum(axis=-1))
-        tail = np.abs(terms[..., -2 * GL_NODES :].sum(axis=-1))
-        bound = np.maximum(tol, ROUNDING_FLOOR * np.abs(terms).sum(axis=-1))
-        achieved = np.maximum(error, tail)
-        if np.any(achieved > bound) or not np.all(np.isfinite(result)):
-            worst = np.argmax(achieved - bound)
-            raise QuadratureError(
-                f"quadrature reached abs error {np.ravel(achieved)[worst]:.3e} "
-                f"(target {np.ravel(bound)[worst]:.0e})",
-                estimate=result,
-                achieved_tol=achieved,
-            )
-        return float(result) if result.ndim == 0 else result
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,7 @@ class TwoPoint(JumpDistribution):
     y_lo: float
     y_hi: float
     p_hi: float
+    _rule: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, value in (("y_lo", self.y_lo), ("y_hi", self.y_hi)):
@@ -201,24 +205,13 @@ class TwoPoint(JumpDistribution):
                 raise ConfigError(f"{name} = {value} must be finite", field=name)
         if not 0.0 <= self.p_hi <= 1.0:
             raise ConfigError("p_hi must lie in [0, 1]", field="p_hi")
+        weights = np.array([1.0 - self.p_hi, self.p_hi])  # an atom of weight 0 is no node
+        nodes, weights = np.array([self.y_lo, self.y_hi])[weights > 0], weights[weights > 0]
+        object.__setattr__(self, "_rule", (nodes, weights, weights))
 
     def sample(self, n, rng):
         hi = rng.random(n) < self.p_hi
         return np.where(hi, self.y_hi, self.y_lo)
-
-    def mgf_domain(self):
-        return (-np.inf, np.inf)
-
-    def _mgf(self, s):
-        return (1.0 - self.p_hi) * np.exp(s * self.y_lo) + self.p_hi * np.exp(
-            s * self.y_hi
-        )
-
-    def expect(self, integrand, tol=QUAD_ABS_TOL):
-        values = np.asarray(integrand(np.array([self.y_lo, self.y_hi])), dtype=float)
-        values = np.broadcast_to(values, values.shape[:-1] + (2,))
-        result = values @ np.array([1.0 - self.p_hi, self.p_hi])
-        return float(result) if result.ndim == 0 else result
 
     def support(self):
         if self.p_hi == 1.0:
@@ -230,7 +223,8 @@ class TwoPoint(JumpDistribution):
 
 @dataclass(frozen=True, eq=False)
 class Tabulated(JumpDistribution):
-    """Density samples on a user grid, integrated by the trapezoid rule.
+    """Density samples on a user grid, integrated by the trapezoid rule,
+    which has no error estimate.
 
     The grid is used as supplied -- no re-interpolation.  The trapezoid
     integral of the density over the grid must equal 1 to within 1e-9.
@@ -240,6 +234,7 @@ class Tabulated(JumpDistribution):
     grid: np.ndarray
     density: np.ndarray
     _cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    _rule: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -266,6 +261,9 @@ class Tabulated(JumpDistribution):
         cdf = np.concatenate([[0.0], np.cumsum(seg)])
         cdf /= cdf[-1]
         object.__setattr__(self, "_cdf", cdf)
+        half = 0.5 * np.diff(grid)
+        weights = density * (np.append(half, 0.0) + np.append(0.0, half))
+        object.__setattr__(self, "_rule", (grid, weights, weights))
 
     def sample(self, n, rng):
         u = rng.random(n)
@@ -274,17 +272,6 @@ class Tabulated(JumpDistribution):
         c1 = self._cdf[idx]
         w = np.where(c1 > c0, (u - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0)
         return self.grid[idx - 1] + w * (self.grid[idx] - self.grid[idx - 1])
-
-    def mgf_domain(self):
-        return (-np.inf, np.inf)
-
-    def _mgf(self, s):
-        return self.expect(lambda y: np.exp(s * y))
-
-    def expect(self, integrand, tol=QUAD_ABS_TOL):
-        values = np.asarray(integrand(self.grid), dtype=float)
-        result = np.trapezoid(values * self.density, self.grid)
-        return float(result) if result.ndim == 0 else result
 
     def support(self):
         return (float(self.grid[0]), float(self.grid[-1]))

@@ -123,6 +123,13 @@ def feasible_weight_interval(params: RegimeMarketParams, K: ConstraintSet | None
     return lo, hi, lo_closed, hi_closed
 
 
+def in_interval(pi, interval):
+    """Whether pi (a float, or an array elementwise) lies in an interval
+    (lo, hi, lo_closed, hi_closed) of ``feasible_weight_interval``."""
+    lo, hi, lo_closed, hi_closed = interval
+    return ((lo < pi) & (pi < hi)) | ((pi == lo) & lo_closed) | ((pi == hi) & hi_closed)
+
+
 def _jump_factor(params: RegimeMarketParams, pi: float):
     """y -> 1 + pi f(y).  Under the exponential transform a weight in [0, 1]
     gives (1 - pi) + pi e^y, a sum of nonnegative terms, where

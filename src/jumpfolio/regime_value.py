@@ -70,7 +70,9 @@ def exact_value(market: MarketModel, utility: Utility, x, T, weights, i0):
     (``mpp.exponential_functional``), with M_ii = gamma drift_i - lambda_i
     and M_ij = lambda_i E_i[(1 + pi_i f)^gamma].
 
-    Returns J (k,), NaN in rows whose drift or jump term is not finite.
+    Returns J (k,), NaN in rows whose drift is not finite.  A jump term
+    that is not finite, as at a weight outside the jump-feasible set, raises
+    QuadratureError for every mark law (``JumpDistribution.expect``).
     """
     if i0 not in (0, 1):
         raise ConfigError("start regime must be 0 or 1")

@@ -40,7 +40,7 @@ from .errors import ConfigError, DomainError, InfeasiblePolicyError
 from .frictions import ConstraintSet
 from .market import ConsumptionRule, MarketModel, _log_jump, _wealth_terms
 from .mpp import ColumnStream
-from .policy import Policy, Utility, certify, feasible_weight_interval
+from .policy import Policy, Utility, certify, feasible_weight_interval, in_interval
 from .regime_value import exact_value
 
 
@@ -206,11 +206,13 @@ def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> S
     """Build the candidate dual density from a policy:
     phi_i(y) = 1 / [1 + pi_i f(y)]^(1-gamma), whose log is read from the
     wealth's jump log, so it is finite wherever 1 + pi_i f(y) > 0.
-    Raises InfeasiblePolicyError where the compensator is not finite, as
-    when 1 + pi_i f is not positive on the mark support."""
+    Raises InfeasiblePolicyError where 1 + pi_i f is not positive on the
+    mark support (``feasible_weight_interval(params)``), for every mark law."""
     coeff = -(1.0 - policy.gamma)
     gks, comps = [], []
     for i, params in enumerate(market.regimes):
+        if not in_interval(policy.pi[i], feasible_weight_interval(params)):
+            raise InfeasiblePolicyError(f"regime {i}: 1 + pi*f is not positive on the mark support")
         ell = _log_jump(market.transform, policy.pi[i])
         # h(pi) = mu + lam int f phi F(dy), so phi's dual variable is the
         # certificate's zeta = r - h(pi), and gk its conjugate value
@@ -218,11 +220,7 @@ def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> S
             gks.append(certify(params, K, policy.gamma, policy.pi[i]).gk)
         except DomainError as exc:
             raise DomainError(f"regime {i}: {exc}") from exc
-        with np.errstate(invalid="ignore"):
-            comp = params.lam * params.dist.expect(lambda y: np.expm1(coeff * ell(y)), tol=1e-13)
-        if not math.isfinite(comp):
-            raise InfeasiblePolicyError(f"regime {i}: 1 + pi*f is not positive on the mark support")
-        comps.append(comp)
+        comps.append(params.lam * params.dist.expect(lambda y: np.expm1(coeff * ell(y)), tol=1e-13))
     return StatePriceSpec(
         pi=tuple(policy.pi), jump_coeff=coeff, compensator=tuple(comps), gk=tuple(gks)
     )
@@ -368,14 +366,13 @@ def grid_search_constant_portfolio(
     Nothing is simulated: ``n_paths`` and ``seed`` are unused, kept only
     for the positional call in ``bench/workloads.py``.
     Returns (pi_star, table) where table rows are (pi, J) with NaN J for
-    infeasible weights and for weights whose drift or jump term is not
-    finite.
+    weights outside the jump-feasible set (``feasible_weight_interval``) and for
+    weights whose drift is not finite.
     """
     grid = np.asarray(grid, dtype=float)
     inside = np.ones(grid.size, dtype=bool)
     for params in market.regimes:
-        lo, hi, lo_closed, hi_closed = feasible_weight_interval(params)
-        inside &= ((lo < grid) & (grid < hi)) | ((grid == lo) & lo_closed) | ((grid == hi) & hi_closed)
+        inside &= in_interval(grid, feasible_weight_interval(params))
     J = np.full(grid.size, math.nan)
     J[inside] = exact_value(market, utility, x, T, np.repeat(grid[inside, None], 2, 1), i0)
     if not np.any(J > -math.inf):

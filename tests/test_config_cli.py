@@ -99,14 +99,12 @@ class TestParsing:
         assert "R" in str(exc.value)
         field = "config.model.regimes[0].margin.R"
         assert exc.value.field == field
-        assert str(exc.value) == (
-            f"{field}: borrowing rate {field} = 0.01 is below the lending rate r = 0.045"
-        )
+        assert str(exc.value) == f"{field}: borrowing rate R = 0.01 is below the lending rate r = 0.045"
         data["model"]["regimes"][0]["margin"] = {"variant": "short_rebate", "rL": 0.01}
         with pytest.raises(ConfigError) as exc:
             parse_config(data)
         field = "config.model.regimes[0].margin.rL"
-        assert str(exc.value) == f"{field}: stock loan fee {field} = 0.01 is below the rate r = 0.045"
+        assert str(exc.value) == f"{field}: stock loan fee rL = 0.01 is below the rate r = 0.045"
 
     def test_short_rebate_variant(self):
         data = copy.deepcopy(BASE)

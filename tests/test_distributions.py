@@ -147,6 +147,12 @@ class TestTwoPoint:
         with pytest.raises(ConfigError):
             TwoPoint(-0.2, 0.1, 1.5)
 
+    def test_atom_of_weight_zero_is_not_a_node(self):
+        """The rule holds the support's atoms: with p_hi = 1, a factor
+        1 + 5 (e^y - 1) negative at y_lo = -2 does not reach the integral."""
+        d = TwoPoint(-2.0, 0.5, 1.0)
+        assert d.expect(lambda y: np.log1p(5.0 * np.expm1(y))) == math.log1p(5.0 * math.expm1(0.5))
+
 
 class TestTabulated:
     def _triangular(self):
@@ -195,6 +201,35 @@ def test_every_law_gives_k_integrals(dist):
     for row, si in zip(batch, s[:, 0]):
         assert row == pytest.approx(dist.expect(lambda y: np.exp(si * y)), rel=1e-15)
     assert isinstance(dist.expect(lambda y: 1.0), float)
+
+
+LAWS = [
+    ExponentialPositive(10.0),
+    ExponentialNegative(2.5),
+    TwoPoint(-0.2, 0.1, 0.75),
+    Tabulated(grid=np.linspace(-1.0, 1.0, 201), density=1.0 - np.abs(np.linspace(-1.0, 1.0, 201))),
+]
+LAW_IDS = ["exponential_positive", "exponential_negative", "two_point", "tabulated"]
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("dist", LAWS, ids=LAW_IDS)
+def test_every_law_refuses_a_non_finite_integrand(dist, value):
+    """One expect for every law: a non-finite integrand value at one node
+    raises QuadratureError, in a batch as in a single integral."""
+    with pytest.raises(QuadratureError, match="not finite"):
+        dist.expect(lambda y: np.where(y == y.max(), value, 1.0))
+    with pytest.raises(QuadratureError, match="not finite"):
+        dist.expect(lambda y: np.where(y == y.max(), np.array([[1.0], [value]]), y))
+
+
+@pytest.mark.parametrize("dist", LAWS[2:], ids=LAW_IDS[2:])
+def test_mgf_without_closed_form_is_expect(dist):
+    """A law without a closed-form MGF takes it from its one expect, on
+    the whole real line."""
+    assert dist.mgf_domain() == (-np.inf, np.inf)
+    for s in (-30.0, -2.0, 0.0, 0.5, 1.5, 30.0):
+        assert dist.mgf(s) == dist.expect(lambda y: np.exp(s * y))
 
 
 @settings(max_examples=50, deadline=None)

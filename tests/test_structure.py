@@ -4,7 +4,8 @@ variant with its canonical constraint set, only ``frictions`` and
 ``policy`` evaluate the margin's conjugate or its domain, and one
 comparison in src/ widens the domain by its rounding slack.  One sampler
 stores the sample, one module draws random numbers, one sweep makes
-every Monte Carlo estimate, the row engine serves only the stock and
+every Monte Carlo estimate, one expect integrates against every mark
+law, the row engine serves only the stock and
 wealth paths, only the market builds the regime chain, and value and
 verify share one call of each value stage."""
 
@@ -57,6 +58,23 @@ def test_one_margin_class():
         for base in cls.bases
     }
     assert "PiecewiseLinearConcave" not in bases
+
+
+def test_one_expect_for_every_mark_law():
+    """In src/, only JumpDistribution integrates against a mark law: it
+    alone defines expect, and _mgf is defined there (expect of e^{sY}) and
+    on the two exponential laws, whose closed forms h reads at pi in {0, 1}."""
+    defining = lambda name: {
+        (module, node.name)
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _defines(node, name)
+    }
+    base = ("distributions", "JumpDistribution")
+    assert defining("expect") == {base}
+    assert defining("_mgf") == {
+        base, ("distributions", "ExponentialPositive"), ("distributions", "ExponentialNegative")
+    }
 
 
 def test_only_the_market_builds_the_chain():

@@ -9,7 +9,7 @@ import yaml
 from scipy import integrate
 
 from jumpfolio import mpp, verify
-from jumpfolio.distributions import ExponentialPositive, TwoPoint
+from jumpfolio.distributions import ExponentialNegative, ExponentialPositive, TwoPoint
 from jumpfolio.config import load_config, parse_config
 from jumpfolio.errors import ConfigError, DomainError, InfeasiblePolicyError
 from jumpfolio.frictions import NO_SHORTING, PiecewiseLinearConcave
@@ -455,6 +455,24 @@ class TestInfeasiblePolicy:
             spec = state_price_spec(mkt, NO_SHORTING, pol)
             check = budget_mc(mkt, spec, pol.pi, pol.consumption, 1.0, 1.0)
             sweep_estimates(mkt, sample(), [check])
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_dual_density_rejects_a_weight_outside_the_feasible_set(self, gamma):
+        """Marks unbounded below admit weights up to 1 only: at pi = 1.5 the
+        factor 1 + 1.5 (e^y - 1) is negative for y < -log 3, and the dual
+        density refuses the weight as it does on the two-point law."""
+        params = RegimeMarketParams(
+            r=0.045, mu=0.06, lam=1.0, dist=ExponentialNegative(10.0),
+            margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
+        )
+        assert feasible_weight_interval(params) == (-math.inf, 1.0, True, True)
+        mkt = MarketModel(regimes=(params, params), constraint=NO_SHORTING)
+        pol = Policy(
+            pi=(1.5, 1.5), zeta=(0.0, 0.0), cases=(0, 0), gamma=gamma,
+            consumption=log_optimal_consumption(1.0, 1.0),
+        )
+        with pytest.raises(InfeasiblePolicyError, match="regime 0"):
+            state_price_spec(mkt, NO_SHORTING, pol)
 
     def test_sweep_rejects_a_pair_the_dual_density_allows(self):
         """A feasible dual density, so the rejection comes from the sweep:
