@@ -366,8 +366,8 @@ def grid_search_constant_portfolio(
     Nothing is simulated: ``n_paths`` and ``seed`` are unused, kept only
     for the positional call in ``bench/workloads.py``.
     Returns (pi_star, table) where table rows are (pi, J) with NaN J for
-    weights outside the jump-feasible set (``feasible_weight_interval``) and for
-    weights whose drift is not finite.
+    weights outside the jump-feasible set (``feasible_weight_interval``)
+    and for weights whose drift is not finite.
     """
     grid = np.asarray(grid, dtype=float)
     inside = np.ones(grid.size, dtype=bool)
