@@ -50,6 +50,7 @@ from .mpp import (
     ColumnStream,
     GeneratorMatrix,
     PathEnsemble,
+    SampleStream,
     jump_columns,
     simulate_ensemble,
 )

@@ -3,27 +3,37 @@
 A two-state continuous-time Markov chain generates the event times; the
 mark of each event is drawn from the distribution attached to the
 pre-jump state.  The chain alternates, so jump column j of every path
-has the rate of state (i0 + j) % 2, and a sample is drawn in one forward
-pass, column by column, until no path is left inside the horizon.
-``jump_columns`` is that pass: it yields each column as it is drawn (a
-``ColumnStream``), so a reader that needs only per-path accumulators,
-such as the verification layer's sweep, never holds more than a column.
-``simulate_ensemble`` keeps every column of the same pass and lays them
+has the rate of state (i0 + j) % 2, and a sample is drawn in forward
+passes, column by column, until no path is left inside the horizon.
+A sample of n paths is a run of consecutive blocks of ``BLOCK_PATHS``
+paths (the last block may be shorter), each drawn and swept in its own
+pass, so what a pass holds does not grow with n.
+``jump_columns`` makes those passes: it yields each block's columns as
+they are drawn (a ``SampleStream`` of ``ColumnStream`` blocks), so a
+reader that needs only per-path accumulators, such as the verification
+layer's sweep, never holds more than a column of one block.
+``simulate_ensemble`` keeps every column of the same passes and lays them
 out, once the longest path is known, in a ``PathEnsemble``, the one
 stored path type: column-major rectangular arrays padded only to the
 longest path; a path is a row of it (a block
 of rows is ``PathEnsemble.rows``), and ``PathEnsemble.columns`` streams
-the stored columns again, the one way a stored sample is swept.
+the stored columns again, in the same blocks, the one way a stored
+sample is swept.
 
 Random-number contract: a sample takes an integer seed and is
 bit-reproducible, streamed or stored.  The seed is split with
-``numpy.random.SeedSequence`` into one chain stream and one mark stream,
-so chain and mark draws never interleave.  Jump column j draws, in path
-order, one holding time for each path still inside [0, T] after column
-j - 1 (every path at column 0), and then one mark for each path whose
-j-th jump lies in [0, T]; a path that has left the horizon draws
-nothing more.  So path k of a sample depends on the path count and on
-when the other paths leave, as well as on the seed.
+``numpy.random.SeedSequence(seed).spawn(2 * blocks)``: block b draws its
+holding times from child 2b and its marks from child 2b + 1, so chain
+and mark draws never interleave, and a one-block sample (at most
+``BLOCK_PATHS`` paths) uses the first two children alone.  Within a
+block, jump column j draws, in path order, one holding time for each
+path still inside [0, T] after column j - 1 (every path of the block at
+column 0), and then one mark for each path whose j-th jump lies in
+[0, T]; a path that has left the horizon draws nothing more.  So path k
+of a sample depends on the seed, on its block (path k lies in block
+k // BLOCK_PATHS), on that block's path count and on when the block's
+other paths leave.  The first b * BLOCK_PATHS paths of a larger sample
+are the sample of b * BLOCK_PATHS paths.
 """
 
 from __future__ import annotations
@@ -38,6 +48,9 @@ from .errors import ConfigError
 
 # the most jump columns an ensemble may take
 _MAX_WIDTH = 1 << 20
+
+# the paths of one block: a sample is drawn and swept a block at a time
+BLOCK_PATHS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -132,7 +145,7 @@ def exponential_functional(diag, off, T):
 
 @dataclass(frozen=True)
 class ColumnStream:
-    """The jump columns of a sample of ``n_paths`` paths, in time order,
+    """The jump columns of one block of ``n_paths`` paths, in time order,
     each passed on once.  Column j is (times, marks, keep) over the paths
     with a j-th jump in [0, T], in path order: their j-th jump times and
     marks, and ``keep``, the integer positions of these paths among
@@ -148,6 +161,43 @@ class ColumnStream:
     n_paths: int
     seed: object
     columns: Iterator
+
+
+@dataclass(frozen=True)
+class SampleStream:
+    """A sample of ``n_paths`` paths as its consecutive blocks, in path
+    order: ``blocks`` holds one ``ColumnStream`` per ``BLOCK_PATHS``
+    paths (the last may hold fewer), and block b's paths are the sample's
+    paths b * BLOCK_PATHS onwards.  Each block's columns are drawn, or
+    read, as they are passed on, and each block is passed on once.
+    """
+
+    initial_state: int
+    horizon: float
+    n_paths: int
+    seed: object
+    blocks: tuple
+
+    @property
+    def columns(self) -> Iterator:
+        """The columns of a one-block sample (at most BLOCK_PATHS paths)."""
+        (block,) = self.blocks
+        return block.columns
+
+
+def _block_bounds(n_paths):
+    """(lo, hi) of each block of a sample of n_paths paths, in path order."""
+    return [(lo, min(lo + BLOCK_PATHS, n_paths)) for lo in range(0, n_paths, BLOCK_PATHS)]
+
+
+def _sample_stream(i0, T, n_paths, seed, block_columns) -> SampleStream:
+    """The sample whose block b, paths lo .. hi - 1, has the columns
+    block_columns(b, lo, hi); every block is made at the call."""
+    blocks = tuple(
+        ColumnStream(i0, T, hi - lo, seed, block_columns(b, lo, hi))
+        for b, (lo, hi) in enumerate(_block_bounds(n_paths))
+    )
+    return SampleStream(i0, T, n_paths, seed, blocks)
 
 
 @dataclass
@@ -186,18 +236,16 @@ class PathEnsemble:
             seed=self.seed,
         )
 
-    def columns(self) -> ColumnStream:
-        """The stored jump columns as a stream, in its compacted layout."""
-        return ColumnStream(
-            initial_state=self.initial_state,
-            horizon=self.horizon,
-            n_paths=self.n_paths,
-            seed=self.seed,
-            columns=self._compacted_columns(),
+    def columns(self) -> SampleStream:
+        """The stored jump columns as a stream, in its compacted layout and
+        in the blocks ``jump_columns`` draws."""
+        return _sample_stream(
+            self.initial_state, self.horizon, self.n_paths, self.seed,
+            lambda b, lo, hi: self._compacted_columns(lo, hi),
         )
 
-    def _compacted_columns(self):
-        rows = np.arange(self.n_paths)  # the paths of the last column
+    def _compacted_columns(self, lo, hi):
+        rows = np.arange(lo, hi)  # the paths of the last column
         for j in range(self.times.shape[1]):
             keep = np.flatnonzero(self.counts[rows] > j)
             if keep.size == 0:
@@ -216,18 +264,19 @@ def _too_wide(gen, T):
     )
 
 
-def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed) -> ColumnStream:
-    """Draw n_paths marked point paths one jump column at a time.
+def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed) -> SampleStream:
+    """Draw n_paths marked point paths a block at a time, and each block
+    one jump column at a time.
 
-    Column j adds an exponential holding time from the chain stream, at
-    the rate of the alternating state (i0 + j) % 2, to the running jump
-    time of each path still inside [0, T], and then draws one mark from
-    the mark stream for each path whose new time is still inside.  The
-    stream ends at the first column with no path left inside [0, T], or
+    In a block, column j adds an exponential holding time from the
+    block's chain stream, at the rate of the alternating state
+    (i0 + j) % 2, to the running jump time of each path still inside
+    [0, T], and then draws one mark from the block's mark stream for each
+    path whose new time is still inside.  The block ends at the first column with no path left inside [0, T], or
     at once at an absorbing state (rate 0), which draws nothing.  The
-    arguments are checked and both random streams made at the call; the
-    columns are drawn as they are read, so no column is held longer than
-    its reader keeps it.
+    arguments are checked and every block's two random streams made at
+    the call; the columns are drawn as they are read, so no column is
+    held longer than its reader keeps it.
     """
     if T <= 0:
         raise ConfigError("horizon T must be positive")
@@ -235,15 +284,11 @@ def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, s
         raise ConfigError(f"an ensemble needs at least one path, got {n_paths}")
     if gen.mean_jump_count(i0, T) > _MAX_WIDTH:
         raise _too_wide(gen, T)
-    chain_ss, mark_ss = np.random.SeedSequence(seed).spawn(2)
-    chain_rng = np.random.default_rng(chain_ss)
-    mark_rng = np.random.default_rng(mark_ss)
-    return ColumnStream(
-        initial_state=i0,
-        horizon=T,
-        n_paths=n_paths,
-        seed=seed,
-        columns=_draw_columns(gen, i0, T, dists, n_paths, chain_rng, mark_rng),
+    children = np.random.SeedSequence(seed).spawn(2 * len(_block_bounds(n_paths)))
+    rngs = [np.random.default_rng(child) for child in children]
+    return _sample_stream(
+        i0, T, n_paths, seed,
+        lambda b, lo, hi: _draw_columns(gen, i0, T, dists, hi - lo, rngs[2 * b], rngs[2 * b + 1]),
     )
 
 
@@ -277,19 +322,24 @@ def simulate_ensemble(
     gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed
 ) -> PathEnsemble:
     """Simulate n_paths marked point paths into padded arrays: every column
-    of ``jump_columns``, kept as it is drawn with the positions of its
-    paths, and laid out once the width, the longest path, is known.
+    of every block of ``jump_columns``, kept as it is drawn with the
+    positions of its paths, and laid out once the width, the longest path
+    of any block, is known.
     """
-    drawn = []
-    rows = np.arange(n_paths)  # the paths of the last column, in order
-    for t, m, keep in jump_columns(gen, i0, T, dists, n_paths, seed).columns:
-        if keep is not None:
-            rows = rows[keep]
-        drawn.append((rows, t, m))
-    times = np.full((n_paths, len(drawn)), np.inf, order="F")
+    drawn = []  # (column, sample rows, times, marks)
+    lo = 0
+    for block in jump_columns(gen, i0, T, dists, n_paths, seed).blocks:
+        rows = np.arange(lo, lo + block.n_paths)  # the paths of the last column, in order
+        for j, (t, m, keep) in enumerate(block.columns):
+            if keep is not None:
+                rows = rows[keep]
+            drawn.append((j, rows, t, m))
+        lo += block.n_paths
+    width = max((j + 1 for j, *_ in drawn), default=0)
+    times = np.full((n_paths, width), np.inf, order="F")
     marks = np.zeros_like(times)
     counts = np.zeros(n_paths, dtype=int)
-    for j, (rows, t, m) in enumerate(drawn):
+    for j, rows, t, m in drawn:
         times[rows, j] = t
         marks[rows, j] = m
         counts[rows] = j + 1

@@ -97,20 +97,20 @@ def feasible_weight_interval(params: RegimeMarketParams, K: ConstraintSet | None
     mark support}, or the jump-feasible weights alone when K is None.
 
     Returns (lo, hi, lo_closed, hi_closed); an end of K that binds is
-    closed.  The exponential transform on a support unbounded below gives
+    closed, and an infinite end is open.  The exponential transform on a support unbounded below gives
     ess inf f = -1 without attaining it, which closes the pi = 1 endpoint.
     Both sets hold 0, so the interval is never empty.
     """
     f_lo, f_hi = transform_range(params.dist, params.transform)
     y_lo, _ = params.dist.support()
     if f_lo >= 0.0:
-        hi, hi_closed = math.inf, True
+        hi, hi_closed = math.inf, False
     elif params.transform == "exponential" and math.isinf(y_lo):
         hi, hi_closed = 1.0, True
     else:
         hi, hi_closed = 1.0 / (-f_lo), False
     if f_hi <= 0.0:
-        lo, lo_closed = -math.inf, True
+        lo, lo_closed = -math.inf, False
     elif math.isinf(f_hi):
         lo, lo_closed = 0.0, True
     else:
@@ -184,9 +184,10 @@ def h_inverse(params, gamma, target, K: ConstraintSet | None = None):
     feasible end.
     """
     lo, hi, lo_closed, hi_closed = feasible_weight_interval(params, K)
+    # an open finite end moves inside by a relative 1e-9; an infinite one stays
     shrink = 1e-9
-    lo_b = lo if lo_closed else lo + shrink * max(1.0, abs(lo))
-    hi_b = hi if hi_closed else hi - shrink * max(1.0, abs(hi))
+    lo_b = lo if lo_closed or math.isinf(lo) else lo + shrink * max(1.0, abs(lo))
+    hi_b = hi if hi_closed or math.isinf(hi) else hi - shrink * max(1.0, abs(hi))
     if lo_b > hi_b:
         raise RangeError("empty feasible bracket for h inversion")
 
@@ -337,10 +338,10 @@ def optimal_portfolio(params: RegimeMarketParams, K: ConstraintSet, gamma: float
         )
 
     # an open end holds no weight: the piece next to it runs up to it
-    points = [lo] if math.isfinite(lo) and lo_closed else []
+    points = [lo] if lo_closed else []
     first_case = 1 if points else 2
     points += [b for b in kinks if lo < b < hi]
-    if math.isfinite(hi) and hi_closed:
+    if hi_closed:
         points.append(hi)
     tol = 1e-11
     for j, p in enumerate(points):

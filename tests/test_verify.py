@@ -70,10 +70,11 @@ def columns(mkt, T, n_paths, seed):
 
 def sweep(ens, drift, jumps, **level):
     """One level swept alone, its jump log the only basis: its functionals
-    and the invalid flags."""
+    and the invalid flags, block by block, joined in path order."""
     level = Level(drift, {"w": 1.0}, **level)
-    invalid, (res,) = column_functionals(ens.columns(), {"w": jumps}, [level])
-    return {**res, "invalid": invalid}
+    swept = [column_functionals(block, {"w": jumps}, [level]) for block in ens.columns().blocks]
+    res = {key: np.concatenate([r[key] for _, (r,) in swept]) for key in swept[0][1][0]}
+    return {**res, "invalid": np.concatenate([invalid for invalid, _ in swept])}
 
 
 def make_market(lam=1.0):
@@ -290,7 +291,7 @@ def per_check_estimates(mkt, K, policy, pair, cons, utility, x, ens):
         samples.append((T + 1.0) * math.log(x / (T + 1.0)) - int_log - final)
     else:
         samples.append((kappa**g) * int_exp / g + (xi_T**g) * np.exp(g * final) / g)
-    return [verify._estimate(s, ens.seed) for s in samples]
+    return [verify._estimate(verify._moments(s), ens.seed) for s in samples]
 
 
 class TestOnePass:
@@ -465,7 +466,7 @@ class TestInfeasiblePolicy:
             r=0.045, mu=0.06, lam=1.0, dist=ExponentialNegative(10.0),
             margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         )
-        assert feasible_weight_interval(params) == (-math.inf, 1.0, True, True)
+        assert feasible_weight_interval(params) == (-math.inf, 1.0, False, True)
         mkt = MarketModel(regimes=(params, params), constraint=NO_SHORTING)
         pol = Policy(
             pi=(1.5, 1.5), zeta=(0.0, 0.0), cases=(0, 0), gamma=gamma,
@@ -807,6 +808,25 @@ class TestGridSearch:
             mkt, Utility.power(0.5), 1.0, 1.0, grid, 2000, 4
         )
         assert math.isnan(rows[0][1])
+
+    @pytest.mark.parametrize("utility", [Utility.log(), Utility.power(0.5)])
+    def test_an_infinite_weight_gets_nan(self, utility):
+        """A negative mark law leaves the weights unbounded below, by an
+        open end: the weight -inf itself is infeasible and gets a NaN row,
+        and the finite weights keep their exact J."""
+        params = RegimeMarketParams(
+            r=0.045, mu=-0.05, lam=1.0, dist=ExponentialNegative(10.0),
+            margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
+        )
+        mkt = MarketModel(regimes=(params, params))
+        assert feasible_weight_interval(params)[0::2] == (-math.inf, False)
+        pi_star, rows = grid_search_constant_portfolio(
+            mkt, utility, 1.0, 1.0, [-math.inf, 0.0, 0.5]
+        )
+        assert math.isnan(rows[0][1])
+        _, finite = grid_search_constant_portfolio(mkt, utility, 1.0, 1.0, [0.0, 0.5])
+        assert rows[1:] == finite
+        assert pi_star == max(finite, key=lambda row: row[1])[0]
 
     @staticmethod
     def _column_sweep(market, utility, x, T, grid, n_paths, seed, i0):
