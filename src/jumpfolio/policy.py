@@ -97,8 +97,9 @@ def feasible_weight_interval(params: RegimeMarketParams, K: ConstraintSet | None
     mark support}, or the jump-feasible weights alone when K is None.
 
     Returns (lo, hi, lo_closed, hi_closed); an end of K that binds is
-    closed, and an infinite end is open.  The exponential transform on a support unbounded below gives
-    ess inf f = -1 without attaining it, which closes the pi = 1 endpoint.
+    closed, and an infinite end is open.  The exponential transform on a
+    support unbounded below gives ess inf f = -1 without attaining it,
+    which closes the pi = 1 endpoint.
     Both sets hold 0, so the interval is never empty.
     """
     f_lo, f_hi = transform_range(params.dist, params.transform)

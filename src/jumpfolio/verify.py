@@ -14,16 +14,16 @@ is never stored, and a stored one is swept through
 level and the reduction of that level's functionals to one sample per
 path.  Every estimate comes from ``sweep_estimates``, which sweeps the
 levels of any number of checks at once, a block at a time, and merges
-each block's sample moments in block order.  The checks that read the dual
-density H take its ``StatePriceSpec``, built once per policy by
+each block's sample moments in block order.  The checks that read the
+dual density H take its ``StatePriceSpec``, built once per policy by
 ``state_price_spec``.  Portfolio weights are per-regime constants.
 
 Every Monte Carlo check is a function of the column stream it is given
 (horizon, start regime and seed included).  A caller draws a sample once
 and passes it to every check (common random numbers).  Reductions run in
 fixed path and block order, so estimates are bit-reproducible, streamed
-or stored,
-and a level's functionals do not depend on the levels swept with it.
+or stored, and a level's functionals do not depend on the levels swept
+with it.
 The identity H V = 1 at the log optimum needs no sample: its level has
 no jump and a per-regime drift, so it is checked in closed form.
 The grid search simulates nothing: for weights constant in each regime,
@@ -270,9 +270,9 @@ def sweep_estimates(market, stream: SampleStream, checks) -> list:
     check swept alone or with others.  The sample is swept a block at a
     time, and each check's samples of a block are reduced to their
     moments, merged in block order, so the sweep holds one block's
-    accumulators at most.  A jump key is a per-regime weight
-    pair, and its basis log(1 + pi_i f) is evaluated once per column for
-    every level that reads it.  Raises InfeasiblePolicyError, for every
+    accumulators at most.  A jump key is a per-regime weight pair, and
+    its basis log(1 + pi_i f) is evaluated once per column for every
+    level that reads it.  Raises InfeasiblePolicyError, for every
     check, if a jump factor of any of them is nonpositive on some path."""
     levels = [check.level for check in checks]
     keys = dict.fromkeys(key for lv in levels for key in lv.jumps)

@@ -109,8 +109,8 @@ class TestIdentityTransform:
     @pytest.mark.parametrize("i0", [0, 1])
     @pytest.mark.parametrize("utility", UTILITIES, ids=["log", "power"])
     def test_exact_value_matches_monte_carlo(self, config_path, utility, i0):
-        """Within 3 standard errors at 1e5 paths (z = +0.39 and -0.68 for
-        log, +0.54 and -0.88 for power, from regimes 0 and 1)."""
+        """Within 3 standard errors at 1e5 paths (z = +1.03 and +0.97 for
+        log, +0.56 and +0.38 for power, from regimes 0 and 1)."""
         cfg = load_config(str(config_path))
         mkt, x, T = cfg.market, cfg.initial_wealth, cfg.horizon
         policy = solved_policy(mkt, utility, x, T)

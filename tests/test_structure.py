@@ -4,7 +4,8 @@ variant with its canonical constraint set, only ``frictions`` and
 ``policy`` evaluate the margin's conjugate or its domain, and one
 comparison in src/ widens the domain by its rounding slack.  One sampler
 stores the sample, one module draws random numbers, one sweep makes
-every Monte Carlo estimate, one expect integrates against every mark
+every Monte Carlo estimate, one constant sizes the blocks a sample is
+drawn and swept in, one expect integrates against every mark
 law, the row engine serves only the stock and
 wealth paths, only the market builds the regime chain, and value and
 verify share one call of each value stage."""
@@ -207,6 +208,48 @@ def test_only_mpp_draws():
     its marks from the generator it is given."""
     sites = _call_sites(_is_draw)
     assert sites - {("distributions", "sample")} == {("mpp", "_draw_columns")}
+
+
+def _attribute_readers(name):
+    """(module, function) of every function in src/ that reads the attribute name."""
+    return {
+        (module, fn.name)
+        for module, tree in _trees().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == name
+    }
+
+
+def test_one_block_size():
+    """Every sample is drawn and swept in blocks of one size, mpp.BLOCK_PATHS
+    = 2^14 paths, that no option sets: in src/, mpp assigns it once, at
+    module level, and only mpp._block_bounds reads it.  The sampler
+    (jump_columns) and the stored sample's stream (PathEnsemble.columns)
+    cut their blocks there, and only simulate_ensemble, the sweep
+    (sweep_estimates) and the one-block columns of a sample read a
+    sample's blocks."""
+    from jumpfolio import mpp
+
+    assert mpp.BLOCK_PATHS == 1 << 14
+    assigned = [
+        (module, node in tree.body, ast.unparse(node.value))
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for sub in ast.walk(target)
+        if getattr(sub, "id", getattr(sub, "attr", None)) == "BLOCK_PATHS"
+    ]
+    assert assigned == [("mpp", True, "1 << 14")]  # a constant: no option or variable
+    assert _loads({"BLOCK_PATHS"}) == {("mpp", "_block_bounds")}
+    assert _attribute_readers("BLOCK_PATHS") == set()
+    assert _callers({"_block_bounds"}) == {("mpp", "jump_columns"), ("mpp", "_sample_stream")}
+    assert _callers({"_sample_stream"}) == {("mpp", "jump_columns"), ("mpp", "columns")}
+    assert _attribute_readers("blocks") == {
+        ("mpp", "simulate_ensemble"), ("mpp", "columns"), ("verify", "sweep_estimates")
+    }
 
 
 def test_one_way_to_an_estimate():
