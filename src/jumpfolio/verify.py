@@ -62,7 +62,8 @@ def _moments(samples):
     samples = np.asarray(samples, dtype=float)
     mean = samples.mean()
     dev = samples - mean
-    return samples.size, mean, np.sum(dev * dev)
+    dev *= dev
+    return samples.size, mean, dev.sum()
 
 
 def _merge(a, b):
