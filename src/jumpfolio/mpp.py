@@ -272,11 +272,12 @@ def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, s
     block's chain stream, at the rate of the alternating state
     (i0 + j) % 2, to the running jump time of each path still inside
     [0, T], and then draws one mark from the block's mark stream for each
-    path whose new time is still inside.  The block ends at the first column with no path left inside [0, T], or
-    at once at an absorbing state (rate 0), which draws nothing.  The
-    arguments are checked and every block's two random streams made at
-    the call; the columns are drawn as they are read, so no column is
-    held longer than its reader keeps it.
+    path whose new time is still inside.  The block ends at the first
+    column with no path left inside [0, T], or at once at an absorbing
+    state (rate 0), which draws nothing.  The arguments are checked and
+    every block's two random streams made at the call; the columns are
+    drawn as they are read, so no column is held longer than its reader
+    keeps it.
     """
     if T <= 0:
         raise ConfigError("horizon T must be positive")

@@ -129,7 +129,8 @@ class TestBlocks:
         mkt, x, T = cfg.market, cfg.initial_wealth, cfg.horizon
         draw = (mkt.gen, 0, T, mkt.dists, N_BLOCKS_PATHS, cfg.seed)
         ens = simulate_ensemble(*draw)
-        widths = [int(ens.counts[lo : lo + BLOCK_PATHS].max()) for lo in (0, BLOCK_PATHS, 2 * BLOCK_PATHS)]
+        starts = (0, BLOCK_PATHS, 2 * BLOCK_PATHS)
+        widths = [int(ens.counts[lo : lo + BLOCK_PATHS].max()) for lo in starts]
         assert widths[2] < min(widths[:2])
         checks = _checks(mkt, gamma, x, T)
         levels = [c.level for c in checks]
