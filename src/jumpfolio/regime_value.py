@@ -27,6 +27,10 @@ from .market import MarketModel, _log_jump, _wealth_terms
 from .mpp import GeneratorMatrix, exponential_functional
 from .policy import Utility
 
+# (weight row x quadrature node) cells one expect call holds: 16 rows of
+# the exponential rule, so J's working set does not grow with the rows
+EXPECT_CELLS = 1 << 14
+
 
 def _growth_terms(market: MarketModel, utility: Utility, weights):
     """Per-regime drift and jump term of J at rows of weights (k, 2).
@@ -34,9 +38,10 @@ def _growth_terms(market: MarketModel, utility: Utility, weights):
     The drift is that of gross wealth, r_i + g_i(pi_i) + pi_i (mu_i - r_i);
     the jump term is E_i[log(1 + pi_i f)] for log utility and
     E_i[(1 + pi_i f)^gamma] for power.  There is one quadrature per (mark
-    law, weight column), so rows (w, w) on a shared law cost one.
+    law, weight column), so rows (w, w) on a shared law cost one, and it
+    runs on at most ``EXPECT_CELLS`` (row x node) cells at a time; each
+    row's integral is the same whatever rows share its call.
     """
-    drift, _ = _wealth_terms(market, weights.T)
     f, gamma = market.f, utility.gamma
     if utility.is_log:
         term = lambda w: _log_jump(market.transform, w)
@@ -46,8 +51,12 @@ def _growth_terms(market: MarketModel, utility: Utility, weights):
     for dist, w in zip(market.dists, weights.T):
         key = (dist, w.tobytes())
         if key not in done:
-            done[key] = dist.expect(term(w[:, None]))
+            step = max(1, EXPECT_CELLS // dist._rule[0].size)
+            done[key] = np.empty(w.size)
+            for lo in range(0, w.size, step):
+                done[key][lo : lo + step] = dist.expect(term(w[lo : lo + step, None]))
         jump.append(done[key])
+    drift, _ = _wealth_terms(market, weights.T)
     return np.column_stack(drift), np.column_stack(jump)
 
 

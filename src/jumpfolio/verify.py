@@ -105,9 +105,25 @@ class Level:
     exp_coeff: float | None = None
 
 
-def column_functionals(stream: ColumnStream, jump_bases, levels):
+def _accumulators(level: Level):
+    """The names of a level's accumulators, in the order they take rows of
+    a sweep's workspace."""
+    return (
+        ("final_log",)
+        + ("int_log",) * level.int_log
+        + ("int_exp",) * (level.exp_coeff is not None)
+    )
+
+
+def _workspace_rows(levels):
+    """The rows of a sweep of levels: the previous jump times, then the
+    accumulators of each level in level order."""
+    return 1 + sum(len(_accumulators(lv)) for lv in levels)
+
+
+def column_functionals(stream: ColumnStream, jump_bases, levels, workspace=None):
     """Accumulate every level's functionals in one pass over the columns
-    of a sample, each read once as the stream passes it on.
+    of a block of a sample, each read once as the stream passes it on.
 
     jump_bases maps a key to a per-state pair of callables of the mark;
     each basis is evaluated once per column, on the column's events,
@@ -119,25 +135,29 @@ def column_functionals(stream: ColumnStream, jump_bases, levels):
     events, and results[k] holds final_log of levels[k] and, as asked,
     int_log or int_exp, all exact per segment.  Each level's arithmetic is
     the same whatever levels are swept with it.
+
+    workspace, when given, is a 2-D array of ``_workspace_rows(levels)``
+    rows at least n_paths wide (``sweep_estimates`` makes one per sweep);
+    it is zeroed and swept in, and the results are views of it, valid
+    until the next block is swept in it.  Without one, every row is a
+    fresh array.
     """
     n, T = stream.n_paths, stream.horizon
     drifts = [np.asarray(lv.drift, dtype=float) for lv in levels]
-    results = []
-    for lv in levels:
-        res = {"final_log": np.zeros(n)}
-        if lv.int_log:
-            res["int_log"] = np.zeros(n)
-        if lv.exp_coeff is not None:
-            res["int_exp"] = np.zeros(n)
-        results.append(res)
+    if workspace is None:
+        buffers = [np.zeros(n) for _ in range(_workspace_rows(levels))]
+    else:
+        buffers = workspace[:, :n]
+        buffers.fill(0.0)
+    t_prev, *accumulators = buffers
+    slots = iter(accumulators)
+    results = [dict(zip(_accumulators(lv), slots)) for lv in levels]
     # per basis, the (level index, coefficient) pairs that read it
     readers = {
         key: [(k, lv.jumps[key]) for k, lv in enumerate(levels) if lv.jumps.get(key)]
         for key in jump_bases
     }
-    accumulators = [acc for res in results for acc in res.values()]
     invalid = np.zeros(n, dtype=bool)
-    t_prev = np.zeros(n)
     # the accumulators hold the m paths still inside first, in path order,
     # and the paths that left after them; rows[i] is the sample row of slot i
     m, rows = n, np.arange(n)
@@ -161,13 +181,13 @@ def column_functionals(stream: ColumnStream, jump_bases, levels):
     state = stream.initial_state
     for times, marks, keep in stream.columns:
         if keep is None:
-            dt = times - t_prev
+            dt = times - t_prev[:m]
         else:
             # the paths left out of this column end in this state at T
             dt = np.full(m, T)
             dt[keep] = times
-            dt -= t_prev
-        t_prev = times  # frees the old times before the levels' temporaries
+            dt -= t_prev[:m]
+        t_prev[: times.size] = times  # the slots of the paths kept, in their order
         advance(dt, state)
         if keep is not None:
             # in place: the accumulators keep their size, so the sweep
@@ -188,7 +208,7 @@ def column_functionals(stream: ColumnStream, jump_bases, levels):
             for k, c in readers[key]:
                 results[k]["final_log"][:m] += c * jl
         state = 1 - state
-    advance(T - t_prev, state)
+    advance(T - t_prev[:m], state)
     for acc in accumulators:  # back to path order
         acc[rows] = acc.copy()
     return invalid, results
@@ -271,16 +291,19 @@ def sweep_estimates(market, stream: SampleStream, checks) -> list:
     check swept alone or with others.  The sample is swept a block at a
     time, and each check's samples of a block are reduced to their
     moments, merged in block order, so the sweep holds one block's
-    accumulators at most.  A jump key is a per-regime weight pair, and
+    accumulators at most, all in one workspace that every block is swept
+    in.  A jump key is a per-regime weight pair, and
     its basis log(1 + pi_i f) is evaluated once per column for every
     level that reads it.  Raises InfeasiblePolicyError, for every
     check, if a jump factor of any of them is nonpositive on some path."""
     levels = [check.level for check in checks]
     keys = dict.fromkeys(key for lv in levels for key in lv.jumps)
     bases = {pi: [_log_jump(market.transform, p) for p in pi] for pi in keys}
+    width = max(block.n_paths for block in stream.blocks)
+    workspace = np.empty((_workspace_rows(levels), width))
     moments = [None] * len(checks)
     for block in stream.blocks:
-        invalid, results = column_functionals(block, bases, levels)
+        invalid, results = column_functionals(block, bases, levels, workspace)
         if np.any(invalid):
             raise InfeasiblePolicyError("a jump made 1 + pi*f nonpositive on some path")
         moments = [
@@ -406,8 +429,9 @@ def grid_search_constant_portfolio(
     inside = np.ones(grid.size, dtype=bool)
     for params in market.regimes:
         inside &= in_interval(grid, feasible_weight_interval(params))
-    J = np.full(grid.size, math.nan)
-    J[inside] = exact_value(market, utility, x, T, np.repeat(grid[inside, None], 2, 1), i0)
+    values = exact_value(market, utility, x, T, np.repeat(grid[inside, None], 2, 1), i0)
+    J = np.full(grid.size, math.nan)  # after the quadrature, so not in its peak
+    J[inside] = values
     if not np.any(J > -math.inf):
         raise InfeasiblePolicyError("no feasible grid point")
     rows = [(float(p), float(j)) for p, j in zip(grid, J)]

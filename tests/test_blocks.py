@@ -175,9 +175,10 @@ class TestBlocks:
 
     def test_sweep_memory_does_not_grow_with_the_path_count(self):
         """The tracemalloc peak of verify's sweep on regime_switching: about
-        1.7 MB at 2^17 paths (13 MB when the sweep held every path at once,
-        2.4 MB when it held one block's results into the next block's sweep),
-        and within 20 % of that at 2^20 paths."""
+        1.9 MB at 2^17 paths (13 MB when the sweep held every path at once,
+        2.4 MB when it held one block's results into the next block's sweep;
+        the workspace's row of previous jump times adds 0.13 MB), and within
+        20 % of that at 2^20 paths."""
         cfg = load_config(REGIME_SWITCHING)
         mkt, x, T = cfg.market, cfg.initial_wealth, cfg.horizon
         checks = _checks(mkt, 0.0, x, T)[:3]

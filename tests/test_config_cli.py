@@ -346,7 +346,7 @@ class TestCliExitCodes:
         original = verify_mod.column_functionals
         sweeps = []
 
-        def counted(stream, jump_bases, levels):
+        def counted(stream, jump_bases, levels, workspace=None):
             calls = dict.fromkeys(jump_bases, 0)
             marks_read = dict.fromkeys(jump_bases, 0)
             columns_events = [0, 0]
@@ -367,7 +367,7 @@ class TestCliExitCodes:
 
             sweeps.append((calls, marks_read, columns_events, len(levels)))
             bases = {key: [count(key, f) for f in pair] for key, pair in jump_bases.items()}
-            return original(dataclasses.replace(stream, columns=columns()), bases, levels)
+            return original(dataclasses.replace(stream, columns=columns()), bases, levels, workspace)
 
         monkeypatch.setattr(verify_mod, "column_functionals", counted)
         data = copy.deepcopy(BASE)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,19 +9,22 @@ import yaml
 from jumpfolio.cli import main
 from jumpfolio.config import load_config
 from jumpfolio.distributions import ExponentialPositive
-from jumpfolio.errors import ConfigError
+from jumpfolio.errors import ConfigError, InfeasiblePolicyError
 from jumpfolio.frictions import NO_SHORTING, PiecewiseLinearConcave
 from jumpfolio.market import MarketModel, RegimeMarketParams
 from jumpfolio.mpp import jump_columns
 from jumpfolio.policy import Utility, log_optimal_policy, power_optimal_policy
 from jumpfolio.regime_value import (
+    EXPECT_CELLS,
     exact_value,
     mean_log_growth,
     value_corollary,
 )
-from jumpfolio.verify import expected_utility_mc, sweep_estimates
+from jumpfolio.verify import expected_utility_mc, grid_search_constant_portfolio, sweep_estimates
 
-REGIME_SWITCHING = Path(__file__).resolve().parents[1] / "demos" / "configs" / "regime_switching.yaml"
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+REGIME_SWITCHING = CONFIGS / "regime_switching.yaml"
+FIG1 = CONFIGS / "fig1.yaml"
 UTILITIES = (Utility.log(), Utility.power(0.5))
 
 
@@ -295,3 +299,61 @@ class TestCorollaryComparison:
             value_corollary(mkt.gen, d_bar, 1.0, 1.0, 2)
         with pytest.raises(ConfigError):
             exact_value(mkt, Utility.log(), 1.0, 1.0, [(0.5, 0.5)], -1)
+
+
+def _fig1_grid(n):
+    """The (pi, pi) weights of the grid search on n points of [0, 2]."""
+    return np.round(np.linspace(0.0, 2.0, n), 10)
+
+
+class TestRowChunks:
+    """exact_value integrates at most EXPECT_CELLS (row x node) cells at a
+    time; no row's J depends on the rows that share its quadrature."""
+
+    @staticmethod
+    def _rows(case):
+        if case == "regime_switching":
+            pi0, pi1 = np.meshgrid(np.linspace(0.0, 2.0, 9), np.linspace(0.0, 1.5, 7))
+            return load_config(REGIME_SWITCHING).market, np.column_stack((pi0.ravel(), pi1.ravel()))
+        grid = _fig1_grid(201)
+        return load_config(FIG1).market, np.column_stack((grid, grid))
+
+    @pytest.mark.parametrize("case", ["regime_switching", "fig1"])
+    @pytest.mark.parametrize("utility", UTILITIES, ids=["log", "power"])
+    def test_rows_are_each_row_alone(self, utility, case):
+        """Bit for bit, on distinct (pi0, pi1) rows and on fig1's 201-point
+        (pi, pi) grid, both ending in a partial chunk."""
+        mkt, weights = self._rows(case)
+        step = EXPECT_CELLS // mkt.dists[0]._rule[0].size
+        assert step == 16 and len(weights) % step != 0
+        for i0 in (0, 1):
+            together = exact_value(mkt, utility, 1.0, 1.0, weights, i0)
+            alone = [exact_value(mkt, utility, 1.0, 1.0, w[None], i0) for w in weights]
+            assert np.all(np.isfinite(together))
+            assert together.tobytes() == np.concatenate(alone).tobytes()
+
+    @pytest.mark.parametrize("utility", UTILITIES, ids=["log", "power"])
+    def test_no_rows(self, utility):
+        mkt = load_config(REGIME_SWITCHING).market
+        assert exact_value(mkt, utility, 1.0, 1.0, np.empty((0, 2)), 0).shape == (0,)
+        with pytest.raises(InfeasiblePolicyError, match="no feasible grid point"):
+            grid_search_constant_portfolio(mkt, utility, 1.0, 1.0, [-1.0, -0.5])
+
+    def test_grid_memory_does_not_grow_with_the_rows(self):
+        """The tracemalloc peak of the log grid search on fig1: about
+        0.35 MB at 201 weights (3.8 MB when every row met every node in one
+        array), and within 20 % of that at 2,001 weights."""
+        mkt = load_config(FIG1).market
+
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                grid_search_constant_portfolio(mkt, Utility.log(), 1.0, 1.0, grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(_fig1_grid(11))  # warm up
+        small, large = peak(_fig1_grid(201)), peak(_fig1_grid(2001))
+        assert small < 600_000
+        assert large < 1.2 * small

@@ -4,9 +4,10 @@ variant with its canonical constraint set, only ``frictions`` and
 ``policy`` evaluate the margin's conjugate or its domain, and one
 comparison in src/ widens the domain by its rounding slack.  One sampler
 stores the sample, one module draws random numbers, one sweep makes
-every Monte Carlo estimate, one constant sizes the blocks a sample is
-drawn and swept in, one expect integrates against every mark
-law, the row engine serves only the stock and
+every Monte Carlo estimate in one workspace per sweep, one constant
+sizes the blocks a sample is drawn and swept in, one the chunks of weight
+rows the exact value integrates at once, one expect integrates against
+every mark law, the row engine serves only the stock and
 wealth paths, only the market builds the regime chain, and value and
 verify share one call of each value stage."""
 
@@ -222,6 +223,19 @@ def _attribute_readers(name):
     }
 
 
+def _assignments(name):
+    """(module, whether at module level, value) of every assignment to name in src/."""
+    return [
+        (module, node in tree.body, ast.unparse(node.value))
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for sub in ast.walk(target)
+        if getattr(sub, "id", getattr(sub, "attr", None)) == name
+    ]
+
+
 def test_one_block_size():
     """Every sample is drawn and swept in blocks of one size, mpp.BLOCK_PATHS
     = 2^14 paths, that no option sets: in src/, mpp assigns it once, at
@@ -233,16 +247,7 @@ def test_one_block_size():
     from jumpfolio import mpp
 
     assert mpp.BLOCK_PATHS == 1 << 14
-    assigned = [
-        (module, node in tree.body, ast.unparse(node.value))
-        for module, tree in _trees().items()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
-        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-        for sub in ast.walk(target)
-        if getattr(sub, "id", getattr(sub, "attr", None)) == "BLOCK_PATHS"
-    ]
-    assert assigned == [("mpp", True, "1 << 14")]  # a constant: no option or variable
+    assert _assignments("BLOCK_PATHS") == [("mpp", True, "1 << 14")]  # no option or variable
     assert _loads({"BLOCK_PATHS"}) == {("mpp", "_block_bounds")}
     assert _attribute_readers("BLOCK_PATHS") == set()
     assert _callers({"_block_bounds"}) == {("mpp", "jump_columns"), ("mpp", "_sample_stream")}
@@ -250,6 +255,54 @@ def test_one_block_size():
     assert _attribute_readers("blocks") == {
         ("mpp", "simulate_ensemble"), ("mpp", "columns"), ("verify", "sweep_estimates")
     }
+
+
+def test_one_quadrature_chunk_size():
+    """The exact value integrates its weight rows in chunks of at most
+    regime_value.EXPECT_CELLS = 2^14 (row x node) cells, a constant that no
+    option sets: in src/, regime_value assigns it once, at module level,
+    and only regime_value._growth_terms reads it."""
+    from jumpfolio import regime_value
+
+    assert regime_value.EXPECT_CELLS == 1 << 14
+    assert _assignments("EXPECT_CELLS") == [("regime_value", True, "1 << 14")]
+    assert _loads({"EXPECT_CELLS"}) == {("regime_value", "_growth_terms")}
+    assert _attribute_readers("EXPECT_CELLS") == set()
+
+
+ALLOCATORS = {"empty", "zeros", "ones", "full"}
+
+
+def test_one_workspace_per_sweep():
+    """Every block of a sweep is swept in one workspace: in verify, only
+    sweep_estimates allocates a 2-D array, once, outside its loop over
+    the blocks, and it passes that array to every column_functionals call."""
+    sites = []
+    for fn in ast.walk(_trees()["verify"]):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        loops = [node for node in ast.walk(fn) if isinstance(node, ast.For)]
+        in_loop = {id(sub) for loop in loops for sub in ast.walk(loop)}
+        sites += [
+            (fn.name, id(node) in in_loop)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and _called(node) in ALLOCATORS
+            and node.args
+            and isinstance(node.args[0], ast.Tuple)
+        ]
+    assert sites == [("sweep_estimates", False)]
+    sweep = next(
+        fn
+        for fn in ast.walk(_trees()["verify"])
+        if isinstance(fn, ast.FunctionDef) and fn.name == "sweep_estimates"
+    )
+    calls = [
+        node
+        for node in ast.walk(sweep)
+        if isinstance(node, ast.Call) and _called(node) == "column_functionals"
+    ]
+    assert [ast.unparse(call.args[-1]) for call in calls] == ["workspace"]
 
 
 def test_one_way_to_an_estimate():
