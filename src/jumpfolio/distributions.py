@@ -95,6 +95,11 @@ class JumpDistribution:
     def mean(self):
         return self.expect(lambda y: y)
 
+    @property
+    def n_nodes(self):
+        """The nodes of the law's rule: the cells expect holds per row."""
+        return self._rule[0].size
+
 
 _LEGGAUSS = {}  # n -> the n-point Gauss-Legendre nodes and weights, once per process
 

@@ -51,7 +51,7 @@ def _growth_terms(market: MarketModel, utility: Utility, weights):
     for dist, w in zip(market.dists, weights.T):
         key = (dist, w.tobytes())
         if key not in done:
-            step = max(1, EXPECT_CELLS // dist._rule[0].size)
+            step = max(1, EXPECT_CELLS // dist.n_nodes)
             done[key] = np.empty(w.size)
             for lo in range(0, w.size, step):
                 done[key][lo : lo + step] = dist.expect(term(w[lo : lo + step, None]))

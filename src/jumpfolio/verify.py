@@ -136,19 +136,17 @@ def column_functionals(stream: ColumnStream, jump_bases, levels, workspace=None)
     int_log or int_exp, all exact per segment.  Each level's arithmetic is
     the same whatever levels are swept with it.
 
-    workspace, when given, is a 2-D array of ``_workspace_rows(levels)``
-    rows at least n_paths wide (``sweep_estimates`` makes one per sweep);
-    it is zeroed and swept in, and the results are views of it, valid
-    until the next block is swept in it.  Without one, every row is a
-    fresh array.
+    workspace is a 2-D array of ``_workspace_rows(levels)`` rows at least
+    n_paths wide (``sweep_estimates`` makes one per sweep; without one the
+    call makes its own); it is zeroed and swept in, and the results are
+    views of it, valid until the next block is swept in it.
     """
     n, T = stream.n_paths, stream.horizon
     drifts = [np.asarray(lv.drift, dtype=float) for lv in levels]
     if workspace is None:
-        buffers = [np.zeros(n) for _ in range(_workspace_rows(levels))]
-    else:
-        buffers = workspace[:, :n]
-        buffers.fill(0.0)
+        workspace = np.empty((_workspace_rows(levels), n))
+    buffers = workspace[:, :n]
+    buffers.fill(0.0)
     t_prev, *accumulators = buffers
     slots = iter(accumulators)
     results = [dict(zip(_accumulators(lv), slots)) for lv in levels]

@@ -324,7 +324,7 @@ class TestRowChunks:
         """Bit for bit, on distinct (pi0, pi1) rows and on fig1's 201-point
         (pi, pi) grid, both ending in a partial chunk."""
         mkt, weights = self._rows(case)
-        step = EXPECT_CELLS // mkt.dists[0]._rule[0].size
+        step = EXPECT_CELLS // mkt.dists[0].n_nodes
         assert step == 16 and len(weights) % step != 0
         for i0 in (0, 1):
             together = exact_value(mkt, utility, 1.0, 1.0, weights, i0)

@@ -274,24 +274,31 @@ ALLOCATORS = {"empty", "zeros", "ones", "full"}
 
 
 def test_one_workspace_per_sweep():
-    """Every block of a sweep is swept in one workspace: in verify, only
-    sweep_estimates allocates a 2-D array, once, outside its loop over
-    the blocks, and it passes that array to every column_functionals call."""
+    """Every block of a sweep is swept in one workspace: in verify,
+    sweep_estimates allocates a 2-D array once, outside its loop over the
+    blocks, and passes it to every column_functionals call, which makes
+    its own only when called without one (tests)."""
     sites = []
     for fn in ast.walk(_trees()["verify"]):
         if not isinstance(fn, ast.FunctionDef):
             continue
-        loops = [node for node in ast.walk(fn) if isinstance(node, ast.For)]
-        in_loop = {id(sub) for loop in loops for sub in ast.walk(loop)}
+        in_loop, unset = (
+            {id(sub) for node in ast.walk(fn) if kind(node) for sub in ast.walk(node)}
+            for kind in (
+                lambda node: isinstance(node, ast.For),
+                lambda node: isinstance(node, ast.If)
+                and ast.unparse(node.test) == "workspace is None",
+            )
+        )
         sites += [
-            (fn.name, id(node) in in_loop)
+            (fn.name, id(node) in in_loop, id(node) in unset)
             for node in ast.walk(fn)
             if isinstance(node, ast.Call)
             and _called(node) in ALLOCATORS
             and node.args
             and isinstance(node.args[0], ast.Tuple)
         ]
-    assert sites == [("sweep_estimates", False)]
+    assert sites == [("column_functionals", False, True), ("sweep_estimates", False, False)]
     sweep = next(
         fn
         for fn in ast.walk(_trees()["verify"])
