@@ -3,6 +3,8 @@
 Each distribution samples itself and builds its quadrature rule once:
 a composite Gauss-Legendre rule for the exponential families, the exact
 atom sum for ``TwoPoint``, and the trapezoid sum for ``Tabulated``.  The
+Gauss-Legendre rules come from stored tables, so no command imports
+``numpy.polynomial`` or solves an eigenvalue problem for them.  The
 one ``JumpDistribution.expect`` integrates against every rule, and the
 MGF is ``expect`` of e^{sY} where a law has no closed form.
 
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConfigError, DomainError, QuadratureError
 
@@ -101,13 +102,35 @@ class JumpDistribution:
         return self._rule[0].size
 
 
-_LEGGAUSS = {}  # n -> the n-point Gauss-Legendre nodes and weights, once per process
+# the positive halves of numpy's GL_NODES- and 2*GL_NODES-point
+# Gauss-Legendre rules (``numpy.polynomial.legendre.leggauss``, whose
+# nodes and weights are symmetric bit for bit), as nodes, then weights
+_GL_HALVES = {
+    16: (
+        (0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+         0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499),
+        (0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+         0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176),
+    ),
+    32: (
+        (0.048307665687738324, 0.1444719615827965, 0.23928736225213706, 0.33186860228212767,
+         0.42135127613063533, 0.5068999089322294, 0.5877157572407623, 0.6630442669302152,
+         0.7321821187402897, 0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+         0.9349060759377397, 0.9647622555875064, 0.9856115115452684, 0.9972638618494816),
+        (0.09654008851472766, 0.09563872007927471, 0.09384439908080451, 0.09117387869576378,
+         0.08765209300440378, 0.08331192422694671, 0.07819389578707023, 0.07234579410884834,
+         0.06582222277636168, 0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+         0.034273862913021765, 0.025392065309262024, 0.016274394730905743, 0.007018610009470506),
+    ),
+}
 
 
 def _leggauss(n):
-    if n not in _LEGGAUSS:
-        _LEGGAUSS[n] = leggauss(n)
-    return _LEGGAUSS[n]
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], n in
+    (GL_NODES, 2*GL_NODES): the stored halves mirrored, so that no
+    eigenvalue problem is solved at run time."""
+    x, w = map(np.array, _GL_HALVES[n])
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
 def _exponential_rule(rate, sign):

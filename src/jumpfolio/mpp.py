@@ -12,19 +12,20 @@ pass, so what a pass holds does not grow with n.
 they are drawn (a ``SampleStream`` of ``ColumnStream`` blocks), so a
 reader that needs only per-path accumulators, such as the verification
 layer's sweep, never holds more than a column of one block.
-``simulate_ensemble`` keeps every column of the same passes and lays them
-out, once the longest path is known, in a ``PathEnsemble``, the one
-stored path type: column-major rectangular arrays padded only to the
-longest path; a path is a row of it (a block
-of rows is ``PathEnsemble.rows``), and ``PathEnsemble.columns`` streams
-the stored columns again, in the same blocks, the one way a stored
-sample is swept.
+``simulate_ensemble`` stores the same sample in a ``PathEnsemble``, the
+one stored path type: column-major rectangular arrays padded only to the
+longest path.  It holds the sample once: a first pass draws only the
+holding times and keeps each path's jump count, and a second pass at
+the same seed writes every column into the arrays laid out from those
+counts.  A path is a row of the ensemble (a block of rows is
+``PathEnsemble.rows``), and ``PathEnsemble.columns`` streams the stored
+columns again, in the same blocks, the one way a stored sample is swept.
 
-Random-number contract: a sample takes an integer seed and is
-bit-reproducible, streamed or stored.  The seed is split with
-``numpy.random.SeedSequence(seed).spawn(2 * blocks)``: block b draws its
-holding times from child 2b and its marks from child 2b + 1, so chain
-and mark draws never interleave, and a one-block sample (at most
+Random-number contract: a sample takes a nonnegative integer seed, and
+no other, and is bit-reproducible, streamed or stored.  The seed is
+split with ``numpy.random.SeedSequence(seed).spawn(2 * blocks)``: block
+b draws its holding times from child 2b and its marks from child
+2b + 1, so chain and mark draws never interleave, and a one-block sample (at most
 ``BLOCK_PATHS`` paths) uses the first two children alone.  Within a
 block, jump column j draws, in path order, one holding time for each
 path still inside [0, T] after column j - 1 (every path of the block at
@@ -39,6 +40,7 @@ are the sample of b * BLOCK_PATHS paths.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -274,11 +276,14 @@ def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, s
     [0, T], and then draws one mark from the block's mark stream for each
     path whose new time is still inside.  The block ends at the first
     column with no path left inside [0, T], or at once at an absorbing
-    state (rate 0), which draws nothing.  The arguments are checked and
-    every block's two random streams made at the call; the columns are
-    drawn as they are read, so no column is held longer than its reader
-    keeps it.
+    state (rate 0), which draws nothing.  With ``dists`` None no mark is
+    drawn, every column's marks are None, and the times are the same
+    bits.  The arguments are checked and every block's two random streams
+    made at the call; the columns are drawn as they are read, so no
+    column is held longer than its reader keeps it.
     """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"a sample's seed must be a nonnegative integer, got {seed!r}")
     if T <= 0:
         raise ConfigError("horizon T must be positive")
     if n_paths < 1:
@@ -316,34 +321,42 @@ def _draw_columns(gen, i0, T, dists, n, chain_rng, mark_rng):
         else:
             keep = None
         t = step
-        yield t, dists[state].sample(t.size, mark_rng), keep
+        yield t, None if dists is None else dists[state].sample(t.size, mark_rng), keep
+
+
+def _placed_columns(blocks):
+    """(j, rows, times, marks) for every jump column j of a sample's
+    blocks, in order: rows are the sample positions of the column's paths."""
+    lo = 0
+    for block in blocks:
+        rows = np.arange(lo, lo + block.n_paths)  # the paths of the last column, in order
+        for j, (t, m, keep) in enumerate(block.columns):
+            if keep is not None:
+                rows = rows[keep]
+            yield j, rows, t, m
+        lo += block.n_paths
 
 
 def simulate_ensemble(
     gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed
 ) -> PathEnsemble:
-    """Simulate n_paths marked point paths into padded arrays: every column
-    of every block of ``jump_columns``, kept as it is drawn with the
-    positions of its paths, and laid out once the width, the longest path
-    of any block, is known.
+    """Simulate n_paths marked point paths into padded arrays that hold the
+    sample once.  A first pass of ``jump_columns`` draws only the holding
+    times and keeps each path's jump count; the arrays are then laid out
+    at the width of the longest path, and a second pass at the same seed,
+    which draws the same times, writes each column and its marks into
+    them as it is drawn.  The arguments are checked before anything is
+    allocated.
     """
-    drawn = []  # (column, sample rows, times, marks)
-    lo = 0
-    for block in jump_columns(gen, i0, T, dists, n_paths, seed).blocks:
-        rows = np.arange(lo, lo + block.n_paths)  # the paths of the last column, in order
-        for j, (t, m, keep) in enumerate(block.columns):
-            if keep is not None:
-                rows = rows[keep]
-            drawn.append((j, rows, t, m))
-        lo += block.n_paths
-    width = max((j + 1 for j, *_ in drawn), default=0)
-    times = np.full((n_paths, width), np.inf, order="F")
-    marks = np.zeros_like(times)
+    times_only = jump_columns(gen, i0, T, None, n_paths, seed)
     counts = np.zeros(n_paths, dtype=int)
-    for j, rows, t, m in drawn:
+    for j, rows, _, _ in _placed_columns(times_only.blocks):
+        counts[rows] = j + 1
+    times = np.full((n_paths, counts.max()), np.inf, order="F")
+    marks = np.zeros_like(times)
+    for j, rows, t, m in _placed_columns(jump_columns(gen, i0, T, dists, n_paths, seed).blocks):
         times[rows, j] = t
         marks[rows, j] = m
-        counts[rows] = j + 1
     return PathEnsemble(
         initial_state=i0, horizon=T, times=times, marks=marks, counts=counts, seed=seed
     )

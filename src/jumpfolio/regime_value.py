@@ -31,6 +31,10 @@ from .policy import Utility
 # the exponential rule, so J's working set does not grow with the rows
 EXPECT_CELLS = 1 << 14
 
+# weight rows one power closed form takes at a time: its temporaries hold
+# about 190 bytes a row, so J's working set does not grow with the rows
+_FUNCTIONAL_ROWS = 128
+
 
 def _growth_terms(market: MarketModel, utility: Utility, weights):
     """Per-regime drift and jump term of J at rows of weights (k, 2).
@@ -77,7 +81,8 @@ def exact_value(market: MarketModel, utility: Utility, x, T, weights, i0):
     growth up to s by the time left, the terminal term by 1.  Power utility
     runs without consumption: J = (x^gamma/gamma) (e^{TM} 1)_{i0}
     (``mpp.exponential_functional``), with M_ii = gamma drift_i - lambda_i
-    and M_ij = lambda_i E_i[(1 + pi_i f)^gamma].
+    and M_ij = lambda_i E_i[(1 + pi_i f)^gamma], ``_FUNCTIONAL_ROWS`` rows at
+    a time.
 
     Returns J (k,), NaN in rows whose drift is not finite.  A jump term
     that is not finite, as at a weight outside the jump-feasible set, raises
@@ -95,8 +100,11 @@ def exact_value(market: MarketModel, utility: Utility, x, T, weights, i0):
         values = (T + 1.0) * math.log(x / (T + 1.0)) + d_bar[:, 0] * w[0] + d_bar[:, 1] * w[1]
     else:
         gamma = utility.gamma
-        growth = exponential_functional(gamma * drift - lam, lam * jump, T)
-        values = (x**gamma / gamma) * growth[:, i0]
+        values = np.empty(len(drift))
+        for lo in range(0, len(drift), _FUNCTIONAL_ROWS):
+            rows = slice(lo, lo + _FUNCTIONAL_ROWS)
+            growth = exponential_functional(gamma * drift[rows] - lam, lam * jump[rows], T)
+            values[rows] = (x**gamma / gamma) * growth[:, i0]
     J = np.full(finite.size, math.nan)
     J[finite] = values
     return J

@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import leggauss
 
 from jumpfolio import distributions
 from jumpfolio.distributions import (
+    GL_NODES,
     ExponentialNegative,
     ExponentialPositive,
     Tabulated,
@@ -254,18 +255,24 @@ def test_sampling_deterministic_per_seed(seed):
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [GL_NODES, 2 * GL_NODES])
+def test_stored_rules_are_leggauss(n):
+    """The Gauss-Legendre nodes and weights are stored in the module, not
+    computed at run time, and they are ``leggauss``'s output bit for bit."""
+    for stored, fresh in zip(distributions._leggauss(n), leggauss(n)):
+        assert stored.dtype == fresh.dtype and stored.tobytes() == fresh.tobytes()
+
+
 @pytest.mark.parametrize(
     "rate, law", [(10.0, ExponentialPositive), (1.05, ExponentialNegative), (2.5, ExponentialPositive)]
 )
 def test_rule_from_cached_nodes_is_the_fresh_rule(rate, law, monkeypatch):
-    """The Gauss-Legendre nodes are computed once per process: a law built
-    afterwards calls no ``leggauss``, and its rule is bit for bit the one
-    built from fresh ``leggauss`` calls."""
-    law(3.0)  # fills the cache
-    monkeypatch.setattr(distributions, "leggauss", None)
-    cached = law(rate)._rule
+    """A law's rule, built from the nodes stored in the module (no
+    ``leggauss`` call at run time), is bit for bit the one built from
+    fresh ``leggauss`` calls."""
+    stored = law(rate)._rule
     monkeypatch.setattr(distributions, "_leggauss", leggauss)
     fresh = distributions._exponential_rule(rate, law.sign)
-    assert len(cached) == len(fresh) == 3
-    for a, b in zip(cached, fresh):
-        assert np.array_equal(a, b)
+    assert len(stored) == len(fresh) == 3
+    for a, b in zip(stored, fresh):
+        assert a.tobytes() == b.tobytes()

@@ -312,22 +312,39 @@ class TestEnsemble:
         ens = simulate_ensemble(gen, 0, 5.0, DISTS, 100, 1)
         assert np.all(ens.counts == 0)
 
-    def test_memory_is_the_drawn_sample(self):
-        """The arrays are laid out once, at the width of the longest path:
-        over 40,000 paths of regime_switching.yaml (8 columns, 5.1 MB of
-        times and marks) the traced peak stays below 10 MB."""
-        cfg = load_config(REGIME_SWITCHING)
-        mkt = cfg.market
+    @staticmethod
+    def _peak_per_laid_out_byte(gen, i0, T, dists, n_paths, seed):
+        """The tracemalloc peak of simulate_ensemble, after a warm-up, over
+        the bytes of the times, marks and counts it lays out."""
+        simulate_ensemble(gen, i0, min(T, 1.0), dists, 10, seed)  # warm up
         tracemalloc.start()
         try:
-            ens = simulate_ensemble(
-                mkt.gen, cfg.initial_state, cfg.horizon, mkt.dists, 40_000, cfg.seed
-            )
+            ens = simulate_ensemble(gen, i0, T, dists, n_paths, seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ens.times.shape == (40_000, ens.counts.max())
-        assert peak < 10e6
+        assert ens.times.shape == (n_paths, ens.counts.max())
+        return peak / (ens.times.nbytes + ens.marks.nbytes + ens.counts.nbytes)
+
+    def test_memory_is_the_drawn_sample(self):
+        """The sample is held once: over 40,000 paths of regime_switching.yaml
+        (8 columns, 5.1 MB of times and marks) the traced peak stays below
+        1.25 times the laid-out bytes (1.12 times; 1.20 while the drawn
+        columns were kept beside the layout)."""
+        cfg = load_config(REGIME_SWITCHING)
+        mkt = cfg.market
+        ratio = self._peak_per_laid_out_byte(
+            mkt.gen, cfg.initial_state, cfg.horizon, mkt.dists, 40_000, cfg.seed
+        )
+        assert ratio < 1.25
+
+    def test_memory_is_the_dense_sample(self):
+        """On a dense sample, 100 paths at rate 50 in both regimes over
+        T = 10 (about 550 columns), the traced peak stays below 1.25 times
+        the laid-out bytes (1.01 times; 2.1 times while the drawn columns
+        were kept beside the layout)."""
+        ratio = self._peak_per_laid_out_byte(GeneratorMatrix(50.0, 50.0), 0, 10.0, DISTS, 100, 3)
+        assert ratio < 1.25
 
     def test_column_cap_reached_in_the_pass(self, monkeypatch):
         monkeypatch.setattr(GeneratorMatrix, "mean_jump_count", lambda self, i0, T: 0.0)
@@ -352,9 +369,32 @@ class TestColumnStream:
     @pytest.mark.parametrize("T, n_paths", [(0.0, 10), (-1.0, 10), (1.0, 0), (1.0, -3)])
     def test_checks_arguments_at_the_call(self, T, n_paths):
         """A generator would defer its checks to the first read; the
-        sampler checks at the call, so no sweep starts on bad arguments."""
-        with pytest.raises(ConfigError):
-            jump_columns(GeneratorMatrix(1.0, 1.0), 0, T, DISTS, n_paths, 5)
+        sampler checks at the call, so no sweep starts on bad arguments,
+        and simulate_ensemble checks them before it allocates anything."""
+        for sampler in (jump_columns, simulate_ensemble):
+            with pytest.raises(ConfigError):
+                sampler(GeneratorMatrix(1.0, 1.0), 0, T, DISTS, n_paths, 5)
+
+    @pytest.mark.parametrize("seed", [None, -1, 2.5, np.random.SeedSequence(5)])
+    def test_checks_the_seed_at_the_call(self, seed):
+        """A sample is reproducible only from a nonnegative integer seed:
+        fresh entropy (None) would let simulate_ensemble's two passes draw
+        different samples, so both samplers refuse it at the call."""
+        for sampler in (jump_columns, simulate_ensemble):
+            with pytest.raises(ConfigError):
+                sampler(GeneratorMatrix(1.0, 1.0), 0, 1.0, DISTS, 10, seed)
+
+    @pytest.mark.parametrize("rates, i0", [((30.0, 80.0), 1), ((1.5, 0.5), 0), ((0.0, 3.0), 1)])
+    def test_times_only_draws_the_same_times(self, rates, i0):
+        """Without mark laws the sampler draws no mark, and its times and
+        keeps are those of the marked sample at the same seed."""
+        gen = GeneratorMatrix(*rates)
+        marked = jump_columns(gen, i0, 4.0, DISTS, 300, 7).columns
+        times_only = jump_columns(gen, i0, 4.0, None, 300, 7).columns
+        for (t, _, keep), (u, m, kept) in itertools.zip_longest(marked, times_only):
+            assert m is None
+            assert np.array_equal(t, u)
+            assert (keep is None and kept is None) or np.array_equal(keep, kept)
 
     @pytest.mark.parametrize("rates, i0", [((30.0, 80.0), 1), ((1.5, 0.5), 0), ((0.0, 3.0), 1)])
     def test_stream_is_the_stored_columns(self, rates, i0):

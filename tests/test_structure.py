@@ -8,8 +8,9 @@ every Monte Carlo estimate in one workspace per sweep, one constant
 sizes the blocks a sample is drawn and swept in, one the chunks of weight
 rows the exact value integrates at once, one expect integrates against
 every mark law, the row engine serves only the stock and
-wealth paths, only the market builds the regime chain, and value and
-verify share one call of each value stage."""
+wealth paths, only the market builds the regime chain, value and
+verify share one call of each value stage, and no module does linear
+algebra at run time."""
 
 import ast
 from pathlib import Path
@@ -384,3 +385,31 @@ def test_simulate_writes_path_csvs_only_through_export_path_csv():
         and (_called(node) in {"write", "writelines"} or any(k.arg == "file" for k in node.keywords))
     ]
     assert writes == []
+
+
+def _dotted_names(node):
+    """The dotted names an import, attribute or name node reads."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    return [getattr(node, "attr", None) or getattr(node, "id", None) or ""]
+
+
+def test_no_linear_algebra_at_run_time():
+    """The runtime solves no eigenvalue problem or linear system: in src/,
+    no module imports numpy.polynomial (whose leggauss calls LAPACK's
+    eigvalsh) or reads linalg.  sys.modules cannot show this, since numpy
+    imports numpy.linalg itself."""
+    found = [
+        (module, ast.unparse(node))
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom, ast.Attribute, ast.Name))
+        and any(
+            part in {"polynomial", "linalg"}
+            for name in _dotted_names(node)
+            for part in name.split(".")
+        )
+    ]
+    assert found == []
