@@ -50,7 +50,6 @@ from .mpp import (
     ColumnStream,
     GeneratorMatrix,
     PathEnsemble,
-    SampleStream,
     jump_columns,
     simulate_ensemble,
 )

@@ -74,20 +74,19 @@ class RunConfig:
     raw: dict  # normalised dict form, round-trips through YAML
 
 
+def _cast(value, cast, field):
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"cannot interpret {value!r}", field=field) from None
+
+
 def _require(mapping, key, path, cast=None):
     if not isinstance(mapping, dict):
         raise ConfigError(f"expected a mapping at {path}", field=path)
     if key not in mapping:
         raise ConfigError(f"missing required key {path}.{key}", field=f"{path}.{key}")
-    value = mapping[key]
-    if cast is not None:
-        try:
-            value = cast(value)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"cannot interpret {path}.{key} = {value!r}", field=f"{path}.{key}"
-            )
-    return value
+    return mapping[key] if cast is None else _cast(mapping[key], cast, f"{path}.{key}")
 
 
 def _reject_unknown(mapping, allowed, path):
@@ -105,6 +104,18 @@ def _float(value):
         if value in ("-inf", "-.inf"):
             return -math.inf
     return float(value)
+
+
+def _int(value):
+    """An integer, or a float or string that is one: a fraction or a bool
+    raises ValueError, where int() would truncate or convert it."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
+def _floats(values):
+    return [float(v) for v in values]
 
 
 def _parse_distribution(node, path):
@@ -125,8 +136,8 @@ def _parse_distribution(node, path):
     if variant == "tabulated":
         _reject_unknown(node, {"variant", "grid", "density"}, path)
         return Tabulated(
-            grid=_require(node, "grid", path),
-            density=_require(node, "density", path),
+            grid=_require(node, "grid", path, _floats),
+            density=_require(node, "density", path, _floats),
         )
     raise ConfigError(
         f"unknown distribution variant {variant!r} at {path}.variant",
@@ -209,7 +220,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
 
     model = _require(data, "model", "config")
     _reject_unknown(model, {"initial_state", "regimes"}, "config.model")
-    initial_state = int(model.get("initial_state", 0))
+    initial_state = _cast(model.get("initial_state", 0), _int, "config.model.initial_state")
     if initial_state not in (0, 1):
         raise ConfigError(
             "config.model.initial_state must be 0 or 1",
@@ -250,8 +261,8 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
         cnode = data["constraint"]
         _reject_unknown(cnode, {"lower", "upper"}, "config.constraint")
         constraint = ConstraintSet(
-            lower=_float(cnode.get("lower", -math.inf)),
-            upper=_float(cnode.get("upper", math.inf)),
+            lower=_cast(cnode.get("lower", -math.inf), _float, "config.constraint.lower"),
+            upper=_cast(cnode.get("upper", math.inf), _float, "config.constraint.upper"),
         )
     else:  # the canonical set of regime 0's margin variant
         margin = regimes_node[0].get("margin") or _FRICTIONLESS
@@ -274,13 +285,13 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
 
     mc = _require(data, "mc", "config")
     _reject_unknown(mc, {"n_paths", "seed"}, "config.mc")
-    n_paths = _require(mc, "n_paths", "config.mc", int)
+    n_paths = _require(mc, "n_paths", "config.mc", _int)
     if n_paths < 2:
         raise ConfigError(
             "config.mc.n_paths must be at least 2: a standard error needs two paths",
             field="config.mc.n_paths",
         )
-    seed = _require(mc, "seed", "config.mc", int)
+    seed = _require(mc, "seed", "config.mc", _int)
 
     output_dir = data.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, ".")
 

@@ -93,10 +93,6 @@ class JumpDistribution:
         raise NotImplementedError
 
     @property
-    def mean(self):
-        return self.expect(lambda y: y)
-
-    @property
     def n_nodes(self):
         """The nodes of the law's rule: the cells expect holds per row."""
         return self._rule[0].size

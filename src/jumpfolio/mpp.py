@@ -8,18 +8,17 @@ passes, column by column, until no path is left inside the horizon.
 A sample of n paths is a run of consecutive blocks of ``BLOCK_PATHS``
 paths (the last block may be shorter), each drawn and swept in its own
 pass, so what a pass holds does not grow with n.
-``jump_columns`` makes those passes: it yields each block's columns as
-they are drawn (a ``SampleStream`` of ``ColumnStream`` blocks), so a
-reader that needs only per-path accumulators, such as the verification
-layer's sweep, never holds more than a column of one block.
+``jump_columns`` makes those passes: it returns the tuple of a sample's
+blocks, each a ``ColumnStream`` whose columns are drawn as they are
+read, so a reader that needs only per-path accumulators, such as the
+verification layer's sweep, never holds more than a column of one block.
 ``simulate_ensemble`` stores the same sample in a ``PathEnsemble``, the
 one stored path type: column-major rectangular arrays padded only to the
 longest path.  It holds the sample once: a first pass draws only the
 holding times and keeps each path's jump count, and a second pass at
 the same seed writes every column into the arrays laid out from those
-counts.  A path is a row of the ensemble (a block of rows is
-``PathEnsemble.rows``), and ``PathEnsemble.columns`` streams the stored
-columns again, in the same blocks, the one way a stored sample is swept.
+counts.  A path is a row of the ensemble, and a block of rows
+(``PathEnsemble.rows``) is what the market's row engine reads.
 
 Random-number contract: a sample takes a nonnegative integer seed, and
 no other, and is bit-reproducible, streamed or stored.  The seed is
@@ -161,45 +160,12 @@ class ColumnStream:
     initial_state: int
     horizon: float
     n_paths: int
-    seed: object
     columns: Iterator
-
-
-@dataclass(frozen=True)
-class SampleStream:
-    """A sample of ``n_paths`` paths as its consecutive blocks, in path
-    order: ``blocks`` holds one ``ColumnStream`` per ``BLOCK_PATHS``
-    paths (the last may hold fewer), and block b's paths are the sample's
-    paths b * BLOCK_PATHS onwards.  Each block's columns are drawn, or
-    read, as they are passed on, and each block is passed on once.
-    """
-
-    initial_state: int
-    horizon: float
-    n_paths: int
-    seed: object
-    blocks: tuple
-
-    @property
-    def columns(self) -> Iterator:
-        """The columns of a one-block sample (at most BLOCK_PATHS paths)."""
-        (block,) = self.blocks
-        return block.columns
 
 
 def _block_bounds(n_paths):
     """(lo, hi) of each block of a sample of n_paths paths, in path order."""
     return [(lo, min(lo + BLOCK_PATHS, n_paths)) for lo in range(0, n_paths, BLOCK_PATHS)]
-
-
-def _sample_stream(i0, T, n_paths, seed, block_columns) -> SampleStream:
-    """The sample whose block b, paths lo .. hi - 1, has the columns
-    block_columns(b, lo, hi); every block is made at the call."""
-    blocks = tuple(
-        ColumnStream(i0, T, hi - lo, seed, block_columns(b, lo, hi))
-        for b, (lo, hi) in enumerate(_block_bounds(n_paths))
-    )
-    return SampleStream(i0, T, n_paths, seed, blocks)
 
 
 @dataclass
@@ -219,7 +185,6 @@ class PathEnsemble:
     times: np.ndarray
     marks: np.ndarray
     counts: np.ndarray
-    seed: object = None
 
     @property
     def n_paths(self):
@@ -235,28 +200,7 @@ class PathEnsemble:
             times=self.times[lo:hi, :width],
             marks=self.marks[lo:hi, :width],
             counts=counts,
-            seed=self.seed,
         )
-
-    def columns(self) -> SampleStream:
-        """The stored jump columns as a stream, in its compacted layout and
-        in the blocks ``jump_columns`` draws."""
-        return _sample_stream(
-            self.initial_state, self.horizon, self.n_paths, self.seed,
-            lambda b, lo, hi: self._compacted_columns(lo, hi),
-        )
-
-    def _compacted_columns(self, lo, hi):
-        rows = np.arange(lo, hi)  # the paths of the last column
-        for j in range(self.times.shape[1]):
-            keep = np.flatnonzero(self.counts[rows] > j)
-            if keep.size == 0:
-                return
-            if keep.size < rows.size:
-                rows = rows[keep]
-            else:
-                keep = None
-            yield self.times[rows, j], self.marks[rows, j], keep
 
 
 def _too_wide(gen, T):
@@ -266,9 +210,10 @@ def _too_wide(gen, T):
     )
 
 
-def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed) -> SampleStream:
+def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, seed) -> tuple:
     """Draw n_paths marked point paths a block at a time, and each block
-    one jump column at a time.
+    one jump column at a time: the ``ColumnStream`` of each block, in
+    path order.
 
     In a block, column j adds an exponential holding time from the
     block's chain stream, at the rate of the alternating state
@@ -290,11 +235,12 @@ def jump_columns(gen: GeneratorMatrix, i0: int, T: float, dists, n_paths: int, s
         raise ConfigError(f"an ensemble needs at least one path, got {n_paths}")
     if gen.mean_jump_count(i0, T) > _MAX_WIDTH:
         raise _too_wide(gen, T)
-    children = np.random.SeedSequence(seed).spawn(2 * len(_block_bounds(n_paths)))
+    bounds = _block_bounds(n_paths)
+    children = np.random.SeedSequence(seed).spawn(2 * len(bounds))
     rngs = [np.random.default_rng(child) for child in children]
-    return _sample_stream(
-        i0, T, n_paths, seed,
-        lambda b, lo, hi: _draw_columns(gen, i0, T, dists, hi - lo, rngs[2 * b], rngs[2 * b + 1]),
+    return tuple(
+        ColumnStream(i0, T, hi - lo, _draw_columns(gen, i0, T, dists, hi - lo, chain, marks))
+        for (lo, hi), chain, marks in zip(bounds, rngs[::2], rngs[1::2])
     )
 
 
@@ -350,13 +296,11 @@ def simulate_ensemble(
     """
     times_only = jump_columns(gen, i0, T, None, n_paths, seed)
     counts = np.zeros(n_paths, dtype=int)
-    for j, rows, _, _ in _placed_columns(times_only.blocks):
+    for j, rows, _, _ in _placed_columns(times_only):
         counts[rows] = j + 1
     times = np.full((n_paths, counts.max()), np.inf, order="F")
     marks = np.zeros_like(times)
-    for j, rows, t, m in _placed_columns(jump_columns(gen, i0, T, dists, n_paths, seed).blocks):
+    for j, rows, t, m in _placed_columns(jump_columns(gen, i0, T, dists, n_paths, seed)):
         times[rows, j] = t
         marks[rows, j] = m
-    return PathEnsemble(
-        initial_state=i0, horizon=T, times=times, marks=marks, counts=counts, seed=seed
-    )
+    return PathEnsemble(initial_state=i0, horizon=T, times=times, marks=marks, counts=counts)

@@ -8,22 +8,20 @@ by l, the state-price process H by -(1-gamma) l and H V by gamma l.
 ``column_functionals`` accumulates any number of levels (final log and,
 per level, int log or int exp) in one pass over the jump columns of a
 block of paths, evaluating each basis once per column; it reads a
-``ColumnStream``, so a sample swept as it is drawn (``mpp.jump_columns``)
-is never stored, and a stored one is swept through
-``PathEnsemble.columns``.  A Monte Carlo check is a ``McCheck``: its
-level and the reduction of that level's functionals to one sample per
-path.  Every estimate comes from ``sweep_estimates``, which sweeps the
-levels of any number of checks at once, a block at a time, and merges
-each block's sample moments in block order.  The checks that read the
+``ColumnStream``, a block of a sample as ``mpp.jump_columns`` draws it,
+so a swept sample is never stored.  A Monte Carlo check is a
+``McCheck``: its level and the reduction of that level's functionals to
+one sample per path.  Every estimate comes from ``sweep_estimates``,
+which sweeps the levels of any number of checks at once, a block at a
+time, and merges each block's sample moments in block order.  The checks that read the
 dual density H take its ``StatePriceSpec``, built once per policy by
 ``state_price_spec``.  Portfolio weights are per-regime constants.
 
-Every Monte Carlo check is a function of the column stream it is given
-(horizon, start regime and seed included).  A caller draws a sample once
-and passes it to every check (common random numbers).  Reductions run in
-fixed path and block order, so estimates are bit-reproducible, streamed
-or stored, and a level's functionals do not depend on the levels swept
-with it.
+Every Monte Carlo check is a function of the blocks it is given
+(horizon and start regime included).  A caller draws a sample once and
+passes it to every check (common random numbers).  Reductions run in
+fixed path and block order, so estimates are bit-reproducible per seed,
+and a level's functionals do not depend on the levels swept with it.
 The identity H V = 1 at the log optimum needs no sample: its level has
 no jump and a per-regime drift, so it is checked in closed form.
 The grid search simulates nothing: for weights constant in each regime,
@@ -41,19 +39,18 @@ import numpy as np
 from .errors import ConfigError, DomainError, InfeasiblePolicyError
 from .frictions import ConstraintSet
 from .market import ConsumptionRule, MarketModel, _log_jump, _wealth_terms
-from .mpp import ColumnStream, SampleStream
+from .mpp import ColumnStream
 from .policy import Policy, Utility, certify, feasible_weight_interval, in_interval
 from .regime_value import exact_value
 
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Sample mean with its standard error; reproducible per seed."""
+    """Sample mean with its standard error over n_paths paths."""
 
     mean: float
     stderr: float
     n_paths: int
-    seed: object
 
 
 def _moments(samples):
@@ -77,14 +74,14 @@ def _merge(a, b):
     return n, mean_a + delta * (nb / n), m2_a + m2_b + delta * delta * (na * nb / n)
 
 
-def _estimate(moments, seed):
+def _estimate(moments):
     """The McEstimate of a sample from its moments (``_moments``); of one
     block, numpy's mean and std(ddof=1) / sqrt(n) bit for bit."""
     n, mean, m2 = moments
     if n < 2:
         raise ConfigError(f"a standard error needs two paths, got {n}")
     stderr = float(np.sqrt(m2 / (n - 1)) / math.sqrt(n))
-    return McEstimate(mean=float(mean), stderr=stderr, n_paths=n, seed=seed)
+    return McEstimate(mean=float(mean), stderr=stderr, n_paths=n)
 
 
 # ---------------------------------------------------------------------------
@@ -281,26 +278,26 @@ class McCheck:
     reduce: Callable
 
 
-def sweep_estimates(market, stream: SampleStream, checks) -> list:
+def sweep_estimates(market, blocks, checks) -> list:
     """The McEstimate of each check, from one sweep of the sample over all
-    their levels: the one way to a Monte Carlo estimate.  stream is a
-    sample drawn as it is swept (``mpp.jump_columns``) or a stored one
-    (``PathEnsemble.columns``); both give the same bits, and so does a
-    check swept alone or with others.  The sample is swept a block at a
-    time, and each check's samples of a block are reduced to their
-    moments, merged in block order, so the sweep holds one block's
-    accumulators at most, all in one workspace that every block is swept
-    in.  A jump key is a per-regime weight pair, and
-    its basis log(1 + pi_i f) is evaluated once per column for every
-    level that reads it.  Raises InfeasiblePolicyError, for every
-    check, if a jump factor of any of them is nonpositive on some path."""
+    their levels: the one way to a Monte Carlo estimate.  blocks are the
+    ``ColumnStream`` blocks of a sample drawn as it is swept
+    (``mpp.jump_columns``); a check swept alone or with others gives the
+    same bits.  The sample is swept a block at a time, and each check's
+    samples of a block are reduced to their moments, merged in block
+    order, so the sweep holds one block's accumulators at most, all in
+    one workspace that every block is swept in.  A jump key is a
+    per-regime weight pair, and its basis log(1 + pi_i f) is evaluated
+    once per column for every level that reads it.  Raises
+    InfeasiblePolicyError, for every check, if a jump factor of any of
+    them is nonpositive on some path."""
     levels = [check.level for check in checks]
     keys = dict.fromkeys(key for lv in levels for key in lv.jumps)
     bases = {pi: [_log_jump(market.transform, p) for p in pi] for pi in keys}
-    width = max(block.n_paths for block in stream.blocks)
+    width = max(block.n_paths for block in blocks)
     workspace = np.empty((_workspace_rows(levels), width))
     moments = [None] * len(checks)
-    for block in stream.blocks:
+    for block in blocks:
         invalid, results = column_functionals(block, bases, levels, workspace)
         if np.any(invalid):
             raise InfeasiblePolicyError("a jump made 1 + pi*f nonpositive on some path")
@@ -309,7 +306,7 @@ def sweep_estimates(market, stream: SampleStream, checks) -> list:
             for acc, check, res in zip(moments, checks, results)
         ]
         del invalid, results  # freed before the next block is swept
-    return [_estimate(m, stream.seed) for m in moments]
+    return [_estimate(m) for m in moments]
 
 
 def martingale_mc(spec: StatePriceSpec) -> McCheck:

@@ -408,9 +408,10 @@ def test_criterion_9_state_price_martingale():
     cfg = _config_two_regimes()
     mkt, K = cfg.market, cfg.market.constraint
     pol = log_optimal_policy(mkt, 1.0, 1.0)
-    ens = simulate_ensemble(mkt.gen, 0, 1.0, mkt.dists, 100_000, SEED)
+    draw = (mkt.gen, 0, 1.0, mkt.dists, 100_000, SEED)
+    ens = simulate_ensemble(*draw)
     spec = state_price_spec(mkt, K, pol)
-    (est,) = sweep_estimates(mkt, ens.columns(), [martingale_mc(spec)])
+    (est,) = sweep_estimates(mkt, jump_columns(*draw), [martingale_mc(spec)])
     mart_ok = abs(est.mean - 1.0) <= 3.0 * est.stderr
     closed = state_price_wealth_identity(mkt, spec, 1.0)
     dev = pathwise_identity(mkt, spec, ens.rows(0, 1000))

@@ -21,6 +21,7 @@ from jumpfolio.config import load_config
 from jumpfolio.market import _log_jump
 from jumpfolio.mpp import BLOCK_PATHS, jump_columns, simulate_ensemble
 from jumpfolio.policy import Utility, log_optimal_policy, power_optimal_policy
+from stored_columns import expand
 from jumpfolio.verify import (
     budget_mc,
     column_functionals,
@@ -114,17 +115,15 @@ class TestBlocks:
 
     def test_blocks_are_consecutive_paths(self):
         mkt = load_config(REGIME_SWITCHING).market
-        stream = jump_columns(mkt.gen, 0, 1.0, mkt.dists, N_BLOCKS_PATHS, 11)
-        assert [b.n_paths for b in stream.blocks] == [BLOCK_PATHS, BLOCK_PATHS, 37]
-        assert stream.n_paths == N_BLOCKS_PATHS
-        with pytest.raises(ValueError):
-            stream.columns  # the columns of one block only
+        blocks = jump_columns(mkt.gen, 0, 1.0, mkt.dists, N_BLOCKS_PATHS, 11)
+        assert [b.n_paths for b in blocks] == [BLOCK_PATHS, BLOCK_PATHS, 37]
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     def test_streamed_is_stored(self, gamma):
-        """Per block, the same functionals, and the same estimates, where the
-        blocks end at different columns: the short block's paths all leave
-        before the full blocks' do."""
+        """Per block, the stored rows are the drawn columns bit for bit,
+        where the blocks end at different columns: the short block's paths
+        all leave before the full blocks' do; and a sample drawn again at
+        the same seed sweeps to the same estimates."""
         cfg = load_config(REGIME_SWITCHING)
         mkt, x, T = cfg.market, cfg.initial_wealth, cfg.horizon
         draw = (mkt.gen, 0, T, mkt.dists, N_BLOCKS_PATHS, cfg.seed)
@@ -132,20 +131,13 @@ class TestBlocks:
         starts = (0, BLOCK_PATHS, 2 * BLOCK_PATHS)
         widths = [int(ens.counts[lo : lo + BLOCK_PATHS].max()) for lo in starts]
         assert widths[2] < min(widths[:2])
+        for lo, block in zip(starts, jump_columns(*draw), strict=True):
+            rows = ens.rows(lo, lo + block.n_paths)
+            times, marks = expand(list(block.columns), block.n_paths)
+            assert np.array_equal(times, rows.times) and np.array_equal(marks, rows.marks)
         checks = _checks(mkt, gamma, x, T)
-        levels = [c.level for c in checks]
-        bases = {pi: [_log_jump(mkt.transform, p) for p in pi] for lv in levels for pi in lv.jumps}
-        for streamed, stored in zip(jump_columns(*draw).blocks, ens.columns().blocks, strict=True):
-            assert streamed.n_paths == stored.n_paths
-            got = column_functionals(streamed, bases, levels)
-            ref = column_functionals(stored, bases, levels)
-            assert np.array_equal(got[0], ref[0])
-            for a, b in zip(got[1], ref[1], strict=True):
-                assert a.keys() == b.keys()
-                for key in a:
-                    assert np.array_equal(a[key], b[key]), key
         assert sweep_estimates(mkt, jump_columns(*draw), checks) == sweep_estimates(
-            mkt, ens.columns(), checks
+            mkt, jump_columns(*draw), checks
         )
 
     def test_merged_moments_are_the_whole_sample_moments(self):
@@ -153,12 +145,12 @@ class TestBlocks:
         over every path at once, within rounding."""
         cfg = load_config(REGIME_SWITCHING)
         mkt, x, T = cfg.market, cfg.initial_wealth, cfg.horizon
-        ens = simulate_ensemble(mkt.gen, 0, T, mkt.dists, N_BLOCKS_PATHS, cfg.seed)
+        draw = (mkt.gen, 0, T, mkt.dists, N_BLOCKS_PATHS, cfg.seed)
         checks = _checks(mkt, 0.5, x, T)
         levels = [c.level for c in checks]
         bases = {pi: [_log_jump(mkt.transform, p) for p in pi] for lv in levels for pi in lv.jumps}
-        swept = [column_functionals(b, bases, levels)[1] for b in ens.columns().blocks]
-        got = sweep_estimates(mkt, ens.columns(), checks)
+        swept = [column_functionals(b, bases, levels)[1] for b in jump_columns(*draw)]
+        got = sweep_estimates(mkt, jump_columns(*draw), checks)
         for k, (check, est) in enumerate(zip(checks, got)):
             samples = np.concatenate([check.reduce(results[k]) for results in swept])
             assert est.n_paths == samples.size == N_BLOCKS_PATHS
@@ -169,7 +161,7 @@ class TestBlocks:
 
     def test_one_block_estimate_is_numpy_bit_for_bit(self):
         samples = np.random.default_rng(3).standard_normal(BLOCK_PATHS) * 0.3 + 2.0
-        est = verify._estimate(verify._moments(samples), 5)
+        est = verify._estimate(verify._moments(samples))
         assert est.mean == float(samples.mean())
         assert est.stderr == float(samples.std(ddof=1) / math.sqrt(samples.size))
 

@@ -37,7 +37,7 @@ class TestExponentialPositive:
             assert quad == pytest.approx(d.mgf(s), abs=1e-9)
 
     def test_mean(self):
-        assert ExponentialPositive(10.0).mean == pytest.approx(0.1, abs=1e-12)
+        assert ExponentialPositive(10.0).expect(lambda y: y) == pytest.approx(0.1, abs=1e-12)
 
     def test_sampling_moments(self):
         d = ExponentialPositive(10.0)
@@ -66,7 +66,7 @@ class TestExponentialNegative:
         pos, neg = ExponentialPositive(10.0), ExponentialNegative(10.0)
         for s in (-3.0, 0.5, 2.0):
             assert neg.mgf(s) == pytest.approx(pos.mgf(-s), abs=1e-15)
-        assert neg.mean == pytest.approx(-0.1, abs=1e-12)
+        assert neg.expect(lambda y: y) == pytest.approx(-0.1, abs=1e-12)
 
     def test_support_sign(self):
         rng = np.random.default_rng(1)
@@ -169,7 +169,7 @@ class TestTabulated:
 
     def test_moments(self):
         d = self._triangular()
-        assert d.mean == pytest.approx(0.0, abs=1e-9)
+        assert d.expect(lambda y: y) == pytest.approx(0.0, abs=1e-9)
         assert d.expect(lambda y: y * y) == pytest.approx(1.0 / 6.0, abs=1e-5)
 
     def test_inverse_cdf_sampling(self):

@@ -2,15 +2,16 @@
 margin is a ``PiecewiseLinearConcave``, only ``config`` pairs a margin
 variant with its canonical constraint set, only ``frictions`` and
 ``policy`` evaluate the margin's conjugate or its domain, and one
-comparison in src/ widens the domain by its rounding slack.  One sampler
-stores the sample, one module draws random numbers, one sweep makes
-every Monte Carlo estimate in one workspace per sweep, one constant
-sizes the blocks a sample is drawn and swept in, one the chunks of weight
-rows the exact value integrates at once, one expect integrates against
-every mark law, the row engine serves only the stock and
-wealth paths, only the market builds the regime chain, value and
-verify share one call of each value stage, and no module does linear
-algebra at run time."""
+comparison in src/ widens the domain by its rounding slack.  One function
+draws a sample's columns, and only the value stages and the one sampler
+that stores the sample call it; one module draws random numbers, one
+sweep makes every Monte Carlo estimate in one workspace per sweep, one
+constant sizes the blocks a sample is drawn and swept in, one the chunks
+of weight rows the exact value integrates at once, one expect integrates
+against every mark law, the row engine serves only the stock and wealth
+paths, only the market builds the regime chain, value and verify share
+one call of each value stage, and no module does linear algebra at run
+time."""
 
 import ast
 from pathlib import Path
@@ -240,22 +241,24 @@ def _assignments(name):
 def test_one_block_size():
     """Every sample is drawn and swept in blocks of one size, mpp.BLOCK_PATHS
     = 2^14 paths, that no option sets: in src/, mpp assigns it once, at
-    module level, and only mpp._block_bounds reads it.  The sampler
-    (jump_columns) and the stored sample's stream (PathEnsemble.columns)
-    cut their blocks there, and only simulate_ensemble, the sweep
-    (sweep_estimates) and the one-block columns of a sample read a
-    sample's blocks."""
+    module level, and only mpp._block_bounds reads it, for the sampler
+    (jump_columns) alone."""
     from jumpfolio import mpp
 
     assert mpp.BLOCK_PATHS == 1 << 14
     assert _assignments("BLOCK_PATHS") == [("mpp", True, "1 << 14")]  # no option or variable
     assert _loads({"BLOCK_PATHS"}) == {("mpp", "_block_bounds")}
     assert _attribute_readers("BLOCK_PATHS") == set()
-    assert _callers({"_block_bounds"}) == {("mpp", "jump_columns"), ("mpp", "_sample_stream")}
-    assert _callers({"_sample_stream"}) == {("mpp", "jump_columns"), ("mpp", "columns")}
-    assert _attribute_readers("blocks") == {
-        ("mpp", "simulate_ensemble"), ("mpp", "columns"), ("verify", "sweep_estimates")
-    }
+    assert _callers({"_block_bounds"}) == {("mpp", "jump_columns")}
+
+
+def test_one_producer_of_drawn_columns():
+    """One stream type and one producer: in src/, a ColumnStream is built
+    only by mpp.jump_columns, and only the value stages, whose sweep makes
+    every Monte Carlo estimate, and simulate_ensemble, which lays the
+    stored ensemble out from the drawn columns, call it."""
+    assert _callers({"ColumnStream"}) == {("mpp", "jump_columns")}
+    assert _callers({"jump_columns"}) == {("cli", "_value_stages"), ("mpp", "simulate_ensemble")}
 
 
 def test_one_quadrature_chunk_size():

@@ -36,6 +36,7 @@ from jumpfolio.policy import (
 )
 from jumpfolio.regime_value import mean_log_growth
 from row_identity import h_jump_logs, pathwise_identity
+from stored_columns import expand, stored_blocks
 from jumpfolio.verify import (
     Level,
     budget_mc,
@@ -68,11 +69,12 @@ def columns(mkt, T, n_paths, seed):
     return jump_columns(mkt.gen, 0, T, mkt.dists, n_paths, seed)
 
 
-def sweep(ens, drift, jumps, **level):
-    """One level swept alone, its jump log the only basis: its functionals
-    and the invalid flags, block by block, joined in path order."""
+def sweep(blocks, drift, jumps, **level):
+    """One level swept alone over a sample's blocks, its jump log the only
+    basis: its functionals and the invalid flags, block by block, joined
+    in path order."""
     level = Level(drift, {"w": 1.0}, **level)
-    swept = [column_functionals(block, {"w": jumps}, [level]) for block in ens.columns().blocks]
+    swept = [column_functionals(block, {"w": jumps}, [level]) for block in blocks]
     res = {key: np.concatenate([r[key] for _, (r,) in swept]) for key in swept[0][1][0]}
     return {**res, "invalid": np.concatenate([invalid for invalid, _ in swept])}
 
@@ -89,12 +91,18 @@ def make_market(lam=1.0):
 class TestEnsembleFunctionals:
     """The column-sweep engine against brute-force per-path evaluation."""
 
+    DRAW = (2.0, 64, 123)  # T, n_paths, seed
+
     def _setup(self):
         mkt = make_market()
-        ens = simulate_ensemble(mkt.gen, 0, 2.0, mkt.dists, 64, 123)
+        ens = ensemble(mkt, *self.DRAW)
         pi = 0.7
         drift, jumps = _wealth_terms(mkt, (pi, pi))
         return mkt, ens, pi, drift, jumps
+
+    def _sample(self, mkt):
+        """The sample of ``_setup``'s ensemble, drawn as it is swept."""
+        return columns(mkt, *self.DRAW)
 
     @staticmethod
     def _level_terms(kind, mkt, pi):
@@ -123,7 +131,7 @@ class TestEnsembleFunctionals:
     def test_final_log_matches_pathwise_wealth(self, kind):
         mkt, ens, pi, _, _ = self._setup()
         drift, jumps, level = self._level_terms(kind, mkt, pi)
-        res = sweep(ens, drift, jumps)
+        res = sweep(self._sample(mkt), drift, jumps)
         # cells past a row's own repeat its level at T
         final = level(ens)[:, -1]
         for p in range(ens.n_paths):
@@ -150,7 +158,7 @@ class TestEnsembleFunctionals:
 
     def test_int_log_matches_quadrature(self):
         mkt, ens, pi, drift, jumps = self._setup()
-        res = sweep(ens, drift, jumps, int_log=True)
+        res = sweep(self._sample(mkt), drift, jumps, int_log=True)
         for p in range(0, ens.n_paths, 7):
             # log V is piecewise linear, so the corrected trapezoid is exact
             brute = self._segment_trapezoid(mkt, pi, ens.rows(p, p + 1), lambda u: u, 64)
@@ -159,7 +167,7 @@ class TestEnsembleFunctionals:
     def test_int_exp_matches_quadrature(self):
         mkt, ens, pi, drift, jumps = self._setup()
         gamma = 0.5
-        res = sweep(ens, drift, jumps, exp_coeff=gamma)
+        res = sweep(self._sample(mkt), drift, jumps, exp_coeff=gamma)
         for p in range(0, ens.n_paths, 9):
             brute = self._segment_trapezoid(
                 mkt, pi, ens.rows(p, p + 1), lambda u: math.exp(gamma * u), 8192
@@ -175,11 +183,10 @@ class TestEnsembleFunctionals:
             times=np.hstack([ens.times, np.full((n, 5), np.inf)]),
             marks=np.hstack([ens.marks, np.zeros((n, 5))]),
             counts=ens.counts,
-            seed=ens.seed,
         )
         kwargs = dict(int_log=True, exp_coeff=0.5)
-        narrow = sweep(ens, drift, jumps, **kwargs)
-        padded = sweep(wide, drift, jumps, **kwargs)
+        narrow = sweep(self._sample(mkt), drift, jumps, **kwargs)
+        padded = sweep(stored_blocks(wide), drift, jumps, **kwargs)
         assert narrow.keys() == padded.keys()
         for key in narrow:
             assert np.array_equal(narrow[key], padded[key]), key
@@ -193,8 +200,8 @@ class TestEnsembleFunctionals:
             marks=np.ascontiguousarray(ens.marks),
         )
         kwargs = dict(int_log=True, exp_coeff=0.5)
-        got = sweep(ens, drift, jumps, **kwargs)
-        ref = sweep(c_ordered, drift, jumps, **kwargs)
+        got = sweep(self._sample(mkt), drift, jumps, **kwargs)
+        ref = sweep(stored_blocks(c_ordered), drift, jumps, **kwargs)
         assert got.keys() == ref.keys()
         for key in got:
             assert np.array_equal(got[key], ref[key]), key
@@ -202,7 +209,7 @@ class TestEnsembleFunctionals:
     def test_invalid_jump_flagged(self):
         mkt, ens, pi, drift, _ = self._setup()
         bad = [lambda y: np.log(-np.ones_like(y))] * 2  # log of negative
-        res = sweep(ens, drift, bad)
+        res = sweep(self._sample(mkt), drift, bad)
         assert np.array_equal(res["invalid"], ens.counts > 0)
 
     def test_invalid_jump_flags_its_own_row_after_compactions(self):
@@ -214,13 +221,15 @@ class TestEnsembleFunctionals:
         times = np.where(np.arange(4) < counts[:, None], 0.2 * np.arange(1, 5), np.inf)
         marks = np.where(np.isfinite(times), 0.1 * np.arange(1, 29).reshape(7, 4), 0.0)
         ens = PathEnsemble(0, 1.0, times, marks, counts)
-        assert [keep is not None for *_, keep in ens.columns().columns] == [True] * 4
+        (block,) = stored_blocks(ens)
+        assert [keep is not None for *_, keep in block.columns] == [True] * 4
         bad = marks.copy()
         bad[5, 3] = -2.0
         basis = [np.log1p] * 2
         kwargs = dict(int_log=True, exp_coeff=0.5)
-        got = sweep(dataclasses.replace(ens, marks=bad), (0.1, -0.2), basis, **kwargs)
-        ref = sweep(ens, (0.1, -0.2), basis, **kwargs)
+        bad_ens = dataclasses.replace(ens, marks=bad)
+        got = sweep(stored_blocks(bad_ens), (0.1, -0.2), basis, **kwargs)
+        ref = sweep(stored_blocks(ens), (0.1, -0.2), basis, **kwargs)
         assert np.flatnonzero(got.pop("invalid")).tolist() == [5]
         assert not np.any(ref.pop("invalid"))
         rows = np.arange(7) != 5
@@ -291,7 +300,7 @@ def per_check_estimates(mkt, K, policy, pair, cons, utility, x, ens):
         samples.append((T + 1.0) * math.log(x / (T + 1.0)) - int_log - final)
     else:
         samples.append((kappa**g) * int_exp / g + (xi_T**g) * np.exp(g * final) / g)
-    return [verify._estimate(verify._moments(s), ens.seed) for s in samples]
+    return [verify._estimate(verify._moments(s)) for s in samples]
 
 
 class TestOnePass:
@@ -314,7 +323,7 @@ class TestOnePass:
         swept alone and all together."""
         cfg = load_config(REGIME_SWITCHING)
         mkt, K, T = cfg.market, cfg.market.constraint, cfg.horizon
-        ens = simulate_ensemble(mkt.gen, 0, T, mkt.dists, 3000, 8)
+        sample = lambda: jump_columns(mkt.gen, 0, T, mkt.dists, 3000, 8)
         pol = log_optimal_policy(mkt, 1.0, T)
         checks = self._checks(
             mkt, K, pol, (0.5, 2.0), ProportionalConsumption(0.3), Utility.power(0.5), 1.0, T
@@ -324,15 +333,17 @@ class TestOnePass:
             pi: [_log_jump(mkt.transform, p) for p in pi] for lv in levels for pi in lv.jumps
         }
         assert len(bases) == 2
-        invalid, together = column_functionals(ens.columns(), bases, levels)
+        (block,) = sample()
+        invalid, together = column_functionals(block, bases, levels)
         assert not np.any(invalid)
         for lv, res in zip(levels, together):
-            _, (alone,) = column_functionals(ens.columns(), {k: bases[k] for k in lv.jumps}, [lv])
+            (block,) = sample()
+            _, (alone,) = column_functionals(block, {k: bases[k] for k in lv.jumps}, [lv])
             assert res.keys() == alone.keys()
             for key in res:
                 assert np.array_equal(res[key], alone[key]), key
-        assert sweep_estimates(mkt, ens.columns(), checks) == [
-            sweep_estimates(mkt, ens.columns(), [c])[0] for c in checks
+        assert sweep_estimates(mkt, sample(), checks) == [
+            sweep_estimates(mkt, sample(), [c])[0] for c in checks
         ]
 
     @pytest.mark.parametrize(
@@ -356,9 +367,10 @@ class TestOnePass:
         pol = log_optimal_policy(mkt, x, T) if gamma == 0.0 else power_optimal_policy(mkt, gamma)
         pair = pol.pi if pair is None else pair
         cons = pol.consumption if cons is None else cons
-        ens = simulate_ensemble(mkt.gen, cfg.initial_state, T, mkt.dists, n_paths, cfg.seed)
+        draw = (mkt.gen, cfg.initial_state, T, mkt.dists, n_paths, cfg.seed)
+        ens = simulate_ensemble(*draw)
         got = sweep_estimates(
-            mkt, ens.columns(), self._checks(mkt, K, pol, pair, cons, utility, x, T)
+            mkt, jump_columns(*draw), self._checks(mkt, K, pol, pair, cons, utility, x, T)
         )
         ref = per_check_estimates(mkt, K, pol, pair, cons, utility, x, ens)
         assert len(got) == len(ref) == (4 if utility.is_log else 3)
@@ -379,8 +391,9 @@ def _regime_switching(lam=(1.0, 1.0), horizon=None):
 
 
 class TestStreamedSweep:
-    """Checks swept as the sample is drawn, against sweeping the arrays of
-    the same sample drawn first: the same numbers, bit for bit."""
+    """Checks swept as the sample is drawn, against the arrays of the same
+    sample stored: the stored arrays are the drawn columns bit for bit, and
+    the estimates are the per-check sweeps of those arrays."""
 
     @pytest.mark.parametrize(
         "case, gamma, n_paths",
@@ -418,18 +431,18 @@ class TestStreamedSweep:
             assert ens.times.shape[1] == 0
         if case == "absorbing":
             assert ens.times.shape[1] == 1
-        levels = [c.level for c in checks]
-        bases = {pi: [_log_jump(mkt.transform, p) for p in pi] for lv in levels for pi in lv.jumps}
-        streamed = column_functionals(jump_columns(*draw), bases, levels)
-        stored = column_functionals(ens.columns(), bases, levels)
-        assert np.array_equal(streamed[0], stored[0])
-        for a, b in zip(streamed[1], stored[1]):
-            assert a.keys() == b.keys()
-            for key in a:
-                assert np.array_equal(a[key], b[key]), key
+        (block,) = jump_columns(*draw)
+        times, marks = expand(list(block.columns), n_paths)
+        assert np.array_equal(times, ens.times) and np.array_equal(marks, ens.marks)
         if n_paths > 1:
             got = sweep_estimates(mkt, jump_columns(*draw), checks)
-            assert got == sweep_estimates(mkt, ens.columns(), checks)
+            ref = per_check_estimates(
+                mkt, K, pol, pol.pi, pol.consumption, Utility(gamma), x, ens
+            )
+            for k, (a, b) in enumerate(zip(got, ref, strict=True)):
+                scale = max(abs(b.mean), x if k == 1 else 0.0)
+                assert abs(a.mean - b.mean) <= 1e-12 * scale, k
+                assert abs(a.stderr - b.stderr) <= 1e-12 * scale, k
 
 
 class TestInfeasiblePolicy:
@@ -579,13 +592,12 @@ class TestStatePrice:
             times=np.full((2, 1), 0.5),
             marks=np.full((2, 1), -40.0),
             counts=np.array([1, 1]),
-            seed=None,
         )
         log_h = _path_log_level(rows, report_grid(rows), spec.drift(mkt), h_jump_logs(mkt, spec))
         assert np.all(np.isfinite(log_h))
         assert log_h[0, -1] == pytest.approx(spec.drift(mkt)[0] * 1.0 + 40.0, rel=1e-12)
         # no InfeasiblePolicyError
-        (est,) = sweep_estimates(mkt, rows.columns(), [martingale_mc(spec)])
+        (est,) = sweep_estimates(mkt, stored_blocks(rows), [martingale_mc(spec)])
         assert math.isfinite(est.mean)
 
     def test_martingale_factor_near_one(self):
@@ -832,7 +844,8 @@ class TestGridSearch:
     def _column_sweep(market, utility, x, T, grid, n_paths, seed, i0):
         """J by conditional Monte Carlo, one column sweep per weight, with
         a jump-count control variate: the reference for the exact J."""
-        ens = simulate_ensemble(market.gen, i0, T, market.dists, n_paths, seed)
+        draw = (market.gen, i0, T, market.dists, n_paths, seed)
+        ens = simulate_ensemble(*draw)
         f, gamma = market.f, utility.gamma
         kappa = x / (T + 1.0)
         lo0, hi0, lc0, hc0 = feasible_weight_interval(market.regimes[0])
@@ -854,7 +867,7 @@ class TestGridSearch:
             if utility.is_log:
                 etas = [p.dist.expect(lambda y: np.log1p(pi * f(y))) for p in market.regimes]
                 jumps = [(lambda y, c=e: np.full(np.shape(y), c)) for e in etas]
-                res = sweep(ens, drift, jumps, int_log=True)
+                res = sweep(jump_columns(*draw), drift, jumps, int_log=True)
                 samples = (
                     T * math.log(kappa) + res["int_log"] + math.log(x - kappa * T)
                     + res["final_log"]
@@ -865,7 +878,7 @@ class TestGridSearch:
                     for p in market.regimes
                 ]
                 jumps = [(lambda y, c=math.log(m): np.full(np.shape(y), c)) for m in ms]
-                res = sweep(ens, [gamma * d for d in drift], jumps)
+                res = sweep(jump_columns(*draw), [gamma * d for d in drift], jumps)
                 samples = (x**gamma) * np.exp(res["final_log"]) / gamma
             beta = float(np.cov(samples, counts)[0, 1]) / float(counts.var())
             samples = samples - beta * (counts - mean_count)
