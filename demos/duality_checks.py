@@ -49,7 +49,7 @@ def sample():
 
 
 # the policy's dual density, shared by every check that reads it
-spec = state_price_spec(market, K, policy)
+spec = state_price_spec(market, policy)
 
 mart, budget, primal, dual = sweep_estimates(
     market,

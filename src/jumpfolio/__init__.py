@@ -57,7 +57,6 @@ from .policy import (
     Policy,
     RegimeOptimum,
     Utility,
-    certify,
     feasible_weight_interval,
     h_value,
     log_optimal_policy,

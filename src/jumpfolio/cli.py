@@ -14,7 +14,6 @@ formatting.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -37,7 +36,7 @@ from .market import (
     DEFAULT_GRID_POINTS, block_rows, export_path_csv, report_grid, stock_path, wealth_path
 )
 from .mpp import jump_columns, simulate_ensemble
-from .policy import Policy, Utility, certify, h_value, log_optimal_policy, power_optimal_policy
+from .policy import Policy, h_value, log_optimal_policy, optimal_portfolio, power_optimal_policy
 from .regime_value import exact_value, mean_log_growth, value_corollary
 from . import verify as verify_mod
 
@@ -119,11 +118,10 @@ def cmd_optimize(config: RunConfig, args) -> int:
         kind = "log" if config.utility.is_log else f"power gamma={config.utility.gamma:g}"
         label = f"optimal policy ({kind} utility)"
     print(label)
-    for i, params in enumerate(config.market.regimes):
-        cert = certify(params, config.market.constraint, policy.gamma, policy.pi[i])
+    for i, cert in enumerate(policy.certs):
         print(
             f"  regime {i}: pi_hat={policy.pi[i]:.12g} case={policy.cases[i]} "
-            f"zeta_hat={policy.zeta[i]:.12g} conjugacy_residual={cert.residual:.3e}"
+            f"zeta_hat={cert.zeta:.12g} conjugacy_residual={cert.residual:.3e}"
         )
     return EXIT_OK
 
@@ -187,7 +185,7 @@ def cmd_simulate(config: RunConfig, args) -> int:
 def cmd_figures(config: RunConfig, args) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     fig, i0 = args.figure, config.initial_state
-    params = config.market.regimes[i0]
+    params, K = config.market.regimes[i0], config.market.constraint
     out = os.path.join(config.output_dir, f"fig{fig}.csv")
     rows, footnotes = [], []
     if fig in (1, 3):
@@ -205,10 +203,11 @@ def cmd_figures(config: RunConfig, args) -> int:
             rows.append(row)
     elif fig in (2, 4):
         header = ["gamma", "pi_hat", "case"]
+        # only the printed regime is solved: the other cannot empty a row
         for g in np.linspace(0.0, 0.99, 200):
             try:
-                pol = _solve_policy(dataclasses.replace(config, utility=Utility(float(g))))
-                rows.append([float(g), pol.pi[i0], pol.cases[i0]])
+                opt = optimal_portfolio(params, K, float(g))
+                rows.append([float(g), opt.pi, opt.case])
             except (InfeasiblePolicyError, RangeError, ModelAssumptionError) as exc:
                 rows.append([float(g), None, None])
                 if isinstance(exc, BracketLimitError):
@@ -227,21 +226,19 @@ def cmd_figures(config: RunConfig, args) -> int:
 def cmd_verify(config: RunConfig, args) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     market = config.market
-    K = market.constraint
     x, T = config.initial_wealth, config.horizon
     policy = _solve_policy(config)
 
     checks = []  # (name, passed or None if only reported, detail, estimate or None)
 
-    for i, params in enumerate(market.regimes):
-        cert = certify(params, K, policy.gamma, policy.pi[i])
+    for i, cert in enumerate(policy.certs):
         checks.append(
             (f"conjugacy_regime{i}", cert.residual <= cert.bound, f"residual={cert.residual:.3e}", None)
         )
 
     # one dual density and one sweep of the sample (common random numbers)
     # serve every Monte Carlo check and the value
-    spec = verify_mod.state_price_spec(market, K, policy)
+    spec = verify_mod.state_price_spec(market, policy)
     mc_checks = [verify_mod.martingale_mc(spec)]
     if not config.utility.is_log:
         mc_checks.append(verify_mod.budget_mc(market, spec, policy.pi, policy.consumption, x, T))

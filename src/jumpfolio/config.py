@@ -41,7 +41,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import yaml
 
@@ -118,31 +118,39 @@ def _floats(values):
     return [float(v) for v in values]
 
 
-def _parse_distribution(node, path):
+def _built(path, build, *args, **kwargs):
+    """build(*args, **kwargs), with a ConfigError it raises re-raised at
+    the dotted path of its field, {path}.{field} (at path if it names none)."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError as exc:
+        field = path if exc.field is None else f"{path}.{exc.field}"
+        raise ConfigError(exc.message, field=field) from None
+
+
+def _variant(node, path, variants, what):
+    """The entry of variants that node's variant key names."""
     variant = _require(node, "variant", path)
-    if variant == "exponential_positive":
-        _reject_unknown(node, {"variant", "rate"}, path)
-        return ExponentialPositive(rate=_require(node, "rate", path, float))
-    if variant == "exponential_negative":
-        _reject_unknown(node, {"variant", "rate"}, path)
-        return ExponentialNegative(rate=_require(node, "rate", path, float))
-    if variant == "two_point":
-        _reject_unknown(node, {"variant", "y_lo", "y_hi", "p_hi"}, path)
-        return TwoPoint(
-            y_lo=_require(node, "y_lo", path, float),
-            y_hi=_require(node, "y_hi", path, float),
-            p_hi=_require(node, "p_hi", path, float),
+    if not isinstance(variant, str) or variant not in variants:
+        raise ConfigError(
+            f"unknown {what} variant {variant!r} at {path}.variant", field=f"{path}.variant"
         )
-    if variant == "tabulated":
-        _reject_unknown(node, {"variant", "grid", "density"}, path)
-        return Tabulated(
-            grid=_require(node, "grid", path, _floats),
-            density=_require(node, "density", path, _floats),
-        )
-    raise ConfigError(
-        f"unknown distribution variant {variant!r} at {path}.variant",
-        field=f"{path}.variant",
-    )
+    return variants[variant]
+
+
+# mark-law variant -> its class and the keys it takes, each with its cast
+_DISTRIBUTION_VARIANTS = {
+    "exponential_positive": (ExponentialPositive, {"rate": float}),
+    "exponential_negative": (ExponentialNegative, {"rate": float}),
+    "two_point": (TwoPoint, {"y_lo": float, "y_hi": float, "p_hi": float}),
+    "tabulated": (Tabulated, {"grid": _floats, "density": _floats}),
+}
+
+
+def _parse_distribution(node, path):
+    law, keys = _variant(node, path, _DISTRIBUTION_VARIANTS, "distribution")
+    _reject_unknown(node, {"variant", *keys}, path)
+    return _built(path, law, **{key: _require(node, key, path, cast) for key, cast in keys.items()})
 
 
 # margin variant -> its rate key (None: it takes none), its constructor and
@@ -157,41 +165,27 @@ _FRICTIONLESS = {"variant": "frictionless"}
 
 def _parse_margin(node, r, path):
     node = _FRICTIONLESS if node is None else node
-    variant = _require(node, "variant", path)
-    if variant not in _MARGIN_VARIANTS:
-        raise ConfigError(
-            f"unknown margin variant {variant!r} at {path}.variant",
-            field=f"{path}.variant",
-        )
-    key, build, _ = _MARGIN_VARIANTS[variant]
+    key, build, _ = _variant(node, path, _MARGIN_VARIANTS, "margin")
     if key is None:
         _reject_unknown(node, {"variant"}, path)
         return build()
     _reject_unknown(node, {"variant", key}, path)
-    rate = _require(node, key, path, float)
-    try:
-        return build(r, rate)
-    except ConfigError as exc:  # the margin's rate, reported at its dotted path
-        if exc.field != key:  # the regime's r, reported as the regime reports it
-            raise
-        raise ConfigError(exc.message, field=f"{path}.{exc.field}") from None
+    return _built(path, build, r, _require(node, key, path, float))
 
 
 def _parse_regime(node, path):
-    _reject_unknown(
-        node, {"r", "mu", "lam", "transform", "margin", "distribution"}, path
-    )
-    r = _require(node, "r", path, float)
-    return RegimeMarketParams(
-        r=r,
+    _reject_unknown(node, {"r", "mu", "lam", "transform", "margin", "distribution"}, path)
+    regime = _built(
+        path, RegimeMarketParams,
+        r=_require(node, "r", path, float),
         mu=_require(node, "mu", path, float),
         lam=_require(node, "lam", path, float),
-        dist=_parse_distribution(
-            _require(node, "distribution", path), f"{path}.distribution"
-        ),
+        dist=_parse_distribution(_require(node, "distribution", path), f"{path}.distribution"),
         transform=node.get("transform", "exponential"),
-        margin=_parse_margin(node.get("margin"), r, f"{path}.margin"),
     )
+    # the margin reads the r the regime has checked, so a bad r is reported there
+    margin = _parse_margin(node.get("margin"), regime.r, f"{path}.margin")
+    return replace(regime, margin=margin)
 
 
 def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
@@ -251,7 +245,8 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
         utility = Utility.log()
     elif variant == "power":
         _reject_unknown(util_node, {"variant", "gamma"}, "config.utility")
-        utility = Utility.power(_require(util_node, "gamma", "config.utility", float))
+        gamma = _require(util_node, "gamma", "config.utility", float)
+        utility = _built("config.utility", Utility.power, gamma)
     else:
         raise ConfigError(
             f"unknown utility variant {variant!r}", field="config.utility.variant"
@@ -260,7 +255,8 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     if "constraint" in data:
         cnode = data["constraint"]
         _reject_unknown(cnode, {"lower", "upper"}, "config.constraint")
-        constraint = ConstraintSet(
+        constraint = _built(
+            "config.constraint", ConstraintSet,
             lower=_cast(cnode.get("lower", -math.inf), _float, "config.constraint.lower"),
             upper=_cast(cnode.get("upper", math.inf), _float, "config.constraint.upper"),
         )
@@ -268,7 +264,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
         margin = regimes_node[0].get("margin") or _FRICTIONLESS
         constraint = _MARGIN_VARIANTS[margin["variant"]][2]
 
-    market = MarketModel(regimes=tuple(regimes), constraint=constraint)
+    market = _built("config.model.regimes", MarketModel, tuple(regimes), constraint)
 
     horizon = _require(data, "horizon", "config", float)
     if not (math.isfinite(horizon) and horizon > 0):
@@ -292,6 +288,10 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
             field="config.mc.n_paths",
         )
     seed = _require(mc, "seed", "config.mc", _int)
+    if seed < 0:
+        raise ConfigError(
+            f"a sample's seed must be a nonnegative integer, got {seed}", field="config.mc.seed"
+        )
 
     output_dir = data.get("output_dir") or os.environ.get(OUTPUT_DIR_ENV, ".")
 

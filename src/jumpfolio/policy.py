@@ -12,7 +12,8 @@ superdifferential in one left-to-right walk over the kinks and ends of
 the admissible weights.  The paper's four cases, for differential rates
 and for short rebates alike, are the cells of that domain (its closed
 finite ends, its kinks and the open pieces between them), numbered from
-the left.
+the left.  The solver certifies each optimum once (``certify``), and
+the policy carries the certificates to every reader.
 """
 
 from __future__ import annotations
@@ -73,21 +74,32 @@ class Utility:
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """Duality certificate of a weight pi in one regime."""
+
+    zeta: float  # r - h(pi), the dual variable
+    gk: float  # the margin's conjugate at zeta
+    residual: float  # |g(pi) - pi*zeta - gk|
+    bound: float  # conjugacy_tolerance(params, pi, zeta)
+
+
+@dataclass(frozen=True)
 class RegimeOptimum:
-    """Per-regime solver output: weight, dual variable, case label."""
+    """Per-regime solver output: weight, case label, duality certificate."""
 
     pi: float
-    zeta: float
     case: int
+    cert: Certificate
 
 
 @dataclass(frozen=True)
 class Policy:
-    """Per-regime portfolio weights plus the consumption rule used with them."""
+    """Per-regime portfolio weights, case labels and duality certificates,
+    plus the consumption rule used with them."""
 
     pi: tuple
-    zeta: tuple
     cases: tuple
+    certs: tuple
     gamma: float
     consumption: ConsumptionRule
 
@@ -359,16 +371,6 @@ def optimal_portfolio(params: RegimeMarketParams, K: ConstraintSet, gamma: float
     return _package_optimum(params, K, gamma, pi, first_case + 2 * len(points) - 1)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Duality certificate of a weight pi in one regime."""
-
-    zeta: float  # r - h(pi)
-    gk: float  # the margin's conjugate at zeta
-    residual: float  # |g(pi) - pi*zeta - gk|
-    bound: float  # conjugacy_tolerance(params, pi, zeta)
-
-
 def certify(params: RegimeMarketParams, K: ConstraintSet, gamma: float, pi) -> Certificate:
     """The one certificate of pi: zeta = r - h(pi), the conjugate taken
     over the closed admissible weights (``feasible_weight_interval(params,
@@ -396,7 +398,7 @@ def _package_optimum(params, K, gamma, pi, case):
         raise InfeasiblePolicyError(
             f"candidate pi = {pi:.9g} fails conjugacy with residual {cert.residual:.3e}"
         )
-    return RegimeOptimum(pi=pi, zeta=cert.zeta, case=case)
+    return RegimeOptimum(pi=pi, case=case, cert=cert)
 
 
 def _optimal_policy(market: MarketModel, gamma: float, consumption: ConsumptionRule) -> Policy:
@@ -407,8 +409,8 @@ def _optimal_policy(market: MarketModel, gamma: float, consumption: ConsumptionR
     optima += optima if second == first else (optimal_portfolio(second, K, gamma),)
     return Policy(
         pi=tuple(o.pi for o in optima),
-        zeta=tuple(o.zeta for o in optima),
         cases=tuple(o.case for o in optima),
+        certs=tuple(o.cert for o in optima),
         gamma=gamma,
         consumption=consumption,
     )

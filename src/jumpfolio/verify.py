@@ -15,7 +15,8 @@ one sample per path.  Every estimate comes from ``sweep_estimates``,
 which sweeps the levels of any number of checks at once, a block at a
 time, and merges each block's sample moments in block order.  The checks that read the
 dual density H take its ``StatePriceSpec``, built once per policy by
-``state_price_spec``.  Portfolio weights are per-regime constants.
+``state_price_spec`` from the weights and the duality certificates the
+policy carries.  Portfolio weights are per-regime constants.
 
 Every Monte Carlo check is a function of the blocks it is given
 (horizon and start regime included).  A caller draws a sample once and
@@ -36,11 +37,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InfeasiblePolicyError
-from .frictions import ConstraintSet
+from .errors import ConfigError, InfeasiblePolicyError
 from .market import ConsumptionRule, MarketModel, _log_jump, _wealth_terms
 from .mpp import ColumnStream
-from .policy import Policy, Utility, certify, feasible_weight_interval, in_interval
+from .policy import Policy, Utility, feasible_weight_interval, in_interval
 from .regime_value import exact_value
 
 
@@ -240,28 +240,23 @@ class StatePriceSpec:
         return {_weights(self.pi): self.jump_coeff}
 
 
-def state_price_spec(market: MarketModel, K: ConstraintSet, policy: Policy) -> StatePriceSpec:
+def state_price_spec(market: MarketModel, policy: Policy) -> StatePriceSpec:
     """Build the candidate dual density from a policy:
     phi_i(y) = 1 / [1 + pi_i f(y)]^(1-gamma), whose log is read from the
     wealth's jump log, so it is finite wherever 1 + pi_i f(y) > 0.
+    h(pi) = mu + lam int f phi F(dy), so phi's dual variable is zeta =
+    r - h(pi), and its conjugate value is the gk of the policy's certificate.
     Raises InfeasiblePolicyError where 1 + pi_i f is not positive on the
     mark support (``feasible_weight_interval(params)``), for every mark law."""
     coeff = -(1.0 - policy.gamma)
-    gks, comps = [], []
+    comps = []
     for i, params in enumerate(market.regimes):
         if not in_interval(policy.pi[i], feasible_weight_interval(params)):
             raise InfeasiblePolicyError(f"regime {i}: 1 + pi*f is not positive on the mark support")
         ell = _log_jump(market.transform, policy.pi[i])
-        # h(pi) = mu + lam int f phi F(dy), so phi's dual variable is the
-        # certificate's zeta = r - h(pi), and gk its conjugate value
-        try:
-            gks.append(certify(params, K, policy.gamma, policy.pi[i]).gk)
-        except DomainError as exc:
-            raise DomainError(f"regime {i}: {exc}") from exc
         comps.append(params.lam * params.dist.expect(lambda y: np.expm1(coeff * ell(y)), tol=1e-13))
-    return StatePriceSpec(
-        pi=tuple(policy.pi), jump_coeff=coeff, compensator=tuple(comps), gk=tuple(gks)
-    )
+    gks = tuple(cert.gk for cert in policy.certs)
+    return StatePriceSpec(pi=tuple(policy.pi), jump_coeff=coeff, compensator=tuple(comps), gk=gks)
 
 
 # ---------------------------------------------------------------------------

@@ -195,11 +195,11 @@ def test_criterion_3_portfolio_sweeps():
                 continue
             cases.add(opt.case)
             lo, hi = effective_domain(params.margin, K)
-            domain_ok &= lo - 1e-12 <= opt.zeta <= hi + 1e-12
-            residual = verify_conjugacy(params.margin, K, opt.pi, opt.zeta)
+            domain_ok &= lo - 1e-12 <= opt.cert.zeta <= hi + 1e-12
+            residual = verify_conjugacy(params.margin, K, opt.pi, opt.cert.zeta)
             # residual is a difference of O(|pi*zeta|) terms; measure it
             # relative to that scale so double rounding is not miscounted
-            worst = max(worst, residual / max(1.0, abs(opt.pi * opt.zeta)))
+            worst = max(worst, residual / max(1.0, abs(opt.pi * opt.cert.zeta)))
         return cases, unsolved, worst, domain_ok
 
     up = _config_up().market.regimes[0]
@@ -311,10 +311,10 @@ def test_criterion_6_budget_inequality():
     for 20 randomized suboptimal admissible pairs at N=1e5."""
     t0 = time.time()
     cfg = _config_up(("log", None))
-    mkt, K = cfg.market, cfg.market.constraint
+    mkt = cfg.market
     x, T = 1.0, 1.0
     pol = log_optimal_policy(mkt, x, T)
-    spec = state_price_spec(mkt, K, pol)
+    spec = state_price_spec(mkt, pol)
     checks = [budget_mc(mkt, spec, pol.pi, pol.consumption, x, T)]
     rng = np.random.default_rng(SEED)
     for _ in range(20):
@@ -406,11 +406,11 @@ def test_criterion_9_state_price_martingale():
     closed form over every path and by the row engine on 1000 paths."""
     t0 = time.time()
     cfg = _config_two_regimes()
-    mkt, K = cfg.market, cfg.market.constraint
+    mkt = cfg.market
     pol = log_optimal_policy(mkt, 1.0, 1.0)
     draw = (mkt.gen, 0, 1.0, mkt.dists, 100_000, SEED)
     ens = simulate_ensemble(*draw)
-    spec = state_price_spec(mkt, K, pol)
+    spec = state_price_spec(mkt, pol)
     (est,) = sweep_estimates(mkt, jump_columns(*draw), [martingale_mc(spec)])
     mart_ok = abs(est.mean - 1.0) <= 3.0 * est.stderr
     closed = state_price_wealth_identity(mkt, spec, 1.0)

@@ -46,7 +46,7 @@ def _checks(market, gamma, x, T):
         policy = log_optimal_policy(market, x, T)
     else:
         policy = power_optimal_policy(market, gamma)
-    spec = state_price_spec(market, market.constraint, policy)
+    spec = state_price_spec(market, policy)
     checks = [
         martingale_mc(spec),
         budget_mc(market, spec, policy.pi, policy.consumption, x, T),

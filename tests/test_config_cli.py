@@ -23,15 +23,16 @@ from jumpfolio.config import (
     load_config,
     parse_config,
 )
-from jumpfolio.errors import ConfigError
+from jumpfolio.errors import ConfigError, ModelAssumptionError
 from jumpfolio.frictions import PiecewiseLinearConcave
 from jumpfolio.market import DEFAULT_GRID_POINTS, export_path_csv, stock_path, wealth_path
 from jumpfolio.mpp import simulate_ensemble
-from jumpfolio.policy import log_optimal_policy
+from jumpfolio.policy import certify, log_optimal_policy
 
 from mpmath_oracle import mpmath_h
 
 ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "demos" / "configs"
 
 
 BASE = {
@@ -55,7 +56,9 @@ BASE = {
 }
 
 
-MARGIN = "config.model.regimes[0].margin"
+REGIME = "config.model.regimes[0]"
+MARGIN = f"{REGIME}.margin"
+LAW = f"{REGIME}.distribution"
 EXPONENTIAL = {"variant": "exponential_positive", "rate": 10.0}
 TWO_POINT = {"variant": "two_point", "y_lo": -0.1, "y_hi": 0.1, "p_hi": 0.5}
 TABULATED = {"variant": "tabulated", "grid": [0.0, 0.5, 1.0], "density": [1.0, 1.0, 1.0]}
@@ -223,33 +226,42 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "key, value, field",
         [
-            pytest.param("r", math.nan, "r", id="r-nan"),
-            pytest.param("mu", math.nan, "mu", id="mu-nan"),
-            pytest.param("lam", math.nan, "lam", id="lam-nan"),
-            pytest.param("lam", math.inf, "lam", id="lam-inf"),
-            pytest.param("lam", -1.0, "lam", id="lam-negative"),
+            pytest.param("r", math.nan, f"{REGIME}.r", id="r-nan"),
+            pytest.param("mu", math.nan, f"{REGIME}.mu", id="mu-nan"),
+            pytest.param("lam", math.nan, f"{REGIME}.lam", id="lam-nan"),
+            pytest.param("lam", math.inf, f"{REGIME}.lam", id="lam-inf"),
+            pytest.param("lam", -1.0, f"{REGIME}.lam", id="lam-negative"),
             pytest.param(
                 "margin", {"variant": "differential_rates", "R": math.nan}, f"{MARGIN}.R", id="R-nan"
             ),
             pytest.param(
                 "margin", {"variant": "short_rebate", "rL": math.nan}, f"{MARGIN}.rL", id="rL-nan"
             ),
-            pytest.param("distribution", {**EXPONENTIAL, "rate": math.inf}, "rate", id="rate-inf"),
+            pytest.param(
+                "distribution", {**EXPONENTIAL, "rate": math.inf}, f"{LAW}.rate", id="rate-inf"
+            ),
             pytest.param(
                 "distribution",
                 {**EXPONENTIAL, "variant": "exponential_negative", "rate": math.inf},
-                "rate",
+                f"{LAW}.rate",
                 id="negative-rate-inf",
             ),
-            pytest.param("distribution", {**TWO_POINT, "y_lo": math.nan}, "y_lo", id="y_lo-nan"),
-            pytest.param("distribution", {**TWO_POINT, "y_hi": math.inf}, "y_hi", id="y_hi-inf"),
             pytest.param(
-                "distribution", {**TABULATED, "grid": [0.0, math.nan, 1.0]}, "grid", id="grid-nan"
+                "distribution", {**TWO_POINT, "y_lo": math.nan}, f"{LAW}.y_lo", id="y_lo-nan"
+            ),
+            pytest.param(
+                "distribution", {**TWO_POINT, "y_hi": math.inf}, f"{LAW}.y_hi", id="y_hi-inf"
+            ),
+            pytest.param(
+                "distribution",
+                {**TABULATED, "grid": [0.0, math.nan, 1.0]},
+                f"{LAW}.grid",
+                id="grid-nan",
             ),
             pytest.param(
                 "distribution",
                 {**TABULATED, "density": [1.0, math.nan, 1.0]},
-                "density",
+                f"{LAW}.density",
                 id="density-nan",
             ),
         ],
@@ -295,6 +307,56 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config.{field}: cannot interpret ")
         assert err.count("config.") == 1  # the field once, in front
+
+    def test_gamma_outside_the_power_range_exit_1(self, tmp_path, capsys):
+        """The utility's own error names its dotted field."""
+        assert main(["optimize", write_config(tmp_path, BASE), "--gamma", "1.5"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config.utility.gamma: power utility requires gamma in (0, 1)\n"
+
+    @pytest.mark.parametrize(
+        "keys, value, field",
+        [
+            pytest.param(
+                ("model", "regimes", 0, "distribution"),
+                {**TABULATED, "density": [1.0, 1.0]},
+                LAW,
+                id="tabulated-lengths",
+            ),
+            pytest.param(("constraint",), {"lower": 0.5}, "config.constraint", id="constraint"),
+            pytest.param(
+                ("model", "regimes", 0, "margin"), {"variant": ["a"]}, f"{MARGIN}.variant",
+                id="margin-variant-list",
+            ),
+            pytest.param(
+                ("model", "regimes", 0, "distribution"), {"variant": ["a"]}, f"{LAW}.variant",
+                id="law-variant-list",
+            ),
+        ],
+    )
+    def test_error_names_its_node(self, tmp_path, capsys, keys, value, field):
+        """A constructor's error that names no field of its own is reported
+        at the node it was built from, and a variant that is not a name is
+        an unknown variant, not a TypeError out of main."""
+        data = copy.deepcopy(BASE)
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        assert main(["optimize", write_config(tmp_path, data)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    @pytest.mark.parametrize("command", ["optimize", "figures", "value"])
+    def test_negative_seed_exit_1(self, tmp_path, capsys, command):
+        """A sample takes a nonnegative seed: every command rejects -1 at
+        its dotted field, before it writes or prints anything."""
+        args = [command, write_config(tmp_path, BASE), "--seed", "-1"]
+        args += ["--output-dir", str(tmp_path)] + ["--figure", "1"] * (command == "figures")
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not list(tmp_path.glob("*.csv"))
+        message = "a sample's seed must be a nonnegative integer, got -1"
+        assert err == f"error: config.mc.seed: {message}\n"
 
     @pytest.mark.parametrize("command", ["verify", "value"])
     def test_one_path_monte_carlo_exit_1(self, tmp_path, capsys, command):
@@ -580,6 +642,57 @@ class TestCliOutputs:
                         gamma = float(row[0])
                         assert residual(gamma, a) <= 1e-14 < 1e-12 < residual(gamma, b), row
 
+    def test_figure_2_solves_only_the_printed_regime(self, tmp_path):
+        """Figure 2 on regime_switching prints regime 0, whose market is
+        fig1's: every row is fig1's row, none empty, although regime 1's
+        optimum lies beyond the bracket limit from gamma = 0.97 on."""
+
+        def rows(name):
+            out = tmp_path / name
+            args = ["figures", str(CONFIGS / f"{name}.yaml"), "--figure", "2"]
+            assert main([*args, "--output-dir", str(out)]) == 0
+            lines = (out / "fig2.csv").read_text().splitlines()
+            return [line for line in lines if not line.startswith("#")]
+
+        got = rows("regime_switching")
+        assert len(got) == 201 and not any(",," in line for line in got)
+        assert got == rows("fig1")
+
+    def test_figure_2_fills_every_row_beside_an_unsolvable_regime(self, tmp_path):
+        """With mu = 0.2 regime 1 has no optimum; figure 2 prints regime 0
+        and fills every row."""
+        data = yaml.safe_load((CONFIGS / "regime_switching.yaml").read_text())
+        data["model"]["regimes"][1]["mu"] = 0.2
+        path = write_config(tmp_path, data)
+        with pytest.raises(ModelAssumptionError):
+            log_optimal_policy(load_config(path).market, 1.0, 1.0)
+        assert main(["figures", path, "--figure", "2", "--output-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "fig2.csv").read_text().splitlines()
+        assert [line for line in lines if line.startswith("#")] == lines[:1]
+        data_rows = [line.split(",") for line in lines[2:]]
+        assert len(data_rows) == 200 and all(all(row) for row in data_rows)
+
+    @pytest.mark.parametrize("name", ["regime_switching", "fig1", "fig3"])
+    def test_optimize_prints_the_policy_certificates(self, capsys, name):
+        """optimize prints the certificates the solver made: a fresh
+        certify of each printed weight gives the printed zeta_hat and
+        conjugacy residual to every printed digit."""
+        path = CONFIGS / f"{name}.yaml"
+        assert main(["optimize", str(path)]) == 0
+        found = re.findall(
+            r"regime (\d): pi_hat=(\S+) case=\S+ zeta_hat=(\S+) conjugacy_residual=(\S+)",
+            capsys.readouterr().out,
+        )
+        config = load_config(path)
+        policy = cli._solve_policy(config)
+        assert [int(line[0]) for line in found] == [0, 1]
+        for i, pi, zeta, residual in found:
+            params = config.market.regimes[int(i)]
+            pi_hat = policy.pi[int(i)]
+            cert = certify(params, config.market.constraint, policy.gamma, pi_hat)
+            assert pi == f"{pi_hat:.12g}"
+            assert (zeta, residual) == (f"{cert.zeta:.12g}", f"{cert.residual:.3e}")
+
     def test_simulate_writes_paths(self, tmp_path):
         data = copy.deepcopy(BASE)
         data["utility"] = {"variant": "log"}
@@ -734,7 +847,7 @@ class TestBindingFeasibleEnd:
         policy = log_optimal_policy(load_config(path).market, 1.0, 1.0)
         assert policy.cases == cases
         assert policy.pi == pytest.approx(pi, rel=1e-11, abs=0.0)
-        assert policy.zeta[0] == pytest.approx(0.233888888889, rel=1e-11)
+        assert policy.certs[0].zeta == pytest.approx(0.233888888889, rel=1e-11)
         for gamma in ([], ["--gamma", "0.5"]):
             for command in ("optimize", "verify"):
                 assert main([command, path, *gamma, "--output-dir", str(tmp_path)]) == 0

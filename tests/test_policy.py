@@ -234,12 +234,12 @@ class TestFourCaseSolvers:
         opt = optimal_portfolio(PARAMS_UP, NO_SHORTING, 0.5)
         assert opt.case == 4
         assert opt.pi == pytest.approx(1.0288992667, abs=1e-8)
-        assert opt.zeta == pytest.approx(0.045 - 0.05, abs=1e-10)
+        assert opt.cert.zeta == pytest.approx(0.045 - 0.05, abs=1e-10)
         # gamma = 0: r < h(1) = 0.0409.. is false -> interior case 2
         opt0 = optimal_portfolio(PARAMS_UP, NO_SHORTING, 0.0)
         assert opt0.case == 2
         assert opt0.pi == pytest.approx(0.7460618540, abs=1e-8)
-        assert abs(opt0.zeta) <= 1e-12
+        assert abs(opt0.cert.zeta) <= 1e-12
 
     def test_diffrates_all_cases_reachable(self):
         cases = {
@@ -267,7 +267,7 @@ class TestFourCaseSolvers:
         opt = optimal_portfolio(PARAMS_DOWN, NO_BORROWING, 0.5)
         assert opt.case == 1
         assert opt.pi == pytest.approx(-9.2293544664, abs=1e-7)
-        assert opt.zeta == pytest.approx(0.03 - 0.01, abs=1e-10)
+        assert opt.cert.zeta == pytest.approx(0.03 - 0.01, abs=1e-10)
         assert opt.pi < 0
 
     def test_short_model_assumption(self):
@@ -285,7 +285,7 @@ class TestFourCaseSolvers:
             (PARAMS_DOWN, NO_BORROWING, 0.5),
         ):
             opt = optimal_portfolio(params, K, g)
-            assert verify_conjugacy(params.margin, K, opt.pi, opt.zeta) <= 1e-9
+            assert verify_conjugacy(params.margin, K, opt.pi, opt.cert.zeta) <= 1e-9
 
 
 class TestGenericSolver:
@@ -368,13 +368,13 @@ class TestGenericSolver:
         K = ConstraintSet()
         opt = optimal_portfolio(params, K, 0.9)
         assert (opt.pi, opt.case) == (pi, 1)
-        assert 0.0 < opt.zeta < 1e-9
+        assert 0.0 < opt.cert.zeta < 1e-9
         lo, _, lo_closed, _ = feasible_weight_interval(params, K)
         assert lo < opt.pi < lo + 1e-4 and not lo_closed
         with pytest.raises(DomainError):
-            verify_conjugacy(params.margin, K, opt.pi, opt.zeta)
+            verify_conjugacy(params.margin, K, opt.pi, opt.cert.zeta)
         cert = certify(params, K, 0.9, opt.pi)
-        assert cert.zeta == opt.zeta and cert.residual <= cert.bound
+        assert cert.zeta == opt.cert.zeta and cert.residual <= cert.bound
 
     def test_zero_optimal_zeta_at_a_huge_weight_is_certified(self):
         """With zero spread the root of h = r lies at pi = -9.97e11, where
@@ -389,7 +389,7 @@ class TestGenericSolver:
         ref = reference_short(params, 0.9375, 0.0)
         assert (got.case, got.pi) == (ref.case, ref.pi)
         assert got.pi < -1e11
-        assert verify_conjugacy(params.margin, NO_BORROWING, got.pi, got.zeta) > 1e-9
+        assert verify_conjugacy(params.margin, NO_BORROWING, got.pi, got.cert.zeta) > 1e-9
 
     def test_one_conjugacy_bound_certifies_the_zero_spread_optimum(self):
         """The solver and ``verify`` certify with one bound: the zero-spread
@@ -401,9 +401,9 @@ class TestGenericSolver:
         )
         got = optimal_portfolio(params, NO_BORROWING, 0.9375)
         assert got.pi == pytest.approx(-9.97e11, rel=1e-3)
-        residual = verify_conjugacy(params.margin, NO_BORROWING, got.pi, got.zeta)
+        residual = verify_conjugacy(params.margin, NO_BORROWING, got.pi, got.cert.zeta)
         assert residual == pytest.approx(1.384e-05, rel=1e-3)
-        assert 1e-9 < residual <= conjugacy_tolerance(params, got.pi, got.zeta)
+        assert 1e-9 < residual <= conjugacy_tolerance(params, got.pi, got.cert.zeta)
 
 
 class TestTwoKinkMargin:
@@ -615,8 +615,8 @@ def test_optimum_satisfies_first_order_band(gamma, rate):
         margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
     )
     opt = optimal_portfolio(params, NO_SHORTING, gamma)
-    assert -0.005 - 1e-12 <= opt.zeta
-    assert verify_conjugacy(params.margin, NO_SHORTING, opt.pi, opt.zeta) <= 1e-9
+    assert -0.005 - 1e-12 <= opt.cert.zeta
+    assert verify_conjugacy(params.margin, NO_SHORTING, opt.pi, opt.cert.zeta) <= 1e-9
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

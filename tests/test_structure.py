@@ -1,8 +1,9 @@
 """One margin class, one admissible set and one certificate: every
 margin is a ``PiecewiseLinearConcave``, only ``config`` pairs a margin
 variant with its canonical constraint set, only ``frictions`` and
-``policy`` evaluate the margin's conjugate or its domain, and one
-comparison in src/ widens the domain by its rounding slack.  One function
+``policy`` evaluate the margin's conjugate or its domain, the solver
+certifies each optimum once and the policy carries the certificate, and
+one comparison in src/ widens the domain by its rounding slack.  One function
 draws a sample's columns, and only the value stages and the one sampler
 that stores the sample call it; one module draws random numbers, one
 sweep makes every Monte Carlo estimate in one workspace per sweep, one
@@ -14,9 +15,13 @@ one call of each value stage, and no module does linear algebra at run
 time."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
+
+from jumpfolio import policy, verify
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "jumpfolio"
 CONJUGATE = {"effective_domain", "conjugate_gk"}
@@ -124,6 +129,16 @@ def test_only_frictions_and_policy_call_the_conjugate():
         if isinstance(node, ast.Call) and _called(node) in CONJUGATE
     }
     assert callers <= {"frictions", "policy"}
+
+
+def test_the_solver_certifies_once():
+    """In src/, only policy._package_optimum calls certify; a policy holds
+    its certificates, not a dual variable of its own, and the dual density
+    reads them from the policy, with no constraint set of its own."""
+    assert _callers({"certify"}) == {("policy", "_package_optimum")}
+    for cls in (policy.Policy, policy.RegimeOptimum):
+        assert "zeta" not in {f.name for f in dataclasses.fields(cls)}
+    assert list(inspect.signature(verify.state_price_spec).parameters) == ["market", "policy"]
 
 
 def _widened(bound):

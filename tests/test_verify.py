@@ -27,7 +27,6 @@ from jumpfolio.market import (
 )
 from jumpfolio.mpp import PathEnsemble, jump_columns, simulate_ensemble
 from jumpfolio.policy import (
-    Policy,
     Utility,
     certify,
     feasible_weight_interval,
@@ -119,7 +118,7 @@ class TestEnsembleFunctionals:
             return drift, jumps, lambda rows: stock_path(
                 mkt, rows, s0=1.0, grid=report_grid(rows, 1)
             )[1]
-        spec = state_price_spec(mkt, NO_SHORTING, log_optimal_policy(mkt, 1.0, 2.0))
+        spec = state_price_spec(mkt, log_optimal_policy(mkt, 1.0, 2.0))
         drift, jumps = spec.drift(mkt), h_jump_logs(mkt, spec)
         return (
             drift,
@@ -307,8 +306,8 @@ class TestOnePass:
     """The Monte Carlo checks as levels of one shared sweep."""
 
     @staticmethod
-    def _checks(mkt, K, policy, pair, cons, utility, x, T):
-        spec = state_price_spec(mkt, K, policy)
+    def _checks(mkt, policy, pair, cons, utility, x, T):
+        spec = state_price_spec(mkt, policy)
         checks = [
             martingale_mc(spec),
             budget_mc(mkt, spec, pair, cons, x, T),
@@ -322,12 +321,12 @@ class TestOnePass:
         """Levels of one and two jump bases, with int_log and int_exp, each
         swept alone and all together."""
         cfg = load_config(REGIME_SWITCHING)
-        mkt, K, T = cfg.market, cfg.market.constraint, cfg.horizon
+        mkt, T = cfg.market, cfg.horizon
         sample = lambda: jump_columns(mkt.gen, 0, T, mkt.dists, 3000, 8)
         pol = log_optimal_policy(mkt, 1.0, T)
         checks = self._checks(
-            mkt, K, pol, (0.5, 2.0), ProportionalConsumption(0.3), Utility.power(0.5), 1.0, T
-        ) + self._checks(mkt, K, pol, pol.pi, pol.consumption, Utility.log(), 1.0, T)
+            mkt, pol, (0.5, 2.0), ProportionalConsumption(0.3), Utility.power(0.5), 1.0, T
+        ) + self._checks(mkt, pol, pol.pi, pol.consumption, Utility.log(), 1.0, T)
         levels = [c.level for c in checks]
         bases = {
             pi: [_log_jump(mkt.transform, p) for p in pi] for lv in levels for pi in lv.jumps
@@ -370,7 +369,7 @@ class TestOnePass:
         draw = (mkt.gen, cfg.initial_state, T, mkt.dists, n_paths, cfg.seed)
         ens = simulate_ensemble(*draw)
         got = sweep_estimates(
-            mkt, jump_columns(*draw), self._checks(mkt, K, pol, pair, cons, utility, x, T)
+            mkt, jump_columns(*draw), self._checks(mkt, pol, pair, cons, utility, x, T)
         )
         ref = per_check_estimates(mkt, K, pol, pair, cons, utility, x, ens)
         assert len(got) == len(ref) == (4 if utility.is_log else 3)
@@ -424,7 +423,7 @@ class TestStreamedSweep:
             cfg.market, cfg.market.constraint, cfg.initial_wealth, cfg.horizon, cfg.initial_state
         )
         pol = log_optimal_policy(mkt, x, T) if gamma == 0.0 else power_optimal_policy(mkt, gamma)
-        checks = TestOnePass._checks(mkt, K, pol, pol.pi, pol.consumption, Utility(gamma), x, T)
+        checks = TestOnePass._checks(mkt, pol, pol.pi, pol.consumption, Utility(gamma), x, T)
         draw = (mkt.gen, i0, T, mkt.dists, n_paths, cfg.seed)
         ens = simulate_ensemble(*draw)
         if case in ("still", "short"):
@@ -454,19 +453,16 @@ class TestInfeasiblePolicy:
             margin=PiecewiseLinearConcave.differential_rates(0.045, 0.05),
         )
         mkt = MarketModel(regimes=(params, params), constraint=NO_SHORTING)
-        pol = Policy(
-            pi=(1.5, 1.5), zeta=(0.0, 0.0), cases=(0, 0), gamma=0.0,
-            consumption=log_optimal_consumption(1.0, 1.0),
-        )
+        pol = dataclasses.replace(log_optimal_policy(mkt, 1.0, 1.0), pi=(1.5, 1.5))
         sample = lambda: columns(mkt, 1.0, 2000, 3)
         with pytest.raises(InfeasiblePolicyError):
-            spec = state_price_spec(mkt, NO_SHORTING, pol)
+            spec = state_price_spec(mkt, pol)
             sweep_estimates(mkt, sample(), [martingale_mc(spec)])
         with pytest.raises(InfeasiblePolicyError):
-            spec = state_price_spec(mkt, NO_SHORTING, pol)
+            spec = state_price_spec(mkt, pol)
             sweep_estimates(mkt, sample(), [dual_log_mc(mkt, spec, 1.0, 1.0)])
         with pytest.raises(InfeasiblePolicyError):
-            spec = state_price_spec(mkt, NO_SHORTING, pol)
+            spec = state_price_spec(mkt, pol)
             check = budget_mc(mkt, spec, pol.pi, pol.consumption, 1.0, 1.0)
             sweep_estimates(mkt, sample(), [check])
 
@@ -481,12 +477,12 @@ class TestInfeasiblePolicy:
         )
         assert feasible_weight_interval(params) == (-math.inf, 1.0, False, True)
         mkt = MarketModel(regimes=(params, params), constraint=NO_SHORTING)
-        pol = Policy(
-            pi=(1.5, 1.5), zeta=(0.0, 0.0), cases=(0, 0), gamma=gamma,
-            consumption=log_optimal_consumption(1.0, 1.0),
+        solved = (
+            log_optimal_policy(mkt, 1.0, 1.0) if gamma == 0.0 else power_optimal_policy(mkt, gamma)
         )
+        pol = dataclasses.replace(solved, pi=(1.5, 1.5))
         with pytest.raises(InfeasiblePolicyError, match="regime 0"):
-            state_price_spec(mkt, NO_SHORTING, pol)
+            state_price_spec(mkt, pol)
 
     def test_sweep_rejects_a_pair_the_dual_density_allows(self):
         """A feasible dual density, so the rejection comes from the sweep:
@@ -498,7 +494,7 @@ class TestInfeasiblePolicy:
         )
         mkt = MarketModel(regimes=(params, params), constraint=NO_SHORTING)
         pol = log_optimal_policy(mkt, 1.0, 1.0)
-        spec = state_price_spec(mkt, NO_SHORTING, pol)
+        spec = state_price_spec(mkt, pol)
         budget = lambda pair: budget_mc(mkt, spec, pair, pol.consumption, 1.0, 1.0)
         sweep_estimates(mkt, columns(mkt, 1.0, 2000, 3), [budget(pol.pi)])
         with pytest.raises(InfeasiblePolicyError, match="on some path"):
@@ -508,7 +504,7 @@ class TestInfeasiblePolicy:
 class TestStatePrice:
     def test_log_case_is_reciprocal_wealth(self):
         mkt = make_market()
-        spec = state_price_spec(mkt, NO_SHORTING, log_optimal_policy(mkt, 1.0, 2.0))
+        spec = state_price_spec(mkt, log_optimal_policy(mkt, 1.0, 2.0))
         assert state_price_wealth_identity(mkt, spec, 2.0) <= 1e-10
         # a drift that takes H V past the float range reads inf, not an error
         far = dataclasses.replace(spec, compensator=(-1e3, -1e3))
@@ -518,7 +514,7 @@ class TestStatePrice:
         """Off the log optimum H V jumps by gamma log(1 + pi f): the closed
         form does not hold, and the identity says so with inf."""
         mkt = make_market()
-        spec = state_price_spec(mkt, NO_SHORTING, power_optimal_policy(mkt, 0.5))
+        spec = state_price_spec(mkt, power_optimal_policy(mkt, 0.5))
         assert state_price_wealth_identity(mkt, spec, 2.0) == math.inf
 
     def test_identities_hold_where_levels_leave_the_float_range(self):
@@ -546,14 +542,14 @@ class TestStatePrice:
         pol = log_optimal_policy(mkt, 1.0, 10.0)
         with pytest.raises(DomainError):
             wealth_path(1.0, mkt, pol.pi, pol.consumption, ens)
-        spec = state_price_spec(mkt, mkt.constraint, pol)
+        spec = state_price_spec(mkt, pol)
         assert state_price_wealth_identity(mkt, spec, 10.0) <= 1e-10
         assert pathwise_identity(mkt, spec, ens) <= 1e-10
 
     def test_simulate_state_price_drift_segment(self):
         mkt = make_market()
         pol = log_optimal_policy(mkt, 1.0, 2.0)
-        spec = state_price_spec(mkt, NO_SHORTING, pol)
+        spec = state_price_spec(mkt, pol)
         row = ensemble(mkt, 2.0, 1, 77)
         grid = report_grid(row)
         log_h = _path_log_level(row, grid, spec.drift(mkt), h_jump_logs(mkt, spec))[0]
@@ -585,7 +581,7 @@ class TestStatePrice:
         mkt = parse_config(data).market
         pol = log_optimal_policy(mkt, 1.0, 1.0)
         assert pol.pi == (1.0, 1.0)  # the no-borrowing bound binds
-        spec = state_price_spec(mkt, mkt.constraint, pol)
+        spec = state_price_spec(mkt, pol)
         rows = PathEnsemble(
             initial_state=0,
             horizon=1.0,
@@ -603,14 +599,14 @@ class TestStatePrice:
     def test_martingale_factor_near_one(self):
         mkt = make_market()
         pol = log_optimal_policy(mkt, 1.0, 1.0)
-        spec = state_price_spec(mkt, NO_SHORTING, pol)
+        spec = state_price_spec(mkt, pol)
         (est,) = sweep_estimates(mkt, columns(mkt, 1.0, 20_000, 42), [martingale_mc(spec)])
         assert abs(est.mean - 1.0) <= 3.0 * est.stderr
 
     def test_estimates_deterministic_per_seed(self):
         mkt = make_market()
         pol = log_optimal_policy(mkt, 1.0, 1.0)
-        spec = state_price_spec(mkt, NO_SHORTING, pol)
+        spec = state_price_spec(mkt, pol)
         (a,) = sweep_estimates(mkt, columns(mkt, 1.0, 2000, 9), [martingale_mc(spec)])
         (b,) = sweep_estimates(mkt, columns(mkt, 1.0, 2000, 9), [martingale_mc(spec)])
         assert a.mean == b.mean and a.stderr == b.stderr
@@ -621,7 +617,7 @@ class TestBudget:
         mkt = make_market()
         x, T = 2.0, 1.5
         pol = log_optimal_policy(mkt, x, T)
-        spec = state_price_spec(mkt, NO_SHORTING, pol)
+        spec = state_price_spec(mkt, pol)
         check = budget_mc(mkt, spec, pol.pi, pol.consumption, x, T)
         (est,) = sweep_estimates(mkt, columns(mkt, T, 5000, 3), [check])
         assert abs(est.mean) <= 1e-12 * x
@@ -631,7 +627,7 @@ class TestBudget:
         mkt = make_market()
         x, T = 1.0, 1.0
         pol = log_optimal_policy(mkt, x, T)
-        spec = state_price_spec(mkt, NO_SHORTING, pol)
+        spec = state_price_spec(mkt, pol)
         checks = [
             budget_mc(mkt, spec, (pi, pi), cons, x, T)
             for pi, cons in (
@@ -648,7 +644,7 @@ class TestBudget:
         pol = log_optimal_policy(mkt, 1.0, 1.0)
         with pytest.raises(ConfigError):
             budget_mc(
-                mkt, state_price_spec(mkt, NO_SHORTING, pol), pol.pi,
+                mkt, state_price_spec(mkt, pol), pol.pi,
                 ProportionalConsumption(2.0), 1.0, 1.0,
             )
 
@@ -717,7 +713,7 @@ class TestExpectedUtility:
             columns(mkt, T, 5000, 77),
             [
                 expected_utility_mc(mkt, pol.pi, pol.consumption, Utility.log(), x, T),
-                dual_log_mc(mkt, state_price_spec(mkt, NO_SHORTING, pol), x, T),
+                dual_log_mc(mkt, state_price_spec(mkt, pol), x, T),
             ],
         )
         assert dual.mean == pytest.approx(primal.mean, abs=1e-10)
@@ -750,7 +746,7 @@ class TestBatchedIdentities:
     def _reference(mkt, x, ens):
         T = ens.horizon
         policy = log_optimal_policy(mkt, x, T)
-        spec = state_price_spec(mkt, mkt.constraint, policy)
+        spec = state_price_spec(mkt, policy)
         v_terms = _wealth_terms(mkt, policy.pi)
         dev_hv = []
         for p in range(ens.n_paths):
@@ -770,7 +766,7 @@ class TestBatchedIdentities:
         assert len(set(counts.tolist())) > 1  # rows of different lengths
         if config == REGIME_SWITCHING:
             assert np.any(counts == 0) and np.any(counts >= 3)
-        spec = state_price_spec(mkt, mkt.constraint, log_optimal_policy(mkt, 1.0, T))
+        spec = state_price_spec(mkt, log_optimal_policy(mkt, 1.0, T))
         assert pathwise_identity(mkt, spec, ens) == self._reference(mkt, 1.0, ens)
 
     def test_engine_rows_match_per_row_reference(self):
