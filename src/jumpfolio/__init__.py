@@ -43,7 +43,6 @@ from .market import (
     ZeroConsumption,
     export_path_csv,
     log_optimal_consumption,
-    stock_path,
     wealth_path,
 )
 from .mpp import (

@@ -22,19 +22,16 @@ import numpy as np
 
 from .config import OUTPUT_DIR_ENV, RunConfig, config_hash, load_config
 from .errors import (
-    BankruptcyError,
     BracketLimitError,
     ConfigError,
     DomainError,
     InfeasiblePolicyError,
+    JumpfolioError,
     ModelAssumptionError,
     QuadratureError,
     RangeError,
-    RuinError,
 )
-from .market import (
-    DEFAULT_GRID_POINTS, block_rows, export_path_csv, report_grid, stock_path, wealth_path
-)
+from .market import block_rows, export_path_csv, wealth_path
 from .mpp import jump_columns, simulate_ensemble
 from .policy import Policy, h_value, log_optimal_policy, optimal_portfolio, power_optimal_policy
 from .regime_value import exact_value, mean_log_growth, value_corollary
@@ -157,28 +154,24 @@ def cmd_simulate(config: RunConfig, args) -> int:
         config.market.dists, args.paths, config.seed,
     )
     provenance = f"config_hash={config_hash(config)} seed={config.seed}"
-    # a block's CSVs are written before the next block is evaluated
+    # a block's CSVs are written, and its table dropped, before the next
+    # block is evaluated
     step = block_rows(ens)
     for lo in range(0, args.paths, step):
         rows = ens.rows(lo, lo + step)
-        grid = report_grid(rows)
         try:
             wp = wealth_path(
-                config.initial_wealth, config.market, policy.pi, policy.consumption, rows, grid
+                config.initial_wealth, config.market, policy.pi, policy.consumption, rows
             )
-            _, stock = stock_path(config.market, rows, s0=1.0, grid=grid)
         except DomainError as exc:  # its row counts from the block's first path
             raise DomainError(f"paths {lo} to {lo + rows.n_paths - 1}: {exc}") from exc
         for p, events in enumerate(rows.counts.tolist()):
             k = lo + p
-            cells = DEFAULT_GRID_POINTS + 1 + events
             out = os.path.join(config.output_dir, f"path_{k:03d}.csv")
             with open(out, "w") as fh:
-                export_path_csv(
-                    wp.row(p, cells), stock[p, :cells], fh,
-                    comment_lines=(f"{provenance} path={k}",),
-                )
+                export_path_csv(wp.row(p), fh, comment_lines=(f"{provenance} path={k}",))
             print(f"wrote {out} ({events} events)")
+        del wp
     return EXIT_OK
 
 
@@ -371,18 +364,10 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, _overrides(args))
         return COMMANDS[args.command](config, args)
-    except (ConfigError, FileNotFoundError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (
-        ModelAssumptionError,
-        InfeasiblePolicyError,
-        DomainError,
-        RangeError,
-        BankruptcyError,
-        RuinError,
-        QuadratureError,
-    ) as exc:
+    except JumpfolioError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -83,18 +83,18 @@ def _cast(value, cast, field):
 
 def _require(mapping, key, path, cast=None):
     if not isinstance(mapping, dict):
-        raise ConfigError(f"expected a mapping at {path}", field=path)
+        raise ConfigError("expected a mapping", field=path)
     if key not in mapping:
-        raise ConfigError(f"missing required key {path}.{key}", field=f"{path}.{key}")
+        raise ConfigError("missing required key", field=f"{path}.{key}")
     return mapping[key] if cast is None else _cast(mapping[key], cast, f"{path}.{key}")
 
 
 def _reject_unknown(mapping, allowed, path):
     if not isinstance(mapping, dict):
-        raise ConfigError(f"expected a mapping at {path}", field=path)
+        raise ConfigError("expected a mapping", field=path)
     for key in mapping:
         if key not in allowed:
-            raise ConfigError(f"unknown key {path}.{key}", field=f"{path}.{key}")
+            raise ConfigError("unknown key", field=f"{path}.{key}")
 
 
 def _float(value):
@@ -132,9 +132,7 @@ def _variant(node, path, variants, what):
     """The entry of variants that node's variant key names."""
     variant = _require(node, "variant", path)
     if not isinstance(variant, str) or variant not in variants:
-        raise ConfigError(
-            f"unknown {what} variant {variant!r} at {path}.variant", field=f"{path}.variant"
-        )
+        raise ConfigError(f"unknown {what} variant {variant!r}", field=f"{path}.variant")
     return variants[variant]
 
 
@@ -216,16 +214,10 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     _reject_unknown(model, {"initial_state", "regimes"}, "config.model")
     initial_state = _cast(model.get("initial_state", 0), _int, "config.model.initial_state")
     if initial_state not in (0, 1):
-        raise ConfigError(
-            "config.model.initial_state must be 0 or 1",
-            field="config.model.initial_state",
-        )
+        raise ConfigError("must be 0 or 1", field="config.model.initial_state")
     regimes_node = _require(model, "regimes", "config.model")
     if not isinstance(regimes_node, list) or len(regimes_node) not in (1, 2):
-        raise ConfigError(
-            "config.model.regimes must list one or two regimes",
-            field="config.model.regimes",
-        )
+        raise ConfigError("must list one or two regimes", field="config.model.regimes")
     regimes = [
         _parse_regime(node, f"config.model.regimes[{i}]")
         for i, node in enumerate(regimes_node)
@@ -268,24 +260,17 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
 
     horizon = _require(data, "horizon", "config", float)
     if not (math.isfinite(horizon) and horizon > 0):
-        raise ConfigError(
-            f"config.horizon must be finite and positive, got {horizon}",
-            field="config.horizon",
-        )
+        raise ConfigError(f"must be finite and positive, got {horizon}", field="config.horizon")
     x = _require(data, "initial_wealth", "config", float)
     if not (math.isfinite(x) and x > 0):
-        raise ConfigError(
-            f"config.initial_wealth must be finite and positive, got {x}",
-            field="config.initial_wealth",
-        )
+        raise ConfigError(f"must be finite and positive, got {x}", field="config.initial_wealth")
 
     mc = _require(data, "mc", "config")
     _reject_unknown(mc, {"n_paths", "seed"}, "config.mc")
     n_paths = _require(mc, "n_paths", "config.mc", _int)
     if n_paths < 2:
         raise ConfigError(
-            "config.mc.n_paths must be at least 2: a standard error needs two paths",
-            field="config.mc.n_paths",
+            "must be at least 2: a standard error needs two paths", field="config.mc.n_paths"
         )
     seed = _require(mc, "seed", "config.mc", _int)
     if seed < 0:

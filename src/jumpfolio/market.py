@@ -4,9 +4,10 @@ All dynamics are piecewise closed-form: between event times the state
 variables are exponentials of linear drifts, and each event multiplies
 them by a jump factor.  One engine, ``_path_log_level``, evaluates the
 log of such a level from a per-regime drift and a per-regime jump log on
-a block of ensemble rows, each on its own reporting grid.  The stock and
-the wealth exponentiate it through ``_checked_exp`` and return one row
-per path.
+a block of ensemble rows, each on its own reporting grid.
+``wealth_path`` exponentiates it through ``_checked_exp`` for the wealth
+and the stock, and returns one ``WealthPath`` table: every column of a
+path CSV, one row per path.
 Portfolio weights are per-regime constants.  Nothing is
 Euler-discretised; the reporting grid only chooses where the closed
 forms are evaluated.
@@ -14,8 +15,8 @@ forms are evaluated.
 ``export_path_csv`` writes one path as CSV rows t, regime, S, V1pi0, xi,
 V in the bytes of ``_CSV_ROW % row``: 17 significant digits per float
 cell under the %g rules (fixed notation for exponents -4 to 16, otherwise
-scientific), and S ``nan`` when no stock is given.  A numpy kernel makes
-them, exact by construction (``_csv_text``).
+scientific).  A numpy kernel makes them, exact by construction
+(``_csv_text``).
 """
 
 from __future__ import annotations
@@ -273,21 +274,6 @@ def _wealth_terms(market: MarketModel, pi_pair):
     return drift, jump_logs
 
 
-def stock_path(market: MarketModel, rows: PathEnsemble, s0: float, grid=None):
-    """Stock price of each row at its reporting grid ``grid``, by default
-    ``report_grid(rows)``: exact piecewise exponential times jump factors.
-
-    Returns (t, S) arrays, one row per path.
-    """
-    if s0 <= 0:
-        raise ConfigError("initial price must be positive", field="s0")
-    drift = [p.mu for p in market.regimes]
-    jump_logs = [_log_jump(market.transform, 1.0)] * 2
-    grid = report_grid(rows) if grid is None else grid
-    times = grid[0]
-    return times, s0 * _checked_exp(_path_log_level(rows, grid, drift, jump_logs), times)
-
-
 def _deflated_wealth(x, consumption: ConsumptionRule, times):
     """xi_t = x - scale * t at the given times; raises RuinError with the
     crossing time if it turns negative by the last (of each row)."""
@@ -303,26 +289,29 @@ def _deflated_wealth(x, consumption: ConsumptionRule, times):
 
 @dataclass(frozen=True)
 class WealthPath:
-    """Wealth trajectories and their consumption factorisation
-    V = xi * V^{1,pi,0}: one path per row of each array, or one path."""
+    """The columns of a path CSV: the stock S (S_0 = 1), and the wealth
+    with its consumption factorisation V = xi * V^{1,pi,0}; one path per
+    row of each array, or one path.  ``cells`` counts each row's own
+    cells (see ``report_grid``)."""
 
     t: np.ndarray
     regime: np.ndarray
+    S: np.ndarray
     v_gross: np.ndarray  # V^{1,pi,0}
     xi: np.ndarray
     V: np.ndarray
+    cells: np.ndarray
 
-    def to_csv_rows(self, stock=None):
+    def to_csv_rows(self):
         header = ["t", "regime", "S", "V1pi0", "xi", "V"]
-        s = stock if stock is not None else np.full_like(self.t, np.nan)
-        rows = np.column_stack([self.t, self.regime, s, self.v_gross, self.xi, self.V])
+        rows = np.column_stack([self.t, self.regime, self.S, self.v_gross, self.xi, self.V])
         return header, rows
 
-    def row(self, k, cells):
-        """Path k of a block: the first ``cells`` cells of its row."""
-        return WealthPath(
-            *(a[k, :cells] for a in (self.t, self.regime, self.v_gross, self.xi, self.V))
-        )
+    def row(self, k):
+        """Path k of a block: its own cells."""
+        n = int(self.cells[k])
+        columns = (self.t, self.regime, self.S, self.v_gross, self.xi, self.V)
+        return WealthPath(*(a[k, :n] for a in columns), cells=n)
 
 
 def wealth_path(
@@ -333,25 +322,29 @@ def wealth_path(
     rows: PathEnsemble,
     grid=None,
 ) -> WealthPath:
-    """Wealth under (pi, c) of each row at its reporting grid ``grid``, by
-    default ``report_grid(rows)``, via the factorisation
-    V_t = xi_t * V_t^{1,pi,0}; V^{1,pi,0} is exact between jumps.  Row k's
-    own cells are its first n_grid + 1 + counts[k] (see ``report_grid``).
+    """The stock and the wealth under (pi, c) of each row at its reporting
+    grid ``grid``, by default ``report_grid(rows)``: exact piecewise
+    exponentials times jump factors, the wealth via the factorisation
+    V_t = xi_t * V_t^{1,pi,0}.
 
     pi is a scalar or a per-regime pair.  Raises RuinError with the
     crossing time if consumption exhausts wealth strictly before the
-    horizon.
+    horizon.  The wealth is evaluated and checked before the stock, so
+    its errors come first.
     """
     if x <= 0:
         raise ConfigError("initial wealth must be positive", field="x")
     pi_pair = (pi, pi) if np.isscalar(pi) else pi
     grid = report_grid(rows) if grid is None else grid
     times, segment = grid
-    log_v = _path_log_level(rows, grid, *_wealth_terms(market, pi_pair))
-    v_gross = _checked_exp(log_v, times)
+    # each log level is dropped once exponentiated: one is held at a time
+    v_gross = _checked_exp(_path_log_level(rows, grid, *_wealth_terms(market, pi_pair)), times)
     xi = _deflated_wealth(x, consumption, times)
+    stock_terms = [p.mu for p in market.regimes], [_log_jump(market.transform, 1.0)] * 2
+    S = _checked_exp(_path_log_level(rows, grid, *stock_terms), times)
     regime = (rows.initial_state + segment) % 2
-    return WealthPath(t=times, regime=regime, v_gross=v_gross, xi=xi, V=xi * v_gross)
+    cells = times.shape[1] - rows.times.shape[1] + rows.counts
+    return WealthPath(times, regime, S, v_gross, xi, xi * v_gross, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +527,10 @@ def _csv_text(rows):
     return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def export_path_csv(path_obj: WealthPath, stock, fh, comment_lines=()):
+def export_path_csv(path_obj: WealthPath, fh, comment_lines=()):
     """Write one path's columns t, regime, S, V1pi0, xi, V: each row the
     bytes of ``_CSV_ROW``, made by ``_csv_text``."""
-    header, rows = path_obj.to_csv_rows(stock)
+    header, rows = path_obj.to_csv_rows()
     for line in comment_lines:
         fh.write(f"# {line}\n")
     fh.write(",".join(header) + "\n")

@@ -8,6 +8,7 @@ import os
 import re
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,9 @@ from jumpfolio.config import (
     load_config,
     parse_config,
 )
-from jumpfolio.errors import ConfigError, ModelAssumptionError
+from jumpfolio.errors import ConfigError, JumpfolioError, ModelAssumptionError
 from jumpfolio.frictions import PiecewiseLinearConcave
-from jumpfolio.market import DEFAULT_GRID_POINTS, export_path_csv, stock_path, wealth_path
+from jumpfolio.market import DEFAULT_GRID_POINTS, export_path_csv, wealth_path
 from jumpfolio.mpp import simulate_ensemble
 from jumpfolio.policy import certify, log_optimal_policy
 
@@ -62,6 +63,12 @@ LAW = f"{REGIME}.distribution"
 EXPONENTIAL = {"variant": "exponential_positive", "rate": 10.0}
 TWO_POINT = {"variant": "two_point", "y_lo": -0.1, "y_hi": 0.1, "p_hi": 0.5}
 TABULATED = {"variant": "tabulated", "grid": [0.0, 0.5, 1.0], "density": [1.0, 1.0, 1.0]}
+DELETE = object()  # a config edit that removes its key
+
+
+def subclasses(cls):
+    """Every class derived from cls, at any depth."""
+    return {sub for s in cls.__subclasses__() for sub in {s} | subclasses(s)}
 
 
 def write_config(tmp_path, data, name="cfg.yaml"):
@@ -221,7 +228,7 @@ class TestCliExitCodes:
         data["utility"] = {"variant": "log"}
         path = write_config(tmp_path, data)
         assert main([command, path, flag, value]) == 1
-        assert f"config.{field} must be finite and positive" in capsys.readouterr().err
+        assert f"config.{field}: must be finite and positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "key, value, field",
@@ -332,19 +339,56 @@ class TestCliExitCodes:
                 ("model", "regimes", 0, "distribution"), {"variant": ["a"]}, f"{LAW}.variant",
                 id="law-variant-list",
             ),
+            pytest.param(("horizon",), 0.0, "config.horizon", id="horizon"),
+            pytest.param(("initial_wealth",), -1.0, "config.initial_wealth", id="wealth"),
+            pytest.param(("foo",), 1, "config.foo", id="unknown-key"),
+            pytest.param(("model", "initial_state"), 2, "config.model.initial_state", id="state"),
+            pytest.param(("model", "regimes"), [], "config.model.regimes", id="regimes"),
+            pytest.param(("mc", "n_paths"), 1, "config.mc.n_paths", id="n_paths"),
+            pytest.param(
+                ("model", "regimes", 0, "distribution", "variant"), "expo", f"{LAW}.variant",
+                id="law-variant",
+            ),
+            pytest.param(
+                ("model", "regimes", 0, "margin", "variant"), "expo", f"{MARGIN}.variant",
+                id="margin-variant",
+            ),
+            pytest.param(("mc", "seed"), DELETE, "config.mc.seed", id="missing-key"),
+            pytest.param(("mc",), 5, "config.mc", id="non-mapping"),
         ],
     )
     def test_error_names_its_node(self, tmp_path, capsys, keys, value, field):
-        """A constructor's error that names no field of its own is reported
-        at the node it was built from, and a variant that is not a name is
-        an unknown variant, not a TypeError out of main."""
+        """A config error names its dotted field once, in front of its
+        message: a constructor's error that names no field of its own at
+        the node it was built from, and a variant that is not a name as an
+        unknown variant, not a TypeError out of main."""
         data = copy.deepcopy(BASE)
         node = data
         for key in keys[:-1]:
             node = node[key]
-        node[keys[-1]] = value
+        if value is DELETE:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
         assert main(["optimize", write_config(tmp_path, data)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and err.count(field) == 1
+
+    @pytest.mark.parametrize(
+        "error", sorted(subclasses(JumpfolioError), key=lambda e: e.__name__),
+        ids=lambda e: e.__name__,
+    )
+    def test_every_package_error_keeps_its_exit_code(self, tmp_path, monkeypatch, capsys, error):
+        """A package error raised by a command is one line on stderr with
+        its prefix, and its exit code: 1 for a config error, else 2."""
+
+        def command(config, args):
+            raise error("boom")
+
+        monkeypatch.setitem(cli.COMMANDS, "optimize", command)
+        code, prefix = (1, "error") if error is ConfigError else (2, "infeasible")
+        assert main(["optimize", write_config(tmp_path, BASE)]) == code
+        assert capsys.readouterr().err == f"{prefix}: boom\n"
 
     @pytest.mark.parametrize("command", ["optimize", "figures", "value"])
     def test_negative_seed_exit_1(self, tmp_path, capsys, command):
@@ -729,11 +773,9 @@ class TestCliOutputs:
         wrote = capsys.readouterr().out.splitlines()
         for k in range(5):
             row = ens.rows(k, k + 1)
-            cells = DEFAULT_GRID_POINTS + 1 + row.counts[0]
             buf = io.StringIO()
             export_path_csv(
-                wealth_path(x, market, policy.pi, policy.consumption, row).row(0, cells),
-                stock_path(market, row, s0=1.0)[1][0],
+                wealth_path(x, market, policy.pi, policy.consumption, row).row(0),
                 buf,
                 comment_lines=(f"config_hash={config_hash(config)} seed={config.seed} path={k}",),
             )
@@ -744,7 +786,7 @@ class TestCliOutputs:
     def test_simulate_builds_one_grid_per_block(self, tmp_path, monkeypatch, capsys):
         """A block's wealth and stock paths share one reporting grid:
         simulate --paths 100 on paths_dense builds it once for each of its
-        10 blocks."""
+        10 blocks, in wealth_path."""
         grid, steps, calls = market_mod.report_grid, [], []
 
         def counted_grid(*args, **kwargs):
@@ -755,14 +797,32 @@ class TestCliOutputs:
             steps.append(market_mod.block_rows(ens))
             return steps[-1]
 
-        for mod in (cli, market_mod):
-            monkeypatch.setattr(mod, "report_grid", counted_grid)
+        monkeypatch.setattr(market_mod, "report_grid", counted_grid)
         monkeypatch.setattr(cli, "block_rows", recorded_step)
         config = ROOT / "bench" / "configs" / "paths_dense.yaml"
         argv = ["simulate", str(config), "--paths", "100", "--output-dir", str(tmp_path)]
         assert main(argv) == 0
         assert len(calls) == math.ceil(100 / steps[0]) == 10
         assert sum(calls) == 100
+
+    def test_simulate_drops_a_block_before_the_next(self, tmp_path, monkeypatch, capsys):
+        """simulate evaluates a block's paths only once the table of the
+        block before is gone, so memory holds one block's table."""
+        tables, evaluate = [], market_mod.wealth_path
+
+        def tracked(*args, **kwargs):
+            assert all(table() is None for table in tables)
+            table = evaluate(*args, **kwargs)
+            tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(cli, "wealth_path", tracked)
+        monkeypatch.setattr(market_mod, "BLOCK_CELLS", 1)  # one row per block
+        data = copy.deepcopy(BASE)
+        data["utility"] = {"variant": "log"}
+        argv = ["simulate", write_config(tmp_path, data), "--paths", "3"]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+        assert len(tables) == 3
 
     def test_value_prints_all_three(self, tmp_path, capsys):
         data = copy.deepcopy(BASE)

@@ -13,7 +13,6 @@ PACKAGE = ROOT / "src" / "jumpfolio"
 
 # export -> why it has no caller outside its module
 CALLERLESS = {
-    "JumpfolioError": "base class of every package error, for a caller's except clause",
     "ProportionalConsumption": "type returned by log_optimal_consumption",
     "WealthPath": "type returned by wealth_path",
     "RegimeOptimum": "type returned by policy.optimal_portfolio",

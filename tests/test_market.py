@@ -27,7 +27,6 @@ from jumpfolio.market import (
     jump_transform,
     log_optimal_consumption,
     report_grid,
-    stock_path,
     wealth_path,
 )
 from jumpfolio.mpp import GeneratorMatrix, PathEnsemble, simulate_ensemble
@@ -63,6 +62,12 @@ def gross_wealth(mkt, pi, path):
     return wp.t[0], wp.v_gross[0]
 
 
+def stock(mkt, rows, grid=None):
+    """The paths of rows at weights (0, 0): the wealth then has no jump
+    term, so only the stock S can fail."""
+    return wealth_path(1.0, mkt, (0.0, 0.0), ZeroConsumption(), rows, grid)
+
+
 class TestModelValidation:
     def test_chain_is_derived_from_the_intensities(self):
         """Events are the chain's jumps: its exit rates are the regimes' lam,
@@ -89,7 +94,8 @@ class TestStockPath:
     def test_deterministic_segment_and_jump(self):
         mkt = make_market()
         path = fixed_path([1.0], [0.2], T=2.0)
-        t, S = (a[0] for a in stock_path(mkt, path, s0=1.0))
+        wp = stock(mkt, path)
+        t, S = wp.t[0], wp.S[0]
         mu = -0.05
         # right before the jump: pure drift; at the jump: factor e^y
         i = np.searchsorted(t, 1.0)
@@ -102,8 +108,7 @@ class TestStockPath:
         mkt = make_market()
         T = 1.0
         ens = simulate_ensemble(mkt.gen, 0, T, mkt.dists, 40_000, 17)
-        _, S = stock_path(mkt, ens, s0=1.0, grid=report_grid(ens, 1))
-        finals = S[:, -1]
+        finals = stock(mkt, ens, report_grid(ens, 1)).S[:, -1]
         m1 = mkt.dists[0].mgf(1.0)
         target = math.exp((-0.05 + 1.0 * (m1 - 1.0)) * T)
         stderr = finals.std(ddof=1) / math.sqrt(len(finals))
@@ -126,7 +131,7 @@ class TestStockPath:
             counts=np.array([1, 2]),
         )
         with pytest.raises(DomainError, match=r"of row 1 at t=0.75 "):
-            stock_path(make_market(), block, s0=1.0)
+            stock(make_market(), block)
 
 
 class TestGrossWealth:
@@ -166,7 +171,7 @@ class TestGrossWealth:
         but the factor at pi = 1 is e^-40 > 0, so both levels stay finite."""
         mkt = load_config(FIG3).market
         path = fixed_path([0.5], [-40.0], T=1.0)
-        _, S = (a[0] for a in stock_path(mkt, path, s0=1.0))
+        S = stock(mkt, path).S[0]
         _, V = gross_wealth(mkt, 1.0, path)
         assert np.all(np.isfinite(S)) and np.all(np.isfinite(V))
         assert math.log(S[-1]) == pytest.approx(0.07 * 1.0 - 40.0, rel=1e-12)
@@ -222,21 +227,21 @@ class TestRowBlocks:
         assert len(set(ens.counts.tolist())) > 3
         policy = (0.4, -2.0), log_optimal_consumption(1.0, 3.0)
         wp = wealth_path(1.0, mkt, *policy, ens)
-        _, S = stock_path(mkt, ens, s0=2.0)
+        assert np.all(wp.S[:, 0] == 1.0)
         for k in range(ens.n_paths):
-            cells = DEFAULT_GRID_POINTS + 1 + ens.counts[k]
-            row = ens.rows(k, k + 1)
-            alone = wealth_path(1.0, mkt, *policy, row)
-            for name in ("t", "regime", "v_gross", "xi", "V"):
+            cells = wp.cells[k]
+            assert cells == DEFAULT_GRID_POINTS + 1 + ens.counts[k]
+            alone = wealth_path(1.0, mkt, *policy, ens.rows(k, k + 1))
+            assert alone.cells.tolist() == [cells]
+            for name in ("t", "regime", "S", "v_gross", "xi", "V"):
                 got = getattr(wp, name)[k]
                 assert np.array_equal(got[:cells], getattr(alone, name)[0]), (k, name)
                 assert np.all(got[cells:] == got[cells - 1]), (k, name)
-            assert np.array_equal(S[k, :cells], stock_path(mkt, row, s0=2.0)[1][0])
 
 
-def reference_export_path_csv(path_obj, stock, fh, comment_lines=()):
+def reference_export_path_csv(path_obj, fh, comment_lines=()):
     """Oracle: one f-string per value, one write per row."""
-    header, rows = path_obj.to_csv_rows(stock)
+    header, rows = path_obj.to_csv_rows()
     for line in comment_lines:
         fh.write(f"# {line}\n")
     fh.write(",".join(header) + "\n")
@@ -246,32 +251,29 @@ def reference_export_path_csv(path_obj, stock, fh, comment_lines=()):
 
 
 class TestCsvExport:
-    @pytest.mark.parametrize("with_stock", [True, False])
-    def test_matches_per_row_writer(self, with_stock):
+    def test_matches_per_row_writer(self):
         mkt = make_market(lam=5.0)
         path = simulate_ensemble(mkt.gen, 1, 4.0, mkt.dists, 1, 31)
         assert path.counts[0] > 5
-        cells = DEFAULT_GRID_POINTS + 1 + path.counts[0]
-        wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path).row(0, cells)
-        stock = stock_path(mkt, path, s0=1.0)[1][0] if with_stock else None
+        wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path).row(0)
         got, ref = io.StringIO(), io.StringIO()
-        export_path_csv(wp, stock, got, comment_lines=("a", "b"))
-        reference_export_path_csv(wp, stock, ref, comment_lines=("a", "b"))
+        export_path_csv(wp, got, comment_lines=("a", "b"))
+        reference_export_path_csv(wp, ref, comment_lines=("a", "b"))
         assert got.getvalue() == ref.getvalue()
-        assert ("nan" in got.getvalue()) != with_stock
+        assert "nan" not in got.getvalue()
 
     def test_one_format_call_matches_one_per_row(self):
         """The whole path gives the bytes of one % per row, non-finite
         cells included."""
         mkt = make_market(lam=5.0)
         path = simulate_ensemble(mkt.gen, 0, 4.0, mkt.dists, 1, 32)
-        cells = DEFAULT_GRID_POINTS + 1 + path.counts[0]
-        wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path).row(0, cells)
-        V = wp.V.copy()
+        wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path).row(0)
+        S, V = wp.S.copy(), wp.V.copy()
+        S[5] = np.nan
         V[3], V[7] = np.inf, -np.inf
-        wp = dataclasses.replace(wp, V=V)
+        wp = dataclasses.replace(wp, S=S, V=V)
         got = io.StringIO()
-        export_path_csv(wp, None, got)
+        export_path_csv(wp, got)
         header, rows = wp.to_csv_rows()
         per_row = ",".join(header) + "\n" + "".join(_CSV_ROW % tuple(r) for r in rows.tolist())
         assert got.getvalue() == per_row
@@ -281,10 +283,9 @@ class TestCsvExport:
         mkt = make_market()
         x, T = 1.0, 1.0
         path = fixed_path([0.25], [0.1], T=T)
-        wp = wealth_path(x, mkt, 0.5, ZeroConsumption(), path).row(0, DEFAULT_GRID_POINTS + 2)
-        _, S = (a[0] for a in stock_path(mkt, path, s0=1.0))
+        wp = wealth_path(x, mkt, 0.5, ZeroConsumption(), path).row(0)
         buf = io.StringIO()
-        export_path_csv(wp, S, buf, comment_lines=("probe",))
+        export_path_csv(wp, buf, comment_lines=("probe",))
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# probe"
         assert lines[1].split(",") == ["t", "regime", "S", "V1pi0", "xi", "V"]
@@ -389,12 +390,11 @@ class TestCsvKernel:
         bytes as in one call."""
         mkt = make_market(lam=5.0)
         path = simulate_ensemble(mkt.gen, 1, 4.0, mkt.dists, 1, 33)
-        cells = DEFAULT_GRID_POINTS + 1 + path.counts[0]
-        wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path).row(0, cells)
+        wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path).row(0)
         whole, blocks = io.StringIO(), io.StringIO()
-        export_path_csv(wp, None, whole)
+        export_path_csv(wp, whole)
         monkeypatch.setattr(market_mod, "_CSV_BLOCK_ROWS", 7)
-        export_path_csv(wp, None, blocks)
+        export_path_csv(wp, blocks)
         assert blocks.getvalue() == whole.getvalue()
 
 
@@ -410,18 +410,14 @@ class _Sink:
 @pytest.fixture(scope="module")
 def paths_dense_sample():
     """The sample of simulate --paths 100 on paths_dense at its config seed,
-    and a function that evaluates rows lo..hi of it as simulate does:
-    (wealth, stock, cells per row)."""
+    and a function that evaluates rows lo..hi of it as simulate does."""
     config = load_config(PATHS_DENSE)
     market, x, T = config.market, config.initial_wealth, config.horizon
     ens = simulate_ensemble(market.gen, config.initial_state, T, market.dists, 100, config.seed)
     policy = log_optimal_policy(market, x, T)
 
     def evaluate(lo, hi):
-        rows = ens.rows(lo, hi)
-        wp = wealth_path(x, market, policy.pi, policy.consumption, rows)
-        stock = stock_path(market, rows, s0=1.0)[1]
-        return wp, stock, DEFAULT_GRID_POINTS + 1 + rows.counts
+        return wealth_path(x, market, policy.pi, policy.consumption, ens.rows(lo, hi))
 
     return ens, evaluate
 
@@ -433,7 +429,7 @@ class TestCsvOnPathsDense:
         the fallback only the cells it cannot print: t = 0, and the few
         stock prices below 1e-4, which %g writes in scientific notation."""
         ens, evaluate = paths_dense_sample
-        wp, stock, cells = evaluate(0, market_mod.block_rows(ens))
+        wp = evaluate(0, market_mod.block_rows(ens))
         sent = []
         fallback = market_mod._fallback_cells
 
@@ -443,12 +439,12 @@ class TestCsvOnPathsDense:
 
         monkeypatch.setattr(market_mod, "_fallback_cells", spy)
         scientific = 0
-        for p, n in enumerate(cells.tolist()):
+        for p in range(len(wp.cells)):
             got, ref = io.StringIO(), io.StringIO()
-            export_path_csv(wp.row(p, n), stock[p, :n], got, comment_lines=("a",))
-            reference_export_path_csv(wp.row(p, n), stock[p, :n], ref, comment_lines=("a",))
+            export_path_csv(wp.row(p), got, comment_lines=("a",))
+            reference_export_path_csv(wp.row(p), ref, comment_lines=("a",))
             assert got.getvalue() == ref.getvalue()
-            _, rows = wp.row(p, n).to_csv_rows(stock[p, :n])
+            _, rows = wp.row(p).to_csv_rows()
             not_fixed = [
                 i
                 for i, v in enumerate(rows.ravel().tolist())
@@ -458,22 +454,20 @@ class TestCsvOnPathsDense:
             assert not_fixed[0] == 0 and rows[0, 0] == 0.0  # t = 0
             assert all(i % 6 == 2 for i in not_fixed[1:])  # S only
             scientific += len(not_fixed) - 1
-        assert len(sent) == len(cells)  # one call per path
-        assert scientific < 1e-3 * 6 * cells.sum()
+        assert len(sent) == len(wp.cells)  # one call per path
+        assert scientific < 1e-3 * 6 * wp.cells.sum()
 
     def test_peak_memory_of_the_longest_row(self, paths_dense_sample):
         """Writing the sample's longest row allocates under 1 MB at peak."""
         ens, evaluate = paths_dense_sample
         k = int(np.argmax(ens.counts))
-        wp, stock, cells = evaluate(k, k + 1)
-        n = int(cells[0])
-        assert n > 800
-        path_obj, s = wp.row(0, n), stock[0, :n].copy()
-        export_path_csv(path_obj, s, _Sink())  # warm up
+        path_obj = evaluate(k, k + 1).row(0)
+        assert path_obj.cells > 800
+        export_path_csv(path_obj, _Sink())  # warm up
         sink = _Sink()
         tracemalloc.start()
         try:
-            export_path_csv(path_obj, s, sink)
+            export_path_csv(path_obj, sink)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

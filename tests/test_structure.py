@@ -195,13 +195,11 @@ def test_only_simulate_ensemble_stores_a_stream():
 
 
 def test_only_stock_and_wealth_paths_call_the_row_engine():
-    """The row engine serves simulate alone: in src/, only wealth_path and
-    stock_path evaluate levels on ensemble rows, and only they and the
-    simulate command, which builds one grid per block for both, build
-    reporting grids."""
-    paths = {("market", "wealth_path"), ("market", "stock_path")}
-    assert _callers({"_path_log_level"}) == paths
-    assert _callers({"report_grid"}) == paths | {("cli", "cmd_simulate")}
+    """The row engine serves simulate alone: in src/, only wealth_path,
+    which evaluates a path's stock and wealth on one grid, evaluates
+    levels on ensemble rows and builds reporting grids."""
+    assert _callers({"_path_log_level"}) == {("market", "wealth_path")}
+    assert _callers({"report_grid"}) == {("market", "wealth_path")}
 
 
 # a law's sampler and every drawing method of a numpy Generator

@@ -19,7 +19,6 @@ from jumpfolio.market import (
     RegimeMarketParams,
     ZeroConsumption,
     log_optimal_consumption,
-    stock_path,
     wealth_path,
     _log_jump,
     _path_log_level,
@@ -115,9 +114,9 @@ class TestEnsembleFunctionals:
         if kind == "stock":
             drift = [p.mu for p in mkt.regimes]
             jumps = [lambda y: np.log1p(mkt.f(y))] * 2
-            return drift, jumps, lambda rows: stock_path(
-                mkt, rows, s0=1.0, grid=report_grid(rows, 1)
-            )[1]
+            return drift, jumps, lambda rows: wealth_path(
+                1.0, mkt, (0.0, 0.0), ZeroConsumption(), rows, grid=report_grid(rows, 1)
+            ).S
         spec = state_price_spec(mkt, log_optimal_policy(mkt, 1.0, 2.0))
         drift, jumps = spec.drift(mkt), h_jump_logs(mkt, spec)
         return (
