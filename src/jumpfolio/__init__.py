@@ -35,14 +35,10 @@ from .frictions import (
     effective_domain,
 )
 from .market import (
-    ConsumptionRule,
     MarketModel,
-    ProportionalConsumption,
     RegimeMarketParams,
     WealthPath,
-    ZeroConsumption,
     export_path_csv,
-    log_optimal_consumption,
     wealth_path,
 )
 from .mpp import (

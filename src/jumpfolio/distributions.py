@@ -252,7 +252,7 @@ class Tabulated(JumpDistribution):
 
     The grid is used as supplied -- no re-interpolation.  The trapezoid
     integral of the density over the grid must equal 1 to within 1e-9.
-    Equality and hashing are by identity (the fields are arrays).
+    Two laws are equal when their grids and densities are.
     """
 
     grid: np.ndarray
@@ -274,20 +274,29 @@ class Tabulated(JumpDistribution):
             raise ConfigError("grid must be strictly increasing", field="grid")
         if np.any(density < 0):
             raise ConfigError("density values must be nonnegative", field="density")
-        total = np.trapezoid(density, grid)
+        # the trapezoid cell masses; their sum is numpy's trapezoid integral
+        seg = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
+        total = seg.sum()
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(
                 f"density integrates to {total!r}, not 1 (tolerance 1e-9)",
                 field="density",
             )
         # piecewise-linear CDF at the grid nodes, for inverse-CDF sampling
-        seg = 0.5 * (density[1:] + density[:-1]) * np.diff(grid)
         cdf = np.concatenate([[0.0], np.cumsum(seg)])
         cdf /= cdf[-1]
         object.__setattr__(self, "_cdf", cdf)
         half = 0.5 * np.diff(grid)
         weights = density * (np.append(half, 0.0) + np.append(0.0, half))
         object.__setattr__(self, "_rule", (grid, weights, weights))
+
+    def __eq__(self, other):
+        if not isinstance(other, Tabulated):
+            return NotImplemented
+        return np.array_equal(self.grid, other.grid) and np.array_equal(self.density, other.density)
+
+    def __hash__(self):
+        return hash((tuple(self.grid.tolist()), tuple(self.density.tolist())))
 
     def sample(self, n, rng):
         u = rng.random(n)

@@ -119,34 +119,6 @@ class MarketModel:
 
 
 # ---------------------------------------------------------------------------
-# consumption rules
-# ---------------------------------------------------------------------------
-
-
-class ConsumptionRule:
-    """Consumption rate c_t = scale * V_t^{1,pi,0}, so the deflated integral
-    xi_t = x - int_0^t c_s / V_s^{1,pi,0} ds = x - scale * t is closed-form."""
-
-    scale: float
-
-
-@dataclass(frozen=True)
-class ZeroConsumption(ConsumptionRule):
-    scale = 0.0
-
-
-@dataclass(frozen=True)
-class ProportionalConsumption(ConsumptionRule):
-    """c_t = scale * V_t^{1,pi,0}; the log-optimal rule is scale = x/(T+1)."""
-
-    scale: float
-
-
-def log_optimal_consumption(x: float, T: float) -> ProportionalConsumption:
-    return ProportionalConsumption(scale=x / (T + 1.0))
-
-
-# ---------------------------------------------------------------------------
 # the log-level engine over ensemble rows
 # ---------------------------------------------------------------------------
 
@@ -274,12 +246,13 @@ def _wealth_terms(market: MarketModel, pi_pair):
     return drift, jump_logs
 
 
-def _deflated_wealth(x, consumption: ConsumptionRule, times):
-    """xi_t = x - scale * t at the given times; raises RuinError with the
-    crossing time if it turns negative by the last (of each row)."""
-    xi = x - consumption.scale * times
-    if np.any(xi[..., -1] < 0):
-        t_ruin = x / consumption.scale
+def _deflated_wealth(x, kappa, times):
+    """xi_t = x - kappa t at the given times, a float or an array, under
+    the consumption rate c_t = kappa V_t^{1,pi,0}; raises RuinError with
+    the crossing time if it turns negative at one of them."""
+    xi = x - kappa * times
+    if np.any(xi < 0):
+        t_ruin = x / kappa
         raise RuinError(
             f"proportional consumption ruins the path at t={t_ruin:.6g}",
             ruin_time=t_ruin,
@@ -318,14 +291,14 @@ def wealth_path(
     x: float,
     market: MarketModel,
     pi,
-    consumption: ConsumptionRule,
+    consumption: float,
     rows: PathEnsemble,
     grid=None,
 ) -> WealthPath:
     """The stock and the wealth under (pi, c) of each row at its reporting
     grid ``grid``, by default ``report_grid(rows)``: exact piecewise
     exponentials times jump factors, the wealth via the factorisation
-    V_t = xi_t * V_t^{1,pi,0}.
+    V_t = xi_t * V_t^{1,pi,0}, with c_t = consumption * V_t^{1,pi,0}.
 
     pi is a scalar or a per-regime pair.  Raises RuinError with the
     crossing time if consumption exhausts wealth strictly before the

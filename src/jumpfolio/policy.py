@@ -33,14 +33,7 @@ from .errors import (
     RangeError,
 )
 from .frictions import ConstraintSet, PiecewiseLinearConcave, conjugate_gk, effective_domain
-from .market import (
-    ConsumptionRule,
-    MarketModel,
-    RegimeMarketParams,
-    ZeroConsumption,
-    log_optimal_consumption,
-    transform_range,
-)
+from .market import MarketModel, RegimeMarketParams, transform_range
 
 H_QUAD_TOL = 1e-13
 PI_TOL = 1e-12
@@ -95,13 +88,14 @@ class RegimeOptimum:
 @dataclass(frozen=True)
 class Policy:
     """Per-regime portfolio weights, case labels and duality certificates,
-    plus the consumption rule used with them."""
+    plus the consumption scale kappa used with them: the consumption rate
+    is c_t = kappa V_t^{1,pi,0}."""
 
     pi: tuple
     cases: tuple
     certs: tuple
     gamma: float
-    consumption: ConsumptionRule
+    consumption: float
 
 
 def feasible_weight_interval(params: RegimeMarketParams, K: ConstraintSet | None = None):
@@ -401,7 +395,7 @@ def _package_optimum(params, K, gamma, pi, case):
     return RegimeOptimum(pi=pi, case=case, cert=cert)
 
 
-def _optimal_policy(market: MarketModel, gamma: float, consumption: ConsumptionRule) -> Policy:
+def _optimal_policy(market: MarketModel, gamma: float, consumption: float) -> Policy:
     """Solve each regime; identical regimes are solved once."""
     K = market.constraint
     first, second = market.regimes
@@ -417,12 +411,13 @@ def _optimal_policy(market: MarketModel, gamma: float, consumption: ConsumptionR
 
 
 def log_optimal_policy(market: MarketModel, x: float, T: float) -> Policy:
-    """Per-regime log-optimal weights plus the proportional consumption rule."""
+    """Per-regime log-optimal weights plus the log-optimal consumption
+    scale x/(T+1)."""
     if x <= 0 or T <= 0:
         raise ConfigError("initial wealth and horizon must be positive")
-    return _optimal_policy(market, 0.0, log_optimal_consumption(x, T))
+    return _optimal_policy(market, 0.0, x / (T + 1.0))
 
 
 def power_optimal_policy(market: MarketModel, gamma: float) -> Policy:
-    """Per-regime power-utility weights; consumption stays off (zero rule)."""
-    return _optimal_policy(market, Utility.power(gamma).gamma, ZeroConsumption())
+    """Per-regime power-utility weights; consumption stays off (scale 0)."""
+    return _optimal_policy(market, Utility.power(gamma).gamma, 0.0)

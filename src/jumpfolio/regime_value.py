@@ -74,7 +74,8 @@ def mean_log_growth(market: MarketModel, weights):
 def exact_value(market: MarketModel, utility: Utility, x, T, weights, i0):
     """J from regime i0 of each row of per-regime constant weights (k, 2).
 
-    Log utility pairs the weights with the log-optimal consumption rule:
+    Log utility pairs the weights with the log-optimal consumption scale
+    x/(T+1):
     J = (T+1) log(x/(T+1)) + sum_i d_bar_i w_i (``mean_log_growth``), with
     w_i the occupation of regime i weighted by 1 + T - s
     (``GeneratorMatrix.occupation``): running consumption weights the

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, InfeasiblePolicyError
-from .market import ConsumptionRule, MarketModel, _log_jump, _wealth_terms
+from .market import MarketModel, _deflated_wealth, _log_jump, _wealth_terms
 from .mpp import ColumnStream
 from .policy import Policy, Utility, feasible_weight_interval, in_interval
 from .regime_value import exact_value
@@ -338,20 +338,18 @@ def state_price_wealth_identity(market, spec: StatePriceSpec, T) -> float:
         return float(np.max(np.abs(np.expm1(T * np.asarray(level.drift)))))
 
 
-def budget_mc(
-    market, spec: StatePriceSpec, pi_pair, consumption: ConsumptionRule, x, T
-) -> McCheck:
-    """H_T V_T + int H_s c_s ds - x against the dual density spec;
-    nonpositive in mean up to noise for admissible pairs, zero at the
-    optimum.  The level log(H V^{1,pi,0}) reads two jump bases, one where
-    pi_pair is the weights spec was built from."""
-    kappa = consumption.scale
+def budget_mc(market, spec: StatePriceSpec, pi_pair, kappa: float, x, T) -> McCheck:
+    """H_T V_T + int H_s c_s ds - x against the dual density spec, under
+    the consumption rate c_t = kappa V_t^{1,pi,0}; nonpositive in mean up
+    to noise for admissible pairs, zero at the optimum.  The level
+    log(H V^{1,pi,0}) reads two jump bases, one where pi_pair is the
+    weights spec was built from."""
     if kappa * T >= x:
         raise ConfigError("proportional consumption ruins the pair before T")
     level = _state_price_wealth_level(
         market, spec, pi_pair, exp_coeff=1.0 if kappa != 0.0 else None
     )
-    xi_T = x - kappa * T
+    xi_T = _deflated_wealth(x, kappa, T)
 
     def reduce(res):
         total = xi_T * np.exp(res["final_log"])
@@ -362,12 +360,10 @@ def budget_mc(
     return McCheck(level, reduce)
 
 
-def expected_utility_mc(
-    market, pi_pair, consumption: ConsumptionRule, utility: Utility, x, T
-) -> McCheck:
-    """int U1(t, c_t) dt + U2(V_T); inter-jump time integrals are
-    closed-form (log and powers of piecewise exponentials)."""
-    kappa = consumption.scale
+def expected_utility_mc(market, pi_pair, kappa: float, utility: Utility, x, T) -> McCheck:
+    """int U1(t, c_t) dt + U2(V_T) under the consumption rate
+    c_t = kappa V_t^{1,pi,0}; inter-jump time integrals are closed-form
+    (log and powers of piecewise exponentials)."""
     drift, _ = _wealth_terms(market, pi_pair)
     jumps = {_weights(pi_pair): 1.0}
     g = utility.gamma
@@ -381,7 +377,7 @@ def expected_utility_mc(
 
     if kappa < 0 or kappa * T >= x:
         raise ConfigError("proportional scale must lie in (0, x/T)")
-    xi_T = x - kappa * T
+    xi_T = _deflated_wealth(x, kappa, T)
     if utility.is_log:
         return McCheck(
             Level(drift, jumps, int_log=True),
@@ -406,7 +402,7 @@ def grid_search_constant_portfolio(
 ):
     """Exact J over constant portfolio weights pi = pi_0 = pi_1: the rows
     (pi, pi) of ``regime_value.exact_value`` (log utility with the
-    proportional rule at scale x/(T+1), its optimal form; power without
+    consumption scale x/(T+1), its optimal form; power without
     consumption), one quadrature per mark law for the whole grid.
 
     Nothing is simulated: ``n_paths`` and ``seed`` are unused, kept only

@@ -41,8 +41,6 @@ from jumpfolio.verify import (
 )
 from jumpfolio.market import (
     DEFAULT_GRID_POINTS,
-    ProportionalConsumption,
-    ZeroConsumption,
     wealth_path,
 )
 from jumpfolio.mpp import jump_columns, simulate_ensemble
@@ -320,9 +318,9 @@ def test_criterion_6_budget_inequality():
     for _ in range(20):
         pi = float(rng.uniform(0.0, 2.0))
         if rng.random() < 0.5:
-            cons = ZeroConsumption()
+            cons = 0.0
         else:
-            cons = ProportionalConsumption(float(rng.uniform(0.05, 0.9)) * x / T)
+            cons = float(rng.uniform(0.05, 0.9)) * x / T
         checks.append(budget_mc(mkt, spec, (pi, pi), cons, x, T))
     # the optimum and the suboptimal pairs share one sweep of the sample
     sample = jump_columns(mkt.gen, 0, T, mkt.dists, 100_000, SEED)

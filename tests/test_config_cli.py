@@ -872,6 +872,35 @@ class TestCliOutputs:
             assert capsys.readouterr().out.splitlines()[0] == label
 
 
+def test_equal_tabulated_regimes_are_one_regime(tmp_path, monkeypatch, capsys):
+    """A tabulated law listed twice in a config makes two equal regimes:
+    optimize and value keep the optimal label, and the regime is solved
+    once."""
+    import jumpfolio.policy as policy_mod
+
+    grid = np.linspace(0.0, 2.0, 201)
+    density = 10.0 * np.exp(-10.0 * grid)
+    density /= (0.5 * (density[1:] + density[:-1]) * np.diff(grid)).sum()
+    data = yaml.safe_load((CONFIGS / "regime_switching.yaml").read_text())
+    law = {"variant": "tabulated", "grid": grid.tolist(), "density": density.tolist()}
+    regime = dict(data["model"]["regimes"][0], distribution=law)
+    data["model"]["regimes"] = [regime, copy.deepcopy(regime)]
+    data["mc"]["n_paths"] = 1000
+    path = write_config(tmp_path, data)
+    solved = []
+    solve = policy_mod.optimal_portfolio
+    monkeypatch.setattr(
+        policy_mod,
+        "optimal_portfolio",
+        lambda params, K, gamma: solved.append(params) or solve(params, K, gamma),
+    )
+    assert main(["optimize", path, "--gamma", "0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "optimal policy (power gamma=0.5 utility)"
+    assert len(solved) == 1
+    assert main(["value", path, "--gamma", "0.5"]) == 0
+    assert capsys.readouterr().out.startswith("optimal value (power gamma=0.5), start regime 0:\n")
+
+
 def low_drift(margin):
     """regime_switching.yaml with mu = -0.3 in regime 0 and one margin for
     both regimes."""

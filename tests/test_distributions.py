@@ -155,6 +155,22 @@ class TestTwoPoint:
         assert d.expect(lambda y: np.log1p(5.0 * np.expm1(y))) == math.log1p(5.0 * math.expm1(0.5))
 
 
+def _exp10_table():
+    """Exp(10) tabulated on 201 points of [0, 2], normalised to trapezoid mass 1."""
+    grid = np.linspace(0.0, 2.0, 201)
+    density = 10.0 * np.exp(-10.0 * grid)
+    return grid, density / (0.5 * (density[1:] + density[:-1]) * np.diff(grid)).sum()
+
+
+# every tabulated grid of the test suite, with its density
+TABULATED_GRIDS = [
+    (np.linspace(-1.0, 1.0, 2001), 1.0 - np.abs(np.linspace(-1.0, 1.0, 2001))),
+    (np.linspace(-1.0, 1.0, 201), 1.0 - np.abs(np.linspace(-1.0, 1.0, 201))),
+    (np.array([0.0, 0.5, 1.0]), np.ones(3)),
+    _exp10_table(),
+]
+
+
 class TestTabulated:
     def _triangular(self):
         # triangular density on [-1, 1], peak at 0
@@ -182,6 +198,28 @@ class TestTabulated:
     def test_bad_grid(self):
         with pytest.raises(ConfigError):
             Tabulated(grid=np.array([0.0, 0.0, 1.0]), density=np.ones(3))
+
+    @pytest.mark.parametrize("grid, density", TABULATED_GRIDS)
+    def test_mass_is_the_trapezoid_integral(self, grid, density):
+        """The mass check sums the CDF's trapezoid cells, which is numpy's
+        trapezoid integral bit for bit (x0.5 and /2 are exact); the law
+        itself calls no function that numpy added in 2.0."""
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        Tabulated(grid=grid, density=density)
+        scaled = 1.7 * density
+        with pytest.raises(ConfigError) as exc:
+            Tabulated(grid=grid, density=scaled)
+        assert f"integrates to {trapezoid(scaled, grid)!r}, not 1" in str(exc.value)
+
+    def test_equal_by_value(self):
+        """Laws on equal grids and densities are equal and hash alike, so
+        a config that lists one tabulated law twice names one law."""
+        a, b = self._triangular(), self._triangular()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Tabulated(grid=a.grid, density=np.full(a.grid.size, 0.5))
+        assert a != Tabulated(grid=np.array([0.0, 0.5, 1.0]), density=np.ones(3))
+        assert a != ExponentialPositive(10.0)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ PACKAGE = ROOT / "src" / "jumpfolio"
 
 # export -> why it has no caller outside its module
 CALLERLESS = {
-    "ProportionalConsumption": "type returned by log_optimal_consumption",
     "WealthPath": "type returned by wealth_path",
     "RegimeOptimum": "type returned by policy.optimal_portfolio",
     "McEstimate": "type returned by verify.sweep_estimates",

@@ -17,15 +17,12 @@ from jumpfolio.frictions import NO_SHORTING, PiecewiseLinearConcave
 from jumpfolio.market import (
     DEFAULT_GRID_POINTS,
     MarketModel,
-    ProportionalConsumption,
     RegimeMarketParams,
-    ZeroConsumption,
     _CSV_ROW,
     _checked_exp,
     _csv_text,
     export_path_csv,
     jump_transform,
-    log_optimal_consumption,
     report_grid,
     wealth_path,
 )
@@ -58,14 +55,14 @@ def fixed_path(times, marks, T=2.0, i0=0):
 
 def gross_wealth(mkt, pi, path):
     """V^{1,pi,0} of a one-row ensemble on its grid: (t, V)."""
-    wp = wealth_path(1.0, mkt, pi, ZeroConsumption(), path)
+    wp = wealth_path(1.0, mkt, pi, 0.0, path)
     return wp.t[0], wp.v_gross[0]
 
 
 def stock(mkt, rows, grid=None):
     """The paths of rows at weights (0, 0): the wealth then has no jump
     term, so only the stock S can fail."""
-    return wealth_path(1.0, mkt, (0.0, 0.0), ZeroConsumption(), rows, grid)
+    return wealth_path(1.0, mkt, (0.0, 0.0), 0.0, rows, grid)
 
 
 class TestModelValidation:
@@ -191,7 +188,7 @@ class TestWealthFactorisation:
         mkt = make_market()
         x, T = 2.0, 2.0
         path = fixed_path([0.4, 1.1, 1.9], [0.05, 0.2, 0.01], T=T)
-        wp = wealth_path(x, mkt, 0.7, log_optimal_consumption(x, T), path)
+        wp = wealth_path(x, mkt, 0.7, x / (T + 1.0), path)
         assert np.allclose(wp.V, wp.xi * wp.v_gross, rtol=1e-12, atol=0.0)
         _, v_ref = gross_wealth(mkt, 0.7, path)
         assert np.allclose(wp.v_gross[0], v_ref, rtol=1e-12)
@@ -199,21 +196,21 @@ class TestWealthFactorisation:
     def test_zero_consumption_keeps_xi_constant(self):
         mkt = make_market()
         path = fixed_path([0.5], [0.1], T=1.0)
-        wp = wealth_path(3.0, mkt, 0.5, ZeroConsumption(), path)
+        wp = wealth_path(3.0, mkt, 0.5, 0.0, path)
         assert np.all(wp.xi == 3.0)
 
     def test_proportional_ruin_detected(self):
         mkt = make_market()
         path = fixed_path([], [], T=2.0)
         with pytest.raises(RuinError) as exc:
-            wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.8), path)
+            wealth_path(1.0, mkt, 0.5, 0.8, path)
         assert exc.value.ruin_time == pytest.approx(1.25)
 
     def test_log_optimal_wealth_identity_single_path(self):
         mkt = make_market()
         x, T = 1.0, 3.0
         path = fixed_path([0.7, 2.1], [0.15, 0.05], T=T)
-        wp = wealth_path(x, mkt, 0.7, log_optimal_consumption(x, T), path)
+        wp = wealth_path(x, mkt, 0.7, x / (T + 1.0), path)
         reference = x * wp.v_gross * (1.0 - wp.t / (T + 1.0))
         assert np.max(np.abs(wp.V - reference)) <= 1e-10 * np.max(x * wp.v_gross)
 
@@ -225,7 +222,7 @@ class TestRowBlocks:
         mkt = load_config(FIG3).market
         ens = simulate_ensemble(mkt.gen, 1, 3.0, mkt.dists, 40, 8)
         assert len(set(ens.counts.tolist())) > 3
-        policy = (0.4, -2.0), log_optimal_consumption(1.0, 3.0)
+        policy = (0.4, -2.0), 0.25
         wp = wealth_path(1.0, mkt, *policy, ens)
         assert np.all(wp.S[:, 0] == 1.0)
         for k in range(ens.n_paths):
@@ -255,7 +252,7 @@ class TestCsvExport:
         mkt = make_market(lam=5.0)
         path = simulate_ensemble(mkt.gen, 1, 4.0, mkt.dists, 1, 31)
         assert path.counts[0] > 5
-        wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path).row(0)
+        wp = wealth_path(1.0, mkt, 0.5, 0.05, path).row(0)
         got, ref = io.StringIO(), io.StringIO()
         export_path_csv(wp, got, comment_lines=("a", "b"))
         reference_export_path_csv(wp, ref, comment_lines=("a", "b"))
@@ -267,7 +264,7 @@ class TestCsvExport:
         cells included."""
         mkt = make_market(lam=5.0)
         path = simulate_ensemble(mkt.gen, 0, 4.0, mkt.dists, 1, 32)
-        wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path).row(0)
+        wp = wealth_path(1.0, mkt, 0.5, 0.05, path).row(0)
         S, V = wp.S.copy(), wp.V.copy()
         S[5] = np.nan
         V[3], V[7] = np.inf, -np.inf
@@ -283,7 +280,7 @@ class TestCsvExport:
         mkt = make_market()
         x, T = 1.0, 1.0
         path = fixed_path([0.25], [0.1], T=T)
-        wp = wealth_path(x, mkt, 0.5, ZeroConsumption(), path).row(0)
+        wp = wealth_path(x, mkt, 0.5, 0.0, path).row(0)
         buf = io.StringIO()
         export_path_csv(wp, buf, comment_lines=("probe",))
         lines = buf.getvalue().splitlines()
@@ -390,7 +387,7 @@ class TestCsvKernel:
         bytes as in one call."""
         mkt = make_market(lam=5.0)
         path = simulate_ensemble(mkt.gen, 1, 4.0, mkt.dists, 1, 33)
-        wp = wealth_path(1.0, mkt, 0.5, ProportionalConsumption(0.05), path).row(0)
+        wp = wealth_path(1.0, mkt, 0.5, 0.05, path).row(0)
         whole, blocks = io.StringIO(), io.StringIO()
         export_path_csv(wp, whole)
         monkeypatch.setattr(market_mod, "_CSV_BLOCK_ROWS", 7)

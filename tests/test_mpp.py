@@ -16,7 +16,6 @@ from jumpfolio.errors import ConfigError
 from jumpfolio.market import (
     MarketModel,
     RegimeMarketParams,
-    ZeroConsumption,
     report_grid,
     wealth_path,
 )
@@ -175,7 +174,7 @@ class TestRegimePath:
             marks=np.zeros((1, 3)),
             counts=np.array([3]),
         )
-        wp = wealth_path(1.0, mkt, 0.5, ZeroConsumption(), row, grid=report_grid(row, 12))
+        wp = wealth_path(1.0, mkt, 0.5, 0.0, row, grid=report_grid(row, 12))
         state_at = dict(zip(wp.t[0].tolist(), wp.regime[0].tolist()))
         assert state_at[0.0] == 1
         assert wp.regime[0, list(wp.t[0]).index(0.5)] == 0  # right-continuous

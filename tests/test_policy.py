@@ -482,7 +482,7 @@ class TestPolicyBuilders:
     def test_log_policy_consumption_scale(self):
         mkt = self._market(PARAMS_UP, NO_SHORTING)
         pol = log_optimal_policy(mkt, x=2.0, T=3.0)
-        assert pol.consumption.scale == pytest.approx(0.5)
+        assert pol.consumption == pytest.approx(0.5)
         assert pol.gamma == 0.0
 
     def test_power_policy_zero_consumption(self):

@@ -10,9 +10,9 @@ sweep makes every Monte Carlo estimate in one workspace per sweep, one
 constant sizes the blocks a sample is drawn and swept in, one the chunks
 of weight rows the exact value integrates at once, one expect integrates
 against every mark law, the row engine serves only the stock and wealth
-paths, only the market builds the regime chain, value and verify share
-one call of each value stage, and no module does linear algebra at run
-time."""
+paths, one function forms the deflated wealth xi = x - kappa t, only the
+market builds the regime chain, value and verify share one call of each
+value stage, and no module does linear algebra at run time."""
 
 import ast
 import dataclasses
@@ -200,6 +200,17 @@ def test_only_stock_and_wealth_paths_call_the_row_engine():
     levels on ensemble rows and builds reporting grids."""
     assert _callers({"_path_log_level"}) == {("market", "wealth_path")}
     assert _callers({"report_grid"}) == {("market", "wealth_path")}
+
+
+def test_one_owner_of_the_deflated_wealth():
+    """Consumption is the scale kappa of c_t = kappa V_t^{1,pi,0}: in src/,
+    only market._deflated_wealth forms xi_t = x - kappa t, for the path
+    tables and for the Monte Carlo checks' xi_T alike."""
+    assert _callers({"_deflated_wealth"}) == {
+        ("market", "wealth_path"),
+        ("verify", "budget_mc"),
+        ("verify", "expected_utility_mc"),
+    }
 
 
 # a law's sampler and every drawing method of a numpy Generator

@@ -15,10 +15,7 @@ from jumpfolio.errors import ConfigError, DomainError, InfeasiblePolicyError
 from jumpfolio.frictions import NO_SHORTING, PiecewiseLinearConcave
 from jumpfolio.market import (
     MarketModel,
-    ProportionalConsumption,
     RegimeMarketParams,
-    ZeroConsumption,
-    log_optimal_consumption,
     wealth_path,
     _log_jump,
     _path_log_level,
@@ -109,13 +106,13 @@ class TestEnsembleFunctionals:
         if kind == "wealth":
             drift, jumps = _wealth_terms(mkt, (pi, pi))
             return drift, jumps, lambda rows: wealth_path(
-                1.0, mkt, pi, ZeroConsumption(), rows, grid=report_grid(rows, 1)
+                1.0, mkt, pi, 0.0, rows, grid=report_grid(rows, 1)
             ).v_gross
         if kind == "stock":
             drift = [p.mu for p in mkt.regimes]
             jumps = [lambda y: np.log1p(mkt.f(y))] * 2
             return drift, jumps, lambda rows: wealth_path(
-                1.0, mkt, (0.0, 0.0), ZeroConsumption(), rows, grid=report_grid(rows, 1)
+                1.0, mkt, (0.0, 0.0), 0.0, rows, grid=report_grid(rows, 1)
             ).S
         spec = state_price_spec(mkt, log_optimal_policy(mkt, 1.0, 2.0))
         drift, jumps = spec.drift(mkt), h_jump_logs(mkt, spec)
@@ -140,7 +137,7 @@ class TestEnsembleFunctionals:
         """Trapezoid of transform(log V) over a one-row ensemble, with
         jump-time right endpoints replaced by their left limits (log V is
         right-continuous)."""
-        wp = wealth_path(1.0, mkt, pi, ZeroConsumption(), row, grid=report_grid(row, n_grid))
+        wp = wealth_path(1.0, mkt, pi, 0.0, row, grid=report_grid(row, n_grid))
         t, log_v = wp.t[0], np.log(wp.v_gross[0])
         f = mkt.f
         jump_log = {
@@ -267,7 +264,7 @@ def one_level_sweep(ens, drift_by_state, jump_log_by_state, exp_coeff=1.0):
     return level, int_log, int_exp
 
 
-def per_check_estimates(mkt, K, policy, pair, cons, utility, x, ens):
+def per_check_estimates(mkt, K, policy, pair, kappa, utility, x, ens):
     """The martingale, budget, expected-utility and (log) dual estimates,
     one sweep each, with H's tilt phi = 1/(1 + pi f)^(1 - gamma) written
     out in its jump log and compensator."""
@@ -280,7 +277,7 @@ def per_check_estimates(mkt, K, policy, pair, cons, utility, x, ens):
         h_drift.append(-(params.r + certify(params, K, gamma, pi).gk + comp))
         h_jumps.append(lambda y, phi=phi: np.log(phi(y)))
     v_drift, v_jumps = _wealth_terms(mkt, pair)
-    kappa, xi_T = cons.scale, x - cons.scale * T
+    xi_T = x - kappa * T
 
     final, _, _ = one_level_sweep(ens, [-c for c in comps], h_jumps)
     samples = [np.exp(final)]
@@ -324,7 +321,7 @@ class TestOnePass:
         sample = lambda: jump_columns(mkt.gen, 0, T, mkt.dists, 3000, 8)
         pol = log_optimal_policy(mkt, 1.0, T)
         checks = self._checks(
-            mkt, pol, (0.5, 2.0), ProportionalConsumption(0.3), Utility.power(0.5), 1.0, T
+            mkt, pol, (0.5, 2.0), 0.3, Utility.power(0.5), 1.0, T
         ) + self._checks(mkt, pol, pol.pi, pol.consumption, Utility.log(), 1.0, T)
         levels = [c.level for c in checks]
         bases = {
@@ -351,8 +348,8 @@ class TestOnePass:
             (REGIME_SWITCHING, 0.5, 4000, None, None),
             (PATHS_DENSE, 0.0, 300, None, None),
             (FIG3, 0.5, 4000, None, None),
-            (REGIME_SWITCHING, 0.0, 4000, (0.5, 2.0), ProportionalConsumption(0.3)),
-            (REGIME_SWITCHING, 0.5, 4000, (0.5, 2.0), ProportionalConsumption(0.3)),
+            (REGIME_SWITCHING, 0.0, 4000, (0.5, 2.0), 0.3),
+            (REGIME_SWITCHING, 0.5, 4000, (0.5, 2.0), 0.3),
         ],
     )
     def test_matches_per_check_sweeps(self, config, gamma, n_paths, pair, cons):
@@ -630,9 +627,9 @@ class TestBudget:
         checks = [
             budget_mc(mkt, spec, (pi, pi), cons, x, T)
             for pi, cons in (
-                (0.3, ZeroConsumption()),
-                (1.2, ProportionalConsumption(0.4)),
-                (0.0, ProportionalConsumption(0.9)),
+                (0.3, 0.0),
+                (1.2, 0.4),
+                (0.0, 0.9),
             )
         ]
         for est in sweep_estimates(mkt, columns(mkt, T, 30_000, 11), checks):
@@ -644,7 +641,7 @@ class TestBudget:
         with pytest.raises(ConfigError):
             budget_mc(
                 mkt, state_price_spec(mkt, pol), pol.pi,
-                ProportionalConsumption(2.0), 1.0, 1.0,
+                2.0, 1.0, 1.0,
             )
 
 
@@ -652,13 +649,13 @@ class TestExpectedUtility:
     def test_log_requires_consumption(self):
         mkt = make_market()
         with pytest.raises(ConfigError):
-            expected_utility_mc(mkt, (0.5, 0.5), ZeroConsumption(), Utility.log(), 1.0, 1.0)
+            expected_utility_mc(mkt, (0.5, 0.5), 0.0, Utility.log(), 1.0, 1.0)
 
     def test_one_path_has_no_standard_error(self):
         """A single path would report stderr 0; every estimate refuses it."""
         mkt = make_market()
         check = expected_utility_mc(
-            mkt, (0.5, 0.5), log_optimal_consumption(1.0, 1.0), Utility.log(), 1.0, 1.0
+            mkt, (0.5, 0.5), 0.5, Utility.log(), 1.0, 1.0
         )
         with pytest.raises(ConfigError, match="two paths"):
             sweep_estimates(mkt, columns(mkt, 1.0, 1, 0), [check])
@@ -675,7 +672,7 @@ class TestExpectedUtility:
             constraint=NO_SHORTING,
         )
         g, pi, x, T = 0.5, 0.8, 2.0, 1.5
-        check = expected_utility_mc(mkt, (pi, pi), ZeroConsumption(), Utility.power(g), x, T)
+        check = expected_utility_mc(mkt, (pi, pi), 0.0, Utility.power(g), x, T)
         (est,) = sweep_estimates(mkt, columns(mkt, T, 50, 1), [check])
         b = 0.045 + pi * (0.06 - 0.045)
         expected = (x * math.exp(b * T)) ** g / g
@@ -694,7 +691,7 @@ class TestExpectedUtility:
         )
         pi, x, T, kappa = 0.5, 1.0, 2.0, 0.25
         check = expected_utility_mc(
-            mkt, (pi, pi), ProportionalConsumption(kappa), Utility.log(), x, T
+            mkt, (pi, pi), kappa, Utility.log(), x, T
         )
         (est,) = sweep_estimates(mkt, columns(mkt, T, 20, 1), [check])
         b = 0.03 + pi * (0.05 - 0.03)
